@@ -38,10 +38,6 @@
 //! list drives), which maximizes the skew the galloping exploits. The intersection
 //! output is a set, so neither reordering nor skipping changes any result.
 //!
-//! [`ExecOptions::linear_intersect`] restores the PR 1 behaviour — declaration-order
-//! operands, one-id-at-a-time sorted merge — as an ablation baseline for the
-//! `parallel_topk` bench.
-//!
 //! Callers that need *all* matching ids without a limit (the N−1 partial matcher)
 //! consume [`Executor::execute_stream`] and never materialize a result vector; they
 //! can also [`IdStream::restrict`] the stream to an id range, which is how the
@@ -65,7 +61,6 @@ use crate::query::{BoolExpr, Comparison, Condition, Query, Superlative, Superlat
 use crate::record::{Record, RecordId};
 use crate::schema::AttrType;
 use crate::table::{PostingList, Table, POSTING_BLOCK};
-use std::cmp::Ordering;
 
 /// Index of the first element of `xs` that is `>= target`, assuming `xs` ascending.
 ///
@@ -158,16 +153,6 @@ impl OwnedCursor {
     }
 }
 
-/// How an [`IdStream::Intersect`] node advances its operands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntersectMode {
-    /// Skip-based advance: each operand is positioned with [`IdStream::seek_ge`]
-    /// (galloping + block-max skipping).
-    Gallop,
-    /// PR 1 ablation: one-id-at-a-time sorted merge, no skipping.
-    Linear,
-}
-
 /// A stream of strictly ascending record ids — the executor's streaming currency.
 ///
 /// Equality conditions stream their posting list in place; composed streams merge
@@ -197,8 +182,9 @@ pub enum IdStream<'a> {
     Postings(PostingsCursor<'a>),
     /// Materialized sorted ids (ranges, unions, complements, scans).
     Owned(OwnedCursor),
-    /// Lazy intersection of two streams.
-    Intersect(Box<IdStream<'a>>, Box<IdStream<'a>>, IntersectMode),
+    /// Lazy intersection of two streams, advanced by leapfrogging
+    /// [`IdStream::seek_ge`] (galloping + block-max skipping).
+    Intersect(Box<IdStream<'a>>, Box<IdStream<'a>>),
     /// Per-candidate predicate over an inner stream (Type III boundaries applied to
     /// the records surviving the index-driven layers, per the paper's order — no
     /// range-sized id vector is ever materialized).
@@ -238,19 +224,10 @@ impl Iterator for IdStream<'_> {
     /// `TRUE`/restriction ranges. On the partial-match hot path most candidates come
     /// from single posting lists and wide-range filters, so this removes the dominant
     /// per-candidate cost.
-    fn fold<B, F>(mut self, init: B, mut f: F) -> B
+    fn fold<B, F>(self, init: B, mut f: F) -> B
     where
         F: FnMut(B, RecordId) -> B,
     {
-        if !self.gallop_flattenable() {
-            // Linear-mode intersections keep their PR 1 element-at-a-time cost
-            // profile: consume through `next` exactly as a `for` loop would.
-            let mut acc = init;
-            for id in self.by_ref() {
-                acc = f(acc, id);
-            }
-            return acc;
-        }
         let mut flat = FlatConjunction::default();
         flat.absorb(self);
         flat.run(init, &mut f)
@@ -288,8 +265,7 @@ impl FlatOperand<'_> {
 }
 
 impl<'a> FlatConjunction<'a> {
-    /// Flatten `stream` into this conjunction (checked flattenable by the caller; a
-    /// linear-mode node reached anyway is drained element-wise, staying correct).
+    /// Flatten `stream` into this conjunction.
     fn absorb(&mut self, stream: IdStream<'a>) {
         match stream {
             IdStream::Empty => self.empty = true,
@@ -310,13 +286,9 @@ impl<'a> FlatConjunction<'a> {
                 self.predicates.push(predicate);
                 self.absorb(*inner);
             }
-            IdStream::Intersect(a, b, IntersectMode::Gallop) => {
+            IdStream::Intersect(a, b) => {
                 self.absorb(*a);
                 self.absorb(*b);
-            }
-            linear @ IdStream::Intersect(_, _, IntersectMode::Linear) => {
-                debug_assert!(false, "caller checks gallop_flattenable first");
-                self.operands.push(FlatOperand::Owned(linear.collect(), 0));
             }
         }
     }
@@ -406,7 +378,7 @@ impl<'a> IdStream<'a> {
             }
             IdStream::Postings(cursor) => cursor.seek_ge(target),
             IdStream::Owned(cursor) => cursor.seek_ge(target),
-            IdStream::Intersect(a, b, IntersectMode::Gallop) => {
+            IdStream::Intersect(a, b) => {
                 // Leapfrog: whichever operand is ahead sets the bar for the other.
                 let mut x = a.seek_ge(target)?;
                 loop {
@@ -419,22 +391,6 @@ impl<'a> IdStream<'a> {
                         return Some(y);
                     }
                     x = x2;
-                }
-            }
-            IdStream::Intersect(a, b, IntersectMode::Linear) => {
-                // PR 1 ablation: advance one id at a time, never skip.
-                let mut x = a.next()?;
-                let mut y = b.next()?;
-                loop {
-                    match x.cmp(&y) {
-                        Ordering::Equal if x >= target => return Some(x),
-                        Ordering::Equal => {
-                            x = a.next()?;
-                            y = b.next()?;
-                        }
-                        Ordering::Less => x = a.next()?,
-                        Ordering::Greater => y = b.next()?,
-                    }
                 }
             }
             IdStream::Filter(inner, predicate) => {
@@ -459,20 +415,6 @@ impl<'a> IdStream<'a> {
         self.len_estimate() == 0
     }
 
-    /// Can bulk consumption flatten this tree into a [`FlatConjunction`]? True for
-    /// every shape the executor builds in galloping mode; false as soon as a
-    /// linear-mode (PR 1 ablation) intersection appears anywhere.
-    fn gallop_flattenable(&self) -> bool {
-        match self {
-            IdStream::Empty | IdStream::All(_) | IdStream::Postings(_) | IdStream::Owned(_) => true,
-            IdStream::Filter(inner, _) => inner.gallop_flattenable(),
-            IdStream::Intersect(a, b, IntersectMode::Gallop) => {
-                a.gallop_flattenable() && b.gallop_flattenable()
-            }
-            IdStream::Intersect(_, _, IntersectMode::Linear) => false,
-        }
-    }
-
     /// Upper bound on how many ids the stream can still yield. Exact for leaves,
     /// `min` over intersections — used to order conjunctions most-selective first.
     fn len_estimate(&self) -> usize {
@@ -481,7 +423,7 @@ impl<'a> IdStream<'a> {
             IdStream::All(r) => r.len(),
             IdStream::Postings(cursor) => cursor.remaining(),
             IdStream::Owned(cursor) => cursor.remaining(),
-            IdStream::Intersect(a, b, _) => a.len_estimate().min(b.len_estimate()),
+            IdStream::Intersect(a, b) => a.len_estimate().min(b.len_estimate()),
             IdStream::Filter(inner, _) => inner.len_estimate(),
         }
     }
@@ -489,11 +431,6 @@ impl<'a> IdStream<'a> {
     /// Lazy intersection (galloping advance); collapses to [`IdStream::Empty`] when
     /// either side is trivially empty.
     pub fn intersect(self, other: IdStream<'a>) -> IdStream<'a> {
-        self.intersect_with(other, IntersectMode::Gallop)
-    }
-
-    /// [`IdStream::intersect`] with an explicit advance mode.
-    fn intersect_with(self, other: IdStream<'a>, mode: IntersectMode) -> IdStream<'a> {
         if self.is_trivially_empty() || other.is_trivially_empty() {
             return IdStream::Empty;
         }
@@ -504,7 +441,7 @@ impl<'a> IdStream<'a> {
             // construction below is used directly).
             (IdStream::All(r), s) if r.start == 0 && max_possible_id_below(&s, r.end) => s,
             (s, IdStream::All(r)) if r.start == 0 && max_possible_id_below(&s, r.end) => s,
-            (a, b) => IdStream::Intersect(Box::new(a), Box::new(b), mode),
+            (a, b) => IdStream::Intersect(Box::new(a), Box::new(b)),
         }
     }
 
@@ -520,11 +457,7 @@ impl<'a> IdStream<'a> {
             return IdStream::Empty;
         }
         // The range drives: it advances in O(1) and bounds both sides of the leapfrog.
-        IdStream::Intersect(
-            Box::new(IdStream::All(bounds)),
-            Box::new(self),
-            IntersectMode::Gallop,
-        )
+        IdStream::Intersect(Box::new(IdStream::All(bounds)), Box::new(self))
     }
 }
 
@@ -640,7 +573,7 @@ fn max_possible_id_below(stream: &IdStream<'_>, bound: u32) -> bool {
         IdStream::All(r) => r.end <= bound,
         IdStream::Postings(cursor) => below(cursor.list.ids()),
         IdStream::Owned(cursor) => below(&cursor.ids),
-        IdStream::Intersect(a, b, _) => {
+        IdStream::Intersect(a, b) => {
             max_possible_id_below(a, bound) || max_possible_id_below(b, bound)
         }
         IdStream::Filter(inner, _) => max_possible_id_below(inner, bound),
@@ -656,11 +589,6 @@ pub struct ExecOptions {
     /// Use the hash / sorted-column indexes (true) or fall back to full scans (false).
     /// The substring-index ablation bench flips this to quantify the speed-up.
     pub use_indexes: bool,
-    /// Advance intersections one id at a time in declaration order (the PR 1
-    /// behaviour) instead of galloping with block-max skipping and most-selective-
-    /// first ordering. Kept for the `parallel_topk` ablation bench; results are
-    /// identical either way.
-    pub linear_intersect: bool,
 }
 
 impl Default for ExecOptions {
@@ -668,7 +596,6 @@ impl Default for ExecOptions {
         ExecOptions {
             superlatives_first: false,
             use_indexes: true,
-            linear_intersect: false,
         }
     }
 }
@@ -806,14 +733,8 @@ impl<'a> Executor<'a> {
     /// either way. Type III boundaries still run after the equality layers as
     /// per-candidate filters (the paper's step 3). For arbitrary boolean expressions
     /// we recurse, materializing at OR/NOT boundaries where the output is a genuinely
-    /// new set. Under [`ExecOptions::linear_intersect`] the declaration order and the
-    /// one-id-at-a-time merge of PR 1 are preserved.
+    /// new set.
     fn stream_ordered(&self, expr: &BoolExpr) -> DbResult<IdStream<'a>> {
-        let mode = if self.options.linear_intersect {
-            IntersectMode::Linear
-        } else {
-            IntersectMode::Gallop
-        };
         match expr {
             BoolExpr::True => Ok(IdStream::All(0..self.table.len() as u32)),
             BoolExpr::Cond(c) => Ok(self.stream_condition(c)),
@@ -862,16 +783,14 @@ impl<'a> Executor<'a> {
                     }
                     equality_streams.push(next);
                 }
-                if !self.options.linear_intersect {
-                    // Shortest list first: the driver of the leapfrog sets the skew
-                    // every other operand gallops across. (Stable sort: declaration
-                    // order breaks ties, keeping plans deterministic.)
-                    equality_streams.sort_by_key(IdStream::len_estimate);
-                }
+                // Shortest list first: the driver of the leapfrog sets the skew
+                // every other operand gallops across. (Stable sort: declaration
+                // order breaks ties, keeping plans deterministic.)
+                equality_streams.sort_by_key(IdStream::len_estimate);
                 let mut stream: Option<IdStream<'a>> = None;
                 for next in equality_streams {
                     stream = Some(match stream {
-                        Some(acc) => acc.intersect_with(next, mode),
+                        Some(acc) => acc.intersect(next),
                         None => next,
                     });
                     if stream.as_ref().is_some_and(IdStream::is_trivially_empty) {
@@ -890,7 +809,7 @@ impl<'a> Executor<'a> {
                         (taken, _) => {
                             let next = self.stream_condition(c);
                             match taken {
-                                Some(acc) => acc.intersect_with(next, mode),
+                                Some(acc) => acc.intersect(next),
                                 None => next,
                             }
                         }
@@ -902,7 +821,7 @@ impl<'a> Executor<'a> {
                 }
                 let mut acc = stream.unwrap_or_else(|| IdStream::All(0..self.table.len() as u32));
                 for sub in complex {
-                    acc = acc.intersect_with(self.stream_ordered(sub)?, mode);
+                    acc = acc.intersect(self.stream_ordered(sub)?);
                 }
                 Ok(acc)
             }
@@ -943,11 +862,10 @@ impl<'a> Executor<'a> {
                 // order — and the lazy form costs nothing to build, which also
                 // matters when parallel workers each plan the same query. Narrow
                 // ranges still materialize: their sort is small and the resulting
-                // cursor gallops. The id *set* is identical either way. The linear
-                // ablation keeps PR 1's always-materialize behaviour.
+                // cursor gallops. The id *set* is identical either way.
                 let count = self.table.range_count(&cond.attribute, low, high);
                 let wide = count.saturating_mul(4) >= self.table.len() && count > 256;
-                if wide && !self.options.linear_intersect {
+                if wide {
                     IdStream::Filter(
                         Box::new(IdStream::All(0..self.table.len() as u32)),
                         RangePredicate {
@@ -1017,7 +935,10 @@ impl<'a> Executor<'a> {
         self.apply_superlative_slice(&query.superlatives, candidates)
     }
 
-    /// Apply a run of superlatives over an ascending candidate vector.
+    /// Apply a run of superlatives over an ascending candidate vector. Each step has
+    /// [`retain_extreme`](crate::table::retain_extreme)'s semantics (extreme among the
+    /// candidates holding the attribute, ties within the window survive, no holder
+    /// clears the set), read off the table's sorted column.
     fn apply_superlative_slice(
         &self,
         superlatives: &[Superlative],
@@ -1403,19 +1324,41 @@ mod tests {
                 .with_superlative(Superlative::min("price")),
             Query::new("cars").with_condition(Condition::eq("make", "nosuchmake")),
         ];
+        // Reference: a brute-force filter over every record (the queries are pure
+        // conjunctions), then the cheapest survivors for the superlative query.
+        let brute_force = |q: &Query| -> Vec<RecordId> {
+            let matching: Vec<(RecordId, &Record)> = t
+                .iter()
+                .filter(|(_, r)| {
+                    q.expr
+                        .conditions()
+                        .iter()
+                        .all(|c| c.matches_value(r.get(&c.attribute)))
+                })
+                .collect();
+            match q.superlatives.first() {
+                None => matching.iter().map(|(id, _)| *id).collect(),
+                Some(s) => {
+                    let value = |r: &Record| r.get_number(&s.attribute).unwrap();
+                    let best = matching
+                        .iter()
+                        .map(|(_, r)| value(r))
+                        .fold(f64::INFINITY, f64::min);
+                    matching
+                        .iter()
+                        .filter(|(_, r)| value(r) == best)
+                        .map(|(id, _)| *id)
+                        .collect()
+                }
+            }
+        };
         let gallop = Executor::new(&t);
-        let linear = Executor::with_options(
-            &t,
-            ExecOptions {
-                linear_intersect: true,
-                ..ExecOptions::default()
-            },
-        );
         for q in &queries {
-            assert_eq!(gallop.execute(q).unwrap(), linear.execute(q).unwrap());
-            let g: Vec<RecordId> = gallop.execute_stream(q).unwrap().collect();
-            let l: Vec<RecordId> = linear.execute_stream(q).unwrap().collect();
-            assert_eq!(g, l);
+            let expected = brute_force(q);
+            let executed: Vec<RecordId> = gallop.execute(q).unwrap().iter().map(|a| a.id).collect();
+            assert_eq!(executed, expected);
+            let streamed: Vec<RecordId> = gallop.execute_stream(q).unwrap().collect();
+            assert_eq!(streamed, expected);
         }
     }
 

@@ -84,7 +84,8 @@ pub use record::{Record, RecordBuilder, RecordId};
 pub use schema::{AttrType, AttributeDef, Schema, SchemaBuilder};
 pub use substring::SubstringIndex;
 pub use table::{
-    NumericColumn, PostingList, Table, TextCell, TextColumn, ValueIndex, POSTING_BLOCK,
+    retain_extreme, NumericColumn, PostingList, Table, TextCell, TextColumn, ValueIndex,
+    POSTING_BLOCK, SUPERLATIVE_TIE_WINDOW,
 };
 pub use value::Value;
 

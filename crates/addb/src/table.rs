@@ -31,6 +31,38 @@ use std::sync::Arc;
 /// block-max array is ~1.5% of the list and fits in cache even for huge lists.
 pub const POSTING_BLOCK: usize = 64;
 
+/// Two numeric values closer than this count as the same extreme: a superlative
+/// ("cheapest", "newest") keeps every candidate tied within it.
+pub const SUPERLATIVE_TIE_WINDOW: f64 = 1e-9;
+
+/// One superlative step over candidates whose values the caller resolves — the
+/// single definition of the semantics [`Table::extreme_sorted`] implements over one
+/// table's sorted column and the scatter-gather layer applies across several tables.
+/// The extreme is taken among the candidates that *have* a value; the survivors, kept
+/// in order, are the candidates within [`SUPERLATIVE_TIE_WINDOW`] of it; a step in
+/// which no candidate has a value clears the set.
+pub fn retain_extreme(
+    candidates: &mut Vec<RecordId>,
+    max: bool,
+    value_of: impl Fn(RecordId) -> Option<f64>,
+) {
+    let values: Vec<Option<f64>> = candidates.iter().map(|&id| value_of(id)).collect();
+    let best = values
+        .iter()
+        .flatten()
+        .copied()
+        .reduce(|a, b| if max { a.max(b) } else { a.min(b) });
+    match best {
+        Some(best) => {
+            let mut tied = values
+                .iter()
+                .map(|v| v.is_some_and(|v| (v - best).abs() < SUPERLATIVE_TIE_WINDOW));
+            candidates.retain(|_| tied.next().unwrap_or(false));
+        }
+        None => candidates.clear(),
+    }
+}
+
 /// One sorted posting list (record ids ascending) plus per-block max-id skip metadata.
 ///
 /// `block_max[b]` is the largest id in `ids[b * POSTING_BLOCK ..][..POSTING_BLOCK]`,
@@ -506,35 +538,10 @@ impl Table {
             .collect()
     }
 
-    /// Minimum / maximum value of a numeric column among the given candidate set.
-    /// Returns the extreme value and every candidate record holding it.
-    pub fn extreme(
-        &self,
-        attribute: &str,
-        candidates: &HashSet<RecordId>,
-        max: bool,
-    ) -> Option<(f64, Vec<RecordId>)> {
-        let col = self.numeric.get(attribute)?;
-        let mut iter: Box<dyn Iterator<Item = &(f64, RecordId)>> = if max {
-            Box::new(col.iter().rev())
-        } else {
-            Box::new(col.iter())
-        };
-        let (best, first) = iter
-            .find(|(_, id)| candidates.contains(id))
-            .map(|(v, id)| (*v, *id))?;
-        // Collect every candidate sharing the extreme value.
-        let mut ids = vec![first];
-        for (v, id) in col.iter() {
-            if (*v - best).abs() < 1e-9 && *id != first && candidates.contains(id) {
-                ids.push(*id);
-            }
-        }
-        Some((best, ids))
-    }
-
-    /// [`Table::extreme`] over a candidate slice sorted by record id (membership by
-    /// binary search — no hash set needed on the executor's sorted-merge path).
+    /// Minimum / maximum value of a numeric column among a candidate slice sorted by
+    /// record id (membership by binary search). Returns the extreme value and every
+    /// candidate within [`SUPERLATIVE_TIE_WINDOW`] of it — [`retain_extreme`]'s
+    /// semantics, read off the sorted column.
     pub fn extreme_sorted(
         &self,
         attribute: &str,
@@ -551,22 +558,22 @@ impl Table {
         let (best, first) = iter.find(|(_, id)| contains(id)).map(|(v, id)| (*v, *id))?;
         let mut ids = vec![first];
         for (v, id) in col.iter() {
-            if (*v - best).abs() < 1e-9 && *id != first && contains(id) {
+            if (*v - best).abs() < SUPERLATIVE_TIE_WINDOW && *id != first && contains(id) {
                 ids.push(*id);
             }
         }
         Some((best, ids))
     }
 
-    /// [`Table::extreme`] over the *whole* table: no candidate set is consulted (every
-    /// record qualifies), so no table-sized id vector has to be materialized. Used by
-    /// the superlatives-first ablation path of the executor.
+    /// [`Table::extreme_sorted`] over the *whole* table: no candidate set is consulted
+    /// (every record qualifies), so no table-sized id vector has to be materialized.
+    /// Used by the superlatives-first ablation path of the executor.
     pub fn extreme_all(&self, attribute: &str, max: bool) -> Option<(f64, Vec<RecordId>)> {
         let col = self.numeric.get(attribute)?;
         let (best, first) = if max { col.last() } else { col.first() }.map(|(v, id)| (*v, *id))?;
         let mut ids = vec![first];
         for (v, id) in col.iter() {
-            if (*v - best).abs() < 1e-9 && *id != first {
+            if (*v - best).abs() < SUPERLATIVE_TIE_WINDOW && *id != first {
                 ids.push(*id);
             }
         }
@@ -641,6 +648,10 @@ mod tests {
         t
     }
 
+    fn sorted_ids(t: &Table) -> Vec<RecordId> {
+        t.iter().map(|(id, _)| id).collect()
+    }
+
     #[test]
     fn insert_validates_required_type1_values() {
         let mut t = Table::new(car_schema());
@@ -696,14 +707,22 @@ mod tests {
     #[test]
     fn extreme_respects_candidate_set() {
         let t = sample_table();
-        let hondas: HashSet<RecordId> = t.lookup_eq("make", "honda").into_iter().collect();
-        let (cheapest, ids) = t.extreme("price", &hondas, false).unwrap();
+        let hondas = t.lookup_eq("make", "honda");
+        let (cheapest, ids) = t.extreme_sorted("price", &hondas, false).unwrap();
         assert_eq!(cheapest, 6600.0);
         assert_eq!(ids.len(), 1);
-        let all = t.all_ids();
-        let (max_year, _) = t.extreme("year", &all, true).unwrap();
+        let all = sorted_ids(&t);
+        let (max_year, _) = t.extreme_sorted("year", &all, true).unwrap();
         assert_eq!(max_year, 2009.0);
-        assert!(t.extreme("price", &HashSet::new(), false).is_none());
+        assert!(t.extreme_sorted("price", &[], false).is_none());
+        // The caller-resolved form agrees step for step, and clears on no value.
+        let mut via_helper = hondas.clone();
+        retain_extreme(&mut via_helper, false, |id| {
+            t.get(id).and_then(|r| r.get_number("price"))
+        });
+        assert_eq!(via_helper, ids);
+        retain_extreme(&mut via_helper, true, |_| None);
+        assert!(via_helper.is_empty());
     }
 
     #[test]
@@ -786,12 +805,15 @@ mod tests {
     #[test]
     fn extreme_all_matches_extreme_over_all_ids() {
         let t = sample_table();
-        let all = t.all_ids();
+        let all = sorted_ids(&t);
         assert_eq!(
             t.extreme_all("price", false),
-            t.extreme("price", &all, false)
+            t.extreme_sorted("price", &all, false)
         );
-        assert_eq!(t.extreme_all("price", true), t.extreme("price", &all, true));
+        assert_eq!(
+            t.extreme_all("price", true),
+            t.extreme_sorted("price", &all, true)
+        );
         assert_eq!(t.extreme_all("nonexistent", true), None);
         let empty = Table::new(car_schema());
         assert_eq!(empty.extreme_all("price", false), None);

@@ -90,7 +90,9 @@ fn ingredients(table_size: usize) -> Ingredients {
     let generated = generate_questions(&bp, table_ref, 120, 99, &QuestionMix::plain_only());
     let mut questions: Vec<String> = Vec::new();
     for q in generated {
-        if probe.answer_in_domain(&q.text, "cars").is_ok() && !questions.contains(&q.text) {
+        if probe.ask(&q.text).domain("cars").uncached().get().is_ok()
+            && !questions.contains(&q.text)
+        {
             questions.push(q.text);
         }
         if questions.len() == DISTINCT_QUESTIONS {
@@ -144,7 +146,10 @@ fn clone_record(record: &Record) -> Record {
 fn assert_byte_identical(system: &CqadsSystem, reader: &CqadsReader, questions: &[String]) {
     for q in questions {
         let direct = system
-            .answer_in_domain(q, "cars")
+            .ask(q)
+            .domain("cars")
+            .uncached()
+            .get()
             .expect("workload question answers via the facade");
         let snapped = reader
             .ask(q)
@@ -376,7 +381,10 @@ fn bench(c: &mut Criterion) {
                 // read lock this bench exists to compare against.
                 let guard = system.read().expect("baseline lock");
                 let set = guard
-                    .answer_in_domain(q, "cars")
+                    .ask(q)
+                    .domain("cars")
+                    .uncached()
+                    .get()
                     .expect("locked baseline answer");
                 std::hint::black_box(set);
             },

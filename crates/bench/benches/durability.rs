@@ -96,7 +96,10 @@ fn assert_recovery_identity() {
         system.model_generation("cars").unwrap(),
     );
     let probe = |s: &CqadsSystem| {
-        s.answer_in_domain("blue automatic cars", "cars")
+        s.ask("blue automatic cars")
+            .domain("cars")
+            .uncached()
+            .get()
             .unwrap()
             .answers
             .iter()
@@ -209,7 +212,7 @@ fn bench(c: &mut Criterion) {
     let snapshot_samples: Vec<f64> = (0..5)
         .map(|_| {
             let start = Instant::now();
-            let seq = snap_system.snapshot().expect("snapshot");
+            let seq = snap_system.write_snapshot().expect("snapshot");
             assert!(seq.is_some());
             start.elapsed().as_secs_f64()
         })

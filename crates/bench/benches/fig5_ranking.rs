@@ -40,7 +40,10 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             std::hint::black_box(
                 bed.system
-                    .answer_in_domain(&question.text, &question.domain),
+                    .ask(&question.text)
+                    .domain(&question.domain)
+                    .uncached()
+                    .get(),
             )
         })
     });

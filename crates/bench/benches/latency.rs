@@ -85,7 +85,9 @@ fn ingredients(table_size: usize) -> Ingredients {
     let generated = generate_questions(&bp, table_ref, 120, 99, &QuestionMix::plain_only());
     let mut questions: Vec<String> = Vec::new();
     for q in generated {
-        if probe.answer_in_domain(&q.text, "cars").is_ok() && !questions.contains(&q.text) {
+        if probe.ask(&q.text).domain("cars").uncached().get().is_ok()
+            && !questions.contains(&q.text)
+        {
             questions.push(q.text);
         }
         if questions.len() == DISTINCT_QUESTIONS {

@@ -166,7 +166,9 @@ fn bench(c: &mut Criterion) {
     let generated = generate_questions(&bp, table_ref, 80, 99, &QuestionMix::plain_only());
     let mut questions: Vec<String> = Vec::new();
     for q in generated {
-        if system.answer_in_domain(&q.text, "cars").is_ok() && !questions.contains(&q.text) {
+        if system.ask(&q.text).domain("cars").uncached().get().is_ok()
+            && !questions.contains(&q.text)
+        {
             questions.push(q.text);
         }
         if questions.len() == 12 {
@@ -190,8 +192,8 @@ fn bench(c: &mut Criterion) {
     {
         let probe = questions[0].clone();
         let sys = system.read().unwrap();
-        let warm = sys.answer_in_domain_cached(&probe, "cars").unwrap();
-        let again = sys.answer_in_domain_cached(&probe, "cars").unwrap();
+        let warm = sys.ask(&probe).domain("cars").get().unwrap();
+        let again = sys.ask(&probe).domain("cars").get().unwrap();
         assert!(Arc::ptr_eq(&warm, &again), "cache never warmed");
         drop(sys);
         let delta = fresh_delta(&affinities, DELTA_SESSIONS, 31);
@@ -201,7 +203,7 @@ fn bench(c: &mut Criterion) {
         };
         assert_eq!(report.sessions, DELTA_SESSIONS);
         let sys = system.read().unwrap();
-        let fresh = sys.answer_in_domain_cached(&probe, "cars").unwrap();
+        let fresh = sys.ask(&probe).domain("cars").get().unwrap();
         assert!(
             !Arc::ptr_eq(&warm, &fresh),
             "stale-model answer served after ingest"

@@ -69,7 +69,8 @@ fn build_workload(table_size: usize) -> Workload {
     let generated = generate_questions(&bp, table_ref, 120, 99, &QuestionMix::plain_only());
     let mut usable: Vec<String> = Vec::new();
     for q in generated {
-        if system.answer_in_domain(&q.text, "cars").is_ok() && !usable.contains(&q.text) {
+        if system.ask(&q.text).domain("cars").uncached().get().is_ok() && !usable.contains(&q.text)
+        {
             usable.push(q.text);
         }
         if usable.len() == DISTINCT_QUESTIONS * 2 {
@@ -189,7 +190,7 @@ fn bench(c: &mut Criterion) {
         assert!(sys.cache_stats().hits > hits_before, "hot burst never hit");
         for ((q, a), b) in repeated.iter().zip(&cold).zip(&hot) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            let single = sys.answer_in_domain(q, "cars").unwrap();
+            let single = sys.ask(q).domain("cars").uncached().get().unwrap();
             assert_eq!(a.exact_count, single.exact_count, "cold diverged: {q}");
             assert_eq!(b.exact_count, single.exact_count, "hot diverged: {q}");
             assert_eq!(a.answers.len(), b.answers.len(), "hot/cold diverged: {q}");
@@ -203,7 +204,7 @@ fn bench(c: &mut Criterion) {
         // 1. Uncached per-question baseline over the repeated burst.
         let uncached_secs = time_median(iterations, || {
             for q in &repeated {
-                std::hint::black_box(sys.answer_in_domain(q, "cars").unwrap());
+                std::hint::black_box(sys.ask(q).domain("cars").uncached().get().unwrap());
             }
         });
 
@@ -315,7 +316,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("uncached_per_question", |b| {
         b.iter(|| {
             for q in repeated.iter().take(workload.questions.len()) {
-                std::hint::black_box(sys.answer_in_domain(q, "cars").unwrap());
+                std::hint::black_box(sys.ask(q).domain("cars").uncached().get().unwrap());
             }
         })
     });

@@ -87,7 +87,7 @@ fn ingredients(table_size: usize) -> Ingredients {
         // The superlative check (not just the mix) is load-bearing: generated
         // phrasings like "cheapest ..." interpret as superlatives, which take
         // the union-view path instead of the scatter under measurement.
-        match probe.answer_in_domain(&q.text, "cars") {
+        match probe.ask(&q.text).domain("cars").uncached().get() {
             Ok(set)
                 if set.interpretation.superlatives.is_empty() && !questions.contains(&q.text) =>
             {
@@ -163,7 +163,10 @@ fn clone_record(record: &Record) -> Record {
 fn assert_byte_identical(reference: &CqadsSystem, sharded: &ShardedCqads, questions: &[String]) {
     for q in questions {
         let want = reference
-            .answer_in_domain(q, "cars")
+            .ask(q)
+            .domain("cars")
+            .uncached()
+            .get()
             .expect("workload question answers unsharded");
         let got = sharded
             .answer_in_domain(q, "cars")
@@ -295,7 +298,10 @@ fn bench(c: &mut Criterion) {
         soak(ops, insert_every, &cum, move |op| match op {
             SoakOp::Read(q) => {
                 let set = system
-                    .answer_in_domain(&questions[q], "cars")
+                    .ask(&questions[q])
+                    .domain("cars")
+                    .uncached()
+                    .get()
                     .expect("unsharded soak answer");
                 std::hint::black_box(set);
             }

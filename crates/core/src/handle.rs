@@ -3,11 +3,10 @@
 //!
 //! # Why
 //!
-//! Historically every read went through the monolithic
-//! [`CqadsSystem`], whose `&mut self` ingest methods
-//! forced concurrent deployments to wrap the whole system in an `RwLock` —
-//! one insert stalled every in-flight reader. This module moves the hot read
-//! state — the [`Database`] tables, the compiled [`SimilarityModel`]s behind
+//! Historically every read went through one monolithic system whose
+//! `&mut self` ingest methods forced concurrent deployments to wrap it in an
+//! `RwLock` — one insert stalled every in-flight reader. This module moves the
+//! hot read state — the [`Database`] tables, the compiled [`SimilarityModel`]s behind
 //! each domain runtime, the domain registry, the classifier and the WS
 //! matrix, i.e. everything a [`GenerationStamp`] covers — into an immutable
 //! `Snapshot` behind an [`arcswap::ArcSwap`]. Writers rebuild-and-swap
@@ -42,24 +41,25 @@
 //!
 //! # Choosing a handle
 //!
-//! * One thread, or external synchronization: keep using
-//!   [`CqadsSystem`] — it is now a thin facade over a
-//!   [`CqadsWriter`] and behaves exactly as before.
-//! * Concurrent serving: call [`CqadsSystem::reader`](crate::CqadsSystem::reader)
-//!   (or [`CqadsWriter::reader`]) once per serving thread and keep mutating
-//!   through the writer — no outer lock required.
+//! * One thread, or external synchronization: a [`CqadsWriter`] alone — it
+//!   answers ([`CqadsWriter::ask`], [`CqadsWriter::answer_batch`]) from its own
+//!   master state, so every mutation is visible to its next read.
+//! * Concurrent serving: call [`CqadsWriter::reader`] once per serving thread
+//!   and keep mutating through the writer — no outer lock required.
+//!
+//! Either way there is one way to ask a single question: [`AnswerRequest`]
+//! (`.ask(q)[.domain(d)][.uncached()].get()`).
 
 use crate::cache::{CacheKey, CacheStats, GenerationStamp};
 use crate::domain::DomainSpec;
 use crate::error::{CqadsError, CqadsResult};
 use crate::partial::{PartialBatchRequest, PartialMatchOptions, PartialMatcher, PartialOutcome};
 use crate::pipeline::{
-    Answer, AnswerSet, ClassifyOutcome, CqadsConfig, CqadsSystem, IngestReport, MatchKind,
-    PendingAnswer,
+    Answer, AnswerSet, ClassifyOutcome, CqadsConfig, IngestReport, MatchKind, PendingAnswer,
 };
 use crate::ranking::{SimilarityMeasure, SimilarityModel};
 use crate::resilience::{AnswerQuality, QueryBudget, ResilienceRuntime, ServingStats};
-use crate::storage::{config_to_snap, data_to_spec, spec_to_data, DurableStorage};
+use crate::storage::{config_to_snap, data_to_spec, spec_to_data, DurableStorage, StorageOptions};
 use crate::tagging::{TaggedQuestion, TaggedToken, Tagger};
 use crate::translate::{interpret, Interpretation};
 use addb::{Database, Executor, Record, RecordId, Table};
@@ -219,8 +219,8 @@ impl Shared {
 
 /// One borrowed view for the whole read path: the shared serving
 /// infrastructure plus **one** snapshot, loaded once per call/batch. The
-/// writer passes its master snapshot here (so the facade sees its own
-/// mutations immediately); a reader passes the loaded published snapshot.
+/// writer passes its master snapshot here (so it sees its own mutations
+/// immediately); a reader passes the loaded published snapshot.
 /// Either way the answering code below is the same — byte-identical answers
 /// on both paths is a proptested invariant.
 #[derive(Clone, Copy)]
@@ -262,32 +262,6 @@ impl<'a> ReadContext<'a> {
         })
     }
 
-    /// Answer a question end to end, classifying it first.
-    pub(crate) fn answer(self, question: &str) -> CqadsResult<AnswerSet> {
-        let domain = self.classify(question)?;
-        self.answer_in_domain(question, &domain)
-    }
-
-    /// Answer a question against an explicitly chosen domain, uncached.
-    pub(crate) fn answer_in_domain(self, question: &str, domain: &str) -> CqadsResult<AnswerSet> {
-        let (runtime, table) = self.domain_runtime(domain)?;
-        let mut pending = self.begin_answer(runtime, table, question, domain)?;
-        let partial = match pending.partial_budget {
-            0 => Vec::new(),
-            budget => self.matcher(runtime).partial_answers(
-                &pending.interpretation,
-                table,
-                &pending.exact_ids,
-                budget,
-            )?,
-        };
-        pending.absorb_partial(partial, table);
-        Ok(pending.finish(
-            self.shared.config.answer_limit,
-            self.shared.clock.now_micros(),
-        ))
-    }
-
     /// Resolve a domain to its runtime and table, distinguishing an
     /// unregistered domain ([`CqadsError::UnknownDomain`]) from a registered
     /// domain whose table is missing ([`CqadsError::MissingTable`]).
@@ -316,8 +290,6 @@ impl<'a> ReadContext<'a> {
             &runtime.similarity,
             PartialMatchOptions {
                 workers: self.shared.config.partial_workers,
-                pr2_exhaustive: self.shared.config.partial_exhaustive,
-                ..PartialMatchOptions::default()
             },
         )
     }
@@ -359,12 +331,7 @@ impl<'a> ReadContext<'a> {
             .collect();
 
         // Top up with partially-matched answers when exact answers are scarce.
-        let config = &self.shared.config;
-        let partial_budget = if answers.len() < config.partial_threshold.min(config.answer_limit) {
-            config.answer_limit - answers.len()
-        } else {
-            0
-        };
+        let partial_budget = self.shared.config.partial_budget(answers.len());
 
         Ok(PendingAnswer {
             domain: domain.to_string(),
@@ -378,18 +345,44 @@ impl<'a> ReadContext<'a> {
         })
     }
 
-    /// Answer through the serving cache, classifying first.
-    pub(crate) fn answer_cached(self, question: &str) -> CqadsResult<Arc<AnswerSet>> {
-        let domain = self.classify(question)?;
-        self.answer_in_domain_cached(question, &domain)
-    }
-
-    /// Read-through cached variant of [`ReadContext::answer_in_domain`].
-    pub(crate) fn answer_in_domain_cached(
+    /// Answer one question — the single function behind [`AnswerRequest::get`].
+    /// `domain: None` classifies first; `cached: false` computes from scratch
+    /// and neither fills the cache nor audits.
+    pub(crate) fn answer_one(
         self,
         question: &str,
-        domain: &str,
+        domain: Option<&str>,
+        cached: bool,
     ) -> CqadsResult<Arc<AnswerSet>> {
+        let classified;
+        let domain = match domain {
+            Some(domain) => domain,
+            None => {
+                classified = self.classify(question)?;
+                classified.as_str()
+            }
+        };
+        let compute = || -> CqadsResult<Arc<AnswerSet>> {
+            let (runtime, table) = self.domain_runtime(domain)?;
+            let mut pending = self.begin_answer(runtime, table, question, domain)?;
+            let partial = match pending.partial_budget {
+                0 => Vec::new(),
+                budget => self.matcher(runtime).partial_answers(
+                    &pending.interpretation,
+                    table,
+                    &pending.exact_ids,
+                    budget,
+                )?,
+            };
+            pending.absorb_partial(partial, table);
+            Ok(Arc::new(pending.finish(
+                self.shared.config.answer_limit,
+                self.shared.clock.now_micros(),
+            )))
+        };
+        if !cached {
+            return compute();
+        }
         // Timing exists only for the audit trail; a memory-only (or
         // audit-off) system must not pay a clock read per hit.
         let start = self.audit_enabled().then(|| self.shared.clock.now_micros());
@@ -399,7 +392,7 @@ impl<'a> ReadContext<'a> {
                 .unwrap_or_default()
         };
         if !self.shared.cache.is_enabled() {
-            let answer = Arc::new(self.answer_in_domain(question, domain)?);
+            let answer = compute()?;
             self.audit(question, domain, false, took(start));
             return Ok(answer);
         }
@@ -415,7 +408,7 @@ impl<'a> ReadContext<'a> {
                 return Ok(hit);
             }
         }
-        let answer = Arc::new(self.answer_in_domain(question, domain)?);
+        let answer = compute()?;
         if let Some(stamp) = stamp {
             self.shared.cache.fill(key, stamp, Arc::clone(&answer));
         }
@@ -457,10 +450,9 @@ impl<'a> ReadContext<'a> {
         Some(GenerationStamp::new(table, model))
     }
 
-    /// Serve a burst of questions against this context's snapshot. See
-    /// [`CqadsSystem::answer_batch`](crate::CqadsSystem::answer_batch) for
-    /// the full contract — this is its engine, shared with
-    /// [`CqadsReader::answer_batch`].
+    /// Serve a burst of questions against this context's snapshot — the
+    /// engine behind [`CqadsWriter::answer_batch`] (which documents the full
+    /// contract) and [`CqadsReader::answer_batch`].
     pub(crate) fn answer_batch<S: AsRef<str>>(
         self,
         questions: &[S],
@@ -824,11 +816,12 @@ fn audit_record(
 /// every mutation to it copy-on-write, appends to durable storage, and
 /// republishes after each mutation so detached [`CqadsReader`]s observe it.
 ///
-/// Obtained from [`CqadsSystem::into_writer`](crate::CqadsSystem::into_writer)
-/// or built directly with [`CqadsWriter::with_config`]. All the read methods
-/// remain available through [`CqadsWriter::reader`] — or keep using the
-/// [`CqadsSystem`] facade, which wraps a writer and
-/// serves reads from the master state directly.
+/// The writer also *reads*: [`CqadsWriter::ask`], [`CqadsWriter::answer_batch`]
+/// and the inspection accessors serve from the master state directly, so every
+/// mutation — raw [`CqadsWriter::database_mut`] edits included — is visible to
+/// the writer's next read without a publish. Single-handle usage therefore
+/// never pays for the snapshot machinery; for concurrent serving mint detached
+/// [`CqadsReader`]s with [`CqadsWriter::reader`].
 ///
 /// # Error model
 ///
@@ -869,9 +862,42 @@ impl CqadsWriter {
         }
     }
 
-    /// Fallible form of [`CqadsWriter::with_config`].
+    /// Fallible form of [`CqadsWriter::with_config`]. With
+    /// [`CqadsConfig::storage`] set this opens the directory, recovers the
+    /// newest valid snapshot plus the WAL tail (truncating a torn suffix),
+    /// and resumes appending; the config's scalar knobs are kept exactly as
+    /// passed. [`CqadsWriter::open`] is the variant that restores the
+    /// persisted knobs from the snapshot instead.
     pub fn try_with_config(config: CqadsConfig) -> CqadsResult<Self> {
         Self::open_internal(config, false)
+    }
+
+    /// Open (or create) a durable system rooted at `dir` with
+    /// [`StorageOptions::at`]'s defaults: load the newest valid snapshot,
+    /// replay the WAL tail, truncate any torn suffix at the last valid frame,
+    /// and raise every generation counter far enough that no
+    /// [`GenerationStamp`] handed out before the crash can ever be re-issued
+    /// for different state. Scalar config knobs persisted by the snapshot
+    /// (answer limit, cache sizing, ...) are restored;
+    /// [`CqadsWriter::storage_report`] describes what recovery found.
+    pub fn open(dir: impl Into<std::path::PathBuf>) -> CqadsResult<Self> {
+        Self::open_with(StorageOptions::at(dir))
+    }
+
+    /// [`CqadsWriter::open`] with explicit [`StorageOptions`] (fsync policy,
+    /// snapshot cadence, injected filesystem).
+    pub fn open_with(opts: StorageOptions) -> CqadsResult<Self> {
+        let config = CqadsConfig {
+            storage: Some(opts),
+            ..CqadsConfig::default()
+        };
+        Self::open_internal(config, true)
+    }
+
+    /// Identity, kept so code written against the former `CqadsSystem` facade
+    /// (`CqadsSystem::open_with(..)?.into_writer()`) keeps compiling.
+    pub fn into_writer(self) -> Self {
+        self
     }
 
     fn assemble(master: Snapshot, config: CqadsConfig, storage: Option<DurableStorage>) -> Self {
@@ -894,10 +920,7 @@ impl CqadsWriter {
         CqadsWriter { shared, master }
     }
 
-    pub(crate) fn open_internal(
-        mut config: CqadsConfig,
-        prefer_snapshot_config: bool,
-    ) -> CqadsResult<Self> {
+    fn open_internal(mut config: CqadsConfig, prefer_snapshot_config: bool) -> CqadsResult<Self> {
         let Some(opts) = config.storage.clone() else {
             return Ok(Self::assemble(Snapshot::empty(), config, None));
         };
@@ -1058,10 +1081,9 @@ impl CqadsWriter {
     }
 
     /// Publish only when a detached handle can observe it. A single-handle
-    /// deployment (the [`CqadsSystem`] facade with no
-    /// reader minted) then never pays the copy-on-write tax: nothing shares
-    /// the master's `Arc`s, so every mutation stays in-place exactly as
-    /// before the handle split.
+    /// deployment (no reader minted) then never pays the copy-on-write tax:
+    /// nothing shares the master's `Arc`s, so every mutation stays in-place
+    /// exactly as before the handle split.
     fn publish_if_observed(&self) {
         if Arc::strong_count(&self.shared) > 1 {
             self.publish();
@@ -1079,17 +1101,124 @@ impl CqadsWriter {
     }
 
     /// The writer's view for the read path: always the master snapshot, so a
-    /// facade read observes every mutation immediately (no publish needed).
-    pub(crate) fn ctx(&self) -> ReadContext<'_> {
+    /// read observes every mutation immediately (no publish needed).
+    fn ctx(&self) -> ReadContext<'_> {
         ReadContext {
             shared: &self.shared,
             snap: &self.master,
         }
     }
 
-    /// The pipeline configuration this system was built with.
+    /// Start building an answer request served from the master state. See
+    /// [`AnswerRequest`].
+    pub fn ask<'a>(&'a self, question: &'a str) -> AnswerRequest<'a> {
+        AnswerRequest::new(RequestTarget::Writer(self), question)
+    }
+
+    /// Serve a burst of questions: classify + normalize + dedup, serve repeats from
+    /// the cache, and fan the residual misses' partial-match phases through
+    /// [`PartialMatcher::partial_answers_batch`] on one thread scope per domain,
+    /// back-filling the cache for the next burst.
+    ///
+    /// Results are positional (`results[i]` answers `questions[i]`) and element-wise
+    /// identical to `ask(q).domain(classified).uncached().get()` per question —
+    /// duplicate questions within the burst share one computation and one `Arc`.
+    /// Per-question failures (empty question, contradictory ranges, ...) are
+    /// reported in place and never cached.
+    /// With [`CqadsConfig::resilience`] configured the batch additionally runs
+    /// behind the resilience layer: it may be shed whole with
+    /// [`CqadsError::Overloaded`] when the in-flight bound is saturated, and a
+    /// configured deadline cuts the partial-match phase cooperatively — a cut
+    /// question's answer is the certified prefix of the complete one, flagged
+    /// [`AnswerQuality::Degraded`] (or replaced by a generation-stale cached
+    /// answer flagged [`AnswerQuality::Stale`] when
+    /// [`ResilienceOptions::serve_stale_on_timeout`](crate::ResilienceOptions::serve_stale_on_timeout)
+    /// is on). Non-`Complete` answers are never cached.
+    pub fn answer_batch<S: AsRef<str>>(&self, questions: &[S]) -> Vec<CqadsResult<Arc<AnswerSet>>> {
+        self.ctx().answer_batch(questions)
+    }
+
+    /// Classify a question into a registered domain (Equation 2). Falls back to the
+    /// first registered domain when the classifier has not been trained or emits an
+    /// unregistered domain; [`CqadsWriter::classify_outcome`] reports which path fired.
+    pub fn classify(&self, question: &str) -> CqadsResult<String> {
+        self.ctx().classify(question)
+    }
+
+    /// Like [`CqadsWriter::classify`], but reports *how* the domain was chosen.
+    pub fn classify_outcome(&self, question: &str) -> CqadsResult<ClassifyOutcome> {
+        self.ctx().classify_outcome(question)
+    }
+
+    /// Produce only the interpretation of a question in a given domain (used by the
+    /// Boolean-interpretation experiment, which compares interpretations rather than
+    /// answers).
+    pub fn interpret_in_domain(
+        &self,
+        question: &str,
+        domain: &str,
+    ) -> CqadsResult<(TaggedQuestion, Interpretation, String)> {
+        self.ctx().interpret_in_domain(question, domain)
+    }
+
+    /// Replay the persisted audit trail of one domain as query-log
+    /// [`Session`]s — the WAL doubling as a
+    /// [`QueryLogStream`](cqads_querylog::QueryLogStream) source. Each
+    /// audited question is re-tagged with the domain's tagger; its first
+    /// Type I value (the paper's query-log shape) becomes one
+    /// [`SubmittedQuery`], timed by the cumulative audited serving time, and
+    /// the whole trail forms one session. Questions without a Type I value
+    /// are skipped; a memory-only system yields no sessions.
+    pub fn audit_sessions(&self, domain: &str) -> CqadsResult<Vec<Session>> {
+        self.ctx().audit_sessions(domain)
+    }
+
+    /// The pipeline configuration this system was built with (after
+    /// [`CqadsWriter::open`] restored persisted knobs, if it did).
     pub fn config(&self) -> &CqadsConfig {
         &self.shared.config
+    }
+
+    /// Registered domain names.
+    pub fn domain_names(&self) -> Vec<&str> {
+        self.master.domains.keys().map(String::as_str).collect()
+    }
+
+    /// The underlying ads database.
+    pub fn database(&self) -> &Database {
+        &self.master.database
+    }
+
+    /// The domain specification of a registered domain.
+    pub fn domain_spec(&self, domain: &str) -> Option<&DomainSpec> {
+        self.master.domains.get(domain).map(|r| r.spec.as_ref())
+    }
+
+    /// The current model generation of a registered domain (bumped by
+    /// [`CqadsWriter::ingest_query_log`] and [`CqadsWriter::set_word_sim`]); `None`
+    /// for unregistered domains. The table-side counterpart is
+    /// [`addb::Database::generation`].
+    pub fn model_generation(&self, domain: &str) -> Option<u64> {
+        self.master.model_generation(domain)
+    }
+
+    /// The serving cache (stats, clearing; filled by cached asks and batches).
+    pub fn cache(&self) -> &crate::cache::AnswerCache {
+        &self.shared.cache
+    }
+
+    /// Snapshot of the serving cache's hit/miss/eviction counters.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.shared.cache.stats()
+    }
+
+    /// One operator-facing snapshot of the serving path's health: cache
+    /// counters plus every degradation signal — shed batches, deadline-cut
+    /// questions, stale answers served, WAL retries and circuit-breaker
+    /// activity, and the current pressure step-down level. All zeros on a
+    /// system with neither resilience nor durable storage configured.
+    pub fn serving_stats(&self) -> ServingStats {
+        self.shared.serving_stats()
     }
 
     /// Install the shared WS word-correlation matrix used by `Feat_Sim`.
@@ -1377,6 +1506,20 @@ impl CqadsWriter {
 
     /// Absorb one batch of freshly recorded query-log sessions into a
     /// domain's TI-matrix — the live-learning path. Fallible primary form.
+    /// The delta is applied incrementally ([`TIMatrix::apply`]: `O(delta)`
+    /// accumulation plus a cheap renormalization, bit-identical to a full
+    /// rebuild over the whole log), and the domain's model generation
+    /// advances, which atomically invalidates every cached answer ranked
+    /// under the old matrix — no flush happens or is needed.
+    ///
+    /// **Vocabulary contract:** the delta's query/ad values are interned into the
+    /// process-global string pool (which never evicts) exactly as
+    /// [`TIMatrix::build`] has always interned its log. Feed it the domain's
+    /// **Type I attribute values** (the paper's query-log shape, already matched
+    /// against the ads vocabulary upstream), not raw user text — a caller
+    /// streaming unbounded free text here would grow the interner with traffic
+    /// diversity, which is precisely what the answer cache's plain-string keys
+    /// avoid (see [`crate::cache::CacheKey`]).
     pub fn ingest_query_log(
         &mut self,
         domain: &str,
@@ -1484,8 +1627,7 @@ impl Default for CqadsWriter {
 /// (see the [module docs](self)), so readers on other threads keep serving
 /// at full throughput while a writer ingests.
 ///
-/// Mint one with [`CqadsWriter::reader`] or
-/// [`CqadsSystem::reader`](crate::CqadsSystem::reader); clone it freely.
+/// Mint one with [`CqadsWriter::reader`]; clone it freely.
 ///
 /// ```
 /// use addb::{Record, Table};
@@ -1532,46 +1674,14 @@ impl CqadsReader {
         self.ctx(&snap).classify_outcome(question)
     }
 
-    /// Start building an answer request — the one entry point behind the
-    /// historical `answer*` quartet. See [`AnswerRequest`].
+    /// Start building an answer request against the published snapshot. See
+    /// [`AnswerRequest`].
     pub fn ask<'a>(&'a self, question: &'a str) -> AnswerRequest<'a> {
         AnswerRequest::new(RequestTarget::Reader(self), question)
     }
 
-    /// Answer a question end to end, classifying it first, uncached. Thin
-    /// wrapper over [`CqadsReader::ask`] + `.uncached()`.
-    pub fn answer(&self, question: &str) -> CqadsResult<AnswerSet> {
-        let snap = self.shared.snapshot.load();
-        self.ctx(&snap).answer(question)
-    }
-
-    /// Answer against an explicitly chosen domain, uncached. Thin wrapper
-    /// over [`CqadsReader::ask`] + `.domain(..)` + `.uncached()`.
-    pub fn answer_in_domain(&self, question: &str, domain: &str) -> CqadsResult<AnswerSet> {
-        let snap = self.shared.snapshot.load();
-        self.ctx(&snap).answer_in_domain(question, domain)
-    }
-
-    /// Answer through the serving cache, classifying first. Thin wrapper
-    /// over [`CqadsReader::ask`].
-    pub fn answer_cached(&self, question: &str) -> CqadsResult<Arc<AnswerSet>> {
-        let snap = self.shared.snapshot.load();
-        self.ctx(&snap).answer_cached(question)
-    }
-
-    /// Cached answer against an explicit domain. Thin wrapper over
-    /// [`CqadsReader::ask`] + `.domain(..)`.
-    pub fn answer_in_domain_cached(
-        &self,
-        question: &str,
-        domain: &str,
-    ) -> CqadsResult<Arc<AnswerSet>> {
-        let snap = self.shared.snapshot.load();
-        self.ctx(&snap).answer_in_domain_cached(question, domain)
-    }
-
     /// Serve a burst of questions against one snapshot load. Same contract
-    /// as [`CqadsSystem::answer_batch`](crate::CqadsSystem::answer_batch).
+    /// as [`CqadsWriter::answer_batch`].
     pub fn answer_batch<S: AsRef<str>>(&self, questions: &[S]) -> Vec<CqadsResult<Arc<AnswerSet>>> {
         let snap = self.shared.snapshot.load();
         self.ctx(&snap).answer_batch(questions)
@@ -1624,13 +1734,12 @@ impl CqadsReader {
 enum RequestTarget<'a> {
     /// A detached reader: load the published snapshot.
     Reader(&'a CqadsReader),
-    /// The facade: serve from the writer's master state.
-    System(&'a CqadsSystem),
+    /// The writer: serve from its master state.
+    Writer(&'a CqadsWriter),
 }
 
-/// A builder collapsing the historical `answer` / `answer_cached` /
-/// `answer_in_domain` / `answer_in_domain_cached` quartet into one fluent
-/// entry point:
+/// The one way to ask a single question, on a [`CqadsWriter`] or a
+/// [`CqadsReader`]:
 ///
 /// ```
 /// # use addb::{Record, Table};
@@ -1671,10 +1780,6 @@ impl<'a> AnswerRequest<'a> {
         }
     }
 
-    pub(crate) fn for_system(system: &'a CqadsSystem, question: &'a str) -> Self {
-        Self::new(RequestTarget::System(system), question)
-    }
-
     /// Answer against this domain instead of classifying the question.
     pub fn domain(mut self, domain: &'a str) -> Self {
         self.domain = Some(domain);
@@ -1697,18 +1802,12 @@ impl<'a> AnswerRequest<'a> {
             domain,
             cached,
         } = self;
-        let run = |ctx: ReadContext<'_>| match (domain, cached) {
-            (Some(d), true) => ctx.answer_in_domain_cached(question, d),
-            (Some(d), false) => ctx.answer_in_domain(question, d).map(Arc::new),
-            (None, true) => ctx.answer_cached(question),
-            (None, false) => ctx.answer(question).map(Arc::new),
-        };
         match target {
             RequestTarget::Reader(reader) => {
                 let snap = reader.shared.snapshot.load();
-                run(reader.ctx(&snap))
+                reader.ctx(&snap).answer_one(question, domain, cached)
             }
-            RequestTarget::System(system) => run(system.ctx()),
+            RequestTarget::Writer(writer) => writer.ctx().answer_one(question, domain, cached),
         }
     }
 }

@@ -26,28 +26,30 @@
 //!    the relaxed answers by `Rank_Sim` (Equation 5), built from `TI_Sim`, `Feat_Sim`
 //!    and `Num_Sim`.
 //!
-//! The [`pipeline::CqadsSystem`] type wires all of this together behind a single
-//! `answer(question)` call; the `examples/` directory of the workspace shows it in use.
+//! A [`CqadsWriter`] (historically `CqadsSystem`, which survives as an alias) wires all
+//! of this together behind one way to ask: `writer.ask(question).get()` — see
+//! [`AnswerRequest`]. The `examples/` directory of the workspace shows it in use.
 //!
-//! For repetitive serving traffic there is a cached front-end on top of the same
-//! pipeline: [`CqadsSystem::answer_batch`](pipeline::CqadsSystem::answer_batch)
-//! normalizes and dedups a question burst, serves repeats from a sharded,
-//! generation-invalidated answer cache ([`cache`]) and fans the residual misses'
-//! partial-match phases through one set of worker threads per domain
+//! For repetitive serving traffic the same handle offers a burst front-end:
+//! [`CqadsWriter::answer_batch`] normalizes and dedups a question burst, serves
+//! repeats from a sharded, generation-invalidated answer cache ([`cache`]) and fans the
+//! residual misses' partial-match phases through one set of worker threads per domain
 //! ([`PartialMatcher::partial_answers_batch`](partial::PartialMatcher::partial_answers_batch)).
 //! Inserting into a table bumps its mutation generation, and ingesting a query-log
-//! delta ([`CqadsSystem::ingest_query_log`](pipeline::CqadsSystem::ingest_query_log))
-//! bumps the domain's *model* generation; cached answers are stamped with both, so
-//! either mutation invalidates every affected cached answer without any flush — see
-//! the [`cache`] module docs for the protocol.
+//! delta ([`CqadsWriter::ingest_query_log`]) bumps the domain's *model* generation;
+//! cached answers are stamped with both, so either mutation invalidates every affected
+//! cached answer without any flush — see the [`cache`] module docs for the protocol.
 //!
 //! **Concurrent serving** uses the reader/writer handle split ([`handle`]):
-//! [`CqadsSystem::reader`](pipeline::CqadsSystem::reader) mints detached
-//! [`CqadsReader`] handles (`Clone + Send + Sync`) that
-//! answer against an atomically published immutable snapshot while the owner
-//! keeps ingesting — readers never block on a mutation's work and never
-//! observe a half-applied one. No lock around the system is required (or
-//! wanted) anymore; see `ARCHITECTURE.md` invariant #8.
+//! [`CqadsWriter::reader`] mints detached [`CqadsReader`] handles
+//! (`Clone + Send + Sync`) that answer — through the same `ask` / `answer_batch` —
+//! against an atomically published immutable snapshot while the owner keeps
+//! ingesting: readers never block on a mutation's work and never observe a
+//! half-applied one. No lock around the system is required (or wanted); see
+//! `ARCHITECTURE.md` invariant #8.
+//!
+//! There is one production partial-match engine ([`partial`]) and one trusted
+//! reference it is differentially tested against ([`oracle`]).
 //!
 //! **Sharded serving** ([`shard`]) partitions every domain's records across N
 //! independent writer/reader pairs behind one [`ShardedCqads`] front-end:
@@ -67,6 +69,7 @@ pub mod domain;
 pub mod error;
 pub mod handle;
 pub mod identifiers;
+pub mod oracle;
 pub mod partial;
 pub mod pipeline;
 pub mod ranking;

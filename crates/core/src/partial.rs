@@ -9,7 +9,7 @@
 //!
 //! # Execution model and complexity
 //!
-//! The default engine is **index-driven, bounded and value-ordered**:
+//! The engine is **index-driven, bounded and value-ordered**:
 //!
 //! * Each relaxation executes through [`Executor::execute_stream`], a lazy sorted-merge
 //!   over index posting lists — candidate ids arrive one at a time and no per-relaxation
@@ -75,10 +75,9 @@
 //! and an evicted or rejected entry stays below the monotone threshold). The same
 //! holds per worker in the sharded fan-out — each worker's private heap prunes against
 //! its own (lower, hence still admissible) threshold, *raised* by a shared atomic
-//! threshold published across workers (next paragraph). The `wand_topk` bench and the
-//! equivalence tests assert byte-identity against the frozen PR 2 engine
-//! ([`PartialMatchOptions::pr2_exhaustive`]) across skewed and uniform value
-//! distributions.
+//! threshold published across workers (next paragraph). The `partial_topk` bench and
+//! the equivalence tests assert byte-identity against the full-scan oracle
+//! ([`crate::oracle`]) across skewed and uniform value distributions.
 //!
 //! **The shared WAND threshold.** In the sharded fan-out each worker additionally
 //! publishes the worst live score of its *full* heap into one atomic cell per
@@ -95,7 +94,7 @@
 //! matter how the atomic raises interleave.
 //!
 //! When the index-driven pass cannot fill the budget (sparse data: every relaxation
-//! collapses to the already-returned exact answers), both engines fall back to a
+//! collapses to the already-returned exact answers), the engine falls back to a
 //! **degree-of-match scan**: every remaining record is scored
 //! `min(#matched conditions, N−1) + best similarity over its unmatched conditions`,
 //! which generalizes `Rank_Sim` (an exact N−1 match scores identically) and ranks
@@ -133,14 +132,8 @@
 //! `std::thread::available_parallelism`, staying sequential for small tables where
 //! spawn overhead would dominate).
 //!
-//! The seed's full-scan/full-sort pipeline is preserved behind
-//! [`PartialMatchOptions::full_scan`] as an ablation baseline, and
-//! [`PartialMatchOptions::pr1_baseline`] freezes the engine exactly as PR 1 shipped
-//! it (linear intersections, eager range materialization, hash-set exclusion,
-//! un-memoized scoring, one thread); `bench/benches/partial_topk.rs` and
-//! `bench/benches/parallel_topk.rs` measure the speedups of the bounded, galloping and
-//! parallel engines against those baselines, and the equivalence tests assert
-//! byte-identical output across all of them.
+//! The seed's full-scan/full-sort pipeline lives on only as the reference the tests
+//! and benches compare against: [`crate::oracle::full_scan_partial_answers`].
 //!
 //! # Deadlines and degradation
 //!
@@ -188,7 +181,7 @@ use crate::ranking::{CompiledProbe, ProbeScorer, SimilarityMeasure, SimilarityMo
 use crate::resilience::QueryBudget;
 use crate::sync::atomic::AtomicU64;
 use crate::translate::Interpretation;
-use addb::{ExecOptions, Executor, IdStream, PostingList, Query, RecordId, ScoredUnion, Table};
+use addb::{Executor, IdStream, PostingList, Query, RecordId, ScoredUnion, Table};
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -225,9 +218,9 @@ pub struct PartialAnswer {
 
 impl PartialAnswer {
     /// Bit-exact equality (`rank_sim` compared by its float bits, every other field
-    /// by value). This is the *byte-identical answers* contract every engine
-    /// ablation (`full_scan`, `pr1_baseline`, `pr2_exhaustive`, worker counts) is
-    /// held to — the single definition the equivalence tests and benches share.
+    /// by value). This is the *byte-identical answers* contract every worker count,
+    /// shard count and the full-scan oracle ([`crate::oracle`]) are held to — the
+    /// single definition the equivalence tests and benches share.
     pub fn bits_eq(&self, other: &PartialAnswer) -> bool {
         self.id == other.id
             && self.rank_sim.to_bits() == other.rank_sim.to_bits()
@@ -379,43 +372,21 @@ impl SharedThreshold {
     }
 }
 
-/// Engine selection for [`PartialMatcher`].
-///
-/// The default (all flags off, `workers: 0`) is the fastest engine: value-ordered
-/// pruned traversal, galloping intersections, auto-detected parallelism. Every
-/// other combination exists as a frozen ablation baseline and returns answers
-/// byte-identical to the default.
+/// Tuning for [`PartialMatcher`]. Answers are byte-identical for every setting.
 ///
 /// ```
 /// use cqads::PartialMatchOptions;
 ///
-/// let options = PartialMatchOptions { workers: 4, ..PartialMatchOptions::default() };
-/// assert!(!options.full_scan && !options.pr1_baseline && !options.pr2_exhaustive);
+/// assert_eq!(PartialMatchOptions::default().workers, 0); // auto-detect
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PartialMatchOptions {
-    /// Run the original full-scan/full-sort pipeline (unbounded HashMap of candidates,
-    /// string-allocating similarity lookups, global sort) instead of the bounded
-    /// top-k engine. Kept for the ablation bench and the equivalence test; both
-    /// engines return byte-identical answers.
-    pub full_scan: bool,
-    /// Worker threads for the bounded engine's id-sharded fan-out. `0` (the default)
-    /// auto-detects from `std::thread::available_parallelism`, falling back to
-    /// sequential on small tables; any explicit value is honoured as given (capped at
-    /// an internal maximum), which the equivalence tests use to force the parallel
-    /// path on tiny tables. Output is byte-identical for every worker count.
+    /// Worker threads for the id-sharded fan-out. `0` (the default) auto-detects from
+    /// `std::thread::available_parallelism`, falling back to sequential on small
+    /// tables; any explicit value is honoured as given (capped at an internal
+    /// maximum), which the equivalence tests use to force the parallel path on tiny
+    /// tables.
     pub workers: usize,
-    /// Run the engine exactly as PR 1 shipped it: sequential, linear one-id-at-a-time
-    /// intersections in declaration order with eager range materialization, hash-set
-    /// exclusion checks and un-memoized per-candidate scoring. The frozen baseline
-    /// the `parallel_topk` bench measures against; results are identical either way.
-    pub pr1_baseline: bool,
-    /// Disable the value-ordered (WAND-style) pruned traversal and score every
-    /// candidate of every relaxation stream exhaustively — the engine exactly as
-    /// PR 2 shipped it, frozen as the baseline the `wand_topk` bench measures
-    /// against. Answers are byte-identical either way (pruning is lossless; see the
-    /// module docs).
-    pub pr2_exhaustive: bool,
 }
 
 /// Runs the N−1 strategy for one domain.
@@ -427,8 +398,7 @@ pub struct PartialMatcher<'a> {
 }
 
 impl<'a> PartialMatcher<'a> {
-    /// Create a matcher for a domain and its similarity model (index-driven top-k
-    /// engine).
+    /// Create a matcher for a domain and its similarity model.
     pub fn new(spec: &'a DomainSpec, similarity: &'a SimilarityModel) -> Self {
         PartialMatcher {
             spec,
@@ -437,7 +407,7 @@ impl<'a> PartialMatcher<'a> {
         }
     }
 
-    /// Create a matcher with an explicit engine choice.
+    /// Create a matcher with an explicit worker count.
     pub fn with_options(
         spec: &'a DomainSpec,
         similarity: &'a SimilarityModel,
@@ -466,25 +436,7 @@ impl<'a> PartialMatcher<'a> {
         if budget == 0 || interpretation.is_empty() {
             return Ok(Vec::new());
         }
-        if self.options.full_scan {
-            self.partial_answers_full_scan(interpretation, table, exclude, budget)
-        } else if self.options.pr1_baseline {
-            self.partial_answers_pr1(interpretation, table, exclude, budget)
-        } else {
-            self.partial_answers_topk(interpretation, table, exclude, budget)
-        }
-    }
-
-    /// Index-driven bounded top-k engine (see the module docs for the cost model and
-    /// the determinism argument of the parallel fan-out): the one-question special
-    /// case of the batch engine.
-    fn partial_answers_topk(
-        &self,
-        interpretation: &Interpretation,
-        table: &Table,
-        exclude: &HashSet<RecordId>,
-        budget: usize,
-    ) -> CqadsResult<Vec<PartialAnswer>> {
+        // The one-question special case of the batch engine.
         let mut results = self.batch_topk(
             &[PartialBatchRequest {
                 interpretation,
@@ -504,20 +456,14 @@ impl<'a> PartialMatcher<'a> {
     ///
     /// Element-wise identical to calling [`PartialMatcher::partial_answers`] per
     /// request, but all questions share one set of scoped worker threads per pass —
-    /// the serving shape for query bursts, and what the `parallel_topk` bench
+    /// the serving shape for query bursts, and what the `partial_topk` bench
     /// measures (per-question spawning would otherwise dominate at high worker
-    /// counts). Ablation engines (`full_scan`, `pr1_baseline`) simply loop.
+    /// counts).
     pub fn partial_answers_batch(
         &self,
         requests: &[PartialBatchRequest<'_>],
         table: &Table,
     ) -> CqadsResult<Vec<Vec<PartialAnswer>>> {
-        if self.options.full_scan || self.options.pr1_baseline {
-            return requests
-                .iter()
-                .map(|r| self.partial_answers(r.interpretation, table, r.exclude, r.budget))
-                .collect();
-        }
         Ok(self
             .batch_topk(requests, table, None, false, None)?
             .into_iter()
@@ -535,33 +481,13 @@ impl<'a> PartialMatcher<'a> {
     /// undegraded answer list and explicitly flagged
     /// [`degraded`](PartialOutcome::degraded) — see the
     /// [module docs](self#deadlines-and-degradation) for the certification
-    /// argument. The ablation engines (`full_scan`, `pr1_baseline`) are frozen
-    /// baselines and ignore the deadline: their outcomes always come back
-    /// complete.
+    /// argument.
     pub fn partial_answers_batch_budgeted(
         &self,
         requests: &[PartialBatchRequest<'_>],
         table: &Table,
         budget: Option<&QueryBudget>,
     ) -> CqadsResult<Vec<PartialOutcome>> {
-        if self.options.full_scan || self.options.pr1_baseline {
-            return requests
-                .iter()
-                .map(|r| {
-                    Ok(PartialOutcome {
-                        answers: self.partial_answers(
-                            r.interpretation,
-                            table,
-                            r.exclude,
-                            r.budget,
-                        )?,
-                        visited: 0,
-                        degraded: false,
-                        cut_bound: f64::NEG_INFINITY,
-                    })
-                })
-                .collect();
-        }
         self.batch_topk(requests, table, budget, false, None)
     }
 
@@ -666,7 +592,7 @@ impl<'a> PartialMatcher<'a> {
                                 bounds[q] = bounds[q].max(cut_at);
                             }
                         }
-                        // Exhaustive (PR 2) scan: apply similarity matching directly
+                        // Exhaustive scan: apply similarity matching directly
                         // over the table (Section 4.3.1, last paragraph). Inherently
                         // O(table), but scoring is allocation-free, ranking memory
                         // stays O(budget) and the scan shards across workers like
@@ -918,15 +844,6 @@ impl<'a> PartialMatcher<'a> {
         let sketches = interpretation.all_sketches();
         let mut exclude_sorted: Vec<RecordId> = request.exclude.iter().copied().collect();
         exclude_sorted.sort_unstable();
-        // Value orders power the WAND traversal; the PR 2 ablation never builds them
-        // (`None` routes every relaxation through the exhaustive scan).
-        let value_order = |probe: &CompiledProbe<'m>| {
-            if self.options.pr2_exhaustive {
-                None
-            } else {
-                probe.value_order()
-            }
-        };
         let n = interpretation.condition_count();
         let base = (n.saturating_sub(1)) as f64;
         // Upper bound on every score one relaxation arm can offer: the best value
@@ -943,7 +860,7 @@ impl<'a> PartialMatcher<'a> {
             match sketches.first() {
                 Some(sketch) => {
                     let probe = self.similarity.compile(sketch, table);
-                    let values = value_order(&probe);
+                    let values = probe.value_order();
                     PreparedKind::Single { probe, values }
                 }
                 None => PreparedKind::Inert,
@@ -958,7 +875,7 @@ impl<'a> PartialMatcher<'a> {
                 .filter_map(|(skip, relaxed)| {
                     let query = interpretation.to_query_excluding(self.spec, skip).ok()?;
                     let probe = self.similarity.compile(relaxed, table);
-                    let values = value_order(&probe);
+                    let values = probe.value_order();
                     let materialize_rest = !query.superlatives.is_empty();
                     let start_bound = arm_bound(&values);
                     Some(RelaxationPlan {
@@ -996,91 +913,9 @@ impl<'a> PartialMatcher<'a> {
         }
     }
 
-    /// The engine exactly as PR 1 shipped it, frozen as the sequential baseline of the
-    /// `parallel_topk` bench: linear declaration-order intersections (eager range
-    /// materialization included, via [`ExecOptions::linear_intersect`]), hash-set
-    /// exclusion probes and a fresh un-memoized probe lookup per candidate, one
-    /// thread. Byte-identical output, PR 1 cost profile.
-    fn partial_answers_pr1(
-        &self,
-        interpretation: &Interpretation,
-        table: &Table,
-        exclude: &HashSet<RecordId>,
-        budget: usize,
-    ) -> CqadsResult<Vec<PartialAnswer>> {
-        let sketches = interpretation.all_sketches();
-        let n = interpretation.condition_count();
-        let executor = Executor::with_options(
-            table,
-            ExecOptions {
-                linear_intersect: true,
-                ..ExecOptions::default()
-            },
-        );
-        let mut topk = TopK::new(budget);
-
-        if sketches.len() <= 1 {
-            if let Some(sketch) = sketches.first() {
-                let probe = self.similarity.compile(sketch, table);
-                for id in (0..table.len() as u32).map(RecordId) {
-                    if exclude.contains(&id) {
-                        continue;
-                    }
-                    let (score, measure) = probe.rank_sim(n, id);
-                    topk.offer(id, score, measure, 0);
-                }
-            }
-        } else {
-            for (skip, relaxed) in sketches.iter().enumerate() {
-                let query = match interpretation.to_query_excluding(self.spec, skip) {
-                    Ok(q) => q,
-                    Err(_) => continue,
-                };
-                let stream = match executor.execute_stream(&query) {
-                    Ok(s) => s,
-                    Err(_) => continue,
-                };
-                let probe = self.similarity.compile(relaxed, table);
-                for id in stream {
-                    if exclude.contains(&id) {
-                        continue;
-                    }
-                    let (score, measure) = probe.rank_sim(n, id);
-                    topk.offer(id, score, measure, skip);
-                }
-            }
-            if topk.len() < budget {
-                let probes: Vec<CompiledProbe<'_>> = sketches
-                    .iter()
-                    .map(|s| self.similarity.compile(s, table))
-                    .collect();
-                let mut scorers: Vec<ProbeScorer<'_, '_>> =
-                    probes.iter().map(ProbeScorer::new).collect();
-                let found: HashSet<RecordId> = topk.live_ids().collect();
-                for id in (0..table.len() as u32).map(RecordId) {
-                    if exclude.contains(&id) || found.contains(&id) {
-                        continue;
-                    }
-                    let fallback = degree_of_match(&mut scorers, n, id);
-                    topk.offer(
-                        id,
-                        fallback.rank_sim,
-                        fallback.measure,
-                        fallback.relaxed_condition,
-                    );
-                }
-            }
-        }
-        Ok(topk.into_sorted())
-    }
-
     /// Worker count for a table: explicit options win, `0` auto-detects (sequential
-    /// for small tables, `available_parallelism` otherwise). The PR 1 baseline is
-    /// sequential by definition.
+    /// for small tables, `available_parallelism` otherwise).
     fn resolve_workers(&self, table_len: usize) -> usize {
-        if self.options.pr1_baseline {
-            return 1;
-        }
         match self.options.workers {
             0 => {
                 if table_len < PARALLEL_AUTO_MIN_RECORDS {
@@ -1095,99 +930,6 @@ impl<'a> PartialMatcher<'a> {
             explicit => explicit.min(MAX_WORKERS),
         }
     }
-
-    /// The seed's full-scan/full-sort pipeline, kept verbatim as the ablation
-    /// baseline: materialized query results, per-record `Record` access, string-based
-    /// similarity lookups (allocating per probe), an unbounded per-record best map and
-    /// a global sort.
-    fn partial_answers_full_scan(
-        &self,
-        interpretation: &Interpretation,
-        table: &Table,
-        exclude: &HashSet<RecordId>,
-        budget: usize,
-    ) -> CqadsResult<Vec<PartialAnswer>> {
-        let sketches = interpretation.all_sketches();
-        let n = interpretation.condition_count();
-        let executor = Executor::new(table);
-        // best score seen per record
-        let mut best: HashMap<RecordId, PartialAnswer> = HashMap::new();
-
-        if sketches.len() <= 1 {
-            if let Some(sketch) = sketches.first() {
-                for (id, record) in table.iter() {
-                    if exclude.contains(&id) {
-                        continue;
-                    }
-                    let (score, measure) = self.similarity.rank_sim(n, sketch, record);
-                    consider(
-                        &mut best,
-                        PartialAnswer {
-                            id,
-                            rank_sim: score,
-                            measure,
-                            relaxed_condition: 0,
-                        },
-                    );
-                }
-            }
-        } else {
-            for (skip, relaxed) in sketches.iter().enumerate() {
-                let query = match interpretation.to_query_excluding(self.spec, skip) {
-                    Ok(q) => q.with_limit(usize::MAX),
-                    Err(_) => continue,
-                };
-                let answers = match executor.execute(&query) {
-                    Ok(a) => a,
-                    Err(_) => continue,
-                };
-                for answer in answers {
-                    if exclude.contains(&answer.id) {
-                        continue;
-                    }
-                    let Some(record) = table.get(answer.id) else {
-                        continue;
-                    };
-                    let (score, measure) = self.similarity.rank_sim(n, relaxed, record);
-                    consider(
-                        &mut best,
-                        PartialAnswer {
-                            id: answer.id,
-                            rank_sim: score,
-                            measure,
-                            relaxed_condition: skip,
-                        },
-                    );
-                }
-            }
-            if best.len() < budget {
-                // Same degree-of-match fallback as the top-k engine, so both engines
-                // stay byte-identical on sparse data.
-                let probes: Vec<CompiledProbe<'_>> = sketches
-                    .iter()
-                    .map(|s| self.similarity.compile(s, table))
-                    .collect();
-                let mut scorers: Vec<ProbeScorer<'_, '_>> =
-                    probes.iter().map(ProbeScorer::new).collect();
-                for id in (0..table.len() as u32).map(RecordId) {
-                    if exclude.contains(&id) || best.contains_key(&id) {
-                        continue;
-                    }
-                    best.insert(id, degree_of_match(&mut scorers, n, id));
-                }
-            }
-        }
-
-        let mut out: Vec<PartialAnswer> = best.into_values().collect();
-        out.sort_by(|a, b| {
-            b.rank_sim
-                .partial_cmp(&a.rank_sim)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        out.truncate(budget);
-        Ok(out)
-    }
 }
 
 /// Degree-of-match score for the sparse-data fallback:
@@ -1195,7 +937,7 @@ impl<'a> PartialMatcher<'a> {
 /// measure and index of the best unmatched condition. Matches `Rank_Sim` exactly for
 /// records matching exactly N−1 conditions. Takes scorers (not bare probes) because
 /// the fallback scans whole tables — memoized text scores matter most here.
-fn degree_of_match(
+pub(crate) fn degree_of_match(
     scorers: &mut [ProbeScorer<'_, '_>],
     condition_count: usize,
     id: RecordId,
@@ -1562,16 +1304,6 @@ where
     }
 }
 
-fn consider(best: &mut HashMap<RecordId, PartialAnswer>, candidate: PartialAnswer) {
-    best.entry(candidate.id)
-        .and_modify(|existing| {
-            if candidate.rank_sim > existing.rank_sim {
-                *existing = candidate.clone();
-            }
-        })
-        .or_insert(candidate);
-}
-
 /// Gather step of the scatter-gather shard fan-out (`crate::shard`): merge
 /// per-shard answer lists into the global top-`budget` through the same
 /// deterministic [`TopK`] collector the in-table worker merge uses, so the
@@ -1872,6 +1604,7 @@ impl TopK {
 mod tests {
     use super::*;
     use crate::domain::toy_car_domain;
+    use crate::oracle::full_scan_partial_answers;
     use crate::tagging::Tagger;
     use crate::translate::interpret;
     use addb::{Record, Table};
@@ -2016,14 +1749,6 @@ mod tests {
         let (spec, table, sim) = setup();
         let tagger = Tagger::new(&spec);
         let fast = PartialMatcher::new(&spec, &sim);
-        let slow = PartialMatcher::with_options(
-            &spec,
-            &sim,
-            PartialMatchOptions {
-                full_scan: true,
-                ..PartialMatchOptions::default()
-            },
-        );
         for question in [
             "Find Honda Accord blue less than 15,000 dollars",
             "blue honda accord under 20000 dollars",
@@ -2043,9 +1768,9 @@ mod tests {
                     let a = fast
                         .partial_answers(&interp, &table, &exclude, budget)
                         .unwrap();
-                    let b = slow
-                        .partial_answers(&interp, &table, &exclude, budget)
-                        .unwrap();
+                    let b =
+                        full_scan_partial_answers(&spec, &sim, &interp, &table, &exclude, budget)
+                            .unwrap();
                     assert_eq!(a, b, "engines diverged on {question:?} budget {budget}");
                 }
             }
@@ -2130,14 +1855,6 @@ mod tests {
     fn parallel_workers_return_byte_identical_answers() {
         let (spec, table, sim) = setup();
         let tagger = Tagger::new(&spec);
-        let sequential = PartialMatcher::with_options(
-            &spec,
-            &sim,
-            PartialMatchOptions {
-                workers: 1,
-                ..PartialMatchOptions::default()
-            },
-        );
         for question in [
             "Find Honda Accord blue less than 15,000 dollars",
             "blue honda accord under 20000 dollars",
@@ -2145,29 +1862,23 @@ mod tests {
             "red honda accord under 3000 dollars",
         ] {
             let interp = interpret(&tagger.tag(question), &spec).unwrap();
-            for workers in [2usize, 3, 8] {
-                let parallel = PartialMatcher::with_options(
-                    &spec,
-                    &sim,
-                    PartialMatchOptions {
-                        workers,
-                        ..PartialMatchOptions::default()
-                    },
-                );
+            for workers in [1usize, 2, 3, 4, 8] {
+                let matcher =
+                    PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
                 for budget in [1usize, 2, 30] {
-                    let a = sequential
+                    let a = matcher
                         .partial_answers(&interp, &table, &HashSet::new(), budget)
                         .unwrap();
-                    let b = parallel
-                        .partial_answers(&interp, &table, &HashSet::new(), budget)
-                        .unwrap();
-                    assert_eq!(a.len(), b.len(), "{question:?} workers {workers}");
-                    for (x, y) in a.iter().zip(&b) {
-                        assert_eq!(x.id, y.id);
-                        assert_eq!(x.rank_sim.to_bits(), y.rank_sim.to_bits());
-                        assert_eq!(x.measure, y.measure);
-                        assert_eq!(x.relaxed_condition, y.relaxed_condition);
-                    }
+                    let b = full_scan_partial_answers(
+                        &spec,
+                        &sim,
+                        &interp,
+                        &table,
+                        &HashSet::new(),
+                        budget,
+                    )
+                    .unwrap();
+                    assert_bit_identical(&a, &b, &format!("{question:?} workers {workers}"));
                 }
             }
         }
@@ -2185,14 +1896,6 @@ mod tests {
         let (spec, table, sim) = setup();
         let tagger = Tagger::new(&spec);
         let wand = PartialMatcher::new(&spec, &sim);
-        let exhaustive = PartialMatcher::with_options(
-            &spec,
-            &sim,
-            PartialMatchOptions {
-                pr2_exhaustive: true,
-                ..PartialMatchOptions::default()
-            },
-        );
         for question in [
             "Find Honda Accord blue less than 15,000 dollars",
             "blue honda accord under 20000 dollars",
@@ -2212,9 +1915,9 @@ mod tests {
                     let a = wand
                         .partial_answers(&interp, &table, &exclude, budget)
                         .unwrap();
-                    let b = exhaustive
-                        .partial_answers(&interp, &table, &exclude, budget)
-                        .unwrap();
+                    let b =
+                        full_scan_partial_answers(&spec, &sim, &interp, &table, &exclude, budget)
+                            .unwrap();
                     assert_bit_identical(&a, &b, &format!("{question:?} budget {budget}"));
                 }
             }
@@ -2235,23 +1938,15 @@ mod tests {
         };
         let tagger = Tagger::new(&spec);
         let wand = PartialMatcher::new(&spec, &sim);
-        let exhaustive = PartialMatcher::with_options(
-            &spec,
-            &sim,
-            PartialMatchOptions {
-                pr2_exhaustive: true,
-                ..PartialMatchOptions::default()
-            },
-        );
         let compare = |table: &Table, question: &str, context: &str| {
             let interp = interpret(&tagger.tag(question), &spec).unwrap();
             for budget in [1usize, 30, 500] {
                 let a = wand
                     .partial_answers(&interp, table, &HashSet::new(), budget)
                     .unwrap();
-                let b = exhaustive
-                    .partial_answers(&interp, table, &HashSet::new(), budget)
-                    .unwrap();
+                let b =
+                    full_scan_partial_answers(&spec, &sim, &interp, table, &HashSet::new(), budget)
+                        .unwrap();
                 assert_bit_identical(&a, &b, &format!("{context}: {question:?} @ {budget}"));
             }
         };
@@ -2282,51 +1977,14 @@ mod tests {
         // zero-similarity tail.
         let (_, table, sim2) = setup();
         let wand2 = PartialMatcher::new(&spec, &sim2);
-        let exhaustive2 = PartialMatcher::with_options(
-            &spec,
-            &sim2,
-            PartialMatchOptions {
-                pr2_exhaustive: true,
-                ..PartialMatchOptions::default()
-            },
-        );
         let interp = interpret(&tagger.tag("blue honda accord"), &spec).unwrap();
         let a = wand2
             .partial_answers(&interp, &table, &HashSet::new(), 1)
             .unwrap();
-        let b = exhaustive2
-            .partial_answers(&interp, &table, &HashSet::new(), 1)
-            .unwrap();
+        let b =
+            full_scan_partial_answers(&spec, &sim2, &interp, &table, &HashSet::new(), 1).unwrap();
         assert_bit_identical(&a, &b, "all-sub-threshold");
         assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    fn pr1_baseline_ablation_agrees_with_current_engine() {
-        let (spec, table, sim) = setup();
-        let tagger = Tagger::new(&spec);
-        let gallop = PartialMatcher::new(&spec, &sim);
-        let linear = PartialMatcher::with_options(
-            &spec,
-            &sim,
-            PartialMatchOptions {
-                pr1_baseline: true,
-                ..PartialMatchOptions::default()
-            },
-        );
-        for question in [
-            "Find Honda Accord blue less than 15,000 dollars",
-            "blue toyota camry",
-        ] {
-            let interp = interpret(&tagger.tag(question), &spec).unwrap();
-            let a = gallop
-                .partial_answers(&interp, &table, &HashSet::new(), 30)
-                .unwrap();
-            let b = linear
-                .partial_answers(&interp, &table, &HashSet::new(), 30)
-                .unwrap();
-            assert_eq!(a, b);
-        }
     }
 
     #[test]
@@ -2370,14 +2028,8 @@ mod tests {
             })
             .collect();
         for workers in [1usize, 3] {
-            let matcher = PartialMatcher::with_options(
-                &spec,
-                &sim,
-                PartialMatchOptions {
-                    workers,
-                    ..PartialMatchOptions::default()
-                },
-            );
+            let matcher =
+                PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
             let plain = matcher.partial_answers_batch(&requests, &table).unwrap();
             let budgeted = matcher
                 .partial_answers_batch_budgeted(&requests, &table, None)
@@ -2405,14 +2057,8 @@ mod tests {
             })
             .collect();
         for workers in [1usize, 3] {
-            let matcher = PartialMatcher::with_options(
-                &spec,
-                &sim,
-                PartialMatchOptions {
-                    workers,
-                    ..PartialMatchOptions::default()
-                },
-            );
+            let matcher =
+                PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
             let plain = matcher.partial_answers_batch(&requests, &table).unwrap();
             let clock = Arc::new(ManualClock::new());
             let budget = QueryBudget::new(clock as Arc<dyn RetryClock>, u64::MAX);
@@ -2461,14 +2107,8 @@ mod tests {
             })
             .collect();
         for workers in [1usize, 3] {
-            let matcher = PartialMatcher::with_options(
-                &spec,
-                &sim,
-                PartialMatchOptions {
-                    workers,
-                    ..PartialMatchOptions::default()
-                },
-            );
+            let matcher =
+                PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
             let full = matcher.partial_answers_batch(&requests, &table).unwrap();
             // Sweep the number of clock reads the batch survives, from "cut
             // immediately" to "cut near the end".

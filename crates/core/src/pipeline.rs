@@ -1,41 +1,34 @@
-//! The end-to-end CQAds pipeline.
+//! The end-to-end CQAds pipeline: its configuration and result types.
 //!
-//! [`CqadsSystem`] owns the ads database, one [`DomainSpec`]/tagger/TI-matrix per
+//! A [`CqadsWriter`] (also reachable under its historical name [`CqadsSystem`]) owns
+//! the ads database, one [`DomainSpec`](crate::DomainSpec)/tagger/TI-matrix per
 //! registered domain, the shared WS word-correlation matrix and the JBBSM question
-//! classifier. `answer(question)` runs the full paper pipeline: classify → tag →
+//! classifier. `ask(question).get()` runs the full paper pipeline: classify → tag →
 //! interpret → translate to SQL → execute exactly → top up with ranked
 //! partially-matched answers when fewer than 30 exact answers exist.
 //!
-//! The system also **learns from live traffic**: [`CqadsSystem::ingest_query_log`]
+//! The system also **learns from live traffic**: [`CqadsWriter::ingest_query_log`]
 //! streams freshly recorded query-log deltas into a domain's TI-matrix
 //! incrementally (no full rebuild, bit-identical result) and advances the domain's
 //! *model generation*, which — together with the table generation — stamps every
 //! cached answer so stale rankings are provably never served (see
 //! [`crate::cache`]).
 //!
-//! Since the reader/writer handle split ([`crate::handle`]), `CqadsSystem` is a
-//! thin facade over a [`CqadsWriter`]: every historical method keeps its exact
-//! signature and semantics, and [`CqadsSystem::reader`] mints detached
-//! [`CqadsReader`] handles that serve concurrently with mutations — no outer
-//! lock around the system required anymore.
+//! The handles themselves live in [`crate::handle`]: the writer serves reads from
+//! its own master state, and [`CqadsWriter::reader`] mints detached
+//! [`CqadsReader`](crate::CqadsReader) handles that serve concurrently with
+//! mutations.
 
-use crate::cache::{AnswerCache, CacheStats};
-use crate::domain::DomainSpec;
 use crate::error::{CqadsError, CqadsResult};
-use crate::handle::{AnswerRequest, CqadsReader, CqadsWriter, ReadContext};
+use crate::handle::CqadsWriter;
 use crate::partial::PartialAnswer;
 use crate::ranking::SimilarityMeasure;
-use crate::resilience::{AnswerQuality, ResilienceOptions, ServingStats};
+use crate::resilience::{AnswerQuality, ResilienceOptions};
 use crate::storage::StorageOptions;
 use crate::tagging::TaggedQuestion;
 use crate::translate::Interpretation;
-use addb::{Database, Record, RecordId, Table};
-use cqads_classifier::LabelledDoc;
-use cqads_querylog::{QueryLogDelta, Session, TIMatrix};
-use cqads_storage::{RecoveryReport, StorageError};
-use cqads_wordsim::WordSimMatrix;
+use addb::{Record, RecordId, Table};
 use std::collections::HashSet;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -135,13 +128,8 @@ pub struct CqadsConfig {
     /// from the machine's available parallelism (and stays sequential on small
     /// tables); answers are byte-identical for every setting.
     pub partial_workers: usize,
-    /// Run the partial matcher's frozen PR 2 engine (exhaustive per-candidate
-    /// scoring of every relaxation stream) instead of the default value-ordered
-    /// (WAND-style) pruned traversal. Answers are byte-identical either way; the
-    /// knob exists for ablation benches and for debugging the pruning itself.
-    pub partial_exhaustive: bool,
-    /// Total answer sets held by the serving cache ([`AnswerCache`]); `0` disables
-    /// caching entirely (every [`CqadsSystem::answer_batch`] question recomputes).
+    /// Total answer sets held by the serving cache ([`AnswerCache`](crate::AnswerCache)); `0` disables
+    /// caching entirely (every [`CqadsWriter::answer_batch`] question recomputes).
     pub cache_capacity: usize,
     /// Lock stripes of the serving cache: concurrent readers of different questions
     /// contend only within a stripe. Clamped to at least 1 (and at most the
@@ -153,7 +141,7 @@ pub struct CqadsConfig {
     /// insert, query-log ingest, WS-matrix swap) with a CRC-checksummed,
     /// generation-stamped frame under [`StorageOptions::dir`], rotates
     /// periodic snapshots, and optionally records an audit frame per served
-    /// question; [`CqadsSystem::open`] recovers the state after a crash.
+    /// question; [`CqadsWriter::open`] recovers the state after a crash.
     pub storage: Option<StorageOptions>,
     /// Serving resilience: admission control, deadline-cut partial matching
     /// with explicit degradation, stale-on-timeout fallback and pressure
@@ -165,11 +153,9 @@ pub struct CqadsConfig {
     /// Scatter-gather shard count for [`ShardedCqads`](crate::shard::ShardedCqads).
     /// `None` (the default) and `Some(1)` are byte-identical to the unsharded
     /// system; `Some(n)` partitions every domain's records across `n`
-    /// independent writer/reader pairs. Plain [`CqadsSystem`] ignores the knob
+    /// independent writer/reader pairs. A plain [`CqadsWriter`] ignores the knob
     /// (it always serves one partition); `ShardedCqads::with_config` honours
-    /// it. `Some(0)` is rejected by [`CqadsConfig::validate`], as is combining
-    /// shards with [`CqadsConfig::storage`] (durable sharded serving is a
-    /// ROADMAP follow-up, not a silent single-WAL lie).
+    /// it. [`CqadsConfig::validate`] lists the combinations it rejects.
     pub shards: Option<usize>,
 }
 
@@ -179,7 +165,6 @@ impl Default for CqadsConfig {
             answer_limit: addb::DEFAULT_ANSWER_LIMIT,
             partial_threshold: addb::DEFAULT_ANSWER_LIMIT,
             partial_workers: 0,
-            partial_exhaustive: false,
             cache_capacity: 4096,
             cache_shards: 16,
             storage: None,
@@ -201,9 +186,13 @@ impl CqadsConfig {
     /// Check this configuration for combinations that cannot work:
     /// a zero answer limit, a partial threshold above the answer limit,
     /// zero cache shards with a non-zero cache capacity, or a resilience
-    /// deadline floor above the deadline itself. [`CqadsConfigBuilder::build`]
-    /// runs this automatically; call it directly when constructing the struct
-    /// by hand.
+    /// deadline floor above the deadline itself. The shard rules live here too,
+    /// and nowhere else: `shards` must be at least 1 when set, and cannot be
+    /// combined with [`CqadsConfig::storage`] (each shard would need its own
+    /// WAL) or with [`CqadsConfig::resilience`] (admission and deadlines are not
+    /// threaded through the scatter path) — both ROADMAP follow-ups, rejected
+    /// rather than silently ignored. [`CqadsConfigBuilder::build`] runs this
+    /// automatically; call it directly when constructing the struct by hand.
     pub fn validate(&self) -> CqadsResult<()> {
         if self.answer_limit == 0 {
             return Err(CqadsError::Config(
@@ -239,6 +228,13 @@ impl CqadsConfig {
                     .to_string(),
             ));
         }
+        if self.shards.is_some() && self.resilience.is_some() {
+            return Err(CqadsError::Config(
+                "shards cannot be combined with the resilience layer yet; inject \
+                 per-shard QueryBudgets via ShardedCqads::answer_in_domain_budgeted"
+                    .to_string(),
+            ));
+        }
         if let Some(resilience) = &self.resilience {
             if let Some(deadline) = resilience.deadline_micros {
                 if resilience.min_deadline_micros > deadline {
@@ -251,6 +247,17 @@ impl CqadsConfig {
             }
         }
         Ok(())
+    }
+
+    /// How many partial answers to request once `exact_len` exact answers are in
+    /// hand: top up to the answer limit when the exact answers fall short of the
+    /// partial threshold, nothing otherwise.
+    pub fn partial_budget(&self, exact_len: usize) -> usize {
+        if exact_len < self.partial_threshold.min(self.answer_limit) {
+            self.answer_limit - exact_len
+        } else {
+            0
+        }
     }
 }
 
@@ -287,12 +294,6 @@ impl CqadsConfigBuilder {
     /// Worker threads for the partial-match fan-out (`0` auto-detects).
     pub fn partial_workers(mut self, partial_workers: usize) -> Self {
         self.config.partial_workers = partial_workers;
-        self
-    }
-
-    /// Use the frozen exhaustive PR 2 partial-match engine.
-    pub fn partial_exhaustive(mut self, partial_exhaustive: bool) -> Self {
-        self.config.partial_exhaustive = partial_exhaustive;
         self
     }
 
@@ -336,7 +337,7 @@ impl CqadsConfigBuilder {
     }
 }
 
-/// How [`CqadsSystem::classify`] arrived at its domain: a genuine classifier
+/// How [`CqadsWriter::classify`] arrived at its domain: a genuine classifier
 /// prediction, or one of the two fallback paths (which used to be silent — callers
 /// debugging routing could not tell a confident prediction from a shrug).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -348,7 +349,7 @@ pub enum ClassifyOutcome {
     /// registered domain.
     FallbackUntrained(String),
     /// The classifier predicted a domain that was never registered with
-    /// [`CqadsSystem::add_domain`]; fell back to the first registered domain.
+    /// [`CqadsWriter::add_domain`]; fell back to the first registered domain.
     FallbackUnknownDomain {
         /// What the classifier emitted.
         predicted: String,
@@ -380,7 +381,7 @@ impl ClassifyOutcome {
     }
 }
 
-/// What one [`CqadsSystem::ingest_query_log`] (or batch) call absorbed.
+/// What one [`CqadsWriter::ingest_query_log`] (or batch) call absorbed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestReport {
     /// Sessions applied to the TI-matrix.
@@ -394,17 +395,10 @@ pub struct IngestReport {
     pub ti_pairs: usize,
 }
 
-/// The CQAds question-answering system.
-///
-/// Owns the ads database, one tagger/TI-matrix/similarity model per registered
-/// domain, the shared WS-matrix, the domain classifier and the serving cache.
-///
-/// This type is a thin compatibility facade over the reader/writer handle
-/// split ([`crate::handle`]): it wraps a [`CqadsWriter`] and serves every
-/// read directly from the writer's master state, so single-handle usage is
-/// exactly as fast (and exactly as immediate — `database_mut` edits are
-/// visible to the next `answer`) as before the split. For concurrent serving
-/// mint detached [`CqadsReader`]s with [`CqadsSystem::reader`].
+/// The CQAds question-answering system — the historical name of
+/// [`CqadsWriter`], which owns the ads database, one tagger/TI-matrix/similarity
+/// model per registered domain, the shared WS-matrix, the domain classifier and
+/// the serving cache, and serves reads from its own master state.
 ///
 /// ```
 /// use addb::{Record, Table};
@@ -428,458 +422,16 @@ pub struct IngestReport {
 ///     .unwrap();
 /// let mut system = CqadsSystem::new();
 /// system.add_domain(spec, table, TIMatrix::default());
-/// let answers = system.answer_in_domain("blue honda", "cars").unwrap();
+/// let answers = system.ask("blue honda").domain("cars").get().unwrap();
 /// assert_eq!(answers.exact_count, 1);
 /// ```
-#[derive(Debug)]
-pub struct CqadsSystem {
-    pub(crate) inner: CqadsWriter,
-}
-
-impl CqadsSystem {
-    /// Create an empty system with the default configuration and an empty WS-matrix.
-    pub fn new() -> Self {
-        CqadsSystem {
-            inner: CqadsWriter::new(),
-        }
-    }
-
-    /// Create an empty system with an explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// When [`CqadsConfig::storage`] is set and the store cannot be opened or
-    /// recovered; use [`CqadsSystem::try_with_config`] to handle that error.
-    /// Memory-only configurations (`storage: None`) never panic.
-    pub fn with_config(config: CqadsConfig) -> Self {
-        CqadsSystem {
-            inner: CqadsWriter::with_config(config),
-        }
-    }
-
-    /// Fallible form of [`CqadsSystem::with_config`]. With
-    /// [`CqadsConfig::storage`] set this opens the directory, recovers the
-    /// newest valid snapshot plus the WAL tail (truncating a torn suffix),
-    /// and resumes appending; the config's scalar knobs are kept exactly as
-    /// passed. [`CqadsSystem::open`] is the variant that restores the
-    /// persisted knobs from the snapshot instead.
-    pub fn try_with_config(config: CqadsConfig) -> CqadsResult<Self> {
-        Ok(CqadsSystem {
-            inner: CqadsWriter::try_with_config(config)?,
-        })
-    }
-
-    /// Open (or create) a durable system rooted at `dir` with
-    /// [`StorageOptions::at`]'s defaults: load the newest valid snapshot,
-    /// replay the WAL tail, truncate any torn suffix at the last valid frame,
-    /// and raise every generation counter far enough that no
-    /// [`GenerationStamp`](crate::cache::GenerationStamp) handed out before
-    /// the crash can ever be re-issued for different state. Scalar config
-    /// knobs persisted by the snapshot (answer limit, cache sizing, ...) are
-    /// restored; [`CqadsSystem::storage_report`] describes what recovery
-    /// found.
-    pub fn open(dir: impl Into<PathBuf>) -> CqadsResult<Self> {
-        Self::open_with(StorageOptions::at(dir))
-    }
-
-    /// [`CqadsSystem::open`] with explicit [`StorageOptions`] (fsync policy,
-    /// snapshot cadence, injected filesystem).
-    pub fn open_with(opts: StorageOptions) -> CqadsResult<Self> {
-        let config = CqadsConfig {
-            storage: Some(opts),
-            ..CqadsConfig::default()
-        };
-        Ok(CqadsSystem {
-            inner: CqadsWriter::open_internal(config, true)?,
-        })
-    }
-
-    /// Mint a detached read handle (`Clone + Send + Sync`): it serves
-    /// [`CqadsReader::answer_batch`] and friends against the published
-    /// snapshot while this system keeps mutating — readers never block on a
-    /// mutation's work and never observe a half-applied one. Every mutation
-    /// through this system is republished automatically; only
-    /// [`CqadsSystem::database_mut`] edits need an explicit
-    /// [`CqadsSystem::publish`].
-    pub fn reader(&self) -> CqadsReader {
-        self.inner.reader()
-    }
-
-    /// Publish the current state to detached readers. Mutation methods do
-    /// this automatically; call it after mutating through
-    /// [`CqadsSystem::database_mut`].
-    pub fn publish(&self) {
-        self.inner.publish()
-    }
-
-    /// Unwrap the facade into its [`CqadsWriter`] — the explicit write half
-    /// of the handle split. Reads then go through [`CqadsWriter::reader`]
-    /// handles.
-    pub fn into_writer(self) -> CqadsWriter {
-        self.inner
-    }
-
-    /// Start building an answer request — one fluent entry point behind the
-    /// `answer` / `answer_cached` / `answer_in_domain` /
-    /// `answer_in_domain_cached` quartet. See [`AnswerRequest`].
-    pub fn ask<'a>(&'a self, question: &'a str) -> AnswerRequest<'a> {
-        AnswerRequest::for_system(self, question)
-    }
-
-    /// The writer's read view over the master state (immediate visibility of
-    /// every mutation, including raw `database_mut` edits).
-    pub(crate) fn ctx(&self) -> ReadContext<'_> {
-        self.inner.ctx()
-    }
-
-    /// The pipeline configuration this system was built with (after
-    /// [`CqadsSystem::open`] restored persisted knobs, if it did).
-    pub fn config(&self) -> &CqadsConfig {
-        self.inner.config()
-    }
-
-    /// Install the shared WS word-correlation matrix used by `Feat_Sim`. Every
-    /// domain's model generation advances past its previous value, so cached
-    /// answers ranked under the old matrix are invalidated (see [`crate::cache`]).
-    ///
-    /// **Best-effort** on a durable system: the swap always happens in
-    /// memory, and a storage failure is *deferred* — it surfaces from the
-    /// next fallible mutation (or
-    /// [`CqadsSystem::take_deferred_storage_error`]). Use
-    /// [`CqadsSystem::try_set_word_sim`] to observe it immediately.
-    pub fn set_word_sim(&mut self, matrix: WordSimMatrix) {
-        self.inner.set_word_sim(matrix)
-    }
-
-    /// Fallible form of [`CqadsSystem::set_word_sim`]: surfaces any deferred
-    /// storage error first, then reports an append failure immediately (the
-    /// in-memory swap has happened either way — the matrix is installed but
-    /// not persisted).
-    pub fn try_set_word_sim(&mut self, matrix: WordSimMatrix) -> CqadsResult<()> {
-        self.inner.try_set_word_sim(matrix)
-    }
-
-    /// Register an ads domain: its specification, its populated table and its TI-matrix
-    /// (pass an empty [`TIMatrix`] when no query log is available — `TI_Sim` then falls
-    /// back to exact-match-only behaviour).
-    ///
-    /// Re-registering an existing domain replaces its table and model; both the
-    /// table generation ([`addb::Database`] carries it forward) and the model
-    /// generation advance past their previous values, so no cached answer of the
-    /// old registration can ever be served against the new one.
-    ///
-    /// **Best-effort** on a durable system: the registration (spec, records, TI
-    /// state and both generations) is appended to the WAL and a storage failure
-    /// is *deferred* exactly as for [`CqadsSystem::set_word_sim`] — use
-    /// [`CqadsSystem::try_add_domain`] to observe it immediately.
-    pub fn add_domain(&mut self, spec: DomainSpec, table: Table, ti_matrix: TIMatrix) {
-        self.inner.add_domain(spec, table, ti_matrix)
-    }
-
-    /// Fallible form of [`CqadsSystem::add_domain`]: surfaces any deferred
-    /// storage error first, then reports an append failure immediately (the
-    /// domain is registered in memory either way, but not persisted).
-    pub fn try_add_domain(
-        &mut self,
-        spec: DomainSpec,
-        table: Table,
-        ti_matrix: TIMatrix,
-    ) -> CqadsResult<()> {
-        self.inner.try_add_domain(spec, table, ti_matrix)
-    }
-
-    /// Write a point-in-time snapshot (database records, per-domain TI
-    /// accumulators, WS matrix, config and all generations) and rotate to a
-    /// fresh WAL epoch; the previous epoch is kept as a fallback and older
-    /// ones are pruned. Returns the new epoch number, or `None` on a
-    /// memory-only system. Runs automatically every
-    /// [`StorageOptions::snapshot_every`] mutation frames.
-    pub fn snapshot(&self) -> CqadsResult<Option<u64>> {
-        self.inner.write_snapshot()
-    }
-
-    /// Train the JBBSM domain classifier on labelled example questions.
-    pub fn train_classifier(&mut self, docs: &[LabelledDoc]) {
-        self.inner.train_classifier(docs)
-    }
-
-    /// Registered domain names.
-    pub fn domain_names(&self) -> Vec<&str> {
-        self.inner
-            .master
-            .domains
-            .keys()
-            .map(String::as_str)
-            .collect()
-    }
-
-    /// The underlying ads database.
-    pub fn database(&self) -> &Database {
-        &self.inner.master.database
-    }
-
-    /// The domain specification of a registered domain.
-    pub fn domain_spec(&self, domain: &str) -> Option<&DomainSpec> {
-        self.inner
-            .master
-            .domains
-            .get(domain)
-            .map(|r| r.spec.as_ref())
-    }
-
-    /// Classify a question into a registered domain (Equation 2). Falls back to the
-    /// first registered domain when the classifier has not been trained or emits an
-    /// unregistered domain; use [`CqadsSystem::classify_outcome`] to observe which
-    /// path fired.
-    pub fn classify(&self, question: &str) -> CqadsResult<String> {
-        self.ctx().classify(question)
-    }
-
-    /// Like [`CqadsSystem::classify`], but reports *how* the domain was chosen: a
-    /// genuine prediction, the untrained fallback, or — previously invisible — the
-    /// classifier emitting a domain that was never registered.
-    pub fn classify_outcome(&self, question: &str) -> CqadsResult<ClassifyOutcome> {
-        self.ctx().classify_outcome(question)
-    }
-
-    /// Answer a question end to end, classifying it first. Thin uncached
-    /// wrapper over the same engine as [`CqadsSystem::ask`].
-    pub fn answer(&self, question: &str) -> CqadsResult<AnswerSet> {
-        self.ctx().answer(question)
-    }
-
-    /// Answer a question against an explicitly chosen domain (used by the evaluation
-    /// harness when the gold domain is known). Always computes from scratch — the
-    /// cached serving front-end is [`CqadsSystem::answer_batch`] /
-    /// [`CqadsSystem::answer_in_domain_cached`].
-    pub fn answer_in_domain(&self, question: &str, domain: &str) -> CqadsResult<AnswerSet> {
-        self.ctx().answer_in_domain(question, domain)
-    }
-
-    /// Answer a question through the serving cache, classifying it first. A repeated
-    /// question costs one classification plus one cache lookup; see
-    /// [`CqadsSystem::answer_batch`] for the burst-oriented form and
-    /// [`cache`](crate::cache) for the invalidation protocol.
-    pub fn answer_cached(&self, question: &str) -> CqadsResult<Arc<AnswerSet>> {
-        self.ctx().answer_cached(question)
-    }
-
-    /// Read-through cached variant of [`CqadsSystem::answer_in_domain`]: identical
-    /// answers (the cache key is conservative and entries are generation-checked),
-    /// shared behind an [`Arc`] so hits clone nothing.
-    pub fn answer_in_domain_cached(
-        &self,
-        question: &str,
-        domain: &str,
-    ) -> CqadsResult<Arc<AnswerSet>> {
-        self.ctx().answer_in_domain_cached(question, domain)
-    }
-
-    /// Serve a burst of questions: classify + normalize + dedup, serve repeats from
-    /// the cache, and fan the residual misses' partial-match phases through
-    /// [`PartialMatcher::partial_answers_batch`](crate::PartialMatcher::partial_answers_batch)
-    /// on one thread scope per domain, back-filling the cache for the next burst.
-    ///
-    /// Results are positional (`results[i]` answers `questions[i]`) and element-wise
-    /// identical to calling [`CqadsSystem::answer_in_domain`] per question with the
-    /// classified domain — duplicate questions within the burst share one
-    /// computation and one `Arc`. Per-question failures (empty question,
-    /// contradictory ranges, ...) are reported in place and never cached.
-    /// With [`CqadsConfig::resilience`] configured the batch additionally runs
-    /// behind the resilience layer: it may be shed whole with
-    /// [`CqadsError::Overloaded`] when the in-flight bound is saturated, and a
-    /// configured deadline cuts the partial-match phase cooperatively — a cut
-    /// question's answer is the certified prefix of the complete one, flagged
-    /// [`AnswerQuality::Degraded`] (or replaced by a generation-stale cached
-    /// answer flagged [`AnswerQuality::Stale`] when
-    /// [`ResilienceOptions::serve_stale_on_timeout`] is on). Non-`Complete`
-    /// answers are never cached.
-    pub fn answer_batch<S: AsRef<str>>(&self, questions: &[S]) -> Vec<CqadsResult<Arc<AnswerSet>>> {
-        self.ctx().answer_batch(questions)
-    }
-
-    /// Insert a record into a registered domain's table. The table's mutation
-    /// generation advances, which atomically invalidates every cached answer for the
-    /// domain — no explicit cache flush happens or is needed.
-    ///
-    /// On a durable system the insert is appended to the WAL before
-    /// returning; a storage failure is returned as [`CqadsError::Storage`]
-    /// (the in-memory insert has happened but was not persisted).
-    pub fn insert_record(&mut self, domain: &str, record: Record) -> CqadsResult<RecordId> {
-        self.inner.insert_record(domain, record)
-    }
-
-    /// Insert a batch of records into a registered domain's table, returning
-    /// their ids in order. Records are validated and inserted sequentially; on
-    /// the first invalid record the batch stops and that error is returned —
-    /// records inserted before it remain (and, on a durable system, are
-    /// persisted).
-    ///
-    /// On a durable system the whole successful prefix is written to the WAL
-    /// in a **single** append (one fsync under [`StorageOptions::fsync`]),
-    /// which is the cheap way to bulk-load: `n` calls to
-    /// [`CqadsSystem::insert_record`] pay `n` syncs instead of one.
-    pub fn insert_record_batch(
-        &mut self,
-        domain: &str,
-        records: Vec<Record>,
-    ) -> CqadsResult<Vec<RecordId>> {
-        self.inner.insert_record_batch(domain, records)
-    }
-
-    /// Mutable access to the underlying database. Inserts through this handle bump
-    /// the owning table's generation exactly like [`CqadsSystem::insert_record`], so
-    /// cached answers still invalidate correctly. Detached readers observe
-    /// these edits only after the next mutation method or an explicit
-    /// [`CqadsSystem::publish`]; reads through this system see them
-    /// immediately.
-    pub fn database_mut(&mut self) -> &mut Database {
-        self.inner.database_mut()
-    }
-
-    /// Absorb one batch of freshly recorded query-log sessions into a domain's
-    /// TI-matrix — the live-learning path. The delta is applied incrementally
-    /// ([`cqads_querylog::TIMatrix::apply`]: `O(delta)` accumulation plus a cheap
-    /// renormalization, bit-identical to a full rebuild over the whole log), and
-    /// the domain's model generation advances, which atomically invalidates every
-    /// cached answer ranked under the old matrix — no flush happens or is needed.
-    ///
-    /// Requires `&mut self`. Concurrent deployments no longer wrap the system
-    /// in an `RwLock`: mint [`CqadsReader`]s with [`CqadsSystem::reader`] and
-    /// ingest here while they serve — the mutation is applied copy-on-write
-    /// against the published snapshot and republished atomically, so in-flight
-    /// readers keep their snapshot and later calls see the updated matrix.
-    ///
-    /// **Vocabulary contract:** the delta's query/ad values are interned into the
-    /// process-global string pool (which never evicts) exactly as
-    /// [`TIMatrix::build`](cqads_querylog::TIMatrix::build) has always interned
-    /// its log. Feed it the domain's **Type I attribute values** (the paper's
-    /// query-log shape, already matched against the ads vocabulary upstream), not
-    /// raw user text — a caller streaming unbounded free text here would grow the
-    /// interner with traffic diversity, which is precisely what the answer cache's
-    /// plain-string keys avoid (see [`crate::cache::CacheKey`]).
-    pub fn ingest_query_log(
-        &mut self,
-        domain: &str,
-        delta: &QueryLogDelta,
-    ) -> CqadsResult<IngestReport> {
-        self.inner.ingest_query_log(domain, delta)
-    }
-
-    /// Batch form of [`CqadsSystem::ingest_query_log`]: apply several deltas with a
-    /// **single** renormalization and a **single** model-generation bump, so a
-    /// backlog of collected deltas (e.g. after a maintenance window) costs one
-    /// invalidation, not one per delta.
-    pub fn ingest_query_log_batch(
-        &mut self,
-        domain: &str,
-        deltas: &[QueryLogDelta],
-    ) -> CqadsResult<IngestReport> {
-        self.inner.ingest_query_log_batch(domain, deltas)
-    }
-
-    /// The current model generation of a registered domain (bumped by
-    /// [`CqadsSystem::ingest_query_log`] and [`CqadsSystem::set_word_sim`]); `None`
-    /// for unregistered domains. The table-side counterpart is
-    /// [`addb::Database::generation`].
-    pub fn model_generation(&self, domain: &str) -> Option<u64> {
-        self.inner.master.model_generation(domain)
-    }
-
-    /// The serving cache (stats, clearing; filled by the `*_cached` / batch paths).
-    pub fn cache(&self) -> &AnswerCache {
-        &self.inner.shared.cache
-    }
-
-    /// Snapshot of the serving cache's hit/miss/eviction counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.inner.shared.cache.stats()
-    }
-
-    /// One operator-facing snapshot of the serving path's health: cache
-    /// counters plus every degradation signal — shed batches, deadline-cut
-    /// questions, stale answers served, WAL retries and circuit-breaker
-    /// activity, and the current pressure step-down level. All zeros on a
-    /// system with neither resilience nor durable storage configured.
-    pub fn serving_stats(&self) -> ServingStats {
-        self.inner.shared.serving_stats()
-    }
-
-    /// Produce only the interpretation of a question in a given domain (used by the
-    /// Boolean-interpretation experiment, which compares interpretations rather than
-    /// answers).
-    pub fn interpret_in_domain(
-        &self,
-        question: &str,
-        domain: &str,
-    ) -> CqadsResult<(TaggedQuestion, Interpretation, String)> {
-        self.ctx().interpret_in_domain(question, domain)
-    }
-
-    /// Whether this system persists to durable storage.
-    pub fn is_durable(&self) -> bool {
-        self.inner.is_durable()
-    }
-
-    /// What recovery found when this durable system was opened (`None` on a
-    /// memory-only system): the snapshot used, frames replayed, defects
-    /// encountered, bytes dropped from a torn tail and the generation safety
-    /// margin applied on top of the recovered counters.
-    pub fn storage_report(&self) -> Option<&RecoveryReport> {
-        self.inner.storage_report()
-    }
-
-    /// Audit frames that failed to persist since open. Audit appends are
-    /// best-effort — an I/O failure counts here instead of failing the
-    /// serving path. Always `0` on a memory-only system.
-    pub fn audit_failures(&self) -> u64 {
-        self.inner.audit_failures()
-    }
-
-    /// The most recent audit-append failure, if any.
-    pub fn last_audit_error(&self) -> Option<StorageError> {
-        self.inner.last_audit_error()
-    }
-
-    /// Take (and clear) a storage error deferred by a best-effort mutation
-    /// entry point ([`CqadsSystem::add_domain`],
-    /// [`CqadsSystem::set_word_sim`]). The fallible mutation entry points
-    /// surface it automatically, so polling this is only needed when no
-    /// further mutation is coming.
-    pub fn take_deferred_storage_error(&self) -> Option<StorageError> {
-        self.inner.take_deferred_storage_error()
-    }
-
-    /// Replay the persisted audit trail of one domain as query-log
-    /// [`Session`]s — the WAL doubling as a
-    /// [`QueryLogStream`](cqads_querylog::QueryLogStream) source. Each
-    /// audited question is re-tagged with the domain's tagger; its first
-    /// Type I value (the paper's query-log shape) becomes one
-    /// [`SubmittedQuery`](cqads_querylog::SubmittedQuery), timed by the
-    /// cumulative audited serving time, and the whole trail forms one
-    /// session. Questions without a Type I value are skipped; a memory-only
-    /// system yields no sessions.
-    pub fn audit_sessions(&self, domain: &str) -> CqadsResult<Vec<Session>> {
-        self.ctx().audit_sessions(domain)
-    }
-}
-
-impl Default for CqadsSystem {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl From<CqadsWriter> for CqadsSystem {
-    fn from(inner: CqadsWriter) -> Self {
-        CqadsSystem { inner }
-    }
-}
+pub type CqadsSystem = CqadsWriter;
 
 /// One question after the pre-partial stages: exact answers collected, partial-match
-/// budget decided, partial answers not yet merged. [`CqadsSystem::answer_in_domain`]
-/// completes it immediately; [`CqadsSystem::answer_batch`] completes a whole burst of
-/// these through one batched partial-match fan-out per domain.
+/// budget decided, partial answers not yet merged. A single
+/// [`AnswerRequest`](crate::AnswerRequest) completes it immediately;
+/// [`CqadsWriter::answer_batch`] completes a whole burst of these through one batched
+/// partial-match fan-out per domain.
 pub(crate) struct PendingAnswer {
     pub(crate) domain: String,
     pub(crate) tagged: TaggedQuestion,
@@ -931,7 +483,9 @@ impl PendingAnswer {
 mod tests {
     use super::*;
     use crate::domain::toy_car_domain;
-    use cqads_querylog::SubmittedQuery;
+    use cqads_classifier::LabelledDoc;
+    use cqads_querylog::{QueryLogDelta, Session, SubmittedQuery, TIMatrix};
+    use cqads_wordsim::WordSimMatrix;
 
     fn car(make: &str, model: &str, color: &str, trans: &str, price: f64, year: f64) -> Record {
         Record::builder()
@@ -982,7 +536,10 @@ mod tests {
     fn exact_answers_come_back_for_example_7() {
         let sys = system();
         let result = sys
-            .answer_in_domain("Do you have automatic blue cars?", "cars")
+            .ask("Do you have automatic blue cars?")
+            .domain("cars")
+            .uncached()
+            .get()
             .unwrap();
         assert_eq!(result.exact_count, 2);
         assert!(result.sql.contains("automatic"));
@@ -999,7 +556,12 @@ mod tests {
     #[test]
     fn cheapest_honda_returns_the_cheapest_honda() {
         let sys = system();
-        let result = sys.answer_in_domain("cheapest honda", "cars").unwrap();
+        let result = sys
+            .ask("cheapest honda")
+            .domain("cars")
+            .uncached()
+            .get()
+            .unwrap();
         assert!(result.exact_count >= 1);
         let top = &result.exact()[0];
         assert_eq!(top.record.get_text("make"), Some("honda"));
@@ -1010,7 +572,10 @@ mod tests {
     fn partial_answers_are_ranked_when_no_exact_match_exists() {
         let sys = system();
         let result = sys
-            .answer_in_domain("Find Honda Accord blue less than 5000 dollars", "cars")
+            .ask("Find Honda Accord blue less than 5000 dollars")
+            .domain("cars")
+            .uncached()
+            .get()
             .unwrap();
         assert_eq!(result.exact_count, 0);
         assert!(!result.partial().is_empty());
@@ -1034,11 +599,11 @@ mod tests {
             LabelledDoc::from_text("cars", "cheapest toyota camry sedan"),
         ]);
         assert_eq!(sys.classify("blue honda please").unwrap(), "cars");
-        let result = sys.answer("blue honda").unwrap();
+        let result = sys.ask("blue honda").uncached().get().unwrap();
         assert_eq!(result.domain, "cars");
         // unknown domains error
         assert!(matches!(
-            sys.answer_in_domain("blue honda", "boats"),
+            sys.ask("blue honda").domain("boats").uncached().get(),
             Err(CqadsError::UnknownDomain(_))
         ));
         // an empty system cannot classify
@@ -1054,7 +619,7 @@ mod tests {
         let mut sys = system();
         // Path 1: the domain was never registered at all.
         assert!(matches!(
-            sys.answer_in_domain("blue honda", "boats"),
+            sys.ask("blue honda").domain("boats").uncached().get(),
             Err(CqadsError::UnknownDomain(d)) if d == "boats"
         ));
         // Path 2: the domain IS registered, but its table is missing from the
@@ -1069,16 +634,16 @@ mod tests {
         assert!(sys.domain_names().contains(&"wrecked-cars"));
         assert!(sys.database().table("wrecked-cars").is_none());
         assert!(matches!(
-            sys.answer_in_domain("blue honda", "wrecked-cars"),
+            sys.ask("blue honda").domain("wrecked-cars").uncached().get(),
             Err(CqadsError::MissingTable(d)) if d == "wrecked-cars"
         ));
         // The cached path reports the same distinction.
         assert!(matches!(
-            sys.answer_in_domain_cached("blue honda", "boats"),
+            sys.ask("blue honda").domain("boats").get(),
             Err(CqadsError::UnknownDomain(_))
         ));
         assert!(matches!(
-            sys.answer_in_domain_cached("blue honda", "wrecked-cars"),
+            sys.ask("blue honda").domain("wrecked-cars").get(),
             Err(CqadsError::MissingTable(_))
         ));
         // insert_record distinguishes them too.
@@ -1134,11 +699,14 @@ mod tests {
     fn cached_answers_hit_until_an_insert_invalidates() {
         let mut sys = system();
         let question = "Do you have automatic blue cars?";
-        let first = sys.answer_in_domain_cached(question, "cars").unwrap();
+        let first = sys.ask(question).domain("cars").get().unwrap();
         assert_eq!(first.exact_count, 2);
         assert_eq!(sys.cache_stats().hits, 0);
         // Same question (modulo case/punctuation) is a hit sharing the same Arc.
-        let second = sys.answer_in_domain_cached("do you have AUTOMATIC blue cars", "cars");
+        let second = sys
+            .ask("do you have AUTOMATIC blue cars")
+            .domain("cars")
+            .get();
         let second = second.unwrap();
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(sys.cache_stats().hits, 1);
@@ -1150,7 +718,7 @@ mod tests {
             car("honda", "civic", "blue", "automatic", 7200.0, 2007.0),
         )
         .unwrap();
-        let third = sys.answer_in_domain_cached(question, "cars").unwrap();
+        let third = sys.ask(question).domain("cars").get().unwrap();
         assert!(!Arc::ptr_eq(&first, &third), "stale answer served");
         assert_eq!(
             third.exact_count, 3,
@@ -1158,8 +726,8 @@ mod tests {
         );
         assert_eq!(sys.cache_stats().stale_evictions, 1);
 
-        // answer_cached routes through classification then the same cache.
-        let fourth = sys.answer_cached(question).unwrap();
+        // A classified ask routes through classification then the same cache.
+        let fourth = sys.ask(question).get().unwrap();
         assert!(Arc::ptr_eq(&third, &fourth));
     }
 
@@ -1171,8 +739,8 @@ mod tests {
         // A question with no exact match: its answers are partial, ranked by the
         // TI-matrix — exactly what a live log update can change.
         let question = "Find Honda Accord blue less than 5000 dollars";
-        let first = sys.answer_in_domain_cached(question, "cars").unwrap();
-        let hit = sys.answer_in_domain_cached(question, "cars").unwrap();
+        let first = sys.ask(question).domain("cars").get().unwrap();
+        let hit = sys.ask(question).domain("cars").get().unwrap();
         assert!(Arc::ptr_eq(&first, &hit));
         assert_eq!(sys.model_generation("cars"), Some(0));
 
@@ -1203,11 +771,11 @@ mod tests {
 
         // The cached answer was ranked by the pre-delta matrix: it must not be
         // served again, even though the table never changed.
-        let refreshed = sys.answer_in_domain_cached(question, "cars").unwrap();
+        let refreshed = sys.ask(question).domain("cars").get().unwrap();
         assert!(!Arc::ptr_eq(&first, &refreshed), "stale ranking served");
         assert_eq!(sys.cache_stats().stale_evictions, 1);
         // The recomputed answer equals a from-scratch computation.
-        let scratch = sys.answer_in_domain(question, "cars").unwrap();
+        let scratch = sys.ask(question).domain("cars").uncached().get().unwrap();
         assert_eq!(refreshed.answers.len(), scratch.answers.len());
         for (a, b) in refreshed.answers.iter().zip(&scratch.answers) {
             assert_eq!(a.id, b.id);
@@ -1287,47 +855,25 @@ mod tests {
             ..CqadsConfig::default()
         });
         sys.add_domain(spec, table, TIMatrix::default());
-        let a = sys.answer_in_domain_cached("blue honda", "cars").unwrap();
-        let b = sys.answer_in_domain_cached("blue honda", "cars").unwrap();
+        let a = sys.ask("blue honda").domain("cars").get().unwrap();
+        let b = sys.ask("blue honda").domain("cars").get().unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "disabled cache must not share");
         assert_eq!(sys.cache_stats().entries, 0);
         assert_eq!(sys.cache_stats().hits, 0);
     }
 
     #[test]
-    fn exhaustive_partial_knob_returns_identical_answers() {
-        let wand = system();
-        let exhaustive = system_with(CqadsConfig {
-            partial_exhaustive: true,
-            ..CqadsConfig::default()
-        });
-        for question in [
-            "Find Honda Accord blue less than 5000 dollars",
-            "Do you have automatic blue cars?",
-            "cheapest honda",
-            "camry",
-        ] {
-            let a = wand.answer_in_domain(question, "cars").unwrap();
-            let b = exhaustive.answer_in_domain(question, "cars").unwrap();
-            assert_eq!(a.exact_count, b.exact_count, "{question}");
-            assert_eq!(a.answers.len(), b.answers.len(), "{question}");
-            for (x, y) in a.answers.iter().zip(&b.answers) {
-                assert_eq!(x.id, y.id, "{question}");
-                assert_eq!(x.rank_sim.to_bits(), y.rank_sim.to_bits(), "{question}");
-                assert_eq!(x.measure, y.measure, "{question}");
-            }
-        }
-    }
-
-    #[test]
     fn empty_questions_and_contradictions_error() {
         let sys = system();
         assert!(matches!(
-            sys.answer_in_domain("hello there", "cars"),
+            sys.ask("hello there").domain("cars").uncached().get(),
             Err(CqadsError::EmptyQuestion)
         ));
         assert!(matches!(
-            sys.answer_in_domain("honda above 9000 dollars and below 2000 dollars", "cars"),
+            sys.ask("honda above 9000 dollars and below 2000 dollars")
+                .domain("cars")
+                .uncached()
+                .get(),
             Err(CqadsError::ContradictoryRange { .. })
         ));
     }
@@ -1365,7 +911,12 @@ mod tests {
             ..CqadsConfig::default()
         });
         sys.add_domain(spec, table, TIMatrix::default());
-        let result = sys.answer_in_domain("blue honda accord", "cars").unwrap();
+        let result = sys
+            .ask("blue honda accord")
+            .domain("cars")
+            .uncached()
+            .get()
+            .unwrap();
         assert_eq!(result.answers.len(), 10);
         assert_eq!(result.exact_count, 10);
         assert!(result.partial().is_empty());
@@ -1416,37 +967,91 @@ mod tests {
             CqadsConfig::builder().resilience(bad).build(),
             Err(CqadsError::Config(_))
         ));
+
+        // The shard rules are the builder's too: no sharded constructor has
+        // to re-check what `build` already refused.
+        for (builder, needle) in [
+            (CqadsConfig::builder().shards(0), "shards"),
+            (
+                CqadsConfig::builder()
+                    .shards(2)
+                    .storage(StorageOptions::at("/tmp/nowhere")),
+                "durable storage",
+            ),
+            (
+                CqadsConfig::builder()
+                    .shards(2)
+                    .resilience(ResilienceOptions::default()),
+                "resilience",
+            ),
+        ] {
+            match builder.build() {
+                Err(CqadsError::Config(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("expected Config error, got {other:?}"),
+            }
+        }
+        assert!(CqadsConfig::builder().shards(2).build().is_ok());
     }
 
     #[test]
     fn ask_builder_matches_the_answer_quartet() {
-        let sys = system();
-        let question = "Do you have automatic blue cars?";
-
-        // Uncached, explicit domain == answer_in_domain.
-        let via_ask = sys.ask(question).domain("cars").uncached().get().unwrap();
-        let direct = sys.answer_in_domain(question, "cars").unwrap();
-        assert_eq!(via_ask.sql, direct.sql);
-        assert_eq!(via_ask.answers.len(), direct.answers.len());
-        for (a, b) in via_ask.answers.iter().zip(&direct.answers) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.rank_sim.to_bits(), b.rank_sim.to_bits());
+        // The four `domain x cached` builder combinations agree with each
+        // other and, element-wise, with `answer_batch` — on the writer's
+        // master state and on a detached reader.
+        fn key(set: &AnswerSet) -> (String, String, Vec<(RecordId, MatchKind, u64)>) {
+            let answers = set
+                .answers
+                .iter()
+                .map(|a| (a.id, a.kind, a.rank_sim.to_bits()))
+                .collect();
+            (set.domain.clone(), set.sql.clone(), answers)
         }
-
-        // Cached (the default) fills and then shares the same Arc.
-        let filled = sys.ask(question).domain("cars").get().unwrap();
-        let hit = sys.answer_in_domain_cached(question, "cars").unwrap();
-        assert!(Arc::ptr_eq(&filled, &hit));
-
-        // Classified forms route identically.
-        let classified = sys.ask(question).get().unwrap();
-        assert_eq!(classified.domain, "cars");
-        assert!(Arc::ptr_eq(&classified, &hit));
-
-        // The reader handle serves the same builder.
+        let questions = [
+            "Do you have automatic blue cars?",
+            "Find Honda Accord blue less than 5000 dollars",
+            "cheapest honda",
+        ];
+        let sys = system();
         let reader = sys.reader();
-        let via_reader = reader.ask(question).domain("cars").get().unwrap();
-        assert_eq!(via_reader.sql, hit.sql);
+        for question in questions {
+            let on_writer = [
+                sys.ask(question).domain("cars").uncached().get().unwrap(),
+                sys.ask(question).uncached().get().unwrap(),
+                sys.ask(question).domain("cars").get().unwrap(),
+                sys.ask(question).get().unwrap(),
+            ];
+            let on_reader = [
+                reader
+                    .ask(question)
+                    .domain("cars")
+                    .uncached()
+                    .get()
+                    .unwrap(),
+                reader.ask(question).uncached().get().unwrap(),
+                reader.ask(question).domain("cars").get().unwrap(),
+                reader.ask(question).get().unwrap(),
+            ];
+            let want = key(&on_writer[0]);
+            assert_eq!(want.0, "cars");
+            for set in on_writer.iter().chain(&on_reader) {
+                assert_eq!(key(set), want, "{question}");
+            }
+            // Cached forms share one entry (writer and reader share the
+            // cache); uncached forms never alias it.
+            assert!(Arc::ptr_eq(&on_writer[2], &on_writer[3]));
+            assert!(Arc::ptr_eq(&on_writer[2], &on_reader[2]));
+            assert!(Arc::ptr_eq(&on_writer[2], &on_reader[3]));
+            assert!(!Arc::ptr_eq(&on_writer[0], &on_writer[2]));
+        }
+        for batch in [
+            sys.answer_batch(&questions),
+            reader.answer_batch(&questions),
+        ] {
+            for (question, outcome) in questions.iter().zip(batch) {
+                let single = sys.ask(question).uncached().get().unwrap();
+                assert_eq!(key(&outcome.unwrap()), key(&single), "{question}");
+            }
+        }
     }
 
     #[test]
@@ -1455,7 +1060,10 @@ mod tests {
         let reader = sys.reader();
         assert_eq!(reader.domain_names(), vec!["cars".to_string()]);
         let before = reader
-            .answer_in_domain("Do you have automatic blue cars?", "cars")
+            .ask("Do you have automatic blue cars?")
+            .domain("cars")
+            .uncached()
+            .get()
             .unwrap();
         assert_eq!(before.exact_count, 2);
 
@@ -1468,27 +1076,36 @@ mod tests {
         )
         .unwrap();
         let after = reader
-            .answer_in_domain("Do you have automatic blue cars?", "cars")
+            .ask("Do you have automatic blue cars?")
+            .domain("cars")
+            .uncached()
+            .get()
             .unwrap();
         assert_eq!(after.exact_count, 3);
         assert!(reader.table_generation("cars").unwrap() > gen_before);
 
         // Raw database_mut edits are invisible to detached readers until an
-        // explicit publish — the facade itself sees them immediately.
+        // explicit publish — the writer itself sees them immediately.
         sys.database_mut()
             .table_mut("cars")
             .unwrap()
             .insert(car("kia", "rio", "blue", "automatic", 3000.0, 2010.0))
             .unwrap();
         assert_eq!(
-            sys.answer_in_domain("Do you have automatic blue cars?", "cars")
+            sys.ask("Do you have automatic blue cars?")
+                .domain("cars")
+                .uncached()
+                .get()
                 .unwrap()
                 .exact_count,
             4
         );
         assert_eq!(
             reader
-                .answer_in_domain("Do you have automatic blue cars?", "cars")
+                .ask("Do you have automatic blue cars?")
+                .domain("cars")
+                .uncached()
+                .get()
                 .unwrap()
                 .exact_count,
             3
@@ -1496,7 +1113,10 @@ mod tests {
         sys.publish();
         assert_eq!(
             reader
-                .answer_in_domain("Do you have automatic blue cars?", "cars")
+                .ask("Do you have automatic blue cars?")
+                .domain("cars")
+                .uncached()
+                .get()
                 .unwrap()
                 .exact_count,
             4
@@ -1537,18 +1157,18 @@ mod tests {
         let rows = |t: &Table| t.iter().map(|(id, r)| (id, r.clone())).collect::<Vec<_>>();
         assert_eq!(rows(ta), rows(tb));
         let ti = |s: &CqadsSystem| {
-            s.inner.master.domains[domain]
+            s.master.domains[domain]
                 .similarity
                 .ti_matrix()
                 .export_state()
         };
         assert_eq!(ti(a), ti(b));
         assert_eq!(
-            a.inner.master.word_sim.export_state(),
-            b.inner.master.word_sim.export_state()
+            a.master.word_sim.export_state(),
+            b.master.word_sim.export_state()
         );
-        let ans_a = a.answer_in_domain(probe, domain).unwrap();
-        let ans_b = b.answer_in_domain(probe, domain).unwrap();
+        let ans_a = a.ask(probe).domain(domain).uncached().get().unwrap();
+        let ans_b = b.ask(probe).domain(domain).uncached().get().unwrap();
         assert_eq!(ans_a.sql, ans_b.sql);
         let key = |r: &AnswerSet| {
             r.answers
@@ -1760,8 +1380,8 @@ mod tests {
         sys.try_add_domain(spec, table, TIMatrix::default())
             .unwrap();
         // Miss, then hit, plus a batch (one miss + one repeat).
-        sys.answer_in_domain_cached("blue accord", "cars").unwrap();
-        sys.answer_in_domain_cached("blue accord", "cars").unwrap();
+        sys.ask("blue accord").domain("cars").get().unwrap();
+        sys.ask("blue accord").domain("cars").get().unwrap();
         let results = sys.answer_batch(&["civic please", "civic please"]);
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(sys.audit_failures(), 0);
@@ -1794,7 +1414,7 @@ mod tests {
         assert_eq!(sys.audit_failures(), 0);
         assert!(sys.last_audit_error().is_none());
         assert!(sys.take_deferred_storage_error().is_none());
-        assert_eq!(sys.snapshot().unwrap(), None);
+        assert_eq!(sys.write_snapshot().unwrap(), None);
         assert_eq!(sys.audit_sessions("cars").unwrap(), Vec::<Session>::new());
     }
 }

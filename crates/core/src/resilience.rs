@@ -9,7 +9,7 @@
 //! existing code path is byte-identical):
 //!
 //! * **Admission control** — a bounded in-flight counter in front of
-//!   [`CqadsSystem::answer_batch`](crate::CqadsSystem::answer_batch). A burst
+//!   [`CqadsWriter::answer_batch`](crate::CqadsWriter::answer_batch). A burst
 //!   that arrives while the bound is saturated is *shed* with a typed
 //!   [`CqadsError::Overloaded`](crate::CqadsError) instead of queueing without
 //!   bound; under sustained deadline pressure the controller also steps the
@@ -193,7 +193,7 @@ impl QueryBudget {
 /// Operator-facing snapshot of the serving path's health: the cache counters
 /// plus every degradation signal the resilience and storage layers maintain.
 ///
-/// Returned by [`CqadsSystem::serving_stats`](crate::CqadsSystem::serving_stats).
+/// Returned by [`CqadsWriter::serving_stats`](crate::CqadsWriter::serving_stats).
 /// All counters start at zero at construction/open and only ever grow (except
 /// [`pressure_level`](ServingStats::pressure_level), which tracks the current
 /// step-down state).

@@ -40,8 +40,8 @@
 //!   predecessors within its own shard — so the union of per-shard prefixes
 //!   covers the global prefix, and merge + truncate reproduces it exactly.
 //!   Superlative chains are re-applied at the gather over the merged candidate
-//!   set with the executor's own semantics (extreme value among candidates,
-//!   `1e-9` tie window, missing-column clears).
+//!   set through [`addb::retain_extreme`], the definition the executor's own
+//!   superlative steps are documented against.
 //! * **Partial gather inherits the worker-merge proof.** Per-record scores are
 //!   table-independent (`Num_Sim` ranges come from the spec, text/TI scores
 //!   from the shared models), shard id spaces are disjoint, and the gather
@@ -92,7 +92,7 @@ use crate::resilience::{AnswerQuality, QueryBudget};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
 use crate::translate::interpret;
-use addb::{Executor, Query, Record, RecordId, SuperlativeKind, Table};
+use addb::{retain_extreme, Executor, Query, Record, RecordId, SuperlativeKind, Table};
 use cqads_classifier::LabelledDoc;
 use cqads_querylog::{QueryLogDelta, TIMatrix};
 use cqads_wordsim::WordSimMatrix;
@@ -293,25 +293,18 @@ impl ShardedCqads {
     }
 
     /// A sharded system from `config` ([`CqadsConfig::shards`] picks the
-    /// partition count; `None` means 1). Durable storage and the resilience
-    /// layer are not yet wired through the scatter path and are rejected here
-    /// (ROADMAP follow-ups); per-request deadlines are available via
-    /// [`ShardedCqads::answer_in_domain_budgeted`].
+    /// partition count; `None` means 1). [`CqadsConfig::validate`] decides what
+    /// a sharded config may combine (durable storage and the resilience layer
+    /// are not yet wired through the scatter path); per-request deadlines are
+    /// available via [`ShardedCqads::answer_in_domain_budgeted`].
     pub fn with_config(config: CqadsConfig) -> CqadsResult<Self> {
-        config.validate()?;
-        if config.storage.is_some() {
-            return Err(CqadsError::Config(
-                "sharded serving does not support durable storage yet".to_string(),
-            ));
-        }
-        if config.resilience.is_some() {
-            return Err(CqadsError::Config(
-                "sharded serving does not support the resilience layer yet; \
-                 inject per-shard QueryBudgets via answer_in_domain_budgeted"
-                    .to_string(),
-            ));
-        }
+        // Always validated as the sharded config it is: `None` means one shard.
         let n = config.shards.unwrap_or(1);
+        let config = CqadsConfig {
+            shards: Some(n),
+            ..config
+        };
+        config.validate()?;
         let router = RecordRouter::new(n);
         // Each shard is a full single-table system; the per-shard config must
         // not recurse into sharding.
@@ -459,7 +452,7 @@ impl ShardedCqads {
     }
 
     /// The scatter-gather read path. Mirrors the unsharded
-    /// `ReadContext::answer_in_domain` stage by stage; every deliberate
+    /// `ReadContext::answer_one` stage by stage; every deliberate
     /// difference is argued in the module docs.
     fn answer_scatter(
         &self,
@@ -581,11 +574,7 @@ impl ShardedCqads {
             })
             .collect();
 
-        let partial_budget = if answers.len() < config.partial_threshold.min(config.answer_limit) {
-            config.answer_limit - answers.len()
-        } else {
-            0
-        };
+        let partial_budget = config.partial_budget(answers.len());
 
         // --- Partial phase -----------------------------------------------
         let mut quality = AnswerQuality::Complete;
@@ -829,10 +818,8 @@ impl ShardedCqads {
     }
 
     /// Re-apply a superlative chain over the merged (ascending) global
-    /// candidate set, replicating the executor's semantics: per superlative,
-    /// the extreme value among candidates that *have* the attribute wins,
-    /// survivors sit within `1e-9` of it, and a chain step with no valued
-    /// candidate clears the set.
+    /// candidate set: one [`retain_extreme`] step per superlative, values
+    /// resolved from whichever shard holds the record.
     fn apply_superlatives_gather(
         &self,
         query: &Query,
@@ -844,36 +831,11 @@ impl ShardedCqads {
                 return;
             }
             let max = matches!(s.kind, SuperlativeKind::Max);
-            let values: Vec<Option<f64>> = candidates
-                .iter()
-                .map(|&gid| {
-                    let shard = self.router.shard_of(gid);
-                    tables[shard]
-                        .get_shared(self.router.local_of(gid))
-                        .and_then(|r| r.get_number(&s.attribute))
-                })
-                .collect();
-            let mut best: Option<f64> = None;
-            for &v in values.iter().flatten() {
-                best = Some(match best {
-                    None => v,
-                    Some(b) if max => b.max(v),
-                    Some(b) => b.min(v),
-                });
-            }
-            match best {
-                Some(best) => {
-                    let mut keep = 0;
-                    for (idx, value) in values.iter().enumerate() {
-                        if value.is_some_and(|v| (v - best).abs() < 1e-9) {
-                            candidates[keep] = candidates[idx];
-                            keep += 1;
-                        }
-                    }
-                    candidates.truncate(keep);
-                }
-                None => candidates.clear(),
-            }
+            retain_extreme(candidates, max, |gid| {
+                tables[self.router.shard_of(gid)]
+                    .get_shared(self.router.local_of(gid))
+                    .and_then(|r| r.get_number(&s.attribute))
+            });
         }
     }
 }
@@ -904,6 +866,7 @@ fn take_single(mut outcomes: Vec<PartialOutcome>) -> CqadsResult<PartialOutcome>
 mod tests {
     use super::*;
     use crate::domain::toy_car_domain;
+    use crate::resilience::ResilienceOptions;
     use crate::storage::StorageOptions;
 
     fn car(make: &str, model: &str, color: &str, trans: &str, price: f64, year: f64) -> Record {
@@ -969,6 +932,10 @@ mod tests {
         "toyota camry automatic blue",
     ];
 
+    fn uncached(reader: &CqadsReader, question: &str, domain: &str) -> CqadsResult<Arc<AnswerSet>> {
+        reader.ask(question).domain(domain).uncached().get()
+    }
+
     fn assert_same(a: &AnswerSet, b: &AnswerSet) {
         assert_eq!(a.sql, b.sql);
         assert_eq!(a.exact_count, b.exact_count);
@@ -1002,7 +969,7 @@ mod tests {
         for n in [1, 2, 3, 7] {
             let sharded = sharded(n);
             for q in QUESTIONS {
-                let want = reader.answer_in_domain(q, "cars").unwrap();
+                let want = uncached(&reader, q, "cars").unwrap();
                 let got = sharded.answer_in_domain(q, "cars").unwrap();
                 assert_same(&got, &want);
             }
@@ -1020,7 +987,7 @@ mod tests {
         assert_eq!(a, b, "global id assignment must match the unsharded table");
         let reader = writer.reader();
         for q in QUESTIONS {
-            let want = reader.answer_in_domain(q, "cars").unwrap();
+            let want = uncached(&reader, q, "cars").unwrap();
             let got = sharded3.answer_in_domain(q, "cars").unwrap();
             assert_same(&got, &want);
         }
@@ -1071,17 +1038,33 @@ mod tests {
 
     #[test]
     fn sharded_config_rejects_storage_and_resilience() {
+        // The builder itself refuses both combinations...
         let config = CqadsConfig::builder()
             .shards(2)
             .storage(StorageOptions::at("/tmp/nowhere"))
             .build();
         assert!(matches!(config, Err(CqadsError::Config(_))));
-        let err = ShardedCqads::with_config(CqadsConfig {
-            shards: Some(2),
-            storage: Some(StorageOptions::at("/tmp/nowhere")),
-            ..CqadsConfig::default()
-        });
-        assert!(matches!(err, Err(CqadsError::Config(_))));
+        let config = CqadsConfig::builder()
+            .shards(2)
+            .resilience(ResilienceOptions::default())
+            .build();
+        assert!(matches!(config, Err(CqadsError::Config(_))));
+        // ...and a hand-built config is refused by the constructor, which
+        // validates it as sharded even when `shards` was left unset.
+        for shards in [Some(2), None] {
+            let err = ShardedCqads::with_config(CqadsConfig {
+                shards,
+                storage: Some(StorageOptions::at("/tmp/nowhere")),
+                ..CqadsConfig::default()
+            });
+            assert!(matches!(err, Err(CqadsError::Config(_))));
+            let err = ShardedCqads::with_config(CqadsConfig {
+                shards,
+                resilience: Some(ResilienceOptions::default()),
+                ..CqadsConfig::default()
+            });
+            assert!(matches!(err, Err(CqadsError::Config(_))));
+        }
     }
 
     #[test]
@@ -1101,11 +1084,11 @@ mod tests {
         let reader = reference.reader();
         assert_eq!(
             sharded2.answer_in_domain("blue cars", "boats").unwrap_err(),
-            reader.answer_in_domain("blue cars", "boats").unwrap_err(),
+            uncached(&reader, "blue cars", "boats").unwrap_err(),
         );
         assert_eq!(
             sharded2.answer_in_domain("the of and", "cars").unwrap_err(),
-            reader.answer_in_domain("the of and", "cars").unwrap_err(),
+            uncached(&reader, "the of and", "cars").unwrap_err(),
         );
     }
 }

@@ -1,11 +1,11 @@
-//! Durable persistence for [`CqadsSystem`](crate::CqadsSystem).
+//! Durable persistence for [`CqadsWriter`](crate::CqadsWriter).
 //!
 //! This module is the glue between the pipeline and the `cqads-storage`
 //! engine: it converts live state ([`DomainSpec`], tables, TI/WS matrices,
 //! config) to and from the engine's serializable mirror types, holds the
 //! engine behind a lock so the `&self` serving paths can append audit frames,
 //! and carries the deferred-error state for the infallible mutation entry
-//! points (see [`CqadsSystem::add_domain`](crate::CqadsSystem::add_domain)).
+//! points (see [`CqadsWriter::add_domain`](crate::CqadsWriter::add_domain)).
 //!
 //! Durability is **opt-in**: with [`CqadsConfig::storage`](crate::CqadsConfig)
 //! left at `None`, nothing here runs and the system behaves bit-identically to
@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Where and how a [`CqadsSystem`](crate::CqadsSystem) persists itself.
+/// Where and how a [`CqadsWriter`](crate::CqadsWriter) persists itself.
 ///
 /// ```
 /// use cqads::StorageOptions;
@@ -40,7 +40,7 @@ pub struct StorageOptions {
     pub fsync: bool,
     /// Rotate to a fresh snapshot + WAL epoch after this many *mutation*
     /// frames (audit frames do not count). `0` disables automatic rotation;
-    /// call [`CqadsSystem::snapshot`](crate::CqadsSystem::snapshot) manually.
+    /// call [`CqadsWriter::write_snapshot`](crate::CqadsWriter::write_snapshot) manually.
     pub snapshot_every: u64,
     /// Append an audit frame for every served question (cached paths only),
     /// making the WAL a replayable audit trail. Audit appends are best-effort:
@@ -81,7 +81,7 @@ impl StorageOptions {
     }
 }
 
-/// The storage side-car a durable [`CqadsSystem`](crate::CqadsSystem) carries.
+/// The storage side-car a durable [`CqadsWriter`](crate::CqadsWriter) carries.
 #[derive(Debug)]
 pub(crate) struct DurableStorage {
     engine: Mutex<StorageEngine>,
@@ -258,8 +258,8 @@ impl DurableStorage {
         relock(&self.last_audit_error).clone()
     }
 
-    /// Stash an error from an infallible entry point ([`CqadsSystem::add_domain`](crate::CqadsSystem::add_domain),
-    /// [`CqadsSystem::set_word_sim`](crate::CqadsSystem::set_word_sim)); the
+    /// Stash an error from an infallible entry point ([`CqadsWriter::add_domain`](crate::CqadsWriter::add_domain),
+    /// [`CqadsWriter::set_word_sim`](crate::CqadsWriter::set_word_sim)); the
     /// first error wins until taken.
     pub(crate) fn defer_error(&self, error: StorageError) {
         let mut slot = relock(&self.pending_error);
@@ -310,7 +310,6 @@ pub(crate) fn config_to_snap(config: &crate::CqadsConfig) -> ConfigSnap {
         partial_workers: config.partial_workers as u64,
         cache_capacity: config.cache_capacity as u64,
         cache_shards: config.cache_shards as u64,
-        partial_exhaustive: config.partial_exhaustive,
     }
 }
 
@@ -323,7 +322,6 @@ pub(crate) fn apply_snap_to_config(config: &mut crate::CqadsConfig, snap: &Confi
     config.partial_workers = snap.partial_workers as usize;
     config.cache_capacity = snap.cache_capacity as usize;
     config.cache_shards = snap.cache_shards as usize;
-    config.partial_exhaustive = snap.partial_exhaustive;
 }
 
 #[cfg(test)]
@@ -359,7 +357,6 @@ mod tests {
             answer_limit: 7,
             partial_threshold: 3,
             partial_workers: 2,
-            partial_exhaustive: true,
             cache_capacity: 99,
             cache_shards: 5,
             ..crate::CqadsConfig::default()
@@ -370,7 +367,6 @@ mod tests {
         assert_eq!(fresh.answer_limit, 7);
         assert_eq!(fresh.partial_threshold, 3);
         assert_eq!(fresh.partial_workers, 2);
-        assert!(fresh.partial_exhaustive);
         assert_eq!(fresh.cache_capacity, 99);
         assert_eq!(fresh.cache_shards, 5);
     }

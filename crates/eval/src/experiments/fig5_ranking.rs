@@ -141,7 +141,10 @@ pub fn run(bed: &Testbed) -> RankingResult {
         // CQAds: the pipeline's ranked partial answers.
         let cqads_ids: Vec<RecordId> = bed
             .system
-            .answer_in_domain(&q.text, &q.domain)
+            .ask(&q.text)
+            .domain(&q.domain)
+            .uncached()
+            .get()
             .map(|set| {
                 set.partial()
                     .iter()

@@ -73,7 +73,7 @@ pub fn run_with_limit(bed: &Testbed, limit: Option<usize>) -> TimingResult {
     // lint: allow(wall-clock) — this experiment measures real wall time (Fig 6)
     let start = Instant::now();
     for q in &questions {
-        let _ = bed.system.answer_in_domain(&q.text, &q.domain);
+        let _ = bed.system.ask(&q.text).domain(&q.domain).uncached().get();
     }
     let cqads_total = start.elapsed();
 

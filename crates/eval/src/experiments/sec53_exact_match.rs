@@ -73,10 +73,11 @@ pub fn run(bed: &Testbed) -> ExactMatchResult {
             Err(_) => Vec::new(),
         };
         // System answers from the question text.
-        let retrieved: Vec<addb::RecordId> = match bed.system.answer_in_domain(&q.text, &q.domain) {
-            Ok(set) => set.exact().iter().map(|a| a.id).collect(),
-            Err(_) => Vec::new(),
-        };
+        let retrieved: Vec<addb::RecordId> =
+            match bed.system.ask(&q.text).domain(&q.domain).uncached().get() {
+                Ok(set) => set.exact().iter().map(|a| a.id).collect(),
+                Err(_) => Vec::new(),
+            };
         let pr = PrecisionRecall::from_sets(&retrieved, &gold_ids);
         if pr.precision >= 1.0 && pr.recall >= 1.0 {
             perfect += 1;

@@ -70,7 +70,10 @@ impl Table2Result {
 pub fn run(bed: &Testbed) -> Table2Result {
     let set = bed
         .system
-        .answer_in_domain(TABLE2_QUESTION, "cars")
+        .ask(TABLE2_QUESTION)
+        .domain("cars")
+        .uncached()
+        .get()
         .expect("the running example interprets cleanly");
     let rows = set
         .partial()

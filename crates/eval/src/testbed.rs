@@ -231,7 +231,7 @@ mod tests {
     fn the_system_answers_a_generated_question() {
         let bed = shared();
         let q = &bed.questions_for("cars")[0];
-        let result = bed.system.answer_in_domain(&q.text, "cars");
+        let result = bed.system.ask(&q.text).domain("cars").uncached().get();
         // Either a real answer set or a legitimate interpretation error; never a panic.
         if let Ok(set) = result {
             assert!(set.answers.len() <= 30);

@@ -153,7 +153,7 @@ impl QueryLogDelta {
 ///
 /// The serving path appends each finished session with [`QueryLogStream::push`];
 /// once `batch_size` sessions have accumulated the push returns a ready delta for
-/// [`CqadsSystem::ingest_query_log`-style](crate::TIMatrix::apply) application.
+/// [`CqadsWriter::ingest_query_log`-style](crate::TIMatrix::apply) application.
 /// [`QueryLogStream::flush`] drains a partial batch (e.g. on a timer tick), so no
 /// session is ever lost to the buffer.
 ///

@@ -139,7 +139,7 @@ impl TIMatrix {
     }
 
     /// Absorb several deltas with a single renormalization at the end — the batch
-    /// form used by `CqadsSystem::ingest_query_log_batch`. Identical to applying
+    /// form used by `CqadsWriter::ingest_query_log_batch`. Identical to applying
     /// the deltas one by one (intermediate finalizations are pure functions of the
     /// accumulators and leave them untouched), but pays the `O(distinct pairs)`
     /// finalize cost once.

@@ -464,7 +464,6 @@ mod tests {
                 partial_workers: 1,
                 cache_capacity: 0,
                 cache_shards: 1,
-                partial_exhaustive: false,
             },
         }
     }

@@ -1,6 +1,6 @@
 //! WAL record model and codec.
 //!
-//! Every mutation of a [`CqadsSystem`](../../cqads_core) — domain registration,
+//! Every mutation of a `CqadsWriter` (crate `cqads`) — domain registration,
 //! record insert, query-log delta, WS-matrix swap — is one [`WalRecord`],
 //! encoded to a frame payload ([`WalRecord::encode`]) and replayed on recovery
 //! ([`WalRecord::decode`]). Audit entries ride in the same log but are not

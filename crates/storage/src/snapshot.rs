@@ -1,6 +1,6 @@
 //! Point-in-time snapshots.
 //!
-//! A snapshot captures the full durable state of a [`CqadsSystem`](../../cqads_core)
+//! A snapshot captures the full durable state of a `CqadsWriter` (crate `cqads`)
 //! at the start of a WAL epoch: every domain (spec, table records, generation,
 //! TI-matrix raw accumulators), the WS-matrix and the config scalars. Snapshot
 //! files are written atomically (`write_atomic`: temp file + fsync + rename) and
@@ -35,8 +35,6 @@ pub struct ConfigSnap {
     pub cache_capacity: u64,
     /// Answer-cache shard count.
     pub cache_shards: u64,
-    /// Whether partial scoring must remain exhaustive.
-    pub partial_exhaustive: bool,
 }
 
 /// Durable state of one registered domain.
@@ -91,7 +89,9 @@ impl SnapshotData {
         e.put_u64(c.partial_workers);
         e.put_u64(c.cache_capacity);
         e.put_u64(c.cache_shards);
-        e.put_bool(c.partial_exhaustive);
+        // Reserved: stores written before the exhaustive-engine knob was removed
+        // carry its bool here, so the byte stays on the wire (no format bump).
+        e.put_bool(false);
         let payload = e.finish();
 
         let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 4 + payload.len());
@@ -168,8 +168,8 @@ impl SnapshotData {
             partial_workers: d.get_u64("partial workers")?,
             cache_capacity: d.get_u64("cache capacity")?,
             cache_shards: d.get_u64("cache shards")?,
-            partial_exhaustive: d.get_bool("partial exhaustive")?,
         };
+        d.get_bool("reserved config byte")?;
         if !d.is_done() {
             return Err(format!("{} trailing bytes after snapshot", d.remaining()));
         }
@@ -221,7 +221,6 @@ mod tests {
                 partial_workers: 1,
                 cache_capacity: 1024,
                 cache_shards: 8,
-                partial_exhaustive: false,
             },
         }
     }
@@ -231,6 +230,21 @@ mod tests {
         let snap = sample();
         let bytes = snap.encode();
         assert_eq!(&bytes[..8], SNAPSHOT_MAGIC);
+        let back = SnapshotData::decode(&bytes, Path::new("snapshot-000003.bin")).unwrap();
+        assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn stores_written_with_the_reserved_config_byte_set_still_decode() {
+        // The config block's trailing byte used to carry a since-removed engine
+        // knob; a store that had it on must open exactly like one that had it off.
+        let snap = sample();
+        let mut bytes = snap.encode();
+        let last = bytes.len() - 1;
+        assert_eq!(bytes[last], 0, "encoder writes the reserved byte as false");
+        bytes[last] = 1;
+        let crc = crc32(&bytes[12..]);
+        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
         let back = SnapshotData::decode(&bytes, Path::new("snapshot-000003.bin")).unwrap();
         assert_eq!(back, snap);
     }

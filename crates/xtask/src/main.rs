@@ -53,29 +53,17 @@ const GATED: &[BenchSpec] = &[
     BenchSpec {
         bench: "partial_topk",
         report: "BENCH_partial_topk.json",
-        metrics: &[Metric {
-            path: &["topk_ms_per_pass"],
-            direction: Direction::LowerIsBetter,
-        }],
-    },
-    BenchSpec {
-        bench: "parallel_topk",
-        report: "BENCH_parallel_topk.json",
-        metrics: &[Metric {
-            path: &["workers_ms_per_pass", "1"],
-            direction: Direction::LowerIsBetter,
-        }],
-    },
-    BenchSpec {
-        bench: "wand_topk",
-        report: "BENCH_wand_topk.json",
         metrics: &[
             Metric {
-                path: &["skewed", "wand_ms_per_pass"],
+                path: &["workers_ms_per_pass", "1"],
                 direction: Direction::LowerIsBetter,
             },
             Metric {
-                path: &["uniform", "wand_ms_per_pass"],
+                path: &["skewed", "ms_per_pass"],
+                direction: Direction::LowerIsBetter,
+            },
+            Metric {
+                path: &["uniform", "ms_per_pass"],
                 direction: Direction::LowerIsBetter,
             },
         ],

@@ -123,7 +123,7 @@ fn main() {
         "java developer with stock options",
     ] {
         println!("\nQ: {question}");
-        match system.answer(question) {
+        match system.ask(question).uncached().get() {
             Ok(set) => {
                 println!("   classified into domain: {}", set.domain);
                 println!(

@@ -57,7 +57,7 @@ fn main() {
     // "search retrieved no results".
     println!("\nContradiction handling:");
     let contradiction = "car priced above 9000 dollars and below 2000 dollars";
-    match system.answer_in_domain(contradiction, "cars") {
+    match system.ask(contradiction).domain("cars").uncached().get() {
         Ok(_) => println!("   unexpectedly answered"),
         Err(err) => println!("   {contradiction:?} -> {err}"),
     }

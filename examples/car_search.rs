@@ -60,7 +60,7 @@ fn main() {
         "any car except a red one under 6000 dollars",
     ] {
         println!("\nQ: {question}");
-        match system.answer_in_domain(question, "cars") {
+        match system.ask(question).domain("cars").uncached().get() {
             Ok(set) => {
                 println!(
                     "   {} exact, {} partial answers (of {} requested)",

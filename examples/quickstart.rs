@@ -65,7 +65,7 @@ fn main() {
         "Hondaaccord less than $5000",
     ] {
         println!("\nQ: {question}");
-        match system.answer_in_domain(question, "cars") {
+        match system.ask(question).domain("cars").uncached().get() {
             Ok(set) => {
                 println!("   SQL: {}", set.sql);
                 for answer in set.answers.iter().take(5) {

@@ -85,7 +85,8 @@ fn main() {
         )
         .unwrap();
     let fresh = system
-        .answer_cached("Do you have automatic blue cars?")
+        .ask("Do you have automatic blue cars?")
+        .get()
         .unwrap();
     println!(
         "after insert: {} exact answers (was 2), stale evictions: {}",

@@ -169,16 +169,23 @@ fn observable(system: &CqadsSystem) -> (Vec<(u32, Record)>, Vec<String>, String)
     let table = system.database().table(DOMAIN).unwrap();
     let rows: Vec<(u32, Record)> = table.iter().map(|(id, r)| (id.0, r.clone())).collect();
     let answers: Vec<String> = system
-        .answer_in_domain("blue automatic cars", DOMAIN)
+        .ask("blue automatic cars")
+        .domain(DOMAIN)
+        .uncached()
+        .get()
         .unwrap()
         .answers
         .iter()
         .map(|a| format!("{:?}:{:?}:{}", a.id, a.kind, a.rank_sim.to_bits()))
         .collect();
     let sql = system
-        .answer_in_domain("cheapest honda", DOMAIN)
+        .ask("cheapest honda")
+        .domain(DOMAIN)
+        .uncached()
+        .get()
         .unwrap()
-        .sql;
+        .sql
+        .clone();
     (rows, answers, sql)
 }
 

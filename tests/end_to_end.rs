@@ -52,10 +52,18 @@ fn system() -> &'static CqadsSystem {
 #[test]
 fn questions_route_to_the_right_domain_and_return_answers() {
     let sys = system();
-    let car = sys.answer("blue honda accord under 20000 dollars").unwrap();
+    let car = sys
+        .ask("blue honda accord under 20000 dollars")
+        .uncached()
+        .get()
+        .unwrap();
     assert_eq!(car.domain, "cars");
     assert!(!car.answers.is_empty());
-    let ring = sys.answer("gold engagement ring with a diamond").unwrap();
+    let ring = sys
+        .ask("gold engagement ring with a diamond")
+        .uncached()
+        .get()
+        .unwrap();
     assert_eq!(ring.domain, "jewellery");
     assert!(!ring.answers.is_empty());
 }
@@ -64,7 +72,10 @@ fn questions_route_to_the_right_domain_and_return_answers() {
 fn exact_answers_satisfy_every_condition() {
     let sys = system();
     let set = sys
-        .answer_in_domain("blue automatic honda", "cars")
+        .ask("blue automatic honda")
+        .domain("cars")
+        .uncached()
+        .get()
         .unwrap();
     for answer in set.exact() {
         assert_eq!(answer.kind, MatchKind::Exact);
@@ -78,10 +89,10 @@ fn exact_answers_satisfy_every_condition() {
 fn partial_answers_fill_the_answer_budget_and_are_ranked() {
     let sys = system();
     let set = sys
-        .answer_in_domain(
-            "silver bmw 328i under 9000 dollars with leather seats",
-            "cars",
-        )
+        .ask("silver bmw 328i under 9000 dollars with leather seats")
+        .domain("cars")
+        .uncached()
+        .get()
         .unwrap();
     assert!(set.answers.len() <= 30);
     let partial = set.partial();
@@ -95,16 +106,27 @@ fn partial_answers_fill_the_answer_budget_and_are_ranked() {
 fn misspellings_shorthand_and_missing_spaces_are_tolerated() {
     let sys = system();
     let clean = sys
-        .answer_in_domain("blue honda accord automatic", "cars")
+        .ask("blue honda accord automatic")
+        .domain("cars")
+        .uncached()
+        .get()
         .unwrap();
     let noisy = sys
-        .answer_in_domain("blue hondaaccord automattic", "cars")
+        .ask("blue hondaaccord automattic")
+        .domain("cars")
+        .uncached()
+        .get()
         .unwrap();
     let clean_ids: Vec<_> = clean.exact().iter().map(|a| a.id).collect();
     let noisy_ids: Vec<_> = noisy.exact().iter().map(|a| a.id).collect();
     assert_eq!(clean_ids, noisy_ids);
     // shorthand drivetrain
-    let sh = sys.answer_in_domain("4wd ford f150", "cars").unwrap();
+    let sh = sys
+        .ask("4wd ford f150")
+        .domain("cars")
+        .uncached()
+        .get()
+        .unwrap();
     for a in sh.exact() {
         assert_eq!(a.record.get_text("drivetrain"), Some("4 wheel drive"));
     }
@@ -113,7 +135,12 @@ fn misspellings_shorthand_and_missing_spaces_are_tolerated() {
 #[test]
 fn superlatives_are_evaluated_after_the_other_conditions() {
     let sys = system();
-    let set = sys.answer_in_domain("cheapest honda", "cars").unwrap();
+    let set = sys
+        .ask("cheapest honda")
+        .domain("cars")
+        .uncached()
+        .get()
+        .unwrap();
     assert!(set.exact_count >= 1);
     let cheapest_honda = set.exact()[0].record.get_number("price").unwrap();
     // No honda in the table is cheaper.
@@ -130,15 +157,21 @@ fn superlatives_are_evaluated_after_the_other_conditions() {
 fn contradictory_and_empty_questions_error_cleanly() {
     let sys = system();
     assert!(matches!(
-        sys.answer_in_domain("car above 9000 dollars and below 2000 dollars", "cars"),
+        sys.ask("car above 9000 dollars and below 2000 dollars")
+            .domain("cars")
+            .uncached()
+            .get(),
         Err(CqadsError::ContradictoryRange { .. })
     ));
     assert!(matches!(
-        sys.answer_in_domain("hello, can you help me please?", "cars"),
+        sys.ask("hello, can you help me please?")
+            .domain("cars")
+            .uncached()
+            .get(),
         Err(CqadsError::EmptyQuestion)
     ));
     assert!(matches!(
-        sys.answer_in_domain("blue honda", "houses"),
+        sys.ask("blue honda").domain("houses").uncached().get(),
         Err(CqadsError::UnknownDomain(_))
     ));
 }
@@ -156,7 +189,7 @@ fn every_blueprint_domain_survives_a_generated_workload() {
         let table = system.database().table(bp.name).unwrap();
         let questions = generate_questions(&bp, table, 25, 42, &QuestionMix::default());
         for q in questions {
-            match system.answer_in_domain(&q.text, bp.name) {
+            match system.ask(&q.text).domain(bp.name).uncached().get() {
                 Ok(set) => assert!(set.answers.len() <= 30),
                 Err(
                     CqadsError::EmptyQuestion

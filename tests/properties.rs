@@ -2,6 +2,7 @@
 //! never panic, and core invariants must hold for whatever the generators produce.
 
 use cqads_suite::addb::{Executor, IdStream, PostingList, RecordId, ScoredUnion};
+use cqads_suite::cqads::oracle::full_scan_partial_answers;
 use cqads_suite::cqads::tagging::Tagger;
 use cqads_suite::cqads::translate::interpret;
 use cqads_suite::cqads::{
@@ -40,14 +41,14 @@ proptest! {
     #[test]
     fn arbitrary_text_never_panics(question in ".{0,80}") {
         let sys = car_system();
-        if let Ok(set) = sys.answer_in_domain(&question, "cars") {
+        if let Ok(set) = sys.ask(&question).domain("cars").uncached().get() {
             prop_assert!(set.answers.len() <= 30);
             prop_assert!(set.exact_count <= set.answers.len());
         }
     }
 
     /// The snapshot read path (a detached [`CqadsReader`] serving from the
-    /// published snapshot) is byte-identical to the facade path (the writer's
+    /// published snapshot) is byte-identical to the writer's own read path (its
     /// master state) for arbitrary questions: same error variant or same SQL,
     /// ids, match kinds and bit-exact `Rank_Sim` scores. This is the handle
     /// split's core contract — publication must never change an answer.
@@ -55,7 +56,7 @@ proptest! {
     fn snapshot_read_path_is_byte_identical_to_the_facade_path(question in ".{0,80}") {
         let sys = car_system();
         let reader = sys.reader();
-        let direct = sys.answer_in_domain(&question, "cars");
+        let direct = sys.ask(&question).domain("cars").uncached().get();
         let snapped = reader.ask(&question).domain("cars").uncached().get();
         match (direct, snapped) {
             (Ok(a), Ok(b)) => {
@@ -84,7 +85,7 @@ proptest! {
     ) {
         let sys = car_system();
         let question = format!("{color} {make} under {bound} dollars");
-        if let Ok(set) = sys.answer_in_domain(&question, "cars") {
+        if let Ok(set) = sys.ask(&question).domain("cars").uncached().get() {
             let table = sys.database().table("cars").unwrap();
             let spec = sys.domain_spec("cars").unwrap();
             let (_, interp, _) = sys.interpret_in_domain(&question, "cars").unwrap();
@@ -171,7 +172,7 @@ proptest! {
     }
 
     /// The value-ordered (WAND-style) pruned traversal returns byte-identical answers
-    /// to the frozen PR 2 exhaustive engine across random tables, questions, budgets
+    /// to the full-scan oracle across random tables, questions, budgets
     /// (the pruning thresholds) and worker counts. Tables and question workloads come
     /// from the seeded generators, so every proptest case explores a different
     /// value distribution and relaxation mix.
@@ -203,12 +204,7 @@ proptest! {
         let wand = PartialMatcher::with_options(
             &spec,
             &sim,
-            PartialMatchOptions { workers, ..PartialMatchOptions::default() },
-        );
-        let exhaustive = PartialMatcher::with_options(
-            &spec,
-            &sim,
-            PartialMatchOptions { pr2_exhaustive: true, ..PartialMatchOptions::default() },
+            PartialMatchOptions { workers },
         );
 
         let questions = generate_questions(&bp, &table, 8, question_seed, &QuestionMix::default());
@@ -224,7 +220,8 @@ proptest! {
             // pruning), table_size+10 never saturates (no pruning at all).
             for budget in [1usize, 7, 30, table_size + 10] {
                 let a = wand.partial_answers(&interp, &table, &exact, budget).unwrap();
-                let b = exhaustive.partial_answers(&interp, &table, &exact, budget).unwrap();
+                let b = full_scan_partial_answers(&spec, &sim, &interp, &table, &exact, budget)
+                    .unwrap();
                 prop_assert_eq!(a.len(), b.len(), "count: {} budget {}", q.text, budget);
                 for (x, y) in a.iter().zip(&b) {
                     prop_assert!(
@@ -476,7 +473,7 @@ proptest! {
 /// the contract ARCHITECTURE.md invariant #9 promises for scatter-gather.
 fn assert_shard_equivalent(
     got: CqadsResult<AnswerSet>,
-    want: CqadsResult<AnswerSet>,
+    want: CqadsResult<Arc<AnswerSet>>,
     context: &str,
 ) -> Result<(), TestCaseError> {
     match (got, want) {
@@ -546,14 +543,14 @@ proptest! {
         for q in &questions {
             assert_shard_equivalent(
                 sharded.answer_in_domain(&q.text, domain),
-                reader.answer_in_domain(&q.text, domain),
+                reader.ask(&q.text).domain(domain).uncached().get(),
                 &format!("{shards} shards, fresh: {}", q.text),
             )?;
             // A repeat ask serves shard contributions from the cache — it must
             // not change a byte.
             assert_shard_equivalent(
                 sharded.answer_in_domain(&q.text, domain),
-                reader.answer_in_domain(&q.text, domain),
+                reader.ask(&q.text).domain(domain).uncached().get(),
                 &format!("{shards} shards, cached: {}", q.text),
             )?;
         }
@@ -569,7 +566,7 @@ proptest! {
         for q in &questions {
             assert_shard_equivalent(
                 sharded.answer_in_domain(&q.text, domain),
-                reader.answer_in_domain(&q.text, domain),
+                reader.ask(&q.text).domain(domain).uncached().get(),
                 &format!("{shards} shards, after inserts: {}", q.text),
             )?;
         }
@@ -592,7 +589,7 @@ proptest! {
         for q in &questions {
             assert_shard_equivalent(
                 sharded.answer_in_domain(&q.text, domain),
-                reader.answer_in_domain(&q.text, domain),
+                reader.ask(&q.text).domain(domain).uncached().get(),
                 &format!("{shards} shards, after ingest: {}", q.text),
             )?;
         }

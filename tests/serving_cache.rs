@@ -49,9 +49,9 @@ const PROBE: &str = "blue automatic honda accord";
 #[test]
 fn insert_invalidates_cached_answers_even_when_the_record_is_unrelated() {
     let mut sys = all_match_system(3);
-    let first = sys.answer_in_domain_cached(PROBE, "cars").unwrap();
+    let first = sys.ask(PROBE).domain("cars").get().unwrap();
     assert_eq!(first.exact_count, 3);
-    let hit = sys.answer_in_domain_cached(PROBE, "cars").unwrap();
+    let hit = sys.ask(PROBE).domain("cars").get().unwrap();
     assert!(Arc::ptr_eq(&first, &hit));
 
     // Insert a record that does NOT match the probe: the cache has no way to know
@@ -68,7 +68,7 @@ fn insert_invalidates_cached_answers_even_when_the_record_is_unrelated() {
             .build(),
     )
     .unwrap();
-    let refreshed = sys.answer_in_domain_cached(PROBE, "cars").unwrap();
+    let refreshed = sys.ask(PROBE).domain("cars").get().unwrap();
     assert!(!Arc::ptr_eq(&first, &refreshed), "stale answer served");
     assert_eq!(refreshed.exact_count, 3, "unrelated record must not match");
     assert_eq!(sys.cache_stats().stale_evictions, 1);
@@ -80,7 +80,7 @@ fn insert_invalidates_cached_answers_even_when_the_record_is_unrelated() {
         .unwrap()
         .insert(car(9_999.0))
         .unwrap();
-    let after = sys.answer_in_domain_cached(PROBE, "cars").unwrap();
+    let after = sys.ask(PROBE).domain("cars").get().unwrap();
     assert_eq!(after.exact_count, 4, "insert via database_mut not observed");
 }
 
@@ -90,8 +90,8 @@ fn insert_invalidates_cached_answers_even_when_the_record_is_unrelated() {
 #[test]
 fn ingested_query_log_delta_invalidates_cached_answers() {
     let mut sys = all_match_system(3);
-    let first = sys.answer_in_domain_cached(PROBE, "cars").unwrap();
-    let hit = sys.answer_in_domain_cached(PROBE, "cars").unwrap();
+    let first = sys.ask(PROBE).domain("cars").get().unwrap();
+    let hit = sys.ask(PROBE).domain("cars").get().unwrap();
     assert!(Arc::ptr_eq(&first, &hit));
     let stale_before = sys.cache_stats().stale_evictions;
 
@@ -126,11 +126,11 @@ fn ingested_query_log_delta_invalidates_cached_answers() {
     assert_eq!(sys.database().generation("cars"), Some(3));
 
     // The cached entry must be evicted as stale, not served.
-    let refreshed = sys.answer_in_domain_cached(PROBE, "cars").unwrap();
+    let refreshed = sys.ask(PROBE).domain("cars").get().unwrap();
     assert!(!Arc::ptr_eq(&first, &refreshed), "stale ranking served");
     assert_eq!(sys.cache_stats().stale_evictions, stale_before + 1);
     // Recompute equals a from-scratch answer under the updated matrix.
-    let scratch = sys.answer_in_domain(PROBE, "cars").unwrap();
+    let scratch = sys.ask(PROBE).domain("cars").uncached().get().unwrap();
     assert_eq!(refreshed.exact_count, scratch.exact_count);
     assert_eq!(refreshed.answers.len(), scratch.answers.len());
 
@@ -230,7 +230,7 @@ fn concurrent_readers_never_observe_stale_answers_across_inserts() {
                     );
                     last_gen = gen_before;
                     let answer = if r % 2 == 0 {
-                        reader.answer_in_domain_cached(PROBE, "cars").unwrap()
+                        reader.ask(PROBE).domain("cars").get().unwrap()
                     } else {
                         reader.answer_batch(&[PROBE]).remove(0).unwrap()
                     };
@@ -272,7 +272,7 @@ fn concurrent_readers_never_observe_stale_answers_across_inserts() {
     // The cache did real work during the run (repeat questions between inserts hit).
     assert!(hits > 0, "cache never hit during the concurrent run");
 
-    let final_answer = reader.answer_in_domain_cached(PROBE, "cars").unwrap();
+    let final_answer = reader.ask(PROBE).domain("cars").get().unwrap();
     assert_eq!(final_answer.exact_count, INITIAL + INSERTS);
     // No stale answer was ever *served*; stale entries were evicted by stamp checks.
     let stats = reader.cache_stats();

@@ -1,15 +1,16 @@
 //! Equivalence of the bounded top-k partial-match engine with the original
-//! full-scan/full-sort pipeline (kept behind `PartialMatchOptions::full_scan`), and of
-//! the id-sharded parallel engine with the sequential one.
+//! full-scan/full-sort pipeline (kept as `cqads::oracle::full_scan_partial_answers`),
+//! and of the id-sharded parallel engine with the sequential one.
 //!
 //! The deterministic randomized sweep below generates seeded datagen tables and
 //! question workloads across several domains, interprets every question exactly as the
-//! pipeline would, and asserts that both engines return **byte-identical**
+//! pipeline would, and asserts that engine and oracle return **byte-identical**
 //! `(id, rank_sim, measure, relaxed_condition)` sequences for a spread of budgets and
 //! exclusion sets — including the edge cases the top-k collector has to get right:
 //! budget 0, budget larger than the match set, and every candidate excluded.
 
 use cqads_suite::addb::RecordId;
+use cqads_suite::cqads::oracle::full_scan_partial_answers;
 use cqads_suite::cqads::tagging::Tagger;
 use cqads_suite::cqads::translate::interpret;
 use cqads_suite::cqads::{PartialMatchOptions, PartialMatcher, SimilarityModel};
@@ -68,14 +69,6 @@ fn topk_engine_matches_full_sort_across_seeded_workloads() {
         let tagger = Tagger::new(&spec);
 
         let fast = PartialMatcher::new(&spec, &sim);
-        let slow = PartialMatcher::with_options(
-            &spec,
-            &sim,
-            PartialMatchOptions {
-                full_scan: true,
-                ..PartialMatchOptions::default()
-            },
-        );
 
         let questions = generate_questions(&bp, &table, 60, question_seed, &QuestionMix::default());
         let mut compared = 0usize;
@@ -95,8 +88,7 @@ fn topk_engine_matches_full_sort_across_seeded_workloads() {
                 let a = fast
                     .partial_answers(&interp, &table, &exact, budget)
                     .unwrap();
-                let b = slow
-                    .partial_answers(&interp, &table, &exact, budget)
+                let b = full_scan_partial_answers(&spec, &sim, &interp, &table, &exact, budget)
                     .unwrap();
                 assert_identical(
                     &a,
@@ -113,13 +105,12 @@ fn topk_engine_matches_full_sort_across_seeded_workloads() {
     }
 }
 
-/// The value-ordered (WAND-style) pruned traversal is byte-identical to the frozen
-/// PR 2 exhaustive engine (`PartialMatchOptions::pr2_exhaustive`) across seeded
-/// workloads, budgets (the pruning thresholds) and worker counts — the sharded
-/// variant prunes against each worker's private (lower) threshold, which must still
-/// be lossless.
+/// The value-ordered (WAND-style) pruned traversal is byte-identical to the full-scan
+/// oracle across seeded workloads, budgets (the pruning thresholds) and worker
+/// counts — the sharded variant prunes against each worker's private (lower)
+/// threshold, which must still be lossless.
 #[test]
-fn wand_traversal_matches_pr2_exhaustive_across_seeded_workloads() {
+fn wand_traversal_matches_the_oracle_across_seeded_workloads() {
     for (domain, table_seed, question_seed) in [("cars", 61_u64, 71_u64), ("furniture", 62, 72)] {
         let bp = blueprint(domain);
         let table = generate_table(&bp, 400, table_seed);
@@ -144,14 +135,6 @@ fn wand_traversal_matches_pr2_exhaustive_across_seeded_workloads() {
         let sim = SimilarityModel::new(Arc::new(ti), Arc::new(ws), spec.schema.clone());
         let tagger = Tagger::new(&spec);
 
-        let exhaustive = PartialMatcher::with_options(
-            &spec,
-            &sim,
-            PartialMatchOptions {
-                pr2_exhaustive: true,
-                ..PartialMatchOptions::default()
-            },
-        );
         let questions = generate_questions(&bp, &table, 40, question_seed, &QuestionMix::default());
         let mut compared = 0usize;
         for q in &questions {
@@ -178,8 +161,7 @@ fn wand_traversal_matches_pr2_exhaustive_across_seeded_workloads() {
                     let a = wand
                         .partial_answers(&interp, &table, &exact, budget)
                         .unwrap();
-                    let b = exhaustive
-                        .partial_answers(&interp, &table, &exact, budget)
+                    let b = full_scan_partial_answers(&spec, &sim, &interp, &table, &exact, budget)
                         .unwrap();
                     assert_identical(
                         &a,
@@ -230,14 +212,8 @@ fn parallel_workers_match_sequential_across_seeded_workloads() {
         let sim = SimilarityModel::new(Arc::new(ti), Arc::new(ws), spec.schema.clone());
         let tagger = Tagger::new(&spec);
 
-        let sequential = PartialMatcher::with_options(
-            &spec,
-            &sim,
-            PartialMatchOptions {
-                workers: 1,
-                ..PartialMatchOptions::default()
-            },
-        );
+        let sequential =
+            PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers: 1 });
         let questions = generate_questions(&bp, &table, 40, question_seed, &QuestionMix::default());
         let mut compared = 0usize;
         for q in &questions {
@@ -327,14 +303,7 @@ fn batch_api_matches_per_question_calls() {
         })
         .collect();
     for workers in [1usize, 2, 8] {
-        let matcher = PartialMatcher::with_options(
-            &spec,
-            &sim,
-            PartialMatchOptions {
-                workers,
-                ..PartialMatchOptions::default()
-            },
-        );
+        let matcher = PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
         let batched = matcher.partial_answers_batch(&requests, &table).unwrap();
         assert_eq!(batched.len(), requests.len());
         for (r, batch_answers) in requests.iter().zip(&batched) {
@@ -351,7 +320,7 @@ fn batch_api_matches_per_question_calls() {
 }
 
 /// The serving front-end (`CqadsSystem::answer_batch`) is byte-identical to
-/// per-question `answer_in_domain` calls — for the full answer sets (exact + partial,
+/// per-question uncached asks against the classified domain — for the full answer sets (exact + partial,
 /// sql, counts), across worker counts, with the cache cold and hot.
 #[test]
 fn answer_batch_matches_per_question_answer_in_domain() {
@@ -428,7 +397,7 @@ fn answer_batch_matches_per_question_answer_in_domain() {
         let mut compared = 0usize;
         for (q, outcome) in burst.iter().zip(&batched) {
             let domain = system.classify(q).unwrap();
-            let single = system.answer_in_domain(q, &domain);
+            let single = system.ask(q).domain(&domain).uncached().get();
             match (outcome, single) {
                 (Ok(batch_set), Ok(single_set)) => {
                     assert_sets_identical(
@@ -449,7 +418,7 @@ fn answer_batch_matches_per_question_answer_in_domain() {
         for (q, outcome) in burst[..10].iter().zip(&hot) {
             if let Ok(batch_set) = outcome {
                 let domain = system.classify(q).unwrap();
-                let single = system.answer_in_domain(q, &domain).unwrap();
+                let single = system.ask(q).domain(&domain).uncached().get().unwrap();
                 assert_sets_identical(batch_set, &single, &format!("hot, question {q:?}"));
             }
         }
@@ -473,14 +442,9 @@ fn edge_cases_budget_zero_oversized_and_all_excluded() {
     let tagger = Tagger::new(&spec);
     let interp = interpret(&tagger.tag("blue honda accord under 20000 dollars"), &spec).unwrap();
     let fast = PartialMatcher::new(&spec, &sim);
-    let slow = PartialMatcher::with_options(
-        &spec,
-        &sim,
-        PartialMatchOptions {
-            full_scan: true,
-            ..PartialMatchOptions::default()
-        },
-    );
+    let slow = |exclude: &HashSet<RecordId>, budget: usize| {
+        full_scan_partial_answers(&spec, &sim, &interp, &table, exclude, budget).unwrap()
+    };
 
     // Budget 0 returns nothing from either engine.
     let none = HashSet::new();
@@ -488,18 +452,13 @@ fn edge_cases_budget_zero_oversized_and_all_excluded() {
         .partial_answers(&interp, &table, &none, 0)
         .unwrap()
         .is_empty());
-    assert!(slow
-        .partial_answers(&interp, &table, &none, 0)
-        .unwrap()
-        .is_empty());
+    assert!(slow(&none, 0).is_empty());
 
     // Budget far larger than any match set: identical, and within table bounds.
     let a = fast
         .partial_answers(&interp, &table, &none, 10_000)
         .unwrap();
-    let b = slow
-        .partial_answers(&interp, &table, &none, 10_000)
-        .unwrap();
+    let b = slow(&none, 10_000);
     assert!(a.len() <= table.len());
     assert_identical(&a, &b, "oversized budget");
 
@@ -509,8 +468,5 @@ fn edge_cases_budget_zero_oversized_and_all_excluded() {
         .partial_answers(&interp, &table, &all, 30)
         .unwrap()
         .is_empty());
-    assert!(slow
-        .partial_answers(&interp, &table, &all, 30)
-        .unwrap()
-        .is_empty());
+    assert!(slow(&all, 30).is_empty());
 }
