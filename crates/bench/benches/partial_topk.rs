@@ -326,8 +326,11 @@ fn run_all(matcher: &PartialMatcher<'_>, workload: &Workload) -> Vec<Vec<Partial
         })
         .collect();
     matcher
-        .partial_answers_batch(&requests, &workload.table)
+        .partial_answers_batch_budgeted(&requests, &workload.table, None)
         .expect("partial matching succeeds")
+        .into_iter()
+        .map(|outcome| outcome.answers)
+        .collect()
 }
 
 /// Byte-identity with the oracle at every worker count is a precondition of the

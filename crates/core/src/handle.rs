@@ -48,21 +48,25 @@
 //!   and keep mutating through the writer — no outer lock required.
 //!
 //! Either way there is one way to ask a single question: [`AnswerRequest`]
-//! (`.ask(q)[.domain(d)][.uncached()].get()`).
+//! (`.ask(q)[.domain(d)][.uncached()].get()`) — and one function that answers:
+//! `shard::answer_parts`, called by `ask` (one question × this snapshot), by
+//! `answer_batch` (a domain's cache misses × this snapshot) and by the
+//! [`ShardedCqads`](crate::ShardedCqads) scatter (one question × `N`
+//! snapshots). This module keeps only what wraps it: classification, the
+//! cache, admission, stale fallback and the audit trail.
 
 use crate::cache::{CacheKey, CacheStats, GenerationStamp};
 use crate::domain::DomainSpec;
 use crate::error::{CqadsError, CqadsResult};
-use crate::partial::{PartialBatchRequest, PartialMatchOptions, PartialMatcher, PartialOutcome};
-use crate::pipeline::{
-    Answer, AnswerSet, ClassifyOutcome, CqadsConfig, IngestReport, MatchKind, PendingAnswer,
-};
-use crate::ranking::{SimilarityMeasure, SimilarityModel};
+use crate::partial::take_single;
+use crate::pipeline::{AnswerSet, ClassifyOutcome, CqadsConfig, IngestReport};
+use crate::ranking::SimilarityModel;
 use crate::resilience::{AnswerQuality, QueryBudget, ResilienceRuntime, ServingStats};
+use crate::shard::{answer_parts, Part};
 use crate::storage::{config_to_snap, data_to_spec, spec_to_data, DurableStorage, StorageOptions};
 use crate::tagging::{TaggedQuestion, TaggedToken, Tagger};
 use crate::translate::{interpret, Interpretation};
-use addb::{Database, Executor, Record, RecordId, Table};
+use addb::{Database, Record, RecordId, Table};
 use arcswap::ArcSwap;
 use cqads_classifier::{BetaBinomialNb, Classifier, LabelledDoc};
 use cqads_querylog::{QueryLogDelta, Session, SubmittedQuery, TIMatrix};
@@ -71,7 +75,7 @@ use cqads_storage::{
     StorageEngine, StorageError, WalRecord,
 };
 use cqads_wordsim::WordSimMatrix;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -115,6 +119,28 @@ impl Snapshot {
     /// The current model generation of a registered domain.
     pub(crate) fn model_generation(&self, domain: &str) -> Option<u64> {
         self.domains.get(domain).map(|r| r.similarity.generation())
+    }
+
+    /// The runtime of a registered domain.
+    fn runtime(&self, domain: &str) -> CqadsResult<&DomainRuntime> {
+        let runtime = self.domains.get(domain).map(Arc::as_ref);
+        runtime.ok_or_else(|| CqadsError::UnknownDomain(domain.to_string()))
+    }
+
+    /// This snapshot's (unbudgeted) [`Part`] for a domain, distinguishing an
+    /// unregistered domain ([`CqadsError::UnknownDomain`]) from a registered
+    /// domain whose table is missing ([`CqadsError::MissingTable`]).
+    pub(crate) fn part(&self, domain: &str) -> CqadsResult<Part<'_>> {
+        let runtime = self.runtime(domain)?;
+        let table = self
+            .database
+            .table(domain)
+            .ok_or_else(|| CqadsError::MissingTable(domain.to_string()))?;
+        Ok(Part {
+            runtime,
+            table,
+            budget: None,
+        })
     }
 
     /// Rebuild one domain from its persisted form with its *exact* persisted
@@ -262,89 +288,6 @@ impl<'a> ReadContext<'a> {
         })
     }
 
-    /// Resolve a domain to its runtime and table, distinguishing an
-    /// unregistered domain ([`CqadsError::UnknownDomain`]) from a registered
-    /// domain whose table is missing ([`CqadsError::MissingTable`]).
-    pub(crate) fn domain_runtime(
-        self,
-        domain: &str,
-    ) -> CqadsResult<(&'a DomainRuntime, &'a Table)> {
-        let runtime = self
-            .snap
-            .domains
-            .get(domain)
-            .map(Arc::as_ref)
-            .ok_or_else(|| CqadsError::UnknownDomain(domain.to_string()))?;
-        let table = self
-            .snap
-            .database
-            .table(domain)
-            .ok_or_else(|| CqadsError::MissingTable(domain.to_string()))?;
-        Ok((runtime, table))
-    }
-
-    /// The partial matcher configured the way every answering path uses it.
-    pub(crate) fn matcher<'s>(self, runtime: &'s DomainRuntime) -> PartialMatcher<'s> {
-        PartialMatcher::with_options(
-            &runtime.spec,
-            &runtime.similarity,
-            PartialMatchOptions {
-                workers: self.shared.config.partial_workers,
-            },
-        )
-    }
-
-    /// Run the pre-partial pipeline stages (tag → interpret → translate →
-    /// exact execution) for one question. The partial phase is left to the
-    /// caller so that [`ReadContext::answer_batch`] can fan a whole burst of
-    /// these through [`PartialMatcher::partial_answers_batch`] on one thread
-    /// scope.
-    fn begin_answer(
-        self,
-        runtime: &DomainRuntime,
-        table: &Table,
-        question: &str,
-        domain: &str,
-    ) -> CqadsResult<PendingAnswer> {
-        let start_micros = self.shared.clock.now_micros();
-        let tagged = runtime.tagger.tag(question);
-        let interpretation = interpret(&tagged, &runtime.spec)?;
-        let query =
-            interpretation.to_query_with_limit(&runtime.spec, self.shared.config.answer_limit)?;
-        let sql = addb::sql::render(&query);
-
-        let executor = Executor::new(table);
-        let exact = executor.execute(&query)?;
-        let exact_ids: HashSet<RecordId> = exact.iter().map(|a| a.id).collect();
-        let n = interpretation.condition_count();
-
-        let answers: Vec<Answer> = exact
-            .iter()
-            .filter_map(|a| table.get_shared(a.id).map(|r| (a.id, r)))
-            .map(|(id, record)| Answer {
-                id,
-                record,
-                kind: MatchKind::Exact,
-                rank_sim: n as f64,
-                measure: SimilarityMeasure::None,
-            })
-            .collect();
-
-        // Top up with partially-matched answers when exact answers are scarce.
-        let partial_budget = self.shared.config.partial_budget(answers.len());
-
-        Ok(PendingAnswer {
-            domain: domain.to_string(),
-            tagged,
-            interpretation,
-            sql,
-            answers,
-            exact_ids,
-            partial_budget,
-            start_micros,
-        })
-    }
-
     /// Answer one question — the single function behind [`AnswerRequest::get`].
     /// `domain: None` classifies first; `cached: false` computes from scratch
     /// and neither fills the cache nor audits.
@@ -363,22 +306,16 @@ impl<'a> ReadContext<'a> {
             }
         };
         let compute = || -> CqadsResult<Arc<AnswerSet>> {
-            let (runtime, table) = self.domain_runtime(domain)?;
-            let mut pending = self.begin_answer(runtime, table, question, domain)?;
-            let partial = match pending.partial_budget {
-                0 => Vec::new(),
-                budget => self.matcher(runtime).partial_answers(
-                    &pending.interpretation,
-                    table,
-                    &pending.exact_ids,
-                    budget,
-                )?,
-            };
-            pending.absorb_partial(partial, table);
-            Ok(Arc::new(pending.finish(
-                self.shared.config.answer_limit,
-                self.shared.clock.now_micros(),
-            )))
+            let part = self.snap.part(domain)?;
+            take_single(answer_parts(
+                &self.shared.config,
+                self.shared.clock.as_ref(),
+                domain,
+                &[question],
+                &[part],
+                None,
+            )?)?
+            .map(Arc::new)
         };
         if !cached {
             return compute();
@@ -583,11 +520,27 @@ impl<'a> ReadContext<'a> {
                 .push(slot_idx);
         }
 
-        // Per domain: run the pre-partial stages per miss, then one batched
-        // partial-match fan-out (a single set of scoped worker threads serves
-        // every question of the domain), then assemble + back-fill.
+        // Per domain: the answering core over every miss (one batched
+        // partial-match fan-out per domain), then degrade + back-fill.
         for (domain, slot_indices) in misses_by_domain {
-            let (runtime, table) = match self.domain_runtime(domain) {
+            let missed: Vec<&str> = slot_indices.iter().map(|&s| slots[s].question).collect();
+            let computed = self.snap.part(domain).and_then(|part| {
+                let part = Part {
+                    budget: budget.as_ref(),
+                    ..part
+                };
+                // Stamp read from this snapshot before any computation: a
+                // concurrently published mutation can only make the filled
+                // entries look *older* than the post-mutation stamp.
+                let stamp = part.stamp();
+                let config = &self.shared.config;
+                let clock = self.shared.clock.as_ref();
+                Ok((
+                    stamp,
+                    answer_parts(config, clock, domain, &missed, &[part], None)?,
+                ))
+            });
+            let (stamp, computed) = match computed {
                 Ok(pair) => pair,
                 Err(e) => {
                     for &slot_idx in &slot_indices {
@@ -596,109 +549,47 @@ impl<'a> ReadContext<'a> {
                     continue;
                 }
             };
-            // Stamp read from this snapshot before any computation: a
-            // concurrently published mutation can only make the filled
-            // entries look *older* than the post-mutation stamp.
-            let stamp = GenerationStamp::new(table.generation(), runtime.similarity.generation());
-
-            let mut pendings: Vec<(usize, PendingAnswer)> = Vec::new();
-            for &slot_idx in &slot_indices {
-                match self.begin_answer(runtime, table, slots[slot_idx].question, domain) {
-                    Ok(pending) => pendings.push((slot_idx, pending)),
-                    Err(e) => outcomes[slot_idx] = Some(Err(e)),
-                }
-            }
-
-            let needs_partial: Vec<usize> = (0..pendings.len())
-                .filter(|&p| pendings[p].1.partial_budget > 0)
-                .collect();
-            let partial_results: CqadsResult<Vec<PartialOutcome>> = if needs_partial.is_empty() {
-                Ok(Vec::new())
-            } else {
-                let requests: Vec<PartialBatchRequest<'_>> = needs_partial
-                    .iter()
-                    .map(|&p| {
-                        let pending = &pendings[p].1;
-                        PartialBatchRequest {
-                            interpretation: &pending.interpretation,
-                            exclude: &pending.exact_ids,
-                            budget: pending.partial_budget,
-                        }
-                    })
-                    .collect();
-                self.matcher(runtime).partial_answers_batch_budgeted(
-                    &requests,
-                    table,
-                    budget.as_ref(),
-                )
-            };
-            match partial_results {
-                Ok(mut partial_results) => {
-                    // Scatter the batch results back (batch output is
-                    // positional), remembering which questions the deadline
-                    // cut.
-                    let mut qualities: Vec<AnswerQuality> =
-                        vec![AnswerQuality::Complete; pendings.len()];
-                    for (&p, outcome) in needs_partial.iter().zip(partial_results.drain(..)) {
-                        if outcome.degraded {
-                            qualities[p] = AnswerQuality::Degraded {
-                                visited: outcome.visited,
-                                budget_exhausted: true,
-                            };
-                        }
-                        pendings[p].1.absorb_partial(outcome.answers, table);
+            for (slot_idx, result) in slot_indices.into_iter().zip(computed) {
+                let mut set = match result {
+                    Ok(set) => set,
+                    Err(e) => {
+                        outcomes[slot_idx] = Some(Err(e));
+                        continue;
                     }
-                    for ((slot_idx, pending), quality) in pendings.into_iter().zip(qualities) {
-                        let mut set = pending.finish(
-                            self.shared.config.answer_limit,
-                            self.shared.clock.now_micros(),
-                        );
-                        set.quality = quality;
-                        if !quality.is_complete() {
-                            any_degraded = true;
-                            if let Some(runtime) = &self.shared.resilience {
-                                runtime.note_degraded(1);
-                                // Graceful degradation: a cached answer —
-                                // even a generation-stale one — is complete
-                                // as of an older generation, which can beat a
-                                // cut fresh answer. Serve it explicitly
-                                // flagged `Stale`.
-                                if let Some(stale) = stale_fallback[slot_idx].take() {
-                                    let mut stale_set = (*stale).clone();
-                                    stale_set.quality = AnswerQuality::Stale;
-                                    runtime.note_stale(1);
-                                    set = stale_set;
-                                }
-                            }
+                };
+                if !set.quality.is_complete() {
+                    any_degraded = true;
+                    if let Some(runtime) = &self.shared.resilience {
+                        runtime.note_degraded(1);
+                        // Graceful degradation: a cached answer — even a
+                        // generation-stale one — is complete as of an older
+                        // generation, which can beat a cut fresh answer.
+                        // Serve it explicitly flagged `Stale`.
+                        if let Some(stale) = stale_fallback[slot_idx].take() {
+                            set = (*stale).clone();
+                            set.quality = AnswerQuality::Stale;
+                            runtime.note_stale(1);
                         }
-                        let answer = Arc::new(set);
-                        // Only complete answers enter the cache: a degraded
-                        // or stale set must never be served later as if
-                        // fresh.
-                        if cache_on && answer.quality.is_complete() {
-                            self.shared.cache.fill(
-                                slots[slot_idx].key.clone(),
-                                stamp,
-                                Arc::clone(&answer),
-                            );
-                        }
-                        if audit_on {
-                            audits.push(audit_record(
-                                slots[slot_idx].question,
-                                domain,
-                                false,
-                                stamp,
-                                answer.elapsed,
-                            ));
-                        }
-                        outcomes[slot_idx] = Some(Ok(answer));
                     }
                 }
-                Err(e) => {
-                    for (slot_idx, _) in pendings {
-                        outcomes[slot_idx] = Some(Err(e.clone()));
-                    }
+                let answer = Arc::new(set);
+                // Only complete answers enter the cache: a degraded or stale
+                // set must never be served later as if fresh.
+                if cache_on && answer.quality.is_complete() {
+                    self.shared
+                        .cache
+                        .fill(slots[slot_idx].key.clone(), stamp, Arc::clone(&answer));
                 }
+                if audit_on {
+                    audits.push(audit_record(
+                        slots[slot_idx].question,
+                        domain,
+                        false,
+                        stamp,
+                        answer.elapsed,
+                    ));
+                }
+                outcomes[slot_idx] = Some(Ok(answer));
             }
         }
 
@@ -739,11 +630,7 @@ impl<'a> ReadContext<'a> {
         question: &str,
         domain: &str,
     ) -> CqadsResult<(TaggedQuestion, Interpretation, String)> {
-        let runtime = self
-            .snap
-            .domains
-            .get(domain)
-            .ok_or_else(|| CqadsError::UnknownDomain(domain.to_string()))?;
+        let runtime = self.snap.runtime(domain)?;
         let tagged = runtime.tagger.tag(question);
         let interpretation = interpret(&tagged, &runtime.spec)?;
         let sql = interpretation.to_sql(&runtime.spec)?;
@@ -756,11 +643,7 @@ impl<'a> ReadContext<'a> {
         let Some(storage) = &self.shared.storage else {
             return Ok(Vec::new());
         };
-        let runtime = self
-            .snap
-            .domains
-            .get(domain)
-            .ok_or_else(|| CqadsError::UnknownDomain(domain.to_string()))?;
+        let runtime = self.snap.runtime(domain)?;
         let audits = storage.with_engine(|engine| engine.scan_audits())?;
         let mut queries = Vec::new();
         let mut clock = 0.0_f64;
@@ -1117,7 +1000,8 @@ impl CqadsWriter {
 
     /// Serve a burst of questions: classify + normalize + dedup, serve repeats from
     /// the cache, and fan the residual misses' partial-match phases through
-    /// [`PartialMatcher::partial_answers_batch`] on one thread scope per domain,
+    /// [`PartialMatcher::partial_answers_batch_budgeted`](crate::PartialMatcher::partial_answers_batch_budgeted)
+    /// on one thread scope per domain,
     /// back-filling the cache for the next burst.
     ///
     /// Results are positional (`results[i]` answers `questions[i]`) and element-wise

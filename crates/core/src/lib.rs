@@ -34,7 +34,7 @@
 //! [`CqadsWriter::answer_batch`] normalizes and dedups a question burst, serves
 //! repeats from a sharded, generation-invalidated answer cache ([`cache`]) and fans the
 //! residual misses' partial-match phases through one set of worker threads per domain
-//! ([`PartialMatcher::partial_answers_batch`](partial::PartialMatcher::partial_answers_batch)).
+//! ([`PartialMatcher::partial_answers_batch_budgeted`](partial::PartialMatcher::partial_answers_batch_budgeted)).
 //! Inserting into a table bumps its mutation generation, and ingesting a query-log
 //! delta ([`CqadsWriter::ingest_query_log`]) bumps the domain's *model* generation;
 //! cached answers are stamped with both, so either mutation invalidates every affected

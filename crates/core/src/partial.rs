@@ -176,7 +176,7 @@
 //! prefix; it can never certify a wrong entry.
 
 use crate::domain::DomainSpec;
-use crate::error::CqadsResult;
+use crate::error::{CqadsError, CqadsResult};
 use crate::ranking::{CompiledProbe, ProbeScorer, SimilarityMeasure, SimilarityModel, ValueOrder};
 use crate::resilience::QueryBudget;
 use crate::sync::atomic::AtomicU64;
@@ -433,49 +433,24 @@ impl<'a> PartialMatcher<'a> {
         exclude: &HashSet<RecordId>,
         budget: usize,
     ) -> CqadsResult<Vec<PartialAnswer>> {
-        if budget == 0 || interpretation.is_empty() {
-            return Ok(Vec::new());
-        }
         // The one-question special case of the batch engine.
-        let mut results = self.batch_topk(
-            &[PartialBatchRequest {
-                interpretation,
-                exclude,
-                budget,
-            }],
-            table,
-            None,
-            false,
-            None,
-        )?;
-        // lint: allow(no-panic) — batch_topk returns one result per request by contract
-        Ok(results.pop().expect("one request, one result").answers)
+        let request = PartialBatchRequest {
+            interpretation,
+            exclude,
+            budget,
+        };
+        Ok(take_single(self.batch_topk(&[request], table, None, false, None)?)?.answers)
     }
 
-    /// Answer a whole batch of questions in one parallel fan-out.
+    /// Answer a whole batch of questions in one parallel fan-out, under an
+    /// optional cooperative deadline.
     ///
-    /// Element-wise identical to calling [`PartialMatcher::partial_answers`] per
-    /// request, but all questions share one set of scoped worker threads per pass —
-    /// the serving shape for query bursts, and what the `partial_topk` bench
-    /// measures (per-question spawning would otherwise dominate at high worker
-    /// counts).
-    pub fn partial_answers_batch(
-        &self,
-        requests: &[PartialBatchRequest<'_>],
-        table: &Table,
-    ) -> CqadsResult<Vec<Vec<PartialAnswer>>> {
-        Ok(self
-            .batch_topk(requests, table, None, false, None)?
-            .into_iter()
-            .map(|outcome| outcome.answers)
-            .collect())
-    }
-
-    /// [`PartialMatcher::partial_answers_batch`] with an optional cooperative
-    /// deadline.
-    ///
-    /// With `budget: None` this is element-wise identical (bit for bit) to the
-    /// unbudgeted batch call. With a [`QueryBudget`] armed, workers poll it at
+    /// With `budget: None` this is element-wise identical (bit for bit) to
+    /// calling [`PartialMatcher::partial_answers`] per request, but all questions
+    /// share one set of scoped worker threads per pass — the serving shape for
+    /// query bursts, and what the `partial_topk` bench measures (per-question
+    /// spawning would otherwise dominate at high worker counts). With a
+    /// [`QueryBudget`] armed, workers poll it at
     /// [`BUDGET_CHECK_EVERY`]-candidate granularity; on expiry each question
     /// returns its best-so-far answers truncated to the *certified prefix* of the
     /// undegraded answer list and explicitly flagged
@@ -1179,7 +1154,7 @@ struct RelaxationPlan<'m> {
     tail_bound: f64,
 }
 
-/// One question of a [`PartialMatcher::partial_answers_batch`] call.
+/// One question of a [`PartialMatcher::partial_answers_batch_budgeted`] call.
 #[derive(Debug, Clone, Copy)]
 pub struct PartialBatchRequest<'q> {
     /// The interpreted question.
@@ -1302,6 +1277,15 @@ where
             }
         }
     }
+}
+
+/// The single result of a one-request call. The engine and the answering core
+/// return exactly one result per request; the error arm is unreachable but
+/// cheaper than a panic on the serving path.
+pub(crate) fn take_single<T>(mut results: Vec<T>) -> CqadsResult<T> {
+    results
+        .pop()
+        .ok_or_else(|| CqadsError::Config("internal: one request produced no result".to_string()))
 }
 
 /// Gather step of the scatter-gather shard fan-out (`crate::shard`): merge
@@ -2006,6 +1990,18 @@ mod tests {
         "red honda accord under 3000 dollars",
     ];
 
+    /// The per-request reference every batch form is held to.
+    fn per_request(
+        matcher: &PartialMatcher<'_>,
+        requests: &[PartialBatchRequest<'_>],
+        table: &Table,
+    ) -> Vec<Vec<PartialAnswer>> {
+        let one = |r: &PartialBatchRequest<'_>| {
+            matcher.partial_answers(r.interpretation, table, r.exclude, r.budget)
+        };
+        requests.iter().map(|r| one(r).unwrap()).collect()
+    }
+
     fn batch_interps(spec: &crate::domain::DomainSpec) -> Vec<crate::translate::Interpretation> {
         let tagger = Tagger::new(spec);
         BATCH_QUESTIONS
@@ -2030,7 +2026,7 @@ mod tests {
         for workers in [1usize, 3] {
             let matcher =
                 PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-            let plain = matcher.partial_answers_batch(&requests, &table).unwrap();
+            let plain = per_request(&matcher, &requests, &table);
             let budgeted = matcher
                 .partial_answers_batch_budgeted(&requests, &table, None)
                 .unwrap();
@@ -2059,7 +2055,7 @@ mod tests {
         for workers in [1usize, 3] {
             let matcher =
                 PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-            let plain = matcher.partial_answers_batch(&requests, &table).unwrap();
+            let plain = per_request(&matcher, &requests, &table);
             let clock = Arc::new(ManualClock::new());
             let budget = QueryBudget::new(clock as Arc<dyn RetryClock>, u64::MAX);
             let budgeted = matcher
@@ -2109,7 +2105,7 @@ mod tests {
         for workers in [1usize, 3] {
             let matcher =
                 PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-            let full = matcher.partial_answers_batch(&requests, &table).unwrap();
+            let full = per_request(&matcher, &requests, &table);
             // Sweep the number of clock reads the batch survives, from "cut
             // immediately" to "cut near the end".
             for deadline in [0u64, 1, 3, 7, 15, 40] {

@@ -21,14 +21,12 @@
 
 use crate::error::{CqadsError, CqadsResult};
 use crate::handle::CqadsWriter;
-use crate::partial::PartialAnswer;
 use crate::ranking::SimilarityMeasure;
 use crate::resilience::{AnswerQuality, ResilienceOptions};
 use crate::storage::StorageOptions;
 use crate::tagging::TaggedQuestion;
 use crate::translate::Interpretation;
-use addb::{Record, RecordId, Table};
-use std::collections::HashSet;
+use addb::{Record, RecordId};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -427,62 +425,11 @@ pub struct IngestReport {
 /// ```
 pub type CqadsSystem = CqadsWriter;
 
-/// One question after the pre-partial stages: exact answers collected, partial-match
-/// budget decided, partial answers not yet merged. A single
-/// [`AnswerRequest`](crate::AnswerRequest) completes it immediately;
-/// [`CqadsWriter::answer_batch`] completes a whole burst of these through one batched
-/// partial-match fan-out per domain.
-pub(crate) struct PendingAnswer {
-    pub(crate) domain: String,
-    pub(crate) tagged: TaggedQuestion,
-    pub(crate) interpretation: Interpretation,
-    pub(crate) sql: String,
-    pub(crate) answers: Vec<Answer>,
-    pub(crate) exact_ids: HashSet<RecordId>,
-    /// `0` when the exact answers already satisfy the partial threshold.
-    pub(crate) partial_budget: usize,
-    /// Clock reading ([`RetryClock::now_micros`](cqads_storage::RetryClock::now_micros))
-    /// when the answer began.
-    pub(crate) start_micros: u64,
-}
-
-impl PendingAnswer {
-    /// Merge the partial-match phase's answers (exactly as the sequential path does).
-    pub(crate) fn absorb_partial(&mut self, partial: Vec<PartialAnswer>, table: &Table) {
-        for p in partial {
-            if let Some(record) = table.get_shared(p.id) {
-                self.answers.push(Answer {
-                    id: p.id,
-                    record,
-                    kind: MatchKind::Partial,
-                    rank_sim: p.rank_sim,
-                    measure: p.measure,
-                });
-            }
-        }
-    }
-
-    /// Cap to the answer limit and seal the set; `now_micros` is the caller's
-    /// reading of the same clock that stamped [`PendingAnswer::start_micros`].
-    pub(crate) fn finish(mut self, answer_limit: usize, now_micros: u64) -> AnswerSet {
-        self.answers.truncate(answer_limit);
-        AnswerSet {
-            domain: self.domain,
-            exact_count: self.exact_ids.len().min(self.answers.len()),
-            tagged: self.tagged,
-            interpretation: self.interpretation,
-            sql: self.sql,
-            answers: self.answers,
-            quality: AnswerQuality::Complete,
-            elapsed: Duration::from_micros(now_micros.saturating_sub(self.start_micros)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::domain::toy_car_domain;
+    use addb::Table;
     use cqads_classifier::LabelledDoc;
     use cqads_querylog::{QueryLogDelta, Session, SubmittedQuery, TIMatrix};
     use cqads_wordsim::WordSimMatrix;

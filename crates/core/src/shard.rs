@@ -10,17 +10,31 @@
 //! answered by scatter-gather. [`ShardedCqads`] is that layer: writes route to
 //! exactly one shard (bumping only that shard's generations, so unrelated
 //! shards' cached contributions survive — see the contribution cache below),
-//! reads compile the question once, scatter it to every shard's published
-//! snapshot, run the existing WAND/partial engines per shard and gather
-//! through the same deterministic top-k merge the in-table worker fan-out
-//! uses.
+//! reads load every shard's published snapshot and hand them, as `N` parts,
+//! to the one answering core.
+//!
+//! # One core, two arms
+//!
+//! `answer_parts` is the whole answering procedure (§4.3) over `k` questions
+//! × `N` parts (a `Part` is one snapshot's runtime and table for the domain),
+//! and the only one: the unsharded `ask` and `answer_batch` ([`crate::handle`])
+//! call it with their one snapshot, [`ShardedCqads`] with its `N`. Compilation,
+//! the exact answers, the partial budget and the final absorb/truncate are
+//! shared; the exact and the partial stage each have two arms, selected by
+//! `parts.len()` and nothing else. One part runs the executor on the query as
+//! compiled and one batched partial fan-out with the engine's own fallback.
+//! Many parts scatter to every part, run the same WAND/partial engines per
+//! part and gather through the same deterministic top-k merge the in-table
+//! worker fan-out uses.
 //!
 //! # The byte-identity argument
 //!
 //! `ShardedCqads` with any shard count returns the same `AnswerSet` — same
 //! SQL, same ids, same kinds, same `rank_sim` bits, same `exact_count`, same
 //! quality — as one unsharded [`CqadsReader`] over the union table
-//! (`tests/properties.rs` machine-checks this for shard counts 1/2/3/7):
+//! (`tests/properties.rs` machine-checks this for shard counts 1/2/3/7). At
+//! `N = 1` identity holds by construction, because it is the same call on the
+//! same table; for the many-parts arm:
 //!
 //! * **Routing is invertible and order-preserving.** [`RecordRouter`] deals
 //!   global record id `g` to shard `g % N` as local id `g / N`; both maps are
@@ -31,9 +45,9 @@
 //! * **Compilation is table-independent.** Tagging, interpretation, query
 //!   translation and SQL rendering read only the domain spec and the shared
 //!   models, which every shard replicates verbatim — compiling on shard 0
-//!   equals compiling anywhere. Schema-level validation errors are reproduced
-//!   by executing the compiled query against an empty same-schema table before
-//!   any shard work.
+//!   equals compiling anywhere. Schema-level validation is record-independent
+//!   and runs first in every executor call, so shard 0's own pass (on the query
+//!   as compiled) surfaces the unsharded error before any cache entry can exist.
 //! * **Exact gather is a sorted-merge.** Each shard's exact pass returns its
 //!   first `limit` matching ids ascending; any id in the global first-`limit`
 //!   has fewer than `limit` global predecessors, hence fewer than `limit`
@@ -83,9 +97,11 @@
 use crate::cache::{CacheKey, GenerationStamp};
 use crate::domain::DomainSpec;
 use crate::error::{CqadsError, CqadsResult};
-use crate::handle::{CqadsReader, CqadsWriter, DomainRuntime, ReadContext};
-use crate::partial::SharedThreshold;
-use crate::partial::{merge_partial_answers, PartialAnswer, PartialBatchRequest, PartialOutcome};
+use crate::handle::{CqadsReader, CqadsWriter, DomainRuntime};
+use crate::partial::{
+    merge_partial_answers, take_single, PartialAnswer, PartialBatchRequest, PartialMatchOptions,
+    PartialMatcher, PartialOutcome, SharedThreshold,
+};
 use crate::pipeline::{Answer, AnswerSet, CqadsConfig, IngestReport, MatchKind};
 use crate::ranking::SimilarityMeasure;
 use crate::resilience::{AnswerQuality, QueryBudget};
@@ -95,6 +111,7 @@ use crate::translate::interpret;
 use addb::{retain_extreme, Executor, Query, Record, RecordId, SuperlativeKind, Table};
 use cqads_classifier::LabelledDoc;
 use cqads_querylog::{QueryLogDelta, TIMatrix};
+use cqads_storage::RetryClock;
 use cqads_wordsim::WordSimMatrix;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -171,7 +188,7 @@ struct CachedContribution {
 /// cleared wholesale (same crash-only eviction the answer cache started
 /// with — an LRU here is a ROADMAP follow-up).
 #[derive(Debug)]
-struct ContributionCache {
+pub(crate) struct ContributionCache {
     // shard: one stripe *per shard*, never shared between shards — stripe i
     // is only ever touched while gathering shard i's contribution, under its
     // own lock, so no cross-shard state flows through it.
@@ -433,8 +450,7 @@ impl ShardedCqads {
     /// Scatter `question` to every shard's snapshot and gather the
     /// byte-identical answer (module docs have the identity argument).
     pub fn answer_in_domain(&self, question: &str, domain: &str) -> CqadsResult<AnswerSet> {
-        let budgets: Vec<Option<&QueryBudget>> = vec![None; self.router.shards()];
-        self.answer_scatter(question, domain, &budgets)
+        self.answer_in_domain_budgeted(question, domain, &[])
     }
 
     /// [`ShardedCqads::answer_in_domain`] with one optional cooperative
@@ -448,20 +464,6 @@ impl ShardedCqads {
         domain: &str,
         budgets: &[Option<&QueryBudget>],
     ) -> CqadsResult<AnswerSet> {
-        self.answer_scatter(question, domain, budgets)
-    }
-
-    /// The scatter-gather read path. Mirrors the unsharded
-    /// `ReadContext::answer_one` stage by stage; every deliberate
-    /// difference is argued in the module docs.
-    fn answer_scatter(
-        &self,
-        question: &str,
-        domain: &str,
-        budgets: &[Option<&QueryBudget>],
-    ) -> CqadsResult<AnswerSet> {
-        let n = self.router.shards();
-        let config = &self.config;
         // One snapshot guard per shard, all held for the whole call: each
         // shard's contribution is consistent with one published snapshot
         // whose generations bracket the call (invariant #9).
@@ -470,396 +472,462 @@ impl ShardedCqads {
             .iter()
             .map(|r| r.shared.snapshot.load())
             .collect();
-        let ctxs: Vec<ReadContext<'_>> = self
-            .readers
-            .iter()
-            .zip(&guards)
-            .map(|(r, g)| ReadContext {
-                shared: &r.shared,
-                snap: g,
-            })
-            .collect();
-        let per_shard: Vec<(&DomainRuntime, &Table)> = ctxs
-            .iter()
-            .map(|ctx| ctx.domain_runtime(domain))
-            .collect::<CqadsResult<_>>()?;
-
-        // Compile once on shard 0: tagging/interpretation/translation read
-        // only the spec and shared models, which every shard replicates.
-        let clock = &self.readers[0].shared.clock;
-        let start_micros = clock.now_micros();
-        let (runtime0, _) = per_shard[0];
-        let tagged = runtime0.tagger.tag(question);
-        let interpretation = interpret(&tagged, &runtime0.spec)?;
-        let query = interpretation.to_query_with_limit(&runtime0.spec, config.answer_limit)?;
-        let sql = addb::sql::render(&query);
-        // Surface every schema-level validation error exactly as the
-        // unsharded executor would: validation is record-independent, so an
-        // empty same-schema table reproduces it byte for byte.
-        Executor::new(&Table::new(runtime0.spec.schema.clone())).execute(&query)?;
-
-        let tables: Vec<&Table> = per_shard.iter().map(|&(_, t)| t).collect();
-        let stamps: Vec<GenerationStamp> = per_shard
-            .iter()
-            .map(|&(rt, t)| GenerationStamp::new(t.generation(), rt.similarity.generation()))
-            .collect();
-
-        // Contribution-cache plan: plain (non-superlative) unbudgeted asks
-        // only — a superlative's stripped candidate list is unbounded and a
-        // budgeted outcome is not reusable.
-        let cacheable = self.cache.enabled()
-            && query.superlatives.is_empty()
-            && budgets.iter().all(Option::is_none);
-        let key = cacheable.then(|| CacheKey::new(domain, question));
-        let mut cached: Vec<Option<CachedContribution>> = (0..n)
-            .map(|i| {
-                key.as_ref()
-                    .and_then(|k| self.cache.lookup(i, k, stamps[i]))
-            })
-            .collect();
-
-        // --- Exact phase -------------------------------------------------
-        let has_superlatives = !query.superlatives.is_empty();
-        let mut shard_exact: Vec<Vec<RecordId>> = Vec::with_capacity(n);
-        if has_superlatives {
-            // A superlative filters over the *global* candidate set, so each
-            // shard reports its full (untruncated) pre-superlative matches
-            // and the gather re-applies the chain over the merge.
-            let stripped = Query {
-                superlatives: Vec::new(),
-                limit: usize::MAX,
-                ..query.clone()
-            };
-            for table in &tables {
-                let found = Executor::new(table).execute(&stripped)?;
-                shard_exact.push(found.iter().map(|a| a.id).collect());
-            }
-        } else {
-            for (i, table) in tables.iter().enumerate() {
-                match &cached[i] {
-                    Some(entry) => shard_exact.push(entry.exact.clone()),
-                    None => {
-                        let found = Executor::new(table).execute(&query)?;
-                        shard_exact.push(found.iter().map(|a| a.id).collect());
-                    }
-                }
-            }
-        }
-        let mut merged_exact: Vec<RecordId> = shard_exact
+        let parts: Vec<Part<'_>> = guards
             .iter()
             .enumerate()
-            .flat_map(|(i, locals)| locals.iter().map(move |&l| self.router.global_of(i, l)))
-            .collect();
-        merged_exact.sort_unstable();
-        if has_superlatives {
-            self.apply_superlatives_gather(&query, &mut merged_exact, &tables);
-        }
-        merged_exact.truncate(query.limit);
+            .map(|(i, snap)| {
+                Ok(Part {
+                    budget: budgets.get(i).copied().flatten(),
+                    ..snap.part(domain)?
+                })
+            })
+            .collect::<CqadsResult<_>>()?;
+        take_single(answer_parts(
+            &self.config,
+            self.readers[0].shared.clock.as_ref(),
+            domain,
+            &[question],
+            &parts,
+            Some(&self.cache),
+        )?)?
+    }
+}
 
-        let exact_ids: HashSet<RecordId> = merged_exact.iter().copied().collect();
-        let n_conds = interpretation.condition_count();
-        let mut answers: Vec<Answer> = merged_exact
-            .iter()
-            .filter_map(|&gid| {
-                let shard = self.router.shard_of(gid);
-                tables[shard]
-                    .get_shared(self.router.local_of(gid))
-                    .map(|record| Answer {
-                        id: gid,
+/// One partition as the answering core sees it: one snapshot's runtime and
+/// table for the domain, plus the cooperative budget (if any) arming this
+/// partition's partial-match work.
+pub(crate) struct Part<'a> {
+    pub(crate) runtime: &'a DomainRuntime,
+    pub(crate) table: &'a Table,
+    pub(crate) budget: Option<&'a QueryBudget>,
+}
+
+impl Part<'_> {
+    /// This partition's generation stamp: table generation × model generation.
+    pub(crate) fn stamp(&self) -> GenerationStamp {
+        GenerationStamp::new(
+            self.table.generation(),
+            self.runtime.similarity.generation(),
+        )
+    }
+
+    /// Part-local ids of the records `query` matches, as the executor returns them.
+    fn exact_ids(&self, query: &Query) -> CqadsResult<Vec<RecordId>> {
+        let found = Executor::new(self.table).execute(query)?;
+        Ok(found.iter().map(|a| a.id).collect())
+    }
+
+    /// The partial matcher configured the way every answering path uses it.
+    fn matcher(&self, config: &CqadsConfig) -> PartialMatcher<'_> {
+        PartialMatcher::with_options(
+            &self.runtime.spec,
+            &self.runtime.similarity,
+            PartialMatchOptions {
+                workers: config.partial_workers,
+            },
+        )
+    }
+}
+
+/// One question between the exact and the partial phase.
+struct InFlight<'c> {
+    /// The answer so far: exact answers only, not yet timed.
+    set: AnswerSet,
+    /// Clock reading when the answer began.
+    start_micros: u64,
+    /// Global ids of the exact answers — what the partial phase excludes.
+    exact_ids: HashSet<RecordId>,
+    /// `0` when the exact answers already satisfy the partial threshold.
+    partial_budget: usize,
+    scatter: Scatter<'c>,
+}
+
+/// What the many-parts exact phase learned per part, kept for the partial
+/// phase and the contribution cache. Empty at one part.
+#[derive(Default)]
+struct Scatter<'c> {
+    /// The contribution cache and this ask's key — plain (non-superlative)
+    /// unbudgeted asks only: a superlative's stripped candidate list is
+    /// unbounded and a budgeted outcome is not reusable.
+    cache: Option<(&'c ContributionCache, CacheKey)>,
+    /// Per part, its contribution — the cached one, or its freshly computed
+    /// part-local exact ids (ascending), joined by its phase-1 partial list
+    /// when the partial phase runs — and whether any of it was computed
+    /// rather than served.
+    entries: Vec<(CachedContribution, bool)>,
+}
+
+impl Scatter<'_> {
+    /// Remember every contribution this ask computed, so a repeat ask skips
+    /// those parts' executors and engines.
+    fn store(self) {
+        let Some((cache, key)) = self.cache else {
+            return;
+        };
+        for (i, (entry, fresh)) in self.entries.into_iter().enumerate() {
+            if fresh {
+                cache.note_miss();
+                cache.fill(i, key.clone(), entry);
+            } else {
+                cache.note_hit();
+            }
+        }
+    }
+}
+
+/// The answering pipeline (§4.3), written once for `k` questions × `N` parts:
+/// compile on `parts[0]` (tag → interpret → translate → render; failures
+/// reported in place) → exact phase → exact answers → partial budget →
+/// partial phase → absorb, truncate, time. The exact and the partial phase
+/// each have two arms, selected by `parts.len()` and nothing else (module
+/// docs). The outer error is a partial-engine failure, which fails the call.
+pub(crate) fn answer_parts(
+    config: &CqadsConfig,
+    clock: &dyn RetryClock,
+    domain: &str,
+    questions: &[&str],
+    parts: &[Part<'_>],
+    contributions: Option<&ContributionCache>,
+) -> CqadsResult<Vec<CqadsResult<AnswerSet>>> {
+    let router = RecordRouter::new(parts.len());
+    let first = parts[0].runtime;
+
+    let mut flights: Vec<CqadsResult<InFlight<'_>>> = questions
+        .iter()
+        .map(|question| {
+            let start_micros = clock.now_micros();
+            // Compilation reads only the spec and the shared models, which
+            // every part replicates: compiling on part 0 is compiling anywhere.
+            let tagged = first.tagger.tag(question);
+            let interpretation = interpret(&tagged, &first.spec)?;
+            let query = interpretation.to_query_with_limit(&first.spec, config.answer_limit)?;
+            let sql = addb::sql::render(&query);
+
+            let (exact, scatter) = if parts.len() == 1 {
+                (parts[0].exact_ids(&query)?, Scatter::default())
+            } else {
+                scatter_exact(parts, router, &query, domain, question, contributions)?
+            };
+            let n_conds = interpretation.condition_count();
+            let answers: Vec<Answer> = exact
+                .iter()
+                .filter_map(|&id| {
+                    record_of(parts, router, id).map(|record| Answer {
+                        id,
                         record,
                         kind: MatchKind::Exact,
                         rank_sim: n_conds as f64,
                         measure: SimilarityMeasure::None,
                     })
+                })
+                .collect();
+            // Top up with partially-matched answers when exact answers are scarce.
+            let partial_budget = config.partial_budget(answers.len());
+            Ok(InFlight {
+                set: AnswerSet {
+                    domain: domain.to_string(),
+                    tagged,
+                    interpretation,
+                    sql,
+                    exact_count: answers.len(),
+                    answers,
+                    quality: AnswerQuality::Complete,
+                    elapsed: Duration::ZERO,
+                },
+                start_micros,
+                exact_ids: exact.into_iter().collect(),
+                partial_budget,
+                scatter,
+            })
+        })
+        .collect();
+
+    let mut needy: Vec<&mut InFlight<'_>> = flights
+        .iter_mut()
+        .filter_map(|flight| flight.as_mut().ok())
+        .filter(|flight| flight.partial_budget > 0)
+        .collect();
+    let partials: Vec<PartialOutcome> = if needy.is_empty() {
+        Vec::new()
+    } else if parts.len() == 1 {
+        // One fan-out (a single set of scoped worker threads) serves every
+        // question of the call.
+        let requests: Vec<PartialBatchRequest<'_>> = needy
+            .iter()
+            .map(|flight| PartialBatchRequest {
+                interpretation: &flight.set.interpretation,
+                exclude: &flight.exact_ids,
+                budget: flight.partial_budget,
             })
             .collect();
-
-        let partial_budget = config.partial_budget(answers.len());
-
-        // --- Partial phase -----------------------------------------------
-        let mut quality = AnswerQuality::Complete;
-        if partial_budget > 0 && has_superlatives {
-            // Every relaxation stream re-applies its superlative filter over
-            // the *global* candidate set — a per-shard extreme is not the
-            // global extreme, so the partial phase of a superlative question
-            // does not decompose per shard. Collapse it onto a transient
-            // union view in global id order and run the one-table engine
-            // verbatim (byte-identity by construction; superlative questions
-            // already pay a full scan in the executor, so the union build
-            // does not change the complexity class).
-            let union = self.union_view(&tables);
-            let matcher = ctxs[0].matcher(runtime0);
-            let merged = match budgets.iter().copied().flatten().next() {
-                None => {
-                    matcher.partial_answers(&interpretation, &union, &exact_ids, partial_budget)?
-                }
-                Some(budget) => {
-                    let request = PartialBatchRequest {
-                        interpretation: &interpretation,
-                        exclude: &exact_ids,
-                        budget: partial_budget,
-                    };
-                    let outcome = take_single(matcher.partial_answers_batch_budgeted(
-                        &[request],
-                        &union,
-                        Some(budget),
-                    )?)?;
-                    if outcome.degraded {
-                        quality = AnswerQuality::Degraded {
-                            visited: outcome.visited,
-                            budget_exhausted: true,
-                        };
-                    }
-                    outcome.answers
-                }
+        parts[0].matcher(config).partial_answers_batch_budgeted(
+            &requests,
+            parts[0].table,
+            parts[0].budget,
+        )?
+    } else {
+        needy
+            .iter_mut()
+            .map(|flight| scatter_partial(config, parts, router, flight))
+            .collect::<CqadsResult<_>>()?
+    };
+    for (flight, outcome) in needy.into_iter().zip(partials) {
+        if outcome.degraded {
+            flight.set.quality = AnswerQuality::Degraded {
+                visited: outcome.visited,
+                budget_exhausted: true,
             };
-            for p in merged {
-                let shard = self.router.shard_of(p.id);
-                if let Some(record) = tables[shard].get_shared(self.router.local_of(p.id)) {
-                    answers.push(Answer {
-                        id: p.id,
-                        record,
-                        kind: MatchKind::Partial,
-                        rank_sim: p.rank_sim,
-                        measure: p.measure,
-                    });
-                }
-            }
-        } else if partial_budget > 0 {
-            // The exclusion set is the *merged* exact result dealt back to
-            // shard-local id space — exactly the set the unsharded engine
-            // excludes.
-            let mut excludes: Vec<HashSet<RecordId>> = vec![HashSet::new(); n];
-            for &gid in &merged_exact {
-                excludes[self.router.shard_of(gid)].insert(self.router.local_of(gid));
-            }
-            // One WAND threshold shared across every freshly-computed shard:
-            // a full heap anywhere prunes everywhere (admissible; see the
-            // partial-matcher module docs).
-            let thresholds = vec![Arc::new(SharedThreshold::new())];
-            let mut outcomes: Vec<PartialOutcome> = Vec::with_capacity(n);
-            for i in 0..n {
-                let from_cache = cached[i].as_mut().and_then(|e| e.partial.take());
-                let outcome = match from_cache {
-                    Some(partial) => {
-                        self.cache.note_hit();
-                        PartialOutcome {
-                            answers: partial,
-                            visited: 0,
-                            degraded: false,
-                            cut_bound: f64::NEG_INFINITY,
-                        }
-                    }
-                    None => {
-                        let request = PartialBatchRequest {
-                            interpretation: &interpretation,
-                            exclude: &excludes[i],
-                            // Heap budget = answer_limit regardless of the
-                            // ask-time partial budget, so the contribution is
-                            // reusable: top-b prefix of top-limit = top-b.
-                            budget: config.answer_limit,
-                        };
-                        let matcher = ctxs[i].matcher(per_shard[i].0);
-                        let outcome = take_single(matcher.partial_answers_batch_scatter(
-                            &[request],
-                            tables[i],
-                            budgets.get(i).copied().flatten(),
-                            &thresholds,
-                        )?)?;
-                        if let Some(k) = &key {
-                            self.cache.note_miss();
-                            if !outcome.degraded {
-                                self.cache.fill(
-                                    i,
-                                    k.clone(),
-                                    CachedContribution {
-                                        stamp: stamps[i],
-                                        exact: shard_exact[i].clone(),
-                                        partial: Some(outcome.answers.clone()),
-                                    },
-                                );
-                            }
-                        }
-                        outcome
-                    }
-                };
-                outcomes.push(outcome);
-            }
-
-            let any_cut = outcomes.iter().any(|o| o.degraded);
-            let counts: usize = outcomes.iter().map(|o| o.answers.len()).sum();
-            let is_multi = interpretation.all_sketches().len() > 1;
-            // Global sparse-fallback decision: if any shard's heap ever
-            // filled, `counts >= answer_limit >= partial_budget` already (a
-            // threshold only rises off a full heap), so a short count here
-            // proves the global phase-1 candidate set is genuinely smaller
-            // than the budget — the same condition the unsharded engine
-            // checks on its single heap.
-            let run_fallback = is_multi && !any_cut && counts < partial_budget;
-
-            let mut bound = f64::NEG_INFINITY;
-            let mut visited_total: u64 = 0;
-            let mut degraded = false;
-            let mut gathered: Vec<PartialAnswer> = Vec::new();
-            if run_fallback {
-                // Rare sparse case: discard phase 1 and run the *plain*
-                // per-shard engine (own thresholds, own fallback) at the real
-                // budget — each shard is sparse too (its candidate count is
-                // below the budget), so each runs the same phase-1 +
-                // degree-of-match pass the unsharded engine would, and the
-                // merge of complete per-shard lists is the global list.
-                for i in 0..n {
-                    let request = PartialBatchRequest {
-                        interpretation: &interpretation,
-                        exclude: &excludes[i],
-                        budget: partial_budget,
-                    };
-                    let matcher = ctxs[i].matcher(per_shard[i].0);
-                    let outcome = take_single(matcher.partial_answers_batch_budgeted(
-                        &[request],
-                        tables[i],
-                        budgets.get(i).copied().flatten(),
-                    )?)?;
-                    visited_total += outcome.visited;
-                    degraded |= outcome.degraded;
-                    bound = bound.max(outcome.cut_bound);
-                    gathered.extend(translate_partials(self.router, i, outcome.answers));
-                }
-            } else {
-                for (i, outcome) in outcomes.into_iter().enumerate() {
-                    visited_total += outcome.visited;
-                    degraded |= outcome.degraded;
-                    bound = bound.max(outcome.cut_bound);
-                    gathered.extend(translate_partials(self.router, i, outcome.answers));
-                }
-            }
-            let mut merged = merge_partial_answers(partial_budget, gathered);
-            // A cut plus a short merged list means the undegraded engine
-            // might have run the degree-of-match fallback (scores up to N):
-            // widen the certification bound accordingly, exactly like the
-            // single-heap engine's sparse-under-cut arm.
-            if degraded && is_multi && merged.len() < partial_budget {
-                bound = bound.max(n_conds as f64);
-            }
-            if bound > f64::NEG_INFINITY {
-                let keep = merged.iter().take_while(|a| a.rank_sim > bound).count();
-                merged.truncate(keep);
-            }
-            if degraded {
-                quality = AnswerQuality::Degraded {
-                    visited: visited_total,
-                    budget_exhausted: true,
-                };
-            }
-            for p in merged {
-                let shard = self.router.shard_of(p.id);
-                if let Some(record) = tables[shard].get_shared(self.router.local_of(p.id)) {
-                    answers.push(Answer {
-                        id: p.id,
-                        record,
-                        kind: MatchKind::Partial,
-                        rank_sim: p.rank_sim,
-                        measure: p.measure,
-                    });
-                }
-            }
-        } else if let Some(k) = &key {
-            // Exact answers alone satisfied the threshold: remember the
-            // per-shard exact prefixes so a repeat ask skips every executor.
-            for i in 0..n {
-                match &cached[i] {
-                    Some(_) => self.cache.note_hit(),
-                    None => {
-                        self.cache.note_miss();
-                        self.cache.fill(
-                            i,
-                            k.clone(),
-                            CachedContribution {
-                                stamp: stamps[i],
-                                exact: shard_exact[i].clone(),
-                                partial: None,
-                            },
-                        );
-                    }
-                }
-            }
         }
-
-        answers.truncate(config.answer_limit);
-        let exact_count = exact_ids.len().min(answers.len());
-        Ok(AnswerSet {
-            domain: domain.to_string(),
-            tagged,
-            interpretation,
-            sql,
-            answers,
-            exact_count,
-            quality,
-            elapsed: Duration::from_micros(clock.now_micros().saturating_sub(start_micros)),
-        })
+        let absorbed = outcome.answers.into_iter().filter_map(|p| {
+            record_of(parts, router, p.id).map(|record| Answer {
+                id: p.id,
+                record,
+                kind: MatchKind::Partial,
+                rank_sim: p.rank_sim,
+                measure: p.measure,
+            })
+        });
+        flight.set.answers.extend(absorbed);
+        flight.set.answers.truncate(config.answer_limit);
     }
 
-    /// Rebuild the unsharded table in global id order from the shard
-    /// snapshots (record `g` comes from shard `g mod N`). Only the partial
-    /// phase of superlative questions pays this — see `answer_scatter`.
-    fn union_view(&self, tables: &[&Table]) -> Table {
-        let total: usize = tables.iter().map(|t| t.len()).sum();
-        let mut union = Table::new(tables[0].schema().clone());
-        for g in 0..total as u32 {
-            let gid = RecordId(g);
-            let shard = self.router.shard_of(gid);
-            if let Some(record) = tables[shard].get_shared(self.router.local_of(gid)) {
-                if let Ok(assigned) = union.insert((*record).clone()) {
-                    debug_assert_eq!(assigned, gid);
-                }
-            }
-        }
-        union
-    }
-
-    /// Re-apply a superlative chain over the merged (ascending) global
-    /// candidate set: one [`retain_extreme`] step per superlative, values
-    /// resolved from whichever shard holds the record.
-    fn apply_superlatives_gather(
-        &self,
-        query: &Query,
-        candidates: &mut Vec<RecordId>,
-        tables: &[&Table],
-    ) {
-        for s in &query.superlatives {
-            if candidates.is_empty() {
-                return;
-            }
-            let max = matches!(s.kind, SuperlativeKind::Max);
-            retain_extreme(candidates, max, |gid| {
-                tables[self.router.shard_of(gid)]
-                    .get_shared(self.router.local_of(gid))
-                    .and_then(|r| r.get_number(&s.attribute))
-            });
-        }
-    }
+    let timed = flights.into_iter().map(|flight| {
+        let mut flight = flight?;
+        flight.scatter.store();
+        let micros = clock.now_micros().saturating_sub(flight.start_micros);
+        flight.set.elapsed = Duration::from_micros(micros);
+        Ok(flight.set)
+    });
+    Ok(timed.collect())
 }
 
-/// Translate one shard's partial answers into global id space (scores,
-/// measures and relaxed-condition indexes are shard-independent).
-fn translate_partials(
+/// The record behind global id `gid`, from whichever part holds it.
+fn record_of(parts: &[Part<'_>], router: RecordRouter, gid: RecordId) -> Option<Arc<Record>> {
+    parts[router.shard_of(gid)]
+        .table
+        .get_shared(router.local_of(gid))
+}
+
+/// Many-parts exact phase: the global ids of the first `query.limit` exact
+/// matches, ascending (superlatives applied), plus what the partial phase and
+/// the contribution cache need per part.
+fn scatter_exact<'c>(
+    parts: &[Part<'_>],
     router: RecordRouter,
-    shard: usize,
-    answers: Vec<PartialAnswer>,
-) -> impl Iterator<Item = PartialAnswer> {
-    answers.into_iter().map(move |p| PartialAnswer {
-        id: router.global_of(shard, p.id),
-        ..p
+    query: &Query,
+    domain: &str,
+    question: &str,
+    contributions: Option<&'c ContributionCache>,
+) -> CqadsResult<(Vec<RecordId>, Scatter<'c>)> {
+    let superlative = !query.superlatives.is_empty();
+    let cache = contributions
+        .filter(|c| c.enabled() && !superlative && parts.iter().all(|p| p.budget.is_none()))
+        .map(|c| (c, CacheKey::new(domain, question)));
+
+    // A superlative filters over the *global* candidate set, so each part
+    // reports its full (untruncated) pre-superlative matches and the gather
+    // re-applies the chain over the merge. The stripped query skips the
+    // executor's superlative validation, so part 0 first vets the query as
+    // compiled (validation precedes execution; limit 0 keeps nothing).
+    let stripped;
+    let per_part = if superlative {
+        parts[0].exact_ids(&query.clone().with_limit(0))?;
+        stripped = Query::new(query.table.as_str())
+            .with_expr(query.expr.clone())
+            .with_limit(usize::MAX);
+        &stripped
+    } else {
+        query
+    };
+    let mut entries = Vec::with_capacity(parts.len());
+    for (i, part) in parts.iter().enumerate() {
+        let stamp = part.stamp();
+        let cached = cache.as_ref().and_then(|(c, key)| c.lookup(i, key, stamp));
+        entries.push(match cached {
+            Some(entry) => (entry, false),
+            None => {
+                let exact = part.exact_ids(per_part)?;
+                let partial = None;
+                (
+                    CachedContribution {
+                        stamp,
+                        exact,
+                        partial,
+                    },
+                    true,
+                )
+            }
+        });
+    }
+
+    let mut merged: Vec<RecordId> = entries
+        .iter()
+        .enumerate()
+        .flat_map(|(i, (entry, _))| entry.exact.iter().map(move |&l| router.global_of(i, l)))
+        .collect();
+    merged.sort_unstable();
+    // One `retain_extreme` step per superlative over the merged (ascending)
+    // global candidates, values resolved from whichever part holds the record.
+    for s in &query.superlatives {
+        let max = matches!(s.kind, SuperlativeKind::Max);
+        retain_extreme(&mut merged, max, |gid| {
+            record_of(parts, router, gid).and_then(|r| r.get_number(&s.attribute))
+        });
+    }
+    merged.truncate(query.limit);
+    Ok((merged, Scatter { cache, entries }))
+}
+
+/// Many-parts partial phase for one question: its top `partial_budget`
+/// partial answers in global id space, with the visit tally and the
+/// degradation flag gathered across parts.
+fn scatter_partial(
+    config: &CqadsConfig,
+    parts: &[Part<'_>],
+    router: RecordRouter,
+    flight: &mut InFlight<'_>,
+) -> CqadsResult<PartialOutcome> {
+    let interpretation = &flight.set.interpretation;
+    let partial_budget = flight.partial_budget;
+    // The plain engine (own thresholds, own fallback) on one table.
+    let plain = |part: &Part<'_>, table, exclude, cut| {
+        let request = PartialBatchRequest {
+            interpretation,
+            exclude,
+            budget: partial_budget,
+        };
+        let engine = part.matcher(config);
+        take_single(engine.partial_answers_batch_budgeted(&[request], table, cut)?)
+    };
+    if !interpretation.superlatives.is_empty() {
+        // Every relaxation stream re-applies its superlative filter over
+        // the *global* candidate set — a per-part extreme is not the global
+        // extreme, so the partial phase of a superlative question does not
+        // decompose per part. Collapse it onto a transient union view in
+        // global id order and run the one-table engine verbatim
+        // (byte-identity by construction; superlative questions already pay
+        // a full scan in the executor, so the union build does not change
+        // the complexity class).
+        let union = union_view(parts, router);
+        let cut = parts.iter().find_map(|p| p.budget);
+        return plain(&parts[0], &union, &flight.exact_ids, cut);
+    }
+
+    let Scatter { cache, entries } = &mut flight.scatter;
+    // The exclusion set is the *merged* exact result dealt back to part-local
+    // id space — exactly the set the unsharded engine excludes.
+    let mut excludes: Vec<HashSet<RecordId>> = vec![HashSet::new(); parts.len()];
+    for &gid in &flight.exact_ids {
+        excludes[router.shard_of(gid)].insert(router.local_of(gid));
+    }
+    // One WAND threshold shared across every freshly-computed part: a full
+    // heap anywhere prunes everywhere (admissible; see the partial-matcher
+    // module docs).
+    let thresholds = vec![Arc::new(SharedThreshold::new())];
+    let mut outcomes: Vec<PartialOutcome> = Vec::with_capacity(parts.len());
+    for (i, (part, (entry, fresh))) in parts.iter().zip(entries).enumerate() {
+        outcomes.push(match entry.partial.take() {
+            Some(answers) => PartialOutcome {
+                answers,
+                visited: 0,
+                degraded: false,
+                cut_bound: f64::NEG_INFINITY,
+            },
+            None => {
+                let request = PartialBatchRequest {
+                    interpretation,
+                    exclude: &excludes[i],
+                    // Heap budget = answer_limit regardless of the ask-time
+                    // partial budget, so the contribution is reusable: top-b
+                    // prefix of top-limit = top-b.
+                    budget: config.answer_limit,
+                };
+                let outcome = take_single(part.matcher(config).partial_answers_batch_scatter(
+                    &[request],
+                    part.table,
+                    part.budget,
+                    &thresholds,
+                )?)?;
+                if cache.is_some() {
+                    entry.partial = Some(outcome.answers.clone());
+                    *fresh = true;
+                }
+                outcome
+            }
+        });
+    }
+
+    let any_cut = outcomes.iter().any(|o| o.degraded);
+    let counts: usize = outcomes.iter().map(|o| o.answers.len()).sum();
+    let is_multi = interpretation.all_sketches().len() > 1;
+    // Global sparse-fallback decision: if any part's heap ever filled,
+    // `counts >= answer_limit >= partial_budget` already (a threshold only
+    // rises off a full heap), so a short count here proves the global phase-1
+    // candidate set is genuinely smaller than the budget — the same condition
+    // the unsharded engine checks on its single heap.
+    if is_multi && !any_cut && counts < partial_budget {
+        // Rare sparse case: discard phase 1 and run the plain per-part
+        // engine at the real budget — each part is sparse too (its candidate
+        // count is below the budget), so each runs the same phase-1 +
+        // degree-of-match pass the unsharded engine would, and the merge of
+        // complete per-part lists is the global list.
+        outcomes.clear();
+        for (part, exclude) in parts.iter().zip(&excludes) {
+            outcomes.push(plain(part, part.table, exclude, part.budget)?);
+        }
+    }
+
+    let visited = outcomes.iter().map(|o| o.visited).sum();
+    let degraded = outcomes.iter().any(|o| o.degraded);
+    let mut cut_bound = outcomes
+        .iter()
+        .fold(f64::NEG_INFINITY, |bound, o| bound.max(o.cut_bound));
+    // Scores, measures and relaxed-condition indexes are part-independent;
+    // only the id moves to global space.
+    let global = outcomes.into_iter().enumerate().flat_map(|(i, outcome)| {
+        let to_global = move |p: PartialAnswer| PartialAnswer {
+            id: router.global_of(i, p.id),
+            ..p
+        };
+        outcome.answers.into_iter().map(to_global)
+    });
+    let mut answers = merge_partial_answers(partial_budget, global);
+    // A cut plus a short merged list means the undegraded engine might have
+    // run the degree-of-match fallback (scores up to N): widen the
+    // certification bound accordingly, exactly like the single-heap engine's
+    // sparse-under-cut arm.
+    if degraded && is_multi && answers.len() < partial_budget {
+        cut_bound = cut_bound.max(interpretation.condition_count() as f64);
+    }
+    if cut_bound > f64::NEG_INFINITY {
+        let keep = answers
+            .iter()
+            .take_while(|a| a.rank_sim > cut_bound)
+            .count();
+        answers.truncate(keep);
+    }
+    Ok(PartialOutcome {
+        answers,
+        visited,
+        degraded,
+        cut_bound,
     })
 }
 
-/// The single outcome of a one-request batch. The engine returns exactly one
-/// outcome per request; the error arm is unreachable but cheaper than a
-/// panic on the serving path.
-fn take_single(mut outcomes: Vec<PartialOutcome>) -> CqadsResult<PartialOutcome> {
-    outcomes.pop().ok_or_else(|| {
-        CqadsError::Config("internal: partial engine returned no outcome".to_string())
-    })
+/// Rebuild the unsharded table in global id order from the part snapshots
+/// (record `g` comes from part `g mod N`). Only the many-parts partial phase
+/// of superlative questions pays this — see [`scatter_partial`].
+fn union_view(parts: &[Part<'_>], router: RecordRouter) -> Table {
+    let total: usize = parts.iter().map(|p| p.table.len()).sum();
+    let mut union = Table::new(parts[0].table.schema().clone());
+    for g in 0..total as u32 {
+        if let Some(record) = record_of(parts, router, RecordId(g)) {
+            if let Ok(assigned) = union.insert((*record).clone()) {
+                debug_assert_eq!(assigned, RecordId(g));
+            }
+        }
+    }
+    union
 }
 
 #[cfg(test)]
@@ -901,25 +969,35 @@ mod tests {
         table
     }
 
-    fn unsharded() -> CqadsWriter {
-        let mut writer = CqadsWriter::with_config(CqadsConfig::default());
+    fn models() -> (WordSimMatrix, TIMatrix) {
         let mut ws = WordSimMatrix::default();
         ws.insert("blue", "gold", 0.5);
-        writer.set_word_sim(ws);
         let mut ti = TIMatrix::default();
         ti.insert("accord", "camry", 4.0);
-        writer.add_domain(toy_car_domain(), seeded_table(), ti);
+        (ws, ti)
+    }
+
+    fn unsharded() -> CqadsWriter {
+        unsharded_over(toy_car_domain())
+    }
+
+    fn unsharded_over(spec: DomainSpec) -> CqadsWriter {
+        let (ws, ti) = models();
+        let mut writer = CqadsWriter::with_config(CqadsConfig::default());
+        writer.set_word_sim(ws);
+        writer.add_domain(spec, seeded_table(), ti);
         writer
     }
 
     fn sharded(n: usize) -> ShardedCqads {
+        sharded_over(n, toy_car_domain())
+    }
+
+    fn sharded_over(n: usize, spec: DomainSpec) -> ShardedCqads {
+        let (ws, ti) = models();
         let mut sharded = ShardedCqads::new(n).unwrap();
-        let mut ws = WordSimMatrix::default();
-        ws.insert("blue", "gold", 0.5);
         sharded.set_word_sim(ws);
-        let mut ti = TIMatrix::default();
-        ti.insert("accord", "camry", 4.0);
-        sharded.add_domain(toy_car_domain(), seeded_table(), ti);
+        sharded.add_domain(spec, seeded_table(), ti);
         sharded
     }
 
@@ -1077,18 +1155,37 @@ mod tests {
         assert!(matches!(err, Err(CqadsError::Config(_))));
     }
 
+    /// Every erroring question fails exactly as the unsharded system does, at
+    /// every shard count. The toy domain itself cannot make the executor fail,
+    /// so the last two cases misdeclare it: a superlative over the categorical
+    /// `color` compiles and is rejected inside `Executor::execute` (by the
+    /// validation the stripped per-part queries skip), a numeric comparison
+    /// over it is rejected by the translator.
     #[test]
     fn unknown_domain_and_empty_question_errors_match() {
-        let sharded2 = sharded(2);
-        let reference = unsharded();
-        let reader = reference.reader();
-        assert_eq!(
-            sharded2.answer_in_domain("blue cars", "boats").unwrap_err(),
-            uncached(&reader, "blue cars", "boats").unwrap_err(),
-        );
-        assert_eq!(
-            sharded2.answer_in_domain("the of and", "cars").unwrap_err(),
-            uncached(&reader, "the of and", "cars").unwrap_err(),
-        );
+        let mut misdeclared = toy_car_domain();
+        misdeclared.set_price_attribute("color");
+        misdeclared.add_type3_keyword("color", "hue");
+        let cases = [
+            (toy_car_domain(), "blue cars", "boats"),
+            (toy_car_domain(), "the of and", "cars"),
+            (
+                toy_car_domain(),
+                "honda above 9000 dollars and below 2000 dollars",
+                "cars",
+            ),
+            (misdeclared.clone(), "cheapest blue car", "cars"),
+            (misdeclared, "honda hue under 5", "cars"),
+        ];
+        for (spec, question, domain) in cases {
+            let reference = unsharded_over(spec.clone());
+            let want = uncached(&reference.reader(), question, domain).unwrap_err();
+            for n in [1, 2, 3] {
+                let got = sharded_over(n, spec.clone())
+                    .answer_in_domain(question, domain)
+                    .unwrap_err();
+                assert_eq!(got, want, "{question:?} in {domain:?} at {n} shard(s)");
+            }
+        }
     }
 }

@@ -138,6 +138,12 @@ const GATED: &[BenchSpec] = &[
                 path: &["scatter_overhead_ratio"],
                 direction: Direction::HigherIsBetter,
             },
+            // 1-shard read qps over unsharded read qps: one shard runs the
+            // same answering call as the unsharded reader, so this sits at 1.
+            Metric {
+                path: &["one_shard_ratio"],
+                direction: Direction::HigherIsBetter,
+            },
         ],
     },
     BenchSpec {

@@ -599,3 +599,40 @@ fn one_shards_exhausted_budget_degrades_only_its_contribution() {
         }
     }
 }
+
+/// N=1 is the system on the degraded path too: one shard under an already
+/// expired budget returns exactly what the unsharded writer's `answer_batch`
+/// returns under a resilience deadline already expired on the same clock —
+/// ids, kinds, `rank_sim` bits, `exact_count` and the whole [`AnswerQuality`]
+/// value, `visited` included.
+#[test]
+fn one_shard_under_an_expired_budget_is_the_unsharded_expired_batch() {
+    // A clock at the end of time: every deadline, even the resilience
+    // layer's 1 µs floor, is expired the moment its budget is created.
+    let clock = Arc::new(ManualClock::new());
+    clock.advance(u64::MAX);
+    let mut sharded = ShardedCqads::new(1).unwrap();
+    sharded.add_domain(toy_car_domain(), base_table(), TIMatrix::default());
+    let unsharded = system_with(CqadsConfig {
+        resilience: Some(ResilienceOptions {
+            deadline_micros: Some(1),
+            serve_stale_on_timeout: false,
+            clock: Arc::clone(&clock) as Arc<dyn RetryClock>,
+            ..ResilienceOptions::default()
+        }),
+        ..CqadsConfig::default()
+    });
+
+    let mut saw_degraded = false;
+    for q in QUESTIONS {
+        let expired = QueryBudget::new(Arc::clone(&clock) as Arc<dyn RetryClock>, 0);
+        let got = sharded.answer_in_domain_budgeted(q, DOMAIN, &[Some(&expired)]);
+        let got = [got.map(Arc::new)];
+        let want = unsharded.answer_batch(&[q]);
+        assert_eq!(fingerprint(&got), fingerprint(&want), "{q:?}");
+        let (got, want) = (got[0].as_ref().unwrap(), want[0].as_ref().unwrap());
+        assert_eq!(got.exact_count, want.exact_count, "{q:?}");
+        saw_degraded |= !want.quality.is_complete();
+    }
+    assert!(saw_degraded, "an expired deadline must cut something");
+}

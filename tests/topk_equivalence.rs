@@ -304,14 +304,16 @@ fn batch_api_matches_per_question_calls() {
         .collect();
     for workers in [1usize, 2, 8] {
         let matcher = PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-        let batched = matcher.partial_answers_batch(&requests, &table).unwrap();
+        let batched = matcher
+            .partial_answers_batch_budgeted(&requests, &table, None)
+            .unwrap();
         assert_eq!(batched.len(), requests.len());
-        for (r, batch_answers) in requests.iter().zip(&batched) {
+        for (r, outcome) in requests.iter().zip(&batched) {
             let single = matcher
                 .partial_answers(r.interpretation, &table, r.exclude, r.budget)
                 .unwrap();
             assert_identical(
-                batch_answers,
+                &outcome.answers,
                 &single,
                 &format!("batch vs single, workers {workers}, budget {}", r.budget),
             );
