@@ -3,8 +3,8 @@
 //!
 //! Four measurements over a generated cars table:
 //!
-//! 1. **Uncached baseline** — per-question [`CqadsSystem::answer_in_domain`] over a
-//!    repeated-question burst (the pre-cache serving cost).
+//! 1. **Uncached baseline** — per-question `ask(q).domain(d).uncached().get()` over
+//!    a repeated-question burst (the pre-cache serving cost).
 //! 2. **Cold batch** — [`CqadsSystem::answer_batch`] on an empty cache: every
 //!    distinct question misses, but the burst's partial-match phases share one
 //!    thread scope per domain and repeats share one computation.

@@ -1,25 +1,29 @@
-//! Scatter-gather sharded serving against the single-partition baseline:
-//! the same cars workload answered by [`ShardedCqads`] at shard counts
-//! [`SHARD_COUNTS`] and by an unsharded [`CqadsSystem`].
+//! Scatter-gather serving against the one-part baseline: the same cars
+//! workload answered by a [`CqadsSystem`] whose records are dealt into
+//! [`SHARD_COUNTS`] parts (`CqadsConfig::shards`) and by the default one-part
+//! system.
 //!
 //! The soak is a Zipf-skewed read stream (question `i` drawn with weight
 //! `1/(i+1)` from a seeded LCG, so a few hot questions dominate, as in the
 //! paper's query-log traces) with one routed insert per [`INSERT_EVERY`]
-//! answers — the write pattern whose cost sharding localises to a single
-//! partition. Serving caches are disabled in every phase (`cache_capacity`
-//! 0 also zeroes the cross-shard contribution cache), so each answer pays
-//! the full scatter → per-shard engine → gather merge pipeline.
+//! answers — the write pattern whose cost the partition localises to a single
+//! part. It runs twice per part count:
 //!
-//! `scatter_overhead_ratio` (= 2-shard qps / unsharded qps) is the gated
-//! metric: how much single-question throughput survives the scatter-gather
-//! detour. `one_shard_ratio` (= 1-shard qps / unsharded qps) gates "one shard
-//! costs nothing": its read path is the unsharded reader's own call, so what
-//! keeps the soak below 1 is the write side (a sharded insert republishes its
-//! shard copy-on-write; the unsharded baseline publishes nothing). Both are
-//! ratios of two timings from the same run on the same box, so they transfer
-//! across machine classes the way absolute qps cannot.
-//! Before any timing, every shard count is asserted byte-identical to the
-//! unsharded answers for the whole question list — a fast wrong merge can
+//! * **Caches off** (`cache_capacity` 0 disables the answer cache and the
+//!   per-part contribution caches alike), so each answer pays the full
+//!   scatter → per-part engine → gather merge pipeline.
+//!   `scatter_overhead_ratio` (= 2-part qps / one-part qps) is the gated
+//!   metric: how much single-question throughput survives the scatter-gather
+//!   detour. It is a ratio of two timings from the same run on the same box,
+//!   so it transfers across machine classes the way absolute qps cannot.
+//! * **Caches on** (the default config): the finer-invalidation soak. Every
+//!   insert invalidates the whole answers of its domain, and beneath them
+//!   only the written part's contributions; `ServingStats::contributions`
+//!   must show both recomputed (miss) and reused (hit) contributions. Reported,
+//!   not gated.
+//!
+//! Before any timing, every part count is asserted byte-identical to the
+//! one-part answers for the whole question list — a fast wrong merge can
 //! never win the gate.
 //!
 //! Results land in `BENCH_shard_scaling.json` at the workspace root
@@ -29,7 +33,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use addb::{Record, Value};
-use cqads::{CqadsConfig, CqadsSystem, ShardedCqads};
+use cqads::{CqadsConfig, CqadsSystem};
 use cqads_datagen::{
     affinity_model, blueprint, generate_questions, generate_table, topic_groups, QuestionMix,
 };
@@ -42,7 +46,7 @@ const TABLE_SIZE: usize = 4_000;
 const DISTINCT_QUESTIONS: usize = 16;
 const SOAK_OPS: usize = 400;
 const INSERT_EVERY: usize = 25;
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+const SHARD_COUNTS: [usize; 2] = [2, 4];
 
 struct Ingredients {
     spec: cqads::DomainSpec,
@@ -77,13 +81,7 @@ fn ingredients(table_size: usize) -> Ingredients {
     // Plain questions only: superlatives collapse the partial phase onto the
     // union view by design, which is a different (documented) code path than
     // the scatter this bench measures.
-    let mut probe = CqadsSystem::with_config(CqadsConfig::default());
-    probe.set_word_sim(ws.clone());
-    probe.add_domain(
-        spec.clone(),
-        generate_table(&bp, table_size, 4242),
-        ti.clone(),
-    );
+    let probe = system(CqadsConfig::default(), &spec, &ti, &ws, table_size);
     let table_ref = probe.database().table("cars").unwrap();
     let generated = generate_questions(&bp, table_ref, 120, 99, &QuestionMix::plain_only());
     let mut questions: Vec<String> = Vec::new();
@@ -113,41 +111,38 @@ fn ingredients(table_size: usize) -> Ingredients {
     }
 }
 
-/// Cache-off config: every answer recomputes, and `cache_capacity` 0 also
-/// zeroes the sharded contribution cache, so the timed phases measure the
-/// scatter-gather pipeline rather than cache hits.
-fn uncached_config(shards: Option<usize>) -> CqadsConfig {
-    let builder = CqadsConfig::builder().cache_capacity(0).cache_shards(0);
-    let builder = match shards {
-        Some(n) => builder.shards(n),
-        None => builder,
+/// A system over the generated cars table.
+fn system(
+    config: CqadsConfig,
+    spec: &cqads::DomainSpec,
+    ti: &TIMatrix,
+    ws: &WordSimMatrix,
+    table_size: usize,
+) -> CqadsSystem {
+    let mut system = CqadsSystem::with_config(config);
+    system.set_word_sim(ws.clone());
+    system.add_domain(
+        spec.clone(),
+        generate_table(&blueprint("cars"), table_size, 4242),
+        ti.clone(),
+    );
+    system
+}
+
+/// The system under measurement: `shards` parts (`None`: the one-part
+/// default), caches on or off. Off, every answer recomputes — `cache_capacity`
+/// 0 also disables the per-part contribution caches — so the timed phases
+/// measure the scatter-gather pipeline rather than cache hits.
+fn system_at(shards: Option<usize>, cached: bool, ing: &Ingredients) -> CqadsSystem {
+    let mut config = CqadsConfig {
+        shards,
+        ..CqadsConfig::default()
     };
-    builder.build().expect("cache-off config is valid")
-}
-
-fn unsharded_system(ing: &Ingredients) -> CqadsSystem {
-    let bp = blueprint("cars");
-    let mut system = CqadsSystem::with_config(uncached_config(None));
-    system.set_word_sim(ing.ws.clone());
-    system.add_domain(
-        ing.spec.clone(),
-        generate_table(&bp, ing.table_size, 4242),
-        ing.ti.clone(),
-    );
-    system
-}
-
-fn sharded_system(shards: usize, ing: &Ingredients) -> ShardedCqads {
-    let bp = blueprint("cars");
-    let mut system =
-        ShardedCqads::with_config(uncached_config(Some(shards))).expect("sharded config is valid");
-    system.set_word_sim(ing.ws.clone());
-    system.add_domain(
-        ing.spec.clone(),
-        generate_table(&bp, ing.table_size, 4242),
-        ing.ti.clone(),
-    );
-    system
+    if !cached {
+        config.cache_capacity = 0;
+    }
+    config.validate().expect("bench config is valid");
+    system(config, &ing.spec, &ing.ti, &ing.ws, ing.table_size)
 }
 
 /// Clone a stored record into a fresh insertable one.
@@ -162,20 +157,14 @@ fn clone_record(record: &Record) -> Record {
     builder.build()
 }
 
-/// Every shard count must produce the same bytes as the unsharded system for
+/// Every part count must produce the same bytes as the one-part system for
 /// the whole workload — asserted before any throughput is measured.
-fn assert_byte_identical(reference: &CqadsSystem, sharded: &ShardedCqads, questions: &[String]) {
+fn assert_byte_identical(reference: &CqadsSystem, sharded: &CqadsSystem, questions: &[String]) {
+    let uncached = |system: &CqadsSystem, q: &str| system.ask(q).domain("cars").uncached().get();
     for q in questions {
-        let want = reference
-            .ask(q)
-            .domain("cars")
-            .uncached()
-            .get()
-            .expect("workload question answers unsharded");
-        let got = sharded
-            .answer_in_domain(q, "cars")
-            .expect("workload question answers sharded");
-        let n = sharded.shards();
+        let want = uncached(reference, q).expect("workload question answers at one part");
+        let got = uncached(sharded, q).expect("workload question answers sharded");
+        let n = sharded.config().shards.unwrap_or(1);
         assert_eq!(want.sql, got.sql, "sql diverged at {n} shard(s) for {q:?}");
         assert_eq!(want.exact_count, got.exact_count);
         assert_eq!(want.answers.len(), got.answers.len());
@@ -233,11 +222,9 @@ struct SoakResult {
 
 /// Run the Zipf soak: `ops` reads with one insert per `insert_every` reads,
 /// all through the single `op` closure. Reads and inserts are timed in
-/// separate buckets: an insert on the sharded path pays one shard's snapshot
-/// publication (the unsharded baseline system publishes nothing), so folding
-/// it into read qps would gate on publication cost instead of the scatter
-/// overhead this bench exists to measure. The inserts still interleave with
-/// the reads, so every post-insert read runs against a freshly bumped
+/// separate buckets, so read qps gates on the scatter overhead this bench
+/// exists to measure and not on insert cost. The inserts still interleave
+/// with the reads, so every post-insert read runs against a freshly bumped
 /// generation exactly as in a live write/read mix.
 fn soak(ops: usize, insert_every: usize, cum: &[f64], mut op: impl FnMut(SoakOp)) -> SoakResult {
     let mut rng = Lcg(0x5eed_5ca1e);
@@ -263,104 +250,108 @@ fn soak(ops: usize, insert_every: usize, cum: &[f64], mut op: impl FnMut(SoakOp)
     }
 }
 
+/// Soak `system`: Zipf reads through `ask` (served from the caches, or
+/// computed from scratch when `cached` is off) beside routed inserts.
+fn soak_system(
+    system: &mut CqadsSystem,
+    cached: bool,
+    (ops, insert_every): (usize, usize),
+    questions: &[String],
+    template: &Record,
+) -> SoakResult {
+    let cum = zipf_cumulative(questions.len());
+    soak(ops, insert_every, &cum, |op| match op {
+        SoakOp::Read(q) => {
+            let request = system.ask(&questions[q]).domain("cars");
+            let request = if cached { request } else { request.uncached() };
+            std::hint::black_box(request.get().expect("soak answer"));
+        }
+        SoakOp::Insert => {
+            system
+                .insert_record("cars", clone_record(template))
+                .expect("soak insert");
+        }
+    })
+}
+
 fn bench(c: &mut Criterion) {
     let test_mode = c.is_test_mode();
     let ing = ingredients(if test_mode { 800 } else { TABLE_SIZE });
-    let (ops, insert_every) = if test_mode {
+    let shape = if test_mode {
         (24, 8)
     } else {
         (SOAK_OPS, INSERT_EVERY)
     };
+    let (ops, insert_every) = shape;
 
-    // Identity first: no throughput number counts unless every shard count
-    // merges to the exact unsharded bytes.
-    let reference = unsharded_system(&ing);
+    // Identity first: no throughput number counts unless every part count
+    // merges to the exact one-part bytes.
+    let mut reference = system_at(None, false, &ing);
     for n in SHARD_COUNTS {
-        let sharded = sharded_system(n, &ing);
-        assert_byte_identical(&reference, &sharded, &ing.questions);
+        assert_byte_identical(&reference, &system_at(Some(n), false, &ing), &ing.questions);
     }
 
-    let template = clone_record(
-        &reference
-            .database()
-            .table("cars")
-            .unwrap()
-            .iter()
-            .next()
-            .unwrap()
-            .1
-            .clone(),
-    );
-    let questions = ing.questions.clone();
-    let cum = zipf_cumulative(questions.len());
+    let first = reference.database().table("cars").unwrap().iter().next();
+    let template = clone_record(first.expect("generated table is not empty").1);
+    let questions = &ing.questions;
 
-    // Unsharded baseline soak.
-    let unsharded = {
-        let mut system = reference;
-        let questions = &questions;
-        let template = &template;
-        soak(ops, insert_every, &cum, move |op| match op {
-            SoakOp::Read(q) => {
-                let set = system
-                    .ask(&questions[q])
-                    .domain("cars")
-                    .uncached()
-                    .get()
-                    .expect("unsharded soak answer");
-                std::hint::black_box(set);
-            }
-            SoakOp::Insert => {
-                system
-                    .insert_record("cars", clone_record(template))
-                    .expect("unsharded soak insert");
-            }
-        })
-    };
+    // Caches off: the one-part baseline, then one soak per part count, each
+    // over a fresh system so the insert streams are identical across phases.
+    let unsharded = soak_system(&mut reference, false, shape, questions, &template);
     println!(
-        "shard_scaling/unsharded: {ops} reads, {} inserts ({:.1} ms), {:.0} qps",
+        "shard_scaling/one_part: {ops} reads, {} inserts ({:.1} ms), {:.0} qps",
         unsharded.inserts, unsharded.insert_ms_total, unsharded.read_qps
     );
-
-    // One soak per shard count, each over a fresh system so the insert
-    // streams are identical across phases.
     let mut sharded_results: Vec<(usize, SoakResult)> = Vec::new();
     for n in SHARD_COUNTS {
-        let mut system = sharded_system(n, &ing);
-        let questions = &questions;
-        let template = &template;
-        let result = soak(ops, insert_every, &cum, move |op| match op {
-            SoakOp::Read(q) => {
-                let set = system
-                    .answer_in_domain(&questions[q], "cars")
-                    .expect("sharded soak answer");
-                std::hint::black_box(set);
-            }
-            SoakOp::Insert => {
-                system
-                    .insert_record("cars", clone_record(template))
-                    .expect("sharded soak insert");
-            }
-        });
+        let mut system = system_at(Some(n), false, &ing);
+        let result = soak_system(&mut system, false, shape, questions, &template);
         println!(
-            "shard_scaling/{n}_shards: {ops} reads, {} inserts ({:.1} ms), {:.0} qps",
+            "shard_scaling/{n}_parts: {ops} reads, {} inserts ({:.1} ms), {:.0} qps",
             result.inserts, result.insert_ms_total, result.read_qps
         );
         sharded_results.push((n, result));
     }
-
-    let ratio_at = |shards: usize| {
-        let sharded = sharded_results.iter().find(|(n, _)| *n == shards);
-        sharded.expect("every shard count ran").1.read_qps / unsharded.read_qps
-    };
-    let scatter_overhead_ratio = ratio_at(2);
-    let one_shard_ratio = ratio_at(1);
+    let scatter_overhead_ratio = sharded_results[0].1.read_qps / unsharded.read_qps;
     let hardware_threads = std::thread::available_parallelism()
         .map(usize::from)
         .unwrap_or(1);
     println!(
         "shard_scaling: scatter_overhead_ratio {scatter_overhead_ratio:.3}, \
-         one_shard_ratio {one_shard_ratio:.3}, {hardware_threads} hardware thread(s)"
+         {hardware_threads} hardware thread(s)"
     );
+
+    // Caches on: the finer-invalidation soak. Each insert makes every cached
+    // whole answer stale; recomputing one reuses the untouched parts'
+    // contributions and recomputes the written part's.
+    let mut cached_soak = Vec::new();
+    for n in SHARD_COUNTS {
+        let mut system = system_at(Some(n), true, &ing);
+        let result = soak_system(&mut system, true, shape, questions, &template);
+        let stats = system.serving_stats();
+        println!(
+            "shard_scaling/{n}_parts cached: {:.0} qps, answers {}/{} hit, contributions {}/{} hit",
+            result.read_qps,
+            stats.cache.hits,
+            stats.cache.hits + stats.cache.misses,
+            stats.contributions.hits,
+            stats.contributions.hits + stats.contributions.misses,
+        );
+        assert!(
+            stats.contributions.hits > 0 && stats.contributions.misses > 0,
+            "a single-part write must leave other parts' contributions reusable: {stats:?}"
+        );
+        cached_soak.push((
+            n.to_string(),
+            serde_json::json!({
+                "read_qps": result.read_qps,
+                "answer_hits": stats.cache.hits,
+                "answer_misses": stats.cache.misses,
+                "contribution_hits": stats.contributions.hits,
+                "contribution_misses": stats.contributions.misses,
+            }),
+        ));
+    }
 
     if !test_mode {
         let per_shard = serde_json::Value::Object(
@@ -393,7 +384,7 @@ fn bench(c: &mut Criterion) {
             "sharded_read_qps": per_shard,
             "sharded_insert_ms_avg": per_shard_insert_ms,
             "scatter_overhead_ratio": scatter_overhead_ratio,
-            "one_shard_ratio": one_shard_ratio,
+            "cached_soak": serde_json::Value::Object(cached_soak),
         });
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
@@ -409,15 +400,12 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("shard_scaling");
     group.sample_size(10);
-    let system = sharded_system(2, &ing);
+    let system = system_at(Some(2), false, &ing);
     let q = questions[0].clone();
     group.bench_function("scatter_single_question", |b| {
         b.iter(|| {
-            std::hint::black_box(
-                system
-                    .answer_in_domain(&q, "cars")
-                    .expect("criterion scatter answer"),
-            )
+            let request = system.ask(&q).domain("cars").uncached();
+            std::hint::black_box(request.get().expect("criterion scatter answer"))
         })
     });
     group.finish();

@@ -6,6 +6,12 @@
 //! costs one hash lookup instead of a full classify → tag → interpret → execute →
 //! partial-match pass.
 //!
+//! The implementation, [`GenerationCache`], is generic over what it stores and is the
+//! crate's only cache: [`AnswerCache`] is its whole-answer instance, and a system with
+//! more than one part ([`CqadsConfig::shards`](crate::CqadsConfig::shards)) keeps one
+//! more instance per part for that part's contribution to a question (see
+//! [`crate::shard`]) — same key, same stamp protocol, same LRU and counters.
+//!
 //! # Key
 //!
 //! Entries are keyed by [`CacheKey`]: the domain name plus the question's normalized
@@ -37,7 +43,7 @@
 //! 1. A filler reads the stamp `S` **before** computing the answer and stamps the
 //!    entry with `S`. If an insert or a model update raced the computation, the
 //!    entry is stamped with the *pre-mutation* component — deliberately too old.
-//! 2. A reader passes the *current* stamp `S'` to [`AnswerCache::lookup`]. An entry
+//! 2. A reader passes the *current* stamp `S'` to [`GenerationCache::lookup`]. An entry
 //!    whose stamp trails `S'` in **either** component predates at least one
 //!    mutation of that input; it is evicted on the spot and reported as a miss.
 //!
@@ -136,25 +142,25 @@ impl GenerationStamp {
     }
 }
 
-/// One cached answer set, stamped with the (table, model) generations observed
+/// One cached value, stamped with the (table, model) generations observed
 /// before it was computed.
 #[derive(Debug)]
-struct CacheEntry {
+struct CacheEntry<V> {
     stamp: GenerationStamp,
-    answer: Arc<AnswerSet>,
+    value: V,
     /// Last-touched tick of the owning shard (LRU ordering).
     used: u64,
 }
 
 /// One lock stripe: a bounded map plus its LRU tick counter.
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<CacheKey, CacheEntry>,
+#[derive(Debug)]
+struct Shard<V> {
+    map: HashMap<CacheKey, CacheEntry<V>>,
     tick: u64,
 }
 
-/// Point-in-time counters of cache behaviour (see [`AnswerCache::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Point-in-time counters of cache behaviour (see [`GenerationCache::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -170,10 +176,23 @@ pub struct CacheStats {
     pub shards: usize,
 }
 
-/// Sharded, capacity-bounded, generation-invalidated LRU cache of answer sets.
-///
-/// See the [module docs](self) for the invalidation protocol. A capacity of `0`
-/// disables the cache entirely: lookups miss and fills are dropped.
+impl std::iter::Sum for CacheStats {
+    /// Counters and occupancy add up across caches (the per-part contribution
+    /// caches report as one).
+    fn sum<I: Iterator<Item = Self>>(stats: I) -> Self {
+        stats.fold(CacheStats::default(), |a, b| CacheStats {
+            hits: a.hits + b.hits,
+            misses: a.misses + b.misses,
+            stale_evictions: a.stale_evictions + b.stale_evictions,
+            capacity_evictions: a.capacity_evictions + b.capacity_evictions,
+            entries: a.entries + b.entries,
+            shards: a.shards + b.shards,
+        })
+    }
+}
+
+/// The serving cache of whole answers: [`GenerationCache`] over shared
+/// [`AnswerSet`]s.
 ///
 /// ```
 /// use cqads::cache::{AnswerCache, CacheKey, GenerationStamp};
@@ -202,9 +221,17 @@ pub struct CacheStats {
 /// assert!(cache.lookup(&variant, stamp).is_some());
 /// assert!(cache.lookup(&variant, GenerationStamp::new(2, 0)).is_none()); // insert
 /// ```
+pub type AnswerCache = GenerationCache<Arc<AnswerSet>>;
+
+/// Sharded, capacity-bounded, generation-invalidated LRU cache of cheaply
+/// clonable values (a hit clones the value out under the stripe lock, so store
+/// `Arc`s).
+///
+/// See the [module docs](self) for the invalidation protocol. A capacity of `0`
+/// disables the cache entirely: lookups miss and fills are dropped.
 #[derive(Debug)]
-pub struct AnswerCache {
-    shards: Box<[Mutex<Shard>]>,
+pub struct GenerationCache<V> {
+    shards: Box<[Mutex<Shard<V>>]>,
     shard_capacity: usize,
     hasher: RandomState,
     hits: AtomicU64,
@@ -213,8 +240,8 @@ pub struct AnswerCache {
     evicted: AtomicU64,
 }
 
-impl AnswerCache {
-    /// Create a cache holding at most `capacity` answer sets spread over `shards`
+impl<V: Clone> GenerationCache<V> {
+    /// Create a cache holding at most `capacity` values spread over `shards`
     /// lock stripes (both clamped to sensible minimums; `capacity == 0` disables the
     /// cache). Each shard is bounded by `ceil(capacity / shards)`.
     pub fn new(capacity: usize, shards: usize) -> Self {
@@ -224,8 +251,12 @@ impl AnswerCache {
         } else {
             capacity.div_ceil(shards)
         };
-        AnswerCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+        let stripe = || Shard {
+            map: HashMap::new(),
+            tick: 0,
+        };
+        GenerationCache {
+            shards: (0..shards).map(|_| Mutex::new(stripe())).collect(),
             shard_capacity,
             hasher: RandomState::new(),
             hits: AtomicU64::new(0),
@@ -240,7 +271,7 @@ impl AnswerCache {
         self.shard_capacity > 0
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
+    fn shard(&self, key: &CacheKey) -> &Mutex<Shard<V>> {
         let hash = self.hasher.hash_one(key);
         &self.shards[(hash as usize) % self.shards.len()]
     }
@@ -251,26 +282,26 @@ impl AnswerCache {
     /// generation and model generation, both read from one consistent view of
     /// the domain (the caller's loaded snapshot in a concurrent deployment —
     /// see [`crate::handle`]).
-    pub fn lookup(&self, key: &CacheKey, current: GenerationStamp) -> Option<Arc<AnswerSet>> {
+    pub fn lookup(&self, key: &CacheKey, current: GenerationStamp) -> Option<V> {
         if !self.is_enabled() {
             // ordering: monotone stats counter; nothing synchronizes through it.
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        enum Outcome {
-            Hit(Arc<AnswerSet>),
+        enum Outcome<V> {
+            Hit(V),
             Stale,
             Miss,
         }
         // lock: sharded stripe; the critical section is O(1) map ops plus one
-        // Arc clone — no answer computation ever happens under it.
+        // value (Arc) clone — no answer computation ever happens under it.
         let mut shard = self.shard(key).lock();
         let Shard { map, tick } = &mut *shard;
         let outcome = match map.get_mut(key) {
             Some(entry) if entry.stamp.covers(current) => {
                 *tick += 1;
                 entry.used = *tick;
-                Outcome::Hit(Arc::clone(&entry.answer))
+                Outcome::Hit(entry.value.clone())
             }
             Some(_) => {
                 map.remove(key);
@@ -283,10 +314,10 @@ impl AnswerCache {
         // only by stats(); no other memory is published through them, so
         // Relaxed increments cannot reorder anything that matters.
         match outcome {
-            Outcome::Hit(answer) => {
+            Outcome::Hit(value) => {
                 // ordering: monotone stats counter (block comment above).
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(answer)
+                Some(value)
             }
             Outcome::Stale => {
                 // ordering: monotone stats counters (block comment above).
@@ -308,25 +339,25 @@ impl AnswerCache {
     /// the fresh path misses its deadline, the pipeline may serve this entry
     /// flagged [`Stale`](crate::AnswerQuality::Stale) rather than a deeply
     /// truncated fresh answer. Never use it on a healthy path: freshness is
-    /// exactly what [`AnswerCache::lookup`] exists to prove.
-    pub fn peek_stale(&self, key: &CacheKey) -> Option<Arc<AnswerSet>> {
+    /// exactly what [`GenerationCache::lookup`] exists to prove.
+    pub fn peek_stale(&self, key: &CacheKey) -> Option<V> {
         if !self.is_enabled() {
             return None;
         }
-        // lock: sharded stripe; O(1) lookup plus one Arc clone.
+        // lock: sharded stripe; O(1) lookup plus one value (Arc) clone.
         let shard = self.shard(key).lock();
-        shard.map.get(key).map(|entry| Arc::clone(&entry.answer))
+        shard.map.get(key).map(|entry| entry.value.clone())
     }
 
-    /// Insert (or refresh) an answer stamped with the [`GenerationStamp`] that was
-    /// read **before** the answer was computed — never the stamp read afterwards, or
+    /// Insert (or refresh) a value stamped with the [`GenerationStamp`] that was
+    /// read **before** the value was computed — never the stamp read afterwards, or
     /// a mutation racing the computation could be masked (see the module docs).
-    pub fn fill(&self, key: CacheKey, stamp: GenerationStamp, answer: Arc<AnswerSet>) {
+    pub fn fill(&self, key: CacheKey, stamp: GenerationStamp, value: V) {
         if !self.is_enabled() {
             return;
         }
-        // lock: sharded stripe; the answer is already computed — the critical
-        // section only compares stamps and moves Arcs.
+        // lock: sharded stripe; the value is already computed — the critical
+        // section only compares stamps and moves it in.
         let mut shard = self.shard(&key).lock();
         shard.tick += 1;
         let tick = shard.tick;
@@ -340,14 +371,14 @@ impl AnswerCache {
                 let entry = occupied.get_mut();
                 if stamp.covers(entry.stamp) {
                     entry.stamp = stamp;
-                    entry.answer = answer;
+                    entry.value = value;
                 }
                 entry.used = tick;
             }
             std::collections::hash_map::Entry::Vacant(vacant) => {
                 vacant.insert(CacheEntry {
                     stamp,
-                    answer,
+                    value,
                     used: tick,
                 });
             }

@@ -6,7 +6,8 @@
 //! Historically every read went through one monolithic system whose
 //! `&mut self` ingest methods forced concurrent deployments to wrap it in an
 //! `RwLock` — one insert stalled every in-flight reader. This module moves the
-//! hot read state — the [`Database`] tables, the compiled [`SimilarityModel`]s behind
+//! hot read state — the [`Database`] tables (dealt into
+//! [`CqadsConfig::shards`] parts), the compiled [`SimilarityModel`] behind
 //! each domain runtime, the domain registry, the classifier and the WS
 //! matrix, i.e. everything a [`GenerationStamp`] covers — into an immutable
 //! `Snapshot` behind an [`arcswap::ArcSwap`]. Writers rebuild-and-swap
@@ -47,22 +48,23 @@
 //! * Concurrent serving: call [`CqadsWriter::reader`] once per serving thread
 //!   and keep mutating through the writer — no outer lock required.
 //!
-//! Either way there is one way to ask a single question: [`AnswerRequest`]
+//! Either way — and at every [`CqadsConfig::shards`] count, which changes how
+//! the snapshot stores a domain's records and nothing about the handles —
+//! there is one way to ask a single question: [`AnswerRequest`]
 //! (`.ask(q)[.domain(d)][.uncached()].get()`) — and one function that answers:
-//! `shard::answer_parts`, called by `ask` (one question × this snapshot), by
-//! `answer_batch` (a domain's cache misses × this snapshot) and by the
-//! [`ShardedCqads`](crate::ShardedCqads) scatter (one question × `N`
-//! snapshots). This module keeps only what wraps it: classification, the
-//! cache, admission, stale fallback and the audit trail.
+//! `shard::answer_parts`, called by `ask` (one question × this snapshot's
+//! parts) and by `answer_batch` (a domain's cache misses × this snapshot's
+//! parts). This module keeps only what wraps it: classification, the cache,
+//! admission, stale fallback and the audit trail.
 
-use crate::cache::{CacheKey, CacheStats, GenerationStamp};
+use crate::cache::{AnswerCache, CacheKey, CacheStats, GenerationCache, GenerationStamp};
 use crate::domain::DomainSpec;
 use crate::error::{CqadsError, CqadsResult};
 use crate::partial::take_single;
 use crate::pipeline::{AnswerSet, ClassifyOutcome, CqadsConfig, IngestReport};
 use crate::ranking::SimilarityModel;
 use crate::resilience::{AnswerQuality, QueryBudget, ResilienceRuntime, ServingStats};
-use crate::shard::{answer_parts, Part};
+use crate::shard::{answer_parts, in_global_order, Contribution, Part, RecordRouter};
 use crate::storage::{config_to_snap, data_to_spec, spec_to_data, DurableStorage, StorageOptions};
 use crate::tagging::{TaggedQuestion, TaggedToken, Tagger};
 use crate::translate::{interpret, Interpretation};
@@ -87,29 +89,24 @@ pub(crate) struct DomainRuntime {
     pub(crate) similarity: SimilarityModel,
 }
 
-impl DomainRuntime {
-    pub(crate) fn similarity_ti(&self) -> Arc<TIMatrix> {
-        // The similarity model keeps the TI-matrix behind an Arc; recover a
-        // shared handle for rebuilds.
-        self.similarity.ti_matrix()
-    }
-}
-
 /// The immutable hot read state, published as a unit. Cloning is cheap by
 /// construction (every heavy member is behind an `Arc`), which is what makes
 /// per-mutation republication affordable.
 #[derive(Debug, Clone)]
 pub(crate) struct Snapshot {
-    pub(crate) database: Database,
+    /// The records, dealt into `N ≥ 1` parts by the [`RecordRouter`]: part `i`
+    /// holds, for every domain, the table of the records whose global id is
+    /// `i mod N`. Everything below exists once, whatever `N` is.
+    pub(crate) parts: Vec<Database>,
     pub(crate) domains: BTreeMap<String, Arc<DomainRuntime>>,
     pub(crate) classifier: Arc<BetaBinomialNb>,
     pub(crate) word_sim: Arc<WordSimMatrix>,
 }
 
 impl Snapshot {
-    fn empty() -> Self {
+    fn empty(parts: usize) -> Self {
         Snapshot {
-            database: Database::new(),
+            parts: vec![Database::new(); parts.max(1)],
             domains: BTreeMap::new(),
             classifier: Arc::new(BetaBinomialNb::new()),
             word_sim: Arc::new(WordSimMatrix::default()),
@@ -127,51 +124,124 @@ impl Snapshot {
         runtime.ok_or_else(|| CqadsError::UnknownDomain(domain.to_string()))
     }
 
-    /// This snapshot's (unbudgeted) [`Part`] for a domain, distinguishing an
-    /// unregistered domain ([`CqadsError::UnknownDomain`]) from a registered
-    /// domain whose table is missing ([`CqadsError::MissingTable`]).
-    pub(crate) fn part(&self, domain: &str) -> CqadsResult<Part<'_>> {
+    /// The domain's table in every part, in part order; `None` when any part
+    /// lacks it.
+    pub(crate) fn tables(&self, domain: &str) -> Option<Vec<&Table>> {
+        self.parts.iter().map(|part| part.table(domain)).collect()
+    }
+
+    /// A domain's runtime and its [`Part`]s, each armed with `budget`,
+    /// distinguishing an unregistered domain ([`CqadsError::UnknownDomain`])
+    /// from a registered domain whose table is missing
+    /// ([`CqadsError::MissingTable`]).
+    pub(crate) fn domain_parts<'a>(
+        &'a self,
+        domain: &str,
+        budget: Option<&'a QueryBudget>,
+    ) -> CqadsResult<(&'a DomainRuntime, Vec<Part<'a>>)> {
         let runtime = self.runtime(domain)?;
-        let table = self
-            .database
-            .table(domain)
+        let tables = self.tables(domain);
+        let tables = tables.ok_or_else(|| CqadsError::MissingTable(domain.to_string()))?;
+        let parts = tables.into_iter().map(|table| Part { table, budget });
+        Ok((runtime, parts.collect()))
+    }
+
+    /// The domain-level table generation: the sum of the parts' — the table's
+    /// own at one part, and strictly monotone at any count because each
+    /// part's is. `None` when the domain has no table.
+    pub(crate) fn table_generation(&self, domain: &str) -> Option<u64> {
+        self.totals(domain).map(|(_, generation)| generation)
+    }
+
+    /// Raise the domain-level table generation to at least `floor` (by lifting
+    /// part 0 by the shortfall, so the sum lands on `floor` exactly and a
+    /// second recovery computes the same number).
+    fn raise_table_generation(&mut self, domain: &str, floor: u64) {
+        let shortfall = floor.saturating_sub(self.table_generation(domain).unwrap_or(0));
+        if shortfall > 0 {
+            if let Some(table) = self.parts[0].table_mut(domain) {
+                table.raise_generation(table.generation() + shortfall);
+            }
+        }
+    }
+
+    /// How many records a domain holds across its parts — the global id its
+    /// next record gets — and its domain-level table generation.
+    pub(crate) fn totals(&self, domain: &str) -> Option<(usize, u64)> {
+        self.parts
+            .iter()
+            .try_fold((0, 0), |(records, generation), part| {
+                let table = part.table(domain)?;
+                Some((records + table.len(), generation + table.generation()))
+            })
+    }
+
+    /// Insert `record` as a domain's global id `global` (its record count so
+    /// far), routed to the one part that owns the id.
+    fn insert_at(&mut self, domain: &str, global: usize, record: Record) -> CqadsResult<RecordId> {
+        let router = RecordRouter::new(self.parts.len());
+        let shard = router.shard_of(RecordId(global as u32));
+        let table = self.parts[shard]
+            .table_mut(domain)
             .ok_or_else(|| CqadsError::MissingTable(domain.to_string()))?;
-        Ok(Part {
-            runtime,
-            table,
-            budget: None,
-        })
+        let id = router.global_of(shard, table.insert(record)?);
+        debug_assert_eq!(id, RecordId(global as u32), "part tables out of step");
+        Ok(id)
+    }
+
+    /// Install `records` (in global id order) as a domain's tables: dealt to
+    /// the parts by the [`RecordRouter`], each part's table replacing (and
+    /// carrying the generation of) whatever it held under the schema's name,
+    /// the domain-level generation raised to `generation`.
+    fn install_records(
+        &mut self,
+        schema: &addb::Schema,
+        records: impl IntoIterator<Item = Record>,
+        generation: u64,
+    ) -> CqadsResult<()> {
+        let dealt = RecordRouter::new(self.parts.len()).deal(schema, records)?;
+        for (part, table) in self.parts.iter_mut().zip(dealt) {
+            part.add_table(table);
+        }
+        self.raise_table_generation(&schema.name, generation);
+        Ok(())
+    }
+
+    /// (Re)register a domain's runtime: its similarity model built over `ti`
+    /// and the current WS matrix, at generation `model_floor` or above.
+    /// Returns the model generation.
+    fn register(
+        &mut self,
+        spec: Arc<DomainSpec>,
+        tagger: Tagger,
+        ti: Arc<TIMatrix>,
+        model_floor: u64,
+    ) -> u64 {
+        let mut similarity =
+            SimilarityModel::new(ti, Arc::clone(&self.word_sim), spec.schema.clone());
+        similarity.raise_generation(model_floor);
+        let generation = similarity.generation();
+        let runtime = DomainRuntime {
+            spec: Arc::clone(&spec),
+            tagger,
+            similarity,
+        };
+        self.domains
+            .insert(spec.name().to_string(), Arc::new(runtime));
+        generation
     }
 
     /// Rebuild one domain from its persisted form with its *exact* persisted
     /// generations — no WAL writes, no extra bumps (recovery controls the
     /// floors itself). Returns the domain name.
     pub(crate) fn restore_domain(&mut self, snap: &DomainSnap) -> CqadsResult<String> {
-        let spec = data_to_spec(&snap.spec);
-        let name = spec.name().to_string();
-        let table = Table::from_records(
-            snap.spec.schema.clone(),
-            snap.records.iter().cloned(),
-            snap.table_gen,
-        )?;
-        let spec = Arc::new(spec);
+        let records = snap.records.iter().cloned();
+        self.install_records(&snap.spec.schema, records, snap.table_gen)?;
+        let spec = Arc::new(data_to_spec(&snap.spec));
         let tagger = Tagger::from_arc(Arc::clone(&spec));
-        let mut similarity = SimilarityModel::new(
-            Arc::new(TIMatrix::from_state(&snap.ti)),
-            Arc::clone(&self.word_sim),
-            spec.schema.clone(),
-        );
-        similarity.raise_generation(snap.model_gen);
-        self.database.add_table(table);
-        self.domains.insert(
-            name.clone(),
-            Arc::new(DomainRuntime {
-                spec,
-                tagger,
-                similarity,
-            }),
-        );
-        Ok(name)
+        let ti = Arc::new(TIMatrix::from_state(&snap.ti));
+        self.register(Arc::clone(&spec), tagger, ti, snap.model_gen);
+        Ok(spec.name().to_string())
     }
 
     /// Swap in a WS matrix and rebuild every per-domain similarity model
@@ -181,24 +251,11 @@ impl Snapshot {
     /// the floors itself.
     pub(crate) fn rebuild_models_with_word_sim(&mut self, matrix: WordSimMatrix, bump: bool) {
         self.word_sim = Arc::new(matrix);
-        let runtimes: Vec<(String, Arc<DomainRuntime>)> = self
-            .domains
-            .iter()
-            .map(|(name, runtime)| (name.clone(), Arc::clone(runtime)))
-            .collect();
-        for (name, runtime) in runtimes {
-            let ti = runtime.similarity_ti();
-            let schema = runtime.spec.schema.clone();
-            let mut similarity = SimilarityModel::new(ti, Arc::clone(&self.word_sim), schema);
-            similarity.raise_generation(runtime.similarity.generation() + u64::from(bump));
-            self.domains.insert(
-                name,
-                Arc::new(DomainRuntime {
-                    spec: Arc::clone(&runtime.spec),
-                    tagger: runtime.tagger.clone(),
-                    similarity,
-                }),
-            );
+        let runtimes: Vec<Arc<DomainRuntime>> = self.domains.values().cloned().collect();
+        for runtime in runtimes {
+            let floor = runtime.similarity.generation() + u64::from(bump);
+            let ti = runtime.similarity.ti_matrix();
+            self.register(Arc::clone(&runtime.spec), runtime.tagger.clone(), ti, floor);
         }
     }
 }
@@ -211,7 +268,11 @@ pub(crate) struct Shared {
     /// The published snapshot. Readers load it; the writer swaps it.
     pub(crate) snapshot: ArcSwap<Snapshot>,
     pub(crate) config: CqadsConfig,
-    pub(crate) cache: crate::cache::AnswerCache,
+    pub(crate) cache: AnswerCache,
+    /// Beneath the whole-answer cache, one cache per part of that part's
+    /// contribution to a question (`crate::shard`, "Finer invalidation").
+    /// Empty at one part, where a contribution *is* the answer.
+    pub(crate) contributions: Vec<GenerationCache<Arc<Contribution>>>,
     pub(crate) storage: Option<DurableStorage>,
     pub(crate) resilience: Option<ResilienceRuntime>,
     /// Time source for answer timing and audit frames. Shared with the
@@ -231,6 +292,7 @@ impl Shared {
     pub(crate) fn serving_stats(&self) -> ServingStats {
         ServingStats {
             cache: self.cache.stats(),
+            contributions: self.contributions.iter().map(|c| c.stats()).sum(),
             audit_failures: self.audit_failures(),
             shed: self.resilience.as_ref().map_or(0, |r| r.shed()),
             degraded: self.resilience.as_ref().map_or(0, |r| r.degraded()),
@@ -306,14 +368,20 @@ impl<'a> ReadContext<'a> {
             }
         };
         let compute = || -> CqadsResult<Arc<AnswerSet>> {
-            let part = self.snap.part(domain)?;
+            let (runtime, parts) = self.snap.domain_parts(domain, None)?;
+            // An uncached ask computes from scratch at every layer.
+            let contributions: &[_] = if cached {
+                &self.shared.contributions
+            } else {
+                &[]
+            };
             take_single(answer_parts(
                 &self.shared.config,
                 self.shared.clock.as_ref(),
-                domain,
+                runtime,
                 &[question],
-                &[part],
-                None,
+                &parts,
+                contributions,
             )?)?
             .map(Arc::new)
         };
@@ -378,11 +446,11 @@ impl<'a> ReadContext<'a> {
     }
 
     /// The domain's current [`GenerationStamp`] **as of this context's
-    /// snapshot**: its table generation paired with its similarity-model
-    /// generation. `None` when the domain is unregistered or its table is
-    /// missing (the uncached path then reports the precise error).
+    /// snapshot**: its (domain-level) table generation paired with its
+    /// similarity-model generation. `None` when the domain is unregistered or
+    /// its table is missing (the uncached path then reports the precise error).
     fn current_stamp(self, domain: &str) -> Option<GenerationStamp> {
-        let table = self.snap.database.generation(domain)?;
+        let table = self.snap.table_generation(domain)?;
         let model = self.snap.domains.get(domain)?.similarity.generation();
         Some(GenerationStamp::new(table, model))
     }
@@ -524,20 +592,22 @@ impl<'a> ReadContext<'a> {
         // partial-match fan-out per domain), then degrade + back-fill.
         for (domain, slot_indices) in misses_by_domain {
             let missed: Vec<&str> = slot_indices.iter().map(|&s| slots[s].question).collect();
-            let computed = self.snap.part(domain).and_then(|part| {
-                let part = Part {
-                    budget: budget.as_ref(),
-                    ..part
-                };
+            // One budget arms every part.
+            let parts = self.snap.domain_parts(domain, budget.as_ref());
+            let computed = parts.and_then(|(runtime, parts)| {
                 // Stamp read from this snapshot before any computation: a
                 // concurrently published mutation can only make the filled
                 // entries look *older* than the post-mutation stamp.
-                let stamp = part.stamp();
+                let stamp = GenerationStamp::new(
+                    parts.iter().map(|part| part.table.generation()).sum(),
+                    runtime.similarity.generation(),
+                );
                 let config = &self.shared.config;
                 let clock = self.shared.clock.as_ref();
+                let contributions = &self.shared.contributions;
                 Ok((
                     stamp,
-                    answer_parts(config, clock, domain, &missed, &[part], None)?,
+                    answer_parts(config, clock, runtime, &missed, &parts, contributions)?,
                 ))
             });
             let (stamp, computed) = match computed {
@@ -715,11 +785,14 @@ fn audit_record(
 /// ([`CqadsWriter::add_domain`], [`CqadsWriter::set_word_sim`]) are
 /// **best-effort**: the in-memory mutation always happens, and a storage
 /// failure is parked for the next fallible call (or
-/// [`CqadsWriter::take_deferred_storage_error`]).
+/// [`CqadsWriter::take_deferred_error`]).
 #[derive(Debug)]
 pub struct CqadsWriter {
     pub(crate) shared: Arc<Shared>,
     pub(crate) master: Snapshot,
+    /// The failure of a best-effort entry point, parked for the next fallible
+    /// call.
+    deferred: Option<CqadsError>,
 }
 
 impl CqadsWriter {
@@ -784,7 +857,13 @@ impl CqadsWriter {
     }
 
     fn assemble(master: Snapshot, config: CqadsConfig, storage: Option<DurableStorage>) -> Self {
-        let cache = crate::cache::AnswerCache::new(config.cache_capacity, config.cache_shards);
+        let cache = AnswerCache::new(config.cache_capacity, config.cache_shards);
+        let contributions = match master.parts.len() {
+            1 => Vec::new(),
+            n => (0..n)
+                .map(|_| GenerationCache::new(config.cache_capacity, config.cache_shards))
+                .collect(),
+        };
         let resilience = config.resilience.clone().map(ResilienceRuntime::new);
         let clock: Arc<dyn RetryClock> = match &config.resilience {
             Some(opts) => Arc::clone(&opts.clock),
@@ -796,16 +875,25 @@ impl CqadsWriter {
             snapshot: ArcSwap::new(Arc::new(master.clone())),
             config,
             cache,
+            contributions,
             storage,
             resilience,
             clock,
         });
-        CqadsWriter { shared, master }
+        CqadsWriter {
+            shared,
+            master,
+            deferred: None,
+        }
     }
 
     fn open_internal(mut config: CqadsConfig, prefer_snapshot_config: bool) -> CqadsResult<Self> {
+        // Nothing about the partition is persisted (the router is arithmetic
+        // over global insertion order), so recovery deals whatever it finds
+        // into this process's part count: resharding is a reopen.
+        let mut master = Snapshot::empty(config.shards.unwrap_or(1));
         let Some(opts) = config.storage.clone() else {
-            return Ok(Self::assemble(Snapshot::empty(), config, None));
+            return Ok(Self::assemble(master, config, None));
         };
         let (mut engine, recovered) =
             StorageEngine::open(Arc::clone(&opts.vfs), &opts.dir, opts.fsync)
@@ -820,7 +908,6 @@ impl CqadsWriter {
                 crate::storage::apply_snap_to_config(&mut config, &snap.config);
             }
         }
-        let mut master = Snapshot::empty();
 
         // Highest (table, model) generation per domain that any persisted
         // artifact proves was observable before the crash. Recovery must end
@@ -875,12 +962,10 @@ impl CqadsWriter {
                     record,
                     table_gen,
                 } => {
-                    let table = master
-                        .database
-                        .table_mut(&domain)
+                    let (next, _) = master
+                        .totals(&domain)
                         .ok_or_else(|| CqadsError::MissingTable(domain.clone()))?;
-                    table.insert(record)?;
-                    table.raise_generation(table_gen);
+                    master.insert_at(&domain, next, record)?;
                     observe(&mut targets, &domain, table_gen, 0);
                 }
                 WalRecord::LogDelta {
@@ -923,9 +1008,7 @@ impl CqadsWriter {
         // every stamp the crashed process can possibly have handed out.
         let bump = report.generation_safety_bump;
         for (name, (table_target, model_target)) in &targets {
-            if let Some(table) = master.database.table_mut(name) {
-                table.raise_generation(table_target + bump);
-            }
+            master.raise_table_generation(name, table_target + bump);
             if let Some(runtime) = master.domains.get_mut(name) {
                 Arc::make_mut(runtime)
                     .similarity
@@ -941,7 +1024,7 @@ impl CqadsWriter {
                 .map(|name| {
                     (
                         name.clone(),
-                        master.database.generation(name).unwrap_or(0),
+                        master.table_generation(name).unwrap_or(0),
                         master.model_generation(name).unwrap_or(0),
                     )
                 })
@@ -1068,9 +1151,11 @@ impl CqadsWriter {
         self.master.domains.keys().map(String::as_str).collect()
     }
 
-    /// The underlying ads database.
+    /// The underlying ads database — the whole of it at one part; with
+    /// [`CqadsConfig::shards`] `> 1`, part 0 of it (the records whose id is
+    /// `0 mod N`, under their part-local ids).
     pub fn database(&self) -> &Database {
-        &self.master.database
+        &self.master.parts[0]
     }
 
     /// The domain specification of a registered domain.
@@ -1081,7 +1166,7 @@ impl CqadsWriter {
     /// The current model generation of a registered domain (bumped by
     /// [`CqadsWriter::ingest_query_log`] and [`CqadsWriter::set_word_sim`]); `None`
     /// for unregistered domains. The table-side counterpart is
-    /// [`addb::Database::generation`].
+    /// [`CqadsReader::table_generation`].
     pub fn model_generation(&self, domain: &str) -> Option<u64> {
         self.master.model_generation(domain)
     }
@@ -1110,12 +1195,7 @@ impl CqadsWriter {
     /// the [type docs](CqadsWriter) on the error model);
     /// [`CqadsWriter::try_set_word_sim`] observes it immediately.
     pub fn set_word_sim(&mut self, matrix: WordSimMatrix) {
-        if let Err(CqadsError::Storage(e)) = self.set_word_sim_inner(matrix) {
-            if let Some(storage) = &self.shared.storage {
-                storage.defer_error(e);
-            }
-        }
-        self.publish_if_observed();
+        self.mutate_best_effort(|writer| writer.set_word_sim_inner(matrix));
     }
 
     /// Fallible form of [`CqadsWriter::set_word_sim`]: surfaces any deferred
@@ -1123,11 +1203,7 @@ impl CqadsWriter {
     /// in-memory swap has happened either way — the matrix is installed but
     /// not persisted).
     pub fn try_set_word_sim(&mut self, matrix: WordSimMatrix) -> CqadsResult<()> {
-        let result = self
-            .surface_deferred()
-            .and_then(|()| self.set_word_sim_inner(matrix));
-        self.publish_if_observed();
-        result
+        self.mutate(|writer| writer.set_word_sim_inner(matrix))
     }
 
     fn set_word_sim_inner(&mut self, matrix: WordSimMatrix) -> CqadsResult<()> {
@@ -1145,32 +1221,27 @@ impl CqadsWriter {
         Ok(())
     }
 
-    /// Register an ads domain. Best-effort on a durable system (see the
+    /// Register an ads domain. At one part `table` is moved in as it is; at
+    /// [`CqadsConfig::shards`] `> 1` its records are dealt, in id order, into
+    /// one table per part under `table`'s own schema. Best-effort (see the
     /// [type docs](CqadsWriter) on the error model);
-    /// [`CqadsWriter::try_add_domain`] observes storage failures immediately.
+    /// [`CqadsWriter::try_add_domain`] observes failures immediately.
     pub fn add_domain(&mut self, spec: DomainSpec, table: Table, ti_matrix: TIMatrix) {
-        if let Err(CqadsError::Storage(e)) = self.add_domain_inner(spec, table, ti_matrix) {
-            if let Some(storage) = &self.shared.storage {
-                storage.defer_error(e);
-            }
-        }
-        self.publish_if_observed();
+        self.mutate_best_effort(|writer| writer.add_domain_inner(spec, table, ti_matrix));
     }
 
     /// Fallible form of [`CqadsWriter::add_domain`]: surfaces any deferred
-    /// storage error first, then reports an append failure immediately (the
-    /// domain is registered in memory either way, but not persisted).
+    /// error first, then reports a failure immediately — a record the deal
+    /// could not place ([`CqadsError::Database`]; nothing was registered), or
+    /// an append failure (the domain is registered in memory, but not
+    /// persisted).
     pub fn try_add_domain(
         &mut self,
         spec: DomainSpec,
         table: Table,
         ti_matrix: TIMatrix,
     ) -> CqadsResult<()> {
-        let result = self
-            .surface_deferred()
-            .and_then(|()| self.add_domain_inner(spec, table, ti_matrix));
-        self.publish_if_observed();
-        result
+        self.mutate(|writer| writer.add_domain_inner(spec, table, ti_matrix))
     }
 
     fn add_domain_inner(
@@ -1188,29 +1259,26 @@ impl CqadsWriter {
                 ti_matrix.export_state(),
             )
         });
+        // The records first: the one step that can fail, before anything is
+        // registered.
+        match self.master.parts.as_mut_slice() {
+            [only] => only.add_table(table),
+            _ => self.master.install_records(
+                table.schema(),
+                table.iter().map(|(_, record)| record.clone()),
+                table.generation(),
+            )?,
+        }
         let name = spec.name().to_string();
         let spec = Arc::new(spec);
         let tagger = Tagger::from_arc(Arc::clone(&spec));
-        let mut similarity = SimilarityModel::new(
-            Arc::new(ti_matrix),
-            Arc::clone(&self.master.word_sim),
-            spec.schema.clone(),
-        );
-        if let Some(previous) = self.master.domains.get(&name) {
-            similarity.raise_generation(previous.similarity.generation() + 1);
-        }
-        let model_gen = similarity.generation();
-        self.master.database.add_table(table);
-        self.master.domains.insert(
-            name.clone(),
-            Arc::new(DomainRuntime {
-                spec,
-                tagger,
-                similarity,
-            }),
-        );
+        // Re-registration moves the model generation past the replaced one.
+        let floor = self.master.model_generation(&name).map_or(0, |g| g + 1);
+        let model_gen = self
+            .master
+            .register(spec, tagger, Arc::new(ti_matrix), floor);
         if let Some((spec, records, ti)) = persisted {
-            let table_gen = self.master.database.generation(&name).unwrap_or(0);
+            let table_gen = self.master.table_generation(&name).unwrap_or(0);
             self.append_mutations(vec![WalRecord::RegisterDomain {
                 spec: Box::new(spec),
                 records,
@@ -1222,19 +1290,25 @@ impl CqadsWriter {
         Ok(())
     }
 
-    /// Surface (and clear) a storage error deferred by an infallible entry
-    /// point — every fallible mutation path calls this first so a deferred
-    /// failure cannot go unnoticed for longer than one mutation.
-    fn surface_deferred(&self) -> CqadsResult<()> {
-        match self
-            .shared
-            .storage
-            .as_ref()
-            .and_then(|s| s.take_deferred_error())
-        {
-            Some(e) => Err(CqadsError::Storage(e)),
-            None => Ok(()),
+    /// A fallible mutation entry point: surface (and clear) an error deferred
+    /// by a best-effort one first — so a deferred failure cannot go unnoticed
+    /// for longer than one mutation — then mutate and republish.
+    fn mutate<T>(&mut self, mutation: impl FnOnce(&mut Self) -> CqadsResult<T>) -> CqadsResult<T> {
+        let result = match self.deferred.take() {
+            Some(e) => Err(e),
+            None => mutation(self),
+        };
+        self.publish_if_observed();
+        result
+    }
+
+    /// A best-effort mutation entry point: mutate and republish; a failure is
+    /// parked for the next fallible call (the first one wins until taken).
+    fn mutate_best_effort(&mut self, mutation: impl FnOnce(&mut Self) -> CqadsResult<()>) {
+        if let Err(e) = mutation(self) {
+            self.deferred.get_or_insert(e);
         }
+        self.publish_if_observed();
     }
 
     /// Persist mutation frames in one WAL append (one fsync), then run the
@@ -1277,10 +1351,12 @@ impl CqadsWriter {
             .domains
             .iter()
             .map(|(name, runtime)| {
-                let (table_gen, records) = match self.master.database.table(name) {
-                    Some(table) => (
-                        table.generation(),
-                        table.iter().map(|(_, r)| r.clone()).collect(),
+                // Storage sees the union: every record in global id order
+                // under the domain-level generation, whatever the part count.
+                let (table_gen, records) = match self.master.tables(name) {
+                    Some(tables) => (
+                        tables.iter().map(|table| table.generation()).sum(),
+                        in_global_order(&tables).cloned().collect(),
                     ),
                     None => (0, Vec::new()),
                 };
@@ -1325,9 +1401,7 @@ impl CqadsWriter {
         domain: &str,
         records: Vec<Record>,
     ) -> CqadsResult<Vec<RecordId>> {
-        let result = self.insert_record_batch_inner(domain, records);
-        self.publish_if_observed();
-        result
+        self.mutate(|writer| writer.insert_record_batch_inner(domain, records))
     }
 
     fn insert_record_batch_inner(
@@ -1335,23 +1409,26 @@ impl CqadsWriter {
         domain: &str,
         records: Vec<Record>,
     ) -> CqadsResult<Vec<RecordId>> {
-        self.surface_deferred()?;
         if !self.master.domains.contains_key(domain) {
             return Err(CqadsError::UnknownDomain(domain.to_string()));
         }
         let durable = self.shared.storage.is_some();
-        let table = self
+        // Each record goes to the one part that owns the next global id; a
+        // successful insert advances that part's — and so the domain-level —
+        // generation by exactly one.
+        let (mut next, mut generation) = self
             .master
-            .database
-            .table_mut(domain)
+            .totals(domain)
             .ok_or_else(|| CqadsError::MissingTable(domain.to_string()))?;
         let mut ids = Vec::with_capacity(records.len());
         let mut frames = Vec::new();
         let mut failure: Option<CqadsError> = None;
         for record in records {
             let persisted = if durable { Some(record.clone()) } else { None };
-            match table.insert(record) {
+            match self.master.insert_at(domain, next, record) {
                 Ok(id) => {
+                    next += 1;
+                    generation += 1;
                     ids.push(id);
                     if let Some(record) = persisted {
                         // One frame per record: a single frame never advances
@@ -1360,12 +1437,12 @@ impl CqadsWriter {
                         frames.push(WalRecord::Insert {
                             domain: domain.to_string(),
                             record,
-                            table_gen: table.generation(),
+                            table_gen: generation,
                         });
                     }
                 }
                 Err(e) => {
-                    failure = Some(e.into());
+                    failure = Some(e);
                     break;
                 }
             }
@@ -1383,9 +1460,11 @@ impl CqadsWriter {
     /// correctly — but the writer cannot see the mutation happen, so
     /// detached readers only observe it after the next mutation method or an
     /// explicit [`CqadsWriter::publish`]. Nothing is written to durable
-    /// storage through this handle.
+    /// storage through this handle, and with [`CqadsConfig::shards`] `> 1` it
+    /// reaches part 0 only (see [`CqadsWriter::database`]) — insert through
+    /// [`CqadsWriter::insert_record`] there, which routes.
     pub fn database_mut(&mut self) -> &mut Database {
-        &mut self.master.database
+        &mut self.master.parts[0]
     }
 
     /// Absorb one batch of freshly recorded query-log sessions into a
@@ -1420,9 +1499,7 @@ impl CqadsWriter {
         domain: &str,
         deltas: &[QueryLogDelta],
     ) -> CqadsResult<IngestReport> {
-        let result = self.ingest_query_log_batch_inner(domain, deltas);
-        self.publish_if_observed();
-        result
+        self.mutate(|writer| writer.ingest_query_log_batch_inner(domain, deltas))
     }
 
     fn ingest_query_log_batch_inner(
@@ -1430,7 +1507,6 @@ impl CqadsWriter {
         domain: &str,
         deltas: &[QueryLogDelta],
     ) -> CqadsResult<IngestReport> {
-        self.surface_deferred()?;
         let durable = self.shared.storage.is_some();
         let runtime = self
             .master
@@ -1487,13 +1563,10 @@ impl CqadsWriter {
             .and_then(|s| s.last_audit_error())
     }
 
-    /// Take (and clear) a storage error deferred by a best-effort mutation
-    /// entry point.
-    pub fn take_deferred_storage_error(&self) -> Option<StorageError> {
-        self.shared
-            .storage
-            .as_ref()
-            .and_then(|s| s.take_deferred_error())
+    /// Take (and clear) the error deferred by a best-effort mutation entry
+    /// point.
+    pub fn take_deferred_error(&mut self) -> Option<CqadsError> {
+        self.deferred.take()
     }
 }
 
@@ -1585,10 +1658,11 @@ impl CqadsReader {
     }
 
     /// The table generation of a registered domain, as of the published
-    /// snapshot.
+    /// snapshot: the sum of its parts' [`addb::Table::generation`]s, which at
+    /// one part is the table's own.
     pub fn table_generation(&self, domain: &str) -> Option<u64> {
         let snap = self.shared.snapshot.load();
-        snap.database.generation(domain)
+        snap.table_generation(domain)
     }
 
     /// The pipeline configuration this system was built with.

@@ -51,13 +51,12 @@
 //! There is one production partial-match engine ([`partial`]) and one trusted
 //! reference it is differentially tested against ([`oracle`]).
 //!
-//! **Sharded serving** ([`shard`]) partitions every domain's records across N
-//! independent writer/reader pairs behind one [`ShardedCqads`] front-end:
-//! reads scatter to every shard's snapshot and gather through the same
-//! deterministic top-k merge the partial-match workers use, so the sharded
-//! answer is byte-identical to the unsharded one; writes route to exactly one
-//! shard and bump only that shard's generations — see `ARCHITECTURE.md`
-//! invariant #9.
+//! **Sharded serving** ([`shard`]) is a property of the one snapshot, not a
+//! second system: [`CqadsConfig::shards`] deals every domain's records into N
+//! part tables, reads scatter to the parts and gather through the same
+//! deterministic top-k merge the partial-match workers use, so the answer is
+//! byte-identical at every N; writes route to exactly one part and bump only
+//! that part's generation — see `ARCHITECTURE.md` invariant #9.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

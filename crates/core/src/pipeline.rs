@@ -148,12 +148,15 @@ pub struct CqadsConfig {
     /// Like [`CqadsConfig::storage`], these knobs describe *this process* and
     /// are never persisted in snapshots.
     pub resilience: Option<ResilienceOptions>,
-    /// Scatter-gather shard count for [`ShardedCqads`](crate::shard::ShardedCqads).
-    /// `None` (the default) and `Some(1)` are byte-identical to the unsharded
-    /// system; `Some(n)` partitions every domain's records across `n`
-    /// independent writer/reader pairs. A plain [`CqadsWriter`] ignores the knob
-    /// (it always serves one partition); `ShardedCqads::with_config` honours
-    /// it. [`CqadsConfig::validate`] lists the combinations it rejects.
+    /// Part count: `Some(n)` deals every domain's records into `n` tables
+    /// inside the one snapshot (record `g` to part `g mod n`), answered by
+    /// scatter-gather ([`crate::shard`]). `None` (the default) and `Some(1)`
+    /// are the same one-part system. Answers are byte-identical for every
+    /// count, and the knob combines with every other one — the answer cache,
+    /// [`CqadsConfig::resilience`] and [`CqadsConfig::storage`] exist once and
+    /// serve any count. Like those two it describes *this process* and is
+    /// never persisted: reopening a store with a different count re-deals the
+    /// same records.
     pub shards: Option<usize>,
 }
 
@@ -184,13 +187,10 @@ impl CqadsConfig {
     /// Check this configuration for combinations that cannot work:
     /// a zero answer limit, a partial threshold above the answer limit,
     /// zero cache shards with a non-zero cache capacity, or a resilience
-    /// deadline floor above the deadline itself. The shard rules live here too,
-    /// and nowhere else: `shards` must be at least 1 when set, and cannot be
-    /// combined with [`CqadsConfig::storage`] (each shard would need its own
-    /// WAL) or with [`CqadsConfig::resilience`] (admission and deadlines are not
-    /// threaded through the scatter path) — both ROADMAP follow-ups, rejected
-    /// rather than silently ignored. [`CqadsConfigBuilder::build`] runs this
-    /// automatically; call it directly when constructing the struct by hand.
+    /// deadline floor above the deadline itself, or zero `shards`. Every
+    /// other combination of knobs works and answers identically.
+    /// [`CqadsConfigBuilder::build`] runs this automatically; call it directly
+    /// when constructing the struct by hand.
     pub fn validate(&self) -> CqadsResult<()> {
         if self.answer_limit == 0 {
             return Err(CqadsError::Config(
@@ -214,22 +214,7 @@ impl CqadsConfig {
         if self.shards == Some(0) {
             return Err(CqadsError::Config(
                 "shards must be at least 1 when set (None and Some(1) both mean \
-                 the unsharded single-partition system)"
-                    .to_string(),
-            ));
-        }
-        if self.shards.is_some() && self.storage.is_some() {
-            return Err(CqadsError::Config(
-                "shards cannot be combined with durable storage yet: each shard \
-                 owns an independent generation space and would need its own WAL \
-                 (ROADMAP follow-up)"
-                    .to_string(),
-            ));
-        }
-        if self.shards.is_some() && self.resilience.is_some() {
-            return Err(CqadsError::Config(
-                "shards cannot be combined with the resilience layer yet; inject \
-                 per-shard QueryBudgets via ShardedCqads::answer_in_domain_budgeted"
+                 the one-part system)"
                     .to_string(),
             ));
         }
@@ -319,7 +304,7 @@ impl CqadsConfigBuilder {
         self
     }
 
-    /// Scatter-gather shard count for [`ShardedCqads`](crate::shard::ShardedCqads).
+    /// Part count ([`CqadsConfig::shards`]).
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = Some(shards);
         self
@@ -915,28 +900,18 @@ mod tests {
             Err(CqadsError::Config(_))
         ));
 
-        // The shard rules are the builder's too: no sharded constructor has
-        // to re-check what `build` already refused.
-        for (builder, needle) in [
-            (CqadsConfig::builder().shards(0), "shards"),
-            (
-                CqadsConfig::builder()
-                    .shards(2)
-                    .storage(StorageOptions::at("/tmp/nowhere")),
-                "durable storage",
-            ),
-            (
-                CqadsConfig::builder()
-                    .shards(2)
-                    .resilience(ResilienceOptions::default()),
-                "resilience",
-            ),
-        ] {
-            match builder.build() {
-                Err(CqadsError::Config(msg)) => assert!(msg.contains(needle), "{msg}"),
-                other => panic!("expected Config error, got {other:?}"),
-            }
+        // Zero parts is the one shard count that cannot work; every other
+        // one combines with storage and resilience.
+        match CqadsConfig::builder().shards(0).build() {
+            Err(CqadsError::Config(msg)) => assert!(msg.contains("shards"), "{msg}"),
+            other => panic!("expected Config error, got {other:?}"),
         }
+        assert!(CqadsConfig::builder()
+            .shards(2)
+            .storage(StorageOptions::at("/tmp/nowhere"))
+            .resilience(ResilienceOptions::default())
+            .build()
+            .is_ok());
         assert!(CqadsConfig::builder().shards(2).build().is_ok());
     }
 
@@ -1312,7 +1287,7 @@ mod tests {
             car("honda", "accord", "blue", "automatic", 1.0, 2004.0),
         )
         .unwrap();
-        assert!(sys.take_deferred_storage_error().is_none());
+        assert!(sys.take_deferred_error().is_none());
     }
 
     #[test]
@@ -1355,12 +1330,12 @@ mod tests {
 
     #[test]
     fn memory_only_system_reports_no_storage() {
-        let sys = system();
+        let mut sys = system();
         assert!(!sys.is_durable());
         assert!(sys.storage_report().is_none());
         assert_eq!(sys.audit_failures(), 0);
         assert!(sys.last_audit_error().is_none());
-        assert!(sys.take_deferred_storage_error().is_none());
+        assert!(sys.take_deferred_error().is_none());
         assert_eq!(sys.write_snapshot().unwrap(), None);
         assert_eq!(sys.audit_sessions("cars").unwrap(), Vec::<Session>::new());
     }

@@ -201,6 +201,11 @@ impl QueryBudget {
 pub struct ServingStats {
     /// Answer-cache counters (hits, misses, evictions, occupancy).
     pub cache: CacheStats,
+    /// The per-part contribution caches beneath the answer cache, summed
+    /// (all zero at one part, where they do not exist): after an insert into
+    /// one of `N` parts, the next ask of a cached question adds one miss and
+    /// `N − 1` hits here — the finer-invalidation observable.
+    pub contributions: CacheStats,
     /// Best-effort audit frames that failed to persist (after retries).
     pub audit_failures: u64,
     /// Batches rejected by admission control with `Overloaded`.

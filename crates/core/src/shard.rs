@@ -1,131 +1,137 @@
-//! Scatter-gather sharded serving: N independent per-domain partitions behind
-//! one byte-identical `answer` call.
+//! The partition and the one answering core: a domain's records dealt into `N`
+//! parts of one snapshot, answered by scatter-gather byte-identically to one
+//! table.
 //!
 //! # Why
 //!
 //! PR 2's worker sharding splits the record-id space *inside* one matcher call
-//! over one table; production scale wants N independent shards per domain —
-//! each a full [`CqadsWriter`]/[`CqadsReader`] pair with its own posting
-//! lists, its own answer-cache stripes and its own [`GenerationStamp`] space —
-//! answered by scatter-gather. [`ShardedCqads`] is that layer: writes route to
-//! exactly one shard (bumping only that shard's generations, so unrelated
-//! shards' cached contributions survive — see the contribution cache below),
-//! reads load every shard's published snapshot and hand them, as `N` parts,
-//! to the one answering core.
+//! over one table; production scale wants a domain's records in `N` tables —
+//! each with its own posting lists and its own table generation — so that an
+//! insert touches (and, with readers attached, copies) one `N`-th of the data
+//! and leaves the other parts' cached work valid. The partition is a property
+//! of the one snapshot, not a second system:
+//! [`CqadsConfig::shards`](crate::CqadsConfig::shards) picks `N`, a
+//! [`CqadsWriter`] deals every record to a part through the [`RecordRouter`],
+//! and everything else — the domain's spec, tagger and similarity model, the
+//! classifier, the WS matrix, the answer cache, admission, deadlines, the audit
+//! trail, durable storage — exists once, whatever `N` is. [`ShardedCqads`] is
+//! a constructor kept for callers that name it.
 //!
 //! # One core, two arms
 //!
 //! `answer_parts` is the whole answering procedure (§4.3) over `k` questions
-//! × `N` parts (a `Part` is one snapshot's runtime and table for the domain),
-//! and the only one: the unsharded `ask` and `answer_batch` ([`crate::handle`])
-//! call it with their one snapshot, [`ShardedCqads`] with its `N`. Compilation,
-//! the exact answers, the partial budget and the final absorb/truncate are
-//! shared; the exact and the partial stage each have two arms, selected by
-//! `parts.len()` and nothing else. One part runs the executor on the query as
-//! compiled and one batched partial fan-out with the engine's own fallback.
-//! Many parts scatter to every part, run the same WAND/partial engines per
-//! part and gather through the same deterministic top-k merge the in-table
-//! worker fan-out uses.
+//! × `N` parts (a `Part` is one part's table plus the budget arming it), and
+//! the only one: `ask` and `answer_batch` ([`crate::handle`]) call it with the
+//! parts of their one snapshot. Compilation, the exact answers, the partial
+//! budget and the final absorb/truncate are shared; the exact and the partial
+//! stage each have two arms, selected by `parts.len()` and nothing else. One
+//! part runs the executor on the query as compiled and one batched partial
+//! fan-out with the engine's own fallback. Many parts scatter to every part,
+//! run the same WAND/partial engines per part and gather through the same
+//! deterministic top-k merge the in-table worker fan-out uses.
 //!
 //! # The byte-identity argument
 //!
-//! `ShardedCqads` with any shard count returns the same `AnswerSet` — same
-//! SQL, same ids, same kinds, same `rank_sim` bits, same `exact_count`, same
-//! quality — as one unsharded [`CqadsReader`] over the union table
-//! (`tests/properties.rs` machine-checks this for shard counts 1/2/3/7). At
-//! `N = 1` identity holds by construction, because it is the same call on the
-//! same table; for the many-parts arm:
+//! A system with any part count returns the same `AnswerSet` — same SQL, same
+//! ids, same kinds, same `rank_sim` bits, same `exact_count`, same quality —
+//! as the one-part system over the same records (`tests/properties.rs`
+//! machine-checks this across the whole config matrix). At `N = 1` identity
+//! holds by construction, because it is the same call on the same table; for
+//! the many-parts arm:
 //!
 //! * **Routing is invertible and order-preserving.** [`RecordRouter`] deals
-//!   global record id `g` to shard `g % N` as local id `g / N`; both maps are
-//!   strictly monotone per shard, so per-shard ascending-id order is global
+//!   global record id `g` to part `g % N` as local id `g / N`; both maps are
+//!   strictly monotone per part, so per-part ascending-id order is global
 //!   ascending-id order and a freshly inserted record (global id = the running
-//!   count) lands exactly where the shard's own table assigns its next local
-//!   id. No id ever moves (rebalance-free by construction).
-//! * **Compilation is table-independent.** Tagging, interpretation, query
-//!   translation and SQL rendering read only the domain spec and the shared
-//!   models, which every shard replicates verbatim — compiling on shard 0
-//!   equals compiling anywhere. Schema-level validation is record-independent
-//!   and runs first in every executor call, so shard 0's own pass (on the query
-//!   as compiled) surfaces the unsharded error before any cache entry can exist.
-//! * **Exact gather is a sorted-merge.** Each shard's exact pass returns its
+//!   count) lands exactly where the part's own table assigns its next local
+//!   id. No id ever moves (rebalance-free by construction), and because the
+//!   deal is pure arithmetic over insertion order nothing about it is
+//!   persisted: durable storage sees the union in global-id order, and
+//!   reopening with a different `N` re-deals the same records (resharding is
+//!   a reopen).
+//! * **There is one model.** Tagging, interpretation, query translation and
+//!   SQL rendering read only the domain's one runtime, never a table.
+//!   Schema-level validation is record-independent and runs first in every
+//!   executor call, so part 0's own pass (on the query as compiled) surfaces
+//!   the one-part error before any cache entry can exist.
+//! * **Exact gather is a sorted-merge.** Each part's exact pass returns its
 //!   first `limit` matching ids ascending; any id in the global first-`limit`
 //!   has fewer than `limit` global predecessors, hence fewer than `limit`
-//!   predecessors within its own shard — so the union of per-shard prefixes
+//!   predecessors within its own part — so the union of per-part prefixes
 //!   covers the global prefix, and merge + truncate reproduces it exactly.
 //!   Superlative chains are re-applied at the gather over the merged candidate
 //!   set through [`addb::retain_extreme`], the definition the executor's own
 //!   superlative steps are documented against.
 //! * **Partial gather inherits the worker-merge proof.** Per-record scores are
 //!   table-independent (`Num_Sim` ranges come from the spec, text/TI scores
-//!   from the shared models), shard id spaces are disjoint, and the gather
-//!   runs the same `TopK` collector over the per-shard lists — so the merged
-//!   top-k equals the one heap the unsharded engine builds, ties resolving by
-//!   global id either way. Shards prune against one cross-shard
+//!   from the one model), part id spaces are disjoint, and the gather runs
+//!   the same `TopK` collector over the per-part lists — so the merged top-k
+//!   equals the one heap the one-table engine builds, ties resolving by
+//!   global id either way. Parts prune against one cross-part
 //!   [`SharedThreshold`], admissible because a published value is the worst of
 //!   some full heap of the same budget. The sparse degree-of-match fallback is
-//!   a *global* decision (a per-shard sparse heap says nothing about the whole
-//!   table), so shards run phase 1 with the fallback suppressed and the gather
-//!   re-runs the plain per-shard engine at the real budget in the rare sparse
-//!   case — if any shard's heap ever filled, the candidate total already
+//!   a *global* decision (a per-part sparse heap says nothing about the whole
+//!   table), so parts run phase 1 with the fallback suppressed and the gather
+//!   re-runs the plain per-part engine at the real budget in the rare sparse
+//!   case — if any part's heap ever filled, the candidate total already
 //!   covers the budget and no fallback was due anyway. The one non-decomposable
 //!   case is a *superlative* question's partial phase: every relaxation stream
 //!   re-applies its superlative filter over the global candidate set, and a
-//!   per-shard extreme is not the global extreme — those asks collapse onto a
+//!   per-part extreme is not the global extreme — those asks collapse onto a
 //!   transient union view in global id order and run the one-table engine
 //!   verbatim (superlative questions already pay a full scan in the executor,
 //!   so the union build does not change the complexity class).
-//! * **Degradation composes.** A shard cut by a [`QueryBudget`] reports its
+//! * **Degradation composes.** A part cut by a [`QueryBudget`] reports its
 //!   certification bound ([`PartialOutcome::cut_bound`]); the gather truncates
-//!   the merged list at the max of the shard bounds, which certifies every
-//!   kept entry against everything *any* shard's cut skipped, and propagates
-//!   [`AnswerQuality::Degraded`] — never a silent partial merge.
+//!   the merged list at the max of the part bounds, which certifies every
+//!   kept entry against everything *any* part's cut skipped, and propagates
+//!   [`AnswerQuality::Degraded`] — never a silent partial merge. The serving
+//!   path arms every part with the batch's one budget; the unit tests below
+//!   arm parts differently.
 //!
 //! # Finer invalidation
 //!
-//! Each shard contributes from its own generation space, so the contribution
-//! cache keeps one stamped entry per shard per question:
-//! inserting into shard A invalidates only shard A's contribution, and the
-//! next ask recomputes one shard and reuses N−1 (ARCHITECTURE.md invariant
-//! #9; the `shard_scaling` bench soaks this under a Zipf-skewed write mix).
-//! Reuse across scatters is sound because tables are insert-only under
-//! routing (a shard's merged-exact piece and its phase-1 candidate set are
-//! frozen while its stamp holds; the global threshold a pruned entry lost to
-//! only ever rises) and model mutations broadcast to every shard, bumping
-//! every model generation at once.
+//! The whole-answer cache is stamped with the domain's table generation — the
+//! sum of its parts' — so any insert invalidates the whole answer. Beneath
+//! it, each part has its own instance of the same cache
+//! ([`GenerationCache`]) holding that part's contribution to a question,
+//! stamped with the part's own table generation: inserting into part A
+//! invalidates only part A's contribution, and the next ask recomputes one
+//! part and reuses N−1 ([`ServingStats::contributions`](crate::ServingStats)
+//! counts both; the `shard_scaling` bench soaks this under a Zipf-skewed
+//! write mix). Reuse across asks is sound because tables are insert-only
+//! under routing (a part's merged-exact piece and its phase-1 candidate set
+//! are frozen while its stamp holds; the global threshold a pruned entry lost
+//! to only ever rises) and a model mutation bumps the one model generation
+//! every part's stamp carries.
 
-use crate::cache::{CacheKey, GenerationStamp};
-use crate::domain::DomainSpec;
-use crate::error::{CqadsError, CqadsResult};
-use crate::handle::{CqadsReader, CqadsWriter, DomainRuntime};
+use crate::cache::{CacheKey, GenerationCache, GenerationStamp};
+use crate::error::CqadsResult;
+use crate::handle::{CqadsWriter, DomainRuntime};
 use crate::partial::{
     merge_partial_answers, take_single, PartialAnswer, PartialBatchRequest, PartialMatchOptions,
     PartialMatcher, PartialOutcome, SharedThreshold,
 };
-use crate::pipeline::{Answer, AnswerSet, CqadsConfig, IngestReport, MatchKind};
+use crate::pipeline::{Answer, AnswerSet, CqadsConfig, MatchKind};
 use crate::ranking::SimilarityMeasure;
 use crate::resilience::{AnswerQuality, QueryBudget};
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::Mutex;
 use crate::translate::interpret;
-use addb::{retain_extreme, Executor, Query, Record, RecordId, SuperlativeKind, Table};
-use cqads_classifier::LabelledDoc;
-use cqads_querylog::{QueryLogDelta, TIMatrix};
+use addb::{retain_extreme, DbResult, Executor, Query, Record, RecordId, SuperlativeKind, Table};
 use cqads_storage::RetryClock;
-use cqads_wordsim::WordSimMatrix;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashSet;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// The deterministic, rebalance-free record router: global record id `g`
-/// lives on shard `g mod N` as local id `g div N`.
+/// lives on part `g mod N` as local id `g div N`.
 ///
 /// Global ids are assigned sequentially per domain (insertion order), so the
-/// deal is round-robin: shard loads stay within one record of each other, and
+/// deal is round-robin: part loads stay within one record of each other, and
 /// both directions of the map are pure arithmetic — no routing table to keep
-/// consistent, nothing to rebalance, and the local-id order within a shard is
-/// exactly the global-id order restricted to it (the property the sorted
-/// exact-merge and the top-k tie-order both lean on).
+/// consistent, nothing to rebalance or persist, and the local-id order within
+/// a part is exactly the global-id order restricted to it (the property the
+/// sorted exact-merge and the top-k tie-order both lean on).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordRouter {
     shards: usize,
@@ -158,118 +164,43 @@ impl RecordRouter {
     pub fn global_of(self, shard: usize, local: RecordId) -> RecordId {
         RecordId(local.0 * self.shards as u32 + shard as u32)
     }
+
+    /// Deal `records` (in global id order) into one table per partition.
+    pub(crate) fn deal(
+        self,
+        schema: &addb::Schema,
+        records: impl IntoIterator<Item = Record>,
+    ) -> DbResult<Vec<Table>> {
+        let mut parts: Vec<Table> = (0..self.shards)
+            .map(|_| Table::new(schema.clone()))
+            .collect();
+        for (g, record) in records.into_iter().enumerate() {
+            parts[g % self.shards].insert(record)?;
+        }
+        Ok(parts)
+    }
 }
 
-/// One shard's cached contribution to one question: the shard's exact-match
+/// One part's cached contribution to one question: the part's exact-match
 /// prefix and (when the partial phase ran losslessly) its phase-1 partial
-/// list at heap budget `answer_limit`, stamped with the shard's own
-/// generations.
+/// list at heap budget `answer_limit`. The cache entry holding it is stamped
+/// with the part's own table generation and the domain's model generation.
 #[derive(Debug, Clone)]
-struct CachedContribution {
-    /// The shard's generation stamp when this contribution was computed.
-    stamp: GenerationStamp,
-    /// Shard-local exact-match ids, ascending (the shard's first-`limit`
+pub(crate) struct Contribution {
+    /// Part-local exact-match ids, ascending (the part's first-`limit`
     /// prefix for plain questions; superlative questions never cache).
     exact: Vec<RecordId>,
-    /// Shard-local phase-1 partial answers at heap budget `answer_limit`
+    /// Part-local phase-1 partial answers at heap budget `answer_limit`
     /// (independent of the ask-time partial budget: the top-`b` prefix of the
     /// top-`limit` list is the top-`b` list). `None` when the partial phase
     /// did not run for this question.
     partial: Option<Vec<PartialAnswer>>,
 }
 
-/// Per-shard, generation-stamped cache of shard contributions — the
-/// finer-invalidation layer: a write bumps one shard's generations, so only
-/// that shard's entries go stale and the next scatter recomputes exactly one
-/// contribution.
-///
-/// Each shard owns one stripe; a scatter touches each stripe once, for one
-/// clone-out or one insert. Capacity is per stripe; an overflowing stripe is
-/// cleared wholesale (same crash-only eviction the answer cache started
-/// with — an LRU here is a ROADMAP follow-up).
-#[derive(Debug)]
-pub(crate) struct ContributionCache {
-    // shard: one stripe *per shard*, never shared between shards — stripe i
-    // is only ever touched while gathering shard i's contribution, under its
-    // own lock, so no cross-shard state flows through it.
-    stripes: Vec<Mutex<HashMap<CacheKey, CachedContribution>>>,
-    /// Max entries per stripe before the wholesale clear.
-    capacity: usize,
-    /// Monotone count of shard contributions served from the cache.
-    hits: AtomicU64,
-    /// Monotone count of shard contributions that had to be recomputed.
-    misses: AtomicU64,
-}
-
-impl ContributionCache {
-    fn new(shards: usize, capacity: usize) -> Self {
-        ContributionCache {
-            // shard: construction only — each stripe stays private to its
-            // shard index for the cache's whole life (see the field docs).
-            stripes: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Clone out shard `shard`'s entry for `key` if it is at least as fresh
-    /// as `current`.
-    fn lookup(
-        &self,
-        shard: usize,
-        key: &CacheKey,
-        current: GenerationStamp,
-    ) -> Option<CachedContribution> {
-        // lock: O(1) — one hash probe and one clone-out of a bounded entry.
-        let stripe = self.stripes.get(shard)?.lock();
-        stripe.get(key).filter(|e| e.stamp.covers(current)).cloned()
-    }
-
-    fn fill(&self, shard: usize, key: CacheKey, entry: CachedContribution) {
-        let Some(stripe) = self.stripes.get(shard) else {
-            return;
-        };
-        // lock: O(1) amortized — one insert; the overflow clear is paid once
-        // per `capacity` fills.
-        let mut stripe = stripe.lock();
-        if stripe.len() >= self.capacity && !stripe.contains_key(&key) {
-            stripe.clear();
-        }
-        stripe.insert(key, entry);
-    }
-
-    fn note_hit(&self) {
-        // ordering: monotone stats counter read for reporting only; Relaxed.
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_miss(&self) {
-        // ordering: monotone stats counter read for reporting only; Relaxed.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> (u64, u64) {
-        // ordering: advisory reads of monotone tallies; Relaxed.
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// N per-domain partitions behind one scatter-gather `answer` call, byte-
-/// identical to the unsharded [`CqadsReader`] path (module docs have the
-/// argument; `tests/properties.rs` has the machine check).
-///
-/// Writes route to exactly one shard through the [`RecordRouter`]; model
-/// mutations ([`ShardedCqads::ingest_query_log`],
-/// [`ShardedCqads::set_word_sim`], [`ShardedCqads::train_classifier`])
-/// broadcast to every shard so the replicated models never diverge.
+/// A [`CqadsWriter`] whose [`CqadsConfig::shards`] is validated up front —
+/// the whole of what "sharded" means now that the partition lives inside the
+/// one snapshot (module docs). Everything else is the writer's own surface,
+/// reached through `Deref`.
 ///
 /// ```
 /// use cqads::shard::ShardedCqads;
@@ -285,23 +216,14 @@ impl ContributionCache {
 ///     .number("mileage", 50_000.0).build()).unwrap();
 /// let mut sharded = ShardedCqads::new(3).unwrap();
 /// sharded.add_domain(spec, table, Default::default());
-/// let set = sharded.answer_in_domain("red manual cars", "cars").unwrap();
+/// let set = sharded.ask("red manual cars").domain("cars").get().unwrap();
 /// assert_eq!(set.answers[0].id.0, 0);
 /// ```
 #[derive(Debug)]
-pub struct ShardedCqads {
-    shards: Vec<CqadsWriter>,
-    readers: Vec<CqadsReader>,
-    router: RecordRouter,
-    config: CqadsConfig,
-    /// Per-domain running record count = the next global id to assign.
-    next_ids: BTreeMap<String, u64>,
-    cache: ContributionCache,
-}
+pub struct ShardedCqads(CqadsWriter);
 
 impl ShardedCqads {
-    /// A sharded system over `shards` partitions with the default
-    /// configuration.
+    /// A system over `shards` parts with the default configuration.
     pub fn new(shards: usize) -> CqadsResult<Self> {
         Self::with_config(CqadsConfig {
             shards: Some(shards),
@@ -309,224 +231,56 @@ impl ShardedCqads {
         })
     }
 
-    /// A sharded system from `config` ([`CqadsConfig::shards`] picks the
-    /// partition count; `None` means 1). [`CqadsConfig::validate`] decides what
-    /// a sharded config may combine (durable storage and the resilience layer
-    /// are not yet wired through the scatter path); per-request deadlines are
-    /// available via [`ShardedCqads::answer_in_domain_budgeted`].
+    /// [`CqadsWriter::try_with_config`] behind [`CqadsConfig::validate`].
     pub fn with_config(config: CqadsConfig) -> CqadsResult<Self> {
-        // Always validated as the sharded config it is: `None` means one shard.
-        let n = config.shards.unwrap_or(1);
-        let config = CqadsConfig {
-            shards: Some(n),
-            ..config
-        };
         config.validate()?;
-        let router = RecordRouter::new(n);
-        // Each shard is a full single-table system; the per-shard config must
-        // not recurse into sharding.
-        let shard_config = CqadsConfig {
-            shards: None,
-            ..config.clone()
-        };
-        let shards: Vec<CqadsWriter> = (0..router.shards())
-            .map(|_| CqadsWriter::try_with_config(shard_config.clone()))
-            .collect::<CqadsResult<_>>()?;
-        let readers = shards.iter().map(CqadsWriter::reader).collect();
-        let cache = ContributionCache::new(router.shards(), config.cache_capacity);
-        Ok(ShardedCqads {
-            shards,
-            readers,
-            router,
-            config,
-            next_ids: BTreeMap::new(),
-            cache,
-        })
+        CqadsWriter::try_with_config(config).map(ShardedCqads)
     }
 
-    /// Number of partitions.
-    pub fn shards(&self) -> usize {
-        self.router.shards()
-    }
-
-    /// The record router (global ↔ shard-local id arithmetic).
-    pub fn router(&self) -> RecordRouter {
-        self.router
-    }
-
-    /// A detached reader handle onto one shard's published snapshot (for
-    /// inspection and the interleaving tests; scatter reads go through
-    /// [`ShardedCqads::answer_in_domain`]).
-    pub fn shard_reader(&self, shard: usize) -> Option<CqadsReader> {
-        self.readers.get(shard).cloned()
-    }
-
-    /// `(hits, misses)` of the per-shard contribution cache, counted per
-    /// shard per question — the observable for the finer-invalidation
-    /// property: after a single-shard write, the next ask misses once and
-    /// hits N−1 times.
-    pub fn contribution_cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
-
-    /// Register a domain, dealing `table`'s records to the shards in global
-    /// id order (record `g` → shard `g mod N`). The spec, TI-matrix and every
-    /// model are replicated to each shard.
-    pub fn add_domain(&mut self, spec: DomainSpec, table: Table, ti_matrix: TIMatrix) {
-        let n = self.router.shards();
-        let mut parts: Vec<Table> = (0..n).map(|_| Table::new(spec.schema.clone())).collect();
-        for (id, record) in table.iter() {
-            let shard = self.router.shard_of(id);
-            if let Ok(local) = parts[shard].insert(record.clone()) {
-                debug_assert_eq!(local, self.router.local_of(id));
-            }
-        }
-        self.next_ids
-            .insert(spec.name().to_string(), table.len() as u64);
-        for (writer, part) in self.shards.iter_mut().zip(parts) {
-            writer.add_domain(spec.clone(), part, ti_matrix.clone());
-        }
-    }
-
-    /// Insert a record, routing it to exactly one shard — only that shard's
-    /// table generation bumps, so the other shards' cached contributions
-    /// survive. Returns the record's *global* id.
-    pub fn insert_record(&mut self, domain: &str, record: Record) -> CqadsResult<RecordId> {
-        let next = *self
-            .next_ids
-            .get(domain)
-            .ok_or_else(|| CqadsError::UnknownDomain(domain.to_string()))?;
-        let global = RecordId(next as u32);
-        let shard = self.router.shard_of(global);
-        let local = self.shards[shard].insert_record(domain, record)?;
-        debug_assert_eq!(local, self.router.local_of(global));
-        self.next_ids.insert(domain.to_string(), next + 1);
-        Ok(global)
-    }
-
-    /// Apply a query-log delta to every shard's replicated TI-matrix (model
-    /// mutations broadcast: the per-shard models must never diverge, and a
-    /// model bump must invalidate every shard's cached contributions).
-    pub fn ingest_query_log(
-        &mut self,
-        domain: &str,
-        delta: &QueryLogDelta,
-    ) -> CqadsResult<IngestReport> {
-        let mut report = None;
-        for writer in &mut self.shards {
-            report = Some(writer.ingest_query_log(domain, delta)?);
-        }
-        // The constructor guarantees at least one shard; the error arm is
-        // unreachable but cheaper than a panic path on this API.
-        report.ok_or_else(|| CqadsError::UnknownDomain(domain.to_string()))
-    }
-
-    /// Replace the word-similarity matrix on every shard (broadcast).
-    pub fn set_word_sim(&mut self, matrix: WordSimMatrix) {
-        for writer in &mut self.shards {
-            writer.set_word_sim(matrix.clone());
-        }
-    }
-
-    /// Train the domain classifier on every shard (broadcast).
-    pub fn train_classifier(&mut self, docs: &[LabelledDoc]) {
-        for writer in &mut self.shards {
-            writer.train_classifier(docs);
-        }
-    }
-
-    /// Classify a question into a domain (the classifier is replicated;
-    /// shard 0 answers for all).
-    pub fn classify(&self, question: &str) -> CqadsResult<String> {
-        self.readers[0].classify(question)
-    }
-
-    /// Classify, then scatter-gather the answer.
-    pub fn answer(&self, question: &str) -> CqadsResult<AnswerSet> {
-        let domain = self.classify(question)?;
-        self.answer_in_domain(question, &domain)
-    }
-
-    /// Scatter `question` to every shard's snapshot and gather the
-    /// byte-identical answer (module docs have the identity argument).
-    pub fn answer_in_domain(&self, question: &str, domain: &str) -> CqadsResult<AnswerSet> {
-        self.answer_in_domain_budgeted(question, domain, &[])
-    }
-
-    /// [`ShardedCqads::answer_in_domain`] with one optional cooperative
-    /// [`QueryBudget`] per shard (`budgets[i]` arms shard `i`; missing tail
-    /// entries mean unbudgeted). A cut shard degrades only its contribution:
-    /// the gathered answer is the certified prefix of the complete one and
-    /// carries [`AnswerQuality::Degraded`] — never a silent partial merge.
-    pub fn answer_in_domain_budgeted(
-        &self,
-        question: &str,
-        domain: &str,
-        budgets: &[Option<&QueryBudget>],
-    ) -> CqadsResult<AnswerSet> {
-        // One snapshot guard per shard, all held for the whole call: each
-        // shard's contribution is consistent with one published snapshot
-        // whose generations bracket the call (invariant #9).
-        let guards: Vec<_> = self
-            .readers
-            .iter()
-            .map(|r| r.shared.snapshot.load())
-            .collect();
-        let parts: Vec<Part<'_>> = guards
-            .iter()
-            .enumerate()
-            .map(|(i, snap)| {
-                Ok(Part {
-                    budget: budgets.get(i).copied().flatten(),
-                    ..snap.part(domain)?
-                })
-            })
-            .collect::<CqadsResult<_>>()?;
-        take_single(answer_parts(
-            &self.config,
-            self.readers[0].shared.clock.as_ref(),
-            domain,
-            &[question],
-            &parts,
-            Some(&self.cache),
-        )?)?
+    /// Classify, then answer: `self.ask(question).get()`.
+    pub fn answer(&self, question: &str) -> CqadsResult<Arc<AnswerSet>> {
+        self.0.ask(question).get()
     }
 }
 
-/// One partition as the answering core sees it: one snapshot's runtime and
-/// table for the domain, plus the cooperative budget (if any) arming this
-/// partition's partial-match work.
+impl Deref for ShardedCqads {
+    type Target = CqadsWriter;
+
+    fn deref(&self) -> &CqadsWriter {
+        &self.0
+    }
+}
+
+impl DerefMut for ShardedCqads {
+    fn deref_mut(&mut self) -> &mut CqadsWriter {
+        &mut self.0
+    }
+}
+
+/// One part as the answering core sees it: its table for the domain, plus the
+/// cooperative budget (if any) arming this part's partial-match work.
 pub(crate) struct Part<'a> {
-    pub(crate) runtime: &'a DomainRuntime,
     pub(crate) table: &'a Table,
     pub(crate) budget: Option<&'a QueryBudget>,
 }
 
 impl Part<'_> {
-    /// This partition's generation stamp: table generation × model generation.
-    pub(crate) fn stamp(&self) -> GenerationStamp {
-        GenerationStamp::new(
-            self.table.generation(),
-            self.runtime.similarity.generation(),
-        )
-    }
-
     /// Part-local ids of the records `query` matches, as the executor returns them.
     fn exact_ids(&self, query: &Query) -> CqadsResult<Vec<RecordId>> {
         let found = Executor::new(self.table).execute(query)?;
         Ok(found.iter().map(|a| a.id).collect())
     }
+}
 
-    /// The partial matcher configured the way every answering path uses it.
-    fn matcher(&self, config: &CqadsConfig) -> PartialMatcher<'_> {
-        PartialMatcher::with_options(
-            &self.runtime.spec,
-            &self.runtime.similarity,
-            PartialMatchOptions {
-                workers: config.partial_workers,
-            },
-        )
-    }
+/// The partial matcher configured the way every answering path uses it.
+fn matcher<'a>(runtime: &'a DomainRuntime, config: &CqadsConfig) -> PartialMatcher<'a> {
+    PartialMatcher::with_options(
+        &runtime.spec,
+        &runtime.similarity,
+        PartialMatchOptions {
+            workers: config.partial_workers,
+        },
+    )
 }
 
 /// One question between the exact and the partial phase.
@@ -543,70 +297,74 @@ struct InFlight<'c> {
 }
 
 /// What the many-parts exact phase learned per part, kept for the partial
-/// phase and the contribution cache. Empty at one part.
+/// phase and the contribution caches. Empty at one part.
 #[derive(Default)]
 struct Scatter<'c> {
-    /// The contribution cache and this ask's key — plain (non-superlative)
-    /// unbudgeted asks only: a superlative's stripped candidate list is
-    /// unbounded and a budgeted outcome is not reusable.
-    cache: Option<(&'c ContributionCache, CacheKey)>,
-    /// Per part, its contribution — the cached one, or its freshly computed
-    /// part-local exact ids (ascending), joined by its phase-1 partial list
-    /// when the partial phase runs — and whether any of it was computed
-    /// rather than served.
-    entries: Vec<(CachedContribution, bool)>,
+    /// The per-part contribution caches and this ask's key — plain
+    /// (non-superlative) unbudgeted asks only: a superlative's stripped
+    /// candidate list is unbounded and a budgeted outcome is not reusable.
+    cache: Option<(&'c [GenerationCache<Arc<Contribution>>], CacheKey)>,
+    entries: Vec<PartEntry>,
+}
+
+/// One part's contribution to the ask in flight — the cached one, or its
+/// freshly computed part-local exact ids (ascending), joined by its phase-1
+/// partial list when the partial phase runs.
+struct PartEntry {
+    /// The part's stamp, read before anything was computed.
+    stamp: GenerationStamp,
+    contribution: Contribution,
+    /// Whether any of the contribution was computed rather than served.
+    fresh: bool,
 }
 
 impl Scatter<'_> {
     /// Remember every contribution this ask computed, so a repeat ask skips
     /// those parts' executors and engines.
     fn store(self) {
-        let Some((cache, key)) = self.cache else {
+        let Some((caches, key)) = self.cache else {
             return;
         };
-        for (i, (entry, fresh)) in self.entries.into_iter().enumerate() {
-            if fresh {
-                cache.note_miss();
-                cache.fill(i, key.clone(), entry);
-            } else {
-                cache.note_hit();
+        for (cache, entry) in caches.iter().zip(self.entries) {
+            if entry.fresh {
+                cache.fill(key.clone(), entry.stamp, Arc::new(entry.contribution));
             }
         }
     }
 }
 
-/// The answering pipeline (§4.3), written once for `k` questions × `N` parts:
-/// compile on `parts[0]` (tag → interpret → translate → render; failures
-/// reported in place) → exact phase → exact answers → partial budget →
-/// partial phase → absorb, truncate, time. The exact and the partial phase
-/// each have two arms, selected by `parts.len()` and nothing else (module
-/// docs). The outer error is a partial-engine failure, which fails the call.
+/// The answering pipeline (§4.3), written once for `k` questions × `N` parts
+/// of one domain: compile against the domain's one `runtime` (tag → interpret
+/// → translate → render; failures reported in place) → exact phase → exact
+/// answers → partial budget → partial phase → absorb, truncate, time. The
+/// exact and the partial phase each have two arms, selected by `parts.len()`
+/// and nothing else (module docs). `contributions` is one cache per part, or
+/// empty for an ask that must compute from scratch. The outer error is a
+/// partial-engine failure, which fails the call.
 pub(crate) fn answer_parts(
     config: &CqadsConfig,
     clock: &dyn RetryClock,
-    domain: &str,
+    runtime: &DomainRuntime,
     questions: &[&str],
     parts: &[Part<'_>],
-    contributions: Option<&ContributionCache>,
+    contributions: &[GenerationCache<Arc<Contribution>>],
 ) -> CqadsResult<Vec<CqadsResult<AnswerSet>>> {
     let router = RecordRouter::new(parts.len());
-    let first = parts[0].runtime;
+    let domain = runtime.spec.name();
 
     let mut flights: Vec<CqadsResult<InFlight<'_>>> = questions
         .iter()
         .map(|question| {
             let start_micros = clock.now_micros();
-            // Compilation reads only the spec and the shared models, which
-            // every part replicates: compiling on part 0 is compiling anywhere.
-            let tagged = first.tagger.tag(question);
-            let interpretation = interpret(&tagged, &first.spec)?;
-            let query = interpretation.to_query_with_limit(&first.spec, config.answer_limit)?;
+            let tagged = runtime.tagger.tag(question);
+            let interpretation = interpret(&tagged, &runtime.spec)?;
+            let query = interpretation.to_query_with_limit(&runtime.spec, config.answer_limit)?;
             let sql = addb::sql::render(&query);
 
             let (exact, scatter) = if parts.len() == 1 {
                 (parts[0].exact_ids(&query)?, Scatter::default())
             } else {
-                scatter_exact(parts, router, &query, domain, question, contributions)?
+                scatter_exact(runtime, parts, router, &query, contributions, question)?
             };
             let n_conds = interpretation.condition_count();
             let answers: Vec<Answer> = exact
@@ -660,7 +418,7 @@ pub(crate) fn answer_parts(
                 budget: flight.partial_budget,
             })
             .collect();
-        parts[0].matcher(config).partial_answers_batch_budgeted(
+        matcher(runtime, config).partial_answers_batch_budgeted(
             &requests,
             parts[0].table,
             parts[0].budget,
@@ -668,7 +426,7 @@ pub(crate) fn answer_parts(
     } else {
         needy
             .iter_mut()
-            .map(|flight| scatter_partial(config, parts, router, flight))
+            .map(|flight| scatter_partial(config, runtime, parts, router, flight))
             .collect::<CqadsResult<_>>()?
     };
     for (flight, outcome) in needy.into_iter().zip(partials) {
@@ -708,21 +466,32 @@ fn record_of(parts: &[Part<'_>], router: RecordRouter, gid: RecordId) -> Option<
         .get_shared(router.local_of(gid))
 }
 
+/// The union of `tables` (the parts of one domain, in part order) in global
+/// id order: record `g` comes from part `g mod N`.
+pub(crate) fn in_global_order<'a>(tables: &'a [&'a Table]) -> impl Iterator<Item = &'a Record> {
+    let router = RecordRouter::new(tables.len());
+    let total: usize = tables.iter().map(|t| t.len()).sum();
+    (0..total as u32)
+        .filter_map(move |g| tables[router.shard_of(RecordId(g))].get(router.local_of(RecordId(g))))
+}
+
 /// Many-parts exact phase: the global ids of the first `query.limit` exact
 /// matches, ascending (superlatives applied), plus what the partial phase and
-/// the contribution cache need per part.
+/// the contribution caches need per part.
 fn scatter_exact<'c>(
+    runtime: &DomainRuntime,
     parts: &[Part<'_>],
     router: RecordRouter,
     query: &Query,
-    domain: &str,
+    contributions: &'c [GenerationCache<Arc<Contribution>>],
     question: &str,
-    contributions: Option<&'c ContributionCache>,
 ) -> CqadsResult<(Vec<RecordId>, Scatter<'c>)> {
     let superlative = !query.superlatives.is_empty();
-    let cache = contributions
-        .filter(|c| c.enabled() && !superlative && parts.iter().all(|p| p.budget.is_none()))
-        .map(|c| (c, CacheKey::new(domain, question)));
+    let cacheable = contributions.len() == parts.len()
+        && contributions.iter().all(GenerationCache::is_enabled)
+        && !superlative
+        && parts.iter().all(|p| p.budget.is_none());
+    let cache = cacheable.then(|| (contributions, CacheKey::new(runtime.spec.name(), question)));
 
     // A superlative filters over the *global* candidate set, so each part
     // reports its full (untruncated) pre-superlative matches and the gather
@@ -739,31 +508,38 @@ fn scatter_exact<'c>(
     } else {
         query
     };
+    let model = runtime.similarity.generation();
     let mut entries = Vec::with_capacity(parts.len());
     for (i, part) in parts.iter().enumerate() {
-        let stamp = part.stamp();
-        let cached = cache.as_ref().and_then(|(c, key)| c.lookup(i, key, stamp));
+        // Read before computing, like every stamp (cache module docs).
+        let stamp = GenerationStamp::new(part.table.generation(), model);
+        let cached = cache
+            .as_ref()
+            .and_then(|(caches, key)| caches[i].lookup(key, stamp));
         entries.push(match cached {
-            Some(entry) => (entry, false),
-            None => {
-                let exact = part.exact_ids(per_part)?;
-                let partial = None;
-                (
-                    CachedContribution {
-                        stamp,
-                        exact,
-                        partial,
-                    },
-                    true,
-                )
-            }
+            Some(hit) => PartEntry {
+                stamp,
+                contribution: Arc::unwrap_or_clone(hit),
+                fresh: false,
+            },
+            None => PartEntry {
+                stamp,
+                contribution: Contribution {
+                    exact: part.exact_ids(per_part)?,
+                    partial: None,
+                },
+                fresh: true,
+            },
         });
     }
 
     let mut merged: Vec<RecordId> = entries
         .iter()
         .enumerate()
-        .flat_map(|(i, (entry, _))| entry.exact.iter().map(move |&l| router.global_of(i, l)))
+        .flat_map(|(i, entry)| {
+            let exact = entry.contribution.exact.iter();
+            exact.map(move |&local| router.global_of(i, local))
+        })
         .collect();
     merged.sort_unstable();
     // One `retain_extreme` step per superlative over the merged (ascending)
@@ -783,6 +559,7 @@ fn scatter_exact<'c>(
 /// degradation flag gathered across parts.
 fn scatter_partial(
     config: &CqadsConfig,
+    runtime: &DomainRuntime,
     parts: &[Part<'_>],
     router: RecordRouter,
     flight: &mut InFlight<'_>,
@@ -790,13 +567,13 @@ fn scatter_partial(
     let interpretation = &flight.set.interpretation;
     let partial_budget = flight.partial_budget;
     // The plain engine (own thresholds, own fallback) on one table.
-    let plain = |part: &Part<'_>, table, exclude, cut| {
+    let plain = |table, exclude, cut| {
         let request = PartialBatchRequest {
             interpretation,
             exclude,
             budget: partial_budget,
         };
-        let engine = part.matcher(config);
+        let engine = matcher(runtime, config);
         take_single(engine.partial_answers_batch_budgeted(&[request], table, cut)?)
     };
     if !interpretation.superlatives.is_empty() {
@@ -808,14 +585,19 @@ fn scatter_partial(
         // (byte-identity by construction; superlative questions already pay
         // a full scan in the executor, so the union build does not change
         // the complexity class).
-        let union = union_view(parts, router);
+        let tables: Vec<&Table> = parts.iter().map(|p| p.table).collect();
+        let union = Table::from_records(
+            tables[0].schema().clone(),
+            in_global_order(&tables).cloned(),
+            0,
+        )?;
         let cut = parts.iter().find_map(|p| p.budget);
-        return plain(&parts[0], &union, &flight.exact_ids, cut);
+        return plain(&union, &flight.exact_ids, cut);
     }
 
     let Scatter { cache, entries } = &mut flight.scatter;
     // The exclusion set is the *merged* exact result dealt back to part-local
-    // id space — exactly the set the unsharded engine excludes.
+    // id space — exactly the set the one-table engine excludes.
     let mut excludes: Vec<HashSet<RecordId>> = vec![HashSet::new(); parts.len()];
     for &gid in &flight.exact_ids {
         excludes[router.shard_of(gid)].insert(router.local_of(gid));
@@ -825,8 +607,8 @@ fn scatter_partial(
     // module docs).
     let thresholds = vec![Arc::new(SharedThreshold::new())];
     let mut outcomes: Vec<PartialOutcome> = Vec::with_capacity(parts.len());
-    for (i, (part, (entry, fresh))) in parts.iter().zip(entries).enumerate() {
-        outcomes.push(match entry.partial.take() {
+    for (i, (part, entry)) in parts.iter().zip(entries).enumerate() {
+        outcomes.push(match entry.contribution.partial.take() {
             Some(answers) => PartialOutcome {
                 answers,
                 visited: 0,
@@ -842,15 +624,16 @@ fn scatter_partial(
                     // prefix of top-limit = top-b.
                     budget: config.answer_limit,
                 };
-                let outcome = take_single(part.matcher(config).partial_answers_batch_scatter(
-                    &[request],
-                    part.table,
-                    part.budget,
-                    &thresholds,
-                )?)?;
+                let outcome =
+                    take_single(matcher(runtime, config).partial_answers_batch_scatter(
+                        &[request],
+                        part.table,
+                        part.budget,
+                        &thresholds,
+                    )?)?;
                 if cache.is_some() {
-                    entry.partial = Some(outcome.answers.clone());
-                    *fresh = true;
+                    entry.contribution.partial = Some(outcome.answers.clone());
+                    entry.fresh = true;
                 }
                 outcome
             }
@@ -873,7 +656,7 @@ fn scatter_partial(
         // complete per-part lists is the global list.
         outcomes.clear();
         for (part, exclude) in parts.iter().zip(&excludes) {
-            outcomes.push(plain(part, part.table, exclude, part.budget)?);
+            outcomes.push(plain(part.table, exclude, part.budget)?);
         }
     }
 
@@ -914,59 +697,45 @@ fn scatter_partial(
     })
 }
 
-/// Rebuild the unsharded table in global id order from the part snapshots
-/// (record `g` comes from part `g mod N`). Only the many-parts partial phase
-/// of superlative questions pays this — see [`scatter_partial`].
-fn union_view(parts: &[Part<'_>], router: RecordRouter) -> Table {
-    let total: usize = parts.iter().map(|p| p.table.len()).sum();
-    let mut union = Table::new(parts[0].table.schema().clone());
-    for g in 0..total as u32 {
-        if let Some(record) = record_of(parts, router, RecordId(g)) {
-            if let Ok(assigned) = union.insert((*record).clone()) {
-                debug_assert_eq!(assigned, RecordId(g));
-            }
-        }
-    }
-    union
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::toy_car_domain;
-    use crate::resilience::ResilienceOptions;
-    use crate::storage::StorageOptions;
+    use crate::domain::{toy_car_domain, DomainSpec};
+    use crate::error::CqadsError;
+    use cqads_querylog::{QueryLogDelta, TIMatrix};
+    use cqads_storage::ManualClock;
+    use cqads_wordsim::WordSimMatrix;
 
-    fn car(make: &str, model: &str, color: &str, trans: &str, price: f64, year: f64) -> Record {
-        Record::builder()
+    /// make, model, color, transmission; price, year.
+    type Row = ([&'static str; 4], f64, f64);
+
+    const SEED_ROWS: [Row; 6] = [
+        (["honda", "accord", "blue", "automatic"], 6600.0, 2004.0),
+        (["honda", "accord", "gold", "manual"], 16_536.0, 2009.0),
+        (["honda", "civic", "red", "automatic"], 4500.0, 2001.0),
+        (["toyota", "camry", "blue", "automatic"], 8561.0, 2006.0),
+        (["toyota", "corolla", "silver", "manual"], 3900.0, 1999.0),
+        (["ford", "focus", "blue", "manual"], 6795.0, 2005.0),
+    ];
+    const EXTRA_ROW: Row = (["ford", "focus", "red", "manual"], 7000.0, 2007.0);
+
+    fn car_builder(([make, model, color, trans], price, year): Row) -> addb::RecordBuilder {
+        let text = Record::builder()
             .text("make", make)
             .text("model", model)
             .text("color", color)
-            .text("transmission", trans)
-            .number("price", price)
+            .text("transmission", trans);
+        text.number("price", price)
             .number("year", year)
             .number("mileage", 50_000.0)
-            .build()
     }
 
-    fn seed_cars() -> Vec<Record> {
-        vec![
-            car("honda", "accord", "blue", "automatic", 6600.0, 2004.0),
-            car("honda", "accord", "gold", "manual", 16_536.0, 2009.0),
-            car("honda", "civic", "red", "automatic", 4500.0, 2001.0),
-            car("toyota", "camry", "blue", "automatic", 8561.0, 2006.0),
-            car("toyota", "corolla", "silver", "manual", 3900.0, 1999.0),
-            car("ford", "focus", "blue", "manual", 6795.0, 2005.0),
-        ]
+    fn car(row: Row) -> Record {
+        car_builder(row).build()
     }
 
     fn seeded_table() -> Table {
-        let spec = toy_car_domain();
-        let mut table = Table::new(spec.schema.clone());
-        for record in seed_cars() {
-            table.insert(record).unwrap();
-        }
-        table
+        Table::from_records(toy_car_domain().schema, SEED_ROWS.map(car), 0).unwrap()
     }
 
     fn models() -> (WordSimMatrix, TIMatrix) {
@@ -977,28 +746,20 @@ mod tests {
         (ws, ti)
     }
 
-    fn unsharded() -> CqadsWriter {
-        unsharded_over(toy_car_domain())
+    /// The system under test at `n` parts (`None`: the default config).
+    fn system(n: Option<usize>) -> CqadsWriter {
+        system_over(n, toy_car_domain(), seeded_table())
     }
 
-    fn unsharded_over(spec: DomainSpec) -> CqadsWriter {
+    fn system_over(n: Option<usize>, spec: DomainSpec, table: Table) -> CqadsWriter {
         let (ws, ti) = models();
-        let mut writer = CqadsWriter::with_config(CqadsConfig::default());
+        let mut writer = CqadsWriter::with_config(CqadsConfig {
+            shards: n,
+            ..CqadsConfig::default()
+        });
         writer.set_word_sim(ws);
-        writer.add_domain(spec, seeded_table(), ti);
+        writer.try_add_domain(spec, table, ti).unwrap();
         writer
-    }
-
-    fn sharded(n: usize) -> ShardedCqads {
-        sharded_over(n, toy_car_domain())
-    }
-
-    fn sharded_over(n: usize, spec: DomainSpec) -> ShardedCqads {
-        let (ws, ti) = models();
-        let mut sharded = ShardedCqads::new(n).unwrap();
-        sharded.set_word_sim(ws);
-        sharded.add_domain(spec, seeded_table(), ti);
-        sharded
     }
 
     const QUESTIONS: [&str; 6] = [
@@ -1010,10 +771,6 @@ mod tests {
         "toyota camry automatic blue",
     ];
 
-    fn uncached(reader: &CqadsReader, question: &str, domain: &str) -> CqadsResult<Arc<AnswerSet>> {
-        reader.ask(question).domain(domain).uncached().get()
-    }
-
     fn assert_same(a: &AnswerSet, b: &AnswerSet) {
         assert_eq!(a.sql, b.sql);
         assert_eq!(a.exact_count, b.exact_count);
@@ -1024,6 +781,17 @@ mod tests {
             assert_eq!(x.kind, y.kind);
             assert_eq!(x.measure, y.measure);
             assert_eq!(x.rank_sim.to_bits(), y.rank_sim.to_bits());
+        }
+    }
+
+    /// Every question answers on `sharded` exactly as `reference` computes it
+    /// — and again when served whole from the answer cache.
+    fn assert_answers_like(reference: &CqadsWriter, sharded: &CqadsWriter) {
+        for q in QUESTIONS {
+            let want = reference.ask(q).domain("cars").uncached().get().unwrap();
+            for _ in 0..2 {
+                assert_same(&sharded.ask(q).domain("cars").get().unwrap(), &want);
+            }
         }
     }
 
@@ -1042,121 +810,154 @@ mod tests {
 
     #[test]
     fn sharded_answers_match_unsharded_byte_for_byte() {
-        let reference = unsharded();
-        let reader = reference.reader();
+        let reference = system(None);
         for n in [1, 2, 3, 7] {
-            let sharded = sharded(n);
-            for q in QUESTIONS {
-                let want = uncached(&reader, q, "cars").unwrap();
-                let got = sharded.answer_in_domain(q, "cars").unwrap();
-                assert_same(&got, &want);
-            }
+            assert_answers_like(&reference, &system(Some(n)));
         }
+        // The constructor adds validation and nothing else.
+        let (ws, ti) = models();
+        let mut sharded = ShardedCqads::new(3).unwrap();
+        sharded.set_word_sim(ws);
+        sharded.add_domain(toy_car_domain(), seeded_table(), ti);
+        assert_answers_like(&reference, &sharded);
+        let want = reference.ask(QUESTIONS[1]).uncached().get().unwrap();
+        assert_same(&sharded.answer(QUESTIONS[1]).unwrap(), &want);
     }
 
     #[test]
     fn insert_routes_to_one_shard_and_keeps_identity() {
-        let reference = unsharded();
-        let mut writer = reference;
-        let mut sharded3 = sharded(3);
-        let new = car("honda", "civic", "blue", "automatic", 5100.0, 2003.0);
-        let a = writer.insert_record("cars", new.clone()).unwrap();
-        let b = sharded3.insert_record("cars", new).unwrap();
-        assert_eq!(a, b, "global id assignment must match the unsharded table");
-        let reader = writer.reader();
-        for q in QUESTIONS {
-            let want = uncached(&reader, q, "cars").unwrap();
-            let got = sharded3.answer_in_domain(q, "cars").unwrap();
-            assert_same(&got, &want);
+        let mut reference = system(None);
+        let mut sharded3 = system(Some(3));
+        let part_lens = |system: &CqadsWriter| -> Vec<usize> {
+            let tables = system.master.tables("cars").unwrap();
+            tables.iter().map(|table| table.len()).collect()
+        };
+        assert_eq!(part_lens(&sharded3), [2, 2, 2]);
+        let a = reference.insert_record("cars", car(EXTRA_ROW)).unwrap();
+        let b = sharded3.insert_record("cars", car(EXTRA_ROW)).unwrap();
+        assert_eq!(a, b, "global id assignment must match the one-part table");
+        // Global id 6 lives on part 0 of 3, and nowhere else.
+        assert_eq!(part_lens(&sharded3), [3, 2, 2]);
+        assert_eq!(
+            sharded3.master.table_generation("cars"),
+            reference.master.table_generation("cars"),
+            "the domain-level generation is the same number at every part count"
+        );
+        assert_answers_like(&reference, &sharded3);
+    }
+
+    /// `ShardedCqads::add_domain` used to deal into tables built from
+    /// `spec.schema` and drop, in release builds, every record that schema
+    /// rejected — here all of them, because the table's own schema carries an
+    /// attribute the spec's does not. The deal now keeps the table's schema
+    /// (as the one-part system does by moving the table in), so the records,
+    /// their ids and every answer are the same at every part count.
+    #[test]
+    fn a_table_whose_schema_differs_from_the_specs_is_dealt_whole() {
+        let wider = addb::Schema::builder("cars")
+            .type1("make")
+            .type1("model")
+            .type2("color")
+            .type2("transmission")
+            .type2("trim")
+            .type3("price", 500.0, 120_000.0, Some("usd"))
+            .type3("year", 1985.0, 2011.0, None)
+            .type3("mileage", 0.0, 300_000.0, Some("miles"))
+            .build()
+            .unwrap();
+        let table = || {
+            let trimmed = SEED_ROWS.map(|row| car_builder(row).text("trim", "sport").build());
+            Table::from_records(wider.clone(), trimmed, 0).unwrap()
+        };
+        let reference = system_over(None, toy_car_domain(), table());
+        for n in [2, 3] {
+            let mut sharded = system_over(Some(n), toy_car_domain(), table());
+            assert_eq!(sharded.master.totals("cars"), Some((6, 6)), "{n} parts");
+            assert_answers_like(&reference, &sharded);
+            let id = sharded.insert_record("cars", car(EXTRA_ROW)).unwrap();
+            assert_eq!(id, RecordId(6), "{n} parts");
         }
     }
 
+    /// A record the deal cannot place is a typed error, and nothing is dealt.
     #[test]
-    fn single_shard_write_invalidates_only_its_contribution() {
-        let mut sharded2 = sharded(2);
-        let q = QUESTIONS[0];
-        sharded2.answer_in_domain(q, "cars").unwrap();
-        let (h0, m0) = sharded2.contribution_cache_stats();
-        assert_eq!((h0, m0), (0, 2), "first ask misses every shard");
-        sharded2.answer_in_domain(q, "cars").unwrap();
-        let (h1, m1) = sharded2.contribution_cache_stats();
-        assert_eq!((h1 - h0, m1 - m0), (2, 0), "repeat ask hits every shard");
-        // Global id 6 routes to shard 0: shard 1's contribution survives.
-        let id = sharded2
-            .insert_record(
-                "cars",
-                car("ford", "focus", "red", "manual", 7000.0, 2007.0),
-            )
-            .unwrap();
-        assert_eq!(sharded2.router().shard_of(id), 0);
-        sharded2.answer_in_domain(q, "cars").unwrap();
-        let (h2, m2) = sharded2.contribution_cache_stats();
-        assert_eq!(
-            (h2 - h1, m2 - m1),
-            (1, 1),
-            "after a shard-0 write, shard 1 hits and shard 0 recomputes"
+    fn a_record_the_deal_cannot_place_is_a_typed_error() {
+        let narrow = toy_car_domain().schema;
+        let stray = car_builder(EXTRA_ROW).text("trim", "sport").build();
+        let records = SEED_ROWS.map(car).into_iter().chain([stray]);
+        let err = RecordRouter::new(2).deal(&narrow, records).unwrap_err();
+        assert!(
+            matches!(err, addb::DbError::UnknownAttribute { .. }),
+            "{err:?}"
         );
     }
 
     #[test]
-    fn model_mutations_broadcast_and_invalidate_everywhere() {
-        let mut sharded2 = sharded(2);
-        let q = QUESTIONS[2];
-        sharded2.answer_in_domain(q, "cars").unwrap();
-        sharded2.answer_in_domain(q, "cars").unwrap();
-        let (h0, m0) = sharded2.contribution_cache_stats();
-        let delta = QueryLogDelta::default();
-        let report = sharded2.ingest_query_log("cars", &delta).unwrap();
-        assert!(report.model_generation > 0);
-        sharded2.answer_in_domain(q, "cars").unwrap();
-        let (h1, m1) = sharded2.contribution_cache_stats();
-        assert_eq!(h1, h0, "model bump leaves no shard contribution fresh");
-        assert_eq!(m1 - m0, 2);
+    fn single_shard_write_invalidates_only_its_contribution() {
+        let mut sharded2 = system(Some(2));
+        let ask = |system: &CqadsWriter| -> (u64, u64) {
+            system.ask(QUESTIONS[0]).domain("cars").get().unwrap();
+            let stats = system.serving_stats().contributions;
+            (stats.hits, stats.misses)
+        };
+        assert_eq!(ask(&sharded2), (0, 2), "first ask misses every part");
+        // A repeat ask is the whole-answer cache's; beneath it, every part's
+        // contribution is there for a recomputation to reuse.
+        assert_eq!(ask(&sharded2), (0, 2));
+        sharded2.cache().clear();
+        assert_eq!(ask(&sharded2), (2, 2), "recomputing hits every part");
+        // Global id 6 routes to part 0: part 1's contribution survives.
+        let id = sharded2.insert_record("cars", car(EXTRA_ROW)).unwrap();
+        assert_eq!(RecordRouter::new(2).shard_of(id), 0);
+        assert_eq!(
+            ask(&sharded2),
+            (3, 3),
+            "after a part-0 write, part 1 hits and part 0 recomputes"
+        );
+        // One part has no such layer: a contribution there is the answer.
+        assert_eq!(ask(&system(Some(1))), (0, 0));
     }
 
+    /// There is one model, so a model mutation runs once whatever the part
+    /// count — every generation it moves lands on the one-part system's
+    /// number — and invalidates every part's contribution at once.
     #[test]
-    fn sharded_config_rejects_storage_and_resilience() {
-        // The builder itself refuses both combinations...
-        let config = CqadsConfig::builder()
-            .shards(2)
-            .storage(StorageOptions::at("/tmp/nowhere"))
-            .build();
-        assert!(matches!(config, Err(CqadsError::Config(_))));
-        let config = CqadsConfig::builder()
-            .shards(2)
-            .resilience(ResilienceOptions::default())
-            .build();
-        assert!(matches!(config, Err(CqadsError::Config(_))));
-        // ...and a hand-built config is refused by the constructor, which
-        // validates it as sharded even when `shards` was left unset.
-        for shards in [Some(2), None] {
-            let err = ShardedCqads::with_config(CqadsConfig {
-                shards,
-                storage: Some(StorageOptions::at("/tmp/nowhere")),
-                ..CqadsConfig::default()
-            });
-            assert!(matches!(err, Err(CqadsError::Config(_))));
-            let err = ShardedCqads::with_config(CqadsConfig {
-                shards,
-                resilience: Some(ResilienceOptions::default()),
-                ..CqadsConfig::default()
-            });
-            assert!(matches!(err, Err(CqadsError::Config(_))));
+    fn model_mutations_broadcast_and_invalidate_everywhere() {
+        let q = QUESTIONS[2];
+        for n in [1, 2, 3, 7] {
+            let mut system = system(Some(n));
+            system.set_word_sim(models().0);
+            system.ask(q).domain("cars").get().unwrap();
+            let before = system.serving_stats().contributions;
+            let report = system
+                .ingest_query_log("cars", &QueryLogDelta::default())
+                .unwrap();
+            assert_eq!(
+                report.model_generation, 2,
+                "one swap + one ingest, {n} parts"
+            );
+            assert_eq!(system.model_generation("cars"), Some(2));
+            system.ask(q).domain("cars").get().unwrap();
+            let after = system.serving_stats().contributions;
+            assert_eq!(after.hits, before.hits, "no contribution stays fresh");
+            let recomputed = if n == 1 { 0 } else { n as u64 };
+            assert_eq!(after.misses - before.misses, recomputed);
         }
     }
 
     #[test]
     fn zero_shards_is_a_config_error() {
-        let err = CqadsConfig {
+        let config = CqadsConfig {
             shards: Some(0),
             ..CqadsConfig::default()
-        }
-        .validate();
-        assert!(matches!(err, Err(CqadsError::Config(_))));
+        };
+        assert!(matches!(config.validate(), Err(CqadsError::Config(_))));
+        let refused = ShardedCqads::with_config(config);
+        assert!(matches!(refused, Err(CqadsError::Config(_))));
     }
 
-    /// Every erroring question fails exactly as the unsharded system does, at
-    /// every shard count. The toy domain itself cannot make the executor fail,
+    /// Every erroring question fails exactly as the one-part system does, at
+    /// every part count. The toy domain itself cannot make the executor fail,
     /// so the last two cases misdeclare it: a superlative over the categorical
     /// `color` compiles and is rejected inside `Executor::execute` (by the
     /// validation the stripped per-part queries skip), a numeric comparison
@@ -1166,26 +967,79 @@ mod tests {
         let mut misdeclared = toy_car_domain();
         misdeclared.set_price_attribute("color");
         misdeclared.add_type3_keyword("color", "hue");
+        let contradiction = "honda above 9000 dollars and below 2000 dollars";
         let cases = [
             (toy_car_domain(), "blue cars", "boats"),
             (toy_car_domain(), "the of and", "cars"),
-            (
-                toy_car_domain(),
-                "honda above 9000 dollars and below 2000 dollars",
-                "cars",
-            ),
+            (toy_car_domain(), contradiction, "cars"),
             (misdeclared.clone(), "cheapest blue car", "cars"),
             (misdeclared, "honda hue under 5", "cars"),
         ];
         for (spec, question, domain) in cases {
-            let reference = unsharded_over(spec.clone());
-            let want = uncached(&reference.reader(), question, domain).unwrap_err();
+            let failure = |n| {
+                let system = system_over(n, spec.clone(), seeded_table());
+                system.ask(question).domain(domain).get().unwrap_err()
+            };
+            let want = failure(None);
             for n in [1, 2, 3] {
-                let got = sharded_over(n, spec.clone())
-                    .answer_in_domain(question, domain)
-                    .unwrap_err();
-                assert_eq!(got, want, "{question:?} in {domain:?} at {n} shard(s)");
+                let context = format!("{question:?} in {domain:?} at {n} part(s)");
+                assert_eq!(failure(Some(n)), want, "{context}");
             }
         }
+    }
+
+    /// One part exhausting its [`QueryBudget`] mid-scatter must degrade only
+    /// its contribution: the gathered answer is a certified prefix of the
+    /// complete (unbudgeted) answer with [`AnswerQuality::Degraded`]
+    /// propagated — never a silent partial merge — and the exact phase
+    /// survives intact because budgets only govern the partial engines. The
+    /// serving path arms every part with one budget (`tests/chaos.rs` covers
+    /// that); only a direct `answer_parts` call can arm them differently.
+    #[test]
+    fn one_shards_exhausted_budget_degrades_only_its_contribution() {
+        let system = system(Some(2));
+        let clock: Arc<dyn RetryClock> = Arc::new(ManualClock::new());
+        let cancelled = QueryBudget::new(Arc::clone(&clock), 1_000_000);
+        cancelled.cancel();
+        let answer = |budgets: [Option<&QueryBudget>; 2], q: &str| {
+            let (runtime, mut parts) = system.master.domain_parts("cars", None).unwrap();
+            for (part, budget) in parts.iter_mut().zip(budgets) {
+                part.budget = budget;
+            }
+            let config = system.config();
+            let answered = answer_parts(config, clock.as_ref(), runtime, &[q], &parts, &[]);
+            take_single(answered.unwrap()).unwrap().unwrap()
+        };
+        let cut = Some(&cancelled);
+        let mut degraded = 0;
+        for q in QUESTIONS {
+            let complete = answer([None, None], q);
+            assert!(complete.quality.is_complete());
+            // Cancel each part's budget in turn (the other part stays whole),
+            // then both: the fully-cut scatter is the worst case, not a
+            // special one.
+            for budgets in [[cut, None], [None, cut], [cut, cut]] {
+                let got = answer(budgets, q);
+                // Explicit degradation or byte-identical completeness —
+                // never a silently short answer.
+                assert!(got.answers.len() <= complete.answers.len());
+                if got.answers.len() < complete.answers.len() {
+                    let flagged = AnswerQuality::Degraded {
+                        visited: 0,
+                        budget_exhausted: true,
+                    };
+                    assert_eq!(got.quality, flagged, "silent partial merge on {q:?}");
+                    degraded += 1;
+                }
+                // The gathered answer is a certified prefix of the complete one.
+                assert_eq!(got.exact_count, complete.exact_count, "{q:?}");
+                for (x, y) in got.answers.iter().zip(&complete.answers) {
+                    assert_eq!(x.id, y.id, "{q:?} diverged beyond truncation");
+                    assert_eq!(x.kind, y.kind);
+                    assert_eq!(x.rank_sim.to_bits(), y.rank_sim.to_bits());
+                }
+            }
+        }
+        assert!(degraded > 0, "a cancelled budget must cut something");
     }
 }

@@ -2,10 +2,8 @@
 //!
 //! This module is the glue between the pipeline and the `cqads-storage`
 //! engine: it converts live state ([`DomainSpec`], tables, TI/WS matrices,
-//! config) to and from the engine's serializable mirror types, holds the
-//! engine behind a lock so the `&self` serving paths can append audit frames,
-//! and carries the deferred-error state for the infallible mutation entry
-//! points (see [`CqadsWriter::add_domain`](crate::CqadsWriter::add_domain)).
+//! config) to and from the engine's serializable mirror types, and holds the
+//! engine behind a lock so the `&self` serving paths can append audit frames.
 //!
 //! Durability is **opt-in**: with [`CqadsConfig::storage`](crate::CqadsConfig)
 //! left at `None`, nothing here runs and the system behaves bit-identically to
@@ -89,7 +87,6 @@ pub(crate) struct DurableStorage {
     pub(crate) report: RecoveryReport,
     audit_failures: AtomicU64,
     last_audit_error: Mutex<Option<StorageError>>,
-    pending_error: Mutex<Option<StorageError>>,
     retry: Option<RetryState>,
 }
 
@@ -126,7 +123,6 @@ impl DurableStorage {
             report,
             audit_failures: AtomicU64::new(0),
             last_audit_error: Mutex::new(None),
-            pending_error: Mutex::new(None),
             retry,
         }
     }
@@ -256,21 +252,6 @@ impl DurableStorage {
     /// The most recent audit-append failure, if any.
     pub(crate) fn last_audit_error(&self) -> Option<StorageError> {
         relock(&self.last_audit_error).clone()
-    }
-
-    /// Stash an error from an infallible entry point ([`CqadsWriter::add_domain`](crate::CqadsWriter::add_domain),
-    /// [`CqadsWriter::set_word_sim`](crate::CqadsWriter::set_word_sim)); the
-    /// first error wins until taken.
-    pub(crate) fn defer_error(&self, error: StorageError) {
-        let mut slot = relock(&self.pending_error);
-        if slot.is_none() {
-            *slot = Some(error);
-        }
-    }
-
-    /// Take (and clear) the deferred error, if any.
-    pub(crate) fn take_deferred_error(&self) -> Option<StorageError> {
-        relock(&self.pending_error).take()
     }
 }
 

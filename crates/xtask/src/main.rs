@@ -131,17 +131,11 @@ const GATED: &[BenchSpec] = &[
         bench: "shard_scaling",
         report: "BENCH_shard_scaling.json",
         metrics: &[
-            // 2-shard read qps over unsharded read qps, both from the same
+            // 2-part read qps over one-part read qps, both from the same
             // run, so the ratio transfers across machine classes the way
             // absolute throughput cannot.
             Metric {
                 path: &["scatter_overhead_ratio"],
-                direction: Direction::HigherIsBetter,
-            },
-            // 1-shard read qps over unsharded read qps: one shard runs the
-            // same answering call as the unsharded reader, so this sits at 1.
-            Metric {
-                path: &["one_shard_ratio"],
                 direction: Direction::HigherIsBetter,
             },
         ],

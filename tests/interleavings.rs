@@ -25,9 +25,9 @@
 //!    reader/writer handle split: loads never observe a torn or regressing
 //!    snapshot, and racing writers serialize without losing a displaced
 //!    snapshot.
-//! 5. The shard layer — scatter-gather reads over per-shard publication
-//!    rings: racing single-shard writes never produce a torn cross-shard
-//!    view, and every gathered per-shard snapshot is bracketed by the call.
+//! 5. The shard layer — scatter-gather reads over the parts of the one
+//!    published snapshot: racing single-part writes never produce a torn
+//!    cross-part view, and every gathered view is bracketed by the call.
 
 use arcswap::ArcSwap;
 use cqads::cache::{AnswerCache, CacheKey, GenerationStamp};
@@ -423,69 +423,62 @@ fn arcswap_racing_writers_serialize_and_account_for_every_snapshot() {
 }
 
 // ---------------------------------------------------------------------------
-// Shard layer — scatter-gather reads vs single-shard writes
-// (crates/core/src/shard.rs over the same ArcSwap publication ring)
+// Shard layer — scatter-gather reads vs single-part writes
+// (crates/core/src/shard.rs: the parts live inside the one published snapshot)
 // ---------------------------------------------------------------------------
 
-/// `ShardedCqads::answer_scatter` starts by loading each shard's published
-/// snapshot once and holds every guard for the whole gather, so a scattered
-/// read is a vector of per-shard snapshots. Model: two shards, each an
-/// `ArcSwap` of a `(generation, payload)` pair with `payload = generation *
-/// 10` (the torn-pair stand-in of the invariant-#8 model); a writer routes
-/// two inserts to shard 0 **only**, racing two scatter readers. In every
-/// schedule:
+/// A scattered read loads the one published snapshot once and serves every
+/// part from that guard, so invariant #8's single-guard argument covers it.
+/// Model: one `ArcSwap` of a two-part snapshot, each part a
+/// `(generation, payload)` pair with `payload = generation * 10` (the
+/// torn-pair stand-in of the invariant-#8 model); a writer routes two inserts
+/// to part 0 **only** — copy-on-write, republishing the whole snapshot each
+/// time — racing two scatter readers. In every schedule:
 ///
-/// * no per-shard load observes a **torn** snapshot — each gathered
-///   contribution is consistent with some fully-published shard state;
-/// * shard 1's snapshot stays the initial one — a single-shard write never
-///   perturbs another shard's published state (the finer-invalidation base
-///   case);
-/// * each gathered view is **bracketed**: shard 0's observed generation
-///   never exceeds the writer's final generation, and a second scatter on
-///   the same thread never regresses below the first.
-///
-/// This extends ARCHITECTURE.md invariant #8 to the shard layer
-/// (invariant #9): a scatter-gather read never observes a torn cross-shard
-/// view, only a vector of genuinely-published per-shard snapshots.
+/// * no load observes a **torn** snapshot — every part of a gathered view is
+///   consistent with some fully-published state, and the parts of one view
+///   come from the *same* publication (a consistent cut, which one guard per
+///   part could not promise);
+/// * part 1 stays the initial one — a single-part write never perturbs
+///   another part's state (the finer-invalidation base case);
+/// * each gathered view is **bracketed**: the domain-level generation (the
+///   sum of the parts') never exceeds the writer's final one, and a second
+///   scatter on the same thread never regresses below the first.
 #[test]
 fn shard_scatter_reads_are_untorn_and_bracketed_under_single_shard_writes() {
+    type Part = (u64, u64);
     let report = bounded_model(|| {
-        let shard0 = Arc::new(ArcSwap::new(Arc::new((0u64, 0u64))));
-        let shard1 = Arc::new(ArcSwap::new(Arc::new((0u64, 0u64))));
+        let snapshot = Arc::new(ArcSwap::new(Arc::new([(0u64, 0u64); 2])));
         let writer = {
-            let shard0 = Arc::clone(&shard0);
+            let snapshot = Arc::clone(&snapshot);
             miniloom::thread::spawn(move || {
-                // Two routed inserts: each publishes shard 0's next snapshot
-                // (built fully before the store, exactly like CqadsWriter).
-                shard0.store(Arc::new((1, 10)));
-                shard0.store(Arc::new((2, 20)));
+                // Two routed inserts: each publishes the next snapshot, built
+                // fully before the store (exactly like CqadsWriter), sharing
+                // the untouched part.
+                for generation in [1, 2] {
+                    let untouched: Part = snapshot.load()[1];
+                    snapshot.store(Arc::new([(generation, generation * 10), untouched]));
+                }
             })
         };
         let readers: Vec<_> = (0..2)
             .map(|_| {
-                let shard0 = Arc::clone(&shard0);
-                let shard1 = Arc::clone(&shard1);
+                let snapshot = Arc::clone(&snapshot);
                 miniloom::thread::spawn(move || {
-                    // One scatter = one load per shard (answer_scatter's
-                    // guard collection), gathered into a cross-shard view.
-                    let scatter = || (**shard0.load(), **shard1.load());
+                    // One scatter = one load; every part is read off that guard.
+                    let scatter = || -> [Part; 2] { **snapshot.load() };
                     let first = scatter();
                     let second = scatter();
-                    for (s0, s1) in [first, second] {
-                        assert_eq!(s0.1, s0.0 * 10, "torn shard-0 snapshot: {s0:?}");
-                        assert_eq!(s1.1, s1.0 * 10, "torn shard-1 snapshot: {s1:?}");
-                        assert_eq!(
-                            s1,
-                            (0, 0),
-                            "a shard-0 write perturbed shard 1's published state"
-                        );
+                    for [p0, p1] in [first, second] {
+                        assert_eq!(p0.1, p0.0 * 10, "torn part-0 state: {p0:?}");
+                        assert_eq!(p1, (0, 0), "a part-0 write perturbed part 1");
                         assert!(
-                            s0.0 <= 2,
-                            "shard-0 generation above the writer's final: {s0:?}"
+                            p0.0 + p1.0 <= 2,
+                            "generation above the writer's final: {p0:?}"
                         );
                     }
                     assert!(
-                        second.0 .0 >= first.0 .0,
+                        second[0].0 + second[1].0 >= first[0].0 + first[1].0,
                         "scatter regressed between gathers: {first:?} -> {second:?}"
                     );
                 })
@@ -496,9 +489,9 @@ fn shard_scatter_reads_are_untorn_and_bracketed_under_single_shard_writes() {
             reader.join().unwrap();
         }
         assert_eq!(
-            (**shard0.load(), **shard1.load()),
-            ((2, 20), (0, 0)),
-            "once the writer is done a scatter must gather exactly its final publications"
+            **snapshot.load(),
+            [(2, 20), (0, 0)],
+            "once the writer is done a scatter must gather exactly its final publication"
         );
     });
     assert!(report.schedules >= MIN_SCHEDULES_3T, "explored {report}");

@@ -6,8 +6,8 @@ use cqads_suite::cqads::oracle::full_scan_partial_answers;
 use cqads_suite::cqads::tagging::Tagger;
 use cqads_suite::cqads::translate::interpret;
 use cqads_suite::cqads::{
-    AnswerSet, CqadsConfig, CqadsResult, CqadsSystem, CqadsWriter, PartialMatchOptions,
-    PartialMatcher, ShardedCqads, SimilarityModel,
+    AnswerSet, CqadsConfig, CqadsError, CqadsResult, CqadsSystem, CqadsWriter, PartialMatchOptions,
+    PartialMatcher, ResilienceOptions, SimilarityModel, StorageOptions,
 };
 use cqads_suite::datagen::{
     affinity_model, blueprint, generate_questions, generate_table, topic_groups, QuestionMix,
@@ -16,6 +16,7 @@ use cqads_suite::querylog::{
     generate_log, AffinityModel, ClickEvent, LogGeneratorConfig, QueryLogDelta, Session,
     SubmittedQuery, TIMatrix,
 };
+use cqads_suite::storage::{MemFs, Vfs};
 use cqads_suite::wordsim::{CorpusSpec, SyntheticCorpus, WordSimMatrix};
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -466,14 +467,95 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Shard equivalence: ShardedCqads == unsharded CqadsReader, byte for byte
+// The config matrix: every accepted config answers like the default one
 // ---------------------------------------------------------------------------
+
+/// `shards × storage × resilience × cache_capacity × partial_workers`: every
+/// combination of the values below, each over its own in-memory filesystem.
+fn config_matrix() -> Vec<(String, CqadsConfig)> {
+    let mut matrix = Vec::new();
+    for shards in [None, Some(1), Some(2), Some(3), Some(7)] {
+        for durable in [false, true] {
+            for resilient in [false, true] {
+                for cache_capacity in [0, CqadsConfig::default().cache_capacity] {
+                    for partial_workers in [1, 2] {
+                        let label = format!(
+                            "shards {shards:?}, durable {durable}, resilient {resilient}, \
+                             cache {cache_capacity}, workers {partial_workers}"
+                        );
+                        let storage = durable.then(|| {
+                            StorageOptions::with_vfs("db", Arc::new(MemFs::new()) as Arc<dyn Vfs>)
+                        });
+                        // A deadline no test run reaches: admission and the
+                        // budget are armed, nothing is ever cut.
+                        let resilience = resilient.then(|| ResilienceOptions {
+                            deadline_micros: Some(3_600_000_000),
+                            ..ResilienceOptions::default()
+                        });
+                        let config = CqadsConfig {
+                            shards,
+                            storage,
+                            resilience,
+                            cache_capacity,
+                            partial_workers,
+                            ..CqadsConfig::default()
+                        };
+                        matrix.push((label, config));
+                    }
+                }
+            }
+        }
+    }
+    matrix
+}
+
+/// `validate` accepts the whole matrix and rejects only values that
+/// contradict themselves — never a combination of knobs.
+#[test]
+fn config_validation_rejects_only_contradictory_values() {
+    for (label, config) in config_matrix() {
+        assert_eq!(config.validate(), Ok(()), "{label}");
+    }
+    let contradictory = [
+        CqadsConfig {
+            shards: Some(0),
+            ..CqadsConfig::default()
+        },
+        CqadsConfig {
+            cache_shards: 0,
+            ..CqadsConfig::default()
+        },
+        CqadsConfig {
+            partial_threshold: 31,
+            ..CqadsConfig::default()
+        },
+        CqadsConfig {
+            answer_limit: 0,
+            partial_threshold: 0,
+            ..CqadsConfig::default()
+        },
+        CqadsConfig {
+            resilience: Some(ResilienceOptions {
+                deadline_micros: Some(100),
+                min_deadline_micros: 200,
+                ..ResilienceOptions::default()
+            }),
+            ..CqadsConfig::default()
+        },
+    ];
+    for config in contradictory {
+        assert!(
+            matches!(config.validate(), Err(CqadsError::Config(_))),
+            "{config:?}"
+        );
+    }
+}
 
 /// Byte-identity across every observable answer field (or the same error),
 /// the contract ARCHITECTURE.md invariant #9 promises for scatter-gather.
 fn assert_shard_equivalent(
-    got: CqadsResult<AnswerSet>,
-    want: CqadsResult<Arc<AnswerSet>>,
+    got: &CqadsResult<Arc<AnswerSet>>,
+    want: &CqadsResult<Arc<AnswerSet>>,
     context: &str,
 ) -> Result<(), TestCaseError> {
     match (got, want) {
@@ -494,27 +576,32 @@ fn assert_shard_equivalent(
                 );
             }
         }
-        (got, want) => prop_assert_eq!(got.err(), want.err(), "error diverged: {}", context),
+        (got, want) => prop_assert_eq!(
+            got.as_ref().err(),
+            want.as_ref().err(),
+            "error diverged: {}",
+            context
+        ),
     }
     Ok(())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// A `ShardedCqads` over 1/2/3/7 partitions answers byte-identically to
-    /// the unsharded snapshot reader for generated tables and questions —
-    /// fresh, repeated (through the per-shard contribution cache), after
-    /// mid-stream routed inserts, and after a query-log ingest broadcast.
+    /// Every config of the matrix answers byte-identically to the default
+    /// config over the same records, for generated tables and questions —
+    /// fresh, repeated (through the answer cache and the per-part
+    /// contribution caches), through `answer_batch`, after mid-stream routed
+    /// inserts, and after a query-log ingest — with the same record ids and
+    /// the same domain-level generations along the way.
     #[test]
     fn sharded_scatter_gather_is_byte_identical_to_unsharded(
         domain_idx in 0usize..3,
         table_seed in 0u64..1_000_000,
         question_seed in 0u64..1_000_000,
         table_size in 10usize..100,
-        shard_idx in 0usize..4,
     ) {
-        let shards = [1usize, 2, 3, 7][shard_idx];
         let domain = ["cars", "jewellery", "furniture"][domain_idx];
         let bp = blueprint(domain);
         let table = generate_table(&bp, table_size, table_seed);
@@ -529,50 +616,73 @@ proptest! {
         );
         let ws = WordSimMatrix::build(&corpus);
         let spec = bp.to_spec();
+        let build = |config: CqadsConfig| -> CqadsResult<CqadsWriter> {
+            let mut writer = CqadsWriter::try_with_config(config)?;
+            writer.try_set_word_sim(ws.clone())?;
+            writer.try_add_domain(spec.clone(), table.clone(), ti.clone())?;
+            Ok(writer)
+        };
 
-        let mut writer = CqadsWriter::with_config(CqadsConfig::default());
-        writer.set_word_sim(ws.clone());
-        writer.add_domain(spec.clone(), table.clone(), ti.clone());
-        let reader = writer.reader();
-
-        let mut sharded = ShardedCqads::new(shards).unwrap();
-        sharded.set_word_sim(ws);
-        sharded.add_domain(spec.clone(), table.clone(), ti);
+        let mut reference = build(CqadsConfig::default()).unwrap();
+        let mut systems: Vec<(String, CqadsWriter)> = config_matrix()
+            .into_iter()
+            .map(|(label, config)| (label, build(config).unwrap()))
+            .collect();
 
         let questions = generate_questions(&bp, &table, 6, question_seed, &QuestionMix::default());
-        for q in &questions {
-            assert_shard_equivalent(
-                sharded.answer_in_domain(&q.text, domain),
-                reader.ask(&q.text).domain(domain).uncached().get(),
-                &format!("{shards} shards, fresh: {}", q.text),
-            )?;
-            // A repeat ask serves shard contributions from the cache — it must
-            // not change a byte.
-            assert_shard_equivalent(
-                sharded.answer_in_domain(&q.text, domain),
-                reader.ask(&q.text).domain(domain).uncached().get(),
-                &format!("{shards} shards, cached: {}", q.text),
-            )?;
-        }
+        let texts: Vec<&str> = questions.iter().map(|q| q.text.as_str()).collect();
+        // One round: the reference computes every answer from scratch; every
+        // system serves each question through `ask` and then the whole burst
+        // through `answer_batch` (one registered domain: classification
+        // cannot pick another), and reports the reference's generations.
+        let round = |reference: &CqadsWriter,
+                     systems: &[(String, CqadsWriter)],
+                     phase: &str|
+         -> Result<(), TestCaseError> {
+            let want: Vec<_> = texts
+                .iter()
+                .map(|q| reference.ask(q).domain(domain).uncached().get())
+                .collect();
+            let reader = reference.reader();
+            for (label, system) in systems {
+                let context = format!("{label}, {phase}");
+                for (q, want) in texts.iter().zip(&want) {
+                    assert_shard_equivalent(&system.ask(q).domain(domain).get(), want, &context)?;
+                }
+                for (got, want) in system.answer_batch(&texts).iter().zip(&want) {
+                    assert_shard_equivalent(got, want, &format!("{context}, batch"))?;
+                }
+                let published = system.reader();
+                prop_assert_eq!(
+                    published.table_generation(domain),
+                    reader.table_generation(domain),
+                    "table generation: {}", &context
+                );
+                prop_assert_eq!(
+                    published.model_generation(domain),
+                    reader.model_generation(domain),
+                    "model generation: {}", &context
+                );
+            }
+            Ok(())
+        };
+        round(&reference, &systems, "fresh")?;
+        round(&reference, &systems, "repeated")?;
 
-        // Mid-stream inserts: both sides assign the same global ids, and the
-        // sharded system routes each record to exactly one partition.
+        // Mid-stream inserts: every config assigns the same global ids,
+        // routing each record to exactly one part.
         let extra = generate_table(&bp, 5, table_seed ^ 0x5a5a);
         for (_, record) in extra.iter() {
-            let a = writer.insert_record(domain, record.clone()).unwrap();
-            let b = sharded.insert_record(domain, record.clone()).unwrap();
-            prop_assert_eq!(a, b, "global id assignment diverged");
+            let id = reference.insert_record(domain, record.clone()).unwrap();
+            for (label, system) in &mut systems {
+                let routed = system.insert_record(domain, record.clone());
+                prop_assert_eq!(routed, Ok(id), "global id assignment diverged: {}", label);
+            }
         }
-        for q in &questions {
-            assert_shard_equivalent(
-                sharded.answer_in_domain(&q.text, domain),
-                reader.ask(&q.text).domain(domain).uncached().get(),
-                &format!("{shards} shards, after inserts: {}", q.text),
-            )?;
-        }
+        round(&reference, &systems, "after inserts")?;
 
-        // Mid-stream model mutation: the ingest broadcasts to every shard, so
-        // the replicated TI matrices stay bit-identical to the reference.
+        // Mid-stream model mutation: there is one model per domain at every
+        // part count, so one ingest moves its generation once.
         let delta = QueryLogDelta::from_sessions(
             generate_log(
                 &affinity_model(&bp),
@@ -584,14 +694,10 @@ proptest! {
             )
             .sessions,
         );
-        writer.ingest_query_log(domain, &delta).unwrap();
-        sharded.ingest_query_log(domain, &delta).unwrap();
-        for q in &questions {
-            assert_shard_equivalent(
-                sharded.answer_in_domain(&q.text, domain),
-                reader.ask(&q.text).domain(domain).uncached().get(),
-                &format!("{shards} shards, after ingest: {}", q.text),
-            )?;
+        let report = reference.ingest_query_log(domain, &delta).unwrap();
+        for (label, system) in &mut systems {
+            prop_assert_eq!(system.ingest_query_log(domain, &delta), Ok(report), "{}", label);
         }
+        round(&reference, &systems, "after ingest")?;
     }
 }

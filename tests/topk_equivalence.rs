@@ -325,7 +325,7 @@ fn batch_api_matches_per_question_calls() {
 /// per-question uncached asks against the classified domain — for the full answer sets (exact + partial,
 /// sql, counts), across worker counts, with the cache cold and hot.
 #[test]
-fn answer_batch_matches_per_question_answer_in_domain() {
+fn answer_batch_matches_per_question_uncached_asks() {
     use cqads_suite::cqads::{CqadsConfig, CqadsSystem};
 
     fn assert_sets_identical(
