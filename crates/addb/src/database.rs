@@ -2,7 +2,7 @@
 //! the paper stores "a table in the DB for each domain" (Section 4.1).
 
 use crate::error::{DbError, DbResult};
-use crate::exec::{ExecOptions, Executor, QueryAnswer};
+use crate::exec::{Executor, QueryAnswer};
 use crate::query::Query;
 use crate::schema::Schema;
 use crate::table::Table;
@@ -119,12 +119,6 @@ impl Database {
         let table = self.require_table(&query.table)?;
         Executor::new(table).execute(query)
     }
-
-    /// Execute a query with explicit executor options.
-    pub fn execute_with(&self, query: &Query, options: ExecOptions) -> DbResult<Vec<QueryAnswer>> {
-        let table = self.require_table(&query.table)?;
-        Executor::with_options(table, options).execute(query)
-    }
 }
 
 #[cfg(test)]
@@ -237,22 +231,5 @@ mod tests {
         assert!(db.generation("jobs").unwrap() > jobs_gen);
         assert!(db.table("jobs").unwrap().is_empty());
         assert_eq!(db.generation("boats"), None);
-    }
-
-    #[test]
-    fn execute_with_options_matches_default_on_simple_queries() {
-        let db = db();
-        let q = Query::new("cars").with_condition(Condition::eq("color", "blue"));
-        let a = db.execute(&q).unwrap();
-        let b = db
-            .execute_with(
-                &q,
-                ExecOptions {
-                    use_indexes: false,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(a, b);
     }
 }

@@ -9,8 +9,7 @@
 //!
 //! Superlatives-last is a *correctness* requirement ("cheapest Honda" must be the
 //! cheapest among Hondas, not a Honda among the globally cheapest cars); the rest is a
-//! performance ordering. [`ExecOptions::superlatives_first`] exists purely so that the
-//! ablation bench can demonstrate the incorrect behaviour the paper warns about.
+//! performance ordering.
 //!
 //! # Execution model
 //!
@@ -57,7 +56,7 @@
 //! the upper-bound contract that makes the pruning lossless.
 
 use crate::error::{DbError, DbResult};
-use crate::query::{BoolExpr, Comparison, Condition, Query, Superlative, SuperlativeKind};
+use crate::query::{BoolExpr, Comparison, Condition, Query, SuperlativeKind};
 use crate::record::{Record, RecordId};
 use crate::schema::AttrType;
 use crate::table::{PostingList, Table, POSTING_BLOCK};
@@ -580,26 +579,6 @@ fn max_possible_id_below(stream: &IdStream<'_>, bound: u32) -> bool {
     }
 }
 
-/// Tuning knobs for the executor.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOptions {
-    /// Evaluate superlatives before the other conditions — the incorrect order discussed
-    /// in Section 4.3, kept for the ablation study.
-    pub superlatives_first: bool,
-    /// Use the hash / sorted-column indexes (true) or fall back to full scans (false).
-    /// The substring-index ablation bench flips this to quantify the speed-up.
-    pub use_indexes: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            superlatives_first: false,
-            use_indexes: true,
-        }
-    }
-}
-
 /// One answer produced by the executor: the record id and whether it matched every
 /// condition (exact) — partial answers are produced by the CQAds N−1 layer, not here.
 #[derive(Debug, Clone, PartialEq)]
@@ -612,21 +591,12 @@ pub struct QueryAnswer {
 #[derive(Debug, Clone, Copy)]
 pub struct Executor<'a> {
     table: &'a Table,
-    options: ExecOptions,
 }
 
 impl<'a> Executor<'a> {
-    /// Executor with default options (paper-mandated evaluation order, indexes on).
+    /// Executor over `table` (paper-mandated evaluation order, indexes on).
     pub fn new(table: &'a Table) -> Self {
-        Executor {
-            table,
-            options: ExecOptions::default(),
-        }
-    }
-
-    /// Executor with explicit options.
-    pub fn with_options(table: &'a Table, options: ExecOptions) -> Self {
-        Executor { table, options }
+        Executor { table }
     }
 
     /// Run the query, returning at most `query.limit` answers in deterministic
@@ -637,32 +607,8 @@ impl<'a> Executor<'a> {
         }
         self.validate(query)?;
 
-        let mut ids: Vec<RecordId>;
-        if let Some((first, rest)) = query
-            .superlatives
-            .split_first()
-            .filter(|_| self.options.superlatives_first)
-        {
-            // Ablation: superlatives applied to the whole table, then filtered. The
-            // first extreme is computed straight off the sorted column — no
-            // table-sized id vector — and the (small) extreme set is then lazily
-            // intersected with the WHERE stream, which gallops past everything else.
-            let mut extremes = self
-                .table
-                .extreme_all(&first.attribute, matches!(first.kind, SuperlativeKind::Max))
-                .map(|(_, ids)| ids)
-                .unwrap_or_default();
-            extremes.sort_unstable();
-            extremes = self.apply_superlative_slice(rest, extremes)?;
-            let matched = self.stream_ordered(&query.expr)?;
-            ids = IdStream::from_sorted_ids(extremes)
-                .intersect(matched)
-                .collect();
-        } else {
-            ids = self.stream_ordered(&query.expr)?.collect();
-            ids = self.apply_superlatives_sorted(query, ids)?;
-        }
-
+        let ids: Vec<RecordId> = self.stream_ordered(&query.expr)?.collect();
+        let mut ids = self.apply_superlatives_sorted(query, ids)?;
         ids.truncate(query.limit);
         Ok(ids.into_iter().map(|id| QueryAnswer { id }).collect())
     }
@@ -829,10 +775,9 @@ impl<'a> Executor<'a> {
     }
 
     /// Inclusive numeric bounds of an indexable boundary comparison, `None` when the
-    /// condition is not a plain numeric range (negated, no-index mode, text equality,
-    /// substring).
+    /// condition is not a plain numeric range (negated, text equality, substring).
     fn range_predicate(&self, cond: &Condition) -> Option<RangePredicate<'a>> {
-        if !self.options.use_indexes || cond.negated {
+        if cond.negated {
             return None;
         }
         let (low, high) = match &cond.comparison {
@@ -854,7 +799,7 @@ impl<'a> Executor<'a> {
     /// Evaluate one condition into a sorted id stream. Equality conditions borrow their
     /// posting list; everything else materializes one sorted vector.
     fn stream_condition(&self, cond: &Condition) -> IdStream<'a> {
-        if self.options.use_indexes && !cond.negated {
+        if !cond.negated {
             let sorted_range = |low: f64, high: f64| {
                 // A wide range (most of the table qualifies) is cheaper as a lazy
                 // per-record filter over the id space than as a range-sized id vector
@@ -912,8 +857,8 @@ impl<'a> Executor<'a> {
                 }
             }
         } else {
-            // Full scan (negated conditions and the no-index ablation); table iteration
-            // yields ids in ascending order already.
+            // Full scan (negated conditions); table iteration yields ids in ascending
+            // order already.
             let ids: Vec<RecordId> = self
                 .table
                 .iter()
@@ -926,25 +871,16 @@ impl<'a> Executor<'a> {
 
     /// Apply superlatives over an ascending candidate vector, returning the surviving
     /// ids ascending. Membership tests inside [`Table::extreme_sorted`] are binary
-    /// searches — no hash set is ever built.
-    fn apply_superlatives_sorted(
-        &self,
-        query: &Query,
-        candidates: Vec<RecordId>,
-    ) -> DbResult<Vec<RecordId>> {
-        self.apply_superlative_slice(&query.superlatives, candidates)
-    }
-
-    /// Apply a run of superlatives over an ascending candidate vector. Each step has
+    /// searches — no hash set is ever built. Each step has
     /// [`retain_extreme`](crate::table::retain_extreme)'s semantics (extreme among the
     /// candidates holding the attribute, ties within the window survive, no holder
     /// clears the set), read off the table's sorted column.
-    fn apply_superlative_slice(
+    fn apply_superlatives_sorted(
         &self,
-        superlatives: &[Superlative],
+        query: &Query,
         mut candidates: Vec<RecordId>,
     ) -> DbResult<Vec<RecordId>> {
-        for s in superlatives {
+        for s in &query.superlatives {
             if candidates.is_empty() {
                 return Ok(candidates);
             }
@@ -1043,23 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn superlatives_first_ablation_reproduces_the_paper_failure_mode() {
-        let t = sample_table();
-        let q = Query::new("cars")
-            .with_condition(Condition::eq("make", "honda"))
-            .with_superlative(Superlative::min("price"));
-        let wrong = Executor::with_options(
-            &t,
-            ExecOptions {
-                superlatives_first: true,
-                ..ExecOptions::default()
-            },
-        );
-        // Cheapest car overall is a Toyota, so filtering by Honda afterwards yields nothing.
-        assert!(wrong.execute(&q).unwrap().is_empty());
-    }
-
-    #[test]
     fn or_and_not_expressions_evaluate_with_set_semantics() {
         let t = sample_table();
         // "Toyota Corolla or a silver not manual Honda Accord" simplified:
@@ -1144,20 +1063,29 @@ mod tests {
     #[test]
     fn index_and_scan_paths_agree() {
         let t = sample_table();
+        // The negated condition takes the scan arm, the other two the index arms.
         let q = Query::new("cars")
             .with_condition(Condition::eq("color", "blue"))
+            .with_condition(Condition::eq("make", "ford").negated())
             .with_condition(Condition::new("price", Comparison::Lt(8000.0)));
-        let with_idx = Executor::new(&t).execute(&q).unwrap();
-        let no_idx = Executor::with_options(
-            &t,
-            ExecOptions {
-                use_indexes: false,
-                ..ExecOptions::default()
-            },
-        )
-        .execute(&q)
-        .unwrap();
-        assert_eq!(with_idx, no_idx);
+        let executed: Vec<RecordId> = Executor::new(&t)
+            .execute(&q)
+            .unwrap()
+            .iter()
+            .map(|a| a.id)
+            .collect();
+        let brute_force: Vec<RecordId> = t
+            .iter()
+            .filter(|(_, r)| {
+                q.expr
+                    .conditions()
+                    .iter()
+                    .all(|c| c.matches_value(r.get(&c.attribute)))
+            })
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(executed, brute_force);
+        assert_eq!(executed, rec(&[0]));
     }
 
     #[test]
@@ -1322,10 +1250,11 @@ mod tests {
             Query::new("cars")
                 .with_condition(Condition::eq("make", "toyota"))
                 .with_superlative(Superlative::min("price")),
+            Query::new("cars").with_superlative(Superlative::max("year")),
             Query::new("cars").with_condition(Condition::eq("make", "nosuchmake")),
         ];
         // Reference: a brute-force filter over every record (the queries are pure
-        // conjunctions), then the cheapest survivors for the superlative query.
+        // conjunctions), then the extreme survivors for the superlative queries.
         let brute_force = |q: &Query| -> Vec<RecordId> {
             let matching: Vec<(RecordId, &Record)> = t
                 .iter()
@@ -1340,10 +1269,11 @@ mod tests {
                 None => matching.iter().map(|(id, _)| *id).collect(),
                 Some(s) => {
                     let value = |r: &Record| r.get_number(&s.attribute).unwrap();
-                    let best = matching
-                        .iter()
-                        .map(|(_, r)| value(r))
-                        .fold(f64::INFINITY, f64::min);
+                    let values = matching.iter().map(|(_, r)| value(r));
+                    let best = match s.kind {
+                        SuperlativeKind::Min => values.fold(f64::INFINITY, f64::min),
+                        SuperlativeKind::Max => values.fold(f64::NEG_INFINITY, f64::max),
+                    };
                     matching
                         .iter()
                         .filter(|(_, r)| value(r) == best)
@@ -1360,41 +1290,5 @@ mod tests {
             let streamed: Vec<RecordId> = gallop.execute_stream(q).unwrap().collect();
             assert_eq!(streamed, expected);
         }
-    }
-
-    #[test]
-    fn superlatives_first_stays_lazy_and_correct_on_empty_tables() {
-        let empty = Table::new(
-            Schema::builder("cars")
-                .type1("make")
-                .type3("price", 0.0, 1000.0, None)
-                .build()
-                .unwrap(),
-        );
-        let q = Query::new("cars").with_superlative(Superlative::min("price"));
-        let wrong = Executor::with_options(
-            &empty,
-            ExecOptions {
-                superlatives_first: true,
-                ..ExecOptions::default()
-            },
-        );
-        assert!(wrong.execute(&q).unwrap().is_empty());
-        // On a populated table the rewritten path matches the paper's failure mode
-        // demonstration *and* the plain path when no WHERE clause filters anything.
-        let t = sample_table();
-        let both = Query::new("cars").with_superlative(Superlative::max("year"));
-        let a = Executor::new(&t).execute(&both).unwrap();
-        let b = Executor::with_options(
-            &t,
-            ExecOptions {
-                superlatives_first: true,
-                ..ExecOptions::default()
-            },
-        )
-        .execute(&both)
-        .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 1);
     }
 }

@@ -78,7 +78,7 @@ pub mod value;
 
 pub use database::Database;
 pub use error::{DbError, DbResult};
-pub use exec::{ExecOptions, Executor, IdStream, QueryAnswer, ScoredUnion};
+pub use exec::{Executor, IdStream, QueryAnswer, ScoredUnion};
 pub use query::{BoolExpr, Comparison, Condition, Query, Superlative, SuperlativeKind};
 pub use record::{Record, RecordBuilder, RecordId};
 pub use schema::{AttrType, AttributeDef, Schema, SchemaBuilder};
@@ -93,7 +93,7 @@ pub use value::Value;
 pub mod prelude {
     pub use crate::database::Database;
     pub use crate::error::{DbError, DbResult};
-    pub use crate::exec::{ExecOptions, Executor, QueryAnswer};
+    pub use crate::exec::{Executor, QueryAnswer};
     pub use crate::query::{BoolExpr, Comparison, Condition, Query, Superlative, SuperlativeKind};
     pub use crate::record::{Record, RecordBuilder, RecordId};
     pub use crate::schema::{AttrType, AttributeDef, Schema, SchemaBuilder};

@@ -96,7 +96,7 @@ impl SubstringIndex {
         self.map.len()
     }
 
-    /// Total number of trigram postings (useful for size accounting in benches).
+    /// Total number of trigram postings (size accounting).
     pub fn posting_count(&self) -> usize {
         self.map
             .values()

@@ -78,7 +78,7 @@ pub struct PostingList {
 }
 
 impl PostingList {
-    /// Build a list from ids already sorted strictly ascending (test/bench helper; the
+    /// Build a list from ids already sorted strictly ascending (test helper; the
     /// table builds its lists incrementally through `push`).
     pub fn from_sorted(ids: Vec<RecordId>) -> Self {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be ascending");
@@ -565,21 +565,6 @@ impl Table {
         Some((best, ids))
     }
 
-    /// [`Table::extreme_sorted`] over the *whole* table: no candidate set is consulted
-    /// (every record qualifies), so no table-sized id vector has to be materialized.
-    /// Used by the superlatives-first ablation path of the executor.
-    pub fn extreme_all(&self, attribute: &str, max: bool) -> Option<(f64, Vec<RecordId>)> {
-        let col = self.numeric.get(attribute)?;
-        let (best, first) = if max { col.last() } else { col.first() }.map(|(v, id)| (*v, *id))?;
-        let mut ids = vec![first];
-        for (v, id) in col.iter() {
-            if (*v - best).abs() < SUPERLATIVE_TIE_WINDOW && *id != first {
-                ids.push(*id);
-            }
-        }
-        Some((best, ids))
-    }
-
     /// Observed (min, max) of a numeric column — used as the "valid range" for the
     /// incomplete-question best guess when it is narrower than the schema range
     /// (Section 4.2.2: determined by the smallest/largest value under the column).
@@ -800,23 +785,6 @@ mod tests {
         // An empty table has an empty (but present) directory per text attribute.
         let empty = Table::new(car_schema());
         assert!(empty.value_index("make").unwrap().is_empty());
-    }
-
-    #[test]
-    fn extreme_all_matches_extreme_over_all_ids() {
-        let t = sample_table();
-        let all = sorted_ids(&t);
-        assert_eq!(
-            t.extreme_all("price", false),
-            t.extreme_sorted("price", &all, false)
-        );
-        assert_eq!(
-            t.extreme_all("price", true),
-            t.extreme_sorted("price", &all, true)
-        );
-        assert_eq!(t.extreme_all("nonexistent", true), None);
-        let empty = Table::new(car_schema());
-        assert_eq!(empty.extreme_all("price", false), None);
     }
 
     #[test]

@@ -1232,8 +1232,9 @@ impl CqadsWriter {
 
     /// Fallible form of [`CqadsWriter::add_domain`]: surfaces any deferred
     /// error first, then reports a failure immediately — a record the deal
-    /// could not place ([`CqadsError::Database`]; nothing was registered), or
-    /// an append failure (the domain is registered in memory, but not
+    /// could not place or, on a durable system, a table whose schema is not
+    /// its spec's ([`CqadsError::Database`]; nothing was registered), or an
+    /// append failure (the domain is registered in memory, but not
     /// persisted).
     pub fn try_add_domain(
         &mut self,
@@ -1250,6 +1251,15 @@ impl CqadsWriter {
         table: Table,
         ti_matrix: TIMatrix,
     ) -> CqadsResult<()> {
+        // A store persists `spec.schema` only and recovery rebuilds the table
+        // under it: a table with any other schema would be acknowledged here
+        // and then fail every reopen.
+        if self.shared.storage.is_some() && table.schema() != &spec.schema {
+            return Err(CqadsError::Database(addb::DbError::InvalidSchema(format!(
+                "table `{}` differs from its spec's schema, the one a durable store persists",
+                table.name()
+            ))));
+        }
         // Capture the persisted mirror before the moves below consume the
         // args.
         let persisted = self.shared.storage.as_ref().map(|_| {

@@ -5,9 +5,8 @@
 //! record through string-based similarity lookups, keeps an unbounded per-record best
 //! map and sorts it globally — slow and obviously correct. No option reaches it and no
 //! serving path calls it; the equivalence tests (`tests/topk_equivalence.rs`,
-//! `tests/properties.rs`, the `partial` unit tests) and the `partial_topk` bench hold
-//! the production engine ([`crate::partial`]) to byte-identical output
-//! ([`PartialAnswer::bits_eq`]).
+//! `tests/properties.rs`, the `partial` unit tests) hold the production engine
+//! ([`crate::partial`]) to byte-identical output ([`PartialAnswer::bits_eq`]).
 
 use crate::domain::DomainSpec;
 use crate::error::CqadsResult;

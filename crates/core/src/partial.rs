@@ -75,8 +75,8 @@
 //! and an evicted or rejected entry stays below the monotone threshold). The same
 //! holds per worker in the sharded fan-out — each worker's private heap prunes against
 //! its own (lower, hence still admissible) threshold, *raised* by a shared atomic
-//! threshold published across workers (next paragraph). The `partial_topk` bench and
-//! the equivalence tests assert byte-identity against the full-scan oracle
+//! threshold published across workers (next paragraph). The equivalence tests
+//! (`tests/topk_equivalence.rs`) assert byte-identity against the full-scan oracle
 //! ([`crate::oracle`]) across skewed and uniform value distributions.
 //!
 //! **The shared WAND threshold.** In the sharded fan-out each worker additionally
@@ -133,7 +133,7 @@
 //! spawn overhead would dominate).
 //!
 //! The seed's full-scan/full-sort pipeline lives on only as the reference the tests
-//! and benches compare against: [`crate::oracle::full_scan_partial_answers`].
+//! compare against: [`crate::oracle::full_scan_partial_answers`].
 //!
 //! # Deadlines and degradation
 //!
@@ -220,7 +220,7 @@ impl PartialAnswer {
     /// Bit-exact equality (`rank_sim` compared by its float bits, every other field
     /// by value). This is the *byte-identical answers* contract every worker count,
     /// shard count and the full-scan oracle ([`crate::oracle`]) are held to — the
-    /// single definition the equivalence tests and benches share.
+    /// single definition the equivalence tests share.
     pub fn bits_eq(&self, other: &PartialAnswer) -> bool {
         self.id == other.id
             && self.rank_sim.to_bits() == other.rank_sim.to_bits()
@@ -448,8 +448,8 @@ impl<'a> PartialMatcher<'a> {
     /// With `budget: None` this is element-wise identical (bit for bit) to
     /// calling [`PartialMatcher::partial_answers`] per request, but all questions
     /// share one set of scoped worker threads per pass — the serving shape for
-    /// query bursts, and what the `partial_topk` bench measures (per-question
-    /// spawning would otherwise dominate at high worker counts). With a
+    /// query bursts (per-question spawning would otherwise dominate at high
+    /// worker counts). With a
     /// [`QueryBudget`] armed, workers poll it at
     /// [`BUDGET_CHECK_EVERY`]-candidate granularity; on expiry each question
     /// returns its best-so-far answers truncated to the *certified prefix* of the

@@ -98,8 +98,7 @@
 //! stamped with the part's own table generation: inserting into part A
 //! invalidates only part A's contribution, and the next ask recomputes one
 //! part and reuses N−1 ([`ServingStats::contributions`](crate::ServingStats)
-//! counts both; the `shard_scaling` bench soaks this under a Zipf-skewed
-//! write mix). Reuse across asks is sound because tables are insert-only
+//! counts both). Reuse across asks is sound because tables are insert-only
 //! under routing (a part's merged-exact piece and its phase-1 candidate set
 //! are frozen while its stamp holds; the global threshold a pruned entry lost
 //! to only ever rises) and a model mutation bumps the one model generation

@@ -67,23 +67,22 @@ pub fn run(bed: &Testbed) -> ClassificationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::test_bed::shared;
+    use crate::experiments::test_bed::{assert_pinned, shared};
 
     #[test]
     fn average_accuracy_is_high_and_vehicles_are_hardest() {
-        let result = run(shared());
+        let bed = shared();
+        let result = run(bed);
         assert_eq!(result.per_domain.len(), 8);
-        assert!(
-            result.average > 0.75,
-            "average classification accuracy too low: {:.3}",
-            result.average
-        );
-        // The vehicle domains share vocabulary, so at least one of them should be below
-        // the best-performing domain.
-        let cars = result.per_domain["cars"];
-        let moto = result.per_domain["motorcycles"];
-        let best = result.per_domain.values().cloned().fold(0.0_f64, f64::max);
-        assert!(cars.min(moto) <= best);
+        assert_eq!(result.questions, 100);
+        // The vehicle domains share vocabulary: `cars` misses one of its 16
+        // questions and is the one imperfect domain.
+        for (domain, accuracy) in &result.per_domain {
+            let pinned = if domain == "cars" { 0.9375 } else { 1.0 };
+            assert_pinned(domain, *accuracy, pinned, bed.questions_for(domain).len());
+        }
+        // A macro average: one cars question is 1/16 of one of 8 domains.
+        assert_pinned("average", result.average, 0.9922, 8 * 16);
         assert!(result.report().contains("average"));
     }
 }

@@ -133,31 +133,28 @@ pub fn run(bed: &Testbed) -> BooleanResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::test_bed::shared;
+    use crate::experiments::test_bed::{assert_pinned, shared};
 
     #[test]
     fn interpretation_accuracy_matches_the_papers_shape() {
         let result = run(shared());
         assert_eq!(result.questions.len(), 10);
-        // Most interpretations match the majority reading.
-        let matched = result
-            .questions
-            .iter()
-            .filter(|q| q.matched_majority)
-            .count();
-        assert!(matched >= 8, "only {matched}/10 interpretations matched");
-        // Average agreement is high (the paper reports ~90 %).
-        assert!(
-            result.average > 0.8,
-            "average interpretation accuracy {:.3}",
-            result.average
-        );
-        assert!(result.implicit_average > 0.75);
-        assert!(result.explicit_average > 0.75);
+        // Every interpretation retrieves the majority reading's answer set.
+        for q in &result.questions {
+            assert!(q.matched_majority, "{} left the majority reading", q.id);
+        }
+        // The paper reports ~90 % (90.3 % implicit, 90.1 % explicit). Each question
+        // is the vote share of the seeded survey's 90 respondents.
+        assert_pinned("average", result.average, 0.90333, 10 * 90);
+        assert_pinned("implicit", result.implicit_average, 0.89630, 3 * 90);
+        assert_pinned("explicit", result.explicit_average, 0.90635, 7 * 90);
         // The ambiguous questions are the weakest, as in the paper.
-        let q3 = result.questions.iter().find(|q| q.id == "Q3").unwrap();
-        let q4 = result.questions.iter().find(|q| q.id == "Q4").unwrap();
-        assert!(q3.accuracy <= q4.accuracy);
+        let mut by_accuracy: Vec<&BooleanQuestionResult> = result.questions.iter().collect();
+        by_accuracy.sort_by(|a, b| a.accuracy.total_cmp(&b.accuracy));
+        assert_eq!(
+            [by_accuracy[0].id.as_str(), by_accuracy[1].id.as_str()],
+            ["Q10", "Q3"]
+        );
         assert!(result.report().contains("average"));
     }
 }

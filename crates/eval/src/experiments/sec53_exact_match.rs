@@ -10,7 +10,6 @@
 use crate::metrics::{f_measure, PrecisionRecall};
 use crate::testbed::Testbed;
 use addb::Executor;
-use cqads_datagen::QuestionKind;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -109,33 +108,29 @@ pub fn run(bed: &Testbed) -> ExactMatchResult {
     }
 }
 
-/// Identify the kinds with exact names used in reports (helper for the bench harness).
-pub fn kind_name(kind: QuestionKind) -> String {
-    format!("{kind:?}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::test_bed::shared;
+    use crate::experiments::test_bed::{assert_pinned, shared};
 
     #[test]
     fn exact_match_metrics_are_high() {
         let result = run(shared());
-        assert!(result.questions > 50);
-        assert!(
-            result.precision > 0.75,
-            "precision too low: {:.3}",
-            result.precision
-        );
-        assert!(result.recall > 0.75, "recall too low: {:.3}", result.recall);
-        assert!(result.f_measure > 0.75);
+        assert_eq!(result.questions, 100);
+        assert_pinned("precision", result.precision, 0.9415, result.questions);
+        assert_pinned("recall", result.recall, 0.9417, result.questions);
+        assert_pinned("F-measure", result.f_measure, 0.9416, result.questions);
         // Most questions are answered either perfectly or not at all — the paper's
         // observation; perfect answers dominate.
-        assert!(result.all_or_nothing_perfect > 0.6);
+        assert_pinned(
+            "answered perfectly",
+            result.all_or_nothing_perfect,
+            0.93,
+            result.questions,
+        );
         // Plain questions should be at least as easy as the average of all kinds.
         let plain = result.by_kind.get("Plain").copied().unwrap_or(0.0);
-        assert!(plain >= result.f_measure - 0.15);
+        assert!(plain >= result.f_measure);
         assert!(result.report().contains("precision"));
     }
 }

@@ -77,8 +77,6 @@ pub struct Testbed {
     pub system: CqadsSystem,
     /// The evaluation workload: all generated questions across domains.
     pub questions: Vec<GeneratedQuestion>,
-    /// The classifier training corpus (kept for the classifier ablation bench).
-    pub training_docs: Vec<LabelledDoc>,
 }
 
 impl Testbed {
@@ -171,7 +169,6 @@ impl Testbed {
             specs,
             system,
             questions,
-            training_docs,
         }
     }
 

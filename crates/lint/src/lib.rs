@@ -80,17 +80,12 @@ impl RuleSet {
 ///   layers ([`CROSS_SHARD_SCOPE`]): cross-shard coordination goes through
 ///   a `SharedThreshold` or snapshot publication, so any `static` item or
 ///   `Mutex`/`RwLock` construction there must argue itself with `// shard:`.
-/// * Test trees (`tests/`), examples, benches (`crates/bench`), generated
-///   `target/`, vendored code and the lint fixtures are out of scope; the
-///   `#[cfg(test)]` mask exempts inline test modules inside scoped files.
+/// * Test trees (`tests/`), examples, generated `target/`, vendored code
+///   and the lint fixtures are out of scope; the `#[cfg(test)]` mask
+///   exempts inline test modules inside scoped files.
 pub fn rules_for_path(rel: &Path) -> RuleSet {
     let p = rel.to_string_lossy().replace('\\', "/");
-    let out_of_scope = [
-        "vendor/",
-        "target/",
-        "crates/bench/",
-        "crates/lint/fixtures/",
-    ];
+    let out_of_scope = ["vendor/", "target/", "crates/lint/fixtures/"];
     if out_of_scope.iter().any(|d| p.starts_with(d)) || !p.ends_with(".rs") {
         return RuleSet::empty();
     }
@@ -338,7 +333,6 @@ mod tests {
         assert!(rules_for_path(Path::new("crates/eval/src/main.rs")).contains(Rule::WallClock));
         assert!(rules_for_path(Path::new("tests/serving_cache.rs")).is_empty());
         assert!(rules_for_path(Path::new("vendor/miniloom/src/lib.rs")).is_empty());
-        assert!(rules_for_path(Path::new("crates/bench/src/lib.rs")).is_empty());
         assert!(rules_for_path(Path::new("crates/lint/fixtures/no_panic.rs")).is_empty());
     }
 

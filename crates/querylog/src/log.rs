@@ -97,7 +97,7 @@ impl QueryLog {
     }
 
     /// The concatenation `self ++ delta` as a new log (the "ground truth" a full
-    /// rebuild would see; used by the equivalence tests and benches).
+    /// rebuild would see; used by the equivalence tests).
     pub fn concat(&self, delta: &QueryLogDelta) -> QueryLog {
         let mut combined = self.clone();
         combined.extend(delta);

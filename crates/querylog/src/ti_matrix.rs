@@ -40,8 +40,7 @@
 //! accumulators plus per-feature maxima, and a maximum over finite floats is
 //! order-independent; both paths therefore produce identical entries and an
 //! identical `max_value`. The `tests/properties.rs` proptest asserts this equality
-//! (entry bits, pair sets, maxima) over random logs and deltas, and the
-//! `live_learning` bench re-asserts it before timing.
+//! (entry bits, pair sets, maxima) over random logs and deltas.
 //!
 //! Manually [`insert`](TIMatrix::insert)ed pairs live in a separate overlay that
 //! finalization re-applies on top of the log-derived entries, so test fixtures and

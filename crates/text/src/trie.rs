@@ -187,7 +187,7 @@ impl<T> Trie<T> {
     }
 
     /// Approximate memory footprint in bytes (node count × per-node overhead); the paper
-    /// notes each domain trie stays under 50 MB — the report in EXPERIMENTS.md uses this.
+    /// notes each domain trie stays under 50 MB.
     pub fn approx_size_bytes(&self) -> usize {
         fn count<T>(node: &Node<T>) -> usize {
             1 + node.children.values().map(count).sum::<usize>()

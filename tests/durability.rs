@@ -7,9 +7,9 @@
 //! ([`CqadsConfig::shards`]) is persisted, so all of that holds when a store
 //! written at one count is reopened at another.
 
-use cqads_suite::addb::{Record, Table};
+use cqads_suite::addb::{DbError, Record, Schema, Table};
 use cqads_suite::cqads::domain::toy_car_domain;
-use cqads_suite::cqads::{CqadsConfig, CqadsSystem, StorageOptions};
+use cqads_suite::cqads::{CqadsConfig, CqadsError, CqadsSystem, StorageOptions};
 use cqads_suite::querylog::{QueryLogDelta, Session, SubmittedQuery, TIMatrix};
 use cqads_suite::storage::{scan_frames, MemFs};
 use cqads_suite::wordsim::WordSimMatrix;
@@ -225,6 +225,62 @@ fn observable(system: &CqadsSystem) -> (Vec<(u32, Record)>, Vec<String>, String)
         .sql
         .clone();
     (rows, answers, sql)
+}
+
+/// A store persists `spec.schema` only and recovery rebuilds the table under
+/// it, so a durable system refuses a table under any other schema up front —
+/// typed, nothing registered, nothing appended — instead of acknowledging a
+/// registration that makes every later reopen fail.
+#[test]
+fn a_durable_system_rejects_a_table_whose_schema_is_not_its_specs() {
+    let wider = Schema::builder(DOMAIN)
+        .type1("make")
+        .type1("model")
+        .type2("color")
+        .type2("transmission")
+        .type2("trim")
+        .type3("price", 500.0, 120_000.0, Some("usd"))
+        .type3("year", 1985.0, 2011.0, None)
+        .type3("mileage", 0.0, 300_000.0, Some("miles"))
+        .build()
+        .unwrap();
+    let trimmed = || {
+        let mut record = car(0, 0, 0, 5_000);
+        record.set("trim", "sport");
+        Table::from_records(wider.clone(), [record], 0).unwrap()
+    };
+    let wal_frames = |fs: &MemFs| {
+        fs.file_bytes(Path::new("db/wal-000000.log"))
+            .map_or(0, |bytes| scan_frames(&bytes).payloads.len())
+    };
+
+    let fs = Arc::new(MemFs::default());
+    let mut durable = CqadsSystem::try_with_config(durable_config(&fs)).unwrap();
+    let err = durable
+        .try_add_domain(toy_car_domain(), trimmed(), TIMatrix::default())
+        .unwrap_err();
+    assert!(
+        matches!(err, CqadsError::Database(DbError::InvalidSchema(_))),
+        "{err:?}"
+    );
+    assert!(durable.domain_names().is_empty());
+    assert!(durable.database().table(DOMAIN).is_none());
+    assert_eq!(wal_frames(&fs), 0);
+
+    // The best-effort form defers the same error to the next fallible
+    // mutation, which it pre-empts; the one after goes through.
+    durable.add_domain(toy_car_domain(), trimmed(), TIMatrix::default());
+    assert!(durable.domain_names().is_empty());
+    let mut register =
+        || durable.try_add_domain(toy_car_domain(), base_table(3), TIMatrix::default());
+    assert_eq!(register(), Err(err));
+    assert_eq!(register(), Ok(()));
+    assert_eq!(wal_frames(&fs), 1);
+    drop(durable);
+
+    let reopened = CqadsSystem::try_with_config(durable_config(&fs)).unwrap();
+    assert!(reopened.storage_report().unwrap().is_clean());
+    assert_eq!(reopened.database().table(DOMAIN).unwrap().len(), 3);
 }
 
 proptest! {

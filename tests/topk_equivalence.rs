@@ -9,11 +9,11 @@
 //! exclusion sets — including the edge cases the top-k collector has to get right:
 //! budget 0, budget larger than the match set, and every candidate excluded.
 
-use cqads_suite::addb::RecordId;
+use cqads_suite::addb::{Record, RecordId, Schema, Table};
 use cqads_suite::cqads::oracle::full_scan_partial_answers;
 use cqads_suite::cqads::tagging::Tagger;
 use cqads_suite::cqads::translate::interpret;
-use cqads_suite::cqads::{PartialMatchOptions, PartialMatcher, SimilarityModel};
+use cqads_suite::cqads::{DomainSpec, PartialMatchOptions, PartialMatcher, SimilarityModel};
 use cqads_suite::datagen::{
     affinity_model, blueprint, generate_questions, generate_table, topic_groups, QuestionMix,
 };
@@ -105,71 +105,276 @@ fn topk_engine_matches_full_sort_across_seeded_workloads() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Synthetic skewed / uniform tables: the mega posting lists 400-record datagen
+// tables never build — what `TopK`'s ascending-run fast path and the
+// equal-similarity `ScoredUnion` runs exist for.
+// ---------------------------------------------------------------------------
+
+const MAKES: usize = 12;
+const MODELS: usize = 300;
+const COLORS: usize = 24;
+
+/// Models the synthetic questions probe: spread across the skew so posting-list
+/// sizes differ.
+const QUESTION_MODELS: &[usize] = &[0, 1, 3, 9, 40, 120, 250];
+
+/// Deterministic xorshift so both distributions are reproducible without a rand dep.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
+    }
+
+    fn uniform(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn f64(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+fn make_name(i: usize) -> String {
+    format!("zeta{i}")
+}
+
+fn model_name(i: usize) -> String {
+    format!("karma{i}")
+}
+
+fn color_name(i: usize) -> String {
+    format!("teal{i}")
+}
+
+fn synthetic_spec() -> DomainSpec {
+    let schema = Schema::builder("ads")
+        .type1("make")
+        .type1("model")
+        .type2("color")
+        .type3("price", 500.0, 120_000.0, Some("usd"))
+        .build()
+        .unwrap();
+    let mut spec = DomainSpec::new(schema);
+    for i in 0..MAKES {
+        spec.add_type1_value("make", &make_name(i));
+    }
+    for i in 0..MODELS {
+        spec.add_type1_value("model", &model_name(i));
+    }
+    for i in 0..COLORS {
+        spec.add_type2_value("color", &color_name(i));
+    }
+    spec.add_type3_keyword("price", "dollars");
+    spec.set_price_attribute("price");
+    spec
+}
+
+/// Zipf-ish cumulative weights over `n` values (weight of value `k` is `1/(k+1)`).
+fn zipf_cdf(n: usize) -> Vec<f64> {
+    let mut acc = 0.0;
+    let mut cdf = Vec::with_capacity(n);
+    for k in 0..n {
+        acc += 1.0 / (k + 1) as f64;
+        cdf.push(acc);
+    }
+    let total = acc;
+    for c in &mut cdf {
+        *c /= total;
+    }
+    cdf
+}
+
+/// `skewed`: the relaxed columns are drawn Zipf-style, so the probed values sit on
+/// large posting lists and the top-k threshold saturates after a handful of value
+/// runs. Otherwise every posting list is the same size — the worst case for
+/// threshold pruning.
+fn synthetic_table(spec: &DomainSpec, rows: usize, skewed: bool) -> Table {
+    let mut table = Table::new(spec.schema.clone());
+    let mut rng = Rng(0x5EED_1234 | 1);
+    let model_cdf = zipf_cdf(MODELS);
+    let color_cdf = zipf_cdf(COLORS);
+    let pick = |cdf: &[f64], rng: &mut Rng| -> usize {
+        let u = rng.f64();
+        cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
+    };
+    for _ in 0..rows {
+        let model = if skewed {
+            pick(&model_cdf, &mut rng)
+        } else {
+            rng.uniform(MODELS)
+        };
+        let color = if skewed {
+            pick(&color_cdf, &mut rng)
+        } else {
+            rng.uniform(COLORS)
+        };
+        table
+            .insert(
+                Record::builder()
+                    .text("make", make_name(rng.uniform(MAKES)))
+                    .text("model", model_name(model))
+                    .text("color", color_name(color))
+                    .number("price", 500.0 + rng.f64() * 119_500.0)
+                    .build(),
+            )
+            .unwrap();
+    }
+    table
+}
+
+/// TI/WS matrices relating the question values to a spread of others, so the value
+/// orders contain genuinely graded similarities (a dozen related values per probe,
+/// everything else at zero).
+fn synthetic_similarity(spec: &DomainSpec) -> SimilarityModel {
+    let mut ti = TIMatrix::default();
+    for &q in QUESTION_MODELS {
+        for step in 1..=12usize {
+            let other = (q + step * 7) % MODELS;
+            let weight = 4.8 - 0.35 * step as f64;
+            ti.insert(&model_name(q), &model_name(other), weight.max(0.1));
+        }
+    }
+    for a in 0..MAKES {
+        ti.insert(&make_name(a), &make_name((a + 1) % MAKES), 2.0);
+    }
+    let mut ws = WordSimMatrix::default();
+    for c in 0..COLORS {
+        ws.insert(&color_name(c), &color_name((c + 1) % COLORS), 0.8);
+        ws.insert(&color_name(c), &color_name((c + 2) % COLORS), 0.4);
+    }
+    SimilarityModel::new(Arc::new(ti), Arc::new(ws), spec.schema.clone())
+}
+
+/// One table, its models and the question texts to sweep.
+struct Workload {
+    name: &'static str,
+    spec: DomainSpec,
+    sim: SimilarityModel,
+    table: Table,
+    questions: Vec<String>,
+}
+
+fn build_synthetic(rows: usize, skewed: bool) -> Workload {
+    let spec = synthetic_spec();
+    let table = synthetic_table(&spec, rows, skewed);
+    let sim = synthetic_similarity(&spec);
+    let mut questions = Vec::new();
+    for &m in QUESTION_MODELS {
+        // Single condition: the direct similarity scan, pruning's marquee case.
+        questions.push(model_name(m));
+        // Two equality conditions: per-value streams leapfrog the make conjunction.
+        questions.push(format!("{} {}", make_name(m % MAKES), model_name(m)));
+        // Color + model: Type II relaxation scores through the WS matrix.
+        questions.push(format!("{} {}", color_name(m % COLORS), model_name(m)));
+        // Numeric boundary: the price relaxation takes the exhaustive scan.
+        questions.push(format!(
+            "{} {} under 60000 dollars",
+            make_name((m + 3) % MAKES),
+            model_name(m)
+        ));
+    }
+    Workload {
+        name: if skewed { "skewed" } else { "uniform" },
+        spec,
+        sim,
+        table,
+        questions,
+    }
+}
+
+fn build_datagen(domain: &'static str, table_seed: u64, question_seed: u64) -> Workload {
+    let bp = blueprint(domain);
+    let table = generate_table(&bp, 400, table_seed);
+    let log = generate_log(
+        &affinity_model(&bp),
+        &LogGeneratorConfig {
+            sessions: 120,
+            seed: table_seed ^ 0x3C3C,
+            ..Default::default()
+        },
+    );
+    let ti = TIMatrix::build(&log);
+    let corpus = SyntheticCorpus::generate(
+        &topic_groups(&bp),
+        &CorpusSpec {
+            documents: 60,
+            ..CorpusSpec::default()
+        },
+    );
+    let ws = WordSimMatrix::build(&corpus);
+    let spec = bp.to_spec();
+    let sim = SimilarityModel::new(Arc::new(ti), Arc::new(ws), spec.schema.clone());
+    let questions = generate_questions(&bp, &table, 40, question_seed, &QuestionMix::default())
+        .into_iter()
+        .map(|q| q.text)
+        .collect();
+    Workload {
+        name: domain,
+        spec,
+        sim,
+        table,
+        questions,
+    }
+}
+
 /// The value-ordered (WAND-style) pruned traversal is byte-identical to the full-scan
 /// oracle across seeded workloads, budgets (the pruning thresholds) and worker
 /// counts — the sharded variant prunes against each worker's private (lower)
-/// threshold, which must still be lossless.
+/// threshold, which must still be lossless. Datagen tables carry the question
+/// variety; the synthetic tables carry the posting-list sizes.
 #[test]
 fn wand_traversal_matches_the_oracle_across_seeded_workloads() {
-    for (domain, table_seed, question_seed) in [("cars", 61_u64, 71_u64), ("furniture", 62, 72)] {
-        let bp = blueprint(domain);
-        let table = generate_table(&bp, 400, table_seed);
-        let log = generate_log(
-            &affinity_model(&bp),
-            &LogGeneratorConfig {
-                sessions: 120,
-                seed: table_seed ^ 0x3C3C,
-                ..Default::default()
-            },
-        );
-        let ti = TIMatrix::build(&log);
-        let corpus = SyntheticCorpus::generate(
-            &topic_groups(&bp),
-            &CorpusSpec {
-                documents: 60,
-                ..CorpusSpec::default()
-            },
-        );
-        let ws = WordSimMatrix::build(&corpus);
-        let spec = bp.to_spec();
-        let sim = SimilarityModel::new(Arc::new(ti), Arc::new(ws), spec.schema.clone());
-        let tagger = Tagger::new(&spec);
-
-        let questions = generate_questions(&bp, &table, 40, question_seed, &QuestionMix::default());
+    let sweeps: [(Workload, &[usize], &[usize]); 4] = [
+        (build_datagen("cars", 61, 71), &[1, 3], &[1, 7, 30, 500]),
+        (
+            build_datagen("furniture", 62, 72),
+            &[1, 3],
+            &[1, 7, 30, 500],
+        ),
+        (build_synthetic(5_000, true), &[1, 2, 4, 8], &[1, 30]),
+        (build_synthetic(5_000, false), &[1, 2, 4, 8], &[1, 30]),
+    ];
+    for (workload, worker_counts, budgets) in &sweeps {
+        let Workload {
+            name,
+            spec,
+            sim,
+            table,
+            questions,
+        } = workload;
+        let tagger = Tagger::new(spec);
         let mut compared = 0usize;
-        for q in &questions {
-            let Ok(interp) = interpret(&tagger.tag(&q.text), &spec) else {
+        for text in questions {
+            let Ok(interp) = interpret(&tagger.tag(text), spec) else {
                 continue;
             };
             let exact: HashSet<RecordId> = {
-                let query = interp.to_query_with_limit(&spec, 30).unwrap();
-                cqads_suite::addb::Executor::new(&table)
+                let query = interp.to_query_with_limit(spec, 30).unwrap();
+                cqads_suite::addb::Executor::new(table)
                     .execute(&query)
                     .map(|answers| answers.into_iter().map(|a| a.id).collect())
                     .unwrap_or_default()
             };
-            for workers in [1usize, 3] {
-                let wand = PartialMatcher::with_options(
-                    &spec,
-                    &sim,
-                    PartialMatchOptions {
-                        workers,
-                        ..PartialMatchOptions::default()
-                    },
-                );
-                for budget in [1usize, 7, 30, 500] {
+            for &budget in *budgets {
+                let b =
+                    full_scan_partial_answers(spec, sim, &interp, table, &exact, budget).unwrap();
+                for &workers in *worker_counts {
+                    let wand =
+                        PartialMatcher::with_options(spec, sim, PartialMatchOptions { workers });
                     let a = wand
-                        .partial_answers(&interp, &table, &exact, budget)
-                        .unwrap();
-                    let b = full_scan_partial_answers(&spec, &sim, &interp, &table, &exact, budget)
+                        .partial_answers(&interp, table, &exact, budget)
                         .unwrap();
                     assert_identical(
                         &a,
                         &b,
-                        &format!(
-                            "domain {domain}, question {:?}, workers {workers}, budget {budget}",
-                            q.text
-                        ),
+                        &format!("{name}, question {text:?}, workers {workers}, budget {budget}"),
                     );
                     compared += 1;
                 }
@@ -177,7 +382,7 @@ fn wand_traversal_matches_the_oracle_across_seeded_workloads() {
         }
         assert!(
             compared >= 100,
-            "expected a substantive WAND sweep for {domain}, compared only {compared}"
+            "expected a substantive WAND sweep for {name}, compared only {compared}"
         );
     }
 }
