@@ -14,10 +14,14 @@ use std::sync::Arc;
 ///
 /// Tables are held behind `Arc` so that cloning a `Database` — the operation
 /// the serving layer performs on every snapshot publish — costs one refcount
-/// bump per domain instead of a deep copy of every record and index. Mutation
-/// goes through [`Database::table_mut`]/[`Database::create_table`], which use
-/// [`Arc::make_mut`]: a table still shared with a published snapshot is
-/// copied on first write, an unshared one is mutated in place.
+/// bump per domain. Mutation goes through [`Database::table_mut`] /
+/// [`Database::create_table`], which use [`Arc::make_mut`]: an unshared table
+/// is mutated in place, a table still shared with a published snapshot is
+/// cloned on first write. That clone is not a deep copy: a [`Table`] shares
+/// its per-record chunks, sorted-index leaves and per-value state with its
+/// clones and copies only its posting lists and value directories (see
+/// "What a clone shares" in [`crate::table`]), so the write that follows
+/// copies just the chunks it touches.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: BTreeMap<String, Arc<Table>>,
@@ -76,8 +80,9 @@ impl Database {
     }
 
     /// Get a mutable table by domain name. If the table is shared with a
-    /// published snapshot it is copied on this first write
-    /// ([`Arc::make_mut`]); otherwise this is in-place mutation as before.
+    /// published snapshot this first write works on a clone of it
+    /// ([`Arc::make_mut`]; the clone shares every chunk the write does not
+    /// touch); otherwise this is in-place mutation.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
         self.tables.get_mut(name).map(Arc::make_mut)
     }

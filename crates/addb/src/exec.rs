@@ -42,8 +42,8 @@
 //! can also [`IdStream::restrict`] the stream to an id range, which is how the
 //! parallel partial matcher shards one query across worker threads (each worker seeks
 //! to its shard in `O(log n)` and stops at its upper bound). [`Executor::execute`]
-//! collects the same stream, applies superlatives last (over a sorted candidate
-//! slice, membership by binary search) and truncates to the query limit.
+//! collects the same stream, applies superlatives last (over the sorted candidate
+//! vector) and truncates to the query limit.
 //!
 //! ## Scored unions
 //!
@@ -59,7 +59,10 @@ use crate::error::{DbError, DbResult};
 use crate::query::{BoolExpr, Comparison, Condition, Query, SuperlativeKind};
 use crate::record::{Record, RecordId};
 use crate::schema::AttrType;
-use crate::table::{PostingList, Table, POSTING_BLOCK};
+use crate::substring::SUBSTRING_KEY_LEN;
+use crate::table::{retain_extreme, PostingList, Table, POSTING_BLOCK};
+use crate::value::Value;
+use cqads_text::intern;
 
 /// Index of the first element of `xs` that is `>= target`, assuming `xs` ascending.
 ///
@@ -608,7 +611,7 @@ impl<'a> Executor<'a> {
         self.validate(query)?;
 
         let ids: Vec<RecordId> = self.stream_ordered(&query.expr)?.collect();
-        let mut ids = self.apply_superlatives_sorted(query, ids)?;
+        let mut ids = self.apply_superlatives_sorted(query, ids);
         ids.truncate(query.limit);
         Ok(ids.into_iter().map(|id| QueryAnswer { id }).collect())
     }
@@ -626,7 +629,7 @@ impl<'a> Executor<'a> {
         } else {
             // Superlatives need the full candidate set; materialize, filter, re-stream.
             let ids: Vec<RecordId> = self.stream_ordered(&query.expr)?.collect();
-            let ids = self.apply_superlatives_sorted(query, ids)?;
+            let ids = self.apply_superlatives_sorted(query, ids);
             Ok(IdStream::from_sorted_ids(ids))
         }
     }
@@ -781,7 +784,7 @@ impl<'a> Executor<'a> {
             return None;
         }
         let (low, high) = match &cond.comparison {
-            Comparison::Eq(crate::value::Value::Number(n)) => (*n, *n),
+            Comparison::Eq(Value::Number(n)) => (*n, *n),
             Comparison::Lt(b) => (f64::NEG_INFINITY, prev_float(*b)),
             Comparison::Le(b) => (f64::NEG_INFINITY, *b),
             Comparison::Gt(b) => (next_float(*b), f64::INFINITY),
@@ -826,33 +829,41 @@ impl<'a> Executor<'a> {
                 }
             };
             match &cond.comparison {
-                Comparison::Eq(crate::value::Value::Text(v)) => self
+                Comparison::Eq(Value::Text(v)) => self
                     .table
                     .posting_list(&cond.attribute, v)
                     .map(IdStream::postings)
                     .unwrap_or(IdStream::Empty),
-                Comparison::Eq(crate::value::Value::Number(n)) => sorted_range(*n, *n),
+                Comparison::Eq(Value::Number(n)) => sorted_range(*n, *n),
                 Comparison::Lt(b) => sorted_range(f64::NEG_INFINITY, prev_float(*b)),
                 Comparison::Le(b) => sorted_range(f64::NEG_INFINITY, *b),
                 Comparison::Gt(b) => sorted_range(next_float(*b), f64::INFINITY),
                 Comparison::Ge(b) => sorted_range(*b, f64::INFINITY),
                 Comparison::Between(lo, hi) => sorted_range(*lo, *hi),
                 Comparison::Contains(needle) => {
-                    // Substring index pre-filter, then verify.
-                    let mut ids: Vec<RecordId> = self
-                        .table
-                        .substring_index()
-                        .substring_candidates(&cond.attribute, needle)
-                        .into_iter()
-                        .filter(|id| {
-                            self.table
-                                .get(*id)
-                                .map(|r| cond.matches_value(r.get(&cond.attribute)))
-                                .unwrap_or(false)
-                        })
-                        .collect();
+                    // The substring index names candidate *values* (slots of the
+                    // attribute's directory): each is verified once and contributes
+                    // its whole posting list. A needle shorter than the index key
+                    // cannot be pre-filtered, so every value is a candidate.
+                    let Some(values) = self.table.value_index(&cond.attribute) else {
+                        return IdStream::Empty;
+                    };
+                    let slots = if needle.chars().count() < SUBSTRING_KEY_LEN {
+                        (0..values.len() as u32).collect()
+                    } else {
+                        self.table
+                            .substring_index()
+                            .substring_candidates(&cond.attribute, needle)
+                    };
+                    let mut ids: Vec<RecordId> = Vec::new();
+                    for (sym, postings) in slots.into_iter().filter_map(|s| values.entry(s)) {
+                        let value = Value::Text(intern::resolve(sym));
+                        if cond.matches_value(Some(&value)) {
+                            ids.extend_from_slice(postings.ids());
+                        }
+                    }
+                    // Distinct values hold disjoint records: sorting is all it takes.
                     ids.sort_unstable();
-                    ids.dedup();
                     IdStream::from_sorted_ids(ids)
                 }
             }
@@ -870,30 +881,23 @@ impl<'a> Executor<'a> {
     }
 
     /// Apply superlatives over an ascending candidate vector, returning the surviving
-    /// ids ascending. Membership tests inside [`Table::extreme_sorted`] are binary
-    /// searches — no hash set is ever built. Each step has
-    /// [`retain_extreme`](crate::table::retain_extreme)'s semantics (extreme among the
+    /// ids ascending: one [`retain_extreme`] step per superlative (extreme among the
     /// candidates holding the attribute, ties within the window survive, no holder
-    /// clears the set), read off the table's sorted column.
+    /// clears the set), values read off the table's numeric column.
     fn apply_superlatives_sorted(
         &self,
         query: &Query,
         mut candidates: Vec<RecordId>,
-    ) -> DbResult<Vec<RecordId>> {
+    ) -> Vec<RecordId> {
         for s in &query.superlatives {
-            if candidates.is_empty() {
-                return Ok(candidates);
-            }
-            let max = matches!(s.kind, SuperlativeKind::Max);
-            match self.table.extreme_sorted(&s.attribute, &candidates, max) {
-                Some((_, ids)) => {
-                    candidates = ids;
-                    candidates.sort_unstable();
-                }
-                None => candidates.clear(),
-            }
+            let column = self.table.numeric_column(&s.attribute);
+            retain_extreme(
+                &mut candidates,
+                matches!(s.kind, SuperlativeKind::Max),
+                |id| column.and_then(|c| c.value(id)),
+            );
         }
-        Ok(candidates)
+        candidates
     }
 }
 
@@ -1289,6 +1293,45 @@ mod tests {
             assert_eq!(executed, expected);
             let streamed: Vec<RecordId> = gallop.execute_stream(q).unwrap().collect();
             assert_eq!(streamed, expected);
+        }
+    }
+
+    proptest::proptest! {
+        /// `Contains` through the substring index (candidate values, verified once
+        /// each) ≡ the brute-force scan: needles below the key length, at and above
+        /// it, in mixed case and absent, over values that share trigrams.
+        #[test]
+        fn contains_agrees_with_the_full_scan(
+            values in proptest::collection::vec("[abc]{1,6}( [abc]{1,3})?", 1..24),
+            needles in proptest::collection::vec("[abcB ]{0,5}", 1..12),
+        ) {
+            let schema = Schema::builder("things").type1("name").type2("tag").build().unwrap();
+            let mut t = Table::new(schema);
+            for (i, value) in values.iter().enumerate() {
+                let mut record = Record::builder().text("name", value);
+                if i % 3 != 0 {
+                    record = record.text("tag", &values[i / 2]);
+                }
+                t.insert(record.build()).unwrap();
+            }
+            let needles = needles.iter().map(String::as_str).chain(["", "zzz", &values[0]]);
+            for needle in needles {
+                for attribute in ["name", "tag"] {
+                    let cond = Condition::new(attribute, Comparison::Contains(needle.into()));
+                    let scanned: Vec<RecordId> = t
+                        .iter()
+                        .filter(|(_, r)| cond.matches_value(r.get(attribute)))
+                        .map(|(id, _)| id)
+                        .collect();
+                    let executed: Vec<RecordId> = Executor::new(&t)
+                        .execute(&Query::new("things").with_condition(cond))
+                        .unwrap()
+                        .iter()
+                        .map(|a| a.id)
+                        .collect();
+                    proptest::prop_assert_eq!(executed, scanned, "{} LIKE %{}%", attribute, needle);
+                }
+            }
         }
     }
 }

@@ -65,6 +65,7 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
+mod chunked;
 pub mod database;
 pub mod error;
 pub mod exec;
@@ -84,8 +85,8 @@ pub use record::{Record, RecordBuilder, RecordId};
 pub use schema::{AttrType, AttributeDef, Schema, SchemaBuilder};
 pub use substring::SubstringIndex;
 pub use table::{
-    retain_extreme, NumericColumn, PostingList, Table, TextCell, TextColumn, ValueIndex,
-    POSTING_BLOCK, SUPERLATIVE_TIE_WINDOW,
+    retain_extreme, NumericColumn, PostingList, Table, TextColumn, ValueIndex, POSTING_BLOCK,
+    RECORD_CHUNK, SUPERLATIVE_TIE_WINDOW,
 };
 pub use value::Value;
 

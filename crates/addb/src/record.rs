@@ -7,6 +7,7 @@
 
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -26,6 +27,20 @@ pub struct Record {
     fields: BTreeMap<String, Value>,
 }
 
+/// `attribute` as the keys are stored (lowercase), allocating only when lowercasing
+/// changes it — field reads sit inside per-record scans and every insert.
+fn key(attribute: &str) -> Cow<'_, str> {
+    let unchanged = |c: char| {
+        let mut lower = c.to_lowercase();
+        lower.next() == Some(c) && lower.next().is_none()
+    };
+    if attribute.chars().all(unchanged) {
+        Cow::Borrowed(attribute)
+    } else {
+        Cow::Owned(attribute.to_lowercase())
+    }
+}
+
 impl Record {
     /// Start building a record.
     pub fn builder() -> RecordBuilder {
@@ -36,7 +51,7 @@ impl Record {
 
     /// Get the value stored for an attribute, if any.
     pub fn get(&self, attribute: &str) -> Option<&Value> {
-        self.fields.get(&attribute.to_lowercase())
+        self.fields.get(key(attribute).as_ref())
     }
 
     /// Get the categorical value stored for an attribute, if it is text.
@@ -57,7 +72,7 @@ impl Record {
 
     /// True if the record carries a value for the attribute.
     pub fn has(&self, attribute: &str) -> bool {
-        self.fields.contains_key(&attribute.to_lowercase())
+        self.fields.contains_key(key(attribute).as_ref())
     }
 
     /// Iterate over `(attribute, value)` pairs in attribute-name order.
@@ -146,6 +161,25 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert!(r.has("price"));
         assert!(!r.has("color"));
+    }
+
+    #[test]
+    fn lookups_ignore_the_case_of_the_attribute_name() {
+        let r = Record::builder()
+            .text("Stra\u{df}e", "hauptstrasse")
+            .number("\u{1c5}emal", 3.0)
+            .build();
+        // As given when already lowercase, lowercased otherwise — uppercase, mixed
+        // case and a titlecase letter (`\u{1c5}`, which is not `char::is_uppercase`).
+        for name in ["stra\u{df}e", "STRA\u{df}E", "Stra\u{df}e"] {
+            assert_eq!(r.get_text(name), Some("hauptstrasse"), "{name}");
+            assert!(r.has(name), "{name}");
+        }
+        for name in ["\u{1c6}emal", "\u{1c5}emal", "\u{1c4}EMAL"] {
+            assert_eq!(r.get_number(name), Some(3.0), "{name}");
+            assert!(r.has(name), "{name}");
+        }
+        assert!(!r.has("strasse") && r.get("EMAL").is_none());
     }
 
     #[test]

@@ -10,22 +10,30 @@
 //! is indexed both under its 3-character *prefix* (the MySQL behaviour) and under every
 //! 3-character window (trigram), which is what the CQAds implementation needs for the
 //! substring matching it uses "to speed up the process of retrieving answers" (item (iv)
-//! in the introduction). Lookups return candidate record ids that still need to be
-//! verified against the full value, exactly as a prefix index behaves.
+//! in the introduction).
+//!
+//! The index is over the **distinct values** of an attribute, not over its records: a
+//! key posts the *slots* of the values containing it, a slot being the value's position
+//! in the attribute's value directory ([`crate::table::ValueIndex::entry`]), whose
+//! posting list then names the records. Trigrams are a function of the value, an ads
+//! column holds a few dozen distinct values under tens of thousands of records, and
+//! the index is written only when a value is seen for the first time. Lookups return
+//! candidate slots that still need to be verified against the full value, exactly as a
+//! prefix index behaves.
 
-use crate::record::RecordId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Length of the indexed substring keys (the paper uses 3).
 pub const SUBSTRING_KEY_LEN: usize = 3;
 
-/// Inverted index from 3-character keys to record ids, per attribute.
+/// Inverted index from 3-character keys to value slots, per attribute. Slot lists are
+/// ascending: slots are handed out in first-seen order and indexed once.
 #[derive(Debug, Clone, Default)]
 pub struct SubstringIndex {
-    /// attribute -> trigram -> record ids
-    map: HashMap<String, HashMap<String, HashSet<RecordId>>>,
-    /// attribute -> prefix (first 3 chars) -> record ids
-    prefixes: HashMap<String, HashMap<String, HashSet<RecordId>>>,
+    /// attribute -> trigram -> value slots
+    map: HashMap<String, HashMap<String, Vec<u32>>>,
+    /// attribute -> prefix (first 3 chars) -> value slots
+    prefixes: HashMap<String, HashMap<String, Vec<u32>>>,
 }
 
 impl SubstringIndex {
@@ -34,26 +42,34 @@ impl SubstringIndex {
         Self::default()
     }
 
-    /// Index a categorical value of `attribute` for the record `id`.
-    pub fn insert(&mut self, attribute: &str, value: &str, id: RecordId) {
+    /// Index a distinct categorical value of `attribute` under its directory `slot`
+    /// (slots of one attribute must arrive in ascending order).
+    pub fn insert(&mut self, attribute: &str, value: &str, slot: u32) {
         let attribute = attribute.to_lowercase();
         let value = value.to_lowercase();
-        let prefix = key_prefix(&value);
-        self.prefixes
-            .entry(attribute.clone())
-            .or_default()
-            .entry(prefix)
-            .or_default()
-            .insert(id);
+        let post = |slots: &mut Vec<u32>| {
+            debug_assert!(slots.last().is_none_or(|last| *last <= slot));
+            // A value repeating a trigram ("aaaa") posts its slot once.
+            if slots.last() != Some(&slot) {
+                slots.push(slot);
+            }
+        };
+        post(
+            self.prefixes
+                .entry(attribute.clone())
+                .or_default()
+                .entry(key_prefix(&value))
+                .or_default(),
+        );
         let grams = self.map.entry(attribute).or_default();
         for g in trigrams(&value) {
-            grams.entry(g).or_default().insert(id);
+            post(grams.entry(g).or_default());
         }
     }
 
-    /// Candidate records whose `attribute` value starts with the same 3-character prefix
-    /// as `value`. This mirrors a MySQL `INDEX (col(3))` lookup.
-    pub fn prefix_candidates(&self, attribute: &str, value: &str) -> HashSet<RecordId> {
+    /// Candidate values (ascending slots) of `attribute` that start with the same
+    /// 3-character prefix as `value`. This mirrors a MySQL `INDEX (col(3))` lookup.
+    pub fn prefix_candidates(&self, attribute: &str, value: &str) -> Vec<u32> {
         let value = value.to_lowercase();
         self.prefixes
             .get(&attribute.to_lowercase())
@@ -62,27 +78,27 @@ impl SubstringIndex {
             .unwrap_or_default()
     }
 
-    /// Candidate records whose `attribute` value shares *all* trigrams of `value`
-    /// (substring containment pre-filter). If the probe is shorter than 3 characters the
-    /// prefix map is used instead.
-    pub fn substring_candidates(&self, attribute: &str, value: &str) -> HashSet<RecordId> {
+    /// Candidate values (ascending slots) of `attribute` that share *all* trigrams of
+    /// `value` (substring containment pre-filter). If the probe is shorter than 3
+    /// characters the prefix map is used instead.
+    pub fn substring_candidates(&self, attribute: &str, value: &str) -> Vec<u32> {
         let value = value.to_lowercase();
         let grams: Vec<String> = trigrams(&value).collect();
         if grams.is_empty() {
             return self.prefix_candidates(attribute, &value);
         }
         let Some(per_attr) = self.map.get(&attribute.to_lowercase()) else {
-            return HashSet::new();
+            return Vec::new();
         };
         let mut iter = grams.iter();
         let mut acc = match iter.next().and_then(|g| per_attr.get(g)) {
-            Some(set) => set.clone(),
-            None => return HashSet::new(),
+            Some(slots) => slots.clone(),
+            None => return Vec::new(),
         };
         for g in iter {
             match per_attr.get(g) {
-                Some(set) => acc.retain(|id| set.contains(id)),
-                None => return HashSet::new(),
+                Some(slots) => acc.retain(|slot| slots.binary_search(slot).is_ok()),
+                None => return Vec::new(),
             }
             if acc.is_empty() {
                 break;
@@ -127,31 +143,27 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn id(n: u32) -> RecordId {
-        RecordId(n)
-    }
-
     #[test]
     fn prefix_lookup_matches_first_three_chars() {
         let mut idx = SubstringIndex::new();
-        idx.insert("model", "accord", id(1));
-        idx.insert("model", "accent", id(2));
-        idx.insert("model", "civic", id(3));
+        idx.insert("model", "accord", 1);
+        idx.insert("model", "accent", 2);
+        idx.insert("model", "civic", 3);
         let c = idx.prefix_candidates("model", "accord");
-        assert!(c.contains(&id(1)) && c.contains(&id(2)) && !c.contains(&id(3)));
+        assert!(c.contains(&1) && c.contains(&2) && !c.contains(&3));
     }
 
     #[test]
     fn substring_lookup_requires_all_trigrams() {
         let mut idx = SubstringIndex::new();
-        idx.insert("model", "accord", id(1));
-        idx.insert("model", "corolla", id(2));
+        idx.insert("model", "accord", 1);
+        idx.insert("model", "corolla", 2);
         // "cor" appears in both accord and corolla.
         let c = idx.substring_candidates("model", "cor");
-        assert!(c.contains(&id(1)) && c.contains(&id(2)));
+        assert!(c.contains(&1) && c.contains(&2));
         // "coro" only in corolla.
         let c = idx.substring_candidates("model", "coro");
-        assert!(!c.contains(&id(1)) && c.contains(&id(2)));
+        assert!(!c.contains(&1) && c.contains(&2));
         // unrelated probe
         assert!(idx.substring_candidates("model", "mustang").is_empty());
     }
@@ -159,11 +171,11 @@ mod tests {
     #[test]
     fn short_probe_falls_back_to_prefix() {
         let mut idx = SubstringIndex::new();
-        idx.insert("color", "red", id(4));
+        idx.insert("color", "red", 4);
         // Probe shorter than 3 characters: falls back to prefix map, which stores the
         // full first-3 key, so a 2-character probe matches nothing (same as MySQL).
         assert!(idx.substring_candidates("color", "re").is_empty());
-        assert!(idx.substring_candidates("color", "red").contains(&id(4)));
+        assert!(idx.substring_candidates("color", "red").contains(&4));
     }
 
     #[test]
@@ -176,8 +188,8 @@ mod tests {
     #[test]
     fn counts_reflect_inserts() {
         let mut idx = SubstringIndex::new();
-        idx.insert("model", "accord", id(1));
-        idx.insert("color", "blue", id(1));
+        idx.insert("model", "accord", 1);
+        idx.insert("color", "blue", 1);
         assert_eq!(idx.attribute_count(), 2);
         assert!(idx.posting_count() >= 4);
     }
@@ -187,9 +199,9 @@ mod tests {
         #[test]
         fn indexed_value_is_always_a_candidate(value in "[a-z]{3,12}", n in 0u32..100) {
             let mut idx = SubstringIndex::new();
-            idx.insert("attr", &value, id(n));
-            prop_assert!(idx.substring_candidates("attr", &value).contains(&id(n)));
-            prop_assert!(idx.prefix_candidates("attr", &value).contains(&id(n)));
+            idx.insert("attr", &value, n);
+            prop_assert!(idx.substring_candidates("attr", &value).contains(&n));
+            prop_assert!(idx.prefix_candidates("attr", &value).contains(&n));
         }
 
         /// Substring candidates are a superset of exact matches for any probe that is a
@@ -197,11 +209,11 @@ mod tests {
         #[test]
         fn substring_probe_finds_container(value in "[a-z]{5,12}", start in 0usize..3, len in 3usize..5) {
             let mut idx = SubstringIndex::new();
-            idx.insert("attr", &value, id(1));
+            idx.insert("attr", &value, 1);
             let end = (start + len).min(value.len());
             if end > start && end - start >= 3 {
                 let probe = &value[start..end];
-                prop_assert!(idx.substring_candidates("attr", probe).contains(&id(1)));
+                prop_assert!(idx.substring_candidates("attr", probe).contains(&1));
             }
         }
     }

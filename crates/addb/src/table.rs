@@ -3,11 +3,12 @@
 //! * Type I attribute values are kept in a **primary index** (value → record ids).
 //! * Type II attribute values are kept in a **secondary index**.
 //! * All categorical values also feed the length-3 **substring index** of Section 4.5.
-//! * Type III attribute values are stored in per-column sorted vectors so that range
-//!   and superlative evaluation does not need to touch unrelated records.
+//! * Type III attribute values are stored in a per-column sorted index so that range
+//!   evaluation does not need to touch unrelated records.
 //!
-//! In addition to the indexes, every categorical value is **interned at insert time**
-//! ([`TextCell`]): the normalized value and its stemmed words become integer symbols,
+//! In addition to the indexes, every categorical value is **interned at insert time**:
+//! the normalized value becomes an integer symbol in its [`TextColumn`], and the
+//! stemmed words of each *distinct* value become symbols in its [`ValueIndex`] entry,
 //! so similarity scoring during partial matching never re-normalizes or re-stems a
 //! stored string. Posting lists ([`PostingList`]) are kept **sorted by record id** (ids
 //! are assigned in insertion order and appended monotonically), which lets the executor
@@ -15,15 +16,30 @@
 //! metadata** (one entry per [`POSTING_BLOCK`] ids, maintained incrementally at insert)
 //! so a skewed intersection can skip whole blocks without touching the ids themselves.
 //! Records live behind [`Arc`] so answers can share them without deep-cloning.
+//!
+//! # What a clone shares
+//!
+//! The serving layer publishes snapshots that share their tables with the writer, so
+//! the first insert after a reader has loaded runs on a clone of the table
+//! ([`crate::Database::table_mut`]). The layout makes that clone cheap and the insert
+//! local. What is stored **per record** — the records, every [`TextColumn`]'s symbols,
+//! every [`NumericColumn`]'s values — lives in chunks of [`RECORD_CHUNK`] entries
+//! behind `Arc`s: a clone bumps one refcount per chunk, an insert copies the tail
+//! chunk only, a full chunk is shared by every snapshot from then on. The sorted range
+//! index is a run of `Arc`-shared leaves of which an insert rewrites one. What is
+//! stored **per distinct value** — stems, the substring index — is shared outright and
+//! written only when a value is seen for the first time. The posting lists and value
+//! directories are contiguous (the executor's cursors gallop over plain slices) and
+//! are copied whole: 4 bytes per record and text attribute.
 
+use crate::chunked::{ChunkedVec, SortedIndex};
 use crate::error::{DbError, DbResult};
 use crate::record::{Record, RecordId};
 use crate::schema::{AttrType, Schema};
 use crate::substring::SubstringIndex;
-use crate::value::Value;
 use cqads_text::intern::{self, Sym};
 use cqads_text::porter_stem;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Ids per block of the [`PostingList`] skip metadata. 64 ids (256 bytes) spans four
@@ -31,13 +47,18 @@ use std::sync::Arc;
 /// block-max array is ~1.5% of the list and fits in cache even for huge lists.
 pub const POSTING_BLOCK: usize = 64;
 
+/// Records per `Arc`-shared chunk of the per-record columns, and half the capacity of
+/// a sorted-index leaf: 8 KB of symbols or values, at most 32 KB per leaf — what one
+/// insert into a table shared with a snapshot copies per column.
+pub const RECORD_CHUNK: usize = 1024;
+
 /// Two numeric values closer than this count as the same extreme: a superlative
 /// ("cheapest", "newest") keeps every candidate tied within it.
 pub const SUPERLATIVE_TIE_WINDOW: f64 = 1e-9;
 
 /// One superlative step over candidates whose values the caller resolves — the
-/// single definition of the semantics [`Table::extreme_sorted`] implements over one
-/// table's sorted column and the scatter-gather layer applies across several tables.
+/// single definition of the semantics, which the executor applies over one table's
+/// numeric column and the scatter-gather layer across several tables.
 /// The extreme is taken among the candidates that *have* a value; the survivors, kept
 /// in order, are the candidates within [`SUPERLATIVE_TIE_WINDOW`] of it; a step in
 /// which no candidate has a value clears the set.
@@ -128,7 +149,7 @@ impl PostingList {
 
 /// Per-attribute directory of distinct categorical values: interned value symbol →
 /// posting list, plus the **value directory** — every distinct value in first-seen
-/// (insertion) order with its document frequency (`postings.len()`).
+/// (insertion) order with its stems and its document frequency (`postings.len()`).
 ///
 /// This is the substrate of the value-ordered (WAND-style) partial scorer: a
 /// relaxed-attribute plan walks [`ValueIndex::entries`] once, scores each distinct
@@ -142,36 +163,73 @@ pub struct ValueIndex {
     /// Value symbol → slot in `entries`.
     by_sym: HashMap<Sym, u32, intern::SymHashBuilder>,
     /// Distinct values in first-seen order.
-    entries: Vec<(Sym, PostingList)>,
+    entries: Vec<ValueEntry>,
+}
+
+#[derive(Debug, Clone)]
+struct ValueEntry {
+    sym: Sym,
+    /// Symbols of the Porter-stemmed words of the value, mirroring the WS-matrix
+    /// convention (stem of the lowercase word). A function of the value alone, so
+    /// computed when the value is first seen and shared by every clone.
+    stems: Arc<[Sym]>,
+    postings: PostingList,
 }
 
 impl ValueIndex {
-    /// Append `id` to the posting list of `sym` (ids arrive monotonically increasing,
-    /// so lists stay sorted and their block maxima current — see [`PostingList`]).
-    fn push(&mut self, sym: Sym, id: RecordId) {
-        let slot = match self.by_sym.get(&sym) {
-            Some(&slot) => slot as usize,
-            None => {
-                let slot = self.entries.len();
-                self.by_sym.insert(sym, slot as u32);
-                self.entries.push((sym, PostingList::default()));
-                slot
-            }
-        };
-        self.entries[slot].1.push(id);
+    /// Append `id` to the posting list of the value `text`, interned as `sym` (ids
+    /// arrive monotonically increasing, so lists stay sorted and their block maxima
+    /// current — see [`PostingList`]). Returns the value's slot when this is its
+    /// first occurrence in the column.
+    fn push(&mut self, sym: Sym, text: &str, id: RecordId) -> Option<u32> {
+        if let Some(&slot) = self.by_sym.get(&sym) {
+            self.entries[slot as usize].postings.push(id);
+            return None;
+        }
+        let slot = self.entries.len() as u32;
+        self.by_sym.insert(sym, slot);
+        let mut postings = PostingList::default();
+        postings.push(id);
+        self.entries.push(ValueEntry {
+            sym,
+            stems: text
+                .split_whitespace()
+                .map(|w| intern::intern(&porter_stem(w)))
+                .collect(),
+            postings,
+        });
+        Some(slot)
+    }
+
+    fn find(&self, sym: Sym) -> Option<&ValueEntry> {
+        self.by_sym
+            .get(&sym)
+            .map(|&slot| &self.entries[slot as usize])
     }
 
     /// Posting list of one value, `None` when the value never occurs in the column.
     pub fn get(&self, sym: Sym) -> Option<&PostingList> {
-        self.by_sym
-            .get(&sym)
-            .map(|&slot| &self.entries[slot as usize].1)
+        self.find(sym).map(|entry| &entry.postings)
+    }
+
+    /// Interned stems of one value's words (what a `Feat_Sim` probe walks), `None`
+    /// when the value never occurs in the column.
+    pub fn stems(&self, sym: Sym) -> Option<&[Sym]> {
+        self.find(sym).map(|entry| &*entry.stems)
     }
 
     /// The value directory: every distinct value with its posting list, in first-seen
     /// order. Document frequency of a value is `postings.len()`.
     pub fn entries(&self) -> impl Iterator<Item = (Sym, &PostingList)> {
-        self.entries.iter().map(|(sym, list)| (*sym, list))
+        self.entries.iter().map(|e| (e.sym, &e.postings))
+    }
+
+    /// The directory entry at `slot` (its position in [`ValueIndex::entries`]) — how
+    /// the [`SubstringIndex`] names a value.
+    pub fn entry(&self, slot: u32) -> Option<(Sym, &PostingList)> {
+        self.entries
+            .get(slot as usize)
+            .map(|e| (e.sym, &e.postings))
     }
 
     /// How many records carry `sym` in this column (0 when the value never occurs).
@@ -190,48 +248,30 @@ impl ValueIndex {
     }
 }
 
-/// Interned form of one categorical cell, computed once at insert time.
-#[derive(Debug, Clone)]
-pub struct TextCell {
-    /// Symbol of the full normalized value (lowercase, whitespace-collapsed).
-    pub sym: Sym,
-    /// Symbols of the Porter-stemmed whitespace-separated words of the value.
-    pub stems: Box<[Sym]>,
-}
-
-/// Per-attribute column of interned categorical cells, indexed by record id.
-///
-/// Stored twice, deliberately: the full [`TextCell`]s (symbol + stemmed words, ~32
-/// bytes each) and a dense symbol-only mirror (8 bytes each). Batch scoring is
-/// memory-bound on this column — the memoizing scorer needs *only* the value symbol
-/// per record (stems are touched once per distinct value), so the dense mirror cuts
-/// the cache lines touched per candidate by 4×.
+/// Per-attribute column of interned categorical values, indexed by record id: one
+/// value symbol (8 bytes) per record and nothing else. Batch scoring is memory-bound
+/// on this column — the memoizing scorer needs *only* the value symbol per record;
+/// what depends on the value alone (its stems) is stored once per distinct value in
+/// the attribute's [`ValueIndex`].
 #[derive(Debug, Clone, Default)]
 pub struct TextColumn {
-    cells: Vec<Option<TextCell>>,
-    syms: Vec<Option<Sym>>,
+    syms: ChunkedVec<Option<Sym>, RECORD_CHUNK>,
 }
 
 impl TextColumn {
-    /// The interned cell of `id`, if the record carries this attribute.
-    pub fn cell(&self, id: RecordId) -> Option<&TextCell> {
-        self.cells.get(id.0 as usize).and_then(Option::as_ref)
-    }
-
-    /// The value symbol of `id` alone, from the dense mirror — the batch-scoring hot
-    /// path; prefer this when the stems are not needed.
+    /// The value symbol of `id`, if the record carries this attribute.
     pub fn sym(&self, id: RecordId) -> Option<Sym> {
         self.syms.get(id.0 as usize).copied().flatten()
     }
 }
 
 /// Per-attribute column of numeric values, indexed by record id (O(1) per-record
-/// access; the sorted `(value, id)` vector remains the range/superlative index).
+/// access; the sorted `(value, id)` index remains the range index).
 /// Missing values are stored as a NaN sentinel so a cell costs 8 bytes, not 16 —
 /// range predicates stream this column for every surviving candidate.
 #[derive(Debug, Clone, Default)]
 pub struct NumericColumn {
-    values: Vec<f64>,
+    values: ChunkedVec<f64, RECORD_CHUNK>,
 }
 
 impl NumericColumn {
@@ -253,18 +293,19 @@ pub struct Table {
     /// computing an answer; a stamp that trails the current generation proves a
     /// mutation happened in between, so the entry can never be served stale.
     generation: u64,
-    records: Vec<Arc<Record>>,
+    records: ChunkedVec<Arc<Record>, RECORD_CHUNK>,
     /// attribute -> value directory + sym-keyed block-max posting lists (Type I).
     primary: HashMap<String, ValueIndex>,
     /// attribute -> value directory + sym-keyed block-max posting lists (Type II).
     secondary: HashMap<String, ValueIndex>,
     /// attribute -> (value, record id) sorted by value (Type III).
-    numeric: HashMap<String, Vec<(f64, RecordId)>>,
-    /// attribute -> interned cells by record id (Type I and Type II).
+    numeric: HashMap<String, SortedIndex<RECORD_CHUNK>>,
+    /// attribute -> value symbol by record id (Type I and Type II).
     text_cols: HashMap<String, TextColumn>,
     /// attribute -> numeric value by record id (Type III).
     num_cols: HashMap<String, NumericColumn>,
-    substring: SubstringIndex,
+    /// Trigrams of the distinct values; written only when a value is first seen.
+    substring: Arc<SubstringIndex>,
 }
 
 impl Table {
@@ -286,7 +327,7 @@ impl Table {
                     text_cols.insert(attr.name.clone(), TextColumn::default());
                 }
                 AttrType::TypeIII => {
-                    numeric.insert(attr.name.clone(), Vec::new());
+                    numeric.insert(attr.name.clone(), SortedIndex::default());
                     num_cols.insert(attr.name.clone(), NumericColumn::default());
                 }
             }
@@ -294,13 +335,13 @@ impl Table {
         Table {
             schema,
             generation: 0,
-            records: Vec::new(),
+            records: ChunkedVec::default(),
             primary,
             secondary,
             numeric,
             text_cols,
             num_cols,
-            substring: SubstringIndex::new(),
+            substring: Arc::default(),
         }
     }
 
@@ -321,7 +362,7 @@ impl Table {
 
     /// True if the table holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.records.len() == 0
     }
 
     /// Current mutation generation: `0` for a fresh table, incremented by every
@@ -367,7 +408,8 @@ impl Table {
         Ok(table)
     }
 
-    /// Access to the substring index (used by the shorthand-matching code path).
+    /// The substring index over the distinct values of every categorical attribute;
+    /// its candidates are slots of the attribute's [`Table::value_index`].
     pub fn substring_index(&self) -> &SubstringIndex {
         &self.substring
     }
@@ -400,51 +442,30 @@ impl Table {
             }
         }
 
+        // One slot per record in every column, so columns stay aligned with record
+        // ids. Values were normalized (lowercased) by `Value::text`, so the interned
+        // symbol is exactly what a question's normalized value resolves to. `id` is
+        // monotonically increasing, so posting lists stay sorted ascending (and their
+        // block maxima current) without an explicit sort.
         let id = RecordId(self.records.len() as u32);
-        for (name, value) in record.fields() {
-            match value {
-                Value::Text(text) => {
-                    self.substring.insert(name, text, id);
-                    // lint: allow(no-panic) — record validated against this schema at fn entry
-                    let attr = self.schema.attribute(name).expect("validated above");
-                    let target = match attr.attr_type {
-                        AttrType::TypeI => self.primary.get_mut(name),
-                        AttrType::TypeII => self.secondary.get_mut(name),
-                        AttrType::TypeIII => None,
-                    };
-                    if let Some(index) = target {
-                        // `id` is monotonically increasing, so posting lists stay
-                        // sorted ascending (and their block maxima current) without an
-                        // explicit sort. Values were normalized by `Value::text`, so
-                        // this symbol is exactly the one the text columns store.
-                        index.push(intern::intern(text), id);
-                    }
-                }
-                Value::Number(n) => {
-                    if let Some(col) = self.numeric.get_mut(name) {
-                        let pos = col.partition_point(|(v, _)| *v < *n);
-                        col.insert(pos, (*n, id));
-                    }
-                }
-            }
-        }
-        // Interned column stores: one slot per record in every column, so columns stay
-        // aligned with record ids. Values are already normalized (lowercased) by
-        // `Value::text`; stems mirror the WS-matrix convention (stem of the lowercase
-        // word), so hot-path scoring needs no further normalization.
         for (name, col) in self.text_cols.iter_mut() {
-            let cell = record.get_text(name).map(|text| TextCell {
-                sym: intern::intern(text),
-                stems: text
-                    .split_whitespace()
-                    .map(|w| intern::intern(&porter_stem(w)))
-                    .collect(),
+            let sym = record.get_text(name).map(|text| {
+                let sym = intern::intern(text);
+                let index = self.primary.get_mut(name);
+                let index = index.or_else(|| self.secondary.get_mut(name));
+                if let Some(slot) = index.and_then(|index| index.push(sym, text, id)) {
+                    Arc::make_mut(&mut self.substring).insert(name, text, slot);
+                }
+                sym
             });
-            col.syms.push(cell.as_ref().map(|c| c.sym));
-            col.cells.push(cell);
+            col.syms.push(sym);
         }
         for (name, col) in self.num_cols.iter_mut() {
-            col.values.push(record.get_number(name).unwrap_or(f64::NAN));
+            let value = record.get_number(name);
+            if let (Some(n), Some(sorted)) = (value, self.numeric.get_mut(name)) {
+                sorted.insert(n, id);
+            }
+            col.values.push(value.unwrap_or(f64::NAN));
         }
         self.records.push(Arc::new(record));
         self.generation += 1;
@@ -468,11 +489,6 @@ impl Table {
             .iter()
             .enumerate()
             .map(|(i, r)| (RecordId(i as u32), r.as_ref()))
-    }
-
-    /// All record ids in the table.
-    pub fn all_ids(&self) -> HashSet<RecordId> {
-        (0..self.records.len() as u32).map(RecordId).collect()
     }
 
     /// Interned categorical column of an attribute (Type I / Type II).
@@ -512,84 +528,28 @@ impl Table {
             .or_else(|| self.secondary.get(attribute))
     }
 
-    /// How many records hold numeric `attribute` in `[low, high]` — two binary
-    /// searches on the sorted column, no materialization. The executor uses this to
-    /// decide between materializing a range's ids and streaming a lazy per-record
-    /// filter.
+    /// How many records hold numeric `attribute` in `[low, high]` — binary searches on
+    /// the sorted index, no materialization. The executor uses this to decide between
+    /// materializing a range's ids and streaming a lazy per-record filter.
     pub fn range_count(&self, attribute: &str, low: f64, high: f64) -> usize {
-        let Some(col) = self.numeric.get(attribute) else {
-            return 0;
-        };
-        let start = col.partition_point(|(v, _)| *v < low);
-        let end = col.partition_point(|(v, _)| *v <= high);
-        end.saturating_sub(start)
+        self.numeric
+            .get(attribute)
+            .map_or(0, |index| index.range_count(low, high))
     }
 
-    /// Records whose numeric `attribute` lies in `[low, high]`, via the sorted column.
+    /// Records whose numeric `attribute` lies in `[low, high]`, via the sorted index
+    /// (value ascending, newest first among equal values).
     pub fn lookup_range(&self, attribute: &str, low: f64, high: f64) -> Vec<RecordId> {
-        let Some(col) = self.numeric.get(attribute) else {
-            return Vec::new();
-        };
-        let start = col.partition_point(|(v, _)| *v < low);
-        col[start..]
-            .iter()
-            .take_while(|(v, _)| *v <= high)
-            .map(|(_, id)| *id)
-            .collect()
-    }
-
-    /// Minimum / maximum value of a numeric column among a candidate slice sorted by
-    /// record id (membership by binary search). Returns the extreme value and every
-    /// candidate within [`SUPERLATIVE_TIE_WINDOW`] of it — [`retain_extreme`]'s
-    /// semantics, read off the sorted column.
-    pub fn extreme_sorted(
-        &self,
-        attribute: &str,
-        candidates: &[RecordId],
-        max: bool,
-    ) -> Option<(f64, Vec<RecordId>)> {
-        let col = self.numeric.get(attribute)?;
-        let contains = |id: &RecordId| candidates.binary_search(id).is_ok();
-        let mut iter: Box<dyn Iterator<Item = &(f64, RecordId)>> = if max {
-            Box::new(col.iter().rev())
-        } else {
-            Box::new(col.iter())
-        };
-        let (best, first) = iter.find(|(_, id)| contains(id)).map(|(v, id)| (*v, *id))?;
-        let mut ids = vec![first];
-        for (v, id) in col.iter() {
-            if (*v - best).abs() < SUPERLATIVE_TIE_WINDOW && *id != first && contains(id) {
-                ids.push(*id);
-            }
-        }
-        Some((best, ids))
+        self.numeric
+            .get(attribute)
+            .map_or_else(Vec::new, |index| index.range(low, high).collect())
     }
 
     /// Observed (min, max) of a numeric column — used as the "valid range" for the
     /// incomplete-question best guess when it is narrower than the schema range
     /// (Section 4.2.2: determined by the smallest/largest value under the column).
     pub fn observed_range(&self, attribute: &str) -> Option<(f64, f64)> {
-        let col = self.numeric.get(attribute)?;
-        match (col.first(), col.last()) {
-            (Some((lo, _)), Some((hi, _))) => Some((*lo, *hi)),
-            _ => None,
-        }
-    }
-
-    /// Distinct categorical values of an attribute (used for AIMQ supertuples and for
-    /// trie construction).
-    pub fn distinct_text_values(&self, attribute: &str) -> Vec<String> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for r in &self.records {
-            if let Some(v) = r.get_text(attribute) {
-                if seen.insert(v.to_string()) {
-                    out.push(v.to_string());
-                }
-            }
-        }
-        out.sort();
-        out
+        self.numeric.get(attribute)?.bounds()
     }
 }
 
@@ -635,6 +595,22 @@ mod tests {
 
     fn sorted_ids(t: &Table) -> Vec<RecordId> {
         t.iter().map(|(id, _)| id).collect()
+    }
+
+    /// How many records stand behind the substring index's candidate values.
+    fn substring_records(t: &Table, attribute: &str, probe: &str) -> usize {
+        let values = t.value_index(attribute).unwrap();
+        t.substring_index()
+            .substring_candidates(attribute, probe)
+            .into_iter()
+            .map(|slot| values.entry(slot).unwrap().1.len())
+            .sum()
+    }
+
+    /// How many chunks (or leaves) of `after` are not the very allocation `before` holds.
+    fn unshared<T>(before: &[Arc<T>], after: &[Arc<T>]) -> usize {
+        let held = |a: &Arc<T>| before.iter().any(|b| Arc::ptr_eq(a, b));
+        after.iter().filter(|a| !held(a)).count()
     }
 
     #[test]
@@ -692,34 +668,36 @@ mod tests {
     #[test]
     fn extreme_respects_candidate_set() {
         let t = sample_table();
-        let hondas = t.lookup_eq("make", "honda");
-        let (cheapest, ids) = t.extreme_sorted("price", &hondas, false).unwrap();
-        assert_eq!(cheapest, 6600.0);
-        assert_eq!(ids.len(), 1);
-        let all = sorted_ids(&t);
-        let (max_year, _) = t.extreme_sorted("year", &all, true).unwrap();
-        assert_eq!(max_year, 2009.0);
-        assert!(t.extreme_sorted("price", &[], false).is_none());
-        // The caller-resolved form agrees step for step, and clears on no value.
-        let mut via_helper = hondas.clone();
-        retain_extreme(&mut via_helper, false, |id| {
+        let price = |id| t.numeric_column("price").and_then(|c| c.value(id));
+        let year = |id| t.numeric_column("year").and_then(|c| c.value(id));
+        // The cheapest Honda, not the cheapest car: the step sees only its candidates.
+        let mut hondas = t.lookup_eq("make", "honda");
+        retain_extreme(&mut hondas, false, price);
+        assert_eq!(hondas, vec![RecordId(0)]);
+        assert_eq!(price(hondas[0]), Some(6600.0));
+        let mut all = sorted_ids(&t);
+        retain_extreme(&mut all, true, year);
+        assert_eq!(all, vec![RecordId(1)]);
+        assert_eq!(year(all[0]), Some(2009.0));
+        // The record's own field resolves the same step, and no value clears the set.
+        let mut via_record = t.lookup_eq("make", "honda");
+        retain_extreme(&mut via_record, false, |id| {
             t.get(id).and_then(|r| r.get_number("price"))
         });
-        assert_eq!(via_helper, ids);
-        retain_extreme(&mut via_helper, true, |_| None);
-        assert!(via_helper.is_empty());
+        assert_eq!(via_record, hondas);
+        retain_extreme(&mut via_record, true, |_| None);
+        assert!(via_record.is_empty());
+        let mut none: Vec<RecordId> = Vec::new();
+        retain_extreme(&mut none, false, price);
+        assert!(none.is_empty());
     }
 
     #[test]
-    fn observed_range_and_distinct_values() {
+    fn observed_range_spans_the_column() {
         let t = sample_table();
         assert_eq!(t.observed_range("price"), Some((6600.0, 16536.0)));
         assert_eq!(t.observed_range("nonexistent"), None);
-        assert_eq!(
-            t.distinct_text_values("make"),
-            vec!["ford", "honda", "toyota"]
-        );
-        assert_eq!(t.distinct_text_values("color").len(), 2);
+        assert_eq!(Table::new(car_schema()).observed_range("price"), None);
     }
 
     #[test]
@@ -812,8 +790,10 @@ mod tests {
     #[test]
     fn substring_index_is_populated_on_insert() {
         let t = sample_table();
+        // One candidate value (the index is over distinct values) standing for both accords.
         let cands = t.substring_index().substring_candidates("model", "cord");
-        assert_eq!(cands.len(), 2); // both accords
+        assert_eq!(cands, vec![0]);
+        assert_eq!(substring_records(&t, "model", "cord"), 2);
     }
 
     #[test]
@@ -824,7 +804,6 @@ mod tests {
         assert_eq!(t.iter().count(), 4);
         assert_eq!(t.get(RecordId(0)).unwrap().get_text("make"), Some("honda"));
         assert!(t.get(RecordId(99)).is_none());
-        assert_eq!(t.all_ids().len(), 4);
         assert_eq!(t.name(), "cars");
     }
 
@@ -841,13 +820,7 @@ mod tests {
             assert_eq!(rebuilt.get(id), Some(record));
         }
         // Indexes were rebuilt through the normal insert path.
-        assert_eq!(
-            rebuilt
-                .substring_index()
-                .substring_candidates("model", "cord")
-                .len(),
-            2
-        );
+        assert_eq!(substring_records(&rebuilt, "model", "cord"), 2);
 
         // A persisted generation above the insert count wins; one below it
         // (impossible in practice) is corrected up to the count.
@@ -860,5 +833,107 @@ mod tests {
         // Invalid records surface the ordinary typed error.
         let bad = vec![Record::builder().text("make", "honda").build()];
         assert!(Table::from_records(car_schema(), bad, 1).is_err());
+    }
+    #[test]
+    fn stems_are_stored_once_per_distinct_value() {
+        let mut t = Table::new(car_schema());
+        for color in ["dark blue", "gold", "dark blue"] {
+            t.insert(car("honda", "accord", color, "manual", 5000.0, 2000.0))
+                .unwrap();
+        }
+        let colors = t.value_index("color").unwrap();
+        let stems = |v: &str| colors.stems(intern::intern(v)).map(<[Sym]>::to_vec);
+        assert_eq!(
+            stems("dark blue"),
+            Some(vec![intern::intern("dark"), intern::intern("blue")])
+        );
+        assert_eq!(stems("gold"), Some(vec![intern::intern("gold")]));
+        assert_eq!(stems("never-seen-color"), None);
+        // Both "dark blue" records read the one directory entry through their symbol.
+        let column = t.text_column("color").unwrap();
+        assert_eq!(column.sym(RecordId(0)), column.sym(RecordId(2)));
+        assert_eq!(colors.len(), 2);
+    }
+
+    /// A clone shares every chunk with its source, and an insert into either copies
+    /// only what it writes: the tail chunk of each per-record column and the one leaf
+    /// (two after a split) of each sorted index the new value lands in.
+    #[test]
+    fn insert_after_clone_copies_only_the_chunks_it_touches() {
+        let row = |i: usize| {
+            let color = if i.is_multiple_of(2) { "blue" } else { "gold" };
+            car(
+                "honda",
+                "accord",
+                color,
+                "manual",
+                5000.0 + i as f64,
+                2000.0,
+            )
+        };
+        let mut table = Table::new(car_schema());
+        // Two sealed chunks and a tail; every sorted index has split once.
+        for i in 0..2 * RECORD_CHUNK + 5 {
+            table.insert(row(i)).unwrap();
+        }
+        // The second round fills the third chunk exactly, and splits a leaf of each
+        // sorted index: ascending prices fill the last leaf, equal years the first.
+        for (round, leaves_written) in [(0, 1), (1, 2)] {
+            while round == 1 && table.len() < 3 * RECORD_CHUNK - 1 {
+                table.insert(row(table.len())).unwrap();
+            }
+            let before = table.clone();
+            let n = before.len();
+            table.insert(row(n)).unwrap();
+
+            let sealed = n / RECORD_CHUNK;
+            let (old, new) = (before.records.chunks(), table.records.chunks());
+            assert_eq!((old.len(), new.len()), (sealed + 1, sealed + 1));
+            assert_eq!(unshared(old, new), 1);
+            assert!(!Arc::ptr_eq(&old[sealed], &new[sealed]));
+            for (name, col) in &table.text_cols {
+                let (old, new) = (before.text_cols[name].syms.chunks(), col.syms.chunks());
+                assert_eq!((unshared(old, new), new.len()), (1, sealed + 1), "{name}");
+                assert!(!Arc::ptr_eq(&old[sealed], &new[sealed]), "{name}");
+            }
+            for (name, col) in &table.num_cols {
+                let (old, new) = (before.num_cols[name].values.chunks(), col.values.chunks());
+                assert_eq!((unshared(old, new), new.len()), (1, sealed + 1), "{name}");
+                assert!(!Arc::ptr_eq(&old[sealed], &new[sealed]), "{name}");
+            }
+            for (name, index) in &table.numeric {
+                let (old, new) = (before.numeric[name].leaves(), index.leaves());
+                assert_eq!(new.len(), old.len() + leaves_written - 1, "{name}");
+                assert_eq!(unshared(old, new), leaves_written, "{name}");
+                assert_eq!(unshared(new, old), 1, "{name}");
+            }
+            // No value was seen for the first time: per-value state is shared outright.
+            assert!(Arc::ptr_eq(&before.substring, &table.substring));
+
+            // The clone is the table as it was.
+            assert_eq!((before.len(), table.len()), (n, n + 1));
+            assert_eq!(before.generation() + 1, table.generation());
+            assert_eq!(before.posting_list("make", "honda").unwrap().len(), n);
+            assert_eq!(table.posting_list("make", "honda").unwrap().len(), n + 1);
+            assert!(before.get(RecordId(n as u32)).is_none());
+            assert_eq!(before.range_count("year", 2000.0, 2000.0), n);
+            assert_eq!(
+                before.observed_range("price"),
+                Some((5000.0, 4999.0 + n as f64))
+            );
+            assert_eq!(before.iter().count(), n);
+        }
+        assert_eq!(table.len(), 3 * RECORD_CHUNK);
+
+        // A value seen for the first time writes the per-value state — of the table
+        // that saw it only.
+        let before = table.clone();
+        table
+            .insert(car("honda", "pilot", "blue", "manual", 1.0, 2000.0))
+            .unwrap();
+        assert!(!Arc::ptr_eq(&before.substring, &table.substring));
+        assert!(before.posting_list("model", "pilot").is_none());
+        assert_eq!(substring_records(&before, "model", "pil"), 0);
+        assert_eq!(substring_records(&table, "model", "pil"), 1);
     }
 }

@@ -21,8 +21,15 @@
 //!   `Arc`, and the classifier and WS matrix are `Arc`s too. Cloning the
 //!   master snapshot for publication costs refcount bumps, not data copies.
 //! * [`CqadsWriter`] owns the **master** snapshot and mutates it with
-//!   `Arc::make_mut` copy-on-write: state still shared with a published
-//!   snapshot is copied on first write, unshared state is mutated in place.
+//!   `Arc::make_mut` copy-on-write: unshared state is mutated in place,
+//!   state still shared with a published snapshot is cloned on first write.
+//!   For a table that clone is structural sharing, not a deep copy
+//!   ([`addb::table`], "What a clone shares"): an insert copies the tail
+//!   chunk of each per-record column, one leaf of each numeric attribute's
+//!   sorted index and the posting lists with their value directories;
+//!   every sealed chunk and every other leaf stays shared between the
+//!   master and all published snapshots, so the snapshots the swap ring
+//!   still holds pin no copies of them.
 //!   After every mutation the writer republishes `master.clone()` — but only
 //!   when a reader handle actually exists ([`Arc::strong_count`] on the
 //!   shared block), so a single-handle deployment pays nothing for the
@@ -1047,9 +1054,10 @@ impl CqadsWriter {
     }
 
     /// Publish only when a detached handle can observe it. A single-handle
-    /// deployment (no reader minted) then never pays the copy-on-write tax:
-    /// nothing shares the master's `Arc`s, so every mutation stays in-place
-    /// exactly as before the handle split.
+    /// deployment (no reader minted) then never clones a table: nothing
+    /// shares the master's `Arc`s, so every mutation stays in-place. With a
+    /// reader, the first write after each publication clones the written
+    /// table — refcount bumps plus its posting lists, see the module docs.
     fn publish_if_observed(&self) {
         if Arc::strong_count(&self.shared) > 1 {
             self.publish();
@@ -1403,9 +1411,12 @@ impl CqadsWriter {
 
     /// Insert a batch of records, returning their ids in order. One WAL
     /// append (one fsync) for the whole successful prefix, and — with
-    /// readers attached — one snapshot publication for the whole batch,
-    /// which is also why bulk loads should prefer this over `n` single
-    /// inserts: `n` publications each pay one copy-on-write table copy.
+    /// readers attached — one snapshot publication for the whole batch.
+    /// A publication no longer costs a copy of the table (a single insert
+    /// copies the tail chunks, one sorted-index leaf per numeric attribute
+    /// and the posting lists), but bulk loads should still prefer this over
+    /// `n` single inserts: it saves `n − 1` publications, posting-list
+    /// copies and fsyncs.
     pub fn insert_record_batch(
         &mut self,
         domain: &str,

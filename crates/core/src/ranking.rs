@@ -366,14 +366,14 @@ impl<'m> CompiledProbe<'m> {
         match &self.kind {
             ProbeKind::Text {
                 column,
+                values,
                 raw_qsym,
                 qsym,
                 qstems,
                 is_type1,
                 negated,
-                ..
             } => {
-                let Some(cell) = column.and_then(|c| c.cell(id)) else {
+                let Some(sym) = column.and_then(|c| c.sym(id)) else {
                     return (0.0, SimilarityMeasure::None);
                 };
                 let measure = if *is_type1 {
@@ -385,20 +385,15 @@ impl<'m> CompiledProbe<'m> {
                     // The user excluded this value; a record that does not carry it
                     // already satisfies the intent, otherwise it is maximally
                     // dissimilar.
-                    let sim = if Some(cell.sym) == *raw_qsym {
-                        0.0
-                    } else {
-                        1.0
-                    };
+                    let sim = if Some(sym) == *raw_qsym { 0.0 } else { 1.0 };
                     return (sim, measure);
                 }
                 if *is_type1 {
-                    (self.model.ti.normalized_sym(*qsym, cell.sym), measure)
+                    (self.model.ti.normalized_sym(*qsym, sym), measure)
                 } else {
-                    (
-                        self.model.ws.value_similarity_syms(qstems, &cell.stems),
-                        measure,
-                    )
+                    // A symbol read off the column always has a directory entry.
+                    let stems = values.and_then(|v| v.stems(sym)).unwrap_or_default();
+                    (self.model.ws.value_similarity_syms(qstems, stems), measure)
                 }
             }
             ProbeKind::Numeric {
@@ -447,10 +442,9 @@ impl<'m> CompiledProbe<'m> {
                 negated,
                 ..
             } => {
-                let held = match column.and_then(|c| c.cell(id)) {
-                    Some(cell) => Some(cell.sym) == *raw_qsym,
-                    None => false,
-                };
+                let held = column
+                    .and_then(|c| c.sym(id))
+                    .is_some_and(|sym| Some(sym) == *raw_qsym);
                 held != *negated
             }
             ProbeKind::Numeric {
@@ -493,7 +487,6 @@ impl<'m> CompiledProbe<'m> {
     /// (every record is scored `(0.0, None)` by the residual pass).
     pub fn value_order(&self) -> Option<ValueOrder<'m>> {
         let ProbeKind::Text {
-            column,
             values,
             qsym,
             qstems,
@@ -512,7 +505,7 @@ impl<'m> CompiledProbe<'m> {
         } else {
             SimilarityMeasure::FeatSim
         };
-        let (Some(column), Some(values)) = (column, values) else {
+        let Some(values) = values else {
             return Some(ValueOrder {
                 entries: Vec::new(),
                 positive_len: 0,
@@ -525,14 +518,8 @@ impl<'m> CompiledProbe<'m> {
                 let sim = if *is_type1 {
                     self.model.ti.normalized_sym(*qsym, sym)
                 } else {
-                    // Every record carrying this value shares the same stems
-                    // (computed from the same normalized text at insert), so the
-                    // first posting's cell stands for the whole value.
-                    let first = postings.ids()[0];
-                    match column.cell(first) {
-                        Some(cell) => self.model.ws.value_similarity_syms(qstems, &cell.stems),
-                        None => 0.0,
-                    }
+                    let stems = values.stems(sym).unwrap_or_default();
+                    self.model.ws.value_similarity_syms(qstems, stems)
                 };
                 ScoredValue { sym, sim, postings }
             })
@@ -637,7 +624,7 @@ impl<'p, 'm> ProbeScorer<'p, 'm> {
         let ProbeKind::Text { column, .. } = &self.probe.kind else {
             return self.probe.similarity(id);
         };
-        // Dense symbol mirror: the only per-candidate memory touch on a memo hit.
+        // The symbol column: the only per-candidate memory touch on a memo hit.
         let Some(sym) = column.and_then(|c| c.sym(id)) else {
             return (0.0, SimilarityMeasure::None);
         };

@@ -1,7 +1,9 @@
 //! Workspace-level property-based tests over the public API: arbitrary questions must
 //! never panic, and core invariants must hold for whatever the generators produce.
 
-use cqads_suite::addb::{Executor, IdStream, PostingList, RecordId, ScoredUnion};
+use cqads_suite::addb::{
+    AttrType, Executor, IdStream, PostingList, Record, RecordId, ScoredUnion, Table, RECORD_CHUNK,
+};
 use cqads_suite::cqads::oracle::full_scan_partial_answers;
 use cqads_suite::cqads::tagging::Tagger;
 use cqads_suite::cqads::translate::interpret;
@@ -302,6 +304,189 @@ proptest! {
                 // Exhausted: stays exhausted.
                 prop_assert_eq!(stream.seek_ge(RecordId(0)), None);
                 break;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot isolation of the structurally shared table
+// ---------------------------------------------------------------------------
+
+/// `got` reads exactly as `want` through every public reader of a table.
+fn assert_tables_identical(got: &Table, want: &Table, context: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len(), "len: {}", context);
+    prop_assert_eq!(
+        got.generation(),
+        want.generation(),
+        "generation: {}",
+        context
+    );
+    prop_assert!(got.iter().eq(want.iter()), "records: {}", context);
+    let ids = || (0..=want.len() as u32).map(RecordId); // one past the end included
+    for attr in want.schema().attributes() {
+        let name = attr.name.as_str();
+        let context = format!("{context}, {name}");
+        if attr.attr_type == AttrType::TypeIII {
+            let (got_col, want_col) = (got.numeric_column(name), want.numeric_column(name));
+            let (got_col, want_col) = (got_col.unwrap(), want_col.unwrap());
+            prop_assert!(
+                ids().all(|id| got_col.value(id) == want_col.value(id)),
+                "{}",
+                &context
+            );
+            prop_assert_eq!(
+                got.observed_range(name),
+                want.observed_range(name),
+                "{}",
+                &context
+            );
+            // Bounds on stored values (ties at both ends), between and beyond them.
+            let Some((min, max)) = want.observed_range(name) else {
+                continue;
+            };
+            let mid = want_col
+                .value(RecordId(want.len() as u32 / 2))
+                .unwrap_or(min);
+            for (low, high) in [
+                (f64::NEG_INFINITY, f64::INFINITY),
+                (min, mid),
+                (mid, mid),
+                (mid, max),
+                ((min + mid) / 2.0, (mid + max) / 2.0),
+                (max, min - 1.0),
+            ] {
+                prop_assert_eq!(
+                    got.range_count(name, low, high),
+                    want.range_count(name, low, high),
+                    "range_count [{}, {}]: {}",
+                    low,
+                    high,
+                    &context
+                );
+                // The id *sequence*: value order, newest first among equal values.
+                prop_assert_eq!(
+                    got.lookup_range(name, low, high),
+                    want.lookup_range(name, low, high),
+                    "lookup_range [{}, {}]: {}",
+                    low,
+                    high,
+                    &context
+                );
+            }
+        } else {
+            let (got_col, want_col) = (got.text_column(name), want.text_column(name));
+            let (got_col, want_col) = (got_col.unwrap(), want_col.unwrap());
+            prop_assert!(
+                ids().all(|id| got_col.sym(id) == want_col.sym(id)),
+                "{}",
+                &context
+            );
+            let (got_values, want_values) = (got.value_index(name), want.value_index(name));
+            let (got_values, want_values) = (got_values.unwrap(), want_values.unwrap());
+            prop_assert_eq!(got_values.len(), want_values.len(), "{}", &context);
+            for ((sym, postings), (want_sym, want_postings)) in
+                got_values.entries().zip(want_values.entries())
+            {
+                prop_assert_eq!(sym, want_sym, "directory order: {}", &context);
+                prop_assert_eq!(postings.ids(), want_postings.ids(), "{}", &context);
+                prop_assert_eq!(
+                    postings.block_max(),
+                    want_postings.block_max(),
+                    "{}",
+                    &context
+                );
+                prop_assert_eq!(
+                    got_values.stems(sym),
+                    want_values.stems(sym),
+                    "{}",
+                    &context
+                );
+                let value = cqads_suite::text::intern::resolve(sym);
+                prop_assert_eq!(
+                    got.posting_list(name, &value).map(PostingList::ids),
+                    Some(want_postings.ids()),
+                    "{}",
+                    &context
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A clone of a table is a snapshot: whatever is inserted afterwards — into the
+    /// source or into the clone — each of them reads, and answers, exactly as a table
+    /// rebuilt from its own records. The inserts cross two chunk boundaries of the
+    /// per-record columns and split sorted-index leaves, with clones taken before,
+    /// between and after, so every snapshot shares chunks with its neighbours.
+    #[test]
+    fn table_clones_are_isolated_snapshots(
+        table_seed in 0u64..1_000_000,
+        question_seed in 0u64..1_000_000,
+        random_cuts in prop::collection::vec(0usize..2 * RECORD_CHUNK + 80, 2..5),
+        fork_len in 1usize..40,
+    ) {
+        // On both sides of a chunk boundary, and wherever the case says.
+        let mut cuts = vec![RECORD_CHUNK - 1, RECORD_CHUNK, 2 * RECORD_CHUNK + 1];
+        cuts.extend(random_cuts);
+        let bp = blueprint("cars");
+        let spec = bp.to_spec();
+        let source = generate_table(&bp, 2 * RECORD_CHUNK + 80 + fork_len, table_seed);
+        let records: Vec<Record> = source.iter().map(|(_, r)| r.clone()).collect();
+        let (records, fork_records) = records.split_at(2 * RECORD_CHUNK + 80);
+        let rebuild = |records: &[Record]| {
+            Table::from_records(spec.schema.clone(), records.iter().cloned(), 0).unwrap()
+        };
+
+        // One writer; a clone at every cut, then more inserts behind its back.
+        let mut table = Table::new(spec.schema.clone());
+        let mut clones: Vec<Table> = Vec::new();
+        for (i, record) in records.iter().enumerate() {
+            clones.extend(cuts.iter().filter(|cut| **cut == i).map(|_| table.clone()));
+            table.insert(record.clone()).unwrap();
+        }
+        // A clone that is written to diverges from its source, and neither sees the other.
+        let mut fork = clones.last().unwrap().clone();
+        let fork_at = fork.len();
+        for record in fork_records {
+            fork.insert(record.clone()).unwrap();
+        }
+        let forked: Vec<Record> = records[..fork_at].iter().chain(fork_records).cloned().collect();
+
+        let mut snapshots: Vec<(String, &Table, Table)> = clones
+            .iter()
+            .map(|clone| (format!("clone at {}", clone.len()), clone, rebuild(&records[..clone.len()])))
+            .collect();
+        snapshots.push(("the writer's table".into(), &table, rebuild(records)));
+        snapshots.push((format!("fork at {fork_at}"), &fork, rebuild(&forked)));
+
+        let sim = SimilarityModel::new(
+            Arc::new(TIMatrix::default()),
+            Arc::new(WordSimMatrix::default()),
+            spec.schema.clone(),
+        );
+        let matcher = PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers: 1 });
+        let tagger = Tagger::new(&spec);
+        let questions = generate_questions(&bp, &table, 6, question_seed, &QuestionMix::default());
+        for (context, snapshot, rebuilt) in &snapshots {
+            assert_tables_identical(snapshot, rebuilt, context)?;
+            for q in &questions {
+                let Ok(interp) = interpret(&tagger.tag(&q.text), &spec) else { continue };
+                let Ok(query) = interp.to_query_with_limit(&spec, 30) else { continue };
+                let exact = Executor::new(snapshot).execute(&query);
+                prop_assert_eq!(&exact, &Executor::new(rebuilt).execute(&query), "{}: {}", context, q.text);
+                let exact: HashSet<RecordId> = exact.unwrap_or_default().iter().map(|a| a.id).collect();
+                let got = matcher.partial_answers(&interp, snapshot, &exact, 30).unwrap();
+                let want = matcher.partial_answers(&interp, rebuilt, &exact, 30).unwrap();
+                prop_assert_eq!(got.len(), want.len(), "{}: {}", context, q.text);
+                prop_assert!(
+                    got.iter().zip(&want).all(|(x, y)| x.bits_eq(y)),
+                    "partial answers diverged, {}: {}", context, q.text
+                );
             }
         }
     }

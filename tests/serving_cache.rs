@@ -12,9 +12,9 @@
 //! reads and requires `gen_before <= exact_count <= gen_after` (snapshots are
 //! monotone: fresher than requested is possible, staler is not).
 
-use cqads_suite::addb::{Record, Table};
+use cqads_suite::addb::{Record, Table, RECORD_CHUNK};
 use cqads_suite::cqads::domain::toy_car_domain;
-use cqads_suite::cqads::{CqadsReader, CqadsSystem, CqadsWriter};
+use cqads_suite::cqads::{CqadsConfig, CqadsReader, CqadsSystem, CqadsWriter};
 use cqads_suite::querylog::{QueryLogDelta, QueryLogStream, Session, SubmittedQuery};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -277,4 +277,101 @@ fn concurrent_readers_never_observe_stale_answers_across_inserts() {
     // No stale answer was ever *served*; stale entries were evicted by stamp checks.
     let stats = reader.cache_stats();
     assert!(stats.stale_evictions > 0 || stats.misses > stats.hits);
+}
+
+/// A reader minted **before** a long run of single inserts — every one of which
+/// publishes a snapshot that shares all but the written chunks of the table with the
+/// previous one — ends up answering exactly as a system built in one go from the same
+/// records: across two chunk boundaries of the per-record columns (one per part at two
+/// shards), through splits of the sorted price/year/mileage leaves, uncached.
+#[test]
+fn a_reader_minted_before_many_single_inserts_answers_like_a_rebuilt_system() {
+    const MODELS: [(&str, &str); 6] = [
+        ("honda", "accord"),
+        ("honda", "civic"),
+        ("toyota", "camry"),
+        ("toyota", "corolla"),
+        ("ford", "focus"),
+        ("mazda", "miata"),
+    ];
+    const COLORS: [&str; 5] = ["blue", "red", "silver", "black", "gold"];
+    let records: Vec<Record> = (0..2 * RECORD_CHUNK + 1)
+        .map(|i| {
+            let (make, model) = MODELS[i % MODELS.len()];
+            let mut record = Record::builder()
+                .text("make", make)
+                .text("model", model)
+                .text("color", COLORS[(i / 7) % COLORS.len()])
+                // Prices repeat (ties inside a leaf), years cluster, mileage ascends.
+                .number("price", 3_000.0 + ((i * 37) % 90) as f64 * 250.0)
+                .number("year", 1995.0 + (i % 16) as f64);
+            if i % 3 != 0 {
+                let transmission = if i % 2 == 0 { "automatic" } else { "manual" };
+                record = record
+                    .text("transmission", transmission)
+                    .number("mileage", 20.0 * i as f64);
+            }
+            record.build()
+        })
+        .collect();
+    let questions = [
+        "blue automatic honda accord",
+        "red toyota camry under 9000 dollars",
+        "cheapest ford focus",
+        "newest silver honda civic",
+        "gold manual mazda miata less than 40000 miles",
+        "black toyota corolla between 5000 and 8000 dollars",
+        "yellow bmw m3",
+        "honda",
+    ];
+
+    let spec = toy_car_domain();
+    for shards in [1, 2] {
+        let config = || CqadsConfig {
+            shards: Some(shards),
+            ..CqadsConfig::default()
+        };
+        let mut writer = CqadsWriter::with_config(config());
+        writer.add_domain(
+            spec.clone(),
+            Table::new(spec.schema.clone()),
+            Default::default(),
+        );
+        let reader = writer.reader();
+        for record in &records {
+            writer.insert_record("cars", record.clone()).unwrap();
+        }
+        assert_eq!(
+            reader.table_generation("cars"),
+            Some(records.len() as u64),
+            "{shards} shard(s)"
+        );
+
+        let table = Table::from_records(spec.schema.clone(), records.iter().cloned(), 0).unwrap();
+        let mut rebuilt = CqadsWriter::with_config(config());
+        rebuilt.add_domain(spec.clone(), table, Default::default());
+
+        let (mut exact, mut partial) = (0, 0);
+        for question in questions {
+            let context = format!("{question:?} at {shards} shard(s)");
+            let got = reader.ask(question).domain("cars").uncached().get();
+            let want = rebuilt.ask(question).domain("cars").uncached().get();
+            let (got, want) = (got.expect(&context), want.expect(&context));
+            assert_eq!(got.sql, want.sql, "{context}");
+            assert_eq!(got.exact_count, want.exact_count, "{context}");
+            assert_eq!(got.answers.len(), want.answers.len(), "{context}");
+            for (x, y) in got.answers.iter().zip(&want.answers) {
+                assert_eq!(
+                    (x.id, x.kind, x.measure),
+                    (y.id, y.kind, y.measure),
+                    "{context}"
+                );
+                assert_eq!(x.rank_sim.to_bits(), y.rank_sim.to_bits(), "{context}");
+                assert_eq!(x.record, y.record, "{context}");
+            }
+            exact += got.exact_count;
+            partial += got.answers.len() - got.exact_count;
+        }
+        assert!(exact > 0 && partial > 0, "{exact} exact, {partial} partial");
+    }
 }
