@@ -13,12 +13,18 @@
 //!
 //! # Execution model
 //!
-//! Conditions evaluate to **sorted id sequences**, not hash sets. Equality conditions
-//! borrow their posting list straight from the table's index (zero copy — lists are
-//! kept sorted by record id at insert time); range, substring and scan conditions
-//! materialize a sorted vector once. Conjunctions combine those sequences with a
-//! **lazy intersection** ([`IdStream`]), Disjunction and negation materialize (sorted
-//! union / complement), which matches their output size anyway.
+//! Conditions evaluate to **sorted id sequences**, not hash sets, and every boolean
+//! operator is a **lazy cursor** over its operands' sequences ([`IdStream`]): building
+//! one pulls at most the first id of each operand, and a consumer that stops pulling —
+//! a full page of answers, a saturated top-k heap — never pays for the tail. Equality
+//! conditions borrow their posting list straight from the table's index (zero copy —
+//! lists are kept sorted by record id at insert time); conjunctions are a leapfrogging
+//! intersection, disjunctions a k-way merge, `NOT` and negated conditions a
+//! complement cursor. What still materializes one sorted vector when it is built:
+//! **narrow numeric ranges** (value order re-sorted into id order; wide ranges are a
+//! lazy per-record filter), **`Contains`** (the verified values' posting lists,
+//! concatenated and sorted) and **superlatives** (the extreme is only known once every
+//! candidate has been seen).
 //!
 //! ## Galloping advance and block-max skipping
 //!
@@ -37,13 +43,27 @@
 //! list drives), which maximizes the skew the galloping exploits. The intersection
 //! output is a set, so neither reordering nor skipping changes any result.
 //!
-//! Callers that need *all* matching ids without a limit (the N−1 partial matcher)
-//! consume [`Executor::execute_stream`] and never materialize a result vector; they
-//! can also [`IdStream::restrict`] the stream to an id range, which is how the
-//! parallel partial matcher shards one query across worker threads (each worker seeks
-//! to its shard in `O(log n)` and stops at its upper bound). [`Executor::execute`]
-//! collects the same stream, applies superlatives last (over the sorted candidate
-//! vector) and truncates to the query limit.
+//! The two other operators are built on the same primitive. A **union**
+//! ([`IdStream::Union`]) is the k-way merge of [`ScoredUnion`] with the tag dropped: a
+//! seek advances only the branches that are behind the target, each by its own
+//! gallop. A **complement** ([`IdStream::Complement`], `universe ∖ excluded`) walks the
+//! id space and consults the excluded stream's next id: a seek jumps the universe in
+//! O(1) and the excluded stream by its own gallop / block-max skip, so a negated
+//! conjunct leapfrogs like any other (a negated condition is the complement of its
+//! *positive* index stream — exactly how [`Condition::matches_value`] defines
+//! negation, records missing the attribute included). Both report an upper bound on
+//! what they can still yield, so a complement — nearly the whole table — is ordered
+//! last in a conjunction and a selective operand drives it.
+//!
+//! [`Executor::execute`] **pulls one page**: without a superlative it takes
+//! `query.limit` ids off the stream and stops. With a superlative it drains the
+//! stream (superlatives apply last, over the sorted candidate vector) and truncates
+//! afterwards. Callers that need *all* matching ids (the N−1 partial matcher) consume
+//! [`Executor::execute_stream`] and decide themselves when to stop; they can also
+//! [`IdStream::restrict`] the stream to an id range, which is how the parallel
+//! partial matcher shards one query across worker threads (each worker seeks to its
+//! shard in `O(log n)` and stops at its upper bound). Whole-stream drains go through
+//! [`IdStream::into_ids`] / `for_each`, i.e. the specialized [`Iterator::fold`].
 //!
 //! ## Scored unions
 //!
@@ -135,7 +155,8 @@ impl<'a> PostingsCursor<'a> {
     }
 }
 
-/// Cursor over materialized sorted ids (ranges, unions, complements, scans).
+/// Cursor over materialized sorted ids (narrow ranges, substring matches,
+/// superlative survivors).
 #[derive(Debug)]
 pub struct OwnedCursor {
     ids: Vec<RecordId>,
@@ -149,9 +170,43 @@ impl OwnedCursor {
 
     fn seek_ge(&mut self, target: RecordId) -> Option<RecordId> {
         let idx = self.pos + gallop_lower_bound(&self.ids[self.pos..], target);
-        let id = *self.ids.get(idx)?;
-        self.pos = idx + 1;
-        Some(id)
+        // A seek past the end leaves the cursor exhausted, like every other stream.
+        self.pos = (idx + 1).min(self.ids.len());
+        self.ids.get(idx).copied()
+    }
+}
+
+/// Cursor over `universe ∖ excluded`: the ids of a range that another stream does
+/// *not* yield (`NOT`, negated conditions).
+#[derive(Debug)]
+pub struct ComplementCursor<'a> {
+    /// Ids not yet considered; `universe.start` is the next candidate.
+    universe: std::ops::Range<u32>,
+    excluded: Box<IdStream<'a>>,
+    /// The smallest excluded id not yet passed (read ahead, like a [`ScoredUnion`]
+    /// head); `None` once `excluded` has run out.
+    head: Option<RecordId>,
+}
+
+impl ComplementCursor<'_> {
+    /// Yield the next non-excluded id `>= target`. The universe jumps in O(1); the
+    /// excluded stream is advanced only when it has fallen behind the candidate, by
+    /// its own `seek_ge` (gallop / block-max skip), so excluded ids below `target`
+    /// are never read.
+    fn seek_ge(&mut self, target: RecordId) -> Option<RecordId> {
+        let mut candidate = self.universe.start.max(target.0);
+        while candidate < self.universe.end {
+            if self.head.is_some_and(|head| head.0 < candidate) {
+                self.head = self.excluded.seek_ge(RecordId(candidate));
+            }
+            if self.head != Some(RecordId(candidate)) {
+                self.universe.start = candidate + 1;
+                return Some(RecordId(candidate));
+            }
+            candidate += 1;
+        }
+        self.universe.start = self.universe.end;
+        None
     }
 }
 
@@ -182,7 +237,8 @@ pub enum IdStream<'a> {
     All(std::ops::Range<u32>),
     /// Borrowed posting list with block-max skip metadata.
     Postings(PostingsCursor<'a>),
-    /// Materialized sorted ids (ranges, unions, complements, scans).
+    /// Materialized sorted ids (narrow ranges, substring matches, superlative
+    /// survivors).
     Owned(OwnedCursor),
     /// Lazy intersection of two streams, advanced by leapfrogging
     /// [`IdStream::seek_ge`] (galloping + block-max skipping).
@@ -191,6 +247,11 @@ pub enum IdStream<'a> {
     /// the records surviving the index-driven layers, per the paper's order — no
     /// range-sized id vector is ever materialized).
     Filter(Box<IdStream<'a>>, RangePredicate<'a>),
+    /// Lazy union of any number of streams (`OR`): the k-way merge of
+    /// [`ScoredUnion`], tag dropped.
+    Union(ScoredUnion<'a>),
+    /// Lazy complement within an id range (`NOT`, negated conditions).
+    Complement(ComplementCursor<'a>),
 }
 
 /// Numeric range check against a record-id-indexed column.
@@ -218,18 +279,28 @@ impl Iterator for IdStream<'_> {
         self.seek_ge(RecordId(0))
     }
 
-    /// Bulk consumption (`for_each`, `count`, `collect` all funnel through `fold`)
+    /// Bulk consumption (`for_each`, `count` and [`IdStream::into_ids`] funnel through
+    /// `fold`; `collect` does **not** — `Vec::from_iter` pulls `next()` per element)
     /// bypasses the per-element `seek_ge` dispatch: nested filters are peeled into a
     /// flat predicate list first (no recursive fold, which would also make
     /// monomorphization diverge on the closure types), then the base stream runs as
     /// one tight loop — straight slice iteration for cursor tails, a counted loop for
     /// `TRUE`/restriction ranges. On the partial-match hot path most candidates come
     /// from single posting lists and wide-range filters, so this removes the dominant
-    /// per-candidate cost.
+    /// per-candidate cost. A union or complement has no slice to iterate: at the root
+    /// it is drained by pulling, as an operand of a conjunction it is drained once
+    /// into a vector ([`FlatConjunction::absorb`]).
     fn fold<B, F>(self, init: B, mut f: F) -> B
     where
         F: FnMut(B, RecordId) -> B,
     {
+        if matches!(self, IdStream::Union(_) | IdStream::Complement(_)) {
+            let mut acc = init;
+            for id in self {
+                acc = f(acc, id);
+            }
+            return acc;
+        }
         let mut flat = FlatConjunction::default();
         flat.absorb(self);
         flat.run(init, &mut f)
@@ -291,6 +362,9 @@ impl<'a> FlatConjunction<'a> {
             IdStream::Intersect(a, b) => {
                 self.absorb(*a);
                 self.absorb(*b);
+            }
+            lazy @ (IdStream::Union(_) | IdStream::Complement(_)) => {
+                self.operands.push(FlatOperand::Owned(lazy.into_ids(), 0));
             }
         }
     }
@@ -363,8 +437,9 @@ impl<'a> IdStream<'a> {
     /// This is the skip primitive the whole executor is built on: cursors gallop
     /// (posting lists additionally skip whole blocks via their block-max metadata),
     /// `All` jumps in O(1), intersections seek both operands, filters seek the inner
-    /// stream and verify candidates forward. `seek_ge(RecordId(0))` is a plain
-    /// `next()`.
+    /// stream and verify candidates forward, unions seek the branches that are
+    /// behind, complements jump the universe and seek the excluded stream.
+    /// `seek_ge(RecordId(0))` is a plain `next()`.
     pub fn seek_ge(&mut self, target: RecordId) -> Option<RecordId> {
         match self {
             IdStream::Empty => None,
@@ -404,6 +479,39 @@ impl<'a> IdStream<'a> {
                     id = inner.seek_ge(RecordId(0))?;
                 }
             }
+            IdStream::Union(union) => union.seek_ge(target).map(|(id, _)| id),
+            IdStream::Complement(cursor) => cursor.seek_ge(target),
+        }
+    }
+
+    /// Drain the whole stream into an ascending id vector — through the specialized
+    /// [`Iterator::fold`], which `collect()` would bypass.
+    pub fn into_ids(self) -> Vec<RecordId> {
+        let mut ids = Vec::new();
+        self.for_each(|id| ids.push(id));
+        ids
+    }
+
+    /// Lazy union of `parts`; branches that are trivially empty are dropped, and a
+    /// union of fewer than two streams is no union at all.
+    fn union(mut parts: Vec<IdStream<'a>>) -> IdStream<'a> {
+        parts.retain(|part| !part.is_trivially_empty());
+        match parts.len() {
+            0 => IdStream::Empty,
+            1 => parts.remove(0),
+            _ => IdStream::Union(ScoredUnion::new(parts)),
+        }
+    }
+
+    /// Lazy complement: the ids of `universe` that `excluded` does not yield.
+    fn complement(universe: std::ops::Range<u32>, mut excluded: IdStream<'a>) -> IdStream<'a> {
+        match excluded.next() {
+            None => IdStream::All(universe),
+            head => IdStream::Complement(ComplementCursor {
+                universe,
+                excluded: Box::new(excluded),
+                head,
+            }),
         }
     }
 
@@ -412,13 +520,16 @@ impl<'a> IdStream<'a> {
     /// Exact for cursors (including a fully-seeked cursor whose remaining tail is
     /// empty and a posting list with no ids); conservative for compositions: an
     /// intersection is trivially empty when either operand is, a filter when its
-    /// inner stream is.
+    /// inner stream is, a union when every branch has run out, a complement when its
+    /// universe has.
     fn is_trivially_empty(&self) -> bool {
         self.len_estimate() == 0
     }
 
     /// Upper bound on how many ids the stream can still yield. Exact for leaves,
-    /// `min` over intersections — used to order conjunctions most-selective first.
+    /// `min` over intersections, the sum over a union's branches, the rest of the
+    /// universe for a complement (which therefore sorts last) — used to order
+    /// conjunctions most-selective first.
     fn len_estimate(&self) -> usize {
         match self {
             IdStream::Empty => 0,
@@ -427,6 +538,8 @@ impl<'a> IdStream<'a> {
             IdStream::Owned(cursor) => cursor.remaining(),
             IdStream::Intersect(a, b) => a.len_estimate().min(b.len_estimate()),
             IdStream::Filter(inner, _) => inner.len_estimate(),
+            IdStream::Union(union) => union.len_estimate(),
+            IdStream::Complement(cursor) => cursor.universe.len(),
         }
     }
 
@@ -536,6 +649,18 @@ impl<'a> ScoredUnion<'a> {
     pub fn is_exhausted(&self) -> bool {
         self.heads.is_empty()
     }
+
+    /// Upper bound on the ids still to come: each is a head or lies behind one in
+    /// its branch. 0 exactly when the union is exhausted.
+    fn len_estimate(&self) -> usize {
+        if self.is_exhausted() {
+            return 0;
+        }
+        self.branches
+            .iter()
+            .map(IdStream::len_estimate)
+            .fold(self.heads.len(), usize::saturating_add)
+    }
 }
 
 impl Iterator for ScoredUnion<'_> {
@@ -579,6 +704,11 @@ fn max_possible_id_below(stream: &IdStream<'_>, bound: u32) -> bool {
             max_possible_id_below(a, bound) || max_possible_id_below(b, bound)
         }
         IdStream::Filter(inner, _) => max_possible_id_below(inner, bound),
+        IdStream::Union(union) => union
+            .branches
+            .iter()
+            .all(|branch| max_possible_id_below(branch, bound)),
+        IdStream::Complement(cursor) => cursor.universe.end <= bound,
     }
 }
 
@@ -604,15 +734,21 @@ impl<'a> Executor<'a> {
 
     /// Run the query, returning at most `query.limit` answers in deterministic
     /// (record-id) order, superlative answers first when superlatives are present.
+    /// Without a superlative the stream is pulled until the page is full and no
+    /// further; a superlative needs every candidate before it can keep any.
     pub fn execute(&self, query: &Query) -> DbResult<Vec<QueryAnswer>> {
-        if query.table != self.table.name() {
-            return Err(DbError::UnknownTable(query.table.clone()));
-        }
         self.validate(query)?;
-
-        let ids: Vec<RecordId> = self.stream_ordered(&query.expr)?.collect();
-        let mut ids = self.apply_superlatives_sorted(query, ids);
-        ids.truncate(query.limit);
+        if query.limit == 0 {
+            return Ok(Vec::new());
+        }
+        let stream = self.stream_ordered(&query.expr)?;
+        let ids: Vec<RecordId> = if query.superlatives.is_empty() {
+            stream.take(query.limit).collect()
+        } else {
+            let mut ids = self.apply_superlatives_sorted(query, stream.into_ids());
+            ids.truncate(query.limit);
+            ids
+        };
         Ok(ids.into_iter().map(|id| QueryAnswer { id }).collect())
     }
 
@@ -620,16 +756,13 @@ impl<'a> Executor<'a> {
     /// superlatives. `query.limit` is **not** applied — streaming consumers (the N−1
     /// partial matcher) decide themselves when to stop pulling.
     pub fn execute_stream(&self, query: &Query) -> DbResult<IdStream<'a>> {
-        if query.table != self.table.name() {
-            return Err(DbError::UnknownTable(query.table.clone()));
-        }
         self.validate(query)?;
+        let stream = self.stream_ordered(&query.expr)?;
         if query.superlatives.is_empty() {
-            self.stream_ordered(&query.expr)
+            Ok(stream)
         } else {
             // Superlatives need the full candidate set; materialize, filter, re-stream.
-            let ids: Vec<RecordId> = self.stream_ordered(&query.expr)?.collect();
-            let ids = self.apply_superlatives_sorted(query, ids);
+            let ids = self.apply_superlatives_sorted(query, stream.into_ids());
             Ok(IdStream::from_sorted_ids(ids))
         }
     }
@@ -643,7 +776,13 @@ impl<'a> Executor<'a> {
             .collect())
     }
 
-    fn validate(&self, query: &Query) -> DbResult<()> {
+    /// Check `query` against the table without executing it: the table name, every
+    /// attribute, empty `BETWEEN` ranges, numeric comparisons and superlatives on
+    /// numeric attributes only. Every `execute*` entry point runs it first.
+    pub fn validate(&self, query: &Query) -> DbResult<()> {
+        if query.table != self.table.name() {
+            return Err(DbError::UnknownTable(query.table.clone()));
+        }
         for cond in query.expr.conditions() {
             let attr = self.table.schema().require(&cond.attribute)?;
             if let Comparison::Between(lo, hi) = cond.comparison {
@@ -681,29 +820,17 @@ impl<'a> Executor<'a> {
     /// the exact statistic it approximates; the intersection result is identical
     /// either way. Type III boundaries still run after the equality layers as
     /// per-candidate filters (the paper's step 3). For arbitrary boolean expressions
-    /// we recurse, materializing at OR/NOT boundaries where the output is a genuinely
-    /// new set.
+    /// we recurse: OR is a lazy union of its operands' streams, NOT a lazy complement
+    /// within the table's id space.
     fn stream_ordered(&self, expr: &BoolExpr) -> DbResult<IdStream<'a>> {
         match expr {
-            BoolExpr::True => Ok(IdStream::All(0..self.table.len() as u32)),
+            BoolExpr::True => Ok(self.all()),
             BoolExpr::Cond(c) => Ok(self.stream_condition(c)),
-            BoolExpr::Not(inner) => {
-                let matched: Vec<RecordId> = self.stream_ordered(inner)?.collect();
-                let complement: Vec<RecordId> = (0..self.table.len() as u32)
-                    .map(RecordId)
-                    .filter(|id| matched.binary_search(id).is_err())
-                    .collect();
-                Ok(IdStream::from_sorted_ids(complement))
-            }
+            BoolExpr::Not(inner) => Ok(self.complement(self.stream_ordered(inner)?)),
             BoolExpr::Or(parts) => {
-                // Sorted union: k-way merge by collect + sort + dedup (output-sized).
-                let mut acc: Vec<RecordId> = Vec::new();
-                for p in parts {
-                    acc.extend(self.stream_ordered(p)?);
-                }
-                acc.sort_unstable();
-                acc.dedup();
-                Ok(IdStream::from_sorted_ids(acc))
+                let parts: DbResult<Vec<_>> =
+                    parts.iter().map(|p| self.stream_ordered(p)).collect();
+                Ok(IdStream::union(parts?))
             }
             BoolExpr::And(parts) => {
                 // Partition leaf conditions by attribute type so boundaries run after
@@ -768,7 +895,7 @@ impl<'a> Executor<'a> {
                         return Ok(IdStream::Empty);
                     }
                 }
-                let mut acc = stream.unwrap_or_else(|| IdStream::All(0..self.table.len() as u32));
+                let mut acc = stream.unwrap_or_else(|| self.all());
                 for sub in complex {
                     acc = acc.intersect(self.stream_ordered(sub)?);
                 }
@@ -777,21 +904,13 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Inclusive numeric bounds of an indexable boundary comparison, `None` when the
-    /// condition is not a plain numeric range (negated, text equality, substring).
+    /// The per-candidate form of a positive numeric condition, `None` for anything
+    /// else (negated, text equality, substring).
     fn range_predicate(&self, cond: &Condition) -> Option<RangePredicate<'a>> {
         if cond.negated {
             return None;
         }
-        let (low, high) = match &cond.comparison {
-            Comparison::Eq(Value::Number(n)) => (*n, *n),
-            Comparison::Lt(b) => (f64::NEG_INFINITY, prev_float(*b)),
-            Comparison::Le(b) => (f64::NEG_INFINITY, *b),
-            Comparison::Gt(b) => (next_float(*b), f64::INFINITY),
-            Comparison::Ge(b) => (*b, f64::INFINITY),
-            Comparison::Between(lo, hi) => (*lo, *hi),
-            _ => return None,
-        };
+        let (low, high) = numeric_bounds(&cond.comparison)?;
         Some(RangePredicate {
             column: self.table.numeric_column(&cond.attribute),
             low,
@@ -799,11 +918,70 @@ impl<'a> Executor<'a> {
         })
     }
 
-    /// Evaluate one condition into a sorted id stream. Equality conditions borrow their
-    /// posting list; everything else materializes one sorted vector.
+    /// Every record id of the table (`TRUE`, and the universe of a complement).
+    fn all(&self) -> IdStream<'a> {
+        IdStream::All(0..self.table.len() as u32)
+    }
+
+    /// The records of the table that `excluded` does not yield.
+    fn complement(&self, excluded: IdStream<'a>) -> IdStream<'a> {
+        IdStream::complement(0..self.table.len() as u32, excluded)
+    }
+
+    /// Evaluate one condition into a sorted id stream. A negated condition is the
+    /// complement of its positive stream — [`Condition::matches_value`] defines
+    /// negation as exactly that, so a record missing the attribute (in no positive
+    /// stream) matches every negated condition on it.
     fn stream_condition(&self, cond: &Condition) -> IdStream<'a> {
-        if !cond.negated {
-            let sorted_range = |low: f64, high: f64| {
+        let positive = self.stream_comparison(cond);
+        if cond.negated {
+            self.complement(positive)
+        } else {
+            positive
+        }
+    }
+
+    /// The records whose `cond.attribute` satisfies `cond.comparison` (the negation
+    /// flag is [`Executor::stream_condition`]'s business), off the indexes. Text
+    /// equality borrows its posting list, a wide numeric range filters the id space
+    /// lazily; narrow ranges and substring matches materialize one sorted vector.
+    fn stream_comparison(&self, cond: &Condition) -> IdStream<'a> {
+        match &cond.comparison {
+            Comparison::Eq(Value::Text(v)) => self
+                .table
+                .posting_list(&cond.attribute, v)
+                .map(IdStream::postings)
+                .unwrap_or(IdStream::Empty),
+            Comparison::Contains(needle) => {
+                // The substring index names candidate *values* (slots of the
+                // attribute's directory): each is verified once and contributes
+                // its whole posting list. A needle shorter than the index key
+                // cannot be pre-filtered, so every value is a candidate.
+                let Some(values) = self.table.value_index(&cond.attribute) else {
+                    return IdStream::Empty;
+                };
+                let slots = if needle.chars().count() < SUBSTRING_KEY_LEN {
+                    (0..values.len() as u32).collect()
+                } else {
+                    self.table
+                        .substring_index()
+                        .substring_candidates(&cond.attribute, needle)
+                };
+                let mut ids: Vec<RecordId> = Vec::new();
+                for (sym, postings) in slots.into_iter().filter_map(|s| values.entry(s)) {
+                    let value = Value::Text(intern::resolve(sym));
+                    if cond.comparison.matches(&value) {
+                        ids.extend_from_slice(postings.ids());
+                    }
+                }
+                // Distinct values hold disjoint records: sorting is all it takes.
+                ids.sort_unstable();
+                IdStream::from_sorted_ids(ids)
+            }
+            numeric => {
+                let Some((low, high)) = numeric_bounds(numeric) else {
+                    return IdStream::Empty;
+                };
                 // A wide range (most of the table qualifies) is cheaper as a lazy
                 // per-record filter over the id space than as a range-sized id vector
                 // that must be collected *and re-sorted* from value order into id
@@ -815,7 +993,7 @@ impl<'a> Executor<'a> {
                 let wide = count.saturating_mul(4) >= self.table.len() && count > 256;
                 if wide {
                     IdStream::Filter(
-                        Box::new(IdStream::All(0..self.table.len() as u32)),
+                        Box::new(self.all()),
                         RangePredicate {
                             column: self.table.numeric_column(&cond.attribute),
                             low,
@@ -827,56 +1005,7 @@ impl<'a> Executor<'a> {
                     ids.sort_unstable();
                     IdStream::from_sorted_ids(ids)
                 }
-            };
-            match &cond.comparison {
-                Comparison::Eq(Value::Text(v)) => self
-                    .table
-                    .posting_list(&cond.attribute, v)
-                    .map(IdStream::postings)
-                    .unwrap_or(IdStream::Empty),
-                Comparison::Eq(Value::Number(n)) => sorted_range(*n, *n),
-                Comparison::Lt(b) => sorted_range(f64::NEG_INFINITY, prev_float(*b)),
-                Comparison::Le(b) => sorted_range(f64::NEG_INFINITY, *b),
-                Comparison::Gt(b) => sorted_range(next_float(*b), f64::INFINITY),
-                Comparison::Ge(b) => sorted_range(*b, f64::INFINITY),
-                Comparison::Between(lo, hi) => sorted_range(*lo, *hi),
-                Comparison::Contains(needle) => {
-                    // The substring index names candidate *values* (slots of the
-                    // attribute's directory): each is verified once and contributes
-                    // its whole posting list. A needle shorter than the index key
-                    // cannot be pre-filtered, so every value is a candidate.
-                    let Some(values) = self.table.value_index(&cond.attribute) else {
-                        return IdStream::Empty;
-                    };
-                    let slots = if needle.chars().count() < SUBSTRING_KEY_LEN {
-                        (0..values.len() as u32).collect()
-                    } else {
-                        self.table
-                            .substring_index()
-                            .substring_candidates(&cond.attribute, needle)
-                    };
-                    let mut ids: Vec<RecordId> = Vec::new();
-                    for (sym, postings) in slots.into_iter().filter_map(|s| values.entry(s)) {
-                        let value = Value::Text(intern::resolve(sym));
-                        if cond.matches_value(Some(&value)) {
-                            ids.extend_from_slice(postings.ids());
-                        }
-                    }
-                    // Distinct values hold disjoint records: sorting is all it takes.
-                    ids.sort_unstable();
-                    IdStream::from_sorted_ids(ids)
-                }
             }
-        } else {
-            // Full scan (negated conditions); table iteration yields ids in ascending
-            // order already.
-            let ids: Vec<RecordId> = self
-                .table
-                .iter()
-                .filter(|(_, r)| cond.matches_value(r.get(&cond.attribute)))
-                .map(|(id, _)| id)
-                .collect();
-            IdStream::from_sorted_ids(ids)
         }
     }
 
@@ -901,13 +1030,21 @@ impl<'a> Executor<'a> {
     }
 }
 
-fn next_float(x: f64) -> f64 {
-    // Smallest representable value strictly greater than x, adequate for ad prices/years.
-    x + x.abs().max(1.0) * 1e-12
-}
-
-fn prev_float(x: f64) -> f64 {
-    x - x.abs().max(1.0) * 1e-12
+/// Inclusive `[low, high]` bounds of a numeric comparison, `None` for text equality
+/// and substring — the one place a numeric condition is turned into a range, shared
+/// by the index arm and the per-candidate filter, and exactly
+/// [`Comparison::matches`]: equality is exact, and a strict bound ends at the
+/// neighbouring float.
+fn numeric_bounds(comparison: &Comparison) -> Option<(f64, f64)> {
+    Some(match comparison {
+        Comparison::Eq(Value::Number(n)) => (*n, *n),
+        Comparison::Lt(b) => (f64::NEG_INFINITY, b.next_down()),
+        Comparison::Le(b) => (f64::NEG_INFINITY, *b),
+        Comparison::Gt(b) => (b.next_up(), f64::INFINITY),
+        Comparison::Ge(b) => (*b, f64::INFINITY),
+        Comparison::Between(lo, hi) => (*lo, *hi),
+        Comparison::Eq(Value::Text(_)) | Comparison::Contains(_) => return None,
+    })
 }
 
 #[cfg(test)]
@@ -1067,7 +1204,7 @@ mod tests {
     #[test]
     fn index_and_scan_paths_agree() {
         let t = sample_table();
-        // The negated condition takes the scan arm, the other two the index arms.
+        // The negated condition is a complement cursor, the other two index arms.
         let q = Query::new("cars")
             .with_condition(Condition::eq("color", "blue"))
             .with_condition(Condition::eq("make", "ford").negated())
@@ -1078,17 +1215,7 @@ mod tests {
             .iter()
             .map(|a| a.id)
             .collect();
-        let brute_force: Vec<RecordId> = t
-            .iter()
-            .filter(|(_, r)| {
-                q.expr
-                    .conditions()
-                    .iter()
-                    .all(|c| c.matches_value(r.get(&c.attribute)))
-            })
-            .map(|(id, _)| id)
-            .collect();
-        assert_eq!(executed, brute_force);
+        assert_eq!(executed, scan(&t, &q.expr));
         assert_eq!(executed, rec(&[0]));
     }
 
@@ -1107,6 +1234,12 @@ mod tests {
 
     fn rec(ids: &[u32]) -> Vec<RecordId> {
         ids.iter().copied().map(RecordId).collect()
+    }
+
+    /// The record-scan reference: every record `expr` matches, ascending.
+    fn scan(table: &Table, expr: &BoolExpr) -> Vec<RecordId> {
+        let matching = table.iter().filter(|(_, r)| expr.matches(r));
+        matching.map(|(id, _)| id).collect()
     }
 
     #[test]
@@ -1257,18 +1390,11 @@ mod tests {
             Query::new("cars").with_superlative(Superlative::max("year")),
             Query::new("cars").with_condition(Condition::eq("make", "nosuchmake")),
         ];
-        // Reference: a brute-force filter over every record (the queries are pure
-        // conjunctions), then the extreme survivors for the superlative queries.
+        // Reference: a brute-force filter over every record, then the extreme
+        // survivors for the superlative queries.
         let brute_force = |q: &Query| -> Vec<RecordId> {
-            let matching: Vec<(RecordId, &Record)> = t
-                .iter()
-                .filter(|(_, r)| {
-                    q.expr
-                        .conditions()
-                        .iter()
-                        .all(|c| c.matches_value(r.get(&c.attribute)))
-                })
-                .collect();
+            let matching: Vec<(RecordId, &Record)> =
+                t.iter().filter(|(_, r)| q.expr.matches(r)).collect();
             match q.superlatives.first() {
                 None => matching.iter().map(|(id, _)| *id).collect(),
                 Some(s) => {
@@ -1293,6 +1419,290 @@ mod tests {
             assert_eq!(executed, expected);
             let streamed: Vec<RecordId> = gallop.execute_stream(q).unwrap().collect();
             assert_eq!(streamed, expected);
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // Union and complement cursors
+    // -----------------------------------------------------------------------
+
+    /// `stream` yields exactly `want` — pulled one id at a time, drained through
+    /// `fold`, drained under a restriction (a lazy operand of a conjunction), and
+    /// sought from every target — and its `len_estimate` never undercounts.
+    fn assert_streams(make: impl Fn() -> IdStream<'static>, want: &[u32]) {
+        let want = rec(want);
+        assert!(make().len_estimate() >= want.len());
+        assert_eq!(make().collect::<Vec<_>>(), want);
+        assert_eq!(make().into_ids(), want);
+        assert_eq!(make().restrict(0..u32::MAX).into_ids(), want);
+        let mut pulled = make();
+        for left in (1..=want.len()).rev() {
+            assert!(pulled.len_estimate() >= left, "{pulled:?}");
+            pulled.next();
+        }
+        assert_eq!(pulled.next(), None);
+        for target in 0..want.last().map_or(3, |last| last.0 + 3) {
+            let tail: Vec<RecordId> = want.iter().copied().filter(|id| id.0 >= target).collect();
+            let mut stream = make();
+            assert_eq!(stream.seek_ge(RecordId(target)), tail.first().copied());
+            assert_eq!(
+                stream.collect::<Vec<_>>(),
+                tail.get(1..).unwrap_or_default()
+            );
+        }
+    }
+
+    fn ids(ids: &[u32]) -> IdStream<'static> {
+        IdStream::from_sorted_ids(rec(ids))
+    }
+
+    #[test]
+    fn complement_cursor_edges() {
+        // Of nothing: the universe itself, not even a cursor.
+        assert!(matches!(
+            IdStream::complement(0..5, IdStream::Empty),
+            IdStream::All(r) if r == (0..5)
+        ));
+        assert_streams(|| IdStream::complement(0..5, ids(&[])), &[0, 1, 2, 3, 4]);
+        // Of everything: nothing, and it is known only once the universe is walked.
+        assert_streams(|| IdStream::complement(0..5, IdStream::All(0..5)), &[]);
+        let mut all_excluded = IdStream::complement(0..5, IdStream::All(0..5));
+        assert!(!all_excluded.is_trivially_empty());
+        assert_eq!(all_excluded.next(), None);
+        assert!(all_excluded.is_trivially_empty());
+        // Of a stream that ends before the universe does, with runs at either end.
+        assert_streams(
+            || IdStream::complement(0..10, ids(&[0, 1, 4, 6, 7])),
+            &[2, 3, 5, 8, 9],
+        );
+        // Excluded ids outside the universe are ignored; an empty universe is empty.
+        assert_streams(|| IdStream::complement(2..6, ids(&[0, 3, 9])), &[2, 4, 5]);
+        assert_streams(|| IdStream::complement(4..4, ids(&[1])), &[]);
+        assert!(IdStream::complement(4..4, ids(&[1])).is_trivially_empty());
+        // Complements nest.
+        assert_streams(
+            || IdStream::complement(0..8, IdStream::complement(0..8, ids(&[1, 6]))),
+            &[1, 6],
+        );
+    }
+
+    #[test]
+    fn union_cursor_edges() {
+        assert!(matches!(IdStream::union(Vec::new()), IdStream::Empty));
+        assert!(matches!(
+            IdStream::union(vec![ids(&[]), IdStream::Empty, IdStream::All(3..3)]),
+            IdStream::Empty
+        ));
+        // One live branch is that branch, not a merge of one.
+        assert!(matches!(
+            IdStream::union(vec![ids(&[]), ids(&[2, 4])]),
+            IdStream::Owned(_)
+        ));
+        assert_streams(|| IdStream::union(vec![ids(&[2, 4])]), &[2, 4]);
+        // Overlapping and identical branches yield each id once.
+        assert_streams(
+            || IdStream::union(vec![ids(&[1, 5, 9]), ids(&[2, 5, 40]), ids(&[0, 9])]),
+            &[0, 1, 2, 5, 9, 40],
+        );
+        assert_streams(
+            || IdStream::union(vec![ids(&[3, 7]), ids(&[3, 7]), ids(&[3, 7])]),
+            &[3, 7],
+        );
+        // A union of lazy operands, and a lazy operand under a union.
+        assert_streams(
+            || {
+                IdStream::union(vec![
+                    IdStream::complement(0..6, ids(&[0, 1, 2, 3])),
+                    ids(&[1]).intersect(IdStream::All(0..6)),
+                ])
+            },
+            &[1, 4, 5],
+        );
+        // Exhausted exactly when the estimate says so.
+        let mut union = IdStream::union(vec![ids(&[1]), ids(&[1, 2])]);
+        assert_eq!(union.len_estimate(), 3);
+        assert_eq!(union.by_ref().count(), 2);
+        assert!(union.is_trivially_empty());
+    }
+
+    #[test]
+    fn a_full_true_range_is_the_identity_of_intersection_with_lazy_operands() {
+        let union = || IdStream::union(vec![ids(&[1, 5]), ids(&[2, 9])]);
+        let complement = || IdStream::complement(0..10, ids(&[3]));
+        // Every id either can yield lies below 10: `TRUE` drops out, on either side.
+        assert!(matches!(
+            IdStream::All(0..10).intersect(union()),
+            IdStream::Union(_)
+        ));
+        assert!(matches!(
+            union().intersect(IdStream::All(0..10)),
+            IdStream::Union(_)
+        ));
+        assert!(matches!(
+            IdStream::All(0..10).intersect(complement()),
+            IdStream::Complement(_)
+        ));
+        assert!(matches!(
+            complement().intersect(IdStream::All(0..10)),
+            IdStream::Complement(_)
+        ));
+        // A range that cuts into them does not.
+        for cut in [
+            IdStream::All(0..9).intersect(union()),
+            complement().intersect(IdStream::All(0..9)),
+        ] {
+            assert!(matches!(cut, IdStream::Intersect(..)), "{cut:?}");
+        }
+        assert_streams(|| IdStream::All(0..9).intersect(union()), &[1, 2, 5]);
+        assert_streams(|| complement().intersect(IdStream::All(0..4)), &[0, 1, 2]);
+    }
+
+    /// Ids read off the leaf cursors of a stream built from text equalities only —
+    /// where any materialized operand is a laziness bug.
+    fn ids_read(stream: &IdStream<'_>) -> usize {
+        match stream {
+            IdStream::Empty => 0,
+            IdStream::All(range) => range.start as usize,
+            IdStream::Postings(cursor) => cursor.pos,
+            IdStream::Owned(_) => panic!("materialized operand: {stream:?}"),
+            IdStream::Intersect(a, b) => ids_read(a) + ids_read(b),
+            IdStream::Filter(inner, _) => ids_read(inner),
+            IdStream::Union(union) => union.branches.iter().map(ids_read).sum(),
+            IdStream::Complement(cursor) => {
+                cursor.universe.start as usize + ids_read(&cursor.excluded)
+            }
+        }
+    }
+
+    /// Laziness, asserted by count: pulling a page off OR / NOT / negated streams over
+    /// a 120 000-record table reads a few dozen ids off the operand cursors, however
+    /// long their posting lists are.
+    #[test]
+    fn a_page_of_or_not_and_negated_reads_a_page_of_postings() {
+        let schema = Schema::builder("things")
+            .type1("kind")
+            .type2("tag")
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        for i in 0..120_000u32 {
+            let record = Record::builder()
+                .text("kind", format!("k{}", i % 3))
+                .text("tag", format!("t{}", i % 5));
+            t.insert(record.build()).unwrap();
+        }
+        let kind = |v: &str| BoolExpr::Cond(Condition::eq("kind", v));
+        let tag = |v: &str| BoolExpr::Cond(Condition::eq("tag", v));
+        let shapes = [
+            BoolExpr::or(vec![kind("k0"), tag("t0")]),
+            BoolExpr::Not(Box::new(kind("k0"))),
+            BoolExpr::Cond(Condition::eq("kind", "k0").negated()),
+            BoolExpr::or(vec![
+                BoolExpr::and(vec![kind("k0"), BoolExpr::Not(Box::new(tag("t0")))]),
+                tag("t1"),
+            ]),
+            BoolExpr::and(vec![
+                kind("k1"),
+                tag("t2"),
+                BoolExpr::Not(Box::new(tag("t0"))),
+            ]),
+        ];
+        let executor = Executor::new(&t);
+        for expr in shapes {
+            let page: Vec<RecordId> = scan(&t, &expr).into_iter().take(30).collect();
+            assert_eq!(page.len(), 30, "{expr}");
+            let mut stream = executor.stream_ordered(&expr).unwrap();
+            let built = ids_read(&stream);
+            assert!(built <= 16, "{expr}: building the stream read {built} ids");
+            assert_eq!(stream.by_ref().take(30).collect::<Vec<_>>(), page, "{expr}");
+            // Every operand advances to the page's last id at most: a handful of ids
+            // per answer, never a posting list (>= 24 000 ids each here).
+            let read = ids_read(&stream);
+            let last = page[29].0 as usize;
+            assert!(
+                read <= 4 * (last + 2),
+                "{expr}: a page to id {last} read {read} ids"
+            );
+            assert!(last < 500, "{expr}");
+            // And `execute` is that pull.
+            let query = Query::new("things").with_expr(expr.clone());
+            let executed: Vec<RecordId> = executor
+                .execute(&query)
+                .unwrap()
+                .iter()
+                .map(|a| a.id)
+                .collect();
+            assert_eq!(executed, page, "{expr}");
+        }
+    }
+
+    /// One definition of numeric equality: `attr = n` is exact in the index arm, in
+    /// the per-candidate filter and in `Comparison::matches`, so the condition and its
+    /// negation partition the records whatever lies a hair off `n`.
+    #[test]
+    fn numeric_equality_is_exact_and_its_negation_is_its_complement() {
+        let schema = Schema::builder("items")
+            .type1("name")
+            .type3("price", 0.0, 10_000.0, None)
+            .build()
+            .unwrap();
+        let n = 5000.0;
+        let stored = [n, n + 5e-10, n - 5e-10, n + 2e-9, n - 2e-9];
+        let mut t = Table::new(schema);
+        for price in stored {
+            t.insert(
+                Record::builder()
+                    .text("name", "x")
+                    .number("price", price)
+                    .build(),
+            )
+            .unwrap();
+        }
+        t.insert(Record::builder().text("name", "x").build())
+            .unwrap(); // no price
+        let run = |expr: BoolExpr| -> Vec<RecordId> {
+            let query = Query::new("items").with_expr(expr);
+            let found = Executor::new(&t).execute(&query).unwrap();
+            found.iter().map(|a| a.id).collect()
+        };
+        let equal = Condition::eq_number("price", n);
+        let named = BoolExpr::Cond(Condition::eq("name", "x"));
+        for (cond, want) in [
+            (equal.clone(), rec(&[0])),
+            (equal.negated(), rec(&[1, 2, 3, 4, 5])),
+        ] {
+            let leaf = BoolExpr::Cond(cond);
+            assert_eq!(scan(&t, &leaf), want, "{leaf}");
+            // Alone (index arm) and behind an equality stream (per-candidate filter).
+            assert_eq!(run(leaf.clone()), want, "{leaf}");
+            assert_eq!(
+                run(BoolExpr::and(vec![named.clone(), leaf.clone()])),
+                want,
+                "{leaf}"
+            );
+        }
+        // Strict bounds end at the neighbouring float, on both sides of `n`.
+        for (comparison, want) in [
+            (Comparison::Lt(n), rec(&[2, 4])),
+            (Comparison::Le(n), rec(&[0, 2, 4])),
+            (Comparison::Gt(n), rec(&[1, 3])),
+            (Comparison::Ge(n), rec(&[0, 1, 3])),
+        ] {
+            let leaf = BoolExpr::Cond(Condition::new("price", comparison));
+            assert_eq!(scan(&t, &leaf), want, "{leaf}");
+            assert_eq!(run(leaf.clone()), want, "{leaf}");
+            assert_eq!(
+                run(BoolExpr::and(vec![named.clone(), leaf.clone()])),
+                want,
+                "{leaf}"
+            );
+            let mut rest = rec(&[0, 1, 2, 3, 4, 5]);
+            rest.retain(|id| !want.contains(id));
+            assert_eq!(
+                run(BoolExpr::Not(Box::new(leaf.clone()))),
+                rest,
+                "NOT {leaf}"
+            );
         }
     }
 

@@ -15,6 +15,7 @@
 //! * [`Query`] — the full statement: target table, boolean expression, superlatives and
 //!   an answer limit (30 by default).
 
+use crate::record::Record;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -51,13 +52,15 @@ impl Comparison {
         ) || matches!(self, Comparison::Eq(Value::Number(_)))
     }
 
-    /// Evaluate the comparison against a stored value.
+    /// Evaluate the comparison against a stored value. Numeric equality is **exact**
+    /// (`want == have`, no tolerance): that is what the executor's range index
+    /// answers for `attr = n`, and a negated condition is the complement of the index
+    /// answer, so a tolerance here would make `attr = n` and `NOT attr = n` both miss
+    /// (or both keep) a value stored a hair off `n`.
     pub fn matches(&self, stored: &Value) -> bool {
         match (self, stored) {
             (Comparison::Eq(Value::Text(want)), Value::Text(have)) => want == have,
-            (Comparison::Eq(Value::Number(want)), Value::Number(have)) => {
-                (want - have).abs() < 1e-9
-            }
+            (Comparison::Eq(Value::Number(want)), Value::Number(have)) => want == have,
             (Comparison::Lt(b), Value::Number(v)) => v < b,
             (Comparison::Le(b), Value::Number(v)) => v <= b,
             (Comparison::Gt(b), Value::Number(v)) => v > b,
@@ -226,6 +229,19 @@ impl BoolExpr {
             }
             BoolExpr::Not(e) => e.collect_conditions(out),
             BoolExpr::True => {}
+        }
+    }
+
+    /// Evaluate the expression against one record, leaf by leaf through
+    /// [`Condition::matches_value`] — the record-scan definition of a query's
+    /// semantics, which the executor's index-driven streams are tested against.
+    pub fn matches(&self, record: &Record) -> bool {
+        match self {
+            BoolExpr::Cond(c) => c.matches_value(record.get(&c.attribute)),
+            BoolExpr::And(v) => v.iter().all(|e| e.matches(record)),
+            BoolExpr::Or(v) => v.iter().any(|e| e.matches(record)),
+            BoolExpr::Not(e) => !e.matches(record),
+            BoolExpr::True => true,
         }
     }
 

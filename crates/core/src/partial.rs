@@ -625,7 +625,7 @@ impl<'a> PartialMatcher<'a> {
                                                 } else {
                                                     s.restrict(shard.clone())
                                                 };
-                                                PostingList::from_sorted(s.collect())
+                                                PostingList::from_sorted(s.into_ids())
                                             })
                                         });
                                     let make_rest = || match &cached {
@@ -1739,6 +1739,8 @@ mod tests {
             "mustang",
             "blue toyota camry",
             "red chevy malibu above 4000 dollars",
+            "blue honda accord or toyota camry",
+            "honda accord not blue under 20000 dollars",
         ] {
             let interp = interpret(&tagger.tag(question), &spec).unwrap();
             for budget in [0usize, 1, 2, 3, 30, 100] {

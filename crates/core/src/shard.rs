@@ -496,10 +496,10 @@ fn scatter_exact<'c>(
     // reports its full (untruncated) pre-superlative matches and the gather
     // re-applies the chain over the merge. The stripped query skips the
     // executor's superlative validation, so part 0 first vets the query as
-    // compiled (validation precedes execution; limit 0 keeps nothing).
+    // compiled (every part shares the one schema).
     let stripped;
     let per_part = if superlative {
-        parts[0].exact_ids(&query.clone().with_limit(0))?;
+        Executor::new(parts[0].table).validate(query)?;
         stripped = Query::new(query.table.as_str())
             .with_expr(query.expr.clone())
             .with_limit(usize::MAX);
@@ -958,9 +958,9 @@ mod tests {
     /// Every erroring question fails exactly as the one-part system does, at
     /// every part count. The toy domain itself cannot make the executor fail,
     /// so the last two cases misdeclare it: a superlative over the categorical
-    /// `color` compiles and is rejected inside `Executor::execute` (by the
-    /// validation the stripped per-part queries skip), a numeric comparison
-    /// over it is rejected by the translator.
+    /// `color` compiles and is rejected by `Executor::validate` (which the
+    /// stripped per-part queries would pass), a numeric comparison over it is
+    /// rejected by the translator.
     #[test]
     fn unknown_domain_and_empty_question_errors_match() {
         let mut misdeclared = toy_car_domain();

@@ -2,7 +2,9 @@
 //! never panic, and core invariants must hold for whatever the generators produce.
 
 use cqads_suite::addb::{
-    AttrType, Executor, IdStream, PostingList, Record, RecordId, ScoredUnion, Table, RECORD_CHUNK,
+    retain_extreme, sql::render as addb_sql, AttrType, BoolExpr, Comparison, Condition, Executor,
+    IdStream, PostingList, Query, Record, RecordId, ScoredUnion, Superlative, SuperlativeKind,
+    Table, RECORD_CHUNK,
 };
 use cqads_suite::cqads::oracle::full_scan_partial_answers;
 use cqads_suite::cqads::tagging::Tagger;
@@ -12,7 +14,8 @@ use cqads_suite::cqads::{
     PartialMatcher, ResilienceOptions, SimilarityModel, StorageOptions,
 };
 use cqads_suite::datagen::{
-    affinity_model, blueprint, generate_questions, generate_table, topic_groups, QuestionMix,
+    affinity_model, blueprint, generate_questions, generate_table, topic_groups, DomainBlueprint,
+    GeneratedQuestion, QuestionKind, QuestionMix,
 };
 use cqads_suite::querylog::{
     generate_log, AffinityModel, ClickEvent, LogGeneratorConfig, QueryLogDelta, Session,
@@ -96,6 +99,36 @@ proptest! {
             }
         }
     }
+}
+
+/// `count` questions of the default mix, then one that negates a value and one that
+/// ORs two alternatives — the shapes the executor streams as complement and union
+/// cursors, which a handful of default-mix draws may well miss.
+fn questions_with_boolean_shapes(
+    bp: &DomainBlueprint,
+    table: &Table,
+    count: usize,
+    seed: u64,
+) -> Vec<GeneratedQuestion> {
+    let boolean = QuestionMix {
+        plain: 0.0,
+        implicit_boolean: 1.0,
+        explicit_boolean: 1.0,
+        ..QuestionMix::plain_only()
+    };
+    let pool = generate_questions(bp, table, 48, seed, &boolean);
+    let negated = pool.iter().find(|q| q.text.contains(" not "));
+    let or = pool
+        .iter()
+        .find(|q| q.kind == QuestionKind::ExplicitBoolean);
+    let mut questions = generate_questions(bp, table, count, seed, &QuestionMix::default());
+    questions.extend(negated.into_iter().chain(or).cloned());
+    assert_eq!(
+        questions.len(),
+        count + 2,
+        "the boolean pool has both shapes"
+    );
+    questions
 }
 
 /// Ascending posting list from an arbitrary id set.
@@ -206,7 +239,7 @@ proptest! {
             PartialMatchOptions { workers },
         );
 
-        let questions = generate_questions(&bp, &table, 8, question_seed, &QuestionMix::default());
+        let questions = questions_with_boolean_shapes(&bp, &table, 8, question_seed);
         for q in &questions {
             let Ok(interp) = interpret(&tagger.tag(&q.text), &spec) else { continue };
             let exact: HashSet<RecordId> = interp
@@ -305,6 +338,218 @@ proptest! {
                 prop_assert_eq!(stream.seek_ge(RecordId(0)), None);
                 break;
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The executor against a record scan, for every boolean shape
+// ---------------------------------------------------------------------------
+
+/// A replayable stream of random choices: the property below decodes its table
+/// rows, expressions, superlatives and seek targets from plain `u32` draws.
+struct Dice<'a> {
+    rolls: &'a [u32],
+    at: usize,
+}
+
+impl Dice<'_> {
+    /// Uniform in `0..n`.
+    fn roll(&mut self, n: usize) -> usize {
+        let roll = self.rolls[self.at % self.rolls.len()];
+        self.at += 1;
+        roll as usize % n
+    }
+
+    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.roll(items.len())]
+    }
+}
+
+/// Few distinct values that share trigrams (so `Contains` has candidates to
+/// reject), one of them never stored, one never interned anywhere in the process.
+const SCAN_NAMES: [&str; 6] = [
+    "abc",
+    "abcab",
+    "bca b",
+    "cab",
+    "stored nowhere",
+    "interned-nowhere-7f3a9c",
+];
+const SCAN_TAGS: [&str; 3] = ["ab", "bc", "abc"];
+/// Duplicate-heavy, with neighbours a hair off 10 on either side.
+const SCAN_NUMBERS: [f64; 7] = [5.0, 10.0, 10.0 + 5e-10, 10.0 - 5e-10, 10.0, 20.5, 40.0];
+/// Bounds that hit stored values, fall between them and fall outside them all.
+const SCAN_BOUNDS: [f64; 7] = [0.0, 5.0, 10.0, 10.0 + 5e-10, 15.0, 40.0, 99.0];
+
+/// `name` always; `tag`, `price` and `size` each missing from some rows.
+fn scan_table(rows: &[u32]) -> Table {
+    let schema = cqads_suite::addb::Schema::builder("things")
+        .type1("name")
+        .type2("tag")
+        .type3("price", 0.0, 100.0, None)
+        .type3("size", 0.0, 100.0, None)
+        .build()
+        .unwrap();
+    let mut table = Table::new(schema);
+    for row in rows {
+        let row = *row as usize;
+        let mut record = Record::builder().text("name", SCAN_NAMES[row % 4]);
+        if !(row >> 4).is_multiple_of(4) {
+            record = record.text("tag", SCAN_TAGS[(row >> 6) % 3]);
+        }
+        if !(row >> 8).is_multiple_of(5) {
+            record = record.number("price", SCAN_NUMBERS[(row >> 11) % 7]);
+        }
+        if !(row >> 14).is_multiple_of(3) {
+            record = record.number("size", SCAN_NUMBERS[(row >> 16) % 7]);
+        }
+        table.insert(record.build()).unwrap();
+    }
+    table
+}
+
+/// One leaf: every `Comparison`, a third of them negated.
+fn scan_leaf(dice: &mut Dice<'_>) -> Condition {
+    let number = dice.pick(&["price", "size"]);
+    let bound = dice.pick(&SCAN_BOUNDS);
+    let cond = match dice.roll(9) {
+        0 => Condition::eq("name", dice.pick(&SCAN_NAMES)),
+        1 => Condition::eq("tag", dice.pick(&SCAN_TAGS)),
+        2 => Condition::eq_number(number, bound),
+        3 => Condition::new(number, Comparison::Lt(bound)),
+        4 => Condition::new(number, Comparison::Le(bound)),
+        5 => Condition::new(number, Comparison::Gt(bound)),
+        6 => Condition::new(number, Comparison::Ge(bound)),
+        7 => {
+            let other = dice.pick(&SCAN_BOUNDS);
+            Condition::new(
+                number,
+                Comparison::Between(bound.min(other), bound.max(other)),
+            )
+        }
+        _ => {
+            // A needle of 0–5 characters cut out of text the values resemble.
+            let text = "abcab bca";
+            let start = dice.roll(text.len() - 5);
+            let needle = &text[start..start + dice.roll(6)];
+            let attribute = dice.pick(&["name", "tag"]);
+            Condition::new(attribute, Comparison::Contains(needle.to_string()))
+        }
+    };
+    if dice.roll(3) == 0 {
+        cond.negated()
+    } else {
+        cond
+    }
+}
+
+/// A random expression nested at most `depth` operators deep. Built from the enum
+/// variants directly (not the flattening helpers), so empty, single, duplicate and
+/// identical operand lists all occur.
+fn scan_expr(dice: &mut Dice<'_>, depth: usize) -> BoolExpr {
+    if depth == 0 {
+        return BoolExpr::Cond(scan_leaf(dice));
+    }
+    match dice.roll(8) {
+        0 => BoolExpr::True,
+        1 | 2 => BoolExpr::Cond(scan_leaf(dice)),
+        3 => BoolExpr::Not(Box::new(scan_expr(dice, depth - 1))),
+        kind => {
+            let mut operands: Vec<BoolExpr> = (0..dice.roll(4))
+                .map(|_| scan_expr(dice, depth - 1))
+                .collect();
+            if let (Some(first), 0) = (operands.first().cloned(), dice.roll(3)) {
+                operands.push(first);
+            }
+            if kind < 6 {
+                BoolExpr::And(operands)
+            } else {
+                BoolExpr::Or(operands)
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Whatever the boolean shape, the executor's index-driven streams answer
+    /// exactly what a scan of the records through `BoolExpr::matches` answers:
+    /// `execute` the first `limit` ids (the extreme ones under a superlative),
+    /// `execute_stream` all of them — pulled, drained in bulk, sought with ascending
+    /// targets, or restricted to an id range.
+    #[test]
+    fn executor_matches_record_scan_for_every_boolean_shape(
+        rows in prop::collection::vec(0u32..u32::MAX, 1..420),
+        rolls in prop::collection::vec(0u32..u32::MAX, 256..257),
+    ) {
+        let table = scan_table(&rows);
+        let executor = Executor::new(&table);
+        let len = table.len() as u32;
+        let mut dice = Dice { rolls: &rolls, at: 0 };
+        for _ in 0..6 {
+            let expr = scan_expr(&mut dice, 3);
+            let superlatives: Vec<Superlative> = (0..dice.roll(4).saturating_sub(1))
+                .map(|_| {
+                    let attribute = dice.pick(&["price", "size"]);
+                    if dice.roll(2) == 0 { Superlative::min(attribute) } else { Superlative::max(attribute) }
+                })
+                .collect();
+            let mut query = Query::new("things").with_expr(expr.clone());
+            let mut scanned: Vec<RecordId> = table
+                .iter()
+                .filter(|(_, record)| expr.matches(record))
+                .map(|(id, _)| id)
+                .collect();
+            for superlative in &superlatives {
+                query = query.with_superlative(superlative.clone());
+                retain_extreme(&mut scanned, superlative.kind == SuperlativeKind::Max, |id| {
+                    table.get(id).and_then(|record| record.get_number(&superlative.attribute))
+                });
+            }
+            let context = addb_sql(&query);
+
+            for limit in [0, 1, 7, 30, usize::MAX] {
+                let page: Vec<RecordId> = executor
+                    .execute(&query.clone().with_limit(limit))
+                    .unwrap()
+                    .iter()
+                    .map(|answer| answer.id)
+                    .collect();
+                let want = &scanned[..limit.min(scanned.len())];
+                prop_assert_eq!(&page[..], want, "limit {}: {}", limit, &context);
+            }
+
+            let stream = || executor.execute_stream(&query).unwrap();
+            prop_assert_eq!(&stream().collect::<Vec<_>>(), &scanned, "pulled: {}", &context);
+            prop_assert_eq!(&stream().into_ids(), &scanned, "drained: {}", &context);
+
+            // Ascending seeks never go backwards and never skip a match.
+            let mut targets: Vec<u32> = (0..12).map(|_| dice.roll(len as usize + 2) as u32).collect();
+            targets.sort_unstable();
+            let mut sought = stream();
+            let mut rest = &scanned[..];
+            for target in targets {
+                rest = &rest[rest.partition_point(|id| id.0 < target)..];
+                let got = sought.seek_ge(RecordId(target));
+                prop_assert_eq!(got, rest.first().copied(), "seek_ge({}): {}", target, &context);
+                rest = rest.get(1..).unwrap_or_default();
+            }
+            prop_assert_eq!(&sought.collect::<Vec<_>>(), rest, "after the seeks: {}", &context);
+
+            let lo = dice.roll(len as usize + 1) as u32;
+            let hi = lo + dice.roll(len as usize + 1) as u32;
+            let inside: Vec<RecordId> =
+                scanned.iter().copied().filter(|id| (lo..hi).contains(&id.0)).collect();
+            prop_assert_eq!(
+                &stream().restrict(lo..hi).collect::<Vec<_>>(), &inside,
+                "restrict({}..{}) pulled: {}", lo, hi, &context
+            );
+            prop_assert_eq!(
+                &stream().restrict(lo..hi).into_ids(), &inside,
+                "restrict({}..{}) drained: {}", lo, hi, &context
+            );
         }
     }
 }
@@ -811,7 +1056,7 @@ proptest! {
             .map(|(label, config)| (label, build(config).unwrap()))
             .collect();
 
-        let questions = generate_questions(&bp, &table, 6, question_seed, &QuestionMix::default());
+        let questions = questions_with_boolean_shapes(&bp, &table, 6, question_seed);
         let texts: Vec<&str> = questions.iter().map(|q| q.text.as_str()).collect();
         // One round: the reference computes every answer from scratch; every
         // system serves each question through `ask` and then the whole burst
@@ -848,6 +1093,14 @@ proptest! {
             }
             Ok(())
         };
+        // The sweep really asks a negation and a disjunction, at every part count.
+        let sqls: Vec<String> = texts
+            .iter()
+            .filter_map(|q| reference.ask(q).domain(domain).uncached().get().ok())
+            .map(|set| set.sql.clone())
+            .collect();
+        prop_assert!(sqls.iter().any(|sql| sql.contains("NOT (")), "no negation: {:?}", texts);
+        prop_assert!(sqls.iter().any(|sql| sql.contains(") OR (")), "no OR: {:?}", texts);
         round(&reference, &systems, "fresh")?;
         round(&reference, &systems, "repeated")?;
 

@@ -12,7 +12,7 @@
 use cqads_suite::addb::{Record, RecordId, Schema, Table};
 use cqads_suite::cqads::oracle::full_scan_partial_answers;
 use cqads_suite::cqads::tagging::Tagger;
-use cqads_suite::cqads::translate::interpret;
+use cqads_suite::cqads::translate::{interpret, Interpretation};
 use cqads_suite::cqads::{DomainSpec, PartialMatchOptions, PartialMatcher, SimilarityModel};
 use cqads_suite::datagen::{
     affinity_model, blueprint, generate_questions, generate_table, topic_groups, QuestionMix,
@@ -34,6 +34,32 @@ fn assert_identical(
         assert!(
             a.bits_eq(b),
             "diverged at rank {i}: {context}: {a:?} != {b:?}"
+        );
+    }
+}
+
+/// How many of a sweep's questions compiled to a disjunction and to a negation —
+/// the two shapes the executor streams as lazy union / complement cursors. Every
+/// sweep must draw both.
+#[derive(Default)]
+struct BooleanShapes {
+    or: usize,
+    negated: usize,
+}
+
+impl BooleanShapes {
+    fn note(&mut self, interp: &Interpretation, spec: &DomainSpec) {
+        let sql = interp.to_sql(spec).unwrap_or_default();
+        self.or += usize::from(sql.contains(") OR ("));
+        self.negated += usize::from(sql.contains("NOT ("));
+    }
+
+    fn assert_both_drawn(&self, sweep: &str) {
+        assert!(
+            self.or > 0 && self.negated > 0,
+            "{sweep}: drew {} OR and {} negated questions",
+            self.or,
+            self.negated
         );
     }
 }
@@ -72,10 +98,12 @@ fn topk_engine_matches_full_sort_across_seeded_workloads() {
 
         let questions = generate_questions(&bp, &table, 60, question_seed, &QuestionMix::default());
         let mut compared = 0usize;
+        let mut shapes = BooleanShapes::default();
         for q in &questions {
             let Ok(interp) = interpret(&tagger.tag(&q.text), &spec) else {
                 continue;
             };
+            shapes.note(&interp, &spec);
             // The same exclusion the pipeline would apply: the exact answers.
             let exact: HashSet<RecordId> = {
                 let query = interp.to_query_with_limit(&spec, 30).unwrap();
@@ -102,6 +130,7 @@ fn topk_engine_matches_full_sort_across_seeded_workloads() {
             compared >= 100,
             "expected a substantive sweep for {domain}, compared only {compared}"
         );
+        shapes.assert_both_drawn(domain);
     }
 }
 
@@ -280,6 +309,21 @@ fn build_synthetic(rows: usize, skewed: bool) -> Workload {
             model_name(m)
         ));
     }
+    // A disjunction and a negation: the relaxations stream through the lazy union
+    // and complement cursors, over the mega posting lists.
+    let (m, other) = (QUESTION_MODELS[1], QUESTION_MODELS[4]);
+    questions.push(format!(
+        "{} {} or {}",
+        color_name(m % COLORS),
+        model_name(m),
+        model_name(other)
+    ));
+    questions.push(format!(
+        "{} {} not {}",
+        make_name(m % MAKES),
+        model_name(m),
+        color_name(m % COLORS)
+    ));
     Workload {
         name: if skewed { "skewed" } else { "uniform" },
         spec,
@@ -351,10 +395,12 @@ fn wand_traversal_matches_the_oracle_across_seeded_workloads() {
         } = workload;
         let tagger = Tagger::new(spec);
         let mut compared = 0usize;
+        let mut shapes = BooleanShapes::default();
         for text in questions {
             let Ok(interp) = interpret(&tagger.tag(text), spec) else {
                 continue;
             };
+            shapes.note(&interp, spec);
             let exact: HashSet<RecordId> = {
                 let query = interp.to_query_with_limit(spec, 30).unwrap();
                 cqads_suite::addb::Executor::new(table)
@@ -384,6 +430,7 @@ fn wand_traversal_matches_the_oracle_across_seeded_workloads() {
             compared >= 100,
             "expected a substantive WAND sweep for {name}, compared only {compared}"
         );
+        shapes.assert_both_drawn(name);
     }
 }
 
@@ -421,10 +468,12 @@ fn parallel_workers_match_sequential_across_seeded_workloads() {
             PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers: 1 });
         let questions = generate_questions(&bp, &table, 40, question_seed, &QuestionMix::default());
         let mut compared = 0usize;
+        let mut shapes = BooleanShapes::default();
         for q in &questions {
             let Ok(interp) = interpret(&tagger.tag(&q.text), &spec) else {
                 continue;
             };
+            shapes.note(&interp, &spec);
             let exact: HashSet<RecordId> = {
                 let query = interp.to_query_with_limit(&spec, 30).unwrap();
                 cqads_suite::addb::Executor::new(&table)
@@ -464,6 +513,7 @@ fn parallel_workers_match_sequential_across_seeded_workloads() {
             compared >= 100,
             "expected a substantive parallel sweep for {domain}, compared only {compared}"
         );
+        shapes.assert_both_drawn(domain);
     }
 }
 
