@@ -289,7 +289,7 @@ impl Iterator for IdStream<'_> {
     /// from single posting lists and wide-range filters, so this removes the dominant
     /// per-candidate cost. A union or complement has no slice to iterate: at the root
     /// it is drained by pulling, as an operand of a conjunction it is drained once
-    /// into a vector ([`FlatConjunction::absorb`]).
+    /// into a vector (`FlatConjunction::absorb`).
     fn fold<B, F>(self, init: B, mut f: F) -> B
     where
         F: FnMut(B, RecordId) -> B,

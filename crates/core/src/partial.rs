@@ -12,8 +12,9 @@
 //! The engine is **index-driven, bounded and value-ordered**:
 //!
 //! * Each relaxation executes through [`Executor::execute_stream`], a lazy sorted-merge
-//!   over index posting lists — candidate ids arrive one at a time and no per-relaxation
-//!   result vector is ever materialized.
+//!   over index posting lists. A numeric relaxation drains it once; a categorical one
+//!   drains it into one posting list (4 bytes per candidate) the first time a value
+//!   run needs it, and every later run intersects that list (next section).
 //! * Each relaxed condition is compiled once
 //!   ([`SimilarityModel::compile`](crate::ranking::SimilarityModel::compile)) so that
 //!   scoring a candidate is integer-keyed matrix lookups against the table's interned
@@ -27,8 +28,9 @@
 //!   scoring every candidate (next section).
 //!
 //! For a question with `k` relaxations whose candidate streams total `C` ids, the
-//! engine runs in `O(C · (log budget + s))` time and `O(budget)` extra space, where `s`
-//! is the per-candidate scoring cost (a constant number of hash probes). The seed
+//! engine runs in `O(C · (log budget + s))` time and `O(budget)` extra space besides
+//! the one drained candidate list a categorical relaxation holds while it runs, where
+//! `s` is the per-candidate scoring cost (a constant number of hash probes). The seed
 //! pipeline cost `O(C · a + D log D)` where `a` includes two string allocations
 //! (`to_lowercase` + `porter_stem`) per similarity lookup and `D ≤ C` is the number of
 //! distinct candidates, all of which were buffered and sorted. Value-ordered pruning
@@ -55,9 +57,12 @@
 //! 3. A surviving single value drains `rest ∩ postings(v)` through the galloping
 //!    intersection; an equal-similarity run merges its posting lists with one
 //!    [`ScoredUnion`] and leapfrogs it against `rest` in a single pass. `rest` is the
-//!    stream of the remaining `N−1` conditions (the whole table for single-condition
-//!    questions, whose O(table) similarity scan collapses to the same pruned
-//!    traversal).
+//!    candidate set of the remaining `N−1` conditions, drained from the executor at
+//!    most once per worker per relaxation — the first time a run is drained, never
+//!    for a relaxation pruned before its first run — so a relaxation that drains
+//!    twenty runs plans, and applies its superlative, once. For single-condition
+//!    questions `rest` is the whole table, and the O(table) similarity scan collapses
+//!    to the same pruned traversal.
 //! 4. The residual pass (zero-similarity values plus records missing the attribute,
 //!    all scoring exactly `N−1`) runs only when the threshold still admits a zero
 //!    similarity, as the plain exhaustive scan.
@@ -93,13 +98,29 @@
 //! achieving the best score") resolves exactly as in the sequential engine, no
 //! matter how the atomic raises interleave.
 //!
-//! When the index-driven pass cannot fill the budget (sparse data: every relaxation
-//! collapses to the already-returned exact answers), the engine falls back to a
-//! **degree-of-match scan**: every remaining record is scored
+//! When the index-driven pass cannot fill the budget — sparse data, where every
+//! relaxation collapses to the already-returned exact answers, and above all
+//! superlatives, whose relaxations each keep only their extreme — the engine falls
+//! back to **degree of match**: every remaining record scores
 //! `min(#matched conditions, N−1) + best similarity over its unmatched conditions`,
 //! which generalizes `Rank_Sim` (an exact N−1 match scores identically) and ranks
 //! records with fewer matches strictly below genuine N−1 matches. This keeps the
 //! paper's "top up to 30 answers" behaviour on sparse tables.
+//!
+//! The fallback reads the index before it scans. With the question's `K` conditions
+//! compiled to probes whose satisfying sets `Sᵢ` the index holds
+//! (`CompiledProbe::satisfying_ids`: a positive categorical value's posting list), it
+//! first scores the **near matches** `∪ᵢ ∩ⱼ≠ᵢ Sⱼ` — every record satisfying at least
+//! `K−1` probes. Every other record satisfies at most `K−2`, so it scores at most
+//! `min(K−2, N−1) + 1`; the table is scanned only when the heap can still take that
+//! score (`TopK::can_beat`, ties included — an equal score can win on a smaller id).
+//! Skipping the scan is lossless by the pruning argument above: the scan's offers all
+//! score at most that bound, strictly below the worst of a full heap, and the worst
+//! never decreases. Scanning after the near matches changes nothing either: a
+//! record's degree-of-match score is a pure function of the record, so a near match
+//! the scan meets again is re-offered its own score — a provable no-op — and the heap
+//! content is invariant under offer order. A numeric or negated probe has no index
+//! set (a range, a complement); such a question scans as before.
 //!
 //! # Parallel execution
 //!
@@ -126,8 +147,11 @@
 //!
 //! The sparse-data fallback keeps the same two-phase shape: the index pass is merged
 //! first (its merged size and found-id set are provably identical to the sequential
-//! engine's heap state at that point), then the degree-of-match scan is itself sharded
-//! over the remaining ids. Worker count comes from
+//! engine's heap state at that point), then the degree-of-match pass is itself
+//! sharded: each worker reads the near matches inside its id range and scans that
+//! range only if its own heap still admits the scan's bound — a full worker heap's
+//! worst bounds the merged worst from below, the admissibility argument of the shared
+//! threshold. Worker count comes from
 //! [`PartialMatchOptions::workers`] (`0` = auto-detect via
 //! `std::thread::available_parallelism`, staying sequential for small tables where
 //! spawn overhead would dominate).
@@ -163,8 +187,8 @@
 //! * cut inside the residual → `(N−1)` (unvisited residual candidates score
 //!   exactly the base; any higher-scoring id the residual could meet is a re-offer
 //!   the heap provably ignores), again maxed with the remaining plans;
-//! * any cut that touches the degree-of-match fallback → `N` (its scores are
-//!   bounded by `min(matched, N−1) + 1`).
+//! * any cut that touches the degree-of-match fallback — in its index layer or in its
+//!   scan → `N` (its scores are bounded by `min(matched, N−1) + 1`).
 //!
 //! Every heap entry scoring **strictly above** the merged `B` already beat every
 //! offer the cut skipped — its score, measure and relaxed-condition index are the
@@ -182,7 +206,7 @@ use crate::resilience::QueryBudget;
 use crate::sync::atomic::AtomicU64;
 use crate::translate::Interpretation;
 use addb::{Executor, IdStream, PostingList, Query, RecordId, ScoredUnion, Table};
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::ops::Range;
@@ -533,7 +557,6 @@ impl<'a> PartialMatcher<'a> {
         run_sharded(&mut heaps, &mut bounds, &shards, |shard, heaps, bounds| {
             let meter = budget.map(BudgetProbe::new);
             let executor = Executor::new(table);
-            let whole_table = shard.start == 0 && shard.end as usize >= table.len();
             for (q, (prep, topk)) in prepared.iter().zip(heaps.iter_mut()).enumerate() {
                 if let Some(m) = &meter {
                     if m.cut() {
@@ -552,16 +575,14 @@ impl<'a> PartialMatcher<'a> {
                         // collapses to the few posting lists whose similarity can
                         // still beat the threshold.
                         Some(order) => {
-                            let len = table.len() as u32;
                             if let Some(cut_at) = wand_relaxation(
                                 prep,
                                 topk,
                                 &shard,
-                                whole_table,
                                 order,
                                 probe,
                                 0,
-                                || Some(IdStream::All(0..len)),
+                                || Some(IdStream::All(shard.clone())),
                                 meter.as_ref(),
                             ) {
                                 bounds[q] = bounds[q].max(cut_at);
@@ -607,37 +628,29 @@ impl<'a> PartialMatcher<'a> {
                             };
                             match &plan.values {
                                 Some(order) => {
-                                    // Superlative queries re-apply their superlative
-                                    // filter on every stream construction, so
-                                    // materialize the relaxation's candidate set once
-                                    // per worker. The sharded fan-out materializes
-                                    // too (restricted to the worker's shard, so the
-                                    // summed cost is one full pass): per-value-run
-                                    // re-planning would otherwise multiply by the
-                                    // worker count. The sequential engine keeps the
-                                    // lazy form — construction borrows posting lists
-                                    // and only the runs actually drained pay it.
-                                    let cached: Option<Option<PostingList>> =
-                                        (plan.materialize_rest || !whole_table).then(|| {
-                                            executor.execute_stream(&plan.query).ok().map(|s| {
-                                                let s = if whole_table {
-                                                    s
-                                                } else {
-                                                    s.restrict(shard.clone())
-                                                };
-                                                PostingList::from_sorted(s.into_ids())
-                                            })
-                                        });
-                                    let make_rest = || match &cached {
-                                        Some(Some(list)) => Some(IdStream::postings(list)),
-                                        Some(None) => None,
-                                        None => executor.execute_stream(&plan.query).ok(),
+                                    // The remaining N−1 conditions, drained into one
+                                    // posting list inside the worker's shard the first
+                                    // time a value run needs them — at most once per
+                                    // worker — so every later run intersects that
+                                    // list instead of re-planning the query (and
+                                    // re-applying a superlative), and a relaxation
+                                    // pruned before its first run never pays it.
+                                    let rest = OnceCell::new();
+                                    let make_rest = || {
+                                        rest.get_or_init(|| {
+                                            let stream =
+                                                executor.execute_stream(&plan.query).ok()?;
+                                            let ids =
+                                                within(stream, &shard, table.len()).into_ids();
+                                            Some(PostingList::from_sorted(ids))
+                                        })
+                                        .as_ref()
+                                        .map(IdStream::postings)
                                     };
                                     if let Some(cut_at) = wand_relaxation(
                                         prep,
                                         topk,
                                         &shard,
-                                        whole_table,
                                         order,
                                         &plan.probe,
                                         plan.skip,
@@ -653,14 +666,7 @@ impl<'a> PartialMatcher<'a> {
                                         Ok(s) => s,
                                         Err(_) => continue,
                                     };
-                                    // One galloping seek enters the worker's shard;
-                                    // the sequential (single-shard) case skips the
-                                    // wrapper.
-                                    let stream = if whole_table {
-                                        stream
-                                    } else {
-                                        stream.restrict(shard.clone())
-                                    };
+                                    let stream = within(stream, &shard, table.len());
                                     let mut scorer = ProbeScorer::new(&plan.probe);
                                     match &meter {
                                         // `for_each` funnels through the stream's
@@ -766,19 +772,29 @@ impl<'a> PartialMatcher<'a> {
                     }
                     let mut scorers: Vec<ProbeScorer<'_, '_>> =
                         probes.iter().map(ProbeScorer::new).collect();
-                    for id in shard.clone().map(RecordId) {
-                        if let Some(m) = &meter {
-                            if m.visit() {
-                                // Degree-of-match scores bound at N.
-                                bounds[q] = bounds[q].max(prep.n as f64);
-                                break;
-                            }
-                        }
-                        if prep.excluded(id) || found.binary_search(&id).is_ok() {
-                            continue;
-                        }
-                        let fb = degree_of_match(&mut scorers, prep.n, id);
-                        topk.offer(id, fb.rank_sim, fb.measure, fb.relaxed_condition);
+                    let meter = meter.as_ref();
+                    // The index layer first: every record matching at least K−1 of
+                    // the K probes. Any other record matches at most K−2, so it
+                    // scores at most `min(K−2, N−1) + 1`; the table is scanned only
+                    // while the heap could still take that.
+                    let mut complete = true;
+                    let mut scan = true;
+                    if let Some(near) = near_matches(probes, &shard, table.len()) {
+                        let beyond = probes.len().saturating_sub(2).min(prep.n.saturating_sub(1))
+                            as f64
+                            + 1.0;
+                        complete =
+                            offer_degree_of_match(near, prep, found, &mut scorers, topk, meter);
+                        scan = complete && topk.can_beat(beyond);
+                    }
+                    if scan {
+                        let all = shard.clone().map(RecordId);
+                        complete =
+                            offer_degree_of_match(all, prep, found, &mut scorers, topk, meter);
+                    }
+                    if !complete {
+                        // Degree-of-match scores bound at N.
+                        bounds[q] = bounds[q].max(prep.n as f64);
                     }
                 }
                 if let Some(m) = &meter {
@@ -851,14 +867,12 @@ impl<'a> PartialMatcher<'a> {
                     let query = interpretation.to_query_excluding(self.spec, skip).ok()?;
                     let probe = self.similarity.compile(relaxed, table);
                     let values = probe.value_order();
-                    let materialize_rest = !query.superlatives.is_empty();
                     let start_bound = arm_bound(&values);
                     Some(RelaxationPlan {
                         skip,
                         query,
                         probe,
                         values,
-                        materialize_rest,
                         start_bound,
                         tail_bound: f64::NEG_INFINITY,
                     })
@@ -911,7 +925,9 @@ impl<'a> PartialMatcher<'a> {
 /// `min(#matched, N−1) + best similarity over the unmatched conditions`, reporting the
 /// measure and index of the best unmatched condition. Matches `Rank_Sim` exactly for
 /// records matching exactly N−1 conditions. Takes scorers (not bare probes) because
-/// the fallback scans whole tables — memoized text scores matter most here.
+/// the fallback scores thousands of records per question (its near matches, and the
+/// whole table when the heap still admits a record matching K−2 probes) — memoized
+/// text scores matter most here.
 pub(crate) fn degree_of_match(
     scorers: &mut [ProbeScorer<'_, '_>],
     condition_count: usize,
@@ -945,6 +961,68 @@ pub(crate) fn degree_of_match(
     }
 }
 
+/// Offer every id of `ids` that is neither excluded nor `found` by the index pass its
+/// degree-of-match score. Returns `false` when the deadline cut the pass (the caller
+/// then certifies at `N`). An id offered twice is offered the same score twice, which
+/// the heap provably ignores (module docs).
+fn offer_degree_of_match(
+    ids: impl Iterator<Item = RecordId>,
+    prep: &PreparedQuestion<'_>,
+    found: &[RecordId],
+    scorers: &mut [ProbeScorer<'_, '_>],
+    topk: &mut TopK,
+    meter: Option<&BudgetProbe<'_>>,
+) -> bool {
+    for id in ids {
+        if meter.is_some_and(BudgetProbe::visit) {
+            return false;
+        }
+        if prep.excluded(id) || found.binary_search(&id).is_ok() {
+            continue;
+        }
+        let fb = degree_of_match(scorers, prep.n, id);
+        topk.offer(id, fb.rank_sim, fb.measure, fb.relaxed_condition);
+    }
+    true
+}
+
+/// The records inside `shard` that satisfy at least K−1 of the K `probes`, ascending
+/// and each once: `∪ᵢ ∩ⱼ≠ᵢ Sⱼ` over the probes' index sets
+/// ([`CompiledProbe::satisfying_ids`]). `None` when a probe has no index set (numeric
+/// or negated), and the fallback scans instead.
+fn near_matches<'m>(
+    probes: &[CompiledProbe<'m>],
+    shard: &Range<u32>,
+    table_len: usize,
+) -> Option<impl Iterator<Item = RecordId> + 'm> {
+    if probes.iter().any(|p| p.satisfying_ids().is_none()) {
+        return None;
+    }
+    let branches = (0..probes.len())
+        .map(|skip| {
+            let rest = probes
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != skip)
+                .filter_map(|(_, p)| p.satisfying_ids())
+                .reduce(IdStream::intersect)
+                .unwrap_or(IdStream::Empty);
+            within(rest, shard, table_len)
+        })
+        .collect();
+    Some(ScoredUnion::new(branches).map(|(id, _)| id))
+}
+
+/// `stream` inside the worker's shard: one galloping seek enters it, and a shard
+/// covering the whole table (the sequential case) skips the wrapper.
+fn within<'a>(stream: IdStream<'a>, shard: &Range<u32>, table_len: usize) -> IdStream<'a> {
+    if shard.start == 0 && shard.end as usize >= table_len {
+        stream
+    } else {
+        stream.restrict(shard.clone())
+    }
+}
+
 /// The value-ordered (WAND-style) traversal of one relaxation.
 ///
 /// Values of the relaxed column are visited in descending exact-similarity order
@@ -959,11 +1037,12 @@ pub(crate) fn degree_of_match(
 /// attribute — is the plain exhaustive scan; any id it re-offers was already offered
 /// at the same score, which the top-k provably ignores (see the module docs).
 ///
-/// `make_rest` produces the candidate stream of the remaining conditions (the whole
-/// table for single-condition questions); it is called once per drained run, so
-/// pruned runs never pay for stream construction. `None` means the relaxation's
-/// query cannot execute — the relaxation is skipped, exactly like the exhaustive
-/// engine's `continue`.
+/// `make_rest` produces the candidate stream of the remaining conditions inside the
+/// worker's shard (the shard itself for single-condition questions, the posting
+/// list a relaxation's query is drained into at most once per worker otherwise); it
+/// is called once per drained run, so a relaxation pruned before its first run never
+/// pays for it. `None` means the relaxation's query cannot execute — the relaxation
+/// is skipped, exactly like the exhaustive engine's `continue`.
 ///
 /// `meter` is the worker's deadline probe, polled per visited candidate. Returns
 /// `None` when the relaxation finished losslessly (pruned stops included) and
@@ -978,7 +1057,6 @@ fn wand_relaxation<'s>(
     prep: &PreparedQuestion<'_>,
     topk: &mut TopK,
     shard: &Range<u32>,
-    whole_table: bool,
     order: &ValueOrder<'s>,
     probe: &CompiledProbe<'_>,
     skip: usize,
@@ -1003,12 +1081,7 @@ fn wand_relaxation<'s>(
         }
         let rest = make_rest()?;
         if j - i == 1 {
-            let stream = rest.intersect(IdStream::postings(entries[i].postings));
-            let mut stream = if whole_table {
-                stream
-            } else {
-                stream.restrict(shard.clone())
-            };
+            let mut stream = rest.intersect(IdStream::postings(entries[i].postings));
             // A run yields ascending ids at one constant score, so the drain can
             // stop as soon as the heap proves no later id of the run can enter —
             // this caps an exact-match mega value at ~budget visited ids.
@@ -1058,12 +1131,7 @@ fn wand_relaxation<'s>(
     if !topk.can_beat(base) {
         return None;
     }
-    let rest = make_rest()?;
-    let mut rest = if whole_table {
-        rest
-    } else {
-        rest.restrict(shard.clone())
-    };
+    let mut rest = make_rest()?;
     let mut scorer = ProbeScorer::new(probe);
     // The residual is also breakable at the constant `base`: new candidates here
     // score exactly `base` (zero similarity), and any higher-scoring id it meets is
@@ -1134,7 +1202,8 @@ fn drain_union(
 /// probe that scores the removed condition, and — for categorical relaxed conditions —
 /// the value-ordered traversal plan (`None` routes the relaxation through the
 /// exhaustive scan). Built once per question and shared read-only across all workers
-/// (every member is `Sync`).
+/// (every member is `Sync`); what a worker derives from it — the query's candidates,
+/// drained into a posting list inside its id range — stays private to that worker.
 #[derive(Debug)]
 struct RelaxationPlan<'m> {
     skip: usize,
@@ -1142,10 +1211,6 @@ struct RelaxationPlan<'m> {
     probe: CompiledProbe<'m>,
     /// Distinct values of the relaxed column, scored exactly and sorted descending.
     values: Option<ValueOrder<'m>>,
-    /// Materialize the relaxation's candidate stream once per worker instead of
-    /// re-planning it per drained value run (set for superlative queries, whose
-    /// stream construction re-applies the superlative filter every time).
-    materialize_rest: bool,
     /// Upper bound on every score this plan can offer (its best value similarity
     /// over the base, or `base + 1` for the exhaustive arm).
     start_bound: f64,
@@ -1588,10 +1653,11 @@ impl TopK {
 mod tests {
     use super::*;
     use crate::domain::toy_car_domain;
+    use crate::identifiers::BoundaryOp;
     use crate::oracle::full_scan_partial_answers;
     use crate::tagging::Tagger;
-    use crate::translate::interpret;
-    use addb::{Record, Table};
+    use crate::translate::{interpret, ConditionSketch};
+    use addb::{Record, Superlative, Table};
     use cqads_querylog::TIMatrix;
     use cqads_wordsim::WordSimMatrix;
     use std::sync::Arc;
@@ -2171,6 +2237,319 @@ mod tests {
                 "expired before start must flag every question"
             );
             assert!(outcome.answers.is_empty(), "nothing was certified");
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // The degree-of-match fallback: index layer first, the scan past its bound
+    // -----------------------------------------------------------------------
+
+    fn categorical(attribute: &str, value: &str) -> ConditionSketch {
+        ConditionSketch::Categorical {
+            attribute: attribute.into(),
+            value: value.into(),
+            is_type1: attribute != "color",
+            negated: false,
+        }
+    }
+
+    fn question(sketches: Vec<ConditionSketch>, cheapest: bool) -> Interpretation {
+        Interpretation {
+            domain: "cars".into(),
+            segments: vec![sketches],
+            superlatives: if cheapest {
+                vec![Superlative::min("price")]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    fn toy_record(make: &str, model: &str, color: &str, price: f64) -> Record {
+        Record::builder()
+            .text("make", make)
+            .text("model", model)
+            .text("color", color)
+            .number("price", price)
+            .build()
+    }
+
+    /// One sparse question through the budgeted batch engine under a deadline no
+    /// run reaches, so `visited` counts what the engine touched.
+    fn metered(
+        matcher: &PartialMatcher<'_>,
+        interp: &Interpretation,
+        table: &Table,
+        budget: usize,
+    ) -> PartialOutcome {
+        use cqads_storage::{ManualClock, RetryClock};
+        let clock = Arc::new(ManualClock::new()) as Arc<dyn RetryClock>;
+        let exclude = HashSet::new();
+        let request = PartialBatchRequest {
+            interpretation: interp,
+            exclude: &exclude,
+            budget,
+        };
+        let far = QueryBudget::new(clock, u64::MAX);
+        let outcome = matcher
+            .partial_answers_batch_budgeted(&[request], table, Some(&far))
+            .unwrap();
+        take_single(outcome).unwrap()
+    }
+
+    /// "cheapest honda accord blue" over `fillers` records matching none of its three
+    /// values and `near` records matching exactly two of them, each with a positive
+    /// similarity on the third — so every near match scores above the `2 + 0` that
+    /// bounds a record matching one value, and the index layer alone fills the heap.
+    fn near_match_fixture(fillers: usize, near: usize) -> (DomainSpec, Table, SimilarityModel) {
+        let spec = toy_car_domain();
+        let mut table = Table::new(spec.schema.clone());
+        for i in 0..fillers {
+            let price = 10_000.0 + (i % 5_000) as f64;
+            table
+                .insert(toy_record("ford", "focus", "red", price))
+                .unwrap();
+        }
+        let kinds = [
+            ("honda", "accord", "navy"),
+            ("honda", "civic", "blue"),
+            ("toyota", "accord", "blue"),
+        ];
+        for i in 0..near {
+            let (make, model, color) = kinds[i % 3];
+            table
+                .insert(toy_record(make, model, color, 4_000.0 + i as f64))
+                .unwrap();
+        }
+        let mut ti = TIMatrix::default();
+        ti.insert("accord", "civic", 2.0);
+        ti.insert("honda", "toyota", 2.0);
+        let mut ws = WordSimMatrix::default();
+        ws.insert("blue", "navy", 0.5);
+        let sim = SimilarityModel::new(Arc::new(ti), Arc::new(ws), spec.schema.clone());
+        (spec, table, sim)
+    }
+
+    fn honda_accord_blue(cheapest: bool) -> Interpretation {
+        question(
+            vec![
+                categorical("make", "honda"),
+                categorical("model", "accord"),
+                categorical("color", "blue"),
+            ],
+            cheapest,
+        )
+    }
+
+    #[test]
+    fn fallback_reads_the_index_and_skips_the_scan_past_its_bound() {
+        // Laziness by count, not time: the superlative starves every relaxation to
+        // its one extreme, so the fallback runs — over the 120 near matches only.
+        let near = 120;
+        let (spec, table, sim) = near_match_fixture(100_000, near);
+        assert!(table.len() >= 100_000);
+        let matcher = PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers: 1 });
+        let interp = honda_accord_blue(true);
+        let outcome = metered(&matcher, &interp, &table, 30);
+        let oracle =
+            full_scan_partial_answers(&spec, &sim, &interp, &table, &HashSet::new(), 30).unwrap();
+        assert_bit_identical(&outcome.answers, &oracle, "near-match superlative");
+        assert!(!outcome.degraded);
+        assert_eq!(outcome.answers.len(), 30);
+        let visited = outcome.visited as usize;
+        assert!(
+            (near..=2 * near).contains(&visited),
+            "visited {visited} records for {near} near matches in a {}-record table",
+            table.len()
+        );
+
+        // A numeric probe has no index set: the fallback still scans the table.
+        let numeric = question(
+            vec![
+                categorical("make", "honda"),
+                categorical("model", "accord"),
+                ConditionSketch::Numeric {
+                    attribute: Some("price".into()),
+                    op: BoundaryOp::Lt,
+                    value: 5_000.0,
+                    value2: None,
+                    negated: false,
+                },
+            ],
+            true,
+        );
+        let outcome = metered(&matcher, &numeric, &table, 30);
+        assert!(!outcome.degraded);
+        assert!(
+            outcome.visited as usize >= table.len(),
+            "visited {}",
+            outcome.visited
+        );
+    }
+
+    #[test]
+    fn fallback_scans_when_the_worst_ties_the_bound() {
+        // "cheapest honda blue": K = 2 probes, N = 3, so a record outside the index
+        // layer (matching no probe) scores at most min(K−2, N−1) + 1 = 1 = K−1. The
+        // hondas fill the heap at exactly 1 (1 matched + Feat_Sim(blue, green) = 0),
+        // the fords tie them at 1 (TI_Sim(honda, ford) = 1) with smaller ids: only a
+        // scan finds them, and it must run although the heap is full.
+        let spec = toy_car_domain();
+        let mut table = Table::new(spec.schema.clone());
+        for i in 0..3 {
+            table
+                .insert(toy_record("ford", "focus", "red", 9_000.0 + i as f64))
+                .unwrap();
+        }
+        for i in 0..4 {
+            table
+                .insert(toy_record("honda", "accord", "green", 5_000.0 + i as f64))
+                .unwrap();
+        }
+        let mut ti = TIMatrix::default();
+        ti.insert("honda", "ford", 2.0);
+        let sim = SimilarityModel::new(
+            Arc::new(ti),
+            Arc::new(WordSimMatrix::default()),
+            spec.schema.clone(),
+        );
+        let interp = question(
+            vec![categorical("make", "honda"), categorical("color", "blue")],
+            true,
+        );
+        for workers in [1usize, 2, 3] {
+            let matcher =
+                PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
+            let outcome = metered(&matcher, &interp, &table, 4);
+            let oracle =
+                full_scan_partial_answers(&spec, &sim, &interp, &table, &HashSet::new(), 4)
+                    .unwrap();
+            assert_bit_identical(
+                &outcome.answers,
+                &oracle,
+                &format!("tie, workers {workers}"),
+            );
+            let ids: Vec<u32> = outcome.answers.iter().map(|a| a.id.0).collect();
+            assert_eq!(
+                ids,
+                vec![3, 0, 1, 2],
+                "the cheapest honda, then the tied fords"
+            );
+            assert!(outcome.answers[1..].iter().all(|a| a.rank_sim == 1.0));
+            assert!(outcome.visited as usize >= table.len(), "the scan ran");
+        }
+    }
+
+    #[test]
+    fn deadline_cut_inside_the_index_layer_keeps_the_certified_prefix() {
+        use cqads_storage::RetryClock;
+        // 1 200 near matches: the index layer polls the deadline several times.
+        let near = 1_200;
+        let (spec, table, sim) = near_match_fixture(2_000, near);
+        let interp = honda_accord_blue(true);
+        let exclude = HashSet::new();
+        let request = PartialBatchRequest {
+            interpretation: &interp,
+            exclude: &exclude,
+            budget: 30,
+        };
+        for workers in [1usize, 2] {
+            let matcher =
+                PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
+            let full = metered(&matcher, &interp, &table, 30);
+            assert!(!full.degraded);
+            // The scan is skipped, so the index layer is the last `near` visits.
+            let before_index_layer = full.visited - near as u64;
+            let mut cut_inside = 0;
+            for deadline in 0..40u64 {
+                let clock = Arc::new(SteppingClock {
+                    now: std::sync::atomic::AtomicU64::new(0),
+                    step: 1,
+                });
+                let budget = QueryBudget::new(clock as Arc<dyn RetryClock>, deadline);
+                let outcome = take_single(
+                    matcher
+                        .partial_answers_batch_budgeted(&[request], &table, Some(&budget))
+                        .unwrap(),
+                )
+                .unwrap();
+                let context = format!("workers {workers}, deadline {deadline}");
+                assert!(outcome.answers.len() <= full.answers.len(), "{context}");
+                assert_bit_identical(
+                    &outcome.answers,
+                    &full.answers[..outcome.answers.len()],
+                    &context,
+                );
+                if outcome.degraded && outcome.visited > before_index_layer {
+                    assert_eq!(
+                        outcome.cut_bound,
+                        interp.condition_count() as f64,
+                        "{context}"
+                    );
+                    cut_inside += 1;
+                }
+            }
+            if workers == 1 {
+                assert!(cut_inside > 0, "no deadline landed inside the index layer");
+            }
+        }
+    }
+
+    #[test]
+    fn numeric_equality_is_exact_in_the_degree_of_match_count() {
+        // Stored n, n ± 5e-10 and n ± 2e-9: only n satisfies `price = n`, in the
+        // executor (phase 1 finds it, alone) and in the fallback's matched count —
+        // the others score 1 + Num_Sim < 2, not 2 + 0.
+        let spec = toy_car_domain();
+        let n = 5_000.0;
+        let mut table = Table::new(spec.schema.clone());
+        for price in [n, n + 5e-10, n - 5e-10, n + 2e-9, n - 2e-9] {
+            table
+                .insert(toy_record("honda", "accord", "red", price))
+                .unwrap();
+        }
+        let sim = SimilarityModel::new(
+            Arc::new(TIMatrix::default()),
+            Arc::new(WordSimMatrix::default()),
+            spec.schema.clone(),
+        );
+        let interp = question(
+            vec![
+                categorical("make", "honda"),
+                categorical("color", "blue"),
+                ConditionSketch::Numeric {
+                    attribute: Some("price".into()),
+                    op: BoundaryOp::Eq,
+                    value: n,
+                    value2: None,
+                    negated: false,
+                },
+            ],
+            false,
+        );
+        for workers in [1usize, 2] {
+            let matcher =
+                PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
+            for budget in [1usize, 3, 30] {
+                let got = matcher
+                    .partial_answers(&interp, &table, &HashSet::new(), budget)
+                    .unwrap();
+                let want = full_scan_partial_answers(
+                    &spec,
+                    &sim,
+                    &interp,
+                    &table,
+                    &HashSet::new(),
+                    budget,
+                )
+                .unwrap();
+                assert_bit_identical(&got, &want, &format!("workers {workers} budget {budget}"));
+                assert_eq!(got[0].id, RecordId(0));
+                assert_eq!(got[0].rank_sim, 2.0);
+                assert!(got[1..]
+                    .iter()
+                    .all(|a| a.rank_sim < 2.0 && a.rank_sim > 1.0));
+            }
         }
     }
 }

@@ -18,7 +18,9 @@
 
 use crate::identifiers::BoundaryOp;
 use crate::translate::ConditionSketch;
-use addb::{NumericColumn, PostingList, Record, RecordId, Schema, Table, TextColumn, ValueIndex};
+use addb::{
+    IdStream, NumericColumn, PostingList, Record, RecordId, Schema, Table, TextColumn, ValueIndex,
+};
 use cqads_querylog::{QueryLogDelta, TIMatrix};
 use cqads_text::intern::{self, Sym};
 use cqads_text::porter_stem;
@@ -434,6 +436,7 @@ impl<'m> CompiledProbe<'m> {
     /// Does record `id` satisfy the compiled condition *exactly*? Used by the
     /// degree-of-match fallback to count matched conditions without re-executing
     /// queries (allocation-free equivalent of sketch-level satisfaction).
+    /// Numeric equality is exact, like the executor's ([`boundary_matches`]).
     pub fn satisfied(&self, id: RecordId) -> bool {
         match &self.kind {
             ProbeKind::Text {
@@ -462,6 +465,29 @@ impl<'m> CompiledProbe<'m> {
                 held != *negated
             }
         }
+    }
+
+    /// Exactly the records [`CompiledProbe::satisfied`] holds for, read off the index
+    /// — how the degree-of-match fallback finds near matches without a scan. A
+    /// positive categorical probe is satisfied by the records whose column symbol is
+    /// the question value as written: that value's posting list in the value
+    /// directory, or nothing when the value is interned nowhere or stored in no
+    /// record of the column. Numeric and negated probes return `None` (a range or a
+    /// complement, which the fallback scans for).
+    pub(crate) fn satisfying_ids(&self) -> Option<IdStream<'m>> {
+        let ProbeKind::Text {
+            values,
+            raw_qsym,
+            negated: false,
+            ..
+        } = &self.kind
+        else {
+            return None;
+        };
+        let postings = values
+            .zip(*raw_qsym)
+            .and_then(|(values, sym)| values.get(sym));
+        Some(postings.map_or(IdStream::Empty, IdStream::postings))
     }
 
     /// The value-ordered scoring plan of this probe: every **distinct value** of the
@@ -662,14 +688,17 @@ const _: () = {
 
 /// Numeric boundary satisfaction: does `actual` meet the boundary described by `op`,
 /// `value` and (for ranges) `value2`? Shared by the degree-of-match fallback scorer
-/// and the baseline rankers' sketch-satisfaction helper.
+/// and the baseline rankers' sketch-satisfaction helper. Equality is **exact**
+/// (`actual == value`, no tolerance), the same definition as
+/// [`addb::Comparison::matches`] and the executor's index, so a record the executor
+/// answers for `attr = n` is one this counts as matched, a hair off `n` included.
 pub fn boundary_matches(op: BoundaryOp, value: f64, value2: Option<f64>, actual: f64) -> bool {
     match op {
         BoundaryOp::Lt => actual < value,
         BoundaryOp::Le => actual <= value,
         BoundaryOp::Gt => actual > value,
         BoundaryOp::Ge => actual >= value,
-        BoundaryOp::Eq => (actual - value).abs() < 1e-9,
+        BoundaryOp::Eq => actual == value,
         BoundaryOp::Between => {
             let hi = value2.unwrap_or(value);
             actual >= value.min(hi) && actual <= value.max(hi)
@@ -914,6 +943,97 @@ mod tests {
         let order = m.compile(&unknown, &table).value_order().unwrap();
         assert!(order.entries().is_empty());
         assert_eq!(order.positive_len(), 0);
+    }
+
+    #[test]
+    fn numeric_equality_is_exact_like_the_executor() {
+        use addb::{BoolExpr, Condition, Executor, Query};
+        let m = model();
+        let n = 5_000.0;
+        let prices = [n, n + 5e-10, n - 5e-10, n + 2e-9, n - 2e-9];
+        let mut table = Table::new(schema());
+        for price in prices {
+            let record = Record::builder()
+                .text("make", "honda")
+                .text("model", "accord")
+                .number("price", price)
+                .build();
+            table.insert(record).unwrap();
+        }
+        assert!(boundary_matches(BoundaryOp::Eq, n, None, n));
+        for price in &prices[1..] {
+            assert!(
+                !boundary_matches(BoundaryOp::Eq, n, None, *price),
+                "{price}"
+            );
+        }
+        let query = Query::new("cars")
+            .with_expr(BoolExpr::Cond(Condition::eq_number("price", n)))
+            .with_limit(usize::MAX);
+        let indexed: Vec<RecordId> = Executor::new(&table)
+            .execute(&query)
+            .unwrap()
+            .into_iter()
+            .map(|a| a.id)
+            .collect();
+        assert_eq!(indexed, vec![RecordId(0)]);
+        for negated in [false, true] {
+            let sketch = ConditionSketch::Numeric {
+                attribute: Some("price".into()),
+                op: BoundaryOp::Eq,
+                value: n,
+                value2: None,
+                negated,
+            };
+            let probe = m.compile(&sketch, &table);
+            for id in (0..prices.len() as u32).map(RecordId) {
+                let held = indexed.contains(&id) != negated;
+                assert_eq!(probe.satisfied(id), held, "{id:?} negated {negated}");
+            }
+            assert!(probe.satisfying_ids().is_none(), "numeric probes scan");
+        }
+    }
+
+    #[test]
+    fn satisfying_ids_are_exactly_what_satisfied_holds_for() {
+        let m = model();
+        let mut table = Table::new(schema());
+        for (make, color) in [
+            ("honda", Some("blue")),
+            ("ford", None),
+            ("honda", Some("gold")),
+            ("ford", Some("blue")),
+        ] {
+            let mut record = Record::builder().text("make", make).text("model", "accord");
+            if let Some(color) = color {
+                record = record.text("color", color);
+            }
+            table.insert(record.build()).unwrap();
+        }
+        let categorical =
+            |attribute: &str, value: &str, negated: bool| ConditionSketch::Categorical {
+                attribute: attribute.into(),
+                value: value.into(),
+                is_type1: attribute != "color",
+                negated,
+            };
+        for (attribute, value) in [
+            ("make", "honda"),
+            ("color", "blue"),
+            ("color", "silver"),                  // interned, stored nowhere here
+            ("color", "interned-nowhere-5d21c0"), // never interned at all
+            ("bodystyle", "coupe"),               // not an attribute of the table
+        ] {
+            let probe = m.compile(&categorical(attribute, value, false), &table);
+            let indexed: Vec<RecordId> = probe.satisfying_ids().unwrap().collect();
+            let held: Vec<RecordId> = (0..table.len() as u32)
+                .map(RecordId)
+                .filter(|id| probe.satisfied(*id))
+                .collect();
+            assert_eq!(indexed, held, "{attribute} = {value}");
+            let negated = m.compile(&categorical(attribute, value, true), &table);
+            assert!(negated.satisfying_ids().is_none(), "negated probes scan");
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@ use cqads_suite::cqads::oracle::full_scan_partial_answers;
 use cqads_suite::cqads::tagging::Tagger;
 use cqads_suite::cqads::translate::interpret;
 use cqads_suite::cqads::{
-    AnswerSet, CqadsConfig, CqadsError, CqadsResult, CqadsSystem, CqadsWriter, PartialMatchOptions,
-    PartialMatcher, ResilienceOptions, SimilarityModel, StorageOptions,
+    AnswerSet, BoundaryOp, ConditionSketch, CqadsConfig, CqadsError, CqadsResult, CqadsSystem,
+    CqadsWriter, DomainSpec, Interpretation, PartialMatchOptions, PartialMatcher,
+    ResilienceOptions, SimilarityModel, StorageOptions,
 };
 use cqads_suite::datagen::{
     affinity_model, blueprint, generate_questions, generate_table, topic_groups, DomainBlueprint,
@@ -550,6 +551,136 @@ proptest! {
                 &stream().restrict(lo..hi).into_ids(), &inside,
                 "restrict({}..{}) drained: {}", lo, hi, &context
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The partial engine against the oracle, on sparse questions
+// ---------------------------------------------------------------------------
+
+/// What sparse questions ask for: values [`scan_table`] stores, one it stores in no
+/// record and one interned nowhere in the process.
+const SPARSE_NAMES: [&str; 4] = ["abc", "cab", "stored nowhere", "interned-nowhere-e5b1d2"];
+const SPARSE_TAGS: [&str; 4] = ["ab", "bc", "abc", "interned-nowhere-0c77a4"];
+
+/// One condition: mostly categorical (the probes the fallback's index layer reads),
+/// some numeric, a sixth of them negated (the probes it scans for).
+fn sparse_sketch(dice: &mut Dice<'_>) -> ConditionSketch {
+    let negated = dice.roll(6) == 0;
+    match dice.roll(5) {
+        0 | 1 => ConditionSketch::Categorical {
+            attribute: "name".into(),
+            value: dice.pick(&SPARSE_NAMES).into(),
+            is_type1: true,
+            negated,
+        },
+        2 | 3 => ConditionSketch::Categorical {
+            attribute: "tag".into(),
+            value: dice.pick(&SPARSE_TAGS).into(),
+            is_type1: false,
+            negated,
+        },
+        _ => {
+            let op = dice.pick(&[
+                BoundaryOp::Eq,
+                BoundaryOp::Lt,
+                BoundaryOp::Ge,
+                BoundaryOp::Between,
+            ]);
+            let (a, b) = (dice.pick(&SCAN_BOUNDS), dice.pick(&SCAN_BOUNDS));
+            ConditionSketch::Numeric {
+                attribute: Some(dice.pick(&["price", "size"]).into()),
+                op,
+                value: a.min(b),
+                value2: (op == BoundaryOp::Between).then_some(a.max(b)),
+                negated,
+            }
+        }
+    }
+}
+
+/// 2–5 conditions, duplicates included ("grey grey blue"), in one segment or split
+/// into two OR segments, with or without a superlative.
+fn sparse_question(dice: &mut Dice<'_>) -> Interpretation {
+    let count = 2 + dice.roll(4);
+    let mut sketches: Vec<ConditionSketch> = Vec::new();
+    while sketches.len() < count {
+        let sketch = match sketches.len() {
+            n if n > 0 && dice.roll(4) == 0 => sketches[dice.roll(n)].clone(),
+            _ => sparse_sketch(dice),
+        };
+        sketches.push(sketch);
+    }
+    let segments = match dice.roll(3) {
+        0 => {
+            let second = sketches.split_off(1 + dice.roll(sketches.len() - 1));
+            vec![sketches, second]
+        }
+        _ => vec![sketches],
+    };
+    let superlatives = match dice.roll(3) {
+        0 => vec![Superlative::min(dice.pick(&["price", "size"]))],
+        1 => vec![Superlative::max(dice.pick(&["price", "size"]))],
+        _ => Vec::new(),
+    };
+    Interpretation {
+        domain: "things".into(),
+        segments,
+        superlatives,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The production engine answers sparse questions — those whose relaxations
+    /// starve, so the degree-of-match fallback reads the index and maybe scans —
+    /// bit for bit like the full-scan oracle, at every budget and worker count:
+    /// tables with missing attributes and values a hair off each other, question
+    /// values stored nowhere or interned nowhere, duplicated conditions, OR
+    /// segments, negations and superlatives.
+    #[test]
+    fn partial_answers_match_the_oracle_on_sparse_questions(
+        rows in prop::collection::vec(0u32..u32::MAX, 1..240),
+        rolls in prop::collection::vec(0u32..u32::MAX, 128..129),
+    ) {
+        let table = scan_table(&rows);
+        let spec = DomainSpec::new(table.schema().clone());
+        let mut ti = TIMatrix::default();
+        ti.insert("abc", "abcab", 3.0);
+        ti.insert("abc", "cab", 1.5);
+        ti.insert("cab", "bca b", 2.0);
+        ti.insert("stored nowhere", "abc", 1.0);
+        let mut ws = WordSimMatrix::default();
+        ws.insert("ab", "abc", 0.6);
+        ws.insert("bc", "abc", 0.3);
+        ws.insert("ab", "bc", 0.2);
+        let sim = SimilarityModel::new(Arc::new(ti), Arc::new(ws), spec.schema.clone());
+        let mut dice = Dice { rolls: &rolls, at: 0 };
+        for _ in 0..4 {
+            let interp = sparse_question(&mut dice);
+            let exact: HashSet<RecordId> = interp
+                .to_query_with_limit(&spec, 30)
+                .ok()
+                .and_then(|query| Executor::new(&table).execute(&query).ok())
+                .map(|answers| answers.into_iter().map(|a| a.id).collect())
+                .unwrap_or_default();
+            for budget in [1usize, 7, 30] {
+                let want = full_scan_partial_answers(&spec, &sim, &interp, &table, &exact, budget)
+                    .unwrap();
+                for workers in [1usize, 2, 3] {
+                    let matcher = PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
+                    let got = matcher.partial_answers(&interp, &table, &exact, budget).unwrap();
+                    prop_assert_eq!(got.len(), want.len(), "count: {:?} budget {} workers {}", interp, budget, workers);
+                    for (x, y) in got.iter().zip(&want) {
+                        prop_assert!(
+                            x.bits_eq(y),
+                            "{:?} budget {} workers {}: {:?} != {:?}", interp, budget, workers, x, y
+                        );
+                    }
+                }
+            }
         }
     }
 }

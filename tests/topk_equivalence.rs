@@ -15,7 +15,8 @@ use cqads_suite::cqads::tagging::Tagger;
 use cqads_suite::cqads::translate::{interpret, Interpretation};
 use cqads_suite::cqads::{DomainSpec, PartialMatchOptions, PartialMatcher, SimilarityModel};
 use cqads_suite::datagen::{
-    affinity_model, blueprint, generate_questions, generate_table, topic_groups, QuestionMix,
+    affinity_model, blueprint, generate_questions, generate_table, topic_groups, DomainBlueprint,
+    QuestionMix, ValuePool,
 };
 use cqads_suite::querylog::{generate_log, LogGeneratorConfig, TIMatrix};
 use cqads_suite::wordsim::{CorpusSpec, SyntheticCorpus, WordSimMatrix};
@@ -39,29 +40,91 @@ fn assert_identical(
 }
 
 /// How many of a sweep's questions compiled to a disjunction and to a negation —
-/// the two shapes the executor streams as lazy union / complement cursors. Every
-/// sweep must draw both.
+/// the two shapes the executor streams as lazy union / complement cursors — and how
+/// many superlatives reached the degree-of-match fallback (a superlative relaxation
+/// keeps only its extreme, which is what starves the index pass on real pools).
+/// Every sweep must draw all three.
 #[derive(Default)]
 struct BooleanShapes {
     or: usize,
     negated: usize,
+    superlative_fallback: usize,
 }
 
 impl BooleanShapes {
-    fn note(&mut self, interp: &Interpretation, spec: &DomainSpec) {
+    /// Note one question, asked with `exact` excluded at up to `budget` answers.
+    fn note(
+        &mut self,
+        interp: &Interpretation,
+        spec: &DomainSpec,
+        table: &Table,
+        exact: &HashSet<RecordId>,
+        budget: usize,
+    ) {
         let sql = interp.to_sql(spec).unwrap_or_default();
         self.or += usize::from(sql.contains(") OR ("));
         self.negated += usize::from(sql.contains("NOT ("));
-    }
-
-    fn assert_both_drawn(&self, sweep: &str) {
-        assert!(
-            self.or > 0 && self.negated > 0,
-            "{sweep}: drew {} OR and {} negated questions",
-            self.or,
-            self.negated
+        self.superlative_fallback += usize::from(
+            !interp.superlatives.is_empty() && reaches_fallback(interp, spec, table, exact, budget),
         );
     }
+
+    fn assert_all_drawn(&self, sweep: &str) {
+        assert!(
+            self.or > 0 && self.negated > 0 && self.superlative_fallback > 0,
+            "{sweep}: drew {} OR, {} negated and {} superlative questions reaching the fallback",
+            self.or,
+            self.negated,
+            self.superlative_fallback
+        );
+    }
+}
+
+/// "cheapest" plus the first Type I and Type II values of record 0: every relaxation
+/// keeps one extreme, so the question reaches the fallback — a shape a few dozen
+/// default-mix draws may miss.
+fn superlative_question(bp: &DomainBlueprint, table: &Table) -> String {
+    let record = table.get(RecordId(0)).unwrap();
+    let first = |pools: &[ValuePool]| {
+        pools
+            .iter()
+            .find_map(|pool| record.get_text(pool.attribute))
+    };
+    let values: Vec<&str> = [first(&bp.type1), first(&bp.type2)]
+        .into_iter()
+        .flatten()
+        .collect();
+    format!("cheapest {}", values.join(" "))
+}
+
+/// Does the engine fall back to degree of match? It does for a question of two or
+/// more conditions whose relaxations find fewer than `budget` records beyond the
+/// exact answers (the oracle's rule, restated over the executor).
+fn reaches_fallback(
+    interp: &Interpretation,
+    spec: &DomainSpec,
+    table: &Table,
+    exact: &HashSet<RecordId>,
+    budget: usize,
+) -> bool {
+    let conditions = interp.all_sketches().len();
+    let executor = cqads_suite::addb::Executor::new(table);
+    let mut found = HashSet::new();
+    for skip in 0..conditions {
+        let Ok(query) = interp.to_query_excluding(spec, skip) else {
+            continue;
+        };
+        let Ok(answers) = executor.execute(&query.with_limit(usize::MAX)) else {
+            continue;
+        };
+        found.extend(
+            answers
+                .into_iter()
+                .map(|a| a.id)
+                .filter(|id| !exact.contains(id)),
+        );
+    }
+    conditions >= 2 && found.len() < budget
 }
 
 #[test]
@@ -96,14 +159,18 @@ fn topk_engine_matches_full_sort_across_seeded_workloads() {
 
         let fast = PartialMatcher::new(&spec, &sim);
 
-        let questions = generate_questions(&bp, &table, 60, question_seed, &QuestionMix::default());
+        let mut questions: Vec<String> =
+            generate_questions(&bp, &table, 60, question_seed, &QuestionMix::default())
+                .into_iter()
+                .map(|q| q.text)
+                .collect();
+        questions.push(superlative_question(&bp, &table));
         let mut compared = 0usize;
         let mut shapes = BooleanShapes::default();
-        for q in &questions {
-            let Ok(interp) = interpret(&tagger.tag(&q.text), &spec) else {
+        for text in &questions {
+            let Ok(interp) = interpret(&tagger.tag(text), &spec) else {
                 continue;
             };
-            shapes.note(&interp, &spec);
             // The same exclusion the pipeline would apply: the exact answers.
             let exact: HashSet<RecordId> = {
                 let query = interp.to_query_with_limit(&spec, 30).unwrap();
@@ -112,6 +179,7 @@ fn topk_engine_matches_full_sort_across_seeded_workloads() {
                     .map(|answers| answers.into_iter().map(|a| a.id).collect())
                     .unwrap_or_default()
             };
+            shapes.note(&interp, &spec, &table, &exact, table.len() + 10);
             for budget in [1usize, 5, 30, table.len() + 10] {
                 let a = fast
                     .partial_answers(&interp, &table, &exact, budget)
@@ -121,7 +189,7 @@ fn topk_engine_matches_full_sort_across_seeded_workloads() {
                 assert_identical(
                     &a,
                     &b,
-                    &format!("domain {domain}, question {:?}, budget {budget}", q.text),
+                    &format!("domain {domain}, question {text:?}, budget {budget}"),
                 );
                 compared += 1;
             }
@@ -130,7 +198,7 @@ fn topk_engine_matches_full_sort_across_seeded_workloads() {
             compared >= 100,
             "expected a substantive sweep for {domain}, compared only {compared}"
         );
-        shapes.assert_both_drawn(domain);
+        shapes.assert_all_drawn(domain);
     }
 }
 
@@ -324,6 +392,15 @@ fn build_synthetic(rows: usize, skewed: bool) -> Workload {
         model_name(m),
         color_name(m % COLORS)
     ));
+    // A superlative: each relaxation keeps one extreme, so the degree-of-match
+    // fallback tops the page up — from the index, over the mega posting lists.
+    let m = QUESTION_MODELS[2];
+    questions.push(format!(
+        "cheapest {} {} {}",
+        make_name(m % MAKES),
+        model_name(m),
+        color_name(m % COLORS)
+    ));
     Workload {
         name: if skewed { "skewed" } else { "uniform" },
         spec,
@@ -355,10 +432,12 @@ fn build_datagen(domain: &'static str, table_seed: u64, question_seed: u64) -> W
     let ws = WordSimMatrix::build(&corpus);
     let spec = bp.to_spec();
     let sim = SimilarityModel::new(Arc::new(ti), Arc::new(ws), spec.schema.clone());
-    let questions = generate_questions(&bp, &table, 40, question_seed, &QuestionMix::default())
-        .into_iter()
-        .map(|q| q.text)
-        .collect();
+    let mut questions: Vec<String> =
+        generate_questions(&bp, &table, 40, question_seed, &QuestionMix::default())
+            .into_iter()
+            .map(|q| q.text)
+            .collect();
+    questions.push(superlative_question(&bp, &table));
     Workload {
         name: domain,
         spec,
@@ -400,7 +479,6 @@ fn wand_traversal_matches_the_oracle_across_seeded_workloads() {
             let Ok(interp) = interpret(&tagger.tag(text), spec) else {
                 continue;
             };
-            shapes.note(&interp, spec);
             let exact: HashSet<RecordId> = {
                 let query = interp.to_query_with_limit(spec, 30).unwrap();
                 cqads_suite::addb::Executor::new(table)
@@ -408,6 +486,8 @@ fn wand_traversal_matches_the_oracle_across_seeded_workloads() {
                     .map(|answers| answers.into_iter().map(|a| a.id).collect())
                     .unwrap_or_default()
             };
+            let largest = budgets.iter().copied().max().unwrap_or(0);
+            shapes.note(&interp, spec, table, &exact, largest);
             for &budget in *budgets {
                 let b =
                     full_scan_partial_answers(spec, sim, &interp, table, &exact, budget).unwrap();
@@ -430,7 +510,7 @@ fn wand_traversal_matches_the_oracle_across_seeded_workloads() {
             compared >= 100,
             "expected a substantive WAND sweep for {name}, compared only {compared}"
         );
-        shapes.assert_both_drawn(name);
+        shapes.assert_all_drawn(name);
     }
 }
 
@@ -466,14 +546,18 @@ fn parallel_workers_match_sequential_across_seeded_workloads() {
 
         let sequential =
             PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers: 1 });
-        let questions = generate_questions(&bp, &table, 40, question_seed, &QuestionMix::default());
+        let mut questions: Vec<String> =
+            generate_questions(&bp, &table, 40, question_seed, &QuestionMix::default())
+                .into_iter()
+                .map(|q| q.text)
+                .collect();
+        questions.push(superlative_question(&bp, &table));
         let mut compared = 0usize;
         let mut shapes = BooleanShapes::default();
-        for q in &questions {
-            let Ok(interp) = interpret(&tagger.tag(&q.text), &spec) else {
+        for text in &questions {
+            let Ok(interp) = interpret(&tagger.tag(text), &spec) else {
                 continue;
             };
-            shapes.note(&interp, &spec);
             let exact: HashSet<RecordId> = {
                 let query = interp.to_query_with_limit(&spec, 30).unwrap();
                 cqads_suite::addb::Executor::new(&table)
@@ -481,6 +565,7 @@ fn parallel_workers_match_sequential_across_seeded_workloads() {
                     .map(|answers| answers.into_iter().map(|a| a.id).collect())
                     .unwrap_or_default()
             };
+            shapes.note(&interp, &spec, &table, &exact, 30);
             for workers in [2usize, 8] {
                 let parallel = PartialMatcher::with_options(
                     &spec,
@@ -500,10 +585,7 @@ fn parallel_workers_match_sequential_across_seeded_workloads() {
                     assert_identical(
                         &a,
                         &b,
-                        &format!(
-                            "domain {domain}, question {:?}, workers {workers}, budget {budget}",
-                            q.text
-                        ),
+                        &format!("domain {domain}, question {text:?}, workers {workers}, budget {budget}"),
                     );
                     compared += 1;
                 }
@@ -513,7 +595,7 @@ fn parallel_workers_match_sequential_across_seeded_workloads() {
             compared >= 100,
             "expected a substantive parallel sweep for {domain}, compared only {compared}"
         );
-        shapes.assert_both_drawn(domain);
+        shapes.assert_all_drawn(domain);
     }
 }
 
