@@ -151,6 +151,11 @@ impl<const CHUNK: usize> SortedIndex<CHUNK> {
             .map(|(_, id)| *id)
     }
 
+    /// Every `(value, id)` in index order; reversed, largest value first.
+    pub(crate) fn entries(&self) -> impl DoubleEndedIterator<Item = (f64, RecordId)> + '_ {
+        self.leaves.iter().flat_map(|leaf| leaf.iter().copied())
+    }
+
     /// Smallest and largest value, `None` while empty.
     pub(crate) fn bounds(&self) -> Option<(f64, f64)> {
         let (low, _) = self.leaves.first()?.first()?;

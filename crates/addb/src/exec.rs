@@ -23,8 +23,8 @@
 //! complement cursor. What still materializes one sorted vector when it is built:
 //! **narrow numeric ranges** (value order re-sorted into id order; wide ranges are a
 //! lazy per-record filter), **`Contains`** (the verified values' posting lists,
-//! concatenated and sorted) and **superlatives** (the extreme is only known once every
-//! candidate has been seen).
+//! concatenated and sorted) and **superlatives** (the tie window of the extreme, found
+//! by a walk of the sorted index, below).
 //!
 //! ## Galloping advance and block-max skipping
 //!
@@ -56,14 +56,30 @@
 //! last in a conjunction and a selective operand drives it.
 //!
 //! [`Executor::execute`] **pulls one page**: without a superlative it takes
-//! `query.limit` ids off the stream and stops. With a superlative it drains the
-//! stream (superlatives apply last, over the sorted candidate vector) and truncates
-//! afterwards. Callers that need *all* matching ids (the N−1 partial matcher) consume
-//! [`Executor::execute_stream`] and decide themselves when to stop; they can also
-//! [`IdStream::restrict`] the stream to an id range, which is how the parallel
-//! partial matcher shards one query across worker threads (each worker seeks to its
-//! shard in `O(log n)` and stops at its upper bound). Whole-stream drains go through
-//! [`IdStream::into_ids`] / `for_each`, i.e. the specialized [`Iterator::fold`].
+//! `query.limit` ids off the stream and stops. Callers that need *all* matching ids
+//! (the N−1 partial matcher) consume [`Executor::execute_stream`] and decide
+//! themselves when to stop; they can also [`IdStream::restrict`] the stream to an id
+//! range, which is how the parallel partial matcher shards one query across worker
+//! threads (each worker seeks to its shard in `O(log n)` and stops at its upper
+//! bound). Whole-stream drains go through [`IdStream::into_ids`] / `for_each`, i.e.
+//! the specialized [`Iterator::fold`].
+//!
+//! ## Superlatives: a bounded walk of the sorted index
+//!
+//! A superlative applies last, over the records that pass every other condition. It
+//! does not drain that stream to keep its extreme: the first superlative walks its
+//! attribute's sorted range index from the extreme (cheapest first for a minimum),
+//! tests each id against the WHERE clause compiled to column checks — a symbol
+//! compare per text condition, a column read per numeric one — and stops at the first
+//! value past [`SUPERLATIVE_TIE_WINDOW`](crate::SUPERLATIVE_TIE_WINDOW) of the first
+//! match. The survivors come back in id order and further superlatives apply
+//! [`retain_extreme`] to them. The walk is bounded by the stream's size estimate (an
+//! upper bound on the ids it can yield): a conjunction's shortest operand drives its
+//! drain, so the drain costs about that many steps, and a walk that has not closed
+//! its window by then drains the stream and applies [`retain_extreme`] instead — a
+//! superlative costs at most about twice the drain, whether its matches sit at the
+//! extreme of the index or deep inside it. Both arms answer one [`retain_extreme`]
+//! step over the matches, bit for bit.
 //!
 //! ## Scored unions
 //!
@@ -76,13 +92,13 @@
 //! the upper-bound contract that makes the pruning lossless.
 
 use crate::error::{DbError, DbResult};
-use crate::query::{BoolExpr, Comparison, Condition, Query, SuperlativeKind};
+use crate::query::{BoolExpr, Comparison, Condition, Query, Superlative, SuperlativeKind};
 use crate::record::{Record, RecordId};
 use crate::schema::AttrType;
 use crate::substring::SUBSTRING_KEY_LEN;
-use crate::table::{retain_extreme, PostingList, Table, POSTING_BLOCK};
-use crate::value::Value;
-use cqads_text::intern;
+use crate::table::{retain_extreme, tied, PostingList, Table, TextColumn, POSTING_BLOCK};
+use crate::value::{normalize_text, Value};
+use cqads_text::intern::{self, Sym};
 
 /// Index of the first element of `xs` that is `>= target`, assuming `xs` ascending.
 ///
@@ -543,6 +559,16 @@ impl<'a> IdStream<'a> {
         }
     }
 
+    /// Lazy intersection of every operand, **shortest first**: the driver of the
+    /// leapfrog sets the skew every other operand gallops across. The sort is stable,
+    /// so equal estimates keep the given order and plans stay deterministic; the
+    /// intersection is a set, so the order never changes what it yields. `None` for
+    /// no operands (the caller's universe).
+    pub fn intersect_all(mut operands: Vec<IdStream<'a>>) -> Option<IdStream<'a>> {
+        operands.sort_by_key(IdStream::len_estimate);
+        operands.into_iter().reduce(IdStream::intersect)
+    }
+
     /// Lazy intersection (galloping advance); collapses to [`IdStream::Empty`] when
     /// either side is trivially empty.
     pub fn intersect(self, other: IdStream<'a>) -> IdStream<'a> {
@@ -733,9 +759,10 @@ impl<'a> Executor<'a> {
     }
 
     /// Run the query, returning at most `query.limit` answers in deterministic
-    /// (record-id) order, superlative answers first when superlatives are present.
-    /// Without a superlative the stream is pulled until the page is full and no
-    /// further; a superlative needs every candidate before it can keep any.
+    /// (record-id) order. Without a superlative the stream is pulled until the page
+    /// is full and no further. With one, the first superlative walks its attribute's
+    /// sorted index from the extreme and stops one tie window past the first match
+    /// ([`Executor::execute_stream`]); the survivors are truncated to the page.
     pub fn execute(&self, query: &Query) -> DbResult<Vec<QueryAnswer>> {
         self.validate(query)?;
         if query.limit == 0 {
@@ -745,7 +772,7 @@ impl<'a> Executor<'a> {
         let ids: Vec<RecordId> = if query.superlatives.is_empty() {
             stream.take(query.limit).collect()
         } else {
-            let mut ids = self.apply_superlatives_sorted(query, stream.into_ids());
+            let mut ids = self.superlative_ids(query, stream);
             ids.truncate(query.limit);
             ids
         };
@@ -755,15 +782,24 @@ impl<'a> Executor<'a> {
     /// Streaming execution: ascending record ids matching the WHERE expression and
     /// superlatives. `query.limit` is **not** applied — streaming consumers (the N−1
     /// partial matcher) decide themselves when to stop pulling.
+    ///
+    /// Without a superlative the stream is returned unpulled. With one, the matching
+    /// extreme is found first: the attribute's sorted index is walked from the
+    /// extreme, each id tested against the WHERE clause compiled to column checks,
+    /// until one tie window past the first match. A walk longer than the stream's size
+    /// estimate gives up and drains the stream instead (the drain costs about that
+    /// much anyway). Either way the result is one
+    /// [`retain_extreme`] step over the matches, re-streamed; any further superlative
+    /// is a [`retain_extreme`] step over that window.
     pub fn execute_stream(&self, query: &Query) -> DbResult<IdStream<'a>> {
         self.validate(query)?;
         let stream = self.stream_ordered(&query.expr)?;
         if query.superlatives.is_empty() {
             Ok(stream)
         } else {
-            // Superlatives need the full candidate set; materialize, filter, re-stream.
-            let ids = self.apply_superlatives_sorted(query, stream.into_ids());
-            Ok(IdStream::from_sorted_ids(ids))
+            Ok(IdStream::from_sorted_ids(
+                self.superlative_ids(query, stream),
+            ))
         }
     }
 
@@ -859,19 +895,9 @@ impl<'a> Executor<'a> {
                     }
                     equality_streams.push(next);
                 }
-                // Shortest list first: the driver of the leapfrog sets the skew
-                // every other operand gallops across. (Stable sort: declaration
-                // order breaks ties, keeping plans deterministic.)
-                equality_streams.sort_by_key(IdStream::len_estimate);
-                let mut stream: Option<IdStream<'a>> = None;
-                for next in equality_streams {
-                    stream = Some(match stream {
-                        Some(acc) => acc.intersect(next),
-                        None => next,
-                    });
-                    if stream.as_ref().is_some_and(IdStream::is_trivially_empty) {
-                        return Ok(IdStream::Empty);
-                    }
+                let mut stream = IdStream::intersect_all(equality_streams);
+                if stream.as_ref().is_some_and(IdStream::is_trivially_empty) {
+                    return Ok(IdStream::Empty);
                 }
                 for c in t3 {
                     // Type III boundaries run on the records surviving the index-driven
@@ -952,27 +978,11 @@ impl<'a> Executor<'a> {
                 .posting_list(&cond.attribute, v)
                 .map(IdStream::postings)
                 .unwrap_or(IdStream::Empty),
-            Comparison::Contains(needle) => {
-                // The substring index names candidate *values* (slots of the
-                // attribute's directory): each is verified once and contributes
-                // its whole posting list. A needle shorter than the index key
-                // cannot be pre-filtered, so every value is a candidate.
-                let Some(values) = self.table.value_index(&cond.attribute) else {
-                    return IdStream::Empty;
-                };
-                let slots = if needle.chars().count() < SUBSTRING_KEY_LEN {
-                    (0..values.len() as u32).collect()
-                } else {
-                    self.table
-                        .substring_index()
-                        .substring_candidates(&cond.attribute, needle)
-                };
+            Comparison::Contains(_) => {
+                // Every verified value contributes its whole posting list.
                 let mut ids: Vec<RecordId> = Vec::new();
-                for (sym, postings) in slots.into_iter().filter_map(|s| values.entry(s)) {
-                    let value = Value::Text(intern::resolve(sym));
-                    if cond.comparison.matches(&value) {
-                        ids.extend_from_slice(postings.ids());
-                    }
+                for (_, postings) in self.text_values(cond) {
+                    ids.extend_from_slice(postings.ids());
                 }
                 // Distinct values hold disjoint records: sorting is all it takes.
                 ids.sort_unstable();
@@ -1009,24 +1019,217 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Apply superlatives over an ascending candidate vector, returning the surviving
-    /// ids ascending: one [`retain_extreme`] step per superlative (extreme among the
-    /// candidates holding the attribute, ties within the window survive, no holder
-    /// clears the set), values read off the table's numeric column.
-    fn apply_superlatives_sorted(
-        &self,
-        query: &Query,
-        mut candidates: Vec<RecordId>,
-    ) -> Vec<RecordId> {
-        for s in &query.superlatives {
-            let column = self.table.numeric_column(&s.attribute);
-            retain_extreme(
-                &mut candidates,
-                matches!(s.kind, SuperlativeKind::Max),
-                |id| column.and_then(|c| c.value(id)),
-            );
+    /// The ids of `stream` (the query's WHERE clause) that survive every superlative,
+    /// ascending: the first through [`Executor::extreme_window`], each further one a
+    /// [`retain_extreme`] step over the window.
+    fn superlative_ids(&self, query: &Query, stream: IdStream<'a>) -> Vec<RecordId> {
+        let Some((first, rest)) = query.superlatives.split_first() else {
+            return stream.into_ids();
+        };
+        let mut ids = self.extreme_window(&query.expr, stream, first);
+        for superlative in rest {
+            self.retain_extreme(&mut ids, superlative);
         }
-        candidates
+        ids
+    }
+
+    /// One superlative over the ids `stream` yields for `expr`, ascending — exactly
+    /// [`retain_extreme`] over the drained stream (extreme among the matches holding
+    /// the attribute, ties within the window survive, no holder leaves nothing), and
+    /// filter-then-extreme by construction: the walk finds the extreme *among the
+    /// matches*.
+    ///
+    /// The attribute's sorted index is walked from the extreme and each id tested
+    /// with `expr` compiled to column checks ([`ColumnCheck`]); the walk ends at the
+    /// first value past the tie window of the first match, or at the end of the index
+    /// (a record without the value is in no superlative). It is bounded by the
+    /// stream's [`IdStream::len_estimate`] (at least [`WALK_FLOOR`] entries): the
+    /// drain that takes over when the window is still open costs about that many
+    /// steps, since the shortest operand drives it, so a superlative costs at most
+    /// about twice the drain however the matches lie in the index.
+    fn extreme_window(
+        &self,
+        expr: &BoolExpr,
+        stream: IdStream<'a>,
+        superlative: &Superlative,
+    ) -> Vec<RecordId> {
+        let estimate = stream.len_estimate();
+        if estimate == 0 {
+            return Vec::new();
+        }
+        if let Some(window) = self.walk_extreme(expr, superlative, estimate.max(WALK_FLOOR)) {
+            return window;
+        }
+        let mut ids = stream.into_ids();
+        self.retain_extreme(&mut ids, superlative);
+        ids
+    }
+
+    /// The walk of [`Executor::extreme_window`]: at most `budget` entries of the
+    /// superlative's sorted index, `None` when the window is still open after them.
+    fn walk_extreme(
+        &self,
+        expr: &BoolExpr,
+        superlative: &Superlative,
+        budget: usize,
+    ) -> Option<Vec<RecordId>> {
+        let index = self.table.sorted_index(&superlative.attribute)?;
+        let check = self.compile_check(expr);
+        let matches = |id| check.matches(id);
+        match superlative.kind {
+            SuperlativeKind::Min => walk_window(index.entries(), budget, matches),
+            SuperlativeKind::Max => walk_window(index.entries().rev(), budget, matches),
+        }
+    }
+
+    /// One [`retain_extreme`] step over ascending `ids`, values read off the table's
+    /// numeric column.
+    fn retain_extreme(&self, ids: &mut Vec<RecordId>, superlative: &Superlative) {
+        let column = self.table.numeric_column(&superlative.attribute);
+        let max = superlative.kind == SuperlativeKind::Max;
+        retain_extreme(ids, max, |id| column.and_then(|c| c.value(id)));
+    }
+
+    /// `expr` compiled against the table's columns: the same records its index
+    /// stream yields ([`Executor::stream_ordered`]), tested one id at a time.
+    fn compile_check(&self, expr: &BoolExpr) -> ColumnCheck<'a> {
+        match expr {
+            BoolExpr::True => ColumnCheck::All(Vec::new()),
+            BoolExpr::Cond(cond) => {
+                let positive = match numeric_bounds(&cond.comparison) {
+                    Some((low, high)) => ColumnCheck::Range(RangePredicate {
+                        column: self.table.numeric_column(&cond.attribute),
+                        low,
+                        high,
+                    }),
+                    None => ColumnCheck::Text {
+                        column: self.table.text_column(&cond.attribute),
+                        syms: self
+                            .text_values(cond)
+                            .into_iter()
+                            .map(|(sym, _)| sym)
+                            .collect(),
+                    },
+                };
+                if cond.negated {
+                    ColumnCheck::Not(Box::new(positive))
+                } else {
+                    positive
+                }
+            }
+            BoolExpr::Not(inner) => ColumnCheck::Not(Box::new(self.compile_check(inner))),
+            BoolExpr::And(parts) => {
+                ColumnCheck::All(parts.iter().map(|p| self.compile_check(p)).collect())
+            }
+            BoolExpr::Or(parts) => {
+                ColumnCheck::Any(parts.iter().map(|p| self.compile_check(p)).collect())
+            }
+        }
+    }
+
+    /// The values of a text equality or `Contains` condition's attribute that
+    /// satisfy it, with their posting lists — what its index stream is made of.
+    /// Equality names at most one value. For `Contains` the substring index names
+    /// candidate values (slots of the attribute's directory) and each is verified
+    /// once; a needle shorter than the index key cannot be pre-filtered, so every
+    /// value is a candidate.
+    fn text_values(&self, cond: &Condition) -> Vec<(Sym, &'a PostingList)> {
+        let Some(values) = self.table.value_index(&cond.attribute) else {
+            return Vec::new();
+        };
+        match &cond.comparison {
+            Comparison::Eq(Value::Text(v)) => intern::lookup(&normalize_text(v))
+                .and_then(|sym| Some((sym, values.get(sym)?)))
+                .into_iter()
+                .collect(),
+            Comparison::Contains(needle) => {
+                let slots = if needle.chars().count() < SUBSTRING_KEY_LEN {
+                    (0..values.len() as u32).collect()
+                } else {
+                    self.table
+                        .substring_index()
+                        .substring_candidates(&cond.attribute, needle)
+                };
+                let verified = |(sym, _): &(Sym, &PostingList)| {
+                    cond.comparison.matches(&Value::Text(intern::resolve(*sym)))
+                };
+                slots
+                    .into_iter()
+                    .filter_map(|slot| values.entry(slot))
+                    .filter(verified)
+                    .collect()
+            }
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// Entries of a sorted index walked per superlative at the least, however short the
+/// candidate stream: below this a walk and a drain cost about the same.
+const WALK_FLOOR: usize = 32;
+
+/// One [`retain_extreme`] step by a walk: `entries` run from the extreme inward, and
+/// the survivors are the ids that pass `matches` and tie the first one that does,
+/// ascending. Ends at the first entry past that tie window — values are monotone
+/// along the walk, so nothing after it ties. `None` when `budget` entries went by with
+/// the window still open.
+fn walk_window(
+    entries: impl Iterator<Item = (f64, RecordId)>,
+    budget: usize,
+    mut matches: impl FnMut(RecordId) -> bool,
+) -> Option<Vec<RecordId>> {
+    let mut best: Option<f64> = None;
+    let mut window = Vec::new();
+    for (step, (value, id)) in entries.enumerate() {
+        if best.is_some_and(|best| !tied(value, best)) {
+            break;
+        }
+        if step == budget {
+            return None;
+        }
+        if matches(id) {
+            let best = *best.get_or_insert(value);
+            if tied(value, best) {
+                window.push(id);
+            }
+        }
+    }
+    window.sort_unstable();
+    Some(window)
+}
+
+/// A WHERE clause compiled for testing one record id at a time against the table's
+/// columns: a symbol compare per text condition, a column read per numeric one. It
+/// holds for exactly the ids the clause's index stream yields; [`BoolExpr::matches`]
+/// over the record is the definition both are tested against.
+#[derive(Debug)]
+enum ColumnCheck<'a> {
+    /// The record's symbol is one of `syms` (no symbol, no match).
+    Text {
+        column: Option<&'a TextColumn>,
+        syms: Vec<Sym>,
+    },
+    /// The record's value lies in the range (no value, no match).
+    Range(RangePredicate<'a>),
+    /// Every operand holds (`TRUE` when there is none).
+    All(Vec<ColumnCheck<'a>>),
+    /// Some operand holds.
+    Any(Vec<ColumnCheck<'a>>),
+    /// The operand does not hold (`NOT`, negated conditions).
+    Not(Box<ColumnCheck<'a>>),
+}
+
+impl ColumnCheck<'_> {
+    fn matches(&self, id: RecordId) -> bool {
+        match self {
+            ColumnCheck::Text { column, syms } => column
+                .and_then(|c| c.sym(id))
+                .is_some_and(|sym| syms.contains(&sym)),
+            ColumnCheck::Range(range) => range.matches(id),
+            ColumnCheck::All(parts) => parts.iter().all(|p| p.matches(id)),
+            ColumnCheck::Any(parts) => parts.iter().any(|p| p.matches(id)),
+            ColumnCheck::Not(inner) => !inner.matches(id),
+        }
     }
 }
 
@@ -1050,7 +1253,6 @@ fn numeric_bounds(comparison: &Comparison) -> Option<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Superlative;
     use crate::record::Record;
     use crate::schema::Schema;
 
@@ -1703,6 +1905,105 @@ mod tests {
                 rest,
                 "NOT {leaf}"
             );
+        }
+    }
+
+    /// Both arms of a superlative, forced: a tie block at the extreme longer than the
+    /// walk's budget (the stream is drained), and windows that close after a few
+    /// entries or exactly at the budget (the walk answers). Minimum and maximum, a
+    /// chain of two superlatives, ties a hair apart and an infinite extreme — every
+    /// answer is the record scan's, one `retain_extreme` step per superlative.
+    #[test]
+    fn a_superlative_walks_the_index_or_drains_past_its_budget() {
+        let schema = Schema::builder("items")
+            .type1("name")
+            .type3("price", 0.0, 1_000.0, None)
+            .type3("year", 1985.0, 2011.0, None)
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        let mut add = |name: &str, price: f64, year: f64| {
+            let record = Record::builder()
+                .text("name", name)
+                .number("price", price)
+                .number("year", year);
+            t.insert(record.build()).unwrap();
+        };
+        // 600 records tied at the cheapest price (a hair apart), "a" and "b" alternating.
+        for i in 0..600 {
+            let name = if i % 2 == 0 { "a" } else { "b" };
+            add(
+                name,
+                100.0 + f64::from(i % 3) * 4e-10,
+                1990.0 + f64::from(i % 7),
+            );
+        }
+        // 40 "c" records above them, two of them tied at the top.
+        for i in 0..40 {
+            add("c", 200.0 + f64::from(i.min(38)), 2000.0 + f64::from(i % 5));
+        }
+        // An infinite extreme ties nothing, itself included.
+        add("d", f64::INFINITY, 2000.0);
+        add("d", 300.0, 2000.0);
+        let name = |v: &str| BoolExpr::Cond(Condition::eq("name", v));
+        let executor = Executor::new(&t);
+        // (where, superlatives, whether the walk closes its window within budget)
+        let cases = [
+            // 300 matches spread over a 600-entry tie block: the window outruns the
+            // estimate of 300 and the stream is drained.
+            (name("a"), vec![Superlative::min("price")], false),
+            (
+                name("a"),
+                vec![Superlative::min("price"), Superlative::max("year")],
+                false,
+            ),
+            // 40 matches behind 600 entries that fail: the budget runs out before a hit.
+            (name("c"), vec![Superlative::min("price")], false),
+            // The top two tie and the third closes the window.
+            (name("c"), vec![Superlative::max("price")], true),
+            (
+                name("c"),
+                vec![Superlative::max("price"), Superlative::min("year")],
+                true,
+            ),
+            // Every record of the block matches: the window closes at entry 600, the
+            // last one the budget of 600 allows.
+            (
+                BoolExpr::or(vec![name("a"), name("b")]),
+                vec![Superlative::min("price")],
+                true,
+            ),
+            (
+                BoolExpr::or(vec![name("a"), name("b")]),
+                vec![Superlative::min("price"), Superlative::min("year")],
+                true,
+            ),
+            (name("d"), vec![Superlative::max("price")], true),
+            (name("d"), vec![Superlative::min("price")], false),
+            (BoolExpr::True, vec![Superlative::max("year")], true),
+        ];
+        for (expr, superlatives, walks) in cases {
+            let mut query = Query::new("items").with_expr(expr.clone());
+            let mut want = scan(&t, &expr);
+            for s in superlatives {
+                retain_extreme(&mut want, s.kind == SuperlativeKind::Max, |id| {
+                    t.get(id).and_then(|r| r.get_number(&s.attribute))
+                });
+                query = query.with_superlative(s);
+            }
+            let context = crate::sql::render(&query);
+            let budget = executor
+                .stream_ordered(&expr)
+                .unwrap()
+                .len_estimate()
+                .max(WALK_FLOOR);
+            let walked = executor.walk_extreme(&expr, &query.superlatives[0], budget);
+            assert_eq!(walked.is_some(), walks, "{context}");
+            let streamed: Vec<RecordId> = executor.execute_stream(&query).unwrap().collect();
+            assert_eq!(streamed, want, "{context}");
+            let page = executor.execute(&query.with_limit(usize::MAX)).unwrap();
+            let page: Vec<RecordId> = page.iter().map(|a| a.id).collect();
+            assert_eq!(page, want, "{context}");
         }
     }
 

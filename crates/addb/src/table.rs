@@ -56,6 +56,12 @@ pub const RECORD_CHUNK: usize = 1024;
 /// ("cheapest", "newest") keeps every candidate tied within it.
 pub const SUPERLATIVE_TIE_WINDOW: f64 = 1e-9;
 
+/// Does `value` tie the extreme `best`? Within [`SUPERLATIVE_TIE_WINDOW`] of it; an
+/// infinite extreme ties nothing, itself included.
+pub(crate) fn tied(value: f64, best: f64) -> bool {
+    (value - best).abs() < SUPERLATIVE_TIE_WINDOW
+}
+
 /// One superlative step over candidates whose values the caller resolves — the
 /// single definition of the semantics, which the executor applies over one table's
 /// numeric column and the scatter-gather layer across several tables.
@@ -75,10 +81,8 @@ pub fn retain_extreme(
         .reduce(|a, b| if max { a.max(b) } else { a.min(b) });
     match best {
         Some(best) => {
-            let mut tied = values
-                .iter()
-                .map(|v| v.is_some_and(|v| (v - best).abs() < SUPERLATIVE_TIE_WINDOW));
-            candidates.retain(|_| tied.next().unwrap_or(false));
+            let mut kept = values.iter().map(|v| v.is_some_and(|v| tied(v, best)));
+            candidates.retain(|_| kept.next().unwrap_or(false));
         }
         None => candidates.clear(),
     }
@@ -463,8 +467,12 @@ impl Table {
             col.syms.push(sym);
         }
         for (name, col) in self.num_cols.iter_mut() {
+            // A NaN is stored, and read back as missing (`NumericColumn::value`); it
+            // stays out of the range index, which it would leave unsorted (every
+            // comparison with it is false, so no range or superlative ever holds it).
             let value = record.get_number(name);
-            if let (Some(n), Some(sorted)) = (value, self.numeric.get_mut(name)) {
+            let indexed = value.filter(|n| !n.is_nan());
+            if let (Some(n), Some(sorted)) = (indexed, self.numeric.get_mut(name)) {
                 sorted.insert(n, id);
             }
             col.values.push(value.unwrap_or(f64::NAN));
@@ -545,6 +553,12 @@ impl Table {
         self.numeric
             .get(attribute)
             .map_or_else(Vec::new, |index| index.range(low, high).collect())
+    }
+
+    /// The sorted range index of numeric `attribute` — what a superlative walks from
+    /// its extreme.
+    pub(crate) fn sorted_index(&self, attribute: &str) -> Option<&SortedIndex<RECORD_CHUNK>> {
+        self.numeric.get(attribute)
     }
 
     /// Observed (min, max) of a numeric column — used as the "valid range" for the
@@ -692,6 +706,58 @@ mod tests {
         let mut none: Vec<RecordId> = Vec::new();
         retain_extreme(&mut none, false, price);
         assert!(none.is_empty());
+    }
+
+    proptest::proptest! {
+        /// The range index ≡ a filter over the records, whatever they hold: duplicate
+        /// values, NaN (stored, read back as missing, never in a range) and no value
+        /// at all — by `lookup_range` (value order, newest first among equals),
+        /// `range_count` and the superlative walk's entry order.
+        #[test]
+        fn range_index_matches_a_filter_over_the_records(
+            cells in proptest::collection::vec(0u32..48, 1..300),
+            bounds in proptest::collection::vec(0u32..44, 2..16),
+        ) {
+            let schema = Schema::builder("items")
+                .type1("name")
+                .type3("price", 0.0, 10.0, None)
+                .build()
+                .unwrap();
+            let mut t = Table::new(schema);
+            for &cell in &cells {
+                let mut record = Record::builder().text("name", "x");
+                match cell {
+                    0..40 => record = record.number("price", f64::from(cell / 4)),
+                    40..44 => record = record.number("price", f64::NAN),
+                    _ => {}
+                }
+                t.insert(record.build()).unwrap();
+            }
+            let stored = |id: RecordId| t.get(id).and_then(|r| r.get_number("price"));
+            // Every entry of the index, in index order, is a stored non-NaN value.
+            let index: Vec<(f64, RecordId)> = t.sorted_index("price").unwrap().entries().collect();
+            let mut want: Vec<(f64, RecordId)> = t
+                .iter()
+                .filter_map(|(id, _)| stored(id).filter(|v| !v.is_nan()).map(|v| (v, id)))
+                .collect();
+            want.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
+            proptest::prop_assert_eq!(&index, &want);
+            for pair in bounds.windows(2) {
+                let (low, high) = (f64::from(pair[0]) / 4.0, f64::from(pair[1]) / 4.0);
+                let inside: Vec<RecordId> = want
+                    .iter()
+                    .filter(|(v, _)| *v >= low && *v <= high)
+                    .map(|(_, id)| *id)
+                    .collect();
+                let scanned = t
+                    .iter()
+                    .filter(|(id, _)| stored(*id).is_some_and(|v| v >= low && v <= high))
+                    .count();
+                proptest::prop_assert_eq!(inside.len(), scanned);
+                proptest::prop_assert_eq!(t.lookup_range("price", low, high), inside);
+                proptest::prop_assert_eq!(t.range_count("price", low, high), scanned);
+            }
+        }
     }
 
     #[test]

@@ -110,17 +110,35 @@
 //! The fallback reads the index before it scans. With the question's `K` conditions
 //! compiled to probes whose satisfying sets `Sᵢ` the index holds
 //! (`CompiledProbe::satisfying_ids`: a positive categorical value's posting list), it
-//! first scores the **near matches** `∪ᵢ ∩ⱼ≠ᵢ Sⱼ` — every record satisfying at least
-//! `K−1` probes. Every other record satisfies at most `K−2`, so it scores at most
-//! `min(K−2, N−1) + 1`; the table is scanned only when the heap can still take that
-//! score (`TopK::can_beat`, ties included — an equal score can win on a smaller id).
-//! Skipping the scan is lossless by the pruning argument above: the scan's offers all
-//! score at most that bound, strictly below the worst of a full heap, and the worst
-//! never decreases. Scanning after the near matches changes nothing either: a
-//! record's degree-of-match score is a pure function of the record, so a near match
-//! the scan meets again is re-offered its own score — a provable no-op — and the heap
-//! content is invariant under offer order. A numeric or negated probe has no index
-//! set (a range, a complement); such a question scans as before.
+//! first offers the **near matches** — every record satisfying at least `K−1` probes
+//! — in two layers, each record at exactly the score degree of match gives it:
+//!
+//! * **Layer K**, `∩ⱼ Sⱼ`: nothing is unmatched, so every record scores the constant
+//!   `min(K, N−1)`. One intersection (shortest set first), pulled while the heap can
+//!   take that score.
+//! * **Layer K−1, branch `i`**, `∩ⱼ≠ᵢ Sⱼ ∖ Sᵢ`: probe `i` is the only one unmatched,
+//!   so a record scores `min(K−1, N−1) + simᵢ(v)` — a function of its value `v` of
+//!   probe `i`'s attribute alone. That is a relaxation of probe `i` over the base
+//!   `min(K−1, N−1)` instead of `N−1`, and it runs through the same value-ordered
+//!   traversal as phase 1 (runs best first, `TopK::can_beat` before each,
+//!   `TopK::ascending_run_alive` inside, the residual last) over the candidates
+//!   `∩ⱼ≠ᵢ Sⱼ`. The value probe `i` is satisfied by is left out of its order, and the
+//!   records holding it — layer K's — are skipped with phase 1's, so none is offered
+//!   a score it does not have. Its similarity (often 1.0) would otherwise tie the
+//!   worst of a heap full of layer-K entries and open a run for nothing.
+//!
+//! The branches are disjoint (a record outside `Sᵢ` and `Sₖ` is in neither), so
+//! every near match is offered its own score once, or again at the same score, and
+//! every pruned offer lies strictly below the worst of a full heap — lossless by the
+//! argument above. Every other record satisfies at most `K−2` probes, so it scores
+//! at most `min(K−2, N−1) + 1`; the table is scanned only when the heap can still
+//! take that score (`TopK::can_beat`, ties included — an equal score can win on a
+//! smaller id). Skipping the scan is lossless for the same reason. Scanning after the
+//! near matches changes nothing either: a record's degree-of-match score is a pure
+//! function of the record, so a near match the scan meets again is re-offered its
+//! own score — a provable no-op — and the heap content is invariant under offer
+//! order. A numeric or negated probe has no index set (a range, a complement); such
+//! a question scans as before.
 //!
 //! # Parallel execution
 //!
@@ -148,10 +166,11 @@
 //! The sparse-data fallback keeps the same two-phase shape: the index pass is merged
 //! first (its merged size and found-id set are provably identical to the sequential
 //! engine's heap state at that point), then the degree-of-match pass is itself
-//! sharded: each worker reads the near matches inside its id range and scans that
-//! range only if its own heap still admits the scan's bound — a full worker heap's
-//! worst bounds the merged worst from below, the admissibility argument of the shared
-//! threshold. Worker count comes from
+//! sharded: each worker walks the near-match layers inside its id range, pruning
+//! against its own heap and the shared threshold, and scans that range only if its
+//! own heap still admits the scan's bound — a full worker heap's worst bounds the
+//! merged worst from below, the admissibility argument of the shared threshold.
+//! Worker count comes from
 //! [`PartialMatchOptions::workers`] (`0` = auto-detect via
 //! `std::thread::available_parallelism`, staying sequential for small tables where
 //! spawn overhead would dominate).
@@ -187,8 +206,8 @@
 //! * cut inside the residual → `(N−1)` (unvisited residual candidates score
 //!   exactly the base; any higher-scoring id the residual could meet is a re-offer
 //!   the heap provably ignores), again maxed with the remaining plans;
-//! * any cut that touches the degree-of-match fallback — in its index layer or in its
-//!   scan → `N` (its scores are bounded by `min(matched, N−1) + 1`).
+//! * any cut that touches the degree-of-match fallback — in either index layer or in
+//!   its scan → `N` (its scores are bounded by `min(matched, N−1) + 1`).
 //!
 //! Every heap entry scoring **strictly above** the merged `B` already beat every
 //! offer the cut skipped — its score, measure and relaxed-condition index are the
@@ -576,12 +595,13 @@ impl<'a> PartialMatcher<'a> {
                         // still beat the threshold.
                         Some(order) => {
                             if let Some(cut_at) = wand_relaxation(
-                                prep,
                                 topk,
                                 &shard,
                                 order,
                                 probe,
                                 0,
+                                prep.base(),
+                                |id| prep.excluded(id),
                                 || Some(IdStream::All(shard.clone())),
                                 meter.as_ref(),
                             ) {
@@ -628,32 +648,27 @@ impl<'a> PartialMatcher<'a> {
                             };
                             match &plan.values {
                                 Some(order) => {
-                                    // The remaining N−1 conditions, drained into one
-                                    // posting list inside the worker's shard the first
-                                    // time a value run needs them — at most once per
-                                    // worker — so every later run intersects that
-                                    // list instead of re-planning the query (and
-                                    // re-applying a superlative), and a relaxation
-                                    // pruned before its first run never pays it.
+                                    // The remaining N−1 conditions, drained once: every
+                                    // later run intersects the list instead of
+                                    // re-planning the query (and re-applying a
+                                    // superlative).
                                     let rest = OnceCell::new();
                                     let make_rest = || {
-                                        rest.get_or_init(|| {
-                                            let stream =
-                                                executor.execute_stream(&plan.query).ok()?;
-                                            let ids =
-                                                within(stream, &shard, table.len()).into_ids();
-                                            Some(PostingList::from_sorted(ids))
-                                        })
-                                        .as_ref()
-                                        .map(IdStream::postings)
+                                        drained_once(
+                                            &rest,
+                                            || executor.execute_stream(&plan.query).ok(),
+                                            &shard,
+                                            table.len(),
+                                        )
                                     };
                                     if let Some(cut_at) = wand_relaxation(
-                                        prep,
                                         topk,
                                         &shard,
                                         order,
                                         &plan.probe,
                                         plan.skip,
+                                        prep.base(),
+                                        |id| prep.excluded(id),
                                         make_rest,
                                         meter.as_ref(),
                                     ) {
@@ -726,7 +741,7 @@ impl<'a> PartialMatcher<'a> {
         // untouched): whether the *global* heap is sparse is only known after the
         // gather, which re-runs the plain per-shard engine at the real budget in
         // that case — see `crate::shard`.
-        let fallback: Vec<Option<(Vec<RecordId>, Vec<CompiledProbe<'_>>)>> = prepared
+        let fallback: Vec<Option<Fallback<'_>>> = prepared
             .iter()
             .zip(heaps.iter())
             .zip(requests.iter())
@@ -744,13 +759,21 @@ impl<'a> PartialMatcher<'a> {
                 sparse.then(|| {
                     let mut found: Vec<RecordId> = topk.live_ids().collect();
                     found.sort_unstable();
-                    let probes = request
+                    let probes: Vec<CompiledProbe<'_>> = request
                         .interpretation
                         .all_sketches()
                         .iter()
                         .map(|s| self.similarity.compile(s, table))
                         .collect();
-                    (found, probes)
+                    let near = probes
+                        .iter()
+                        .map(CompiledProbe::unsatisfied_order)
+                        .collect();
+                    Fallback {
+                        found,
+                        probes,
+                        near,
+                    }
                 })
             })
             .collect();
@@ -763,34 +786,32 @@ impl<'a> PartialMatcher<'a> {
                     .zip(heaps.iter_mut())
                     .enumerate()
                 {
-                    let Some((found, probes)) = fb else { continue };
+                    let Some(fb) = fb else { continue };
                     if let Some(m) = &meter {
                         if m.cut() {
                             bounds[q] = bounds[q].max(prep.n as f64);
                             continue;
                         }
                     }
-                    let mut scorers: Vec<ProbeScorer<'_, '_>> =
-                        probes.iter().map(ProbeScorer::new).collect();
                     let meter = meter.as_ref();
-                    // The index layer first: every record matching at least K−1 of
+                    // The index layers first: every record matching at least K−1 of
                     // the K probes. Any other record matches at most K−2, so it
                     // scores at most `min(K−2, N−1) + 1`; the table is scanned only
                     // while the heap could still take that.
                     let mut complete = true;
                     let mut scan = true;
-                    if let Some(near) = near_matches(probes, &shard, table.len()) {
-                        let beyond = probes.len().saturating_sub(2).min(prep.n.saturating_sub(1))
-                            as f64
-                            + 1.0;
-                        complete =
-                            offer_degree_of_match(near, prep, found, &mut scorers, topk, meter);
+                    if let Some(orders) = &fb.near {
+                        let k = fb.probes.len();
+                        let beyond = k.saturating_sub(2).min(prep.n.saturating_sub(1)) as f64 + 1.0;
+                        complete = near_layers(prep, fb, orders, &shard, table.len(), topk, meter);
                         scan = complete && topk.can_beat(beyond);
                     }
                     if scan {
+                        let mut scorers: Vec<ProbeScorer<'_, '_>> =
+                            fb.probes.iter().map(ProbeScorer::new).collect();
                         let all = shard.clone().map(RecordId);
                         complete =
-                            offer_degree_of_match(all, prep, found, &mut scorers, topk, meter);
+                            offer_degree_of_match(all, prep, &fb.found, &mut scorers, topk, meter);
                     }
                     if !complete {
                         // Degree-of-match scores bound at N.
@@ -925,9 +946,8 @@ impl<'a> PartialMatcher<'a> {
 /// `min(#matched, N−1) + best similarity over the unmatched conditions`, reporting the
 /// measure and index of the best unmatched condition. Matches `Rank_Sim` exactly for
 /// records matching exactly N−1 conditions. Takes scorers (not bare probes) because
-/// the fallback scores thousands of records per question (its near matches, and the
-/// whole table when the heap still admits a record matching K−2 probes) — memoized
-/// text scores matter most here.
+/// the fallback's scan scores the whole table when the heap still admits a record
+/// matching K−2 probes — memoized text scores matter most here.
 pub(crate) fn degree_of_match(
     scorers: &mut [ProbeScorer<'_, '_>],
     condition_count: usize,
@@ -986,31 +1006,81 @@ fn offer_degree_of_match(
     true
 }
 
-/// The records inside `shard` that satisfy at least K−1 of the K `probes`, ascending
-/// and each once: `∪ᵢ ∩ⱼ≠ᵢ Sⱼ` over the probes' index sets
-/// ([`CompiledProbe::satisfying_ids`]). `None` when a probe has no index set (numeric
-/// or negated), and the fallback scans instead.
-fn near_matches<'m>(
-    probes: &[CompiledProbe<'m>],
+/// The degree-of-match fallback's index layers inside `shard`: every record that is
+/// neither excluded nor found by phase 1 and satisfies at least K−1 of the K probes,
+/// offered the score [`degree_of_match`] gives it. `orders` holds each probe's
+/// [`CompiledProbe::unsatisfied_order`]. Returns `false` when the deadline cut the
+/// layers (the caller then certifies at `N`).
+///
+/// * **Layer K** — the records in every probe's set `Sⱼ`: nothing is unmatched, so
+///   each scores `min(K, N−1)` with no measure and condition index 0. One
+///   intersection, pulled while the heap can still take its constant score.
+/// * **Layer K−1, branch `i`** — the records of `∩ⱼ≠ᵢ Sⱼ` outside `Sᵢ`: probe `i` is
+///   the only one unmatched, so each scores `min(K−1, N−1) + simᵢ` under probe `i`'s
+///   measure and index — a relaxation of probe `i` over the base `min(K−1, N−1)`,
+///   walked by [`wand_relaxation`] with its pruning: runs of values best first, the
+///   residual last. The value probe `i` is satisfied by is not in its order, and the
+///   records holding it (layer K's) are skipped with the found ones.
+fn near_layers(
+    prep: &PreparedQuestion<'_>,
+    fb: &Fallback<'_>,
+    orders: &[ValueOrder<'_>],
     shard: &Range<u32>,
     table_len: usize,
-) -> Option<impl Iterator<Item = RecordId> + 'm> {
-    if probes.iter().any(|p| p.satisfying_ids().is_none()) {
-        return None;
+    topk: &mut TopK,
+    meter: Option<&BudgetProbe<'_>>,
+) -> bool {
+    let k = fb.probes.len();
+    let fresh = |id: RecordId| !prep.excluded(id) && fb.found.binary_search(&id).is_err();
+    // `∩ⱼ Sⱼ` over every probe but `missed` (`None`: every probe).
+    let matching = |missed: Option<usize>| {
+        let sets = fb
+            .probes
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| Some(j) != missed);
+        let sets = sets
+            .filter_map(|(_, probe)| probe.satisfying_ids())
+            .collect();
+        IdStream::intersect_all(sets)
+    };
+    let all_matched = k.min(prep.n.saturating_sub(1)) as f64;
+    if topk.can_beat(all_matched) {
+        if let Some(layer) = matching(None) {
+            for id in within(layer, shard, table_len) {
+                if meter.is_some_and(BudgetProbe::visit) {
+                    return false;
+                }
+                if fresh(id) {
+                    topk.offer(id, all_matched, SimilarityMeasure::None, 0);
+                }
+                if !topk.ascending_run_alive(all_matched, id) {
+                    break;
+                }
+            }
+        }
     }
-    let branches = (0..probes.len())
-        .map(|skip| {
-            let rest = probes
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != skip)
-                .filter_map(|(_, p)| p.satisfying_ids())
-                .reduce(IdStream::intersect)
-                .unwrap_or(IdStream::Empty);
-            within(rest, shard, table_len)
-        })
-        .collect();
-    Some(ScoredUnion::new(branches).map(|(id, _)| id))
+    let base = k.saturating_sub(1).min(prep.n.saturating_sub(1)) as f64;
+    for (i, (probe, order)) in fb.probes.iter().zip(orders).enumerate() {
+        let rest = OnceCell::new();
+        let make_rest = || drained_once(&rest, || matching(Some(i)), shard, table_len);
+        let skip = |id| !fresh(id) || probe.satisfied(id);
+        if wand_relaxation(topk, shard, order, probe, i, base, skip, make_rest, meter).is_some() {
+            return false;
+        }
+    }
+    true
+}
+
+/// What the degree-of-match fallback of one sparse question shares across workers.
+struct Fallback<'m> {
+    /// The records phase 1 offered, ascending: they keep their relaxation scores.
+    found: Vec<RecordId>,
+    /// Every condition of the question, in [`Interpretation::all_sketches`] order.
+    probes: Vec<CompiledProbe<'m>>,
+    /// Each probe's [`CompiledProbe::unsatisfied_order`]; `None` when a probe has no
+    /// index set (numeric or negated), and the fallback scans instead.
+    near: Option<Vec<ValueOrder<'m>>>,
 }
 
 /// `stream` inside the worker's shard: one galloping seek enters it, and a shard
@@ -1021,6 +1091,25 @@ fn within<'a>(stream: IdStream<'a>, shard: &Range<u32>, table_len: usize) -> IdS
     } else {
         stream.restrict(shard.clone())
     }
+}
+
+/// The candidates of one relaxation inside the worker's shard, for the value runs of
+/// [`wand_relaxation`]: `stream` drained into `cell` as one posting list the first
+/// time a run asks, borrowed by every later run. A relaxation pruned before its first
+/// run never builds it. `None` when `stream` cannot be built (the relaxation's query
+/// does not execute), which is remembered too.
+fn drained_once<'c, 's>(
+    cell: &'c OnceCell<Option<PostingList>>,
+    stream: impl FnOnce() -> Option<IdStream<'s>>,
+    shard: &Range<u32>,
+    table_len: usize,
+) -> Option<IdStream<'c>> {
+    cell.get_or_init(|| {
+        let ids = within(stream()?, shard, table_len).into_ids();
+        Some(PostingList::from_sorted(ids))
+    })
+    .as_ref()
+    .map(IdStream::postings)
 }
 
 /// The value-ordered (WAND-style) traversal of one relaxation.
@@ -1037,12 +1126,18 @@ fn within<'a>(stream: IdStream<'a>, shard: &Range<u32>, table_len: usize) -> IdS
 /// attribute — is the plain exhaustive scan; any id it re-offers was already offered
 /// at the same score, which the top-k provably ignores (see the module docs).
 ///
+/// Every candidate scores `base + sim` and is offered under condition index
+/// `relaxed`: phase 1 relaxes condition `relaxed` over the base `N−1`, the
+/// fallback's near layer misses probe `relaxed` alone over `min(K−1, N−1)`. `skip`
+/// names the candidates never offered: the exact answers, and in the fallback also
+/// the records phase 1 found and those the probe is satisfied by.
+///
 /// `make_rest` produces the candidate stream of the remaining conditions inside the
-/// worker's shard (the shard itself for single-condition questions, the posting
-/// list a relaxation's query is drained into at most once per worker otherwise); it
-/// is called once per drained run, so a relaxation pruned before its first run never
-/// pays for it. `None` means the relaxation's query cannot execute — the relaxation
-/// is skipped, exactly like the exhaustive engine's `continue`.
+/// worker's shard (the shard itself for single-condition questions, a posting list
+/// drained at most once per worker otherwise — [`drained_once`]); it is called once
+/// per drained run, so a relaxation pruned before its first run never pays for it.
+/// `None` means the relaxation's query cannot execute — the relaxation is skipped,
+/// exactly like the exhaustive engine's `continue`.
 ///
 /// `meter` is the worker's deadline probe, polled per visited candidate. Returns
 /// `None` when the relaxation finished losslessly (pruned stops included) and
@@ -1054,16 +1149,16 @@ fn within<'a>(stream: IdStream<'a>, shard: &Range<u32>, table_len: usize) -> IdS
 /// ignores — see the module docs).
 #[allow(clippy::too_many_arguments)]
 fn wand_relaxation<'s>(
-    prep: &PreparedQuestion<'_>,
     topk: &mut TopK,
     shard: &Range<u32>,
     order: &ValueOrder<'s>,
     probe: &CompiledProbe<'_>,
-    skip: usize,
+    relaxed: usize,
+    base: f64,
+    skip: impl Fn(RecordId) -> bool,
     mut make_rest: impl FnMut() -> Option<IdStream<'s>>,
     meter: Option<&BudgetProbe<'_>>,
 ) -> Option<f64> {
-    let base = (prep.n.saturating_sub(1)) as f64;
     let entries = order.entries();
     let measure = order.measure();
     let mut i = 0;
@@ -1091,8 +1186,8 @@ fn wand_relaxation<'s>(
                         return Some(score);
                     }
                 }
-                if !prep.excluded(id) {
-                    topk.offer(id, score, measure, skip);
+                if !skip(id) {
+                    topk.offer(id, score, measure, relaxed);
                 }
                 if !topk.ascending_run_alive(score, id) {
                     break;
@@ -1115,8 +1210,8 @@ fn wand_relaxation<'s>(
                         return false;
                     }
                 }
-                if !prep.excluded(id) {
-                    topk.offer(id, score, measure, skip);
+                if !skip(id) {
+                    topk.offer(id, score, measure, relaxed);
                 }
                 topk.ascending_run_alive(score, id)
             });
@@ -1143,9 +1238,9 @@ fn wand_relaxation<'s>(
                 return Some(base);
             }
         }
-        if !prep.excluded(id) {
-            let (score, measure) = scorer.rank_sim(prep.n, id);
-            topk.offer(id, score, measure, skip);
+        if !skip(id) {
+            let (sim, measure) = scorer.similarity(id);
+            topk.offer(id, base + sim, measure, relaxed);
         }
         if !topk.ascending_run_alive(base, id) {
             break;
@@ -1259,6 +1354,11 @@ enum PreparedKind<'m> {
 impl PreparedQuestion<'_> {
     fn excluded(&self, id: RecordId) -> bool {
         self.exclude_sorted.binary_search(&id).is_ok()
+    }
+
+    /// What a relaxation adds a candidate's similarity to: `N−1` matched conditions.
+    fn base(&self) -> f64 {
+        self.n.saturating_sub(1) as f64
     }
 }
 
@@ -2344,22 +2444,28 @@ mod tests {
     #[test]
     fn fallback_reads_the_index_and_skips_the_scan_past_its_bound() {
         // Laziness by count, not time: the superlative starves every relaxation to
-        // its one extreme, so the fallback runs — over the 120 near matches only.
+        // its one extreme, so the fallback runs. Its near layer walks each probe's
+        // values best first and stops once the heap is full above what is left, so
+        // the whole question — phase 1 included — visits a small multiple of the
+        // budget: fewer records than the 120 near matches, and no table scan.
         let near = 120;
+        let budget = 30;
         let (spec, table, sim) = near_match_fixture(100_000, near);
         assert!(table.len() >= 100_000);
         let matcher = PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers: 1 });
         let interp = honda_accord_blue(true);
-        let outcome = metered(&matcher, &interp, &table, 30);
+        let outcome = metered(&matcher, &interp, &table, budget);
         let oracle =
-            full_scan_partial_answers(&spec, &sim, &interp, &table, &HashSet::new(), 30).unwrap();
+            full_scan_partial_answers(&spec, &sim, &interp, &table, &HashSet::new(), budget)
+                .unwrap();
         assert_bit_identical(&outcome.answers, &oracle, "near-match superlative");
         assert!(!outcome.degraded);
-        assert_eq!(outcome.answers.len(), 30);
+        assert_eq!(outcome.answers.len(), budget);
         let visited = outcome.visited as usize;
         assert!(
-            (near..=2 * near).contains(&visited),
-            "visited {visited} records for {near} near matches in a {}-record table",
+            visited <= 2 * budget && visited < near,
+            "visited {visited} records for a budget of {budget} ({near} near matches in a \
+             {}-record table)",
             table.len()
         );
 
@@ -2442,34 +2548,55 @@ mod tests {
 
     #[test]
     fn deadline_cut_inside_the_index_layer_keeps_the_certified_prefix() {
-        use cqads_storage::RetryClock;
-        // 1 200 near matches: the index layer polls the deadline several times.
+        use cqads_storage::{ManualClock, RetryClock};
+        // 1 200 near matches and a budget of 1 000: one worker's heap fills only in
+        // the last value run, so the index layer visits ≈ 1 800 records (runs and
+        // residuals) and polls the deadline several times before it ends above the
+        // scan's bound. Two workers each hold half the near matches, so their heaps
+        // never fill and each scans its shard too; any cut past phase 1 still
+        // certifies at N.
         let near = 1_200;
+        let budget = 1_000;
         let (spec, table, sim) = near_match_fixture(2_000, near);
         let interp = honda_accord_blue(true);
         let exclude = HashSet::new();
         let request = PartialBatchRequest {
             interpretation: &interp,
             exclude: &exclude,
-            budget: 30,
+            budget,
         };
         for workers in [1usize, 2] {
             let matcher =
                 PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-            let full = metered(&matcher, &interp, &table, 30);
+            let full = metered(&matcher, &interp, &table, budget);
             assert!(!full.degraded);
-            // The scan is skipped, so the index layer is the last `near` visits.
-            let before_index_layer = full.visited - near as u64;
+            assert_eq!(full.answers.len(), budget);
+            // Phase 1 alone: the scatter form runs it without the fallback.
+            let far = QueryBudget::new(Arc::new(ManualClock::new()), u64::MAX);
+            let shared = [Arc::new(SharedThreshold::new())];
+            let phase1 = matcher
+                .partial_answers_batch_scatter(&[request], &table, Some(&far), &shared)
+                .unwrap();
+            let before_index_layer = take_single(phase1).unwrap().visited;
+            if workers == 1 {
+                // The scan is skipped: every visit past phase 1's is the index layer's.
+                let index_layer = full.visited - before_index_layer;
+                assert!(
+                    index_layer >= 4 * BUDGET_CHECK_EVERY && (full.visited as usize) < table.len(),
+                    "index layer {index_layer} of {} visits",
+                    full.visited
+                );
+            }
             let mut cut_inside = 0;
             for deadline in 0..40u64 {
                 let clock = Arc::new(SteppingClock {
                     now: std::sync::atomic::AtomicU64::new(0),
                     step: 1,
                 });
-                let budget = QueryBudget::new(clock as Arc<dyn RetryClock>, deadline);
+                let cut = QueryBudget::new(clock as Arc<dyn RetryClock>, deadline);
                 let outcome = take_single(
                     matcher
-                        .partial_answers_batch_budgeted(&[request], &table, Some(&budget))
+                        .partial_answers_batch_budgeted(&[request], &table, Some(&cut))
                         .unwrap(),
                 )
                 .unwrap();

@@ -208,7 +208,8 @@ impl SimilarityModel {
                 let mut best = 0.0_f64;
                 let mut found = false;
                 for attr in &candidates {
-                    if let Some(v) = record.get_number(attr) {
+                    // A NaN cell is missing, as the table's numeric column reads it.
+                    if let Some(v) = record.get_number(attr).filter(|v| !v.is_nan()) {
                         best = best.max(self.num_sim(attr, target, v));
                         found = true;
                     }
@@ -560,6 +561,25 @@ impl<'m> CompiledProbe<'m> {
             measure,
         })
     }
+
+    /// [`CompiledProbe::value_order`] without the value the probe is satisfied by:
+    /// the order the degree-of-match fallback walks for the records that miss this
+    /// probe alone (a record holding the value satisfies it and scores a layer
+    /// higher). `None` exactly when [`CompiledProbe::satisfying_ids`] is.
+    pub(crate) fn unsatisfied_order(&self) -> Option<ValueOrder<'m>> {
+        let ProbeKind::Text {
+            raw_qsym,
+            negated: false,
+            ..
+        } = &self.kind
+        else {
+            return None;
+        };
+        let mut order = self.value_order()?;
+        order.entries.retain(|e| Some(e.sym) != *raw_qsym);
+        order.positive_len = order.entries.partition_point(|e| e.sim > 0.0);
+        Some(order)
+    }
 }
 
 /// One distinct column value in a [`ValueOrder`]: its interned symbol, its exact
@@ -824,6 +844,20 @@ mod tests {
         let record = Record::builder().text("color", "red").build();
         let (sim, _) = m.condition_similarity(&negated, &record);
         assert_eq!(sim, 1.0);
+
+        // A NaN number is missing, in the record path as in the table's column.
+        let record = Record::builder().number("price", f64::NAN).build();
+        let price = ConditionSketch::Numeric {
+            attribute: Some("price".into()),
+            op: BoundaryOp::Lt,
+            value: 9000.0,
+            value2: None,
+            negated: false,
+        };
+        assert_eq!(
+            m.condition_similarity(&price, &record),
+            (0.0, SimilarityMeasure::None)
+        );
     }
 
     #[test]

@@ -378,8 +378,18 @@ const SCAN_NAMES: [&str; 6] = [
     "interned-nowhere-7f3a9c",
 ];
 const SCAN_TAGS: [&str; 3] = ["ab", "bc", "abc"];
-/// Duplicate-heavy, with neighbours a hair off 10 on either side.
-const SCAN_NUMBERS: [f64; 7] = [5.0, 10.0, 10.0 + 5e-10, 10.0 - 5e-10, 10.0, 20.5, 40.0];
+/// Duplicate-heavy, with neighbours a hair off 10 on either side, and a NaN (stored,
+/// read back as missing, matched by no comparison and kept out of the range index).
+const SCAN_NUMBERS: [f64; 8] = [
+    5.0,
+    10.0,
+    10.0 + 5e-10,
+    10.0 - 5e-10,
+    10.0,
+    20.5,
+    40.0,
+    f64::NAN,
+];
 /// Bounds that hit stored values, fall between them and fall outside them all.
 const SCAN_BOUNDS: [f64; 7] = [0.0, 5.0, 10.0, 10.0 + 5e-10, 15.0, 40.0, 99.0];
 
@@ -400,10 +410,10 @@ fn scan_table(rows: &[u32]) -> Table {
             record = record.text("tag", SCAN_TAGS[(row >> 6) % 3]);
         }
         if !(row >> 8).is_multiple_of(5) {
-            record = record.number("price", SCAN_NUMBERS[(row >> 11) % 7]);
+            record = record.number("price", SCAN_NUMBERS[(row >> 11) % 8]);
         }
         if !(row >> 14).is_multiple_of(3) {
-            record = record.number("size", SCAN_NUMBERS[(row >> 16) % 7]);
+            record = record.number("size", SCAN_NUMBERS[(row >> 16) % 8]);
         }
         table.insert(record.build()).unwrap();
     }
