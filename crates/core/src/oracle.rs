@@ -1,5 +1,5 @@
 //! The single trusted reference for partial matching: the seed's full-scan/full-sort
-//! pipeline, kept verbatim.
+//! pipeline, kept verbatim but for one rule.
 //!
 //! [`full_scan_partial_answers`] materializes every relaxation's result, scores each
 //! record through string-based similarity lookups, keeps an unbounded per-record best
@@ -7,12 +7,37 @@
 //! serving path calls it; the equivalence tests (`tests/topk_equivalence.rs`,
 //! `tests/properties.rs`, the `partial` unit tests) hold the production engine
 //! ([`crate::partial`]) to byte-identical output ([`PartialAnswer::bits_eq`]).
+//!
+//! **The relaxation rule.** In a question without a superlative, the relaxation of a
+//! categorical condition `attr = v` offers only the records of its query `E₋ᵢ` (the
+//! question without condition `i`) that do not hold `v`. A record of `E₋ᵢ` holding
+//! `v` (the set `Sᵢ`, as
+//! [`CompiledProbe::satisfied`](crate::ranking::CompiledProbe::satisfied) decides it)
+//! satisfies every condition, so it is an exact answer, not a new one: `E₋ᵢ ∩ Sᵢ ⊆ E`,
+//! the question's exact answers. That holds for one segment and for OR segments,
+//! same-attribute OR groups, duplicated conditions, negations and `Between`, and
+//! `tests/properties.rs` checks it on generated questions. The engine partially
+//! matches only after the exact phase returned all of `E`, and excludes exactly `E`,
+//! so the rule removes nothing a production caller sees. With an arbitrary `exclude`
+//! it does: the rule is part of what this reference defines.
+//!
+//! The rule covers nothing else, because the lemma does not:
+//! - Under a superlative, a relaxation that drops an OR branch (its only condition)
+//!   takes its extreme over fewer records than the question does. "cheapest blue car
+//!   or honda": the cheapest honda may be blue and still dearer than a blue toyota,
+//!   so it holds `blue` without being an exact answer.
+//! - A numeric probe's satisfaction is not the query's: an incomplete condition
+//!   ("honda accord under 5000", no attribute) is satisfied by any numeric column in
+//!   the probe but only by the columns whose range holds the value in the query — a
+//!   2005 `year` is under 5000.
+//! - A negated categorical relaxation keeps its exhaustive scan.
+//! - A single-condition question's candidates are the whole table, not `E₋₀`.
 
 use crate::domain::DomainSpec;
 use crate::error::CqadsResult;
 use crate::partial::{degree_of_match, PartialAnswer};
 use crate::ranking::{CompiledProbe, ProbeScorer, SimilarityModel};
-use crate::translate::Interpretation;
+use crate::translate::{ConditionSketch, Interpretation};
 use addb::{Executor, RecordId, Table};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -66,8 +91,14 @@ pub fn full_scan_partial_answers(
                 Ok(a) => a,
                 Err(_) => continue,
             };
+            // The relaxation rule (module docs): without a superlative, a categorical
+            // relaxation skips the records holding its value.
+            let rule = interpretation.superlatives.is_empty()
+                && matches!(relaxed, ConditionSketch::Categorical { negated: false, .. });
+            let own_value = rule.then(|| similarity.compile(relaxed, table));
             for answer in answers {
-                if exclude.contains(&answer.id) {
+                let holds_value = own_value.as_ref().is_some_and(|p| p.satisfied(answer.id));
+                if exclude.contains(&answer.id) || holds_value {
                     continue;
                 }
                 let Some(record) = table.get(answer.id) else {

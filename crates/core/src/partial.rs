@@ -26,6 +26,10 @@
 //! * Categorical relaxations traverse the relaxed column **value by value in
 //!   descending similarity order** with threshold pruning — WAND-style — instead of
 //!   scoring every candidate (next section).
+//! * The relaxations themselves run **best bound first**, and in a question without
+//!   a superlative **no categorical relaxation offers a record that still holds its
+//!   relaxed value** — such a record matches all N conditions, so it is an exact
+//!   answer, not a new one (section after next).
 //!
 //! For a question with `k` relaxations whose candidate streams total `C` ids, the
 //! engine runs in `O(C · (log budget + s))` time and `O(budget)` extra space besides
@@ -43,17 +47,19 @@
 //! is the candidate's value for the relaxed attribute — the score depends **only on
 //! `V`**, never on the rest of the record. The engine exploits this:
 //!
-//! 1. [`CompiledProbe::value_order`](crate::ranking::CompiledProbe::value_order) walks
-//!    the column's value directory ([`addb::ValueIndex`]) once and scores every
-//!    distinct value **exactly**, sorting descending. The per-value similarity is
-//!    therefore a *tight upper bound*: every record carrying `v` scores exactly
-//!    `(N−1) + sim(v)`, bit for bit.
+//! 1. [`CompiledProbe::value_order`](crate::ranking::CompiledProbe::value_order)
+//!    walks the column's value directory ([`addb::ValueIndex`]) once and scores every
+//!    distinct value **exactly**, sorting descending; `CompiledProbe::unsatisfied_order`
+//!    leaves out the relaxed value itself, which then is **never a run** (next
+//!    section). The per-value similarity is therefore a *tight upper bound*: every
+//!    record carrying `v` scores exactly `(N−1) + sim(v)`, bit for bit.
 //! 2. The traversal visits values best-first. Before each run of equal-similarity
 //!    values it asks the heap whether `(N−1) + sim` can still beat the current worst
 //!    live entry (`TopK::can_beat`). Because later values bound lower and the worst
 //!    live score of a full heap never decreases, a failed check ends the relaxation:
 //!    the posting lists of all remaining values — and the zero-similarity residual —
-//!    are **never opened**.
+//!    are **never opened**. The relaxations are visited the same way, best bound
+//!    first, so a failed check before a relaxation's first run ends the question.
 //! 3. A surviving single value drains `rest ∩ postings(v)` through the galloping
 //!    intersection; an equal-similarity run merges its posting lists with one
 //!    [`ScoredUnion`] and leapfrogs it against `rest` in a single pass. `rest` is the
@@ -62,27 +68,33 @@
 //!    for a relaxation pruned before its first run — so a relaxation that drains
 //!    twenty runs plans, and applies its superlative, once. For single-condition
 //!    questions `rest` is the whole table, and the O(table) similarity scan collapses
-//!    to the same pruned traversal.
+//!    to the same pruned traversal over the full `value_order`: the relaxation rule
+//!    does not apply to them (next section).
 //! 4. The residual pass (zero-similarity values plus records missing the attribute,
 //!    all scoring exactly `N−1`) runs only when the threshold still admits a zero
-//!    similarity, as the plain exhaustive scan.
+//!    similarity, as the plain exhaustive scan. When the relaxed value is left out,
+//!    the residual skips the records its run would have held.
 //!
 //! **Why pruning is lossless (byte-identical answers).** The final heap content is
-//! invariant under the order in which `(id, score)` pairs are offered within one
-//! relaxation: scores are per-value constants, the `(rank_sim desc, id asc)` order is
-//! total, and per-record dedup across relaxations keeps the first relaxation achieving
-//! the record's best score — which only depends on relaxations being visited in `skip`
-//! order, preserved here. A pruned offer is one that scores strictly below the current
-//! worst of a *full* heap; since that worst never decreases, the offer would be
-//! rejected now and at every later point, so skipping it changes nothing. The residual
-//! pass may re-offer ids already offered by a value run at the same score; an equal
-//! re-offer is provably a no-op (`TopK::offer` updates only on strict improvement,
-//! and an evicted or rejected entry stays below the monotone threshold). The same
-//! holds per worker in the sharded fan-out — each worker's private heap prunes against
-//! its own (lower, hence still admissible) threshold, *raised* by a shared atomic
-//! threshold published across workers (next paragraph). The equivalence tests
-//! (`tests/topk_equivalence.rs`) assert byte-identity against the full-scan oracle
-//! ([`crate::oracle`]) across skewed and uniform value distributions.
+//! invariant under the order in which `(id, score)` pairs are offered: scores are
+//! per-value constants within a run, the `(rank_sim desc, id asc)` order is total,
+//! and per-record dedup across relaxations keeps the record's **best score and,
+//! among equal best scores, the smallest relaxed index** (with its measure) — a
+//! rule no offer order can change, so relaxations may run in any order. A pruned
+//! offer is one that scores strictly below the current worst of a *full* heap;
+//! since that worst never decreases, the offer would be rejected now and at every
+//! later point, so skipping it changes nothing (a live record at the worst score
+//! never has an id above the worst's, so no pruned offer is an equal-score offer to
+//! a live record either). The residual pass may re-offer ids already offered by a
+//! value run of the same relaxation at the same score; such a re-offer is provably a
+//! no-op (`TopK::offer` updates only on a better score or, at an equal one, a
+//! smaller index, and an evicted or rejected entry stays below the monotone
+//! threshold). The same holds per worker in the sharded fan-out — each worker's
+//! private heap prunes against its own (lower, hence still admissible) threshold,
+//! *raised* by a shared atomic threshold published across workers (next
+//! paragraph). The equivalence tests (`tests/topk_equivalence.rs`) assert
+//! byte-identity against the full-scan oracle ([`crate::oracle`]) across skewed and
+//! uniform value distributions.
 //!
 //! **The shared WAND threshold.** In the sharded fan-out each worker additionally
 //! publishes the worst live score of its *full* heap into one atomic cell per
@@ -94,9 +106,54 @@
 //! id tie-breaks at the threshold are untouched. Byte-identity survives the racy
 //! publication order because every offer at a surviving record's best score is at
 //! least the final global worst, hence at least any published value at any earlier
-//! time — such offers are never pruned, so per-record dedup ("first relaxation
-//! achieving the best score") resolves exactly as in the sequential engine, no
+//! time — such offers are never pruned, so per-record dedup ("best score, then
+//! smallest relaxed index") resolves exactly as in the sequential engine, no
 //! matter how the atomic raises interleave.
+//!
+//! # Relaxations best bound first, and the relaxation rule
+//!
+//! **The rule: in a question without a superlative, a categorical relaxation offers
+//! only records that miss its value** — the rule the fallback's near layer follows
+//! too. The relaxation of `attr = v` walks `E₋ᵢ`, the records of the question
+//! without condition `i`. A record of `E₋ᵢ` holding `v` (the set `Sᵢ`,
+//! [`CompiledProbe::satisfied`](crate::ranking::CompiledProbe::satisfied)) satisfies
+//! all `N` conditions: `E₋ᵢ ∩ Sᵢ ⊆ E`, the exact answers. That holds for one segment
+//! and OR segments, same-attribute OR groups, duplicated conditions, `Between` and
+//! negations, and `tests/properties.rs`
+//! (`a_relaxation_finds_no_new_record_its_condition_matches`) checks it on generated
+//! questions. The engine runs only when the exact phase returned all of `E` (a
+//! partial budget above zero means fewer exact answers than the page), and every
+//! production caller excludes exactly `E`, so the rule removes only records that
+//! are excluded anyway; the engine does not need `exclude` to keep them out. The
+//! oracle applies the same rule ([`crate::oracle`]), so the two agree under any
+//! `exclude`. So such a relaxation leaves `v` out of its order (its run would be
+//! `E₋ᵢ ∩ Sᵢ`), and its residual skips `Sᵢ`.
+//!
+//! Nothing else skips, because the lemma holds nowhere else:
+//!
+//! * Under a superlative, a relaxation that drops an OR branch (its only condition)
+//!   takes its extreme over fewer records than the question does: in "cheapest blue
+//!   car or honda" the cheapest honda may be blue and still dearer than a blue
+//!   toyota. A superlative question walks the full `value_order`; its relaxations
+//!   keep one extreme each, so its own-value runs are short.
+//! * A numeric probe's satisfaction is not the query's: an incomplete condition
+//!   ("honda accord under 5000", no attribute) is satisfied by any numeric column in
+//!   the probe — a 2005 `year` is under 5000 — but only by the columns whose range
+//!   holds the value in the query.
+//! * A negated categorical relaxation keeps its exhaustive scan.
+//! * A single-condition question keeps its own value: its candidates are the whole
+//!   table, not `E₋₀`, and under a superlative ("cheapest honda") the hondas that are
+//!   not the cheapest hold its value without being exact answers.
+//!
+//! **Best bound first.** Each plan's `start_bound` is `(N−1) +` its best remaining
+//! value similarity — the relaxed value is gone, so often well below 1 — or
+//! `(N−1) + 1` for an exhaustive (numeric or negated) arm. The plans are sorted by
+//! it, descending and stable, so a numeric relaxation, whose `Num_Sim` is often
+//! near 1, usually runs first and fills the heap; a categorical relaxation after it
+//! then fails its first `TopK::can_beat` before it drains its candidates, and a
+//! plan the heap cannot take ends the question, every later plan bounding no
+//! higher. This is the threshold algorithm (Fagin, Lotem & Naor, PODS 2001) and
+//! WAND (Broder et al., CIKM 2003) applied one level up, to the relaxations.
 //!
 //! When the index-driven pass cannot fill the budget — sparse data, where every
 //! relaxation collapses to the already-returned exact answers, and above all
@@ -122,10 +179,11 @@
 //!   `min(K−1, N−1)` instead of `N−1`, and it runs through the same value-ordered
 //!   traversal as phase 1 (runs best first, `TopK::can_beat` before each,
 //!   `TopK::ascending_run_alive` inside, the residual last) over the candidates
-//!   `∩ⱼ≠ᵢ Sⱼ`. The value probe `i` is satisfied by is left out of its order, and the
-//!   records holding it — layer K's — are skipped with phase 1's, so none is offered
-//!   a score it does not have. Its similarity (often 1.0) would otherwise tie the
-//!   worst of a heap full of layer-K entries and open a run for nothing.
+//!   `∩ⱼ≠ᵢ Sⱼ`. As in phase 1, the value probe `i` is satisfied by is left out of
+//!   its order, and the records holding it — layer K's — are skipped with phase 1's,
+//!   so none is offered a score it does not have. Its similarity (often 1.0) would
+//!   otherwise tie the worst of a heap full of layer-K entries and open a run for
+//!   nothing.
 //!
 //! The branches are disjoint (a record outside `Sᵢ` and `Sₖ` is in neither), so
 //! every near match is offered its own score once, or again at the same score, and
@@ -152,9 +210,9 @@
 //! Sharding by id (rather than by relaxation) keeps the merge **deterministic and
 //! byte-identical** to the sequential engine:
 //!
-//! * a given record is scored by exactly one worker, which sees its relaxations in the
-//!   same `skip` order as the sequential loop — so per-record dedup resolves ties
-//!   ("keep the first relaxation achieving the best score") identically;
+//! * a given record is scored by exactly one worker, and per-record dedup ("best
+//!   score, then smallest relaxed index") does not depend on the order its offers
+//!   arrive in — so it resolves ties identically;
 //! * worker heaps therefore hold *disjoint* id sets, and offering distinct-id entries
 //!   into a bounded heap retains exactly the global top-`budget` under the strict
 //!   `(rank_sim desc, id asc)` order, regardless of offer order;
@@ -197,15 +255,17 @@
 //!
 //! * cut before a question starts → the question's precomputed maximum possible
 //!   score (`(N−1) +` the best value similarity, or `(N−1) + 1` for exhaustive
-//!   arms);
-//! * cut before relaxation plan `i` → the suffix maximum of the remaining plans'
-//!   start bounds;
+//!   arms) — the first plan's start bound;
+//! * cut before relaxation plan `i` → plan `i`'s start bound: plans run best bound
+//!   first, so it bounds every later plan too;
 //! * cut inside a value run at similarity `s` → `(N−1) + s` (later runs bound
-//!   lower, the residual bounds at `(N−1)`), maxed with the remaining plans'
-//!   suffix bound;
+//!   lower, the residual bounds at `(N−1)`), maxed with the next plan's start
+//!   bound;
 //! * cut inside the residual → `(N−1)` (unvisited residual candidates score
 //!   exactly the base; any higher-scoring id the residual could meet is a re-offer
-//!   the heap provably ignores), again maxed with the remaining plans;
+//!   the heap provably ignores), again maxed with the next plan's start bound;
+//! * cut inside an exhaustive arm → that plan's start bound (its stream is
+//!   unordered in score);
 //! * any cut that touches the degree-of-match fallback — in either index layer or in
 //!   its scan → `N` (its scores are bounded by `min(matched, N−1) + 1`).
 //!
@@ -632,22 +692,32 @@ impl<'a> PartialMatcher<'a> {
                     },
                     PreparedKind::Multi(plans) => {
                         'plans: for (pi, plan) in plans.iter().enumerate() {
+                            // Plans run best bound first: once the heap cannot take
+                            // this plan's bound, it cannot take any later plan's.
+                            if !topk.can_beat(plan.start_bound) {
+                                break 'plans;
+                            }
                             if let Some(m) = &meter {
                                 if m.cut() {
-                                    // Cut between plans: the suffix maximum of the
-                                    // remaining plans' start bounds covers every
-                                    // offer they could have made.
-                                    bounds[q] = bounds[q].max(plan.tail_bound);
+                                    // Cut between plans: this plan's start bound is
+                                    // the highest of the remaining ones.
+                                    bounds[q] = bounds[q].max(plan.start_bound);
                                     break 'plans;
                                 }
                             }
                             let later_bound = || {
                                 plans
                                     .get(pi + 1)
-                                    .map_or(f64::NEG_INFINITY, |p| p.tail_bound)
+                                    .map_or(f64::NEG_INFINITY, |p| p.start_bound)
                             };
                             match &plan.values {
                                 Some(order) => {
+                                    // A record holding the relaxed value matches every
+                                    // condition: an exact answer, not a new one.
+                                    let skip = |id| {
+                                        prep.excluded(id)
+                                            || (plan.skips_value && plan.probe.satisfied(id))
+                                    };
                                     // The remaining N−1 conditions, drained once: every
                                     // later run intersects the list instead of
                                     // re-planning the query (and re-applying a
@@ -668,7 +738,7 @@ impl<'a> PartialMatcher<'a> {
                                         &plan.probe,
                                         plan.skip,
                                         prep.base(),
-                                        |id| prep.excluded(id),
+                                        skip,
                                         make_rest,
                                         meter.as_ref(),
                                     ) {
@@ -712,9 +782,10 @@ impl<'a> PartialMatcher<'a> {
                                             if cut {
                                                 // Mid-stream cut: the stream is
                                                 // unordered in score, so the whole
-                                                // plan's start bound (⊆ tail_bound)
-                                                // must cover the remainder.
-                                                bounds[q] = bounds[q].max(plan.tail_bound);
+                                                // plan's start bound — the highest
+                                                // of the remaining plans' — must
+                                                // cover the remainder.
+                                                bounds[q] = bounds[q].max(plan.start_bound);
                                                 break 'plans;
                                             }
                                         }
@@ -881,38 +952,40 @@ impl<'a> PartialMatcher<'a> {
             // Build each relaxation's plan once; workers share them read-only.
             // Interpretation errors for a particular relaxation (e.g. the removed
             // condition resolved a contradiction) simply skip that relaxation.
+            let skips_value = interpretation.superlatives.is_empty();
             let mut plans: Vec<RelaxationPlan<'m>> = sketches
                 .iter()
                 .enumerate()
                 .filter_map(|(skip, relaxed)| {
                     let query = interpretation.to_query_excluding(self.spec, skip).ok()?;
                     let probe = self.similarity.compile(relaxed, table);
-                    let values = probe.value_order();
+                    let values = if skips_value {
+                        probe.unsatisfied_order()
+                    } else {
+                        probe.value_order()
+                    };
                     let start_bound = arm_bound(&values);
                     Some(RelaxationPlan {
                         skip,
                         query,
                         probe,
                         values,
+                        skips_value,
                         start_bound,
-                        tail_bound: f64::NEG_INFINITY,
                     })
                 })
                 .collect();
-            // Suffix maxima: `tail_bound` of plan `i` covers every offer plans
-            // `i..` could make — what a deadline cut before plan `i` certifies
-            // against.
-            let mut tail = f64::NEG_INFINITY;
-            for plan in plans.iter_mut().rev() {
-                tail = tail.max(plan.start_bound);
-                plan.tail_bound = tail;
-            }
+            // Best bound first (stable, so equal bounds keep condition order): the
+            // first plans fill the heap that prunes the later ones.
+            plans.sort_by(|a, b| b.start_bound.total_cmp(&a.start_bound));
             PreparedKind::Multi(plans)
         };
         let max_start_bound = match &kind {
             PreparedKind::Inert => f64::NEG_INFINITY,
             PreparedKind::Single { values, .. } => arm_bound(values),
-            PreparedKind::Multi(plans) => plans.first().map_or(f64::NEG_INFINITY, |p| p.tail_bound),
+            PreparedKind::Multi(plans) => {
+                plans.first().map_or(f64::NEG_INFINITY, |p| p.start_bound)
+            }
         };
         PreparedQuestion {
             n,
@@ -1129,8 +1202,9 @@ fn drained_once<'c, 's>(
 /// Every candidate scores `base + sim` and is offered under condition index
 /// `relaxed`: phase 1 relaxes condition `relaxed` over the base `N−1`, the
 /// fallback's near layer misses probe `relaxed` alone over `min(K−1, N−1)`. `skip`
-/// names the candidates never offered: the exact answers, and in the fallback also
-/// the records phase 1 found and those the probe is satisfied by.
+/// names the candidates never offered: the excluded records, those the probe is
+/// satisfied by when the relaxation rule applies (module docs), and in the fallback
+/// also the records phase 1 found.
 ///
 /// `make_rest` produces the candidate stream of the remaining conditions inside the
 /// worker's shard (the shard itself for single-condition questions, a posting list
@@ -1299,19 +1373,26 @@ fn drain_union(
 /// exhaustive scan). Built once per question and shared read-only across all workers
 /// (every member is `Sync`); what a worker derives from it — the query's candidates,
 /// drained into a posting list inside its id range — stays private to that worker.
+/// A question's plans are sorted by `start_bound`, best first.
 #[derive(Debug)]
 struct RelaxationPlan<'m> {
+    /// Index of the relaxed condition in [`Interpretation::all_sketches`] order.
     skip: usize,
     query: Query,
     probe: CompiledProbe<'m>,
-    /// Distinct values of the relaxed column, scored exactly and sorted descending.
+    /// Distinct values of the relaxed column, scored exactly and sorted descending:
+    /// all but the one the probe is satisfied by when `skips_value` holds
+    /// ([`CompiledProbe::unsatisfied_order`]), every one otherwise.
     values: Option<ValueOrder<'m>>,
-    /// Upper bound on every score this plan can offer (its best value similarity
-    /// over the base, or `base + 1` for the exhaustive arm).
+    /// Whether a categorical relaxation leaves out the records holding its value —
+    /// the relaxation rule, which holds for questions without a superlative (module
+    /// docs).
+    skips_value: bool,
+    /// Upper bound on every score this plan can offer: its best value similarity
+    /// over the base, or `base + 1` for the exhaustive arm. In the sorted order it
+    /// also bounds every later plan, so it is what a deadline cut landing before
+    /// this plan certifies against.
     start_bound: f64,
-    /// Suffix maximum of `start_bound` over this plan and every later one — the
-    /// certification bound for a deadline cut landing before this plan.
-    tail_bound: f64,
 }
 
 /// One question of a [`PartialMatcher::partial_answers_batch_budgeted`] call.
@@ -1319,7 +1400,10 @@ struct RelaxationPlan<'m> {
 pub struct PartialBatchRequest<'q> {
     /// The interpreted question.
     pub interpretation: &'q Interpretation,
-    /// Record ids already returned as exact answers.
+    /// Record ids already returned as exact answers. The matcher does not depend on
+    /// it to keep a categorical relaxation's exact matches out: in a question
+    /// without a superlative, no such relaxation offers a record that holds its
+    /// relaxed value (module docs).
     pub exclude: &'q HashSet<RecordId>,
     /// Maximum number of partial answers for this question.
     pub budget: usize,
@@ -1656,24 +1740,31 @@ impl TopK {
                 return;
             }
         }
-        // Threshold fast path: once the heap is full, a candidate at or below the
-        // cached worst live entry (in `(score, id)` order) can neither enter as a new
+        // Threshold fast path: once the heap is full, a candidate below the cached
+        // worst live entry (in `(score, id)` order) can neither enter as a new
         // record nor improve a live one — every live score is `>=` the worst score,
-        // and an improvement must be *strictly* greater than its record's current
-        // score. Rejecting here costs two comparisons and touches neither the hash
-        // map nor the heap, which is the common case once the top-k stabilizes.
+        // and a live record at the worst score has an id `<=` the worst's. Only the
+        // worst entry itself may take an equal offer (a smaller relaxed index).
+        // Rejecting here costs two comparisons and touches neither the hash map nor
+        // the heap, which is the common case once the top-k stabilizes.
         if let Some((worst_score, worst_id)) = self.cached_worst {
             match score.partial_cmp(&worst_score).unwrap_or(Ordering::Equal) {
                 Ordering::Less => return,
-                Ordering::Equal if id >= worst_id => return,
+                Ordering::Equal if id > worst_id => return,
                 _ => {}
             }
         }
         let full = self.live.len() >= self.budget;
         if let Some((gen, existing)) = self.live.get_mut(&id) {
-            // Per-record dedup: keep the best relaxation; ties keep the first seen,
-            // matching the original pipeline's `consider`.
-            if score > existing.rank_sim {
+            // Per-record dedup: keep the best score and, among offers of that
+            // score, the smallest relaxed index — what the oracle's first-seen
+            // rule keeps, since it visits relaxations in index order. The entry
+            // then depends on no offer order: not on the plans' best-bound-first
+            // order, nor on workers or parts.
+            if score == existing.rank_sim && relaxed < existing.relaxed_condition {
+                existing.measure = measure;
+                existing.relaxed_condition = relaxed;
+            } else if score > existing.rank_sim {
                 existing.rank_sim = score;
                 existing.measure = measure;
                 existing.relaxed_condition = relaxed;
@@ -1979,6 +2070,40 @@ mod tests {
     }
 
     #[test]
+    fn topk_dedup_keeps_the_smallest_relaxed_index_in_any_offer_order() {
+        // Record 7's best score comes from relaxations 3, 1 and 2, each under its own
+        // measure; index 1 and its measure must win whatever order the offers arrive
+        // in — also when record 7 is the worst entry of a full heap, where an equal
+        // re-offer has to get past the threshold fast path.
+        let measures = [
+            SimilarityMeasure::None,
+            SimilarityMeasure::TiSim,
+            SimilarityMeasure::NumSim,
+            SimilarityMeasure::FeatSim,
+        ];
+        for order in [[3usize, 1, 2], [2, 1, 3]] {
+            for budget in [2usize, 30] {
+                let mut topk = TopK::new(budget);
+                topk.offer(RecordId(1), 0.9, SimilarityMeasure::None, 0);
+                topk.offer(RecordId(7), 0.2, SimilarityMeasure::None, 0);
+                for relaxed in order {
+                    topk.offer(RecordId(7), 0.5, measures[relaxed], relaxed);
+                }
+                if budget == 2 {
+                    assert_eq!(topk.cached_worst, Some((0.5, RecordId(7))));
+                }
+                let out = topk.into_sorted();
+                let kept = out.iter().find(|a| a.id == RecordId(7)).unwrap();
+                assert_eq!(
+                    (kept.rank_sim, kept.relaxed_condition, kept.measure),
+                    (0.5, 1, SimilarityMeasure::TiSim),
+                    "offers {order:?}, budget {budget}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn topk_zero_budget_collects_nothing() {
         let mut topk = TopK::new(0);
         topk.offer(RecordId(0), 1.0, SimilarityMeasure::None, 0);
@@ -2124,9 +2249,10 @@ mod tests {
         }
         compare(&colorless, "blue honda accord", "empty relaxed column");
 
-        // All-sub-threshold: with budget 1 the exact-model accords saturate the heap
-        // at sim 1.0 and every other model value must be pruned, including the
-        // zero-similarity tail.
+        // All-sub-threshold: the model and make relaxations run first and find only
+        // the blue honda accord, which holds their values; with budget 1 the gold
+        // accord then saturates the heap in the color relaxation and every lower
+        // color value must be pruned, including the zero-similarity tail.
         let (_, table, sim2) = setup();
         let wand2 = PartialMatcher::new(&spec, &sim2);
         let interp = interpret(&tagger.tag("blue honda accord"), &spec).unwrap();
@@ -2307,6 +2433,179 @@ mod tests {
                 }
             }
         }
+
+        // "honda blue under 10000": the numeric condition comes last, but its
+        // relaxation runs first — its bound `(N−1) + 1` beats the make relaxation's
+        // 2 + TI_Sim(honda, toyota) and the color relaxation's 2 + 0.45, since no
+        // categorical order holds its own value. Two more blue hondas fill the heap
+        // in the numeric relaxation with a worst below the make relaxation's bound,
+        // so the make relaxation still runs, and a cut before it certifies exactly
+        // the numeric entries above its start bound.
+        let (spec, mut table, sim) = setup();
+        table
+            .insert(car("honda", "accord", "blue", 12_000.0))
+            .unwrap();
+        table
+            .insert(car("honda", "civic", "blue", 50_000.0))
+            .unwrap();
+        let interp = question(
+            vec![
+                categorical("make", "honda"),
+                categorical("color", "blue"),
+                ConditionSketch::Numeric {
+                    attribute: Some("price".into()),
+                    op: BoundaryOp::Lt,
+                    value: 10_000.0,
+                    value2: None,
+                    negated: false,
+                },
+            ],
+            false,
+        );
+        let request = PartialBatchRequest {
+            interpretation: &interp,
+            exclude: &exclude,
+            budget: 3,
+        };
+        let matcher = PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers: 1 });
+        let PreparedKind::Multi(plans) = matcher.prepare_question(&request, &table).kind else {
+            panic!("a three-condition question has relaxation plans");
+        };
+        let order: Vec<usize> = plans.iter().map(|p| p.skip).collect();
+        assert_eq!(order, vec![2, 0, 1], "relaxations run best bound first");
+        let full = &per_request(&matcher, &[request], &table)[0];
+        let mut between = 0;
+        for deadline in 0..8u64 {
+            let clock = Arc::new(SteppingClock {
+                now: std::sync::atomic::AtomicU64::new(0),
+                step: 1,
+            });
+            let budget = QueryBudget::new(clock as Arc<dyn RetryClock>, deadline);
+            let outcome = take_single(
+                matcher
+                    .partial_answers_batch_budgeted(&[request], &table, Some(&budget))
+                    .unwrap(),
+            )
+            .unwrap();
+            let context = format!("reordered plans, deadline {deadline}");
+            assert!(outcome.answers.len() <= full.len(), "{context}");
+            assert_bit_identical(&outcome.answers, &full[..outcome.answers.len()], &context);
+            if outcome.degraded && outcome.cut_bound == plans[1].start_bound {
+                // Cut between the numeric and the make relaxation: the numeric
+                // relaxation's entries above the make relaxation's bound survive.
+                let kept: Vec<usize> = outcome
+                    .answers
+                    .iter()
+                    .map(|a| a.relaxed_condition)
+                    .collect();
+                assert_eq!(kept, vec![2, 2], "{context}");
+                between += 1;
+            }
+        }
+        assert_eq!(
+            between, 1,
+            "exactly one deadline cuts between the first two plans"
+        );
+    }
+
+    #[test]
+    fn a_single_condition_question_keeps_the_records_its_condition_matches() {
+        // "cheapest honda": one sketch and a superlative, N = 2. The exact answer is
+        // the cheapest honda; the other honda satisfies the one condition without
+        // being an exact answer, and it is the best partial answer (1 + TI_Sim 1.0).
+        // A single-condition question walks the whole table, not a relaxation's
+        // candidates, so the relaxation rule must not skip it.
+        let (spec, table, sim) = setup();
+        let interp = question(vec![categorical("make", "honda")], true);
+        let exact = exact_answers(&spec, &table, &interp);
+        assert_eq!(exact, [RecordId(1)].into_iter().collect());
+        let answers = PartialMatcher::new(&spec, &sim)
+            .partial_answers(&interp, &table, &exact, 30)
+            .unwrap();
+        let oracle = full_scan_partial_answers(&spec, &sim, &interp, &table, &exact, 30).unwrap();
+        assert_bit_identical(&answers, &oracle, "cheapest honda");
+        assert_eq!((answers[0].id, answers[0].rank_sim), (RecordId(0), 2.0));
+    }
+
+    #[test]
+    fn a_superlative_relaxation_keeps_the_records_holding_its_value() {
+        // "cheapest blue car or honda": relaxing `blue` drops its OR branch, so the
+        // relaxation's extreme is the cheapest honda — a blue one, dearer than the
+        // blue toyota the question itself returns. It holds the relaxed value without
+        // being an exact answer, so the relaxation must offer it.
+        let (spec, _, sim) = setup();
+        let mut table = Table::new(spec.schema.clone());
+        for (make, model, color, price) in [
+            ("toyota", "camry", "blue", 3_000.0),
+            ("honda", "accord", "blue", 5_000.0),
+            ("honda", "civic", "red", 9_000.0),
+        ] {
+            table.insert(toy_record(make, model, color, price)).unwrap();
+        }
+        let interp = Interpretation {
+            segments: vec![
+                vec![categorical("color", "blue")],
+                vec![categorical("make", "honda")],
+            ],
+            ..question(Vec::new(), true)
+        };
+        let exact = exact_answers(&spec, &table, &interp);
+        assert_eq!(exact, [RecordId(0)].into_iter().collect());
+        let answers = PartialMatcher::new(&spec, &sim)
+            .partial_answers(&interp, &table, &exact, 30)
+            .unwrap();
+        let oracle = full_scan_partial_answers(&spec, &sim, &interp, &table, &exact, 30).unwrap();
+        assert_bit_identical(&answers, &oracle, "cheapest blue car or honda");
+        let first = &answers[0];
+        assert_eq!(
+            (first.id, first.rank_sim, first.relaxed_condition),
+            (RecordId(1), 3.0, 0)
+        );
+    }
+
+    #[test]
+    fn a_numeric_relaxation_offers_records_its_probe_counts_as_matched() {
+        // "honda accord under 5000" names no attribute: the query asks the columns
+        // whose range holds 5000 (price, mileage), the probe is satisfied by any
+        // numeric column, and both accords' 2005 `year` is under 5000. Neither
+        // accord is an exact answer, so the numeric relaxation must still offer them.
+        let (spec, table, sim) = setup();
+        let tagger = Tagger::new(&spec);
+        let interp = interpret(&tagger.tag("honda accord under 5000"), &spec).unwrap();
+        assert!(matches!(
+            interp.all_sketches()[2],
+            ConditionSketch::Numeric {
+                attribute: None,
+                ..
+            }
+        ));
+        let exact = exact_answers(&spec, &table, &interp);
+        assert!(exact.is_empty());
+        let answers = PartialMatcher::new(&spec, &sim)
+            .partial_answers(&interp, &table, &exact, 30)
+            .unwrap();
+        let oracle = full_scan_partial_answers(&spec, &sim, &interp, &table, &exact, 30).unwrap();
+        assert_bit_identical(&answers, &oracle, "honda accord under 5000");
+        let relaxed: Vec<(u32, usize)> = answers[..2]
+            .iter()
+            .map(|a| (a.id.0, a.relaxed_condition))
+            .collect();
+        assert_eq!(
+            relaxed,
+            vec![(1, 2), (0, 2)],
+            "the accords, nearest 5000 first"
+        );
+    }
+
+    /// The question's exact answers: what the answering pipeline excludes.
+    fn exact_answers(
+        spec: &DomainSpec,
+        table: &Table,
+        interp: &Interpretation,
+    ) -> HashSet<RecordId> {
+        let query = interp.to_query(spec).unwrap();
+        let answers = Executor::new(table).execute(&query).unwrap();
+        answers.into_iter().map(|a| a.id).collect()
     }
 
     #[test]

@@ -493,7 +493,9 @@ impl<'m> CompiledProbe<'m> {
 
     /// The value-ordered scoring plan of this probe: every **distinct value** of the
     /// probed column, scored exactly, sorted by descending similarity — the traversal
-    /// order of the WAND-style partial scorer.
+    /// order of the WAND-style partial scorer for a single-condition question. A
+    /// relaxation of a multi-condition question walks it without the value the probe
+    /// is satisfied by (`unsatisfied_order`).
     ///
     /// The per-value similarities double as **upper bounds** for threshold pruning,
     /// and they are *tight*: a categorical cell's similarity depends only on its
@@ -563,9 +565,11 @@ impl<'m> CompiledProbe<'m> {
     }
 
     /// [`CompiledProbe::value_order`] without the value the probe is satisfied by:
-    /// the order the degree-of-match fallback walks for the records that miss this
-    /// probe alone (a record holding the value satisfies it and scores a layer
-    /// higher). `None` exactly when [`CompiledProbe::satisfying_ids`] is.
+    /// the order a relaxation of this probe walks, in the partial matcher's phase 1
+    /// and in its degree-of-match fallback. A record holding the value satisfies the
+    /// probe, so it is an exact answer rather than a relaxation's (phase 1), or it
+    /// scores a layer higher (the fallback). `None` exactly when
+    /// [`CompiledProbe::satisfying_ids`] is.
     pub(crate) fn unsatisfied_order(&self) -> Option<ValueOrder<'m>> {
         let ProbeKind::Text {
             raw_qsym,

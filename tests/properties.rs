@@ -693,6 +693,54 @@ proptest! {
             }
         }
     }
+
+    /// The lemma behind the partial matcher's relaxation rule: in a question without
+    /// a superlative, the relaxation of a categorical condition `i` (the question
+    /// without it) finds a record holding its value only if the whole question finds
+    /// it too — `E₋ᵢ ∩ Sᵢ ⊆ E`. So a relaxation that skips such records drops only
+    /// exact answers, which the partial phase excludes anyway. Same generator as
+    /// above, superlatives stripped: OR segments, duplicated conditions, negations,
+    /// `Between`, missing values and values stored nowhere. The rule leaves out what
+    /// the lemma does not cover: superlatives (a relaxation that drops an OR branch
+    /// takes its extreme over fewer records) and numeric conditions (the generator's
+    /// negated boundaries, which `interpret` never builds, are plain boundaries in
+    /// the query but negated in the probe).
+    #[test]
+    fn a_relaxation_finds_no_new_record_its_condition_matches(
+        rows in prop::collection::vec(0u32..u32::MAX, 1..240),
+        rolls in prop::collection::vec(0u32..u32::MAX, 128..129),
+    ) {
+        let table = scan_table(&rows);
+        let spec = DomainSpec::new(table.schema().clone());
+        let sim = SimilarityModel::new(
+            Arc::new(TIMatrix::default()),
+            Arc::new(WordSimMatrix::default()),
+            spec.schema.clone(),
+        );
+        let executor = Executor::new(&table);
+        let mut dice = Dice { rolls: &rolls, at: 0 };
+        for _ in 0..8 {
+            let mut interp = sparse_question(&mut dice);
+            interp.superlatives.clear();
+            let stream = |query: CqadsResult<Query>| query.ok().and_then(|q| executor.execute_stream(&q).ok());
+            let Some(exact) = stream(interp.to_query(&spec)) else { continue };
+            let exact: HashSet<RecordId> = exact.collect();
+            for (i, sketch) in interp.all_sketches().into_iter().enumerate() {
+                if !matches!(sketch, ConditionSketch::Categorical { negated: false, .. }) {
+                    continue;
+                }
+                let Some(relaxed) = stream(interp.to_query_excluding(&spec, i)) else { continue };
+                let probe = sim.compile(sketch, &table);
+                for id in relaxed {
+                    prop_assert!(
+                        !probe.satisfied(id) || exact.contains(&id),
+                        "{:?} relaxing condition {}: {:?} satisfies it but is no exact answer",
+                        interp, i, id
+                    );
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
