@@ -58,11 +58,8 @@
 //! [`Executor::execute`] **pulls one page**: without a superlative it takes
 //! `query.limit` ids off the stream and stops. Callers that need *all* matching ids
 //! (the N−1 partial matcher) consume [`Executor::execute_stream`] and decide
-//! themselves when to stop; they can also [`IdStream::restrict`] the stream to an id
-//! range, which is how the parallel partial matcher shards one query across worker
-//! threads (each worker seeks to its shard in `O(log n)` and stops at its upper
-//! bound). Whole-stream drains go through [`IdStream::into_ids`] / `for_each`, i.e.
-//! the specialized [`Iterator::fold`].
+//! themselves when to stop. Whole-stream drains go through [`IdStream::into_ids`] /
+//! `for_each`, i.e. the specialized [`Iterator::fold`].
 //!
 //! ## Superlatives: a bounded walk of the sorted index
 //!
@@ -87,9 +84,9 @@
 //! per-value posting streams through [`ScoredUnion`]: a k-way `seek_ge`-capable merge
 //! whose yielded tag identifies the constituent — and therefore the pre-computed
 //! score — an id came from. Because it exposes the same skip primitive, a union
-//! leapfrogs against galloping conjunctions and id-range shards exactly like any
-//! other stream; see `cqads::partial` for the traversal, its threshold pruning and
-//! the upper-bound contract that makes the pruning lossless.
+//! leapfrogs against galloping conjunctions exactly like any other stream; see
+//! `cqads::partial` for the traversal, its threshold pruning and the upper-bound
+//! contract that makes the pruning lossless.
 
 use crate::error::{DbError, DbResult};
 use crate::query::{BoolExpr, Comparison, Condition, Query, Superlative, SuperlativeKind};
@@ -249,7 +246,7 @@ impl ComplementCursor<'_> {
 pub enum IdStream<'a> {
     /// No matches.
     Empty,
-    /// Every record id in `[start, end)` (a `TRUE` condition, or a shard restriction).
+    /// Every record id in `[start, end)` (a `TRUE` condition, a complement's universe).
     All(std::ops::Range<u32>),
     /// Borrowed posting list with block-max skip metadata.
     Postings(PostingsCursor<'a>),
@@ -301,8 +298,8 @@ impl Iterator for IdStream<'_> {
     /// flat predicate list first (no recursive fold, which would also make
     /// monomorphization diverge on the closure types), then the base stream runs as
     /// one tight loop — straight slice iteration for cursor tails, a counted loop for
-    /// `TRUE`/restriction ranges. On the partial-match hot path most candidates come
-    /// from single posting lists and wide-range filters, so this removes the dominant
+    /// `TRUE` ranges. On the partial-match hot path most candidates come from single
+    /// posting lists and wide-range filters, so this removes the dominant
     /// per-candidate cost. A union or complement has no slice to iterate: at the root
     /// it is drained by pulling, as an operand of a conjunction it is drained once
     /// into a vector (`FlatConjunction::absorb`).
@@ -324,8 +321,8 @@ impl Iterator for IdStream<'_> {
 }
 
 /// A galloping conjunction flattened out of an [`IdStream`] tree for bulk
-/// consumption: sorted-id operands as raw slices, `TRUE`/restriction ranges reduced
-/// to one `[lo, hi)` window, boundary filters as a flat predicate list. Running it is
+/// consumption: sorted-id operands as raw slices, `TRUE` ranges reduced to one
+/// `[lo, hi)` window, boundary filters as a flat predicate list. Running it is
 /// one tight loop over the *shortest* operand — no per-element enum dispatch, no
 /// recursive seeks — with every other operand advanced by slice galloping.
 #[derive(Default)]
@@ -408,7 +405,7 @@ impl<'a> FlatConjunction<'a> {
         }
         match slices.split_first() {
             None => {
-                // Pure range scan (`TRUE` / restriction window, possibly filtered).
+                // Pure range scan (a `TRUE` window, possibly filtered).
                 let Some(hi) = hi else { return acc };
                 for v in lo..hi {
                     emit!(RecordId(v));
@@ -576,29 +573,12 @@ impl<'a> IdStream<'a> {
             return IdStream::Empty;
         }
         match (self, other) {
-            // A full-universe `TRUE` range is the identity of conjunction (every id
-            // of the other operand lies inside it; partial ranges built through
-            // `restrict` never take this arm because their `start` is non-zero or the
-            // construction below is used directly).
+            // A `TRUE` range from 0 is the identity of conjunction when every id of
+            // the other operand provably lies inside it.
             (IdStream::All(r), s) if r.start == 0 && max_possible_id_below(&s, r.end) => s,
             (s, IdStream::All(r)) if r.start == 0 && max_possible_id_below(&s, r.end) => s,
             (a, b) => IdStream::Intersect(Box::new(a), Box::new(b)),
         }
-    }
-
-    /// Restrict the stream to ids in `[bounds.start, bounds.end)`.
-    ///
-    /// The restriction is itself lazy: the first pull seeks the stream to
-    /// `bounds.start` (galloping — `O(log n)` into a posting list), and pulling stops
-    /// at the upper bound without visiting the tail. This is the sharding primitive of
-    /// the parallel partial matcher: `k` workers restrict the same query to `k`
-    /// disjoint id ranges and each pays only for its own shard.
-    pub fn restrict(self, bounds: std::ops::Range<u32>) -> IdStream<'a> {
-        if self.is_trivially_empty() || bounds.is_empty() {
-            return IdStream::Empty;
-        }
-        // The range drives: it advances in O(1) and bounds both sides of the leapfrog.
-        IdStream::Intersect(Box::new(IdStream::All(bounds)), Box::new(self))
     }
 }
 
@@ -611,9 +591,8 @@ impl<'a> IdStream<'a> {
 ///
 /// Like every [`IdStream`], it exposes [`ScoredUnion::seek_ge`], so it composes with
 /// the galloping machinery: the partial matcher leapfrogs a union against the
-/// conjunction stream of the remaining conditions and against the id-range shards of
-/// the parallel workers, and each `seek_ge` lets every constituent skip whole
-/// posting-list blocks via their block-max metadata.
+/// conjunction stream of the remaining conditions, and each `seek_ge` lets every
+/// constituent skip whole posting-list blocks via their block-max metadata.
 ///
 /// Constituents drawn from one column's [`crate::table::ValueIndex`] are disjoint by
 /// construction (a record holds one value per attribute). Should overlapping streams
@@ -995,10 +974,9 @@ impl<'a> Executor<'a> {
                 // A wide range (most of the table qualifies) is cheaper as a lazy
                 // per-record filter over the id space than as a range-sized id vector
                 // that must be collected *and re-sorted* from value order into id
-                // order — and the lazy form costs nothing to build, which also
-                // matters when parallel workers each plan the same query. Narrow
-                // ranges still materialize: their sort is small and the resulting
-                // cursor gallops. The id *set* is identical either way.
+                // order — and the lazy form costs nothing to build. Narrow ranges
+                // still materialize: their sort is small and the resulting cursor
+                // gallops. The id *set* is identical either way.
                 let count = self.table.range_count(&cond.attribute, low, high);
                 let wide = count.saturating_mul(4) >= self.table.len() && count > 256;
                 if wide {
@@ -1504,21 +1482,6 @@ mod tests {
         let list = PostingList::from_sorted(rec(&[1, 2, 3]));
         let joined = IdStream::postings(&list).intersect(IdStream::Empty);
         assert!(matches!(joined, IdStream::Empty));
-        // Restriction to an empty id range collapses too.
-        let restricted = IdStream::postings(&list).restrict(5..5);
-        assert!(matches!(restricted, IdStream::Empty));
-    }
-
-    #[test]
-    fn restrict_yields_exactly_the_ids_inside_the_bounds() {
-        let list = PostingList::from_sorted(rec(&[2, 5, 9, 11, 40, 41, 90]));
-        let collect = |bounds: std::ops::Range<u32>| -> Vec<RecordId> {
-            IdStream::postings(&list).restrict(bounds).collect()
-        };
-        assert_eq!(collect(0..100), rec(&[2, 5, 9, 11, 40, 41, 90]));
-        assert_eq!(collect(5..41), rec(&[5, 9, 11, 40]));
-        assert_eq!(collect(12..40), Vec::<RecordId>::new());
-        assert_eq!(collect(91..1000), Vec::<RecordId>::new());
     }
 
     #[test]
@@ -1629,14 +1592,15 @@ mod tests {
     // -----------------------------------------------------------------------
 
     /// `stream` yields exactly `want` — pulled one id at a time, drained through
-    /// `fold`, drained under a restriction (a lazy operand of a conjunction), and
-    /// sought from every target — and its `len_estimate` never undercounts.
+    /// `fold`, drained as the lazy operand of a conjunction, and sought from every
+    /// target — and its `len_estimate` never undercounts.
     fn assert_streams(make: impl Fn() -> IdStream<'static>, want: &[u32]) {
         let want = rec(want);
         assert!(make().len_estimate() >= want.len());
         assert_eq!(make().collect::<Vec<_>>(), want);
         assert_eq!(make().into_ids(), want);
-        assert_eq!(make().restrict(0..u32::MAX).into_ids(), want);
+        let conjunct = IdStream::Intersect(Box::new(IdStream::All(0..u32::MAX)), Box::new(make()));
+        assert_eq!(conjunct.into_ids(), want);
         let mut pulled = make();
         for left in (1..=want.len()).rev() {
             assert!(pulled.len_estimate() >= left, "{pulled:?}");

@@ -105,7 +105,7 @@ pub struct PostingList {
 impl PostingList {
     /// Build a list from ids already sorted strictly ascending — a drained id stream,
     /// say: the partial matcher materializes each relaxation's remaining conditions
-    /// through it once per worker, so every value run it drains gallops over block
+    /// through it once per relaxation, so every value run it drains gallops over block
     /// maxima like a table list. (The table builds its own lists incrementally.)
     pub fn from_sorted(ids: Vec<RecordId>) -> Self {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be ascending");

@@ -1090,10 +1090,9 @@ impl CqadsWriter {
     }
 
     /// Serve a burst of questions: classify + normalize + dedup, serve repeats from
-    /// the cache, and fan the residual misses' partial-match phases through
+    /// the cache, and run the residual misses' partial-match phases as one
     /// [`PartialMatcher::partial_answers_batch_budgeted`](crate::PartialMatcher::partial_answers_batch_budgeted)
-    /// on one thread scope per domain,
-    /// back-filling the cache for the next burst.
+    /// call per domain, back-filling the cache for the next burst.
     ///
     /// Results are positional (`results[i]` answers `questions[i]`) and element-wise
     /// identical to `ask(q).domain(classified).uncached().get()` per question —

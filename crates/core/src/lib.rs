@@ -32,8 +32,8 @@
 //!
 //! For repetitive serving traffic the same handle offers a burst front-end:
 //! [`CqadsWriter::answer_batch`] normalizes and dedups a question burst, serves
-//! repeats from a sharded, generation-invalidated answer cache ([`cache`]) and fans the
-//! residual misses' partial-match phases through one set of worker threads per domain
+//! repeats from a sharded, generation-invalidated answer cache ([`cache`]) and runs the
+//! residual misses' partial-match phases as one batched engine call per domain
 //! ([`PartialMatcher::partial_answers_batch_budgeted`](partial::PartialMatcher::partial_answers_batch_budgeted)).
 //! Inserting into a table bumps its mutation generation, and ingesting a query-log
 //! delta ([`CqadsWriter::ingest_query_log`]) bumps the domain's *model* generation;
@@ -54,7 +54,7 @@
 //! **Sharded serving** ([`shard`]) is a property of the one snapshot, not a
 //! second system: [`CqadsConfig::shards`] deals every domain's records into N
 //! part tables, reads scatter to the parts and gather through the same
-//! deterministic top-k merge the partial-match workers use, so the answer is
+//! deterministic top-k collector the partial-match engine ranks with, so the answer is
 //! byte-identical at every N; writes route to exactly one part and bump only
 //! that part's generation — see `ARCHITECTURE.md` invariant #9.
 

@@ -64,8 +64,8 @@
 //!    intersection; an equal-similarity run merges its posting lists with one
 //!    [`ScoredUnion`] and leapfrogs it against `rest` in a single pass. `rest` is the
 //!    candidate set of the remaining `N−1` conditions, drained from the executor at
-//!    most once per worker per relaxation — the first time a run is drained, never
-//!    for a relaxation pruned before its first run — so a relaxation that drains
+//!    most once per relaxation — the first time a run is drained, never for a
+//!    relaxation pruned before its first run — so a relaxation that drains
 //!    twenty runs plans, and applies its superlative, once. For single-condition
 //!    questions `rest` is the whole table, and the O(table) similarity scan collapses
 //!    to the same pruned traversal over the full `value_order`: the relaxation rule
@@ -89,26 +89,26 @@
 //! value run of the same relaxation at the same score; such a re-offer is provably a
 //! no-op (`TopK::offer` updates only on a better score or, at an equal one, a
 //! smaller index, and an evicted or rejected entry stays below the monotone
-//! threshold). The same holds per worker in the sharded fan-out — each worker's
-//! private heap prunes against its own (lower, hence still admissible) threshold,
-//! *raised* by a shared atomic threshold published across workers (next
+//! threshold). The same holds per part when a domain's records are dealt into parts
+//! (`crate::shard`) — each part's heap prunes against its own (lower, hence still
+//! admissible) threshold, *raised* by a threshold shared across the parts (next
 //! paragraph). The equivalence tests (`tests/topk_equivalence.rs`) assert
 //! byte-identity against the full-scan oracle ([`crate::oracle`]) across skewed and
 //! uniform value distributions.
 //!
-//! **The shared WAND threshold.** In the sharded fan-out each worker additionally
-//! publishes the worst live score of its *full* heap into one atomic cell per
-//! question (monotone max), and every worker prunes candidates **strictly below**
-//! the published value. This is admissible: the global top-`b` worst is at least
-//! the `b`-th best of any subset of the offers, so a full worker heap's worst is a
-//! lower bound on the final global threshold — a candidate strictly below it can
-//! never appear in the merged output. Pruning is on *strict* inequality only, so
-//! id tie-breaks at the threshold are untouched. Byte-identity survives the racy
-//! publication order because every offer at a surviving record's best score is at
-//! least the final global worst, hence at least any published value at any earlier
-//! time — such offers are never pruned, so per-record dedup ("best score, then
-//! smallest relaxed index") resolves exactly as in the sequential engine, no
-//! matter how the atomic raises interleave.
+//! **The shared WAND threshold.** In a scatter across parts each part's heap
+//! additionally publishes the worst live score of its *full* heap into one atomic
+//! cell per question ([`SharedThreshold`], monotone max), and every part prunes
+//! candidates **strictly below** the published value. This is admissible: the
+//! global top-`b` worst is at least the `b`-th best of any subset of the offers, so
+//! a full part heap's worst is a lower bound on the final global threshold — a
+//! candidate strictly below it can never appear in the merged output. Pruning is on
+//! *strict* inequality only, so id tie-breaks at the threshold are untouched.
+//! Byte-identity does not depend on when a value is published, because every offer
+//! at a surviving record's best score is at least the final global worst, hence at
+//! least any published value at any earlier time — such offers are never pruned,
+//! so per-record dedup ("best score, then smallest relaxed index") resolves exactly
+//! as in one table, in whatever order the parts raise the threshold.
 //!
 //! # Relaxations best bound first, and the relaxation rule
 //!
@@ -198,60 +198,25 @@
 //! order. A numeric or negated probe has no index set (a range, a complement); such
 //! a question scans as before.
 //!
-//! # Parallel execution
-//!
-//! The bounded engine fans out across [`std::thread::scope`] workers by **sharding the
-//! record-id space**: worker `w` re-runs *every* relaxation stream restricted
-//! ([`IdStream::restrict`](addb::IdStream::restrict)) to its contiguous id range, so
-//! it enters each posting list with one `O(log n)` galloping seek and pays only for
-//! the candidates inside its shard. Each worker scores into a private `TopK`; the
-//! heaps are then merged by re-offering every surviving entry into the main heap.
-//!
-//! Sharding by id (rather than by relaxation) keeps the merge **deterministic and
-//! byte-identical** to the sequential engine:
-//!
-//! * a given record is scored by exactly one worker, and per-record dedup ("best
-//!   score, then smallest relaxed index") does not depend on the order its offers
-//!   arrive in — so it resolves ties identically;
-//! * worker heaps therefore hold *disjoint* id sets, and offering distinct-id entries
-//!   into a bounded heap retains exactly the global top-`budget` under the strict
-//!   `(rank_sim desc, id asc)` order, regardless of offer order;
-//! * a record survives the merge iff fewer than `budget` records beat it globally —
-//!   the same records the sequential heap retains — and every score is computed by the
-//!   same pure probe, so even the float bits agree. The equivalence tests assert this
-//!   for workers ∈ {1, 2, 8} against the sequential engine.
-//!
-//! The sparse-data fallback keeps the same two-phase shape: the index pass is merged
-//! first (its merged size and found-id set are provably identical to the sequential
-//! engine's heap state at that point), then the degree-of-match pass is itself
-//! sharded: each worker walks the near-match layers inside its id range, pruning
-//! against its own heap and the shared threshold, and scans that range only if its
-//! own heap still admits the scan's bound — a full worker heap's worst bounds the
-//! merged worst from below, the admissibility argument of the shared threshold.
-//! Worker count comes from
-//! [`PartialMatchOptions::workers`] (`0` = auto-detect via
-//! `std::thread::available_parallelism`, staying sequential for small tables where
-//! spawn overhead would dominate).
-//!
-//! The seed's full-scan/full-sort pipeline lives on only as the reference the tests
-//! compare against: [`crate::oracle::full_scan_partial_answers`].
+//! Every question runs on the calling thread, over the whole table. The seed's
+//! full-scan/full-sort pipeline lives on only as the reference the tests compare
+//! against: [`crate::oracle::full_scan_partial_answers`].
 //!
 //! # Deadlines and degradation
 //!
 //! [`PartialMatcher::partial_answers_batch_budgeted`] threads an optional
-//! [`QueryBudget`] through every worker loop. Workers poll it cooperatively —
+//! [`QueryBudget`] through both passes. The engine polls it cooperatively —
 //! between questions, between relaxation plans, and every [`BUDGET_CHECK_EVERY`]
-//! scored candidates inside a drain — so cancellation needs no thread signals and
-//! costs one predictable branch per candidate when armed (and nothing at all when
-//! the budget is `None`: the unbudgeted arms are the exact pre-existing loops,
-//! fold specialization included).
+//! scored candidates inside a drain — so cancellation costs one predictable branch
+//! per candidate when armed (and nothing at all when the budget is `None`: the
+//! unbudgeted arms are the exact pre-existing loops, fold specialization included).
 //!
 //! A cut must never *silently* truncate: the contract is that a degraded answer
 //! list is a **certified prefix** of the answer list the undegraded engine would
 //! have returned, bit for bit, and is explicitly flagged
 //! ([`PartialOutcome::degraded`]). The certificate is an upper bound `B` on every
 //! score the engine could still have offered after the cut, maintained per
-//! question per worker and merged by max:
+//! question as the max over every cut:
 //!
 //! * cut before a question starts → the question's precomputed maximum possible
 //!   score (`(N−1) +` the best value similarity, or `(N−1) + 1` for exhaustive
@@ -288,22 +253,14 @@ use addb::{Executor, IdStream, PostingList, Query, RecordId, ScoredUnion, Table}
 use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::ops::Range;
 use std::sync::Arc;
 
-/// Below this many records, auto worker detection stays sequential: thread spawn and
-/// heap-merge overhead would outweigh the scan itself.
-const PARALLEL_AUTO_MIN_RECORDS: usize = 4_096;
-
-/// Hard cap on worker threads (a fan-out wider than this only adds merge work).
-const MAX_WORKERS: usize = 64;
-
-/// How many visited candidates a worker scores between deadline polls. A
+/// How many visited candidates the engine scores between deadline polls. A
 /// [`QueryBudget`] is checked at this granularity (plus once between every
 /// relaxation plan and every question), so a deadline overshoots by at most one
-/// block of scoring work per worker — cheap enough that the unbudgeted fast
-/// path stays branch-predictable, fine enough that cancellation latency stays
-/// microseconds even on mega posting lists.
+/// block of scoring work — cheap enough that the unbudgeted fast path stays
+/// branch-predictable, fine enough that cancellation latency stays microseconds
+/// even on mega posting lists.
 pub const BUDGET_CHECK_EVERY: u64 = 256;
 
 /// One partially-matched answer.
@@ -321,9 +278,9 @@ pub struct PartialAnswer {
 
 impl PartialAnswer {
     /// Bit-exact equality (`rank_sim` compared by its float bits, every other field
-    /// by value). This is the *byte-identical answers* contract every worker count,
-    /// shard count and the full-scan oracle ([`crate::oracle`]) are held to — the
-    /// single definition the equivalence tests share.
+    /// by value). This is the *byte-identical answers* contract every part count
+    /// and the full-scan oracle ([`crate::oracle`]) are held to — the single
+    /// definition the equivalence tests share.
     pub fn bits_eq(&self, other: &PartialAnswer) -> bool {
         self.id == other.id
             && self.rank_sim.to_bits() == other.rank_sim.to_bits()
@@ -358,9 +315,9 @@ pub struct PartialOutcome {
     pub cut_bound: f64,
 }
 
-/// One worker's view of a [`QueryBudget`]: a local visit counter flushed into the
+/// One pass's view of a [`QueryBudget`]: a local visit counter flushed into the
 /// shared atomic every [`BUDGET_CHECK_EVERY`] candidates (when the deadline is also
-/// polled), plus a latched cut flag so that once a worker observes expiry it stops
+/// polled), plus a latched cut flag so that once the pass observes expiry it stops
 /// paying for clock reads entirely.
 struct BudgetProbe<'b> {
     budget: &'b QueryBudget,
@@ -419,10 +376,11 @@ impl BudgetProbe<'_> {
     }
 }
 
-/// The shared WAND threshold of one question in the sharded fan-out: the monotone
-/// maximum of every worker's full-heap worst score, stored as `f64` bits. Pruning
-/// strictly below this value is admissible — see the module docs for the proof
-/// that byte-identity survives the racy publication order.
+/// The shared WAND threshold of one question across the parts of a scatter
+/// (`crate::shard`): the monotone maximum of every part's full-heap worst score,
+/// stored as `f64` bits. Pruning strictly below this value is admissible — see the
+/// module docs for the proof that byte-identity does not depend on the order the
+/// parts publish in.
 ///
 /// The type is public so `tests/interleavings.rs` can model-check the
 /// monotone-max protocol as shipped (atomics are routed through
@@ -475,20 +433,26 @@ impl SharedThreshold {
     }
 }
 
-/// Tuning for [`PartialMatcher`]. Answers are byte-identical for every setting.
+/// Ignored by [`PartialMatcher`], which runs every question on the calling thread.
+/// Kept only because `crates/benchmark` still builds it; the `[benchmark]` change of
+/// ROADMAP item 2 deletes it along with the benchmark's mirror.
 ///
 /// ```
-/// use cqads::PartialMatchOptions;
+/// use cqads::domain::toy_car_domain;
+/// use cqads::{PartialMatchOptions, PartialMatcher, SimilarityModel};
+/// use std::sync::Arc;
 ///
-/// assert_eq!(PartialMatchOptions::default().workers, 0); // auto-detect
+/// let spec = toy_car_domain();
+/// let sim = SimilarityModel::new(Arc::default(), Arc::default(), spec.schema.clone());
+/// let ignored = PartialMatchOptions { workers: 8 };
+/// assert_eq!(
+///     format!("{:?}", PartialMatcher::with_options(&spec, &sim, ignored)),
+///     format!("{:?}", PartialMatcher::new(&spec, &sim)),
+/// );
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PartialMatchOptions {
-    /// Worker threads for the id-sharded fan-out. `0` (the default) auto-detects from
-    /// `std::thread::available_parallelism`, falling back to sequential on small
-    /// tables; any explicit value is honoured as given (capped at an internal
-    /// maximum), which the equivalence tests use to force the parallel path on tiny
-    /// tables.
+    /// Ignored (see the type docs).
     pub workers: usize,
 }
 
@@ -497,30 +461,21 @@ pub struct PartialMatchOptions {
 pub struct PartialMatcher<'a> {
     spec: &'a DomainSpec,
     similarity: &'a SimilarityModel,
-    options: PartialMatchOptions,
 }
 
 impl<'a> PartialMatcher<'a> {
     /// Create a matcher for a domain and its similarity model.
     pub fn new(spec: &'a DomainSpec, similarity: &'a SimilarityModel) -> Self {
-        PartialMatcher {
-            spec,
-            similarity,
-            options: PartialMatchOptions::default(),
-        }
+        PartialMatcher { spec, similarity }
     }
 
-    /// Create a matcher with an explicit worker count.
+    /// [`PartialMatcher::new`]; `options` is ignored (see [`PartialMatchOptions`]).
     pub fn with_options(
         spec: &'a DomainSpec,
         similarity: &'a SimilarityModel,
-        options: PartialMatchOptions,
+        _options: PartialMatchOptions,
     ) -> Self {
-        PartialMatcher {
-            spec,
-            similarity,
-            options,
-        }
+        PartialMatcher::new(spec, similarity)
     }
 
     /// Retrieve and rank partially-matched answers.
@@ -545,15 +500,13 @@ impl<'a> PartialMatcher<'a> {
         Ok(take_single(self.batch_topk(&[request], table, None, false, None)?)?.answers)
     }
 
-    /// Answer a whole batch of questions in one parallel fan-out, under an
-    /// optional cooperative deadline.
+    /// Answer a whole batch of questions on the calling thread, under an optional
+    /// cooperative deadline.
     ///
     /// With `budget: None` this is element-wise identical (bit for bit) to
     /// calling [`PartialMatcher::partial_answers`] per request, but all questions
-    /// share one set of scoped worker threads per pass — the serving shape for
-    /// query bursts (per-question spawning would otherwise dominate at high
-    /// worker counts). With a
-    /// [`QueryBudget`] armed, workers poll it at
+    /// share one executor and one deadline probe per pass — the serving shape for
+    /// query bursts. With a [`QueryBudget`] armed, the engine polls it at
     /// [`BUDGET_CHECK_EVERY`]-candidate granularity; on expiry each question
     /// returns its best-so-far answers truncated to the *certified prefix* of the
     /// undegraded answer list and explicitly flagged
@@ -576,9 +529,8 @@ impl<'a> PartialMatcher<'a> {
     /// nothing about the whole table) and the WAND thresholds injected so every
     /// shard of the fan-out prunes against the *cross-shard* full-heap worst.
     /// `shared` is indexed like `requests`; pruning against a threshold another
-    /// shard raised is admissible for the gathered top-k by the same argument as
-    /// the in-table worker fan-out (module docs), because a published value is
-    /// the worst of *some* full heap of the same budget.
+    /// shard raised is admissible for the gathered top-k (module docs), because a
+    /// published value is the worst of *some* full heap of the same budget.
     pub(crate) fn partial_answers_batch_scatter(
         &self,
         requests: &[PartialBatchRequest<'_>],
@@ -592,9 +544,9 @@ impl<'a> PartialMatcher<'a> {
     /// The batch top-k engine.
     ///
     /// The per-candidate hot loop avoids every avoidable cost: relaxation plans
-    /// (query + compiled probe) are built once and shared read-only across workers,
-    /// exclusion is a binary search over a small sorted slice instead of a hash-set
-    /// probe, text scoring is memoized per distinct column value
+    /// (query + compiled probe) are built once per question, exclusion is a binary
+    /// search over a small sorted slice instead of a hash-set probe, text scoring is
+    /// memoized per distinct column value
     /// ([`ProbeScorer`](crate::ranking::ProbeScorer)) and the top-k heap rejects
     /// below-threshold candidates with two comparisons.
     fn batch_topk(
@@ -605,189 +557,170 @@ impl<'a> PartialMatcher<'a> {
         suppress_fallback: bool,
         shared_thresholds: Option<&[Arc<SharedThreshold>]>,
     ) -> CqadsResult<Vec<PartialOutcome>> {
-        let shards = shard_bounds(table.len() as u32, self.resolve_workers(table.len()));
+        let universe = 0..table.len() as u32;
         let prepared: Vec<PreparedQuestion<'_>> = requests
             .iter()
             .map(|r| self.prepare_question(r, table))
             .collect();
-        // In the multi-shard fan-out every question additionally gets a shared
-        // atomic WAND threshold the workers publish into (lossless; see the
-        // module docs). Sequential runs skip it — no atomics on that path —
-        // unless the caller injected thresholds shared *across tables* (the
-        // scatter-gather path), which must be honored even single-worker.
-        let multi_shard = shards.len() > 1;
+        // Only the scatter-gather path shares a WAND threshold, one per question
+        // *across tables* (lossless; see the module docs). One table prunes against
+        // its own heap: no atomics on that path.
         let mut heaps: Vec<TopK> = prepared
             .iter()
             .enumerate()
             .map(|(q, p)| {
-                let shared = match shared_thresholds {
-                    Some(ts) => ts.get(q).cloned(),
-                    None => multi_shard.then(|| Arc::new(SharedThreshold::new())),
-                };
+                let shared = shared_thresholds.and_then(|ts| ts.get(q).cloned());
                 TopK::with_shared(p.budget, shared)
             })
             .collect();
         // Per-question upper bound on every score a deadline cut could still have
-        // offered; `NEG_INFINITY` = the question completed losslessly. Workers
-        // record their own bound, merged by max.
+        // offered; `NEG_INFINITY` = the question completed losslessly.
         let mut bounds = vec![f64::NEG_INFINITY; requests.len()];
 
-        // Phase 1: index-driven pass, all questions per worker.
-        run_sharded(&mut heaps, &mut bounds, &shards, |shard, heaps, bounds| {
-            let meter = budget.map(BudgetProbe::new);
-            let executor = Executor::new(table);
-            for (q, (prep, topk)) in prepared.iter().zip(heaps.iter_mut()).enumerate() {
-                if let Some(m) = &meter {
-                    if m.cut() {
-                        // Cut before the question started: everything it could
-                        // have offered is covered by its precomputed maximum.
-                        bounds[q] = bounds[q].max(prep.max_start_bound);
-                        continue;
-                    }
+        // Phase 1: index-driven pass over every question.
+        let meter = budget.map(BudgetProbe::new);
+        let executor = Executor::new(table);
+        for (q, (prep, topk)) in prepared.iter().zip(heaps.iter_mut()).enumerate() {
+            if let Some(m) = &meter {
+                if m.cut() {
+                    // Cut before the question started: everything it could have
+                    // offered is covered by its precomputed maximum.
+                    bounds[q] = bounds[q].max(prep.max_start_bound);
+                    continue;
                 }
-                match &prep.kind {
-                    PreparedKind::Inert => {}
-                    PreparedKind::Single { probe, values } => match values {
-                        // Value-ordered traversal: the "rest of the conditions" of a
-                        // single-condition question is the whole table, so each
-                        // value's posting list drains directly — the O(table) scan
-                        // collapses to the few posting lists whose similarity can
-                        // still beat the threshold.
-                        Some(order) => {
-                            if let Some(cut_at) = wand_relaxation(
-                                topk,
-                                &shard,
-                                order,
-                                probe,
-                                0,
-                                prep.base(),
-                                |id| prep.excluded(id),
-                                || Some(IdStream::All(shard.clone())),
-                                meter.as_ref(),
-                            ) {
-                                bounds[q] = bounds[q].max(cut_at);
-                            }
+            }
+            match &prep.kind {
+                PreparedKind::Inert => {}
+                PreparedKind::Single { probe, values } => match values {
+                    // Value-ordered traversal: the "rest of the conditions" of a
+                    // single-condition question is the whole table, so each value's
+                    // posting list drains directly — the O(table) scan collapses to
+                    // the few posting lists whose similarity can still beat the
+                    // threshold.
+                    Some(order) => {
+                        if let Some(cut_at) = wand_relaxation(
+                            topk,
+                            order,
+                            probe,
+                            0,
+                            prep.base(),
+                            |id| prep.excluded(id),
+                            || Some(IdStream::All(universe.clone())),
+                            meter.as_ref(),
+                        ) {
+                            bounds[q] = bounds[q].max(cut_at);
                         }
-                        // Exhaustive scan: apply similarity matching directly
-                        // over the table (Section 4.3.1, last paragraph). Inherently
-                        // O(table), but scoring is allocation-free, ranking memory
-                        // stays O(budget) and the scan shards across workers like
-                        // every other pass.
-                        None => {
-                            let mut scorer = ProbeScorer::new(probe);
-                            for id in shard.clone().map(RecordId) {
-                                if let Some(m) = &meter {
-                                    if m.visit() {
-                                        bounds[q] = bounds[q].max(prep.max_start_bound);
-                                        break;
-                                    }
+                    }
+                    // Exhaustive scan: apply similarity matching directly over the
+                    // table (Section 4.3.1, last paragraph). Inherently O(table), but
+                    // scoring is allocation-free and ranking memory stays O(budget).
+                    None => {
+                        let mut scorer = ProbeScorer::new(probe);
+                        for id in universe.clone().map(RecordId) {
+                            if let Some(m) = &meter {
+                                if m.visit() {
+                                    bounds[q] = bounds[q].max(prep.max_start_bound);
+                                    break;
                                 }
-                                if prep.excluded(id) {
-                                    continue;
-                                }
-                                let (score, measure) = scorer.rank_sim(prep.n, id);
-                                topk.offer(id, score, measure, 0);
                             }
+                            if prep.excluded(id) {
+                                continue;
+                            }
+                            let (score, measure) = scorer.rank_sim(prep.n, id);
+                            topk.offer(id, score, measure, 0);
                         }
-                    },
-                    PreparedKind::Multi(plans) => {
-                        'plans: for (pi, plan) in plans.iter().enumerate() {
-                            // Plans run best bound first: once the heap cannot take
-                            // this plan's bound, it cannot take any later plan's.
-                            if !topk.can_beat(plan.start_bound) {
+                    }
+                },
+                PreparedKind::Multi(plans) => {
+                    'plans: for (pi, plan) in plans.iter().enumerate() {
+                        // Plans run best bound first: once the heap cannot take this
+                        // plan's bound, it cannot take any later plan's.
+                        if !topk.can_beat(plan.start_bound) {
+                            break 'plans;
+                        }
+                        if let Some(m) = &meter {
+                            if m.cut() {
+                                // Cut between plans: this plan's start bound is the
+                                // highest of the remaining ones.
+                                bounds[q] = bounds[q].max(plan.start_bound);
                                 break 'plans;
                             }
-                            if let Some(m) = &meter {
-                                if m.cut() {
-                                    // Cut between plans: this plan's start bound is
-                                    // the highest of the remaining ones.
-                                    bounds[q] = bounds[q].max(plan.start_bound);
+                        }
+                        let later_bound = || {
+                            plans
+                                .get(pi + 1)
+                                .map_or(f64::NEG_INFINITY, |p| p.start_bound)
+                        };
+                        match &plan.values {
+                            Some(order) => {
+                                // A record holding the relaxed value matches every
+                                // condition: an exact answer, not a new one.
+                                let skip = |id| {
+                                    prep.excluded(id)
+                                        || (plan.skips_value && plan.probe.satisfied(id))
+                                };
+                                // The remaining N−1 conditions, drained once: every
+                                // later run intersects the list instead of re-planning
+                                // the query (and re-applying a superlative).
+                                let rest = OnceCell::new();
+                                let make_rest = || {
+                                    drained_once(&rest, || {
+                                        executor.execute_stream(&plan.query).ok()
+                                    })
+                                };
+                                if let Some(cut_at) = wand_relaxation(
+                                    topk,
+                                    order,
+                                    &plan.probe,
+                                    plan.skip,
+                                    prep.base(),
+                                    skip,
+                                    make_rest,
+                                    meter.as_ref(),
+                                ) {
+                                    bounds[q] = bounds[q].max(cut_at.max(later_bound()));
                                     break 'plans;
                                 }
                             }
-                            let later_bound = || {
-                                plans
-                                    .get(pi + 1)
-                                    .map_or(f64::NEG_INFINITY, |p| p.start_bound)
-                            };
-                            match &plan.values {
-                                Some(order) => {
-                                    // A record holding the relaxed value matches every
-                                    // condition: an exact answer, not a new one.
-                                    let skip = |id| {
-                                        prep.excluded(id)
-                                            || (plan.skips_value && plan.probe.satisfied(id))
-                                    };
-                                    // The remaining N−1 conditions, drained once: every
-                                    // later run intersects the list instead of
-                                    // re-planning the query (and re-applying a
-                                    // superlative).
-                                    let rest = OnceCell::new();
-                                    let make_rest = || {
-                                        drained_once(
-                                            &rest,
-                                            || executor.execute_stream(&plan.query).ok(),
-                                            &shard,
-                                            table.len(),
-                                        )
-                                    };
-                                    if let Some(cut_at) = wand_relaxation(
-                                        topk,
-                                        &shard,
-                                        order,
-                                        &plan.probe,
-                                        plan.skip,
-                                        prep.base(),
-                                        skip,
-                                        make_rest,
-                                        meter.as_ref(),
-                                    ) {
-                                        bounds[q] = bounds[q].max(cut_at.max(later_bound()));
-                                        break 'plans;
-                                    }
-                                }
-                                None => {
-                                    let stream = match executor.execute_stream(&plan.query) {
-                                        Ok(s) => s,
-                                        Err(_) => continue,
-                                    };
-                                    let stream = within(stream, &shard, table.len());
-                                    let mut scorer = ProbeScorer::new(&plan.probe);
-                                    match &meter {
-                                        // `for_each` funnels through the stream's
-                                        // specialized `fold`: posting-list tails,
-                                        // flattened intersections and wide-range
-                                        // filters run as tight slice/range loops.
-                                        // The unbudgeted arm keeps that exact shape.
-                                        None => stream.for_each(|id| {
+                            None => {
+                                let stream = match executor.execute_stream(&plan.query) {
+                                    Ok(s) => s,
+                                    Err(_) => continue,
+                                };
+                                let mut scorer = ProbeScorer::new(&plan.probe);
+                                match &meter {
+                                    // `for_each` funnels through the stream's
+                                    // specialized `fold`: posting-list tails, flattened
+                                    // intersections and wide-range filters run as
+                                    // tight slice/range loops. The unbudgeted arm
+                                    // keeps that exact shape.
+                                    None => stream.for_each(|id| {
+                                        if prep.excluded(id) {
+                                            return;
+                                        }
+                                        let (score, measure) = scorer.rank_sim(prep.n, id);
+                                        topk.offer(id, score, measure, plan.skip);
+                                    }),
+                                    Some(m) => {
+                                        let mut cut = false;
+                                        for id in stream {
+                                            if m.visit() {
+                                                cut = true;
+                                                break;
+                                            }
                                             if prep.excluded(id) {
-                                                return;
+                                                continue;
                                             }
                                             let (score, measure) = scorer.rank_sim(prep.n, id);
                                             topk.offer(id, score, measure, plan.skip);
-                                        }),
-                                        Some(m) => {
-                                            let mut cut = false;
-                                            for id in stream {
-                                                if m.visit() {
-                                                    cut = true;
-                                                    break;
-                                                }
-                                                if prep.excluded(id) {
-                                                    continue;
-                                                }
-                                                let (score, measure) = scorer.rank_sim(prep.n, id);
-                                                topk.offer(id, score, measure, plan.skip);
-                                            }
-                                            if cut {
-                                                // Mid-stream cut: the stream is
-                                                // unordered in score, so the whole
-                                                // plan's start bound — the highest
-                                                // of the remaining plans' — must
-                                                // cover the remainder.
-                                                bounds[q] = bounds[q].max(plan.start_bound);
-                                                break 'plans;
-                                            }
+                                        }
+                                        if cut {
+                                            // Mid-stream cut: the stream is unordered
+                                            // in score, so the whole plan's start
+                                            // bound — the highest of the remaining
+                                            // plans' — must cover the remainder.
+                                            bounds[q] = bounds[q].max(plan.start_bound);
+                                            break 'plans;
                                         }
                                     }
                                 }
@@ -796,15 +729,14 @@ impl<'a> PartialMatcher<'a> {
                     }
                 }
             }
-            if let Some(m) = &meter {
-                m.flush();
-            }
-        });
+        }
+        if let Some(m) = &meter {
+            m.flush();
+        }
 
         // Phase 2: degree-of-match fallback for sparse questions. A heap below
-        // budget was never full in any worker, so it holds exactly the candidates
-        // the index pass found — the same state the sequential engine has here.
-        // A question cut in phase 1 skips the fallback outright: the fallback can
+        // budget holds exactly the candidates the index pass found. A question
+        // cut in phase 1 skips the fallback outright: the fallback can
         // offer scores up to N, so its bound becomes N (a full heap cut in phase 1
         // implies the undegraded heap is full too, i.e. the undegraded engine
         // would not have run the fallback either — the phase-1 bound stands).
@@ -849,50 +781,46 @@ impl<'a> PartialMatcher<'a> {
             })
             .collect();
         if fallback.iter().any(Option::is_some) {
-            run_sharded(&mut heaps, &mut bounds, &shards, |shard, heaps, bounds| {
-                let meter = budget.map(BudgetProbe::new);
-                for (q, ((prep, fb), topk)) in prepared
-                    .iter()
-                    .zip(&fallback)
-                    .zip(heaps.iter_mut())
-                    .enumerate()
-                {
-                    let Some(fb) = fb else { continue };
-                    if let Some(m) = &meter {
-                        if m.cut() {
-                            bounds[q] = bounds[q].max(prep.n as f64);
-                            continue;
-                        }
-                    }
-                    let meter = meter.as_ref();
-                    // The index layers first: every record matching at least K−1 of
-                    // the K probes. Any other record matches at most K−2, so it
-                    // scores at most `min(K−2, N−1) + 1`; the table is scanned only
-                    // while the heap could still take that.
-                    let mut complete = true;
-                    let mut scan = true;
-                    if let Some(orders) = &fb.near {
-                        let k = fb.probes.len();
-                        let beyond = k.saturating_sub(2).min(prep.n.saturating_sub(1)) as f64 + 1.0;
-                        complete = near_layers(prep, fb, orders, &shard, table.len(), topk, meter);
-                        scan = complete && topk.can_beat(beyond);
-                    }
-                    if scan {
-                        let mut scorers: Vec<ProbeScorer<'_, '_>> =
-                            fb.probes.iter().map(ProbeScorer::new).collect();
-                        let all = shard.clone().map(RecordId);
-                        complete =
-                            offer_degree_of_match(all, prep, &fb.found, &mut scorers, topk, meter);
-                    }
-                    if !complete {
-                        // Degree-of-match scores bound at N.
-                        bounds[q] = bounds[q].max(prep.n as f64);
-                    }
+            let meter = budget.map(BudgetProbe::new);
+            let meter = meter.as_ref();
+            for (q, ((prep, fb), topk)) in prepared
+                .iter()
+                .zip(&fallback)
+                .zip(heaps.iter_mut())
+                .enumerate()
+            {
+                let Some(fb) = fb else { continue };
+                if meter.is_some_and(BudgetProbe::cut) {
+                    bounds[q] = bounds[q].max(prep.n as f64);
+                    continue;
                 }
-                if let Some(m) = &meter {
-                    m.flush();
+                // The index layers first: every record matching at least K−1 of the
+                // K probes. Any other record matches at most K−2, so it scores at
+                // most `min(K−2, N−1) + 1`; the table is scanned only while the heap
+                // could still take that.
+                let mut complete = true;
+                let mut scan = true;
+                if let Some(orders) = &fb.near {
+                    let k = fb.probes.len();
+                    let beyond = k.saturating_sub(2).min(prep.n.saturating_sub(1)) as f64 + 1.0;
+                    complete = near_layers(prep, fb, orders, topk, meter);
+                    scan = complete && topk.can_beat(beyond);
                 }
-            });
+                if scan {
+                    let mut scorers: Vec<ProbeScorer<'_, '_>> =
+                        fb.probes.iter().map(ProbeScorer::new).collect();
+                    let all = universe.clone().map(RecordId);
+                    complete =
+                        offer_degree_of_match(all, prep, &fb.found, &mut scorers, topk, meter);
+                }
+                if !complete {
+                    // Degree-of-match scores bound at N.
+                    bounds[q] = bounds[q].max(prep.n as f64);
+                }
+            }
+            if let Some(m) = meter {
+                m.flush();
+            }
         }
         let visited = budget.map_or(0, |b| b.visited());
         Ok(heaps
@@ -917,7 +845,7 @@ impl<'a> PartialMatcher<'a> {
             .collect())
     }
 
-    /// Compile one request into shared, worker-ready state.
+    /// Compile one request into the state both passes read.
     fn prepare_question<'m>(
         &'m self,
         request: &PartialBatchRequest<'_>,
@@ -949,8 +877,7 @@ impl<'a> PartialMatcher<'a> {
                 None => PreparedKind::Inert,
             }
         } else {
-            // Build each relaxation's plan once; workers share them read-only.
-            // Interpretation errors for a particular relaxation (e.g. the removed
+            // Build each relaxation's plan once. Interpretation errors for a particular relaxation (e.g. the removed
             // condition resolved a contradiction) simply skip that relaxation.
             let skips_value = interpretation.superlatives.is_empty();
             let mut plans: Vec<RelaxationPlan<'m>> = sketches
@@ -993,24 +920,6 @@ impl<'a> PartialMatcher<'a> {
             exclude_sorted,
             kind,
             max_start_bound,
-        }
-    }
-
-    /// Worker count for a table: explicit options win, `0` auto-detects (sequential
-    /// for small tables, `available_parallelism` otherwise).
-    fn resolve_workers(&self, table_len: usize) -> usize {
-        match self.options.workers {
-            0 => {
-                if table_len < PARALLEL_AUTO_MIN_RECORDS {
-                    1
-                } else {
-                    std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1)
-                        .min(MAX_WORKERS)
-                }
-            }
-            explicit => explicit.min(MAX_WORKERS),
         }
     }
 }
@@ -1079,8 +988,8 @@ fn offer_degree_of_match(
     true
 }
 
-/// The degree-of-match fallback's index layers inside `shard`: every record that is
-/// neither excluded nor found by phase 1 and satisfies at least K−1 of the K probes,
+/// The degree-of-match fallback's index layers: every record that is neither
+/// excluded nor found by phase 1 and satisfies at least K−1 of the K probes,
 /// offered the score [`degree_of_match`] gives it. `orders` holds each probe's
 /// [`CompiledProbe::unsatisfied_order`]. Returns `false` when the deadline cut the
 /// layers (the caller then certifies at `N`).
@@ -1098,8 +1007,6 @@ fn near_layers(
     prep: &PreparedQuestion<'_>,
     fb: &Fallback<'_>,
     orders: &[ValueOrder<'_>],
-    shard: &Range<u32>,
-    table_len: usize,
     topk: &mut TopK,
     meter: Option<&BudgetProbe<'_>>,
 ) -> bool {
@@ -1120,7 +1027,7 @@ fn near_layers(
     let all_matched = k.min(prep.n.saturating_sub(1)) as f64;
     if topk.can_beat(all_matched) {
         if let Some(layer) = matching(None) {
-            for id in within(layer, shard, table_len) {
+            for id in layer {
                 if meter.is_some_and(BudgetProbe::visit) {
                     return false;
                 }
@@ -1136,16 +1043,16 @@ fn near_layers(
     let base = k.saturating_sub(1).min(prep.n.saturating_sub(1)) as f64;
     for (i, (probe, order)) in fb.probes.iter().zip(orders).enumerate() {
         let rest = OnceCell::new();
-        let make_rest = || drained_once(&rest, || matching(Some(i)), shard, table_len);
+        let make_rest = || drained_once(&rest, || matching(Some(i)));
         let skip = |id| !fresh(id) || probe.satisfied(id);
-        if wand_relaxation(topk, shard, order, probe, i, base, skip, make_rest, meter).is_some() {
+        if wand_relaxation(topk, order, probe, i, base, skip, make_rest, meter).is_some() {
             return false;
         }
     }
     true
 }
 
-/// What the degree-of-match fallback of one sparse question shares across workers.
+/// What the degree-of-match fallback of one sparse question works from.
 struct Fallback<'m> {
     /// The records phase 1 offered, ascending: they keep their relaxation scores.
     found: Vec<RecordId>,
@@ -1156,33 +1063,18 @@ struct Fallback<'m> {
     near: Option<Vec<ValueOrder<'m>>>,
 }
 
-/// `stream` inside the worker's shard: one galloping seek enters it, and a shard
-/// covering the whole table (the sequential case) skips the wrapper.
-fn within<'a>(stream: IdStream<'a>, shard: &Range<u32>, table_len: usize) -> IdStream<'a> {
-    if shard.start == 0 && shard.end as usize >= table_len {
-        stream
-    } else {
-        stream.restrict(shard.clone())
-    }
-}
-
-/// The candidates of one relaxation inside the worker's shard, for the value runs of
-/// [`wand_relaxation`]: `stream` drained into `cell` as one posting list the first
-/// time a run asks, borrowed by every later run. A relaxation pruned before its first
-/// run never builds it. `None` when `stream` cannot be built (the relaxation's query
-/// does not execute), which is remembered too.
+/// The candidates of one relaxation, for the value runs of [`wand_relaxation`]:
+/// `stream` drained into `cell` as one posting list the first time a run asks,
+/// borrowed by every later run. A relaxation pruned before its first run never
+/// builds it. `None` when `stream` cannot be built (the relaxation's query does not
+/// execute), which is remembered too.
 fn drained_once<'c, 's>(
     cell: &'c OnceCell<Option<PostingList>>,
     stream: impl FnOnce() -> Option<IdStream<'s>>,
-    shard: &Range<u32>,
-    table_len: usize,
 ) -> Option<IdStream<'c>> {
-    cell.get_or_init(|| {
-        let ids = within(stream()?, shard, table_len).into_ids();
-        Some(PostingList::from_sorted(ids))
-    })
-    .as_ref()
-    .map(IdStream::postings)
+    cell.get_or_init(|| Some(PostingList::from_sorted(stream()?.into_ids())))
+        .as_ref()
+        .map(IdStream::postings)
 }
 
 /// The value-ordered (WAND-style) traversal of one relaxation.
@@ -1194,10 +1086,10 @@ fn drained_once<'c, 's>(
 /// check ends the whole relaxation — the posting lists of sub-threshold values are
 /// never opened. A run of one value drains `rest ∩ postings(v)` through the
 /// galloping/flattening machinery; a longer run (score ties) merges its posting
-/// lists with a [`ScoredUnion`] and leapfrogs it against `rest` inside the worker's
-/// shard. The residual pass — zero-similarity values plus records missing the
-/// attribute — is the plain exhaustive scan; any id it re-offers was already offered
-/// at the same score, which the top-k provably ignores (see the module docs).
+/// lists with a [`ScoredUnion`] and leapfrogs it against `rest`. The residual pass —
+/// zero-similarity values plus records missing the attribute — is the plain
+/// exhaustive scan; any id it re-offers was already offered at the same score, which
+/// the top-k provably ignores (see the module docs).
 ///
 /// Every candidate scores `base + sim` and is offered under condition index
 /// `relaxed`: phase 1 relaxes condition `relaxed` over the base `N−1`, the
@@ -1206,14 +1098,14 @@ fn drained_once<'c, 's>(
 /// satisfied by when the relaxation rule applies (module docs), and in the fallback
 /// also the records phase 1 found.
 ///
-/// `make_rest` produces the candidate stream of the remaining conditions inside the
-/// worker's shard (the shard itself for single-condition questions, a posting list
-/// drained at most once per worker otherwise — [`drained_once`]); it is called once
-/// per drained run, so a relaxation pruned before its first run never pays for it.
-/// `None` means the relaxation's query cannot execute — the relaxation is skipped,
-/// exactly like the exhaustive engine's `continue`.
+/// `make_rest` produces the candidate stream of the remaining conditions (the whole
+/// table for single-condition questions, a posting list drained at most once
+/// otherwise — [`drained_once`]); it is called once per drained run, so a relaxation
+/// pruned before its first run never pays for it. `None` means the relaxation's query
+/// cannot execute — the relaxation is skipped, exactly like the exhaustive engine's
+/// `continue`.
 ///
-/// `meter` is the worker's deadline probe, polled per visited candidate. Returns
+/// `meter` is the pass's deadline probe, polled per visited candidate. Returns
 /// `None` when the relaxation finished losslessly (pruned stops included) and
 /// `Some(bound)` when the deadline cut it — `bound` then covers every score the
 /// rest of *this* relaxation could have offered: the current run's constant score
@@ -1224,7 +1116,6 @@ fn drained_once<'c, 's>(
 #[allow(clippy::too_many_arguments)]
 fn wand_relaxation<'s>(
     topk: &mut TopK,
-    shard: &Range<u32>,
     order: &ValueOrder<'s>,
     probe: &CompiledProbe<'_>,
     relaxed: usize,
@@ -1277,7 +1168,7 @@ fn wand_relaxation<'s>(
             );
             let mut rest = rest;
             let mut cut = false;
-            drain_union(&mut union, &mut rest, shard, |id| {
+            drain_union(&mut union, &mut rest, |id| {
                 if let Some(m) = meter {
                     if m.visit() {
                         cut = true;
@@ -1323,24 +1214,20 @@ fn wand_relaxation<'s>(
     None
 }
 
-/// Leapfrog a [`ScoredUnion`] against the remaining-conditions stream inside
-/// `[shard.start, shard.end)`, calling `f` for every id present in both; `f` returns
-/// whether the drain is still worth continuing (ids arrive ascending at one constant
-/// score, so the heap can prove the tail unable to enter). `rest` is forward-only,
-/// so the last id it yielded is remembered — the union re-reaching it is a match
-/// without a second (impossible) seek.
+/// Leapfrog a [`ScoredUnion`] against the remaining-conditions stream, calling `f`
+/// for every id present in both; `f` returns whether the drain is still worth
+/// continuing (ids arrive ascending at one constant score, so the heap can prove the
+/// tail unable to enter). `rest` is forward-only, so the last id it yielded is
+/// remembered — the union re-reaching it is a match without a second (impossible)
+/// seek.
 fn drain_union(
     union: &mut ScoredUnion<'_>,
     rest: &mut IdStream<'_>,
-    shard: &Range<u32>,
     mut f: impl FnMut(RecordId) -> bool,
 ) {
-    let mut target = RecordId(shard.start);
+    let mut target = RecordId(0);
     let mut rest_at: Option<RecordId> = None;
     while let Some((id, _)) = union.seek_ge(target) {
-        if id.0 >= shard.end {
-            return;
-        }
         if rest_at == Some(id) {
             if !f(id) {
                 return;
@@ -1357,8 +1244,6 @@ fn drain_union(
                         return;
                     }
                     target = RecordId(id.0 + 1);
-                } else if m.0 >= shard.end {
-                    return;
                 } else {
                     target = m;
                 }
@@ -1370,10 +1255,9 @@ fn drain_union(
 /// One relaxation, fully planned: the query with the condition removed, the compiled
 /// probe that scores the removed condition, and — for categorical relaxed conditions —
 /// the value-ordered traversal plan (`None` routes the relaxation through the
-/// exhaustive scan). Built once per question and shared read-only across all workers
-/// (every member is `Sync`); what a worker derives from it — the query's candidates,
-/// drained into a posting list inside its id range — stays private to that worker.
-/// A question's plans are sorted by `start_bound`, best first.
+/// exhaustive scan). Built once per question; the query's candidates are drained into
+/// a posting list the first time a value run needs them ([`drained_once`]). A
+/// question's plans are sorted by `start_bound`, best first.
 #[derive(Debug)]
 struct RelaxationPlan<'m> {
     /// Index of the relaxed condition in [`Interpretation::all_sketches`] order.
@@ -1409,8 +1293,8 @@ pub struct PartialBatchRequest<'q> {
     pub budget: usize,
 }
 
-/// A question prepared for the sharded passes: plans/probes compiled once, exclusion
-/// set sorted once — workers share all of it read-only.
+/// A question prepared for both passes: plans/probes compiled once, exclusion set
+/// sorted once.
 struct PreparedQuestion<'m> {
     n: usize,
     budget: usize,
@@ -1446,88 +1330,6 @@ impl PreparedQuestion<'_> {
     }
 }
 
-/// Split `[0, len)` into at most `workers` contiguous, near-equal id ranges. Record
-/// ids are assigned densely in insertion order, so equal ranges are a good proxy for
-/// equal work; a single (possibly empty) shard means "run sequentially".
-fn shard_bounds(len: u32, workers: usize) -> Vec<Range<u32>> {
-    let workers = workers.clamp(1, len.max(1) as usize) as u32;
-    let base = len / workers;
-    let extra = len % workers;
-    let mut out = Vec::with_capacity(workers as usize);
-    let mut start = 0u32;
-    for w in 0..workers {
-        let size = base + u32::from(w < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
-/// Run one scoring pass over every shard and merge the results into the per-question
-/// heaps and cut bounds.
-///
-/// A single shard runs inline on the caller's heaps (no thread, no merge). Multiple
-/// shards run on scoped worker threads — one spawn per worker for the *whole batch*
-/// of questions — each with a private heap per question (sharing the main heap's
-/// [`SharedThreshold`], so full worker heaps raise each other's pruning floor);
-/// because shards partition the id space, the surviving entries are disjoint by
-/// record id and re-offering them into the main heaps reconstructs exactly the
-/// global top-`budget` per question (see the module docs for the full determinism
-/// argument). Each worker also reports a per-question deadline-cut bound
-/// (`NEG_INFINITY` = processed losslessly), merged into `bounds` by max.
-fn run_sharded<F>(heaps: &mut [TopK], bounds: &mut [f64], shards: &[Range<u32>], pass: F)
-where
-    F: Fn(Range<u32>, &mut [TopK], &mut [f64]) + Sync,
-{
-    if let [only] = shards {
-        pass(only.clone(), heaps, bounds);
-        return;
-    }
-    let templates: Vec<(usize, Option<Arc<SharedThreshold>>)> =
-        heaps.iter().map(|t| (t.budget, t.shared.clone())).collect();
-    let parts: Vec<(Vec<TopK>, Vec<f64>)> = std::thread::scope(|scope| {
-        let pass = &pass;
-        let templates = &templates;
-        let handles: Vec<_> = shards
-            .iter()
-            .cloned()
-            .map(|shard| {
-                scope.spawn(move || {
-                    let mut local: Vec<TopK> = templates
-                        .iter()
-                        .map(|(b, s)| TopK::with_shared(*b, s.clone()))
-                        .collect();
-                    let mut local_bounds = vec![f64::NEG_INFINITY; templates.len()];
-                    pass(shard, &mut local, &mut local_bounds);
-                    (local, local_bounds)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // lint: allow(no-panic) — propagates a worker panic instead of originating one
-            .map(|h| h.join().expect("partial-match worker panicked"))
-            .collect()
-    });
-    for (part, part_bounds) in parts {
-        for ((topk, local), (bound, local_bound)) in heaps
-            .iter_mut()
-            .zip(part)
-            .zip(bounds.iter_mut().zip(part_bounds))
-        {
-            *bound = bound.max(local_bound);
-            for answer in local.into_entries() {
-                topk.offer(
-                    answer.id,
-                    answer.rank_sim,
-                    answer.measure,
-                    answer.relaxed_condition,
-                );
-            }
-        }
-    }
-}
-
 /// The single result of a one-request call. The engine and the answering core
 /// return exactly one result per request; the error arm is unreachable but
 /// cheaper than a panic on the serving path.
@@ -1539,7 +1341,7 @@ pub(crate) fn take_single<T>(mut results: Vec<T>) -> CqadsResult<T> {
 
 /// Gather step of the scatter-gather shard fan-out (`crate::shard`): merge
 /// per-shard answer lists into the global top-`budget` through the same
-/// deterministic [`TopK`] collector the in-table worker merge uses, so the
+/// deterministic [`TopK`] collector the engine ranks with, so the
 /// `(rank_sim desc, id asc)` order — and therefore byte-identity with the
 /// unsharded engine — is inherited rather than re-proven. Shard id spaces are
 /// disjoint after translation to global ids, so the per-record dedup never
@@ -1577,11 +1379,10 @@ struct TopK {
     /// lets `offer` reject a below-threshold candidate with two comparisons and no
     /// hash or heap access at all. `None` while the heap is below budget.
     cached_worst: Option<(f64, RecordId)>,
-    /// The question's cross-worker WAND threshold in the sharded fan-out (`None`
-    /// on the sequential path). This heap *publishes* its full-heap worst into it
-    /// and *prunes* candidates strictly below it — admissible because a full
-    /// worker heap's worst lower-bounds the final global worst (see the module
-    /// docs).
+    /// The question's cross-part WAND threshold in a scatter (`None` for one
+    /// table). This heap *publishes* its full-heap worst into it and *prunes*
+    /// candidates strictly below it — admissible because a full part heap's worst
+    /// lower-bounds the final global worst (see the module docs).
     shared: Option<Arc<SharedThreshold>>,
 }
 
@@ -1646,8 +1447,8 @@ impl TopK {
     /// later point, which makes skipping it lossless.
     fn can_beat(&self, upper: f64) -> bool {
         if let Some(shared) = &self.shared {
-            // A candidate strictly below the cross-worker threshold cannot enter
-            // the *merged* top-k even if this worker's private heap would take it.
+            // A candidate strictly below the cross-part threshold cannot enter
+            // the *merged* top-k even if this part's heap would take it.
             if upper < shared.load() {
                 return false;
             }
@@ -1669,8 +1470,8 @@ impl TopK {
     /// column) at ~`budget` visited ids instead of its full length.
     fn ascending_run_alive(&self, score: f64, last_id: RecordId) -> bool {
         if let Some(shared) = &self.shared {
-            // Strictly below the cross-worker threshold: the rest of the run is
-            // unmergeable regardless of this worker's private heap state.
+            // Strictly below the cross-part threshold: the rest of the run is
+            // unmergeable regardless of this part's heap state.
             if score < shared.load() {
                 return false;
             }
@@ -1689,12 +1490,6 @@ impl TopK {
         self.live.keys().copied()
     }
 
-    /// Drain the surviving entries in arbitrary order (the parallel merge re-offers
-    /// them into another heap, which restores ordering).
-    fn into_entries(self) -> impl Iterator<Item = PartialAnswer> {
-        self.live.into_values().map(|(_, answer)| answer)
-    }
-
     /// Recompute [`TopK::cached_worst`] after a mutation (cheap: the heap top is
     /// usually live; stale entries are popped lazily).
     fn refresh_worst(&mut self) {
@@ -1706,7 +1501,7 @@ impl TopK {
         self.cached_worst = worst;
         if let (Some(shared), Some((score, _))) = (&self.shared, worst) {
             // Publish the full-heap worst: a monotone lower bound on the final
-            // merged worst, so every worker may prune strictly below it.
+            // merged worst, so every part may prune strictly below it.
             shared.raise(score);
         }
     }
@@ -1730,7 +1525,7 @@ impl TopK {
         if self.budget == 0 {
             return;
         }
-        // Cross-worker fast path: strictly below the shared threshold the
+        // Cross-part fast path: strictly below the shared threshold the
         // candidate cannot survive the merge (and cannot be a surviving record's
         // best-score improvement either — such scores are always >= the shared
         // threshold; see the module docs), so it is dropped before touching the
@@ -1760,7 +1555,7 @@ impl TopK {
             // score, the smallest relaxed index — what the oracle's first-seen
             // rule keeps, since it visits relaxations in index order. The entry
             // then depends on no offer order: not on the plans' best-bound-first
-            // order, nor on workers or parts.
+            // order, nor on parts.
             if score == existing.rank_sim && relaxed < existing.relaxed_condition {
                 existing.measure = measure;
                 existing.relaxed_condition = relaxed;
@@ -2110,57 +1905,6 @@ mod tests {
         assert!(topk.into_sorted().is_empty());
     }
 
-    #[test]
-    fn shard_bounds_partition_the_id_space() {
-        for (len, workers) in [(0u32, 4usize), (1, 4), (7, 3), (100, 1), (100, 7), (5, 64)] {
-            let shards = shard_bounds(len, workers);
-            assert!(!shards.is_empty());
-            assert!(shards.len() <= workers.max(1));
-            assert_eq!(shards.first().unwrap().start, 0);
-            assert_eq!(shards.last().unwrap().end, len);
-            for pair in shards.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start, "shards must be contiguous");
-            }
-            // Near-equal sizes: largest and smallest differ by at most one.
-            let sizes: Vec<u32> = shards.iter().map(|s| s.end - s.start).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "unbalanced shards: {sizes:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_workers_return_byte_identical_answers() {
-        let (spec, table, sim) = setup();
-        let tagger = Tagger::new(&spec);
-        for question in [
-            "Find Honda Accord blue less than 15,000 dollars",
-            "blue honda accord under 20000 dollars",
-            "mustang",
-            "red honda accord under 3000 dollars",
-        ] {
-            let interp = interpret(&tagger.tag(question), &spec).unwrap();
-            for workers in [1usize, 2, 3, 4, 8] {
-                let matcher =
-                    PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-                for budget in [1usize, 2, 30] {
-                    let a = matcher
-                        .partial_answers(&interp, &table, &HashSet::new(), budget)
-                        .unwrap();
-                    let b = full_scan_partial_answers(
-                        &spec,
-                        &sim,
-                        &interp,
-                        &table,
-                        &HashSet::new(),
-                        budget,
-                    )
-                    .unwrap();
-                    assert_bit_identical(&a, &b, &format!("{question:?} workers {workers}"));
-                }
-            }
-        }
-    }
-
     fn assert_bit_identical(a: &[PartialAnswer], b: &[PartialAnswer], context: &str) {
         assert_eq!(a.len(), b.len(), "{context}");
         for (x, y) in a.iter().zip(b) {
@@ -2317,18 +2061,15 @@ mod tests {
                 budget: 30,
             })
             .collect();
-        for workers in [1usize, 3] {
-            let matcher =
-                PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-            let plain = per_request(&matcher, &requests, &table);
-            let budgeted = matcher
-                .partial_answers_batch_budgeted(&requests, &table, None)
-                .unwrap();
-            for (p, outcome) in plain.iter().zip(&budgeted) {
-                assert!(!outcome.degraded);
-                assert_eq!(outcome.visited, 0);
-                assert_bit_identical(p, &outcome.answers, "budget=None");
-            }
+        let matcher = PartialMatcher::new(&spec, &sim);
+        let plain = per_request(&matcher, &requests, &table);
+        let budgeted = matcher
+            .partial_answers_batch_budgeted(&requests, &table, None)
+            .unwrap();
+        for (p, outcome) in plain.iter().zip(&budgeted) {
+            assert!(!outcome.degraded);
+            assert_eq!(outcome.visited, 0);
+            assert_bit_identical(p, &outcome.answers, "budget=None");
         }
     }
 
@@ -2346,19 +2087,16 @@ mod tests {
                 budget: 30,
             })
             .collect();
-        for workers in [1usize, 3] {
-            let matcher =
-                PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-            let plain = per_request(&matcher, &requests, &table);
-            let clock = Arc::new(ManualClock::new());
-            let budget = QueryBudget::new(clock as Arc<dyn RetryClock>, u64::MAX);
-            let budgeted = matcher
-                .partial_answers_batch_budgeted(&requests, &table, Some(&budget))
-                .unwrap();
-            for (p, outcome) in plain.iter().zip(&budgeted) {
-                assert!(!outcome.degraded, "nothing expires under a huge deadline");
-                assert_bit_identical(p, &outcome.answers, "generous budget");
-            }
+        let matcher = PartialMatcher::new(&spec, &sim);
+        let plain = per_request(&matcher, &requests, &table);
+        let clock = Arc::new(ManualClock::new());
+        let budget = QueryBudget::new(clock as Arc<dyn RetryClock>, u64::MAX);
+        let budgeted = matcher
+            .partial_answers_batch_budgeted(&requests, &table, Some(&budget))
+            .unwrap();
+        for (p, outcome) in plain.iter().zip(&budgeted) {
+            assert!(!outcome.degraded, "nothing expires under a huge deadline");
+            assert_bit_identical(p, &outcome.answers, "generous budget");
         }
     }
 
@@ -2396,41 +2134,38 @@ mod tests {
                 budget: 30,
             })
             .collect();
-        for workers in [1usize, 3] {
-            let matcher =
-                PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-            let full = per_request(&matcher, &requests, &table);
-            // Sweep the number of clock reads the batch survives, from "cut
-            // immediately" to "cut near the end".
-            for deadline in [0u64, 1, 3, 7, 15, 40] {
-                let clock = Arc::new(SteppingClock {
-                    now: std::sync::atomic::AtomicU64::new(0),
-                    step: 1,
-                });
-                let budget = QueryBudget::new(clock as Arc<dyn RetryClock>, deadline);
-                let outcomes = matcher
-                    .partial_answers_batch_budgeted(&requests, &table, Some(&budget))
-                    .unwrap();
-                for (q, (outcome, full_answers)) in outcomes.iter().zip(&full).enumerate() {
-                    let got = &outcome.answers;
+        let matcher = PartialMatcher::new(&spec, &sim);
+        let full = per_request(&matcher, &requests, &table);
+        // Sweep the number of clock reads the batch survives, from "cut
+        // immediately" to "cut near the end".
+        for deadline in [0u64, 1, 3, 7, 15, 40] {
+            let clock = Arc::new(SteppingClock {
+                now: std::sync::atomic::AtomicU64::new(0),
+                step: 1,
+            });
+            let budget = QueryBudget::new(clock as Arc<dyn RetryClock>, deadline);
+            let outcomes = matcher
+                .partial_answers_batch_budgeted(&requests, &table, Some(&budget))
+                .unwrap();
+            for (q, (outcome, full_answers)) in outcomes.iter().zip(&full).enumerate() {
+                let got = &outcome.answers;
+                assert!(
+                    got.len() <= full_answers.len(),
+                    "deadline {deadline} q{q}: degraded cannot exceed complete"
+                );
+                if got.len() < full_answers.len() {
                     assert!(
-                        got.len() <= full_answers.len(),
-                        "deadline {deadline} q{q}: degraded cannot exceed complete"
-                    );
-                    if got.len() < full_answers.len() {
-                        assert!(
-                            outcome.degraded,
-                            "deadline {deadline} q{q}: a short answer must be flagged"
-                        );
-                    }
-                    // Certified prefix: whatever survives is bit-identical to
-                    // the front of the complete answer.
-                    assert_bit_identical(
-                        got,
-                        &full_answers[..got.len()],
-                        &format!("deadline {deadline} q{q} workers {workers}"),
+                        outcome.degraded,
+                        "deadline {deadline} q{q}: a short answer must be flagged"
                     );
                 }
+                // Certified prefix: whatever survives is bit-identical to the front
+                // of the complete answer.
+                assert_bit_identical(
+                    got,
+                    &full_answers[..got.len()],
+                    &format!("deadline {deadline} q{q}"),
+                );
             }
         }
 
@@ -2467,7 +2202,7 @@ mod tests {
             exclude: &exclude,
             budget: 3,
         };
-        let matcher = PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers: 1 });
+        let matcher = PartialMatcher::new(&spec, &sim);
         let PreparedKind::Multi(plans) = matcher.prepare_question(&request, &table).kind else {
             panic!("a three-condition question has relaxation plans");
         };
@@ -2751,7 +2486,7 @@ mod tests {
         let budget = 30;
         let (spec, table, sim) = near_match_fixture(100_000, near);
         assert!(table.len() >= 100_000);
-        let matcher = PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers: 1 });
+        let matcher = PartialMatcher::new(&spec, &sim);
         let interp = honda_accord_blue(true);
         let outcome = metered(&matcher, &interp, &table, budget);
         let oracle =
@@ -2822,38 +2557,28 @@ mod tests {
             vec![categorical("make", "honda"), categorical("color", "blue")],
             true,
         );
-        for workers in [1usize, 2, 3] {
-            let matcher =
-                PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-            let outcome = metered(&matcher, &interp, &table, 4);
-            let oracle =
-                full_scan_partial_answers(&spec, &sim, &interp, &table, &HashSet::new(), 4)
-                    .unwrap();
-            assert_bit_identical(
-                &outcome.answers,
-                &oracle,
-                &format!("tie, workers {workers}"),
-            );
-            let ids: Vec<u32> = outcome.answers.iter().map(|a| a.id.0).collect();
-            assert_eq!(
-                ids,
-                vec![3, 0, 1, 2],
-                "the cheapest honda, then the tied fords"
-            );
-            assert!(outcome.answers[1..].iter().all(|a| a.rank_sim == 1.0));
-            assert!(outcome.visited as usize >= table.len(), "the scan ran");
-        }
+        let matcher = PartialMatcher::new(&spec, &sim);
+        let outcome = metered(&matcher, &interp, &table, 4);
+        let oracle =
+            full_scan_partial_answers(&spec, &sim, &interp, &table, &HashSet::new(), 4).unwrap();
+        assert_bit_identical(&outcome.answers, &oracle, "tie");
+        let ids: Vec<u32> = outcome.answers.iter().map(|a| a.id.0).collect();
+        assert_eq!(
+            ids,
+            vec![3, 0, 1, 2],
+            "the cheapest honda, then the tied fords"
+        );
+        assert!(outcome.answers[1..].iter().all(|a| a.rank_sim == 1.0));
+        assert!(outcome.visited as usize >= table.len(), "the scan ran");
     }
 
     #[test]
     fn deadline_cut_inside_the_index_layer_keeps_the_certified_prefix() {
         use cqads_storage::{ManualClock, RetryClock};
-        // 1 200 near matches and a budget of 1 000: one worker's heap fills only in
-        // the last value run, so the index layer visits ≈ 1 800 records (runs and
-        // residuals) and polls the deadline several times before it ends above the
-        // scan's bound. Two workers each hold half the near matches, so their heaps
-        // never fill and each scans its shard too; any cut past phase 1 still
-        // certifies at N.
+        // 1 200 near matches and a budget of 1 000: the heap fills only in the last
+        // value run, so the index layer visits ≈ 1 800 records (runs and residuals)
+        // and polls the deadline several times before it ends above the scan's
+        // bound; any cut past phase 1 certifies at N.
         let near = 1_200;
         let budget = 1_000;
         let (spec, table, sim) = near_match_fixture(2_000, near);
@@ -2864,61 +2589,54 @@ mod tests {
             exclude: &exclude,
             budget,
         };
-        for workers in [1usize, 2] {
-            let matcher =
-                PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-            let full = metered(&matcher, &interp, &table, budget);
-            assert!(!full.degraded);
-            assert_eq!(full.answers.len(), budget);
-            // Phase 1 alone: the scatter form runs it without the fallback.
-            let far = QueryBudget::new(Arc::new(ManualClock::new()), u64::MAX);
-            let shared = [Arc::new(SharedThreshold::new())];
-            let phase1 = matcher
-                .partial_answers_batch_scatter(&[request], &table, Some(&far), &shared)
-                .unwrap();
-            let before_index_layer = take_single(phase1).unwrap().visited;
-            if workers == 1 {
-                // The scan is skipped: every visit past phase 1's is the index layer's.
-                let index_layer = full.visited - before_index_layer;
-                assert!(
-                    index_layer >= 4 * BUDGET_CHECK_EVERY && (full.visited as usize) < table.len(),
-                    "index layer {index_layer} of {} visits",
-                    full.visited
+        let matcher = PartialMatcher::new(&spec, &sim);
+        let full = metered(&matcher, &interp, &table, budget);
+        assert!(!full.degraded);
+        assert_eq!(full.answers.len(), budget);
+        // Phase 1 alone: the scatter form runs it without the fallback.
+        let far = QueryBudget::new(Arc::new(ManualClock::new()), u64::MAX);
+        let shared = [Arc::new(SharedThreshold::new())];
+        let phase1 = matcher
+            .partial_answers_batch_scatter(&[request], &table, Some(&far), &shared)
+            .unwrap();
+        let before_index_layer = take_single(phase1).unwrap().visited;
+        // The scan is skipped: every visit past phase 1's is the index layer's.
+        let index_layer = full.visited - before_index_layer;
+        assert!(
+            index_layer >= 4 * BUDGET_CHECK_EVERY && (full.visited as usize) < table.len(),
+            "index layer {index_layer} of {} visits",
+            full.visited
+        );
+        let mut cut_inside = 0;
+        for deadline in 0..40u64 {
+            let clock = Arc::new(SteppingClock {
+                now: std::sync::atomic::AtomicU64::new(0),
+                step: 1,
+            });
+            let cut = QueryBudget::new(clock as Arc<dyn RetryClock>, deadline);
+            let outcome = take_single(
+                matcher
+                    .partial_answers_batch_budgeted(&[request], &table, Some(&cut))
+                    .unwrap(),
+            )
+            .unwrap();
+            let context = format!("deadline {deadline}");
+            assert!(outcome.answers.len() <= full.answers.len(), "{context}");
+            assert_bit_identical(
+                &outcome.answers,
+                &full.answers[..outcome.answers.len()],
+                &context,
+            );
+            if outcome.degraded && outcome.visited > before_index_layer {
+                assert_eq!(
+                    outcome.cut_bound,
+                    interp.condition_count() as f64,
+                    "{context}"
                 );
-            }
-            let mut cut_inside = 0;
-            for deadline in 0..40u64 {
-                let clock = Arc::new(SteppingClock {
-                    now: std::sync::atomic::AtomicU64::new(0),
-                    step: 1,
-                });
-                let cut = QueryBudget::new(clock as Arc<dyn RetryClock>, deadline);
-                let outcome = take_single(
-                    matcher
-                        .partial_answers_batch_budgeted(&[request], &table, Some(&cut))
-                        .unwrap(),
-                )
-                .unwrap();
-                let context = format!("workers {workers}, deadline {deadline}");
-                assert!(outcome.answers.len() <= full.answers.len(), "{context}");
-                assert_bit_identical(
-                    &outcome.answers,
-                    &full.answers[..outcome.answers.len()],
-                    &context,
-                );
-                if outcome.degraded && outcome.visited > before_index_layer {
-                    assert_eq!(
-                        outcome.cut_bound,
-                        interp.condition_count() as f64,
-                        "{context}"
-                    );
-                    cut_inside += 1;
-                }
-            }
-            if workers == 1 {
-                assert!(cut_inside > 0, "no deadline landed inside the index layer");
+                cut_inside += 1;
             }
         }
+        assert!(cut_inside > 0, "no deadline landed inside the index layer");
     }
 
     #[test]
@@ -2953,29 +2671,20 @@ mod tests {
             ],
             false,
         );
-        for workers in [1usize, 2] {
-            let matcher =
-                PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-            for budget in [1usize, 3, 30] {
-                let got = matcher
-                    .partial_answers(&interp, &table, &HashSet::new(), budget)
-                    .unwrap();
-                let want = full_scan_partial_answers(
-                    &spec,
-                    &sim,
-                    &interp,
-                    &table,
-                    &HashSet::new(),
-                    budget,
-                )
+        let matcher = PartialMatcher::new(&spec, &sim);
+        for budget in [1usize, 3, 30] {
+            let got = matcher
+                .partial_answers(&interp, &table, &HashSet::new(), budget)
                 .unwrap();
-                assert_bit_identical(&got, &want, &format!("workers {workers} budget {budget}"));
-                assert_eq!(got[0].id, RecordId(0));
-                assert_eq!(got[0].rank_sim, 2.0);
-                assert!(got[1..]
-                    .iter()
-                    .all(|a| a.rank_sim < 2.0 && a.rank_sim > 1.0));
-            }
+            let want =
+                full_scan_partial_answers(&spec, &sim, &interp, &table, &HashSet::new(), budget)
+                    .unwrap();
+            assert_bit_identical(&got, &want, &format!("budget {budget}"));
+            assert_eq!(got[0].id, RecordId(0));
+            assert_eq!(got[0].rank_sim, 2.0);
+            assert!(got[1..]
+                .iter()
+                .all(|a| a.rank_sim < 2.0 && a.rank_sim > 1.0));
         }
     }
 }

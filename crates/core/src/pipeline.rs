@@ -121,10 +121,9 @@ pub struct CqadsConfig {
     /// Retrieve partial answers whenever fewer exact answers than this threshold exist.
     /// The paper tops up to the full answer limit, so the default equals `answer_limit`.
     pub partial_threshold: usize,
-    /// Worker threads for the partial-match fan-out
-    /// ([`PartialMatchOptions::workers`](crate::PartialMatchOptions)): `0` auto-detects
-    /// from the machine's available parallelism (and stays sequential on small
-    /// tables); answers are byte-identical for every setting.
+    /// Ignored: the partial phase runs every question on the calling thread.
+    /// Kept only because `crates/benchmark` still sets it; the `[benchmark]`
+    /// change of ROADMAP item 2 deletes it along with the benchmark's mirror.
     pub partial_workers: usize,
     /// Total answer sets held by the serving cache ([`AnswerCache`](crate::AnswerCache)); `0` disables
     /// caching entirely (every [`CqadsWriter::answer_batch`] question recomputes).
@@ -271,12 +270,6 @@ impl CqadsConfigBuilder {
     /// Retrieve partial answers whenever fewer exact answers than this exist.
     pub fn partial_threshold(mut self, partial_threshold: usize) -> Self {
         self.partial_threshold = Some(partial_threshold);
-        self
-    }
-
-    /// Worker threads for the partial-match fan-out (`0` auto-detects).
-    pub fn partial_workers(mut self, partial_workers: usize) -> Self {
-        self.config.partial_workers = partial_workers;
         self
     }
 

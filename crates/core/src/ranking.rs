@@ -554,7 +554,7 @@ impl<'m> CompiledProbe<'m> {
             })
             .collect();
         // Stable sort: equal similarities keep the directory's first-seen order, so
-        // the traversal order is deterministic across runs and worker counts.
+        // the traversal order is deterministic across runs.
         entries.sort_by(|a, b| b.sim.partial_cmp(&a.sim).unwrap_or(Ordering::Equal));
         let positive_len = entries.partition_point(|e| e.sim > 0.0);
         Some(ValueOrder {
@@ -601,8 +601,7 @@ pub struct ScoredValue<'m> {
 
 /// The value-ordered scoring plan of one categorical relaxed condition: the probed
 /// column's distinct values sorted by descending exact similarity (ties in first-seen
-/// directory order). Built once per question by [`CompiledProbe::value_order`] and
-/// shared read-only across the partial matcher's worker threads.
+/// directory order). Built once per question by [`CompiledProbe::value_order`].
 #[derive(Debug)]
 pub struct ValueOrder<'m> {
     entries: Vec<ScoredValue<'m>>,
@@ -641,9 +640,9 @@ impl<'m> ValueOrder<'m> {
 /// results are the exact tuples the probe computed, so scores stay bit-identical.
 /// Numeric probes score continuous values and pass straight through.
 ///
-/// Each worker thread owns its scorers (the shared [`CompiledProbe`] stays immutable
-/// and `Sync`); the memo is intentionally per-stream, not global, so no
-/// synchronization is ever needed on the hot path.
+/// Each pass owns its scorers (the [`CompiledProbe`] stays immutable); the memo is
+/// intentionally per-stream, not global, so no synchronization is ever needed on
+/// the hot path.
 #[derive(Debug)]
 pub struct ProbeScorer<'p, 'm> {
     probe: &'p CompiledProbe<'m>,
@@ -695,15 +694,14 @@ impl<'p, 'm> ProbeScorer<'p, 'm> {
     }
 }
 
-// The parallel partial matcher shares the similarity model, its compiled probes'
-// borrow sources (table columns, matrices) and the interner across scoped worker
-// threads. Everything here is plain read-only data behind `Arc`/`&`, so `Send + Sync`
-// hold structurally; these compile-time assertions pin that down so a future field
-// (say, a `RefCell` memo cache) cannot silently break the fan-out.
+// Every reader thread shares one snapshot's similarity models, tables and matrices
+// behind `Arc`, and interned symbols are process-global. Everything here is plain
+// read-only data, so `Send + Sync` hold structurally; these compile-time assertions
+// pin that down so a future field (say, a `RefCell` memo cache) cannot silently stop
+// readers from sharing a snapshot.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SimilarityModel>();
-    assert_send_sync::<CompiledProbe<'static>>();
     assert_send_sync::<Table>();
     assert_send_sync::<TIMatrix>();
     assert_send_sync::<WordSimMatrix>();

@@ -15,10 +15,10 @@
 //!   bound; under sustained deadline pressure the controller also steps the
 //!   effective deadline down (and back up once batches run clean again).
 //! * **Cooperative cancellation** — a [`QueryBudget`] token threaded into the
-//!   partial-match worker loops. Workers poll it at posting-block granularity
-//!   (every [`BUDGET_CHECK_EVERY`](crate::partial) candidates); when the
-//!   deadline passes, the first worker to notice cancels the whole batch and
-//!   every worker stops at its next checkpoint.
+//!   partial-match engine's loops, which poll it at posting-block granularity
+//!   (every [`BUDGET_CHECK_EVERY`](crate::partial) candidates); once the
+//!   deadline passes, the engine stops at its next checkpoint, and so does
+//!   every later question and part of the batch.
 //! * **Explicit degradation** — a deadline-cut question returns the *provably
 //!   correct prefix* of its best-so-far top-k (see
 //!   [`partial`](crate::partial#deadlines-and-degradation)) and is flagged
@@ -124,10 +124,10 @@ impl Default for ResilienceOptions {
 /// Cooperative cancellation token for one `answer_batch` call.
 ///
 /// Created by the pipeline when a deadline is configured and threaded down
-/// into every partial-match worker. Workers call [`QueryBudget::expired`] at
-/// posting-block checkpoints; the first to see the deadline pass flips the
-/// shared cancel flag, so every other worker (and every later phase) stops at
-/// its next checkpoint without ever looking at the clock again.
+/// into the partial-match engine, which calls [`QueryBudget::expired`] at
+/// posting-block checkpoints; the first check to see the deadline pass flips
+/// the cancel flag, so every later pass and part stops at its next checkpoint
+/// without ever looking at the clock again.
 #[derive(Debug)]
 pub struct QueryBudget {
     clock: Arc<dyn RetryClock>,
@@ -149,7 +149,7 @@ impl QueryBudget {
         }
     }
 
-    /// Cancel cooperatively: every worker observes this at its next checkpoint.
+    /// Cancel cooperatively: the engine observes this at its next checkpoint.
     pub fn cancel(&self) {
         // ordering: the flag is the entire message — no other memory is
         // published with it, and a checkpoint reading it one iteration late

@@ -4,10 +4,9 @@
 //!
 //! # Why
 //!
-//! PR 2's worker sharding splits the record-id space *inside* one matcher call
-//! over one table; production scale wants a domain's records in `N` tables —
-//! each with its own posting lists and its own table generation — so that an
-//! insert touches (and, with readers attached, copies) one `N`-th of the data
+//! Production scale wants a domain's records in `N` tables — each with its own
+//! posting lists and its own table generation — so that an insert touches
+//! (and, with readers attached, copies) one `N`-th of the data
 //! and leaves the other parts' cached work valid. The partition is a property
 //! of the one snapshot, not a second system:
 //! [`CqadsConfig::shards`](crate::CqadsConfig::shards) picks `N`, a
@@ -26,9 +25,10 @@
 //! budget and the final absorb/truncate are shared; the exact and the partial
 //! stage each have two arms, selected by `parts.len()` and nothing else. One
 //! part runs the executor on the query as compiled and one batched partial
-//! fan-out with the engine's own fallback. Many parts scatter to every part,
-//! run the same WAND/partial engines per part and gather through the same
-//! deterministic top-k merge the in-table worker fan-out uses.
+//! engine call with the engine's own fallback. Many parts scatter to every part,
+//! run the same WAND/partial engines per part, one part after another on the
+//! calling thread, and gather through the same deterministic top-k collector the
+//! engine ranks with.
 //!
 //! # The byte-identity argument
 //!
@@ -62,14 +62,16 @@
 //!   Superlative chains are re-applied at the gather over the merged candidate
 //!   set through [`addb::retain_extreme`], the definition the executor's own
 //!   superlative steps are documented against.
-//! * **Partial gather inherits the worker-merge proof.** Per-record scores are
+//! * **Partial gather is one heap's merge.** Per-record scores are
 //!   table-independent (`Num_Sim` ranges come from the spec, text/TI scores
 //!   from the one model), part id spaces are disjoint, and the gather runs
-//!   the same `TopK` collector over the per-part lists — so the merged top-k
-//!   equals the one heap the one-table engine builds, ties resolving by
-//!   global id either way. Parts prune against one cross-part
-//!   [`SharedThreshold`], admissible because a published value is the worst of
-//!   some full heap of the same budget. The sparse degree-of-match fallback is
+//!   the same `TopK` collector over the per-part lists — a record survives iff
+//!   fewer than `budget` records beat it in the whole domain, whatever order
+//!   the distinct-id offers arrive in — so the merged top-k equals the one heap
+//!   the one-table engine builds, ties resolving by global id either way.
+//!   Parts prune against one cross-part [`SharedThreshold`], admissible
+//!   because a published value is the worst of some full heap of the same
+//!   budget. The sparse degree-of-match fallback is
 //!   a *global* decision (a per-part sparse heap says nothing about the whole
 //!   table), so parts run phase 1 with the fallback suppressed and the gather
 //!   re-runs the plain per-part engine at the real budget in the rare sparse
@@ -108,8 +110,8 @@ use crate::cache::{CacheKey, GenerationCache, GenerationStamp};
 use crate::error::CqadsResult;
 use crate::handle::{CqadsWriter, DomainRuntime};
 use crate::partial::{
-    merge_partial_answers, take_single, PartialAnswer, PartialBatchRequest, PartialMatchOptions,
-    PartialMatcher, PartialOutcome, SharedThreshold,
+    merge_partial_answers, take_single, PartialAnswer, PartialBatchRequest, PartialMatcher,
+    PartialOutcome, SharedThreshold,
 };
 use crate::pipeline::{Answer, AnswerSet, CqadsConfig, MatchKind};
 use crate::ranking::SimilarityMeasure;
@@ -271,17 +273,6 @@ impl Part<'_> {
     }
 }
 
-/// The partial matcher configured the way every answering path uses it.
-fn matcher<'a>(runtime: &'a DomainRuntime, config: &CqadsConfig) -> PartialMatcher<'a> {
-    PartialMatcher::with_options(
-        &runtime.spec,
-        &runtime.similarity,
-        PartialMatchOptions {
-            workers: config.partial_workers,
-        },
-    )
-}
-
 /// One question between the exact and the partial phase.
 struct InFlight<'c> {
     /// The answer so far: exact answers only, not yet timed.
@@ -407,8 +398,7 @@ pub(crate) fn answer_parts(
     let partials: Vec<PartialOutcome> = if needy.is_empty() {
         Vec::new()
     } else if parts.len() == 1 {
-        // One fan-out (a single set of scoped worker threads) serves every
-        // question of the call.
+        // One batched engine call serves every question of the call.
         let requests: Vec<PartialBatchRequest<'_>> = needy
             .iter()
             .map(|flight| PartialBatchRequest {
@@ -417,7 +407,7 @@ pub(crate) fn answer_parts(
                 budget: flight.partial_budget,
             })
             .collect();
-        matcher(runtime, config).partial_answers_batch_budgeted(
+        PartialMatcher::new(&runtime.spec, &runtime.similarity).partial_answers_batch_budgeted(
             &requests,
             parts[0].table,
             parts[0].budget,
@@ -565,6 +555,7 @@ fn scatter_partial(
 ) -> CqadsResult<PartialOutcome> {
     let interpretation = &flight.set.interpretation;
     let partial_budget = flight.partial_budget;
+    let engine = PartialMatcher::new(&runtime.spec, &runtime.similarity);
     // The plain engine (own thresholds, own fallback) on one table.
     let plain = |table, exclude, cut| {
         let request = PartialBatchRequest {
@@ -572,7 +563,6 @@ fn scatter_partial(
             exclude,
             budget: partial_budget,
         };
-        let engine = matcher(runtime, config);
         take_single(engine.partial_answers_batch_budgeted(&[request], table, cut)?)
     };
     if !interpretation.superlatives.is_empty() {
@@ -623,13 +613,12 @@ fn scatter_partial(
                     // prefix of top-limit = top-b.
                     budget: config.answer_limit,
                 };
-                let outcome =
-                    take_single(matcher(runtime, config).partial_answers_batch_scatter(
-                        &[request],
-                        part.table,
-                        part.budget,
-                        &thresholds,
-                    )?)?;
+                let outcome = take_single(engine.partial_answers_batch_scatter(
+                    &[request],
+                    part.table,
+                    part.budget,
+                    &thresholds,
+                )?)?;
                 if cache.is_some() {
                     entry.contribution.partial = Some(outcome.answers.clone());
                     entry.fresh = true;

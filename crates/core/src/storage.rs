@@ -288,7 +288,6 @@ pub(crate) fn config_to_snap(config: &crate::CqadsConfig) -> ConfigSnap {
     ConfigSnap {
         answer_limit: config.answer_limit as u64,
         partial_threshold: config.partial_threshold as u64,
-        partial_workers: config.partial_workers as u64,
         cache_capacity: config.cache_capacity as u64,
         cache_shards: config.cache_shards as u64,
     }
@@ -300,7 +299,6 @@ pub(crate) fn config_to_snap(config: &crate::CqadsConfig) -> ConfigSnap {
 pub(crate) fn apply_snap_to_config(config: &mut crate::CqadsConfig, snap: &ConfigSnap) {
     config.answer_limit = snap.answer_limit as usize;
     config.partial_threshold = snap.partial_threshold as usize;
-    config.partial_workers = snap.partial_workers as usize;
     config.cache_capacity = snap.cache_capacity as usize;
     config.cache_shards = snap.cache_shards as usize;
 }
@@ -337,7 +335,6 @@ mod tests {
         let config = crate::CqadsConfig {
             answer_limit: 7,
             partial_threshold: 3,
-            partial_workers: 2,
             cache_capacity: 99,
             cache_shards: 5,
             ..crate::CqadsConfig::default()
@@ -347,7 +344,6 @@ mod tests {
         apply_snap_to_config(&mut fresh, &snap);
         assert_eq!(fresh.answer_limit, 7);
         assert_eq!(fresh.partial_threshold, 3);
-        assert_eq!(fresh.partial_workers, 2);
         assert_eq!(fresh.cache_capacity, 99);
         assert_eq!(fresh.cache_shards, 5);
     }

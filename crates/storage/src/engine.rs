@@ -461,7 +461,6 @@ mod tests {
             config: ConfigSnap {
                 answer_limit: 10,
                 partial_threshold: 512,
-                partial_workers: 1,
                 cache_capacity: 0,
                 cache_shards: 1,
             },

@@ -29,8 +29,6 @@ pub struct ConfigSnap {
     pub answer_limit: u64,
     /// Record-count threshold above which partial (WAND-style) scoring kicks in.
     pub partial_threshold: u64,
-    /// Worker threads for partial scoring.
-    pub partial_workers: u64,
     /// Answer-cache capacity.
     pub cache_capacity: u64,
     /// Answer-cache shard count.
@@ -86,7 +84,9 @@ impl SnapshotData {
         let c = &self.config;
         e.put_u64(c.answer_limit);
         e.put_u64(c.partial_threshold);
-        e.put_u64(c.partial_workers);
+        // Reserved: stores written while the partial phase had a worker count carry
+        // it here, so the word stays on the wire (no format bump).
+        e.put_u64(0);
         e.put_u64(c.cache_capacity);
         e.put_u64(c.cache_shards);
         // Reserved: stores written before the exhaustive-engine knob was removed
@@ -162,10 +162,12 @@ impl SnapshotData {
             });
         }
         let ws = get_ws(&mut d)?;
+        let answer_limit = d.get_u64("answer limit")?;
+        let partial_threshold = d.get_u64("partial threshold")?;
+        d.get_u64("reserved config word")?;
         let config = ConfigSnap {
-            answer_limit: d.get_u64("answer limit")?,
-            partial_threshold: d.get_u64("partial threshold")?,
-            partial_workers: d.get_u64("partial workers")?,
+            answer_limit,
+            partial_threshold,
             cache_capacity: d.get_u64("cache capacity")?,
             cache_shards: d.get_u64("cache shards")?,
         };
@@ -218,7 +220,6 @@ mod tests {
             config: ConfigSnap {
                 answer_limit: 10,
                 partial_threshold: 512,
-                partial_workers: 1,
                 cache_capacity: 1024,
                 cache_shards: 8,
             },
@@ -238,15 +239,38 @@ mod tests {
     fn stores_written_with_the_reserved_config_byte_set_still_decode() {
         // The config block's trailing byte used to carry a since-removed engine
         // knob; a store that had it on must open exactly like one that had it off.
+        // Likewise the word after the partial threshold used to carry the partial
+        // phase's worker count: a store that asked for two workers opens exactly
+        // like one written with the constant.
         let snap = sample();
-        let mut bytes = snap.encode();
+        let good = snap.encode();
+        let reseal = |mut bytes: Vec<u8>| {
+            let crc = crc32(&bytes[12..]);
+            bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+            SnapshotData::decode(&bytes, Path::new("snapshot-000003.bin")).unwrap()
+        };
+
+        let mut bytes = good.clone();
         let last = bytes.len() - 1;
         assert_eq!(bytes[last], 0, "encoder writes the reserved byte as false");
         bytes[last] = 1;
-        let crc = crc32(&bytes[12..]);
-        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
-        let back = SnapshotData::decode(&bytes, Path::new("snapshot-000003.bin")).unwrap();
-        assert_eq!(back, snap);
+        assert_eq!(reseal(bytes), snap);
+
+        // Reserved word, cache capacity, cache shards (8 bytes each), reserved byte.
+        let word = good.len() - 1 - 3 * 8;
+        let mut bytes = good.clone();
+        assert_eq!(
+            bytes[word - 8..word],
+            512u64.to_le_bytes(),
+            "partial threshold"
+        );
+        assert_eq!(
+            bytes[word..word + 8],
+            0u64.to_le_bytes(),
+            "encoder writes 0"
+        );
+        bytes[word..word + 8].copy_from_slice(&2u64.to_le_bytes());
+        assert_eq!(reseal(bytes), snap);
     }
 
     #[test]

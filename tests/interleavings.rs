@@ -14,7 +14,7 @@
 //!
 //! Five protocols are checked, matching ARCHITECTURE.md invariants #7–#9:
 //!
-//! 1. [`SharedThreshold`] — the cross-worker WAND threshold's monotone
+//! 1. [`SharedThreshold`] — the cross-part WAND threshold's monotone
 //!    atomic max: no concurrent raise is ever lost, loads never regress.
 //! 2. [`CircuitBreaker`] — trip exactly-once under concurrent threshold
 //!    crossing, and the half-open probe race leaves only expected states.

@@ -11,8 +11,8 @@ use cqads_suite::cqads::tagging::Tagger;
 use cqads_suite::cqads::translate::interpret;
 use cqads_suite::cqads::{
     AnswerSet, BoundaryOp, ConditionSketch, CqadsConfig, CqadsError, CqadsResult, CqadsSystem,
-    CqadsWriter, DomainSpec, Interpretation, PartialMatchOptions, PartialMatcher,
-    ResilienceOptions, SimilarityModel, StorageOptions,
+    CqadsWriter, DomainSpec, Interpretation, PartialMatcher, ResilienceOptions, SimilarityModel,
+    StorageOptions,
 };
 use cqads_suite::datagen::{
     affinity_model, blueprint, generate_questions, generate_table, topic_groups, DomainBlueprint,
@@ -163,14 +163,12 @@ proptest! {
 
     /// The galloping, block-max-skipping intersection yields exactly the same id
     /// sequence as the naive sorted merge, for arbitrary (including skewed and
-    /// disjoint) posting lists — and stays correct when nested and restricted.
+    /// disjoint) posting lists — and stays correct when nested.
     #[test]
     fn galloping_intersection_matches_naive_merge(
         a in prop::collection::hash_set(0u32..4_000, 0..600),
         b in prop::collection::hash_set(0u32..4_000, 0..60),
         c in prop::collection::hash_set(0u32..4_000, 0..300),
-        lo in 0u32..4_000,
-        span in 0u32..4_000,
     ) {
         let (pa, pb, pc) = (posting(&a), posting(&b), posting(&c));
         // Two-way, both drive orders.
@@ -190,32 +188,19 @@ proptest! {
             .filter(|id| pc.ids().binary_search(id).is_ok())
             .collect();
         prop_assert_eq!(&abc, &expected3);
-        // Restriction to an id range is exactly a filter on the bounds.
-        let hi = lo.saturating_add(span);
-        let restricted: Vec<RecordId> = IdStream::postings(&pa)
-            .intersect(IdStream::postings(&pb))
-            .restrict(lo..hi)
-            .collect();
-        let expected_r: Vec<RecordId> = expected
-            .iter()
-            .copied()
-            .filter(|id| id.0 >= lo && id.0 < hi)
-            .collect();
-        prop_assert_eq!(&restricted, &expected_r);
     }
 
     /// The value-ordered (WAND-style) pruned traversal returns byte-identical answers
-    /// to the full-scan oracle across random tables, questions, budgets
-    /// (the pruning thresholds) and worker counts. Tables and question workloads come
-    /// from the seeded generators, so every proptest case explores a different
-    /// value distribution and relaxation mix.
+    /// to the full-scan oracle across random tables, questions and budgets (the
+    /// pruning thresholds). Tables and question workloads come from the seeded
+    /// generators, so every proptest case explores a different value distribution
+    /// and relaxation mix.
     #[test]
     fn wand_traversal_matches_exhaustive_engine(
         domain_idx in 0usize..3,
         table_seed in 0u64..1_000_000,
         question_seed in 0u64..1_000_000,
         table_size in 20usize..180,
-        workers in 1usize..4,
     ) {
         let domain = ["cars", "jewellery", "furniture"][domain_idx];
         let bp = blueprint(domain);
@@ -234,11 +219,7 @@ proptest! {
         let sim = SimilarityModel::new(Arc::new(ti), Arc::new(ws), spec.schema.clone());
         let tagger = Tagger::new(&spec);
 
-        let wand = PartialMatcher::with_options(
-            &spec,
-            &sim,
-            PartialMatchOptions { workers },
-        );
+        let wand = PartialMatcher::new(&spec, &sim);
 
         let questions = questions_with_boolean_shapes(&bp, &table, 8, question_seed);
         for q in &questions {
@@ -488,8 +469,8 @@ proptest! {
     /// Whatever the boolean shape, the executor's index-driven streams answer
     /// exactly what a scan of the records through `BoolExpr::matches` answers:
     /// `execute` the first `limit` ids (the extreme ones under a superlative),
-    /// `execute_stream` all of them — pulled, drained in bulk, sought with ascending
-    /// targets, or restricted to an id range.
+    /// `execute_stream` all of them — pulled, drained in bulk, or sought with
+    /// ascending targets.
     #[test]
     fn executor_matches_record_scan_for_every_boolean_shape(
         rows in prop::collection::vec(0u32..u32::MAX, 1..420),
@@ -548,19 +529,6 @@ proptest! {
                 rest = rest.get(1..).unwrap_or_default();
             }
             prop_assert_eq!(&sought.collect::<Vec<_>>(), rest, "after the seeks: {}", &context);
-
-            let lo = dice.roll(len as usize + 1) as u32;
-            let hi = lo + dice.roll(len as usize + 1) as u32;
-            let inside: Vec<RecordId> =
-                scanned.iter().copied().filter(|id| (lo..hi).contains(&id.0)).collect();
-            prop_assert_eq!(
-                &stream().restrict(lo..hi).collect::<Vec<_>>(), &inside,
-                "restrict({}..{}) pulled: {}", lo, hi, &context
-            );
-            prop_assert_eq!(
-                &stream().restrict(lo..hi).into_ids(), &inside,
-                "restrict({}..{}) drained: {}", lo, hi, &context
-            );
         }
     }
 }
@@ -646,7 +614,7 @@ proptest! {
 
     /// The production engine answers sparse questions — those whose relaxations
     /// starve, so the degree-of-match fallback reads the index and maybe scans —
-    /// bit for bit like the full-scan oracle, at every budget and worker count:
+    /// bit for bit like the full-scan oracle, at every budget:
     /// tables with missing attributes and values a hair off each other, question
     /// values stored nowhere or interned nowhere, duplicated conditions, OR
     /// segments, negations and superlatives.
@@ -667,6 +635,7 @@ proptest! {
         ws.insert("bc", "abc", 0.3);
         ws.insert("ab", "bc", 0.2);
         let sim = SimilarityModel::new(Arc::new(ti), Arc::new(ws), spec.schema.clone());
+        let matcher = PartialMatcher::new(&spec, &sim);
         let mut dice = Dice { rolls: &rolls, at: 0 };
         for _ in 0..4 {
             let interp = sparse_question(&mut dice);
@@ -679,16 +648,13 @@ proptest! {
             for budget in [1usize, 7, 30] {
                 let want = full_scan_partial_answers(&spec, &sim, &interp, &table, &exact, budget)
                     .unwrap();
-                for workers in [1usize, 2, 3] {
-                    let matcher = PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-                    let got = matcher.partial_answers(&interp, &table, &exact, budget).unwrap();
-                    prop_assert_eq!(got.len(), want.len(), "count: {:?} budget {} workers {}", interp, budget, workers);
-                    for (x, y) in got.iter().zip(&want) {
-                        prop_assert!(
-                            x.bits_eq(y),
-                            "{:?} budget {} workers {}: {:?} != {:?}", interp, budget, workers, x, y
-                        );
-                    }
+                let got = matcher.partial_answers(&interp, &table, &exact, budget).unwrap();
+                prop_assert_eq!(got.len(), want.len(), "count: {:?} budget {}", interp, budget);
+                for (x, y) in got.iter().zip(&want) {
+                    prop_assert!(
+                        x.bits_eq(y),
+                        "{:?} budget {}: {:?} != {:?}", interp, budget, x, y
+                    );
                 }
             }
         }
@@ -903,7 +869,7 @@ proptest! {
             Arc::new(WordSimMatrix::default()),
             spec.schema.clone(),
         );
-        let matcher = PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers: 1 });
+        let matcher = PartialMatcher::new(&spec, &sim);
         let tagger = Tagger::new(&spec);
         let questions = generate_questions(&bp, &table, 6, question_seed, &QuestionMix::default());
         for (context, snapshot, rebuilt) in &snapshots {
@@ -1085,38 +1051,35 @@ proptest! {
 // The config matrix: every accepted config answers like the default one
 // ---------------------------------------------------------------------------
 
-/// `shards × storage × resilience × cache_capacity × partial_workers`: every
-/// combination of the values below, each over its own in-memory filesystem.
+/// `shards × storage × resilience × cache_capacity`: every combination of the
+/// values below, each over its own in-memory filesystem.
 fn config_matrix() -> Vec<(String, CqadsConfig)> {
     let mut matrix = Vec::new();
     for shards in [None, Some(1), Some(2), Some(3), Some(7)] {
         for durable in [false, true] {
             for resilient in [false, true] {
                 for cache_capacity in [0, CqadsConfig::default().cache_capacity] {
-                    for partial_workers in [1, 2] {
-                        let label = format!(
-                            "shards {shards:?}, durable {durable}, resilient {resilient}, \
-                             cache {cache_capacity}, workers {partial_workers}"
-                        );
-                        let storage = durable.then(|| {
-                            StorageOptions::with_vfs("db", Arc::new(MemFs::new()) as Arc<dyn Vfs>)
-                        });
-                        // A deadline no test run reaches: admission and the
-                        // budget are armed, nothing is ever cut.
-                        let resilience = resilient.then(|| ResilienceOptions {
-                            deadline_micros: Some(3_600_000_000),
-                            ..ResilienceOptions::default()
-                        });
-                        let config = CqadsConfig {
-                            shards,
-                            storage,
-                            resilience,
-                            cache_capacity,
-                            partial_workers,
-                            ..CqadsConfig::default()
-                        };
-                        matrix.push((label, config));
-                    }
+                    let label = format!(
+                        "shards {shards:?}, durable {durable}, resilient {resilient}, \
+                         cache {cache_capacity}"
+                    );
+                    let storage = durable.then(|| {
+                        StorageOptions::with_vfs("db", Arc::new(MemFs::new()) as Arc<dyn Vfs>)
+                    });
+                    // A deadline no test run reaches: admission and the budget are
+                    // armed, nothing is ever cut.
+                    let resilience = resilient.then(|| ResilienceOptions {
+                        deadline_micros: Some(3_600_000_000),
+                        ..ResilienceOptions::default()
+                    });
+                    let config = CqadsConfig {
+                        shards,
+                        storage,
+                        resilience,
+                        cache_capacity,
+                        ..CqadsConfig::default()
+                    };
+                    matrix.push((label, config));
                 }
             }
         }

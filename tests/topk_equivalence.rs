@@ -1,6 +1,5 @@
 //! Equivalence of the bounded top-k partial-match engine with the original
-//! full-scan/full-sort pipeline (kept as `cqads::oracle::full_scan_partial_answers`),
-//! and of the id-sharded parallel engine with the sequential one.
+//! full-scan/full-sort pipeline (kept as `cqads::oracle::full_scan_partial_answers`).
 //!
 //! The deterministic randomized sweep below generates seeded datagen tables and
 //! question workloads across several domains, interprets every question exactly as the
@@ -13,7 +12,7 @@ use cqads_suite::addb::{Record, RecordId, Schema, Table};
 use cqads_suite::cqads::oracle::full_scan_partial_answers;
 use cqads_suite::cqads::tagging::Tagger;
 use cqads_suite::cqads::translate::{interpret, Interpretation};
-use cqads_suite::cqads::{DomainSpec, PartialMatchOptions, PartialMatcher, SimilarityModel};
+use cqads_suite::cqads::{DomainSpec, PartialMatcher, SimilarityModel};
 use cqads_suite::datagen::{
     affinity_model, blueprint, generate_questions, generate_table, topic_groups, DomainBlueprint,
     QuestionMix, ValuePool,
@@ -448,23 +447,18 @@ fn build_datagen(domain: &'static str, table_seed: u64, question_seed: u64) -> W
 }
 
 /// The value-ordered (WAND-style) pruned traversal is byte-identical to the full-scan
-/// oracle across seeded workloads, budgets (the pruning thresholds) and worker
-/// counts — the sharded variant prunes against each worker's private (lower)
-/// threshold, which must still be lossless. Datagen tables carry the question
-/// variety; the synthetic tables carry the posting-list sizes.
+/// oracle across seeded workloads and budgets (the pruning thresholds). Datagen
+/// tables carry the question variety; the synthetic tables carry the posting-list
+/// sizes.
 #[test]
 fn wand_traversal_matches_the_oracle_across_seeded_workloads() {
-    let sweeps: [(Workload, &[usize], &[usize]); 4] = [
-        (build_datagen("cars", 61, 71), &[1, 3], &[1, 7, 30, 500]),
-        (
-            build_datagen("furniture", 62, 72),
-            &[1, 3],
-            &[1, 7, 30, 500],
-        ),
-        (build_synthetic(5_000, true), &[1, 2, 4, 8], &[1, 30]),
-        (build_synthetic(5_000, false), &[1, 2, 4, 8], &[1, 30]),
+    let sweeps: [(Workload, &[usize]); 4] = [
+        (build_datagen("cars", 61, 71), &[1, 7, 30, 500]),
+        (build_datagen("furniture", 62, 72), &[1, 7, 30, 500]),
+        (build_synthetic(5_000, true), &[1, 7, 30, 100]),
+        (build_synthetic(5_000, false), &[1, 7, 30, 100]),
     ];
-    for (workload, worker_counts, budgets) in &sweeps {
+    for (workload, budgets) in &sweeps {
         let Workload {
             name,
             spec,
@@ -473,6 +467,7 @@ fn wand_traversal_matches_the_oracle_across_seeded_workloads() {
             questions,
         } = workload;
         let tagger = Tagger::new(spec);
+        let wand = PartialMatcher::new(spec, sim);
         let mut compared = 0usize;
         let mut shapes = BooleanShapes::default();
         for text in questions {
@@ -489,21 +484,17 @@ fn wand_traversal_matches_the_oracle_across_seeded_workloads() {
             let largest = budgets.iter().copied().max().unwrap_or(0);
             shapes.note(&interp, spec, table, &exact, largest);
             for &budget in *budgets {
+                let a = wand
+                    .partial_answers(&interp, table, &exact, budget)
+                    .unwrap();
                 let b =
                     full_scan_partial_answers(spec, sim, &interp, table, &exact, budget).unwrap();
-                for &workers in *worker_counts {
-                    let wand =
-                        PartialMatcher::with_options(spec, sim, PartialMatchOptions { workers });
-                    let a = wand
-                        .partial_answers(&interp, table, &exact, budget)
-                        .unwrap();
-                    assert_identical(
-                        &a,
-                        &b,
-                        &format!("{name}, question {text:?}, workers {workers}, budget {budget}"),
-                    );
-                    compared += 1;
-                }
+                assert_identical(
+                    &a,
+                    &b,
+                    &format!("{name}, question {text:?}, budget {budget}"),
+                );
+                compared += 1;
             }
         }
         assert!(
@@ -514,93 +505,8 @@ fn wand_traversal_matches_the_oracle_across_seeded_workloads() {
     }
 }
 
-/// The id-sharded parallel engine is byte-identical to the sequential engine for
-/// every worker count, across randomized datagen tables and question workloads —
-/// including sparse questions that trigger the degree-of-match fallback and workers
-/// far exceeding any shard's useful size.
-#[test]
-fn parallel_workers_match_sequential_across_seeded_workloads() {
-    for (domain, table_seed, question_seed) in [("cars", 31_u64, 41_u64), ("jewellery", 32, 42)] {
-        let bp = blueprint(domain);
-        let table = generate_table(&bp, 350, table_seed);
-        let log = generate_log(
-            &affinity_model(&bp),
-            &LogGeneratorConfig {
-                sessions: 120,
-                seed: table_seed ^ 0x5A5A,
-                ..Default::default()
-            },
-        );
-        let ti = TIMatrix::build(&log);
-        let corpus = SyntheticCorpus::generate(
-            &topic_groups(&bp),
-            &CorpusSpec {
-                documents: 60,
-                ..CorpusSpec::default()
-            },
-        );
-        let ws = WordSimMatrix::build(&corpus);
-        let spec = bp.to_spec();
-        let sim = SimilarityModel::new(Arc::new(ti), Arc::new(ws), spec.schema.clone());
-        let tagger = Tagger::new(&spec);
-
-        let sequential =
-            PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers: 1 });
-        let mut questions: Vec<String> =
-            generate_questions(&bp, &table, 40, question_seed, &QuestionMix::default())
-                .into_iter()
-                .map(|q| q.text)
-                .collect();
-        questions.push(superlative_question(&bp, &table));
-        let mut compared = 0usize;
-        let mut shapes = BooleanShapes::default();
-        for text in &questions {
-            let Ok(interp) = interpret(&tagger.tag(text), &spec) else {
-                continue;
-            };
-            let exact: HashSet<RecordId> = {
-                let query = interp.to_query_with_limit(&spec, 30).unwrap();
-                cqads_suite::addb::Executor::new(&table)
-                    .execute(&query)
-                    .map(|answers| answers.into_iter().map(|a| a.id).collect())
-                    .unwrap_or_default()
-            };
-            shapes.note(&interp, &spec, &table, &exact, 30);
-            for workers in [2usize, 8] {
-                let parallel = PartialMatcher::with_options(
-                    &spec,
-                    &sim,
-                    PartialMatchOptions {
-                        workers,
-                        ..PartialMatchOptions::default()
-                    },
-                );
-                for budget in [1usize, 7, 30] {
-                    let a = parallel
-                        .partial_answers(&interp, &table, &exact, budget)
-                        .unwrap();
-                    let b = sequential
-                        .partial_answers(&interp, &table, &exact, budget)
-                        .unwrap();
-                    assert_identical(
-                        &a,
-                        &b,
-                        &format!("domain {domain}, question {text:?}, workers {workers}, budget {budget}"),
-                    );
-                    compared += 1;
-                }
-            }
-        }
-        assert!(
-            compared >= 100,
-            "expected a substantive parallel sweep for {domain}, compared only {compared}"
-        );
-        shapes.assert_all_drawn(domain);
-    }
-}
-
-/// The batch API is element-wise byte-identical to per-question calls, for every
-/// worker count and across mixed budgets (including zero).
+/// The batch API is element-wise byte-identical to per-question calls, across mixed
+/// budgets (including zero).
 #[test]
 fn batch_api_matches_per_question_calls() {
     use cqads_suite::cqads::PartialBatchRequest;
@@ -639,31 +545,29 @@ fn batch_api_matches_per_question_calls() {
             budget: [0usize, 1, 7, 30][i % 4],
         })
         .collect();
-    for workers in [1usize, 2, 8] {
-        let matcher = PartialMatcher::with_options(&spec, &sim, PartialMatchOptions { workers });
-        let batched = matcher
-            .partial_answers_batch_budgeted(&requests, &table, None)
+    let matcher = PartialMatcher::new(&spec, &sim);
+    let batched = matcher
+        .partial_answers_batch_budgeted(&requests, &table, None)
+        .unwrap();
+    assert_eq!(batched.len(), requests.len());
+    for (r, outcome) in requests.iter().zip(&batched) {
+        let single = matcher
+            .partial_answers(r.interpretation, &table, r.exclude, r.budget)
             .unwrap();
-        assert_eq!(batched.len(), requests.len());
-        for (r, outcome) in requests.iter().zip(&batched) {
-            let single = matcher
-                .partial_answers(r.interpretation, &table, r.exclude, r.budget)
-                .unwrap();
-            assert_identical(
-                &outcome.answers,
-                &single,
-                &format!("batch vs single, workers {workers}, budget {}", r.budget),
-            );
-        }
+        assert_identical(
+            &outcome.answers,
+            &single,
+            &format!("batch vs single, budget {}", r.budget),
+        );
     }
 }
 
 /// The serving front-end (`CqadsSystem::answer_batch`) is byte-identical to
 /// per-question uncached asks against the classified domain — for the full answer sets (exact + partial,
-/// sql, counts), across worker counts, with the cache cold and hot.
+/// sql, counts), with the cache cold and hot.
 #[test]
 fn answer_batch_matches_per_question_uncached_asks() {
-    use cqads_suite::cqads::{CqadsConfig, CqadsSystem};
+    use cqads_suite::cqads::CqadsSystem;
 
     fn assert_sets_identical(
         batch: &cqads_suite::cqads::AnswerSet,
@@ -696,76 +600,67 @@ fn answer_batch_matches_per_question_uncached_asks() {
         }
     }
 
-    for workers in [0usize, 2] {
-        let mut system = CqadsSystem::with_config(CqadsConfig {
-            partial_workers: workers,
-            ..CqadsConfig::default()
-        });
-        let bp = blueprint("cars");
-        let table = generate_table(&bp, 400, 51);
-        let log = generate_log(
-            &affinity_model(&bp),
-            &LogGeneratorConfig {
-                sessions: 150,
-                seed: 52,
-                ..Default::default()
-            },
-        );
-        let corpus = SyntheticCorpus::generate(
-            &topic_groups(&bp),
-            &CorpusSpec {
-                documents: 80,
-                ..CorpusSpec::default()
-            },
-        );
-        system.set_word_sim(WordSimMatrix::build(&corpus));
-        system.add_domain(bp.to_spec(), table, TIMatrix::build(&log));
+    let mut system = CqadsSystem::new();
+    let bp = blueprint("cars");
+    let table = generate_table(&bp, 400, 51);
+    let log = generate_log(
+        &affinity_model(&bp),
+        &LogGeneratorConfig {
+            sessions: 150,
+            seed: 52,
+            ..Default::default()
+        },
+    );
+    let corpus = SyntheticCorpus::generate(
+        &topic_groups(&bp),
+        &CorpusSpec {
+            documents: 80,
+            ..CorpusSpec::default()
+        },
+    );
+    system.set_word_sim(WordSimMatrix::build(&corpus));
+    system.add_domain(bp.to_spec(), table, TIMatrix::build(&log));
 
-        let table_ref = system.database().table("cars").unwrap();
-        let questions: Vec<String> =
-            generate_questions(&bp, table_ref, 40, 53, &QuestionMix::default())
-                .into_iter()
-                .map(|q| q.text)
-                .collect();
-        // Burst with deliberate repeats so the dedup path is exercised.
-        let mut burst: Vec<&str> = questions.iter().map(String::as_str).collect();
-        burst.extend(questions.iter().take(10).map(String::as_str));
+    let table_ref = system.database().table("cars").unwrap();
+    let questions: Vec<String> =
+        generate_questions(&bp, table_ref, 40, 53, &QuestionMix::default())
+            .into_iter()
+            .map(|q| q.text)
+            .collect();
+    // Burst with deliberate repeats so the dedup path is exercised.
+    let mut burst: Vec<&str> = questions.iter().map(String::as_str).collect();
+    burst.extend(questions.iter().take(10).map(String::as_str));
 
-        let batched = system.answer_batch(&burst);
-        assert_eq!(batched.len(), burst.len());
-        let mut compared = 0usize;
-        for (q, outcome) in burst.iter().zip(&batched) {
-            let domain = system.classify(q).unwrap();
-            let single = system.ask(q).domain(&domain).uncached().get();
-            match (outcome, single) {
-                (Ok(batch_set), Ok(single_set)) => {
-                    assert_sets_identical(
-                        batch_set,
-                        &single_set,
-                        &format!("workers {workers}, question {q:?}"),
-                    );
-                    compared += 1;
-                }
-                (Err(a), Err(b)) => assert_eq!(a, &b, "errors diverged for {q:?}"),
-                (a, b) => panic!("outcome mismatch for {q:?}: batch {a:?} vs single {b:?}"),
+    let batched = system.answer_batch(&burst);
+    assert_eq!(batched.len(), burst.len());
+    let mut compared = 0usize;
+    for (q, outcome) in burst.iter().zip(&batched) {
+        let domain = system.classify(q).unwrap();
+        let single = system.ask(q).domain(&domain).uncached().get();
+        match (outcome, single) {
+            (Ok(batch_set), Ok(single_set)) => {
+                assert_sets_identical(batch_set, &single_set, &format!("question {q:?}"));
+                compared += 1;
             }
+            (Err(a), Err(b)) => assert_eq!(a, &b, "errors diverged for {q:?}"),
+            (a, b) => panic!("outcome mismatch for {q:?}: batch {a:?} vs single {b:?}"),
         }
-        assert!(compared >= 20, "sweep too small: {compared}");
-
-        // A hot second burst (pure cache hits) still matches the uncached path.
-        let hot = system.answer_batch(&burst[..10]);
-        for (q, outcome) in burst[..10].iter().zip(&hot) {
-            if let Ok(batch_set) = outcome {
-                let domain = system.classify(q).unwrap();
-                let single = system.ask(q).domain(&domain).uncached().get().unwrap();
-                assert_sets_identical(batch_set, &single, &format!("hot, question {q:?}"));
-            }
-        }
-        assert!(
-            system.cache_stats().hits > 0,
-            "hot burst never hit the cache"
-        );
     }
+    assert!(compared >= 20, "sweep too small: {compared}");
+
+    // A hot second burst (pure cache hits) still matches the uncached path.
+    let hot = system.answer_batch(&burst[..10]);
+    for (q, outcome) in burst[..10].iter().zip(&hot) {
+        if let Ok(batch_set) = outcome {
+            let domain = system.classify(q).unwrap();
+            let single = system.ask(q).domain(&domain).uncached().get().unwrap();
+            assert_sets_identical(batch_set, &single, &format!("hot, question {q:?}"));
+        }
+    }
+    assert!(
+        system.cache_stats().hits > 0,
+        "hot burst never hit the cache"
+    );
 }
 
 #[test]
