@@ -6,26 +6,39 @@
 //! costs one hash lookup instead of a full classify → tag → interpret → execute →
 //! partial-match pass.
 //!
-//! The implementation, [`GenerationCache`], is generic over what it stores and is the
-//! crate's only cache: [`AnswerCache`] is its whole-answer instance, and a system with
-//! more than one part ([`CqadsConfig::shards`](crate::CqadsConfig::shards)) keeps one
-//! more instance per part for that part's contribution to a question (see
-//! [`crate::shard`]) — same key, same stamp protocol, same LRU and counters.
+//! The implementation, [`GenerationCache`], is generic over its key and what it
+//! stores, and is the crate's only cache: [`AnswerCache`] is its whole-answer
+//! instance; a system with more than one part
+//! ([`CqadsConfig::shards`](crate::CqadsConfig::shards)) keeps one more instance per
+//! part for that part's contribution to a question (see [`crate::shard`]); and every
+//! snapshot holds one keyed by question text, the route memo below — same stamp
+//! protocol, same LRU and counters.
 //!
 //! # Key
 //!
 //! Entries are keyed by [`CacheKey`]: the domain name plus the question's normalized
 //! token stream (plain strings — see the [`CacheKey`] docs for why user-controlled
 //! text is deliberately *not* interned). Normalization is exactly the
-//! pipeline's own [`cqads_text::tokenize()`] (lowercasing, punctuation trimming,
-//! numeric-shorthand expansion), so `"Blue Honda?"` and `"blue honda"` share an
-//! entry. The key is *conservative by construction*: the tagger — and therefore the
-//! whole downstream pipeline — is a pure function of the token stream, and every
-//! token is itself a pure function of its normalized text, so two questions with
-//! equal keys are guaranteed to produce identical answer sets against the same table
-//! state. Questions that differ only in ways the pipeline ignores (e.g. `"20k"` vs
-//! `"20000"`) may still occupy two entries; that costs an extra miss, never a wrong
-//! hit.
+//! pipeline's own [`cqads_text::tokenize()`] (lowercasing and punctuation
+//! trimming), so `"Blue Honda?"` and `"blue honda"` share an entry. The key is
+//! *conservative by construction*: the tagger — and therefore the whole downstream
+//! pipeline — is a pure function of the token stream, and every token is itself a
+//! pure function of its normalized text, so two questions with equal keys are
+//! guaranteed to produce identical answer sets against the same table state. The key
+//! stores each token's text, not its parsed value, so questions that differ only in
+//! ways the pipeline ignores (e.g. `"20k"` vs `"20000"`) occupy two entries; that
+//! costs an extra miss, never a wrong hit.
+//!
+//! A routed ask (one without an explicit domain) does not build its key per ask: it
+//! reaches the key through its snapshot's **route memo** (`crate::handle`), which
+//! maps the *exact question text* to the domain the classifier chose and that
+//! domain's [`CacheKey`]. The memo is keyed by the text, not by the tokens, because
+//! the classifier tokenizes differently from [`cqads_text::tokenize()`]
+//! (`"blue,red"` is one classifier token and two tagger tokens), so two questions
+//! with equal token streams can be routed to different domains. The memo is never
+//! stamped (it uses one constant stamp): routing depends only on the classifier and
+//! the set of registered domain names, and a change to either installs a fresh memo
+//! in the snapshot.
 //!
 //! # Generation-stamp invalidation protocol
 //!
@@ -72,9 +85,10 @@
 use crate::pipeline::AnswerSet;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
+use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
 /// Cache key: domain name plus the question's normalized token stream.
@@ -102,6 +116,11 @@ impl CacheKey {
                 .map(|t| t.text.into_boxed_str())
                 .collect(),
         }
+    }
+
+    /// The domain the question is answered in.
+    pub fn domain(&self) -> &str {
+        &self.domain
     }
 }
 
@@ -131,7 +150,7 @@ pub struct GenerationStamp {
 
 impl GenerationStamp {
     /// Pair a table generation with a model generation.
-    pub fn new(table: u64, model: u64) -> Self {
+    pub const fn new(table: u64, model: u64) -> Self {
         GenerationStamp { table, model }
     }
 
@@ -154,8 +173,8 @@ struct CacheEntry<V> {
 
 /// One lock stripe: a bounded map plus its LRU tick counter.
 #[derive(Debug)]
-struct Shard<V> {
-    map: HashMap<CacheKey, CacheEntry<V>>,
+struct Shard<K, V> {
+    map: HashMap<K, CacheEntry<V>>,
     tick: u64,
 }
 
@@ -221,17 +240,18 @@ impl std::iter::Sum for CacheStats {
 /// assert!(cache.lookup(&variant, stamp).is_some());
 /// assert!(cache.lookup(&variant, GenerationStamp::new(2, 0)).is_none()); // insert
 /// ```
-pub type AnswerCache = GenerationCache<Arc<AnswerSet>>;
+pub type AnswerCache = GenerationCache<CacheKey, Arc<AnswerSet>>;
 
 /// Sharded, capacity-bounded, generation-invalidated LRU cache of cheaply
 /// clonable values (a hit clones the value out under the stripe lock, so store
-/// `Arc`s).
+/// `Arc`s), keyed by any `K` and looked up through any borrowed form of it
+/// (a `Box<str>` key by `&str`, as [`HashMap::get`] does).
 ///
 /// See the [module docs](self) for the invalidation protocol. A capacity of `0`
 /// disables the cache entirely: lookups miss and fills are dropped.
 #[derive(Debug)]
-pub struct GenerationCache<V> {
-    shards: Box<[Mutex<Shard<V>>]>,
+pub struct GenerationCache<K, V> {
+    shards: Box<[Mutex<Shard<K, V>>]>,
     shard_capacity: usize,
     hasher: RandomState,
     hits: AtomicU64,
@@ -240,7 +260,7 @@ pub struct GenerationCache<V> {
     evicted: AtomicU64,
 }
 
-impl<V: Clone> GenerationCache<V> {
+impl<K: Hash + Eq + Clone, V: Clone> GenerationCache<K, V> {
     /// Create a cache holding at most `capacity` values spread over `shards`
     /// lock stripes (both clamped to sensible minimums; `capacity == 0` disables the
     /// cache). Each shard is bounded by `ceil(capacity / shards)`.
@@ -266,12 +286,19 @@ impl<V: Clone> GenerationCache<V> {
         }
     }
 
+    /// A new, empty cache of the same shape — stripes and per-stripe capacity —
+    /// with every counter at zero.
+    pub fn empty_like(&self) -> Self {
+        let shards = self.shards.len();
+        Self::new(self.shard_capacity * shards, shards)
+    }
+
     /// True when the cache can hold entries at all (capacity > 0).
     pub fn is_enabled(&self) -> bool {
         self.shard_capacity > 0
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard<V>> {
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<Shard<K, V>> {
         let hash = self.hasher.hash_one(key);
         &self.shards[(hash as usize) % self.shards.len()]
     }
@@ -282,7 +309,11 @@ impl<V: Clone> GenerationCache<V> {
     /// generation and model generation, both read from one consistent view of
     /// the domain (the caller's loaded snapshot in a concurrent deployment —
     /// see [`crate::handle`]).
-    pub fn lookup(&self, key: &CacheKey, current: GenerationStamp) -> Option<V> {
+    pub fn lookup<Q>(&self, key: &Q, current: GenerationStamp) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         if !self.is_enabled() {
             // ordering: monotone stats counter; nothing synchronizes through it.
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -340,7 +371,11 @@ impl<V: Clone> GenerationCache<V> {
     /// flagged [`Stale`](crate::AnswerQuality::Stale) rather than a deeply
     /// truncated fresh answer. Never use it on a healthy path: freshness is
     /// exactly what [`GenerationCache::lookup`] exists to prove.
-    pub fn peek_stale(&self, key: &CacheKey) -> Option<V> {
+    pub fn peek_stale<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         if !self.is_enabled() {
             return None;
         }
@@ -352,7 +387,7 @@ impl<V: Clone> GenerationCache<V> {
     /// Insert (or refresh) a value stamped with the [`GenerationStamp`] that was
     /// read **before** the value was computed — never the stamp read afterwards, or
     /// a mutation racing the computation could be masked (see the module docs).
-    pub fn fill(&self, key: CacheKey, stamp: GenerationStamp, value: V) {
+    pub fn fill(&self, key: K, stamp: GenerationStamp, value: V) {
         if !self.is_enabled() {
             return;
         }
@@ -589,6 +624,28 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn text_keys_look_up_by_str_and_empty_like_keeps_the_shape() {
+        let memo: GenerationCache<Box<str>, u32> = GenerationCache::new(4, 2);
+        let stamp = GenerationStamp::new(0, 0);
+        memo.fill("blue,red".into(), stamp, 7);
+        assert_eq!(memo.lookup("blue,red", stamp), Some(7));
+        // The exact text is the key: no normalization at all.
+        assert_eq!(memo.lookup("blue red", stamp), None);
+        assert_eq!(memo.peek_stale("blue,red"), Some(7));
+
+        let fresh = memo.empty_like();
+        assert!(fresh.is_empty() && fresh.is_enabled());
+        let zeroed = CacheStats {
+            shards: 2,
+            ..CacheStats::default()
+        };
+        assert_eq!(fresh.stats(), zeroed);
+        assert!(!GenerationCache::<Box<str>, u32>::new(0, 2)
+            .empty_like()
+            .is_enabled());
     }
 
     #[test]

@@ -47,6 +47,24 @@
 //! stamp [`covers`](GenerationStamp::covers) the older current stamp) —
 //! fresher than requested is safe; staler is impossible.
 //!
+//! # The route memo
+//!
+//! A cached ask without an explicit domain must be routed — classified into
+//! a domain, then keyed for the answer cache — before the cache can answer
+//! it, and routing costs far more than the cache lookup. So each snapshot
+//! also holds a route memo: a bounded [`GenerationCache`] from the *exact
+//! question text* to its [`CacheKey`] (which names the domain). A repeated
+//! ask then costs one hash of the text and one stripe lookup before the
+//! answer-cache lookup. Routing reads only the classifier and the set of
+//! registered domain names (the classifier's fallbacks), so the memo is valid
+//! by construction rather than stamped: a retrain or a new domain name
+//! installs a fresh, empty memo in the master, and a reader on an older
+//! snapshot keeps routing with that snapshot's classifier and memo. Inserts,
+//! query-log deltas and WS-matrix swaps keep it. It is keyed by the text, not
+//! by its tokens, because the classifier tokenizes differently from the
+//! tagger (see [`crate::cache`], "Key"). Uncached and explicit-domain asks
+//! never touch it; [`ServingStats::routes`] counts it.
+//!
 //! # Choosing a handle
 //!
 //! * One thread, or external synchronization: a [`CqadsWriter`] alone — it
@@ -61,8 +79,8 @@
 //! (`.ask(q)[.domain(d)][.uncached()].get()`) — and one function that answers:
 //! `shard::answer_parts`, called by `ask` (one question × this snapshot's
 //! parts) and by `answer_batch` (a domain's cache misses × this snapshot's
-//! parts). This module keeps only what wraps it: classification, the cache,
-//! admission, stale fallback and the audit trail.
+//! parts). This module keeps only what wraps it: routing (classification and
+//! the route memo), the cache, admission, stale fallback and the audit trail.
 
 use crate::cache::{AnswerCache, CacheKey, CacheStats, GenerationCache, GenerationStamp};
 use crate::domain::DomainSpec;
@@ -71,7 +89,7 @@ use crate::partial::take_single;
 use crate::pipeline::{AnswerSet, ClassifyOutcome, CqadsConfig, IngestReport};
 use crate::ranking::SimilarityModel;
 use crate::resilience::{AnswerQuality, QueryBudget, ResilienceRuntime, ServingStats};
-use crate::shard::{answer_parts, in_global_order, Contribution, Part, RecordRouter};
+use crate::shard::{answer_parts, in_global_order, ContributionCache, Part, RecordRouter};
 use crate::storage::{config_to_snap, data_to_spec, spec_to_data, DurableStorage, StorageOptions};
 use crate::tagging::{TaggedQuestion, TaggedToken, Tagger};
 use crate::translate::{interpret, Interpretation};
@@ -96,6 +114,14 @@ pub(crate) struct DomainRuntime {
     pub(crate) similarity: SimilarityModel,
 }
 
+/// The route memo: exact question text → the answer-cache key of the domain
+/// the question was classified into ([`ReadContext::route`]).
+pub(crate) type Routes = GenerationCache<Box<str>, Arc<CacheKey>>;
+
+/// The route memo's one stamp: a route stays valid for the life of the memo
+/// that holds it, because the memo is replaced, never stamped.
+const ROUTE_STAMP: GenerationStamp = GenerationStamp::new(0, 0);
+
 /// The immutable hot read state, published as a unit. Cloning is cheap by
 /// construction (every heavy member is behind an `Arc`), which is what makes
 /// per-mutation republication affordable.
@@ -108,16 +134,30 @@ pub(crate) struct Snapshot {
     pub(crate) domains: BTreeMap<String, Arc<DomainRuntime>>,
     pub(crate) classifier: Arc<BetaBinomialNb>,
     pub(crate) word_sim: Arc<WordSimMatrix>,
+    /// The routes of this snapshot's classifier over its domain names — the
+    /// only two inputs of routing — so a retrain or a new domain name
+    /// installs a fresh memo ([`Snapshot::reset_routes`]) and nothing else
+    /// touches it.
+    pub(crate) routes: Arc<Routes>,
 }
 
 impl Snapshot {
-    fn empty(parts: usize) -> Self {
+    fn empty(config: &CqadsConfig) -> Self {
         Snapshot {
-            parts: vec![Database::new(); parts.max(1)],
+            parts: vec![Database::new(); config.shards.unwrap_or(1).max(1)],
             domains: BTreeMap::new(),
             classifier: Arc::new(BetaBinomialNb::new()),
             word_sim: Arc::new(WordSimMatrix::default()),
+            routes: Arc::new(Routes::new(config.cache_capacity, config.cache_shards)),
         }
+    }
+
+    /// Install an empty route memo of the same size: the classifier or the
+    /// set of domain names changed, so any memoized route may now be wrong.
+    /// Snapshots published before keep the old memo with the classifier it
+    /// describes.
+    fn reset_routes(&mut self) {
+        self.routes = Arc::new(self.routes.empty_like());
     }
 
     /// The current model generation of a registered domain.
@@ -233,6 +273,11 @@ impl Snapshot {
             tagger,
             similarity,
         };
+        // A new name can be a classifier fallback target; a re-registration
+        // routes exactly as before.
+        if !self.domains.contains_key(spec.name()) {
+            self.reset_routes();
+        }
         self.domains
             .insert(spec.name().to_string(), Arc::new(runtime));
         generation
@@ -279,7 +324,7 @@ pub(crate) struct Shared {
     /// Beneath the whole-answer cache, one cache per part of that part's
     /// contribution to a question (`crate::shard`, "Finer invalidation").
     /// Empty at one part, where a contribution *is* the answer.
-    pub(crate) contributions: Vec<GenerationCache<Arc<Contribution>>>,
+    pub(crate) contributions: Vec<ContributionCache>,
     pub(crate) storage: Option<DurableStorage>,
     pub(crate) resilience: Option<ResilienceRuntime>,
     /// Time source for answer timing and audit frames. Shared with the
@@ -295,10 +340,12 @@ impl Shared {
         self.storage.as_ref().map_or(0, |s| s.audit_failures())
     }
 
-    /// One operator-facing snapshot of the serving path's health.
-    pub(crate) fn serving_stats(&self) -> ServingStats {
+    /// One operator-facing snapshot of the serving path's health, with the
+    /// route memo of `snap`, the snapshot being served.
+    pub(crate) fn serving_stats(&self, snap: &Snapshot) -> ServingStats {
         ServingStats {
             cache: self.cache.stats(),
+            routes: snap.routes.stats(),
             contributions: self.contributions.iter().map(|c| c.stats()).sum(),
             audit_failures: self.audit_failures(),
             shed: self.resilience.as_ref().map_or(0, |r| r.shed()),
@@ -357,15 +404,42 @@ impl<'a> ReadContext<'a> {
         })
     }
 
+    /// Route a question: the answer-cache key of the domain it is classified
+    /// into (named by [`CacheKey::domain`]). A question whose exact text this
+    /// snapshot has routed before costs one hash of the text and one stripe
+    /// lookup in the snapshot's memo; any other is classified, keyed and
+    /// memoized. Only cached asks route: an uncached or explicit-domain ask
+    /// never reads or fills the memo.
+    pub(crate) fn route(self, question: &str) -> CqadsResult<Arc<CacheKey>> {
+        let memo = &self.snap.routes;
+        // A disabled memo is not consulted, so its counters stay at zero.
+        if memo.is_enabled() {
+            if let Some(route) = memo.lookup(question, ROUTE_STAMP) {
+                return Ok(route);
+            }
+        }
+        let route = Arc::new(CacheKey::new(&self.classify(question)?, question));
+        memo.fill(question.into(), ROUTE_STAMP, Arc::clone(&route));
+        Ok(route)
+    }
+
     /// Answer one question — the single function behind [`AnswerRequest::get`].
-    /// `domain: None` classifies first; `cached: false` computes from scratch
-    /// and neither fills the cache nor audits.
+    /// `domain: None` classifies first (through the route memo when cached);
+    /// `cached: false` computes from scratch and neither fills the cache nor
+    /// audits.
     pub(crate) fn answer_one(
         self,
         question: &str,
         domain: Option<&str>,
         cached: bool,
     ) -> CqadsResult<Arc<AnswerSet>> {
+        if cached && self.shared.cache.is_enabled() {
+            let key = match domain {
+                Some(domain) => Arc::new(CacheKey::new(domain, question)),
+                None => self.route(question)?,
+            };
+            return self.answer_cached(question, &key);
+        }
         let classified;
         let domain = match domain {
             Some(domain) => domain,
@@ -374,58 +448,70 @@ impl<'a> ReadContext<'a> {
                 classified.as_str()
             }
         };
-        let compute = || -> CqadsResult<Arc<AnswerSet>> {
-            let (runtime, parts) = self.snap.domain_parts(domain, None)?;
-            // An uncached ask computes from scratch at every layer.
-            let contributions: &[_] = if cached {
-                &self.shared.contributions
-            } else {
-                &[]
-            };
-            take_single(answer_parts(
-                &self.shared.config,
-                self.shared.clock.as_ref(),
-                runtime,
-                &[question],
-                &parts,
-                contributions,
-            )?)?
-            .map(Arc::new)
-        };
         if !cached {
-            return compute();
+            return self.compute_one(question, domain, false);
         }
-        // Timing exists only for the audit trail; a memory-only (or
-        // audit-off) system must not pay a clock read per hit.
-        let start = self.audit_enabled().then(|| self.shared.clock.now_micros());
-        let took = |start: Option<u64>| {
-            start
-                .map(|s| Duration::from_micros(self.shared.clock.now_micros().saturating_sub(s)))
-                .unwrap_or_default()
-        };
-        if !self.shared.cache.is_enabled() {
-            let answer = compute()?;
-            self.audit(question, domain, false, took(start));
-            return Ok(answer);
-        }
+        let start = self.audit_start();
+        let answer = self.compute_one(question, domain, true)?;
+        self.audit(question, domain, false, start);
+        Ok(answer)
+    }
+
+    /// [`ReadContext::answer_one`] through the answer cache, under `key`.
+    fn answer_cached(self, question: &str, key: &CacheKey) -> CqadsResult<Arc<AnswerSet>> {
+        let domain = key.domain();
+        let start = self.audit_start();
         // The stamp is read from this call's snapshot *before* computing, so
         // the stamp and the data it covers come from the same snapshot; a
         // concurrently published mutation leaves the filled entry
         // conservatively stale (see the cache module docs).
         let stamp = self.current_stamp(domain);
-        let key = CacheKey::new(domain, question);
         if let Some(stamp) = stamp {
-            if let Some(hit) = self.shared.cache.lookup(&key, stamp) {
-                self.audit(question, domain, true, took(start));
+            if let Some(hit) = self.shared.cache.lookup(key, stamp) {
+                self.audit(question, domain, true, start);
                 return Ok(hit);
             }
         }
-        let answer = compute()?;
+        let answer = self.compute_one(question, domain, true)?;
         if let Some(stamp) = stamp {
-            self.shared.cache.fill(key, stamp, Arc::clone(&answer));
+            self.shared
+                .cache
+                .fill(key.clone(), stamp, Arc::clone(&answer));
         }
-        self.audit(question, domain, false, took(start));
+        self.audit(question, domain, false, start);
         Ok(answer)
+    }
+
+    /// Compute one question's answer in `domain`; `cached: false` computes
+    /// from scratch at every layer, skipping the per-part contribution caches.
+    fn compute_one(
+        self,
+        question: &str,
+        domain: &str,
+        cached: bool,
+    ) -> CqadsResult<Arc<AnswerSet>> {
+        let (runtime, parts) = self.snap.domain_parts(domain, None)?;
+        let contributions: &[_] = if cached {
+            &self.shared.contributions
+        } else {
+            &[]
+        };
+        take_single(answer_parts(
+            &self.shared.config,
+            self.shared.clock.as_ref(),
+            runtime,
+            &[question],
+            &parts,
+            contributions,
+        )?)?
+        .map(Arc::new)
+    }
+
+    /// The audit trail's start time for a single-question cached ask. Timing
+    /// exists only for the audit trail; a memory-only (or audit-off) system
+    /// must not pay a clock read per hit.
+    fn audit_start(self) -> Option<u64> {
+        self.audit_enabled().then(|| self.shared.clock.now_micros())
     }
 
     /// Whether served questions are appended to the audit trail.
@@ -436,16 +522,20 @@ impl<'a> ReadContext<'a> {
             .is_some_and(|s| s.opts.audit_queries)
     }
 
-    /// Best-effort audit append for the single-question cached path: never
-    /// fails the serving path (failures count in audit_failures), no-op
-    /// unless the system is durable and auditing is on.
-    fn audit(self, question: &str, domain: &str, hit: bool, elapsed: Duration) {
+    /// Best-effort audit append for the single-question cached path, timed
+    /// from `start` ([`ReadContext::audit_start`]): never fails the serving
+    /// path (failures count in audit_failures), no-op unless the system is
+    /// durable and auditing is on.
+    fn audit(self, question: &str, domain: &str, hit: bool, start: Option<u64>) {
         let Some(storage) = &self.shared.storage else {
             return;
         };
         if !storage.opts.audit_queries {
             return;
         }
+        let elapsed = start
+            .map(|s| Duration::from_micros(self.shared.clock.now_micros().saturating_sub(s)))
+            .unwrap_or_default();
         let stamp = self
             .current_stamp(domain)
             .unwrap_or(GenerationStamp::new(0, 0));
@@ -495,19 +585,17 @@ impl<'a> ReadContext<'a> {
         let mut results: Vec<Option<CqadsResult<Arc<AnswerSet>>>> = vec![None; questions.len()];
         let cache_on = self.shared.cache.is_enabled();
 
-        // Classify + normalize + dedup: one slot per distinct (domain,
-        // normalized question) key; repeats within the burst attach to the
-        // same slot.
+        // Route + dedup: one slot per distinct (domain, normalized question)
+        // key; repeats within the burst attach to the same slot.
         struct Slot<'q> {
-            key: CacheKey,
-            domain: String,
+            key: Arc<CacheKey>,
             question: &'q str,
             indices: Vec<usize>,
         }
-        // Byte-identical repeats are collapsed *before* classification so a
-        // hot burst pays the classifier + tokenizer once per distinct string,
-        // not once per element; the key then also merges case/punctuation
-        // variants.
+        // Byte-identical repeats are collapsed *before* routing so a burst
+        // pays the route memo (or, on its miss, the classifier + tokenizer)
+        // once per distinct string, not once per element; the key then also
+        // merges case/punctuation variants.
         let mut raw: Vec<(&str, Vec<usize>)> = Vec::new();
         let mut by_raw: HashMap<&str, usize> = HashMap::new();
         for (i, question) in questions.iter().enumerate() {
@@ -521,29 +609,25 @@ impl<'a> ReadContext<'a> {
             }
         }
         let mut slots: Vec<Slot<'_>> = Vec::new();
-        let mut by_key: HashMap<CacheKey, usize> = HashMap::new();
+        let mut by_key: HashMap<Arc<CacheKey>, usize> = HashMap::new();
         for (question, indices) in raw {
-            match self.classify(question) {
+            match self.route(question) {
                 Err(e) => {
                     for &i in &indices {
                         results[i] = Some(Err(e.clone()));
                     }
                 }
-                Ok(domain) => {
-                    let key = CacheKey::new(&domain, question);
-                    match by_key.get(&key) {
-                        Some(&slot) => slots[slot].indices.extend(indices),
-                        None => {
-                            by_key.insert(key.clone(), slots.len());
-                            slots.push(Slot {
-                                key,
-                                domain,
-                                question,
-                                indices,
-                            });
-                        }
+                Ok(key) => match by_key.get(&key) {
+                    Some(&slot) => slots[slot].indices.extend(indices),
+                    None => {
+                        by_key.insert(Arc::clone(&key), slots.len());
+                        slots.push(Slot {
+                            key,
+                            question,
+                            indices,
+                        });
                     }
-                }
+                },
             }
         }
 
@@ -568,16 +652,17 @@ impl<'a> ReadContext<'a> {
             // Clock reads exist only for the audit trail; the hot hit path
             // must not pay one when auditing is off.
             let lookup_start = audit_on.then(|| self.shared.clock.now_micros());
-            let stamp = self.current_stamp(&slot.domain);
+            let (key, domain) = (slot.key.as_ref(), slot.key.domain());
+            let stamp = self.current_stamp(domain);
             if cache_on && stale_ok {
-                stale_fallback[slot_idx] = self.shared.cache.peek_stale(&slot.key);
+                stale_fallback[slot_idx] = self.shared.cache.peek_stale(key);
             }
             if let (true, Some(stamp)) = (cache_on, stamp) {
-                if let Some(hit) = self.shared.cache.lookup(&slot.key, stamp) {
+                if let Some(hit) = self.shared.cache.lookup(key, stamp) {
                     if let Some(lookup_start) = lookup_start {
                         audits.push(audit_record(
                             slot.question,
-                            &slot.domain,
+                            domain,
                             true,
                             stamp,
                             Duration::from_micros(
@@ -589,10 +674,7 @@ impl<'a> ReadContext<'a> {
                     continue;
                 }
             }
-            misses_by_domain
-                .entry(slot.domain.as_str())
-                .or_default()
-                .push(slot_idx);
+            misses_by_domain.entry(domain).or_default().push(slot_idx);
         }
 
         // Per domain: the answering core over every miss (one batched
@@ -653,9 +735,8 @@ impl<'a> ReadContext<'a> {
                 // Only complete answers enter the cache: a degraded or stale
                 // set must never be served later as if fresh.
                 if cache_on && answer.quality.is_complete() {
-                    self.shared
-                        .cache
-                        .fill(slots[slot_idx].key.clone(), stamp, Arc::clone(&answer));
+                    let key = CacheKey::clone(&slots[slot_idx].key);
+                    self.shared.cache.fill(key, stamp, Arc::clone(&answer));
                 }
                 if audit_on {
                     audits.push(audit_record(
@@ -895,12 +976,8 @@ impl CqadsWriter {
     }
 
     fn open_internal(mut config: CqadsConfig, prefer_snapshot_config: bool) -> CqadsResult<Self> {
-        // Nothing about the partition is persisted (the router is arithmetic
-        // over global insertion order), so recovery deals whatever it finds
-        // into this process's part count: resharding is a reopen.
-        let mut master = Snapshot::empty(config.shards.unwrap_or(1));
         let Some(opts) = config.storage.clone() else {
-            return Ok(Self::assemble(master, config, None));
+            return Ok(Self::assemble(Snapshot::empty(&config), config, None));
         };
         let (mut engine, recovered) =
             StorageEngine::open(Arc::clone(&opts.vfs), &opts.dir, opts.fsync)
@@ -915,6 +992,11 @@ impl CqadsWriter {
                 crate::storage::apply_snap_to_config(&mut config, &snap.config);
             }
         }
+        // Built after the restore, so the route memo gets the persisted cache
+        // sizing. Nothing about the partition is persisted (the router is
+        // arithmetic over global insertion order), so recovery deals whatever
+        // it finds into this process's part count: resharding is a reopen.
+        let mut master = Snapshot::empty(&config);
 
         // Highest (table, model) generation per domain that any persisted
         // artifact proves was observable before the crash. Recovery must end
@@ -1194,7 +1276,7 @@ impl CqadsWriter {
     /// activity, and the current pressure step-down level. All zeros on a
     /// system with neither resilience nor durable storage configured.
     pub fn serving_stats(&self) -> ServingStats {
-        self.shared.serving_stats()
+        self.shared.serving_stats(&self.master)
     }
 
     /// Install the shared WS word-correlation matrix used by `Feat_Sim`.
@@ -1397,6 +1479,7 @@ impl CqadsWriter {
     /// Train the JBBSM domain classifier on labelled example questions.
     pub fn train_classifier(&mut self, docs: &[LabelledDoc]) {
         Arc::make_mut(&mut self.master.classifier).train(docs);
+        self.master.reset_routes();
         self.publish_if_observed();
     }
 
@@ -1695,9 +1778,10 @@ impl CqadsReader {
         self.shared.cache.stats()
     }
 
-    /// One operator-facing snapshot of the serving path's health.
+    /// One operator-facing snapshot of the serving path's health, as of the
+    /// published snapshot.
     pub fn serving_stats(&self) -> ServingStats {
-        self.shared.serving_stats()
+        self.shared.serving_stats(&self.shared.snapshot.load())
     }
 
     fn ctx<'a>(&'a self, snap: &'a arcswap::Guard<Snapshot>) -> ReadContext<'a> {
@@ -1739,7 +1823,10 @@ enum RequestTarget<'a> {
 ///
 /// Requests default to **cached** (the serving front-end behaviour);
 /// [`AnswerRequest::uncached`] forces a from-scratch computation. Without
-/// [`AnswerRequest::domain`] the question is classified first.
+/// [`AnswerRequest::domain`] the question is classified first; a cached one
+/// is routed through the snapshot's route memo (module docs, "The route
+/// memo"), so a repeat of the exact text skips the classifier. An uncached
+/// ask never reads or fills the memo.
 #[must_use = "an AnswerRequest does nothing until .get() is called"]
 pub struct AnswerRequest<'a> {
     target: RequestTarget<'a>,
@@ -1764,7 +1851,8 @@ impl<'a> AnswerRequest<'a> {
         self
     }
 
-    /// Skip the serving cache: compute from scratch and fill nothing.
+    /// Skip the serving cache and the route memo: compute from scratch and
+    /// fill nothing.
     pub fn uncached(mut self) -> Self {
         self.cached = false;
         self
@@ -1787,5 +1875,42 @@ impl<'a> AnswerRequest<'a> {
             }
             RequestTarget::Writer(writer) => writer.ctx().answer_one(question, domain, cached),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::domain::toy_car_domain;
+
+    /// A context over a snapshot taken before a retrain keeps routing with that
+    /// snapshot's classifier and memo, while the master routes with the new ones.
+    #[test]
+    fn a_pre_retrain_snapshot_routes_with_its_own_classifier() {
+        let mut writer = CqadsWriter::new();
+        for name in ["cars", "trucks"] {
+            let mut spec = toy_car_domain();
+            spec.schema.name = name.into();
+            let table = Table::new(spec.schema.clone());
+            writer.add_domain(spec, table, TIMatrix::default());
+        }
+        let question = "blue honda";
+        writer.train_classifier(&[LabelledDoc::from_text("cars", question)]);
+        let old = writer.master.clone();
+        writer.train_classifier(&vec![LabelledDoc::from_text("trucks", question); 8]);
+        let routed = |snap: &Snapshot| {
+            let ctx = ReadContext {
+                shared: &writer.shared,
+                snap,
+            };
+            ctx.answer_one(question, None, true).unwrap().domain.clone()
+        };
+        for _ in 0..2 {
+            assert_eq!(routed(&old), "cars");
+            assert_eq!(routed(&writer.master), "trucks");
+        }
+        let (old, new) = (old.routes.stats(), writer.master.routes.stats());
+        assert_eq!((old.misses, old.hits), (1, 1));
+        assert_eq!((new.misses, new.hits), (1, 1));
     }
 }

@@ -127,10 +127,14 @@ pub struct CqadsConfig {
     pub partial_workers: usize,
     /// Total answer sets held by the serving cache ([`AnswerCache`](crate::AnswerCache)); `0` disables
     /// caching entirely (every [`CqadsWriter::answer_batch`] question recomputes).
+    /// It also bounds each snapshot's route memo — question texts whose domain
+    /// and cache key a cached ask reuses instead of classifying again
+    /// ([`ServingStats::routes`](crate::ServingStats::routes)) — and `0`
+    /// disables that too.
     pub cache_capacity: usize,
     /// Lock stripes of the serving cache: concurrent readers of different questions
     /// contend only within a stripe. Clamped to at least 1 (and at most the
-    /// capacity) by the cache itself.
+    /// capacity) by the cache itself. The route memo has as many.
     pub cache_shards: usize,
     /// Durable storage. `None` (the default) keeps the system purely in
     /// memory — bit-identical to the behaviour before persistence existed.

@@ -196,11 +196,20 @@ impl QueryBudget {
 /// Returned by [`CqadsWriter::serving_stats`](crate::CqadsWriter::serving_stats).
 /// All counters start at zero at construction/open and only ever grow (except
 /// [`pressure_level`](ServingStats::pressure_level), which tracks the current
-/// step-down state).
+/// step-down state, and [`routes`](ServingStats::routes), which restarts with
+/// each new route memo).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingStats {
     /// Answer-cache counters (hits, misses, evictions, occupancy).
     pub cache: CacheStats,
+    /// Route-memo counters of the snapshot being served: a hit is a cached
+    /// ask without an explicit domain that skipped the classifier and the
+    /// cache key's tokenizer, a miss one that ran them. The one exception to
+    /// "counters only grow": a classifier retrain or a newly registered domain
+    /// name installs a fresh memo, and these counts restart at zero. All zero
+    /// when [`CqadsConfig::cache_capacity`](crate::CqadsConfig::cache_capacity)
+    /// is `0`.
+    pub routes: CacheStats,
     /// The per-part contribution caches beneath the answer cache, summed
     /// (all zero at one part, where they do not exist): after an insert into
     /// one of `N` parts, the next ask of a cached question adds one miss and

@@ -198,6 +198,9 @@ pub(crate) struct Contribution {
     partial: Option<Vec<PartialAnswer>>,
 }
 
+/// One part's cache of its [`Contribution`]s, keyed like the answer cache.
+pub(crate) type ContributionCache = GenerationCache<CacheKey, Arc<Contribution>>;
+
 /// A [`CqadsWriter`] whose [`CqadsConfig::shards`] is validated up front —
 /// the whole of what "sharded" means now that the partition lives inside the
 /// one snapshot (module docs). Everything else is the writer's own surface,
@@ -293,7 +296,7 @@ struct Scatter<'c> {
     /// The per-part contribution caches and this ask's key — plain
     /// (non-superlative) unbudgeted asks only: a superlative's stripped
     /// candidate list is unbounded and a budgeted outcome is not reusable.
-    cache: Option<(&'c [GenerationCache<Arc<Contribution>>], CacheKey)>,
+    cache: Option<(&'c [ContributionCache], CacheKey)>,
     entries: Vec<PartEntry>,
 }
 
@@ -337,7 +340,7 @@ pub(crate) fn answer_parts(
     runtime: &DomainRuntime,
     questions: &[&str],
     parts: &[Part<'_>],
-    contributions: &[GenerationCache<Arc<Contribution>>],
+    contributions: &[ContributionCache],
 ) -> CqadsResult<Vec<CqadsResult<AnswerSet>>> {
     let router = RecordRouter::new(parts.len());
     let domain = runtime.spec.name();
@@ -472,7 +475,7 @@ fn scatter_exact<'c>(
     parts: &[Part<'_>],
     router: RecordRouter,
     query: &Query,
-    contributions: &'c [GenerationCache<Arc<Contribution>>],
+    contributions: &'c [ContributionCache],
     question: &str,
 ) -> CqadsResult<(Vec<RecordId>, Scatter<'c>)> {
     let superlative = !query.superlatives.is_empty();

@@ -11,10 +11,15 @@
 //! system** — so a reader brackets each answer between two snapshot-generation
 //! reads and requires `gen_before <= exact_count <= gen_after` (snapshots are
 //! monotone: fresher than requested is possible, staler is not).
+//!
+//! The route memo in front of the cache (a cached ask without a domain reuses the
+//! domain and cache key of the same question text) is tested at the end: why it is
+//! keyed by the text, and that exactly a retrain or a new domain name replaces it.
 
 use cqads_suite::addb::{Record, Table, RECORD_CHUNK};
+use cqads_suite::classifier::LabelledDoc;
 use cqads_suite::cqads::domain::toy_car_domain;
-use cqads_suite::cqads::{CqadsConfig, CqadsReader, CqadsSystem, CqadsWriter};
+use cqads_suite::cqads::{AnswerSet, CqadsConfig, CqadsReader, CqadsSystem, CqadsWriter};
 use cqads_suite::querylog::{QueryLogDelta, QueryLogStream, Session, SubmittedQuery};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -374,4 +379,284 @@ fn a_reader_minted_before_many_single_inserts_answers_like_a_rebuilt_system() {
         }
         assert!(exact > 0 && partial > 0, "{exact} exact, {partial} partial");
     }
+}
+
+/// A writer with two domains over the toy car schema: `cars` holds blue hondas,
+/// `trucks` red toyotas, so an answer shows which table it came from.
+fn two_domain_writer(config: CqadsConfig) -> CqadsWriter {
+    let mut writer = CqadsWriter::with_config(config);
+    for (name, make, model, color) in [
+        ("cars", "honda", "accord", "blue"),
+        ("trucks", "toyota", "camry", "red"),
+    ] {
+        let mut spec = toy_car_domain();
+        spec.schema.name = name.into();
+        let mut table = Table::new(spec.schema.clone());
+        for i in 0..4 {
+            let record = Record::builder()
+                .text("make", make)
+                .text("model", model)
+                .text("color", color)
+                .number("price", 5_000.0 + 500.0 * i as f64)
+                .build();
+            table.insert(record).unwrap();
+        }
+        writer.add_domain(spec, table, Default::default());
+    }
+    writer
+}
+
+/// Train the classifier on `(label, text)` examples.
+fn train(writer: &mut CqadsWriter, examples: &[(&str, &str)]) {
+    let docs: Vec<LabelledDoc> = examples
+        .iter()
+        .map(|(label, text)| LabelledDoc::from_text(*label, text))
+        .collect();
+    writer.train_classifier(&docs);
+}
+
+/// Assert two answer sets are the same answer: domain, SQL, and every answer's id,
+/// kind and `rank_sim` bits in order.
+fn assert_same_answer(got: &AnswerSet, want: &AnswerSet, context: &str) {
+    let ranked = |set: &AnswerSet| -> Vec<_> {
+        let answers = set.answers.iter();
+        answers
+            .map(|a| (a.id, a.kind, a.rank_sim.to_bits()))
+            .collect()
+    };
+    assert_eq!(got.domain, want.domain, "{context}");
+    assert_eq!(got.sql, want.sql, "{context}");
+    assert_eq!(got.exact_count, want.exact_count, "{context}");
+    assert_eq!(ranked(got), ranked(want), "{context}");
+}
+
+/// A cached routed ask of `question` lands in `domain` and equals the uncached
+/// answer there.
+fn assert_routed(writer: &CqadsWriter, question: &str, domain: &str) {
+    let context = format!("{question:?} routed to {domain}");
+    let cached = writer.ask(question).get().expect(&context);
+    let oracle = writer.ask(question).domain(domain).uncached().get();
+    assert_same_answer(&cached, &oracle.expect(&context), &context);
+}
+
+/// The route memo is keyed by the exact question text, not by its tokens: the
+/// classifier splits on whitespace only ("blue,red" is one token to it) while the
+/// tagger's `tokenize` splits at the comma too, so two questions with equal token
+/// streams can belong to different domains. A first level keyed by tokens → domain
+/// would serve whichever question came second in the first one's domain.
+#[test]
+fn routes_are_keyed_by_the_question_text_not_its_tokens() {
+    let (joined, spaced) = ("blue,red", "blue red");
+    let texts = |q: &str| -> Vec<String> {
+        let tokens = cqads_suite::text::tokenize(q);
+        tokens.into_iter().map(|t| t.text).collect()
+    };
+    assert_eq!(texts(joined), texts(spaced), "the tagger sees one stream");
+
+    for order in [[joined, spaced], [spaced, joined]] {
+        let mut writer = two_domain_writer(CqadsConfig::default());
+        train(
+            &mut writer,
+            &[
+                ("cars", joined),
+                ("cars", joined),
+                ("trucks", spaced),
+                ("trucks", spaced),
+            ],
+        );
+        assert_eq!(writer.classify(joined).unwrap(), "cars");
+        assert_eq!(writer.classify(spaced).unwrap(), "trucks");
+        let domain = |q: &str| if q == joined { "cars" } else { "trucks" };
+        for question in order {
+            assert_routed(&writer, question, domain(question));
+        }
+        for question in order {
+            assert_routed(&writer, question, domain(question));
+            let batch = writer.answer_batch(&[question]).remove(0).unwrap();
+            assert_eq!(batch.domain, domain(question), "{question:?} in a batch");
+        }
+        let routes = writer.serving_stats().routes;
+        assert_eq!((routes.misses, routes.hits), (2, 4), "{order:?}");
+    }
+}
+
+/// Warming `n` distinct questions costs `n` memo misses; `k` repeats are `k` hits,
+/// whether asked one by one or in a batch after an `ask` of the same text.
+#[test]
+fn route_memo_counts_one_miss_per_distinct_text() {
+    let writer = two_domain_writer(CqadsConfig::default());
+    let questions = [
+        "blue honda",
+        "red toyota",
+        "cheapest honda accord",
+        "Blue Honda?",
+    ];
+    for question in questions {
+        writer.ask(question).get().unwrap();
+    }
+    let warm = writer.serving_stats().routes;
+    assert_eq!((warm.misses, warm.hits), (questions.len() as u64, 0));
+    assert_eq!(warm.entries, questions.len(), "one route per exact text");
+    let k = 9;
+    for i in 0..k {
+        writer.ask(questions[i % questions.len()]).get().unwrap();
+    }
+    let asked = writer.serving_stats().routes;
+    assert_eq!(
+        (asked.misses, asked.hits),
+        (questions.len() as u64, k as u64)
+    );
+
+    // A batch after an `ask` of the same text routes through the same memo.
+    let batch = writer.answer_batch(&questions[..2]);
+    assert!(batch.iter().all(Result::is_ok));
+    let batched = writer.serving_stats().routes;
+    assert_eq!(batched.hits, asked.hits + 2);
+    assert_eq!(batched.misses, asked.misses);
+    // A reader serves the published snapshot, which shares the writer's memo.
+    let reader = writer.reader();
+    reader.ask(questions[0]).get().unwrap();
+    assert_eq!(reader.serving_stats().routes.hits, batched.hits + 1);
+}
+
+/// Neither an explicit domain nor an uncached ask reads or fills the memo.
+#[test]
+fn explicit_domain_and_uncached_asks_bypass_the_route_memo() {
+    let writer = two_domain_writer(CqadsConfig::default());
+    writer.ask("blue honda").domain("cars").get().unwrap();
+    writer.ask("blue honda").uncached().get().unwrap();
+    writer
+        .ask("blue honda")
+        .domain("cars")
+        .uncached()
+        .get()
+        .unwrap();
+    let routes = writer.serving_stats().routes;
+    assert_eq!((routes.hits, routes.misses, routes.entries), (0, 0, 0));
+}
+
+/// A retrain that flips a question's domain installs a fresh memo: the next cached
+/// routed ask answers in the new domain, and the route counters restart.
+#[test]
+fn a_retrain_replaces_the_route_memo() {
+    let question = "blue honda accord";
+    let mut writer = two_domain_writer(CqadsConfig::default());
+    train(&mut writer, &[("cars", question), ("trucks", "red toyota")]);
+    assert_eq!(writer.classify(question).unwrap(), "cars");
+    assert_routed(&writer, question, "cars");
+    assert_routed(&writer, question, "cars");
+    assert_eq!(writer.serving_stats().routes.hits, 1);
+
+    train(&mut writer, &[("trucks", question); 8]);
+    assert_eq!(writer.classify(question).unwrap(), "trucks");
+    assert_routed(&writer, question, "trucks");
+    assert_routed(&writer, question, "trucks");
+    let routes = writer.serving_stats().routes;
+    assert_eq!((routes.misses, routes.hits), (1, 1), "fresh memo");
+}
+
+/// An untrained classifier falls back to the first domain name; registering a name
+/// that sorts first moves that fallback, so it installs a fresh memo. Re-registering
+/// an existing name keeps the memo.
+#[test]
+fn a_new_domain_name_replaces_the_route_memo() {
+    let question = "blue honda";
+    let mut writer = two_domain_writer(CqadsConfig::default());
+    assert_routed(&writer, question, "cars");
+    assert_routed(&writer, question, "cars");
+    assert_eq!(writer.serving_stats().routes.hits, 1);
+
+    let spec = toy_car_domain();
+    let table = Table::new(spec.schema.clone());
+    writer.add_domain(spec, table, Default::default());
+    assert_eq!(
+        writer.serving_stats().routes.hits,
+        1,
+        "same names, same memo"
+    );
+
+    let mut autos = toy_car_domain();
+    autos.schema.name = "autos".into();
+    let mut table = Table::new(autos.schema.clone());
+    table.insert(car(4_000.0)).unwrap();
+    writer.add_domain(autos, table, Default::default());
+    assert_routed(&writer, question, "autos");
+    let routes = writer.serving_stats().routes;
+    assert_eq!((routes.misses, routes.hits), (1, 0), "fresh memo");
+}
+
+/// Inserts and query-log deltas change answers, not routes: the memo keeps
+/// hitting while the answer cache still evicts the stale answer, and the answer
+/// equals the uncached one.
+#[test]
+fn inserts_and_log_deltas_keep_the_routes() {
+    let mut writer = two_domain_writer(CqadsConfig::default());
+    let reader = writer.reader();
+    writer.ask(PROBE).get().unwrap();
+    reader.ask(PROBE).get().unwrap();
+    let before = (writer.serving_stats().routes, writer.cache_stats());
+    assert_eq!(before.0.hits, 1);
+
+    writer.insert_record("cars", car(7_777.0)).unwrap();
+    assert_routed(&writer, PROBE, "cars");
+    let got = reader.ask(PROBE).get().unwrap();
+    assert_same_answer(
+        &got,
+        &reader.ask(PROBE).domain("cars").uncached().get().unwrap(),
+        "reader",
+    );
+    let after_insert = (writer.serving_stats().routes, writer.cache_stats());
+    assert_eq!(after_insert.0.hits, before.0.hits + 2);
+    assert_eq!(after_insert.0.misses, before.0.misses);
+    assert_eq!(after_insert.1.stale_evictions, before.1.stale_evictions + 1);
+
+    let delta = Session {
+        user_id: 1,
+        queries: vec![
+            SubmittedQuery {
+                value: "accord".into(),
+                at_seconds: 0.0,
+                clicks: vec![],
+                shown: vec!["accord".into(), "civic".into()],
+            },
+            SubmittedQuery {
+                value: "civic".into(),
+                at_seconds: 30.0,
+                clicks: vec![],
+                shown: vec!["civic".into()],
+            },
+        ],
+    };
+    let mut stream = QueryLogStream::new(1);
+    let delta = stream.push(delta).expect("a batch of one");
+    writer.ingest_query_log("cars", &delta).unwrap();
+    assert_routed(&writer, PROBE, "cars");
+    let after_delta = (writer.serving_stats().routes, writer.cache_stats());
+    assert_eq!(after_delta.0.hits, after_insert.0.hits + 1);
+    assert_eq!(after_delta.0.misses, before.0.misses);
+    assert_eq!(
+        after_delta.1.stale_evictions,
+        after_insert.1.stale_evictions + 1
+    );
+}
+
+/// With the cache off the memo is off too: its counters stay at zero and every
+/// answer still equals the uncached one.
+#[test]
+fn zero_cache_capacity_disables_the_route_memo() {
+    let config = CqadsConfig {
+        cache_capacity: 0,
+        ..CqadsConfig::default()
+    };
+    let writer = two_domain_writer(config);
+    for _ in 0..3 {
+        assert_routed(&writer, PROBE, "cars");
+        let batch = writer.answer_batch(&[PROBE, PROBE]);
+        let oracle = writer.ask(PROBE).domain("cars").uncached().get().unwrap();
+        for answer in batch {
+            assert_same_answer(&answer.unwrap(), &oracle, "batch");
+        }
+    }
+    let routes = writer.serving_stats().routes;
+    assert_eq!((routes.hits, routes.misses, routes.entries), (0, 0, 0));
 }
