@@ -64,7 +64,7 @@ pub(crate) fn tied(value: f64, best: f64) -> bool {
 
 /// One superlative step over candidates whose values the caller resolves — the
 /// single definition of the semantics, which the executor applies over one table's
-/// numeric column and the scatter-gather layer across several tables.
+/// numeric column.
 /// The extreme is taken among the candidates that *have* a value; the survivors, kept
 /// in order, are the candidates within [`SUPERLATIVE_TIE_WINDOW`] of it; a step in
 /// which no candidate has a value clears the set.

@@ -8,11 +8,8 @@
 //!
 //! The implementation, [`GenerationCache`], is generic over its key and what it
 //! stores, and is the crate's only cache: [`AnswerCache`] is its whole-answer
-//! instance; a system with more than one part
-//! ([`CqadsConfig::shards`](crate::CqadsConfig::shards)) keeps one more instance per
-//! part for that part's contribution to a question (see [`crate::shard`]); and every
-//! snapshot holds one keyed by question text, the route memo below — same stamp
-//! protocol, same LRU and counters.
+//! instance, and every snapshot holds one keyed by question text, the route memo
+//! below — same stamp protocol, same LRU and counters.
 //!
 //! # Key
 //!
@@ -193,21 +190,6 @@ pub struct CacheStats {
     pub entries: usize,
     /// Number of lock stripes.
     pub shards: usize,
-}
-
-impl std::iter::Sum for CacheStats {
-    /// Counters and occupancy add up across caches (the per-part contribution
-    /// caches report as one).
-    fn sum<I: Iterator<Item = Self>>(stats: I) -> Self {
-        stats.fold(CacheStats::default(), |a, b| CacheStats {
-            hits: a.hits + b.hits,
-            misses: a.misses + b.misses,
-            stale_evictions: a.stale_evictions + b.stale_evictions,
-            capacity_evictions: a.capacity_evictions + b.capacity_evictions,
-            entries: a.entries + b.entries,
-            shards: a.shards + b.shards,
-        })
-    }
 }
 
 /// The serving cache of whole answers: [`GenerationCache`] over shared

@@ -6,8 +6,8 @@
 //! Historically every read went through one monolithic system whose
 //! `&mut self` ingest methods forced concurrent deployments to wrap it in an
 //! `RwLock` — one insert stalled every in-flight reader. This module moves the
-//! hot read state — the [`Database`] tables (dealt into
-//! [`CqadsConfig::shards`] parts), the compiled [`SimilarityModel`] behind
+//! hot read state — the [`Database`] tables (one per domain), the compiled
+//! [`SimilarityModel`] behind
 //! each domain runtime, the domain registry, the classifier and the WS
 //! matrix, i.e. everything a [`GenerationStamp`] covers — into an immutable
 //! `Snapshot` behind an [`arcswap::ArcSwap`]. Writers rebuild-and-swap
@@ -73,14 +73,13 @@
 //! * Concurrent serving: call [`CqadsWriter::reader`] once per serving thread
 //!   and keep mutating through the writer — no outer lock required.
 //!
-//! Either way — and at every [`CqadsConfig::shards`] count, which changes how
-//! the snapshot stores a domain's records and nothing about the handles —
-//! there is one way to ask a single question: [`AnswerRequest`]
+//! Either way there is one way to ask a single question: [`AnswerRequest`]
 //! (`.ask(q)[.domain(d)][.uncached()].get()`) — and one function that answers:
-//! `shard::answer_parts`, called by `ask` (one question × this snapshot's
-//! parts) and by `answer_batch` (a domain's cache misses × this snapshot's
-//! parts). This module keeps only what wraps it: routing (classification and
-//! the route memo), the cache, admission, stale fallback and the audit trail.
+//! `shard::answer_in_table`, called by `ask` (one question over this
+//! snapshot's table of the domain) and by `answer_batch` (a domain's cache
+//! misses over the same table). This module keeps only what wraps it: routing
+//! (classification and the route memo), the cache, admission, stale fallback
+//! and the audit trail.
 
 use crate::cache::{AnswerCache, CacheKey, CacheStats, GenerationCache, GenerationStamp};
 use crate::domain::DomainSpec;
@@ -89,7 +88,7 @@ use crate::partial::take_single;
 use crate::pipeline::{AnswerSet, ClassifyOutcome, CqadsConfig, IngestReport};
 use crate::ranking::SimilarityModel;
 use crate::resilience::{AnswerQuality, QueryBudget, ResilienceRuntime, ServingStats};
-use crate::shard::{answer_parts, in_global_order, ContributionCache, Part, RecordRouter};
+use crate::shard::answer_in_table;
 use crate::storage::{config_to_snap, data_to_spec, spec_to_data, DurableStorage, StorageOptions};
 use crate::tagging::{TaggedQuestion, TaggedToken, Tagger};
 use crate::translate::{interpret, Interpretation};
@@ -127,10 +126,8 @@ const ROUTE_STAMP: GenerationStamp = GenerationStamp::new(0, 0);
 /// per-mutation republication affordable.
 #[derive(Debug, Clone)]
 pub(crate) struct Snapshot {
-    /// The records, dealt into `N ≥ 1` parts by the [`RecordRouter`]: part `i`
-    /// holds, for every domain, the table of the records whose global id is
-    /// `i mod N`. Everything below exists once, whatever `N` is.
-    pub(crate) parts: Vec<Database>,
+    /// The records: one table per domain.
+    pub(crate) database: Database,
     pub(crate) domains: BTreeMap<String, Arc<DomainRuntime>>,
     pub(crate) classifier: Arc<BetaBinomialNb>,
     pub(crate) word_sim: Arc<WordSimMatrix>,
@@ -144,7 +141,7 @@ pub(crate) struct Snapshot {
 impl Snapshot {
     fn empty(config: &CqadsConfig) -> Self {
         Snapshot {
-            parts: vec![Database::new(); config.shards.unwrap_or(1).max(1)],
+            database: Database::new(),
             domains: BTreeMap::new(),
             classifier: Arc::new(BetaBinomialNb::new()),
             word_sim: Arc::new(WordSimMatrix::default()),
@@ -171,87 +168,25 @@ impl Snapshot {
         runtime.ok_or_else(|| CqadsError::UnknownDomain(domain.to_string()))
     }
 
-    /// The domain's table in every part, in part order; `None` when any part
-    /// lacks it.
-    pub(crate) fn tables(&self, domain: &str) -> Option<Vec<&Table>> {
-        self.parts.iter().map(|part| part.table(domain)).collect()
-    }
-
-    /// A domain's runtime and its [`Part`]s, each armed with `budget`,
-    /// distinguishing an unregistered domain ([`CqadsError::UnknownDomain`])
-    /// from a registered domain whose table is missing
-    /// ([`CqadsError::MissingTable`]).
-    pub(crate) fn domain_parts<'a>(
-        &'a self,
-        domain: &str,
-        budget: Option<&'a QueryBudget>,
-    ) -> CqadsResult<(&'a DomainRuntime, Vec<Part<'a>>)> {
+    /// A domain's runtime and its table, distinguishing an unregistered
+    /// domain ([`CqadsError::UnknownDomain`]) from a registered domain whose
+    /// table is missing ([`CqadsError::MissingTable`]).
+    pub(crate) fn domain_table(&self, domain: &str) -> CqadsResult<(&DomainRuntime, &Table)> {
         let runtime = self.runtime(domain)?;
-        let tables = self.tables(domain);
-        let tables = tables.ok_or_else(|| CqadsError::MissingTable(domain.to_string()))?;
-        let parts = tables.into_iter().map(|table| Part { table, budget });
-        Ok((runtime, parts.collect()))
+        let table = self.database.table(domain);
+        let table = table.ok_or_else(|| CqadsError::MissingTable(domain.to_string()))?;
+        Ok((runtime, table))
     }
 
-    /// The domain-level table generation: the sum of the parts' — the table's
-    /// own at one part, and strictly monotone at any count because each
-    /// part's is. `None` when the domain has no table.
+    /// A domain's table generation; `None` when the domain has no table.
     pub(crate) fn table_generation(&self, domain: &str) -> Option<u64> {
-        self.totals(domain).map(|(_, generation)| generation)
+        self.database.generation(domain)
     }
 
-    /// Raise the domain-level table generation to at least `floor` (by lifting
-    /// part 0 by the shortfall, so the sum lands on `floor` exactly and a
-    /// second recovery computes the same number).
-    fn raise_table_generation(&mut self, domain: &str, floor: u64) {
-        let shortfall = floor.saturating_sub(self.table_generation(domain).unwrap_or(0));
-        if shortfall > 0 {
-            if let Some(table) = self.parts[0].table_mut(domain) {
-                table.raise_generation(table.generation() + shortfall);
-            }
-        }
-    }
-
-    /// How many records a domain holds across its parts — the global id its
-    /// next record gets — and its domain-level table generation.
-    pub(crate) fn totals(&self, domain: &str) -> Option<(usize, u64)> {
-        self.parts
-            .iter()
-            .try_fold((0, 0), |(records, generation), part| {
-                let table = part.table(domain)?;
-                Some((records + table.len(), generation + table.generation()))
-            })
-    }
-
-    /// Insert `record` as a domain's global id `global` (its record count so
-    /// far), routed to the one part that owns the id.
-    fn insert_at(&mut self, domain: &str, global: usize, record: Record) -> CqadsResult<RecordId> {
-        let router = RecordRouter::new(self.parts.len());
-        let shard = router.shard_of(RecordId(global as u32));
-        let table = self.parts[shard]
-            .table_mut(domain)
-            .ok_or_else(|| CqadsError::MissingTable(domain.to_string()))?;
-        let id = router.global_of(shard, table.insert(record)?);
-        debug_assert_eq!(id, RecordId(global as u32), "part tables out of step");
-        Ok(id)
-    }
-
-    /// Install `records` (in global id order) as a domain's tables: dealt to
-    /// the parts by the [`RecordRouter`], each part's table replacing (and
-    /// carrying the generation of) whatever it held under the schema's name,
-    /// the domain-level generation raised to `generation`.
-    fn install_records(
-        &mut self,
-        schema: &addb::Schema,
-        records: impl IntoIterator<Item = Record>,
-        generation: u64,
-    ) -> CqadsResult<()> {
-        let dealt = RecordRouter::new(self.parts.len()).deal(schema, records)?;
-        for (part, table) in self.parts.iter_mut().zip(dealt) {
-            part.add_table(table);
-        }
-        self.raise_table_generation(&schema.name, generation);
-        Ok(())
+    /// The table a domain's records go into.
+    fn table_mut(&mut self, domain: &str) -> CqadsResult<&mut Table> {
+        let table = self.database.table_mut(domain);
+        table.ok_or_else(|| CqadsError::MissingTable(domain.to_string()))
     }
 
     /// (Re)register a domain's runtime: its similarity model built over `ti`
@@ -288,7 +223,8 @@ impl Snapshot {
     /// floors itself). Returns the domain name.
     pub(crate) fn restore_domain(&mut self, snap: &DomainSnap) -> CqadsResult<String> {
         let records = snap.records.iter().cloned();
-        self.install_records(&snap.spec.schema, records, snap.table_gen)?;
+        let table = Table::from_records(snap.spec.schema.clone(), records, snap.table_gen)?;
+        self.database.add_table(table);
         let spec = Arc::new(data_to_spec(&snap.spec));
         let tagger = Tagger::from_arc(Arc::clone(&spec));
         let ti = Arc::new(TIMatrix::from_state(&snap.ti));
@@ -321,10 +257,6 @@ pub(crate) struct Shared {
     pub(crate) snapshot: ArcSwap<Snapshot>,
     pub(crate) config: CqadsConfig,
     pub(crate) cache: AnswerCache,
-    /// Beneath the whole-answer cache, one cache per part of that part's
-    /// contribution to a question (`crate::shard`, "Finer invalidation").
-    /// Empty at one part, where a contribution *is* the answer.
-    pub(crate) contributions: Vec<ContributionCache>,
     pub(crate) storage: Option<DurableStorage>,
     pub(crate) resilience: Option<ResilienceRuntime>,
     /// Time source for answer timing and audit frames. Shared with the
@@ -346,7 +278,6 @@ impl Shared {
         ServingStats {
             cache: self.cache.stats(),
             routes: snap.routes.stats(),
-            contributions: self.contributions.iter().map(|c| c.stats()).sum(),
             audit_failures: self.audit_failures(),
             shed: self.resilience.as_ref().map_or(0, |r| r.shed()),
             degraded: self.resilience.as_ref().map_or(0, |r| r.degraded()),
@@ -449,10 +380,10 @@ impl<'a> ReadContext<'a> {
             }
         };
         if !cached {
-            return self.compute_one(question, domain, false);
+            return self.compute_one(question, domain);
         }
         let start = self.audit_start();
-        let answer = self.compute_one(question, domain, true)?;
+        let answer = self.compute_one(question, domain)?;
         self.audit(question, domain, false, start);
         Ok(answer)
     }
@@ -472,7 +403,7 @@ impl<'a> ReadContext<'a> {
                 return Ok(hit);
             }
         }
-        let answer = self.compute_one(question, domain, true)?;
+        let answer = self.compute_one(question, domain)?;
         if let Some(stamp) = stamp {
             self.shared
                 .cache
@@ -482,27 +413,16 @@ impl<'a> ReadContext<'a> {
         Ok(answer)
     }
 
-    /// Compute one question's answer in `domain`; `cached: false` computes
-    /// from scratch at every layer, skipping the per-part contribution caches.
-    fn compute_one(
-        self,
-        question: &str,
-        domain: &str,
-        cached: bool,
-    ) -> CqadsResult<Arc<AnswerSet>> {
-        let (runtime, parts) = self.snap.domain_parts(domain, None)?;
-        let contributions: &[_] = if cached {
-            &self.shared.contributions
-        } else {
-            &[]
-        };
-        take_single(answer_parts(
+    /// Compute one question's answer in `domain`, from scratch.
+    fn compute_one(self, question: &str, domain: &str) -> CqadsResult<Arc<AnswerSet>> {
+        let (runtime, table) = self.snap.domain_table(domain)?;
+        take_single(answer_in_table(
             &self.shared.config,
             self.shared.clock.as_ref(),
             runtime,
             &[question],
-            &parts,
-            contributions,
+            table,
+            None,
         )?)?
         .map(Arc::new)
     }
@@ -543,7 +463,7 @@ impl<'a> ReadContext<'a> {
     }
 
     /// The domain's current [`GenerationStamp`] **as of this context's
-    /// snapshot**: its (domain-level) table generation paired with its
+    /// snapshot**: its table generation paired with its
     /// similarity-model generation. `None` when the domain is unregistered or
     /// its table is missing (the uncached path then reports the precise error).
     fn current_stamp(self, domain: &str) -> Option<GenerationStamp> {
@@ -681,22 +601,18 @@ impl<'a> ReadContext<'a> {
         // partial-match fan-out per domain), then degrade + back-fill.
         for (domain, slot_indices) in misses_by_domain {
             let missed: Vec<&str> = slot_indices.iter().map(|&s| slots[s].question).collect();
-            // One budget arms every part.
-            let parts = self.snap.domain_parts(domain, budget.as_ref());
-            let computed = parts.and_then(|(runtime, parts)| {
+            let computed = self.snap.domain_table(domain).and_then(|(runtime, table)| {
                 // Stamp read from this snapshot before any computation: a
                 // concurrently published mutation can only make the filled
                 // entries look *older* than the post-mutation stamp.
-                let stamp = GenerationStamp::new(
-                    parts.iter().map(|part| part.table.generation()).sum(),
-                    runtime.similarity.generation(),
-                );
+                let stamp =
+                    GenerationStamp::new(table.generation(), runtime.similarity.generation());
                 let config = &self.shared.config;
                 let clock = self.shared.clock.as_ref();
-                let contributions = &self.shared.contributions;
+                let budget = budget.as_ref();
                 Ok((
                     stamp,
-                    answer_parts(config, clock, runtime, &missed, &parts, contributions)?,
+                    answer_in_table(config, clock, runtime, &missed, table, budget)?,
                 ))
             });
             let (stamp, computed) = match computed {
@@ -923,7 +839,10 @@ impl CqadsWriter {
     /// [`GenerationStamp`] handed out before the crash can ever be re-issued
     /// for different state. Scalar config knobs persisted by the snapshot
     /// (answer limit, cache sizing, ...) are restored;
-    /// [`CqadsWriter::storage_report`] describes what recovery found.
+    /// [`CqadsWriter::storage_report`] describes what recovery found. The
+    /// domain classifier is not persisted: the reopened system routes every
+    /// question to the first registered domain until
+    /// [`CqadsWriter::train_classifier`] runs again.
     pub fn open(dir: impl Into<std::path::PathBuf>) -> CqadsResult<Self> {
         Self::open_with(StorageOptions::at(dir))
     }
@@ -946,12 +865,6 @@ impl CqadsWriter {
 
     fn assemble(master: Snapshot, config: CqadsConfig, storage: Option<DurableStorage>) -> Self {
         let cache = AnswerCache::new(config.cache_capacity, config.cache_shards);
-        let contributions = match master.parts.len() {
-            1 => Vec::new(),
-            n => (0..n)
-                .map(|_| GenerationCache::new(config.cache_capacity, config.cache_shards))
-                .collect(),
-        };
         let resilience = config.resilience.clone().map(ResilienceRuntime::new);
         let clock: Arc<dyn RetryClock> = match &config.resilience {
             Some(opts) => Arc::clone(&opts.clock),
@@ -963,7 +876,6 @@ impl CqadsWriter {
             snapshot: ArcSwap::new(Arc::new(master.clone())),
             config,
             cache,
-            contributions,
             storage,
             resilience,
             clock,
@@ -993,9 +905,7 @@ impl CqadsWriter {
             }
         }
         // Built after the restore, so the route memo gets the persisted cache
-        // sizing. Nothing about the partition is persisted (the router is
-        // arithmetic over global insertion order), so recovery deals whatever
-        // it finds into this process's part count: resharding is a reopen.
+        // sizing.
         let mut master = Snapshot::empty(&config);
 
         // Highest (table, model) generation per domain that any persisted
@@ -1051,10 +961,7 @@ impl CqadsWriter {
                     record,
                     table_gen,
                 } => {
-                    let (next, _) = master
-                        .totals(&domain)
-                        .ok_or_else(|| CqadsError::MissingTable(domain.clone()))?;
-                    master.insert_at(&domain, next, record)?;
+                    master.table_mut(&domain)?.insert(record)?;
                     observe(&mut targets, &domain, table_gen, 0);
                 }
                 WalRecord::LogDelta {
@@ -1097,7 +1004,9 @@ impl CqadsWriter {
         // every stamp the crashed process can possibly have handed out.
         let bump = report.generation_safety_bump;
         for (name, (table_target, model_target)) in &targets {
-            master.raise_table_generation(name, table_target + bump);
+            if let Some(table) = master.database.table_mut(name) {
+                table.raise_generation(table_target + bump);
+            }
             if let Some(runtime) = master.domains.get_mut(name) {
                 Arc::make_mut(runtime)
                     .similarity
@@ -1240,11 +1149,9 @@ impl CqadsWriter {
         self.master.domains.keys().map(String::as_str).collect()
     }
 
-    /// The underlying ads database — the whole of it at one part; with
-    /// [`CqadsConfig::shards`] `> 1`, part 0 of it (the records whose id is
-    /// `0 mod N`, under their part-local ids).
+    /// The underlying ads database: one table per registered domain.
     pub fn database(&self) -> &Database {
-        &self.master.parts[0]
+        &self.master.database
     }
 
     /// The domain specification of a registered domain.
@@ -1310,21 +1217,18 @@ impl CqadsWriter {
         Ok(())
     }
 
-    /// Register an ads domain. At one part `table` is moved in as it is; at
-    /// [`CqadsConfig::shards`] `> 1` its records are dealt, in id order, into
-    /// one table per part under `table`'s own schema. Best-effort (see the
-    /// [type docs](CqadsWriter) on the error model);
+    /// Register an ads domain; `table` is moved in as it is. Best-effort (see
+    /// the [type docs](CqadsWriter) on the error model);
     /// [`CqadsWriter::try_add_domain`] observes failures immediately.
     pub fn add_domain(&mut self, spec: DomainSpec, table: Table, ti_matrix: TIMatrix) {
         self.mutate_best_effort(|writer| writer.add_domain_inner(spec, table, ti_matrix));
     }
 
     /// Fallible form of [`CqadsWriter::add_domain`]: surfaces any deferred
-    /// error first, then reports a failure immediately — a record the deal
-    /// could not place or, on a durable system, a table whose schema is not
-    /// its spec's ([`CqadsError::Database`]; nothing was registered), or an
-    /// append failure (the domain is registered in memory, but not
-    /// persisted).
+    /// error first, then reports a failure immediately — on a durable system,
+    /// a table whose schema is not its spec's ([`CqadsError::Database`];
+    /// nothing was registered), or an append failure (the domain is
+    /// registered in memory, but not persisted).
     pub fn try_add_domain(
         &mut self,
         spec: DomainSpec,
@@ -1358,16 +1262,7 @@ impl CqadsWriter {
                 ti_matrix.export_state(),
             )
         });
-        // The records first: the one step that can fail, before anything is
-        // registered.
-        match self.master.parts.as_mut_slice() {
-            [only] => only.add_table(table),
-            _ => self.master.install_records(
-                table.schema(),
-                table.iter().map(|(_, record)| record.clone()),
-                table.generation(),
-            )?,
-        }
+        self.master.database.add_table(table);
         let name = spec.name().to_string();
         let spec = Arc::new(spec);
         let tagger = Tagger::from_arc(Arc::clone(&spec));
@@ -1450,12 +1345,10 @@ impl CqadsWriter {
             .domains
             .iter()
             .map(|(name, runtime)| {
-                // Storage sees the union: every record in global id order
-                // under the domain-level generation, whatever the part count.
-                let (table_gen, records) = match self.master.tables(name) {
-                    Some(tables) => (
-                        tables.iter().map(|table| table.generation()).sum(),
-                        in_global_order(&tables).cloned().collect(),
+                let (table_gen, records) = match self.master.database.table(name) {
+                    Some(table) => (
+                        table.generation(),
+                        table.iter().map(|(_, record)| record.clone()).collect(),
                     ),
                     None => (0, Vec::new()),
                 };
@@ -1477,6 +1370,11 @@ impl CqadsWriter {
     }
 
     /// Train the JBBSM domain classifier on labelled example questions.
+    ///
+    /// Training is **not durable**: no WAL frame or snapshot section holds the
+    /// classifier, so a reopened store ([`CqadsWriter::open`]) routes every
+    /// question through [`ClassifyOutcome::FallbackUntrained`] (the first
+    /// registered domain) until this runs again.
     pub fn train_classifier(&mut self, docs: &[LabelledDoc]) {
         Arc::make_mut(&mut self.master.classifier).train(docs);
         self.master.reset_routes();
@@ -1516,22 +1414,15 @@ impl CqadsWriter {
             return Err(CqadsError::UnknownDomain(domain.to_string()));
         }
         let durable = self.shared.storage.is_some();
-        // Each record goes to the one part that owns the next global id; a
-        // successful insert advances that part's — and so the domain-level —
-        // generation by exactly one.
-        let (mut next, mut generation) = self
-            .master
-            .totals(domain)
-            .ok_or_else(|| CqadsError::MissingTable(domain.to_string()))?;
+        let table = self.master.table_mut(domain)?;
         let mut ids = Vec::with_capacity(records.len());
         let mut frames = Vec::new();
         let mut failure: Option<CqadsError> = None;
         for record in records {
             let persisted = if durable { Some(record.clone()) } else { None };
-            match self.master.insert_at(domain, next, record) {
+            // A successful insert advances the table generation by exactly one.
+            match table.insert(record) {
                 Ok(id) => {
-                    next += 1;
-                    generation += 1;
                     ids.push(id);
                     if let Some(record) = persisted {
                         // One frame per record: a single frame never advances
@@ -1540,12 +1431,12 @@ impl CqadsWriter {
                         frames.push(WalRecord::Insert {
                             domain: domain.to_string(),
                             record,
-                            table_gen: generation,
+                            table_gen: table.generation(),
                         });
                     }
                 }
                 Err(e) => {
-                    failure = Some(e);
+                    failure = Some(e.into());
                     break;
                 }
             }
@@ -1563,11 +1454,9 @@ impl CqadsWriter {
     /// correctly — but the writer cannot see the mutation happen, so
     /// detached readers only observe it after the next mutation method or an
     /// explicit [`CqadsWriter::publish`]. Nothing is written to durable
-    /// storage through this handle, and with [`CqadsConfig::shards`] `> 1` it
-    /// reaches part 0 only (see [`CqadsWriter::database`]) — insert through
-    /// [`CqadsWriter::insert_record`] there, which routes.
+    /// storage through this handle.
     pub fn database_mut(&mut self) -> &mut Database {
-        &mut self.master.parts[0]
+        &mut self.master.database
     }
 
     /// Absorb one batch of freshly recorded query-log sessions into a
@@ -1761,8 +1650,7 @@ impl CqadsReader {
     }
 
     /// The table generation of a registered domain, as of the published
-    /// snapshot: the sum of its parts' [`addb::Table::generation`]s, which at
-    /// one part is the table's own.
+    /// snapshot ([`addb::Table::generation`]).
     pub fn table_generation(&self, domain: &str) -> Option<u64> {
         let snap = self.shared.snapshot.load();
         snap.table_generation(domain)

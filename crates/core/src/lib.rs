@@ -49,14 +49,8 @@
 //! `ARCHITECTURE.md` invariant #8.
 //!
 //! There is one production partial-match engine ([`partial`]) and one trusted
-//! reference it is differentially tested against ([`oracle`]).
-//!
-//! **Sharded serving** ([`shard`]) is a property of the one snapshot, not a
-//! second system: [`CqadsConfig::shards`] deals every domain's records into N
-//! part tables, reads scatter to the parts and gather through the same
-//! deterministic top-k collector the partial-match engine ranks with, so the answer is
-//! byte-identical at every N; writes route to exactly one part and bump only
-//! that part's generation — see `ARCHITECTURE.md` invariant #9.
+//! reference it is differentially tested against ([`oracle`]). Every domain is one
+//! table, answered by one function ([`shard`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -98,7 +92,7 @@ pub use ranking::{
     ValueOrder,
 };
 pub use resilience::{AnswerQuality, QueryBudget, ResilienceOptions, ServingStats};
-pub use shard::{RecordRouter, ShardedCqads};
+pub use shard::ShardedCqads;
 pub use storage::StorageOptions;
 pub use tagging::{TaggedQuestion, TaggedToken, Tagger};
 pub use translate::{ConditionSketch, Interpretation};

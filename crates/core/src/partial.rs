@@ -89,26 +89,9 @@
 //! value run of the same relaxation at the same score; such a re-offer is provably a
 //! no-op (`TopK::offer` updates only on a better score or, at an equal one, a
 //! smaller index, and an evicted or rejected entry stays below the monotone
-//! threshold). The same holds per part when a domain's records are dealt into parts
-//! (`crate::shard`) — each part's heap prunes against its own (lower, hence still
-//! admissible) threshold, *raised* by a threshold shared across the parts (next
-//! paragraph). The equivalence tests (`tests/topk_equivalence.rs`) assert
+//! threshold). The equivalence tests (`tests/topk_equivalence.rs`) assert
 //! byte-identity against the full-scan oracle ([`crate::oracle`]) across skewed and
 //! uniform value distributions.
-//!
-//! **The shared WAND threshold.** In a scatter across parts each part's heap
-//! additionally publishes the worst live score of its *full* heap into one atomic
-//! cell per question ([`SharedThreshold`], monotone max), and every part prunes
-//! candidates **strictly below** the published value. This is admissible: the
-//! global top-`b` worst is at least the `b`-th best of any subset of the offers, so
-//! a full part heap's worst is a lower bound on the final global threshold — a
-//! candidate strictly below it can never appear in the merged output. Pruning is on
-//! *strict* inequality only, so id tie-breaks at the threshold are untouched.
-//! Byte-identity does not depend on when a value is published, because every offer
-//! at a surviving record's best score is at least the final global worst, hence at
-//! least any published value at any earlier time — such offers are never pruned,
-//! so per-record dedup ("best score, then smallest relaxed index") resolves exactly
-//! as in one table, in whatever order the parts raise the threshold.
 //!
 //! # Relaxations best bound first, and the relaxation rule
 //!
@@ -247,13 +230,11 @@ use crate::domain::DomainSpec;
 use crate::error::{CqadsError, CqadsResult};
 use crate::ranking::{CompiledProbe, ProbeScorer, SimilarityMeasure, SimilarityModel, ValueOrder};
 use crate::resilience::QueryBudget;
-use crate::sync::atomic::AtomicU64;
 use crate::translate::Interpretation;
 use addb::{Executor, IdStream, PostingList, Query, RecordId, ScoredUnion, Table};
 use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::Arc;
 
 /// How many visited candidates the engine scores between deadline polls. A
 /// [`QueryBudget`] is checked at this granularity (plus once between every
@@ -278,9 +259,9 @@ pub struct PartialAnswer {
 
 impl PartialAnswer {
     /// Bit-exact equality (`rank_sim` compared by its float bits, every other field
-    /// by value). This is the *byte-identical answers* contract every part count
-    /// and the full-scan oracle ([`crate::oracle`]) are held to — the single
-    /// definition the equivalence tests share.
+    /// by value). This is the *byte-identical answers* contract the engine is held
+    /// to against the full-scan oracle ([`crate::oracle`]) — the single definition
+    /// the equivalence tests share.
     pub fn bits_eq(&self, other: &PartialAnswer) -> bool {
         self.id == other.id
             && self.rank_sim.to_bits() == other.rank_sim.to_bits()
@@ -307,11 +288,9 @@ pub struct PartialOutcome {
     pub degraded: bool,
     /// The certification bound `B` this outcome was truncated at
     /// (`f64::NEG_INFINITY` when the question completed losslessly, i.e. whenever
-    /// `degraded` is `false`). A scatter-gather merge over per-shard outcomes
-    /// takes the max of the shard bounds and re-truncates the merged list at it —
-    /// every entry scoring strictly above `max(B_shard)` beats anything *any*
-    /// shard's cut skipped, so the global certified-prefix argument composes from
-    /// the per-shard ones (see `crate::shard`).
+    /// `degraded` is `false`): every kept entry scores strictly above it, and no
+    /// offer the cut skipped could have scored above it (see the
+    /// [module docs](self#deadlines-and-degradation) for where each cut puts it).
     pub cut_bound: f64,
 }
 
@@ -372,63 +351,6 @@ impl BudgetProbe<'_> {
         if n > 0 {
             self.budget.add_visited(n);
             self.since_flush.set(0);
-        }
-    }
-}
-
-/// The shared WAND threshold of one question across the parts of a scatter
-/// (`crate::shard`): the monotone maximum of every part's full-heap worst score,
-/// stored as `f64` bits. Pruning strictly below this value is admissible — see the
-/// module docs for the proof that byte-identity does not depend on the order the
-/// parts publish in.
-///
-/// The type is public so `tests/interleavings.rs` can model-check the
-/// monotone-max protocol as shipped (atomics are routed through
-/// [`crate::sync`], which becomes miniloom's model-aware shims under the
-/// `miniloom` cargo feature). Monotonicity under every 3-thread schedule —
-/// no raise is ever lost, loads never regress — is machine-checked there.
-#[derive(Debug)]
-pub struct SharedThreshold(AtomicU64);
-
-impl Default for SharedThreshold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SharedThreshold {
-    /// A threshold no score falls below (`-inf`): pruning starts disabled.
-    pub fn new() -> Self {
-        SharedThreshold(AtomicU64::new(f64::NEG_INFINITY.to_bits()))
-    }
-
-    /// The current threshold. Pruning strictly below it is admissible.
-    pub fn load(&self) -> f64 {
-        // ordering: Relaxed — the threshold is a pruning *hint*: a stale read
-        // only prunes less tightly, never incorrectly (admissibility proof in
-        // the module docs), and no other memory is published through it.
-        f64::from_bits(self.0.load(crate::sync::atomic::Ordering::Relaxed))
-    }
-
-    /// Raise the threshold to `score` if it is not already higher (lock-free
-    /// monotone max; `Relaxed` suffices — the value is a pruning *hint* whose
-    /// timing never affects the output).
-    pub fn raise(&self, score: f64) {
-        use crate::sync::atomic::Ordering::Relaxed; // ordering: justified at the CAS loop below
-        let bits = score.to_bits();
-        // ordering: Relaxed on the load and both CAS orderings — the CAS loop
-        // needs only the atomicity of compare_exchange for monotonicity (a
-        // lost raise is impossible: a failed CAS reloads and retries unless
-        // already beaten); the value carries no cross-variable dependencies.
-        let mut current = self.0.load(Relaxed);
-        while f64::from_bits(current) < score {
-            match self
-                .0
-                .compare_exchange_weak(current, bits, Relaxed, Relaxed)
-            {
-                Ok(_) => return,
-                Err(changed) => current = changed,
-            }
         }
     }
 }
@@ -497,7 +419,8 @@ impl<'a> PartialMatcher<'a> {
             exclude,
             budget,
         };
-        Ok(take_single(self.batch_topk(&[request], table, None, false, None)?)?.answers)
+        let outcomes = self.partial_answers_batch_budgeted(&[request], table, None)?;
+        Ok(take_single(outcomes)?.answers)
     }
 
     /// Answer a whole batch of questions on the calling thread, under an optional
@@ -513,226 +436,28 @@ impl<'a> PartialMatcher<'a> {
     /// [`degraded`](PartialOutcome::degraded) — see the
     /// [module docs](self#deadlines-and-degradation) for the certification
     /// argument.
+    ///
+    /// The per-candidate hot loop avoids every avoidable cost: relaxation plans
+    /// (query + compiled probe) are built once per question, exclusion is a binary
+    /// search over a small sorted slice instead of a hash-set probe, text scoring is
+    /// memoized per distinct column value ([`ProbeScorer`]) and the top-k heap
+    /// rejects below-threshold candidates with two comparisons.
     pub fn partial_answers_batch_budgeted(
         &self,
         requests: &[PartialBatchRequest<'_>],
         table: &Table,
         budget: Option<&QueryBudget>,
     ) -> CqadsResult<Vec<PartialOutcome>> {
-        self.batch_topk(requests, table, budget, false, None)
-    }
-
-    /// One shard's phase-1 contribution to a scatter-gather answer
-    /// (`crate::shard`): the index-driven top-k pass over *this* shard's table,
-    /// with the degree-of-match fallback suppressed (the gather layer decides
-    /// globally whether the fallback is needed — a per-shard sparse heap says
-    /// nothing about the whole table) and the WAND thresholds injected so every
-    /// shard of the fan-out prunes against the *cross-shard* full-heap worst.
-    /// `shared` is indexed like `requests`; pruning against a threshold another
-    /// shard raised is admissible for the gathered top-k (module docs), because a
-    /// published value is the worst of *some* full heap of the same budget.
-    pub(crate) fn partial_answers_batch_scatter(
-        &self,
-        requests: &[PartialBatchRequest<'_>],
-        table: &Table,
-        budget: Option<&QueryBudget>,
-        shared: &[Arc<SharedThreshold>],
-    ) -> CqadsResult<Vec<PartialOutcome>> {
-        self.batch_topk(requests, table, budget, true, Some(shared))
-    }
-
-    /// The batch top-k engine.
-    ///
-    /// The per-candidate hot loop avoids every avoidable cost: relaxation plans
-    /// (query + compiled probe) are built once per question, exclusion is a binary
-    /// search over a small sorted slice instead of a hash-set probe, text scoring is
-    /// memoized per distinct column value
-    /// ([`ProbeScorer`](crate::ranking::ProbeScorer)) and the top-k heap rejects
-    /// below-threshold candidates with two comparisons.
-    fn batch_topk(
-        &self,
-        requests: &[PartialBatchRequest<'_>],
-        table: &Table,
-        budget: Option<&QueryBudget>,
-        suppress_fallback: bool,
-        shared_thresholds: Option<&[Arc<SharedThreshold>]>,
-    ) -> CqadsResult<Vec<PartialOutcome>> {
         let universe = 0..table.len() as u32;
         let prepared: Vec<PreparedQuestion<'_>> = requests
             .iter()
             .map(|r| self.prepare_question(r, table))
             .collect();
-        // Only the scatter-gather path shares a WAND threshold, one per question
-        // *across tables* (lossless; see the module docs). One table prunes against
-        // its own heap: no atomics on that path.
-        let mut heaps: Vec<TopK> = prepared
-            .iter()
-            .enumerate()
-            .map(|(q, p)| {
-                let shared = shared_thresholds.and_then(|ts| ts.get(q).cloned());
-                TopK::with_shared(p.budget, shared)
-            })
-            .collect();
+        let mut heaps: Vec<TopK> = prepared.iter().map(|p| TopK::new(p.budget)).collect();
         // Per-question upper bound on every score a deadline cut could still have
         // offered; `NEG_INFINITY` = the question completed losslessly.
         let mut bounds = vec![f64::NEG_INFINITY; requests.len()];
-
-        // Phase 1: index-driven pass over every question.
-        let meter = budget.map(BudgetProbe::new);
-        let executor = Executor::new(table);
-        for (q, (prep, topk)) in prepared.iter().zip(heaps.iter_mut()).enumerate() {
-            if let Some(m) = &meter {
-                if m.cut() {
-                    // Cut before the question started: everything it could have
-                    // offered is covered by its precomputed maximum.
-                    bounds[q] = bounds[q].max(prep.max_start_bound);
-                    continue;
-                }
-            }
-            match &prep.kind {
-                PreparedKind::Inert => {}
-                PreparedKind::Single { probe, values } => match values {
-                    // Value-ordered traversal: the "rest of the conditions" of a
-                    // single-condition question is the whole table, so each value's
-                    // posting list drains directly — the O(table) scan collapses to
-                    // the few posting lists whose similarity can still beat the
-                    // threshold.
-                    Some(order) => {
-                        if let Some(cut_at) = wand_relaxation(
-                            topk,
-                            order,
-                            probe,
-                            0,
-                            prep.base(),
-                            |id| prep.excluded(id),
-                            || Some(IdStream::All(universe.clone())),
-                            meter.as_ref(),
-                        ) {
-                            bounds[q] = bounds[q].max(cut_at);
-                        }
-                    }
-                    // Exhaustive scan: apply similarity matching directly over the
-                    // table (Section 4.3.1, last paragraph). Inherently O(table), but
-                    // scoring is allocation-free and ranking memory stays O(budget).
-                    None => {
-                        let mut scorer = ProbeScorer::new(probe);
-                        for id in universe.clone().map(RecordId) {
-                            if let Some(m) = &meter {
-                                if m.visit() {
-                                    bounds[q] = bounds[q].max(prep.max_start_bound);
-                                    break;
-                                }
-                            }
-                            if prep.excluded(id) {
-                                continue;
-                            }
-                            let (score, measure) = scorer.rank_sim(prep.n, id);
-                            topk.offer(id, score, measure, 0);
-                        }
-                    }
-                },
-                PreparedKind::Multi(plans) => {
-                    'plans: for (pi, plan) in plans.iter().enumerate() {
-                        // Plans run best bound first: once the heap cannot take this
-                        // plan's bound, it cannot take any later plan's.
-                        if !topk.can_beat(plan.start_bound) {
-                            break 'plans;
-                        }
-                        if let Some(m) = &meter {
-                            if m.cut() {
-                                // Cut between plans: this plan's start bound is the
-                                // highest of the remaining ones.
-                                bounds[q] = bounds[q].max(plan.start_bound);
-                                break 'plans;
-                            }
-                        }
-                        let later_bound = || {
-                            plans
-                                .get(pi + 1)
-                                .map_or(f64::NEG_INFINITY, |p| p.start_bound)
-                        };
-                        match &plan.values {
-                            Some(order) => {
-                                // A record holding the relaxed value matches every
-                                // condition: an exact answer, not a new one.
-                                let skip = |id| {
-                                    prep.excluded(id)
-                                        || (plan.skips_value && plan.probe.satisfied(id))
-                                };
-                                // The remaining N−1 conditions, drained once: every
-                                // later run intersects the list instead of re-planning
-                                // the query (and re-applying a superlative).
-                                let rest = OnceCell::new();
-                                let make_rest = || {
-                                    drained_once(&rest, || {
-                                        executor.execute_stream(&plan.query).ok()
-                                    })
-                                };
-                                if let Some(cut_at) = wand_relaxation(
-                                    topk,
-                                    order,
-                                    &plan.probe,
-                                    plan.skip,
-                                    prep.base(),
-                                    skip,
-                                    make_rest,
-                                    meter.as_ref(),
-                                ) {
-                                    bounds[q] = bounds[q].max(cut_at.max(later_bound()));
-                                    break 'plans;
-                                }
-                            }
-                            None => {
-                                let stream = match executor.execute_stream(&plan.query) {
-                                    Ok(s) => s,
-                                    Err(_) => continue,
-                                };
-                                let mut scorer = ProbeScorer::new(&plan.probe);
-                                match &meter {
-                                    // `for_each` funnels through the stream's
-                                    // specialized `fold`: posting-list tails, flattened
-                                    // intersections and wide-range filters run as
-                                    // tight slice/range loops. The unbudgeted arm
-                                    // keeps that exact shape.
-                                    None => stream.for_each(|id| {
-                                        if prep.excluded(id) {
-                                            return;
-                                        }
-                                        let (score, measure) = scorer.rank_sim(prep.n, id);
-                                        topk.offer(id, score, measure, plan.skip);
-                                    }),
-                                    Some(m) => {
-                                        let mut cut = false;
-                                        for id in stream {
-                                            if m.visit() {
-                                                cut = true;
-                                                break;
-                                            }
-                                            if prep.excluded(id) {
-                                                continue;
-                                            }
-                                            let (score, measure) = scorer.rank_sim(prep.n, id);
-                                            topk.offer(id, score, measure, plan.skip);
-                                        }
-                                        if cut {
-                                            // Mid-stream cut: the stream is unordered
-                                            // in score, so the whole plan's start
-                                            // bound — the highest of the remaining
-                                            // plans' — must cover the remainder.
-                                            bounds[q] = bounds[q].max(plan.start_bound);
-                                            break 'plans;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(m) = &meter {
-            m.flush();
-        }
+        index_pass(&prepared, &mut heaps, &mut bounds, table, budget);
 
         // Phase 2: degree-of-match fallback for sparse questions. A heap below
         // budget holds exactly the candidates the index pass found. A question
@@ -740,19 +465,12 @@ impl<'a> PartialMatcher<'a> {
         // offer scores up to N, so its bound becomes N (a full heap cut in phase 1
         // implies the undegraded heap is full too, i.e. the undegraded engine
         // would not have run the fallback either — the phase-1 bound stands).
-        // A scatter-gather caller suppresses the fallback outright (bounds
-        // untouched): whether the *global* heap is sparse is only known after the
-        // gather, which re-runs the plain per-shard engine at the real budget in
-        // that case — see `crate::shard`.
         let fallback: Vec<Option<Fallback<'_>>> = prepared
             .iter()
             .zip(heaps.iter())
             .zip(requests.iter())
             .enumerate()
             .map(|(q, ((prep, topk), request))| {
-                if suppress_fallback {
-                    return None;
-                }
                 let sparse =
                     matches!(prep.kind, PreparedKind::Multi(_)) && topk.len() < prep.budget;
                 if sparse && bounds[q] > f64::NEG_INFINITY {
@@ -1330,6 +1048,171 @@ impl PreparedQuestion<'_> {
     }
 }
 
+/// Phase 1 of [`PartialMatcher`]'s batch engine: the index-driven pass over every
+/// question — the N−1 relaxations best bound first, or a single condition's value
+/// runs — offering into `heaps` and widening `bounds` at any deadline cut.
+fn index_pass(
+    prepared: &[PreparedQuestion<'_>],
+    heaps: &mut [TopK],
+    bounds: &mut [f64],
+    table: &Table,
+    budget: Option<&QueryBudget>,
+) {
+    let universe = 0..table.len() as u32;
+    let meter = budget.map(BudgetProbe::new);
+    let executor = Executor::new(table);
+    for (q, (prep, topk)) in prepared.iter().zip(heaps.iter_mut()).enumerate() {
+        if let Some(m) = &meter {
+            if m.cut() {
+                // Cut before the question started: everything it could have
+                // offered is covered by its precomputed maximum.
+                bounds[q] = bounds[q].max(prep.max_start_bound);
+                continue;
+            }
+        }
+        match &prep.kind {
+            PreparedKind::Inert => {}
+            PreparedKind::Single { probe, values } => match values {
+                // Value-ordered traversal: the "rest of the conditions" of a
+                // single-condition question is the whole table, so each value's
+                // posting list drains directly — the O(table) scan collapses to
+                // the few posting lists whose similarity can still beat the
+                // threshold.
+                Some(order) => {
+                    if let Some(cut_at) = wand_relaxation(
+                        topk,
+                        order,
+                        probe,
+                        0,
+                        prep.base(),
+                        |id| prep.excluded(id),
+                        || Some(IdStream::All(universe.clone())),
+                        meter.as_ref(),
+                    ) {
+                        bounds[q] = bounds[q].max(cut_at);
+                    }
+                }
+                // Exhaustive scan: apply similarity matching directly over the
+                // table (Section 4.3.1, last paragraph). Inherently O(table), but
+                // scoring is allocation-free and ranking memory stays O(budget).
+                None => {
+                    let mut scorer = ProbeScorer::new(probe);
+                    for id in universe.clone().map(RecordId) {
+                        if let Some(m) = &meter {
+                            if m.visit() {
+                                bounds[q] = bounds[q].max(prep.max_start_bound);
+                                break;
+                            }
+                        }
+                        if prep.excluded(id) {
+                            continue;
+                        }
+                        let (score, measure) = scorer.rank_sim(prep.n, id);
+                        topk.offer(id, score, measure, 0);
+                    }
+                }
+            },
+            PreparedKind::Multi(plans) => {
+                'plans: for (pi, plan) in plans.iter().enumerate() {
+                    // Plans run best bound first: once the heap cannot take this
+                    // plan's bound, it cannot take any later plan's.
+                    if !topk.can_beat(plan.start_bound) {
+                        break 'plans;
+                    }
+                    if let Some(m) = &meter {
+                        if m.cut() {
+                            // Cut between plans: this plan's start bound is the
+                            // highest of the remaining ones.
+                            bounds[q] = bounds[q].max(plan.start_bound);
+                            break 'plans;
+                        }
+                    }
+                    let later_bound = || {
+                        plans
+                            .get(pi + 1)
+                            .map_or(f64::NEG_INFINITY, |p| p.start_bound)
+                    };
+                    match &plan.values {
+                        Some(order) => {
+                            // A record holding the relaxed value matches every
+                            // condition: an exact answer, not a new one.
+                            let skip = |id| {
+                                prep.excluded(id) || (plan.skips_value && plan.probe.satisfied(id))
+                            };
+                            // The remaining N−1 conditions, drained once: every
+                            // later run intersects the list instead of re-planning
+                            // the query (and re-applying a superlative).
+                            let rest = OnceCell::new();
+                            let make_rest = || {
+                                drained_once(&rest, || executor.execute_stream(&plan.query).ok())
+                            };
+                            if let Some(cut_at) = wand_relaxation(
+                                topk,
+                                order,
+                                &plan.probe,
+                                plan.skip,
+                                prep.base(),
+                                skip,
+                                make_rest,
+                                meter.as_ref(),
+                            ) {
+                                bounds[q] = bounds[q].max(cut_at.max(later_bound()));
+                                break 'plans;
+                            }
+                        }
+                        None => {
+                            let stream = match executor.execute_stream(&plan.query) {
+                                Ok(s) => s,
+                                Err(_) => continue,
+                            };
+                            let mut scorer = ProbeScorer::new(&plan.probe);
+                            match &meter {
+                                // `for_each` funnels through the stream's
+                                // specialized `fold`: posting-list tails, flattened
+                                // intersections and wide-range filters run as
+                                // tight slice/range loops. The unbudgeted arm
+                                // keeps that exact shape.
+                                None => stream.for_each(|id| {
+                                    if prep.excluded(id) {
+                                        return;
+                                    }
+                                    let (score, measure) = scorer.rank_sim(prep.n, id);
+                                    topk.offer(id, score, measure, plan.skip);
+                                }),
+                                Some(m) => {
+                                    let mut cut = false;
+                                    for id in stream {
+                                        if m.visit() {
+                                            cut = true;
+                                            break;
+                                        }
+                                        if prep.excluded(id) {
+                                            continue;
+                                        }
+                                        let (score, measure) = scorer.rank_sim(prep.n, id);
+                                        topk.offer(id, score, measure, plan.skip);
+                                    }
+                                    if cut {
+                                        // Mid-stream cut: the stream is unordered
+                                        // in score, so the whole plan's start
+                                        // bound — the highest of the remaining
+                                        // plans' — must cover the remainder.
+                                        bounds[q] = bounds[q].max(plan.start_bound);
+                                        break 'plans;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    if let Some(m) = &meter {
+        m.flush();
+    }
+}
+
 /// The single result of a one-request call. The engine and the answering core
 /// return exactly one result per request; the error arm is unreachable but
 /// cheaper than a panic on the serving path.
@@ -1337,24 +1220,6 @@ pub(crate) fn take_single<T>(mut results: Vec<T>) -> CqadsResult<T> {
     results
         .pop()
         .ok_or_else(|| CqadsError::Config("internal: one request produced no result".to_string()))
-}
-
-/// Gather step of the scatter-gather shard fan-out (`crate::shard`): merge
-/// per-shard answer lists into the global top-`budget` through the same
-/// deterministic [`TopK`] collector the engine ranks with, so the
-/// `(rank_sim desc, id asc)` order — and therefore byte-identity with the
-/// unsharded engine — is inherited rather than re-proven. Shard id spaces are
-/// disjoint after translation to global ids, so the per-record dedup never
-/// fires; ties across shards resolve by global id exactly as one heap would.
-pub(crate) fn merge_partial_answers(
-    budget: usize,
-    answers: impl IntoIterator<Item = PartialAnswer>,
-) -> Vec<PartialAnswer> {
-    let mut topk = TopK::new(budget);
-    for a in answers {
-        topk.offer(a.id, a.rank_sim, a.measure, a.relaxed_condition);
-    }
-    topk.into_sorted()
 }
 
 // ---------------------------------------------------------------------------
@@ -1379,11 +1244,6 @@ struct TopK {
     /// lets `offer` reject a below-threshold candidate with two comparisons and no
     /// hash or heap access at all. `None` while the heap is below budget.
     cached_worst: Option<(f64, RecordId)>,
-    /// The question's cross-part WAND threshold in a scatter (`None` for one
-    /// table). This heap *publishes* its full-heap worst into it and *prunes*
-    /// candidates strictly below it — admissible because a full part heap's worst
-    /// lower-bounds the final global worst (see the module docs).
-    shared: Option<Arc<SharedThreshold>>,
 }
 
 /// Heap key ordered so that the *worst* candidate is the minimum: lower score is
@@ -1420,17 +1280,12 @@ impl Ord for HeapEntry {
 
 impl TopK {
     fn new(budget: usize) -> Self {
-        TopK::with_shared(budget, None)
-    }
-
-    fn with_shared(budget: usize, shared: Option<Arc<SharedThreshold>>) -> Self {
         TopK {
             budget,
             heap: BinaryHeap::with_capacity(budget + 1),
             live: HashMap::with_capacity_and_hasher(budget, Default::default()),
             next_gen: 0,
             cached_worst: None,
-            shared,
         }
     }
 
@@ -1446,13 +1301,6 @@ impl TopK {
     /// a candidate rejected here would be rejected by [`TopK::offer`] now and at any
     /// later point, which makes skipping it lossless.
     fn can_beat(&self, upper: f64) -> bool {
-        if let Some(shared) = &self.shared {
-            // A candidate strictly below the cross-part threshold cannot enter
-            // the *merged* top-k even if this part's heap would take it.
-            if upper < shared.load() {
-                return false;
-            }
-        }
         match self.cached_worst {
             None => true,
             Some((worst, _)) => upper >= worst,
@@ -1469,13 +1317,6 @@ impl TopK {
     /// This is what caps a mega posting list (an exact-match value over a skewed
     /// column) at ~`budget` visited ids instead of its full length.
     fn ascending_run_alive(&self, score: f64, last_id: RecordId) -> bool {
-        if let Some(shared) = &self.shared {
-            // Strictly below the cross-part threshold: the rest of the run is
-            // unmergeable regardless of this part's heap state.
-            if score < shared.load() {
-                return false;
-            }
-        }
         match self.cached_worst {
             None => true,
             Some((worst, worst_id)) => match score.partial_cmp(&worst).unwrap_or(Ordering::Equal) {
@@ -1493,17 +1334,11 @@ impl TopK {
     /// Recompute [`TopK::cached_worst`] after a mutation (cheap: the heap top is
     /// usually live; stale entries are popped lazily).
     fn refresh_worst(&mut self) {
-        let worst = if self.budget > 0 && self.live.len() >= self.budget {
+        self.cached_worst = if self.budget > 0 && self.live.len() >= self.budget {
             self.peek_worst().map(|entry| (entry.score, entry.id))
         } else {
             None
         };
-        self.cached_worst = worst;
-        if let (Some(shared), Some((score, _))) = (&self.shared, worst) {
-            // Publish the full-heap worst: a monotone lower bound on the final
-            // merged worst, so every part may prune strictly below it.
-            shared.raise(score);
-        }
     }
 
     /// Pop stale entries until the heap top is live, then peek it.
@@ -1525,16 +1360,6 @@ impl TopK {
         if self.budget == 0 {
             return;
         }
-        // Cross-part fast path: strictly below the shared threshold the
-        // candidate cannot survive the merge (and cannot be a surviving record's
-        // best-score improvement either — such scores are always >= the shared
-        // threshold; see the module docs), so it is dropped before touching the
-        // private heap.
-        if let Some(shared) = &self.shared {
-            if score < shared.load() {
-                return;
-            }
-        }
         // Threshold fast path: once the heap is full, a candidate below the cached
         // worst live entry (in `(score, id)` order) can neither enter as a new
         // record nor improve a live one — every live score is `>=` the worst score,
@@ -1554,8 +1379,8 @@ impl TopK {
             // Per-record dedup: keep the best score and, among offers of that
             // score, the smallest relaxed index — what the oracle's first-seen
             // rule keeps, since it visits relaxations in index order. The entry
-            // then depends on no offer order: not on the plans' best-bound-first
-            // order, nor on parts.
+            // then depends on no offer order, such as the plans' best-bound-first
+            // order.
             if score == existing.rank_sim && relaxed < existing.relaxed_condition {
                 existing.measure = measure;
                 existing.relaxed_condition = relaxed;
@@ -2007,18 +1832,6 @@ mod tests {
             full_scan_partial_answers(&spec, &sim2, &interp, &table, &HashSet::new(), 1).unwrap();
         assert_bit_identical(&a, &b, "all-sub-threshold");
         assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    fn shared_threshold_raises_monotonically() {
-        let shared = SharedThreshold::new();
-        assert_eq!(shared.load(), f64::NEG_INFINITY);
-        shared.raise(0.5);
-        assert_eq!(shared.load(), 0.5);
-        shared.raise(0.3);
-        assert_eq!(shared.load(), 0.5, "raise never lowers");
-        shared.raise(0.9);
-        assert_eq!(shared.load(), 0.9);
     }
 
     const BATCH_QUESTIONS: [&str; 4] = [
@@ -2593,13 +2406,12 @@ mod tests {
         let full = metered(&matcher, &interp, &table, budget);
         assert!(!full.degraded);
         assert_eq!(full.answers.len(), budget);
-        // Phase 1 alone: the scatter form runs it without the fallback.
+        // Phase 1 alone, under a budget that only counts.
         let far = QueryBudget::new(Arc::new(ManualClock::new()), u64::MAX);
-        let shared = [Arc::new(SharedThreshold::new())];
-        let phase1 = matcher
-            .partial_answers_batch_scatter(&[request], &table, Some(&far), &shared)
-            .unwrap();
-        let before_index_layer = take_single(phase1).unwrap().visited;
+        let prepared = [matcher.prepare_question(&request, &table)];
+        let (mut heaps, mut bounds) = ([TopK::new(budget)], [f64::NEG_INFINITY]);
+        index_pass(&prepared, &mut heaps, &mut bounds, &table, Some(&far));
+        let before_index_layer = far.visited();
         // The scan is skipped: every visit past phase 1's is the index layer's.
         let index_layer = full.visited - before_index_layer;
         assert!(

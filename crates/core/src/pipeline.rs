@@ -151,15 +151,9 @@ pub struct CqadsConfig {
     /// Like [`CqadsConfig::storage`], these knobs describe *this process* and
     /// are never persisted in snapshots.
     pub resilience: Option<ResilienceOptions>,
-    /// Part count: `Some(n)` deals every domain's records into `n` tables
-    /// inside the one snapshot (record `g` to part `g mod n`), answered by
-    /// scatter-gather ([`crate::shard`]). `None` (the default) and `Some(1)`
-    /// are the same one-part system. Answers are byte-identical for every
-    /// count, and the knob combines with every other one — the answer cache,
-    /// [`CqadsConfig::resilience`] and [`CqadsConfig::storage`] exist once and
-    /// serve any count. Like those two it describes *this process* and is
-    /// never persisted: reopening a store with a different count re-deals the
-    /// same records.
+    /// Ignored: every domain is one table. Kept only because `crates/benchmark`
+    /// still sets it; a `[benchmark]` change deletes it along with
+    /// [`ShardedCqads`](crate::ShardedCqads).
     pub shards: Option<usize>,
 }
 
@@ -190,8 +184,8 @@ impl CqadsConfig {
     /// Check this configuration for combinations that cannot work:
     /// a zero answer limit, a partial threshold above the answer limit,
     /// zero cache shards with a non-zero cache capacity, or a resilience
-    /// deadline floor above the deadline itself, or zero `shards`. Every
-    /// other combination of knobs works and answers identically.
+    /// deadline floor above the deadline itself. Every other combination of
+    /// knobs works and answers identically.
     /// [`CqadsConfigBuilder::build`] runs this automatically; call it directly
     /// when constructing the struct by hand.
     pub fn validate(&self) -> CqadsResult<()> {
@@ -211,13 +205,6 @@ impl CqadsConfig {
             return Err(CqadsError::Config(
                 "cache_shards must be at least 1 when the cache is enabled \
                  (set cache_capacity to 0 to disable caching)"
-                    .to_string(),
-            ));
-        }
-        if self.shards == Some(0) {
-            return Err(CqadsError::Config(
-                "shards must be at least 1 when set (None and Some(1) both mean \
-                 the one-part system)"
                     .to_string(),
             ));
         }
@@ -298,12 +285,6 @@ impl CqadsConfigBuilder {
     /// Enable the serving-resilience layer with these options.
     pub fn resilience(mut self, resilience: ResilienceOptions) -> Self {
         self.config.resilience = Some(resilience);
-        self
-    }
-
-    /// Part count ([`CqadsConfig::shards`]).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = Some(shards);
         self
     }
 
@@ -896,20 +877,11 @@ mod tests {
             CqadsConfig::builder().resilience(bad).build(),
             Err(CqadsError::Config(_))
         ));
-
-        // Zero parts is the one shard count that cannot work; every other
-        // one combines with storage and resilience.
-        match CqadsConfig::builder().shards(0).build() {
-            Err(CqadsError::Config(msg)) => assert!(msg.contains("shards"), "{msg}"),
-            other => panic!("expected Config error, got {other:?}"),
-        }
         assert!(CqadsConfig::builder()
-            .shards(2)
-            .storage(StorageOptions::at("/tmp/nowhere"))
+            .storage(StorageOptions::at("db"))
             .resilience(ResilienceOptions::default())
             .build()
             .is_ok());
-        assert!(CqadsConfig::builder().shards(2).build().is_ok());
     }
 
     #[test]

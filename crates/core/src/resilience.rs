@@ -126,7 +126,7 @@ impl Default for ResilienceOptions {
 /// Created by the pipeline when a deadline is configured and threaded down
 /// into the partial-match engine, which calls [`QueryBudget::expired`] at
 /// posting-block checkpoints; the first check to see the deadline pass flips
-/// the cancel flag, so every later pass and part stops at its next checkpoint
+/// the cancel flag, so every later pass stops at its next checkpoint
 /// without ever looking at the clock again.
 #[derive(Debug)]
 pub struct QueryBudget {
@@ -210,11 +210,6 @@ pub struct ServingStats {
     /// when [`CqadsConfig::cache_capacity`](crate::CqadsConfig::cache_capacity)
     /// is `0`.
     pub routes: CacheStats,
-    /// The per-part contribution caches beneath the answer cache, summed
-    /// (all zero at one part, where they do not exist): after an insert into
-    /// one of `N` parts, the next ask of a cached question adds one miss and
-    /// `N − 1` hits here — the finer-invalidation observable.
-    pub contributions: CacheStats,
     /// Best-effort audit frames that failed to persist (after retries).
     pub audit_failures: u64,
     /// Batches rejected by admission control with `Overloaded`.

@@ -2,8 +2,7 @@
 //! the `miniloom` cargo feature.
 //!
 //! The crate's hand-rolled concurrent types (the cache shards and counters
-//! of [`AnswerCache`](crate::cache), and
-//! [`SharedThreshold`](crate::partial::SharedThreshold)) import their
+//! of [`AnswerCache`](crate::cache)) import their
 //! atomics and mutexes from here instead of
 //! `std::sync` directly. With the `miniloom` feature **off** (every
 //! production build) the re-exports are thin `#[inline]` passthroughs with

@@ -2,7 +2,7 @@
 //! must argue every `static` item and every `Mutex`/`RwLock` construction
 //! in the sharding and handle layers — such sites are ad-hoc state visible
 //! to more than one partition, and coordination there is supposed to go
-//! through a SharedThreshold or snapshot publication instead. Not
+//! through snapshot publication instead. Not
 //! compiled; consumed by the linter self-test. (The justification token
 //! is only named at the top of this header, clear of every marker's
 //! lookback window below.)

@@ -76,10 +76,10 @@ impl RuleSet {
 ///   `crates/core` files that serve `answer*` calls ([`HOT_READ_PATH`]):
 ///   reads there go through the published snapshot, so every residual lock
 ///   acquisition must justify its O(1) critical section with `// lock:`.
-/// * `cross-shard-state` additionally applies to the sharding and handle
-///   layers ([`CROSS_SHARD_SCOPE`]): cross-shard coordination goes through
-///   a `SharedThreshold` or snapshot publication, so any `static` item or
-///   `Mutex`/`RwLock` construction there must argue itself with `// shard:`.
+/// * `cross-shard-state` additionally applies to the answering-core and
+///   handle layers ([`CROSS_SHARD_SCOPE`]): coordination there goes through
+///   snapshot publication, so any `static` item or `Mutex`/`RwLock`
+///   construction there must argue itself with `// shard:`.
 /// * Test trees (`tests/`), examples, generated `target/`, vendored code
 ///   and the lint fixtures are out of scope; the `#[cfg(test)]` mask
 ///   exempts inline test modules inside scoped files.
@@ -129,12 +129,12 @@ pub const HOT_READ_PATH: [&str; 7] = [
     "crates/core/src/shard.rs",
 ];
 
-/// The files where cross-shard mutable state can appear: the sharding layer
-/// itself and the handle layer its scatter path is built on. The
-/// `cross-shard-state` rule holds these to the sharded-serving invariant
-/// (ARCHITECTURE.md #9) — coordination between shards goes through a
-/// `SharedThreshold` or snapshot publication, and any ad-hoc `static` or
-/// `Mutex`/`RwLock` construction must argue itself with `// shard:`.
+/// The files where shared mutable state of the read path can appear: the
+/// answering core and the handle layer that calls it. The `cross-shard-state`
+/// rule holds these to the snapshot-publication invariant (ARCHITECTURE.md
+/// #8) — coordination goes through snapshot publication, and any ad-hoc
+/// `static` or `Mutex`/`RwLock` construction must argue itself with
+/// `// shard:`.
 pub const CROSS_SHARD_SCOPE: [&str; 2] = ["crates/core/src/handle.rs", "crates/core/src/shard.rs"];
 
 /// Lint one file's source under a rule scope. `path` is only used for

@@ -45,13 +45,13 @@ pub enum Rule {
     /// the published snapshot (`ArcSwap`), never block on a writer's work —
     /// an unjustified lock here is how that invariant erodes.
     HotPathLock,
-    /// `cross-shard-state` — in the sharding and handle layers, mutable
-    /// state visible to more than one shard must go through the two blessed
-    /// channels: a `SharedThreshold` or snapshot publication. A `static`
-    /// item declaration or a `Mutex::new(…)` / `RwLock::new(…)` construction
-    /// there needs an adjacent `// shard:` comment (same line or within the
-    /// 4 lines above) arguing why ad-hoc shared state does not break the
-    /// byte-identity merge or the per-snapshot consistency bracket.
+    /// `cross-shard-state` — in the answering-core and handle layers,
+    /// mutable state visible beyond one call must go through the one blessed
+    /// channel: snapshot publication. A `static` item declaration or a
+    /// `Mutex::new(…)` / `RwLock::new(…)` construction there needs an
+    /// adjacent `// shard:` comment (same line or within the 4 lines above)
+    /// arguing why ad-hoc shared state does not break the per-snapshot
+    /// consistency bracket.
     CrossShardState,
 }
 
@@ -261,8 +261,8 @@ pub fn check_cross_shard_state(lines: &[Line], idx: usize) -> Option<String> {
         return None;
     }
     Some(format!(
-        "{hit} creates ad-hoc cross-shard state — route coordination through a \
-         SharedThreshold or snapshot publication, or argue the site with `// shard:`"
+        "{hit} creates ad-hoc cross-shard state — route coordination through \
+         snapshot publication, or argue the site with `// shard:`"
     ))
 }
 

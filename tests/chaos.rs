@@ -530,52 +530,50 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded serving: one deadline arms every part
+// An expired deadline, pinned exactly
 // ---------------------------------------------------------------------------
 
-/// The part count does not change how a deadline degrades: under a deadline
-/// already expired on the same clock, `answer_batch` at 1 and at 3 parts
-/// returns exactly what the default (unsharded) config returns — ids, kinds,
-/// `rank_sim` bits, `exact_count` and the whole [`AnswerQuality`] value,
-/// `visited` included — with the cut counted once per question, not once per
-/// part. (Arming parts *differently* is only possible beneath the serving
-/// path; `cqads::shard`'s unit tests cover that.)
+/// Under a deadline already expired on the same clock, `answer_batch` cuts
+/// every question's partial phase before it visits a record: each cut answer
+/// keeps its exact answers and is flagged `Degraded` with `visited == 0`, and
+/// the cut is counted once per question.
 #[test]
 fn one_shard_under_an_expired_budget_is_the_unsharded_expired_batch() {
     // A clock at the end of time: every deadline, even the resilience
     // layer's 1 µs floor, is expired the moment its budget is created.
     let clock = Arc::new(ManualClock::new());
     clock.advance(u64::MAX);
-    let expired = |shards| {
-        system_with(CqadsConfig {
-            shards,
-            resilience: Some(ResilienceOptions {
-                deadline_micros: Some(1),
-                serve_stale_on_timeout: false,
-                clock: Arc::clone(&clock) as Arc<dyn RetryClock>,
-                ..ResilienceOptions::default()
-            }),
-            ..CqadsConfig::default()
-        })
+    let expired = system_with(CqadsConfig {
+        resilience: Some(ResilienceOptions {
+            deadline_micros: Some(1),
+            serve_stale_on_timeout: false,
+            clock: Arc::clone(&clock) as Arc<dyn RetryClock>,
+            ..ResilienceOptions::default()
+        }),
+        ..CqadsConfig::default()
+    });
+    let full = system_with(CqadsConfig::default()).answer_batch(&QUESTIONS);
+    let got = expired.answer_batch(&QUESTIONS);
+    let flagged = AnswerQuality::Degraded {
+        visited: 0,
+        budget_exhausted: true,
     };
-    let unsharded = expired(None);
-    let want = unsharded.answer_batch(&QUESTIONS);
-    assert!(
-        want.iter()
-            .any(|r| !r.as_ref().unwrap().quality.is_complete()),
-        "an expired deadline must cut something"
-    );
-    for shards in [1, 3] {
-        let sharded = expired(Some(shards));
-        let got = sharded.answer_batch(&QUESTIONS);
-        assert_eq!(fingerprint(&got), fingerprint(&want), "{shards} part(s)");
-        for (got, want) in got.iter().zip(&want) {
-            let (got, want) = (got.as_ref().unwrap(), want.as_ref().unwrap());
-            assert_eq!(got.exact_count, want.exact_count, "{shards} part(s)");
+    let mut cut = 0;
+    for (got, full) in got.iter().zip(&full) {
+        let (got, full) = (got.as_ref().unwrap(), full.as_ref().unwrap());
+        assert_eq!((&got.sql, got.exact_count), (&full.sql, full.exact_count));
+        for (x, y) in got.answers.iter().zip(&full.answers) {
+            assert_eq!((x.id, x.rank_sim.to_bits()), (y.id, y.rank_sim.to_bits()));
         }
-        assert_eq!(
-            sharded.serving_stats().degraded,
-            unsharded.serving_stats().degraded
-        );
+        if got.quality.is_complete() {
+            assert_eq!(got.answers.len(), full.answers.len());
+        } else {
+            assert_eq!(got.quality, flagged);
+            let partial = got.answers.len() - got.exact_count;
+            assert_eq!(partial, 0, "nothing partial is certified");
+            cut += 1;
+        }
     }
+    assert!(cut > 0, "an expired deadline must cut something");
+    assert_eq!(expired.serving_stats().degraded, cut);
 }

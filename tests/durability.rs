@@ -3,9 +3,7 @@
 //! fully-persisted mutation prefix, without panicking, and without any
 //! generation counter regressing below a stamp the crashed process durably
 //! handed out. Recovery must also be idempotent: opening twice lands on the
-//! same state, generations included. Nothing about the part count
-//! ([`CqadsConfig::shards`]) is persisted, so all of that holds when a store
-//! written at one count is reopened at another.
+//! same state, generations included.
 
 use cqads_suite::addb::{DbError, Record, Schema, Table};
 use cqads_suite::cqads::domain::toy_car_domain;
@@ -166,8 +164,7 @@ fn durable_config(fs: &Arc<MemFs>) -> CqadsConfig {
     }
 }
 
-/// What a system answers, down to rank-score bits — the part of the
-/// observable state that reads the same at every part count.
+/// What a system answers, down to rank-score bits.
 fn observable_answers(system: &CqadsSystem) -> Vec<String> {
     let questions = [
         "blue automatic cars",
@@ -387,29 +384,24 @@ proptest! {
         }
     }
 
-    /// Resharding is a reopen: a store written at 2 parts — inserts, ingests,
-    /// WS swaps and re-registrations, with automatic snapshot rotation, then
-    /// a crash that tears the newest WAL at an arbitrary byte — reopens at 1,
-    /// 2 or 3 parts to the state of a never-crashed default-config system
-    /// that applied the surviving mutation prefix: same rows, same answers
-    /// byte for byte, same next record id. Generations never regress below
-    /// what the crashed process handed out, and a second recovery at the same
-    /// part count lands on the same generations.
+    /// A store written through inserts, ingests, WS swaps and
+    /// re-registrations, with automatic snapshot rotation, then a crash that
+    /// tears the newest WAL at an arbitrary byte, reopens to the state of a
+    /// never-crashed default-config system that applied the surviving mutation
+    /// prefix: same rows, same answers byte for byte, same next record id.
+    /// Generations never regress below what the crashed process handed out,
+    /// and a second recovery lands on the same generations.
     #[test]
-    fn a_store_written_at_two_parts_reopens_at_any_part_count(
+    fn a_torn_store_reopens_to_the_never_crashed_state(
         mutations in prop::collection::vec(MutationStrategy, 1..12),
         cut_fraction in 0.0f64..1.0,
     ) {
         let fs = Arc::new(MemFs::default());
-        let config_at = |shards: usize| {
-            let mut config = durable_config(&fs);
-            config.shards = Some(shards);
-            if let Some(opts) = &mut config.storage {
-                opts.snapshot_every = 4;
-            }
-            config
-        };
-        let mut durable = CqadsSystem::try_with_config(config_at(2)).unwrap();
+        let mut config = durable_config(&fs);
+        if let Some(opts) = &mut config.storage {
+            opts.snapshot_every = 4;
+        }
+        let mut durable = CqadsSystem::try_with_config(config.clone()).unwrap();
         durable
             .try_add_domain(toy_car_domain(), base_table(3), TIMatrix::default())
             .unwrap();
@@ -442,7 +434,7 @@ proptest! {
             surviving -= scan_frames(&bytes).payloads.len() - scan_frames(&bytes[..cut]).payloads.len();
         }
         if surviving == 0 {
-            let reopened = CqadsSystem::try_with_config(config_at(3)).unwrap();
+            let reopened = CqadsSystem::try_with_config(config).unwrap();
             prop_assert!(reopened.domain_names().is_empty());
             return Ok(());
         }
@@ -454,29 +446,23 @@ proptest! {
         }
         let (table_floor, model_floor) = stamps[surviving - 1];
 
-        for shards in [1, 2, 3] {
-            let reopened = CqadsSystem::try_with_config(config_at(shards)).unwrap();
-            prop_assert_eq!(observable_answers(&reopened), observable_answers(&reference), "{} parts", shards);
-            if shards == 1 {
-                // One part shows its rows directly.
-                prop_assert_eq!(observable(&reopened), observable(&reference));
-            }
-            let (table_gen, model_gen) = generations(&reopened);
-            prop_assert!(table_gen >= table_floor, "{} parts: {} < {}", shards, table_gen, table_floor);
-            prop_assert!(model_gen >= model_floor, "{} parts: {} < {}", shards, model_gen, model_floor);
-            drop(reopened);
+        let reopened = CqadsSystem::try_with_config(config.clone()).unwrap();
+        prop_assert_eq!(observable(&reopened), observable(&reference));
+        prop_assert_eq!(observable_answers(&reopened), observable_answers(&reference));
+        let (table_gen, model_gen) = generations(&reopened);
+        prop_assert!(table_gen >= table_floor, "{} < {}", table_gen, table_floor);
+        prop_assert!(model_gen >= model_floor, "{} < {}", model_gen, model_floor);
+        drop(reopened);
 
-            // Double recovery is idempotent, generations included.
-            let mut again = CqadsSystem::try_with_config(config_at(shards)).unwrap();
-            prop_assert_eq!(generations(&again), (table_gen, model_gen), "{} parts", shards);
-            prop_assert_eq!(observable_answers(&again), observable_answers(&reference), "{} parts", shards);
+        // Double recovery is idempotent, generations included.
+        let mut again = CqadsSystem::try_with_config(config).unwrap();
+        prop_assert_eq!(generations(&again), (table_gen, model_gen));
+        prop_assert_eq!(observable_answers(&again), observable_answers(&reference));
 
-            // Every record came back, wherever it was dealt: the next one
-            // gets the id the never-crashed system gives it. (The probe is
-            // persisted, so the reference takes it too.)
-            let probe = car(shards as u8, 0, 0, 5_000);
-            let id = reference.insert_record(DOMAIN, probe.clone()).unwrap();
-            prop_assert_eq!(again.insert_record(DOMAIN, probe), Ok(id), "{} parts", shards);
-        }
+        // Every record came back: the next one gets the id the never-crashed
+        // system gives it.
+        let probe = car(1, 0, 0, 5_000);
+        let id = reference.insert_record(DOMAIN, probe.clone()).unwrap();
+        prop_assert_eq!(again.insert_record(DOMAIN, probe), Ok(id));
     }
 }

@@ -12,26 +12,20 @@
 //! per-site ordering-strength arguments live in the `// ordering:` comments
 //! that `cargo xtask lint` enforces).
 //!
-//! Five protocols are checked, matching ARCHITECTURE.md invariants #7–#9:
+//! Three protocols are checked, matching ARCHITECTURE.md invariants #7–#8:
 //!
-//! 1. [`SharedThreshold`] — the cross-part WAND threshold's monotone
-//!    atomic max: no concurrent raise is ever lost, loads never regress.
-//! 2. [`CircuitBreaker`] — trip exactly-once under concurrent threshold
+//! 1. [`CircuitBreaker`] — trip exactly-once under concurrent threshold
 //!    crossing, and the half-open probe race leaves only expected states.
-//! 3. [`AnswerCache`] — the generation-stamp fill/lookup protocol: a racing
+//! 2. [`AnswerCache`] — the generation-stamp fill/lookup protocol: a racing
 //!    stale filler can never mask a fresher entry, and a lookup at the
 //!    current stamp never returns a provably-stale answer.
-//! 4. [`ArcSwap`] — the snapshot-publication slot ring behind the
+//! 3. [`ArcSwap`] — the snapshot-publication slot ring behind the
 //!    reader/writer handle split: loads never observe a torn or regressing
 //!    snapshot, and racing writers serialize without losing a displaced
 //!    snapshot.
-//! 5. The shard layer — scatter-gather reads over the parts of the one
-//!    published snapshot: racing single-part writes never produce a torn
-//!    cross-part view, and every gathered view is bracketed by the call.
 
 use arcswap::ArcSwap;
 use cqads::cache::{AnswerCache, CacheKey, GenerationStamp};
-use cqads::partial::SharedThreshold;
 use cqads::pipeline::AnswerSet;
 use cqads_storage::retry::CircuitBreaker;
 use std::sync::{Arc, Mutex};
@@ -44,81 +38,6 @@ const MIN_SCHEDULES_3T: u64 = 6;
 /// Floor for the two-thread models: strictly more than the two serial
 /// orders, i.e. at least one genuinely interleaved schedule was explored.
 const MIN_SCHEDULES_2T: u64 = 3;
-
-// ---------------------------------------------------------------------------
-// SharedThreshold — monotone atomic max (crates/core/src/partial.rs)
-// ---------------------------------------------------------------------------
-
-/// Three threads race `raise`: under every schedule the final threshold is
-/// the true maximum — the CAS loop never loses a concurrent raise. (A blind
-/// `store` version fails this: a slow writer overwrites a larger value.)
-#[test]
-fn shared_threshold_concurrent_raises_never_lose_the_max() {
-    let report = miniloom::model(|| {
-        let threshold = Arc::new(SharedThreshold::new());
-        let handles: Vec<_> = [1.5_f64, 3.25, 2.0]
-            .into_iter()
-            .map(|score| {
-                let threshold = Arc::clone(&threshold);
-                miniloom::thread::spawn(move || threshold.raise(score))
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        assert_eq!(
-            threshold.load(),
-            3.25,
-            "a concurrent raise was lost — monotone max violated"
-        );
-    });
-    assert!(report.schedules >= MIN_SCHEDULES_3T, "explored {report}");
-    println!("shared_threshold max: {report}");
-}
-
-/// Publish/read monotonicity under 3 threads (two publishers, one reader):
-/// a reader's consecutive loads never regress, in any schedule — the
-/// admissibility argument for pruning against a *stale* threshold depends
-/// on exactly this.
-#[test]
-fn shared_threshold_reads_are_monotone_under_racing_publishers() {
-    let report = miniloom::model(|| {
-        let threshold = Arc::new(SharedThreshold::new());
-        let publishers: Vec<_> = [2.0_f64, 4.0]
-            .into_iter()
-            .map(|score| {
-                let threshold = Arc::clone(&threshold);
-                miniloom::thread::spawn(move || threshold.raise(score))
-            })
-            .collect();
-        let reader = {
-            let threshold = Arc::clone(&threshold);
-            miniloom::thread::spawn(move || {
-                let first = threshold.load();
-                let second = threshold.load();
-                assert!(
-                    second >= first,
-                    "threshold regressed between reads: {first} -> {second}"
-                );
-                (first, second)
-            })
-        };
-        let (first, second) = reader.join().unwrap();
-        for publisher in publishers {
-            publisher.join().unwrap();
-        }
-        // Reads only ever observe published values (or the -inf start).
-        for observed in [first, second] {
-            assert!(
-                observed == f64::NEG_INFINITY || observed == 2.0 || observed == 4.0,
-                "impossible threshold observed: {observed}"
-            );
-        }
-        assert_eq!(threshold.load(), 4.0);
-    });
-    assert!(report.schedules >= MIN_SCHEDULES_3T, "explored {report}");
-    println!("shared_threshold monotone reads: {report}");
-}
 
 // ---------------------------------------------------------------------------
 // CircuitBreaker — trip / half-open / close races (crates/storage/src/retry.rs)
@@ -420,80 +339,4 @@ fn arcswap_racing_writers_serialize_and_account_for_every_snapshot() {
     );
     assert!(report.schedules >= MIN_SCHEDULES_2T, "explored {report}");
     println!("arcswap writer race: {report}");
-}
-
-// ---------------------------------------------------------------------------
-// Shard layer — scatter-gather reads vs single-part writes
-// (crates/core/src/shard.rs: the parts live inside the one published snapshot)
-// ---------------------------------------------------------------------------
-
-/// A scattered read loads the one published snapshot once and serves every
-/// part from that guard, so invariant #8's single-guard argument covers it.
-/// Model: one `ArcSwap` of a two-part snapshot, each part a
-/// `(generation, payload)` pair with `payload = generation * 10` (the
-/// torn-pair stand-in of the invariant-#8 model); a writer routes two inserts
-/// to part 0 **only** — copy-on-write, republishing the whole snapshot each
-/// time — racing two scatter readers. In every schedule:
-///
-/// * no load observes a **torn** snapshot — every part of a gathered view is
-///   consistent with some fully-published state, and the parts of one view
-///   come from the *same* publication (a consistent cut, which one guard per
-///   part could not promise);
-/// * part 1 stays the initial one — a single-part write never perturbs
-///   another part's state (the finer-invalidation base case);
-/// * each gathered view is **bracketed**: the domain-level generation (the
-///   sum of the parts') never exceeds the writer's final one, and a second
-///   scatter on the same thread never regresses below the first.
-#[test]
-fn shard_scatter_reads_are_untorn_and_bracketed_under_single_shard_writes() {
-    type Part = (u64, u64);
-    let report = bounded_model(|| {
-        let snapshot = Arc::new(ArcSwap::new(Arc::new([(0u64, 0u64); 2])));
-        let writer = {
-            let snapshot = Arc::clone(&snapshot);
-            miniloom::thread::spawn(move || {
-                // Two routed inserts: each publishes the next snapshot, built
-                // fully before the store (exactly like CqadsWriter), sharing
-                // the untouched part.
-                for generation in [1, 2] {
-                    let untouched: Part = snapshot.load()[1];
-                    snapshot.store(Arc::new([(generation, generation * 10), untouched]));
-                }
-            })
-        };
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let snapshot = Arc::clone(&snapshot);
-                miniloom::thread::spawn(move || {
-                    // One scatter = one load; every part is read off that guard.
-                    let scatter = || -> [Part; 2] { **snapshot.load() };
-                    let first = scatter();
-                    let second = scatter();
-                    for [p0, p1] in [first, second] {
-                        assert_eq!(p0.1, p0.0 * 10, "torn part-0 state: {p0:?}");
-                        assert_eq!(p1, (0, 0), "a part-0 write perturbed part 1");
-                        assert!(
-                            p0.0 + p1.0 <= 2,
-                            "generation above the writer's final: {p0:?}"
-                        );
-                    }
-                    assert!(
-                        second[0].0 + second[1].0 >= first[0].0 + first[1].0,
-                        "scatter regressed between gathers: {first:?} -> {second:?}"
-                    );
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for reader in readers {
-            reader.join().unwrap();
-        }
-        assert_eq!(
-            **snapshot.load(),
-            [(2, 20), (0, 0)],
-            "once the writer is done a scatter must gather exactly its final publication"
-        );
-    });
-    assert!(report.schedules >= MIN_SCHEDULES_3T, "explored {report}");
-    println!("shard scatter race: {report}");
 }

@@ -1051,36 +1051,31 @@ proptest! {
 // The config matrix: every accepted config answers like the default one
 // ---------------------------------------------------------------------------
 
-/// `shards × storage × resilience × cache_capacity`: every combination of the
-/// values below, each over its own in-memory filesystem.
+/// `storage × resilience × cache_capacity`: every combination of the values
+/// below, each over its own in-memory filesystem.
 fn config_matrix() -> Vec<(String, CqadsConfig)> {
     let mut matrix = Vec::new();
-    for shards in [None, Some(1), Some(2), Some(3), Some(7)] {
-        for durable in [false, true] {
-            for resilient in [false, true] {
-                for cache_capacity in [0, CqadsConfig::default().cache_capacity] {
-                    let label = format!(
-                        "shards {shards:?}, durable {durable}, resilient {resilient}, \
-                         cache {cache_capacity}"
-                    );
-                    let storage = durable.then(|| {
-                        StorageOptions::with_vfs("db", Arc::new(MemFs::new()) as Arc<dyn Vfs>)
-                    });
-                    // A deadline no test run reaches: admission and the budget are
-                    // armed, nothing is ever cut.
-                    let resilience = resilient.then(|| ResilienceOptions {
-                        deadline_micros: Some(3_600_000_000),
-                        ..ResilienceOptions::default()
-                    });
-                    let config = CqadsConfig {
-                        shards,
-                        storage,
-                        resilience,
-                        cache_capacity,
-                        ..CqadsConfig::default()
-                    };
-                    matrix.push((label, config));
-                }
+    for durable in [false, true] {
+        for resilient in [false, true] {
+            for cache_capacity in [0, CqadsConfig::default().cache_capacity] {
+                let label =
+                    format!("durable {durable}, resilient {resilient}, cache {cache_capacity}");
+                let storage = durable.then(|| {
+                    StorageOptions::with_vfs("db", Arc::new(MemFs::new()) as Arc<dyn Vfs>)
+                });
+                // A deadline no test run reaches: admission and the budget are
+                // armed, nothing is ever cut.
+                let resilience = resilient.then(|| ResilienceOptions {
+                    deadline_micros: Some(3_600_000_000),
+                    ..ResilienceOptions::default()
+                });
+                let config = CqadsConfig {
+                    storage,
+                    resilience,
+                    cache_capacity,
+                    ..CqadsConfig::default()
+                };
+                matrix.push((label, config));
             }
         }
     }
@@ -1095,10 +1090,6 @@ fn config_validation_rejects_only_contradictory_values() {
         assert_eq!(config.validate(), Ok(()), "{label}");
     }
     let contradictory = [
-        CqadsConfig {
-            shards: Some(0),
-            ..CqadsConfig::default()
-        },
         CqadsConfig {
             cache_shards: 0,
             ..CqadsConfig::default()
@@ -1131,7 +1122,7 @@ fn config_validation_rejects_only_contradictory_values() {
 
 /// Byte-identity across every observable answer field (or the same error):
 /// the contract ARCHITECTURE.md promises for the snapshot path (invariant 8)
-/// and for scatter-gather (invariant 9).
+/// and for every accepted config.
 fn assert_answers_identical(
     got: &CqadsResult<Arc<AnswerSet>>,
     want: &CqadsResult<Arc<AnswerSet>>,
@@ -1170,12 +1161,11 @@ proptest! {
 
     /// Every config of the matrix answers byte-identically to the default
     /// config over the same records, for generated tables and questions —
-    /// fresh, repeated (through the answer cache and the per-part
-    /// contribution caches), through `answer_batch`, after mid-stream routed
-    /// inserts, and after a query-log ingest — with the same record ids and
-    /// the same domain-level generations along the way.
+    /// fresh, repeated (through the answer cache), through `answer_batch`,
+    /// after mid-stream inserts, and after a query-log ingest — with the same
+    /// record ids and the same generations along the way.
     #[test]
-    fn sharded_scatter_gather_is_byte_identical_to_unsharded(
+    fn every_config_answers_byte_identically_to_the_default(
         domain_idx in 0usize..3,
         table_seed in 0u64..1_000_000,
         question_seed in 0u64..1_000_000,
@@ -1245,7 +1235,7 @@ proptest! {
             }
             Ok(())
         };
-        // The sweep really asks a negation and a disjunction, at every part count.
+        // The sweep really asks a negation and a disjunction.
         let sqls: Vec<String> = texts
             .iter()
             .filter_map(|q| reference.ask(q).domain(domain).uncached().get().ok())
@@ -1256,20 +1246,18 @@ proptest! {
         round(&reference, &systems, "fresh")?;
         round(&reference, &systems, "repeated")?;
 
-        // Mid-stream inserts: every config assigns the same global ids,
-        // routing each record to exactly one part.
+        // Mid-stream inserts: every config assigns the same ids.
         let extra = generate_table(&bp, 5, table_seed ^ 0x5a5a);
         for (_, record) in extra.iter() {
             let id = reference.insert_record(domain, record.clone()).unwrap();
             for (label, system) in &mut systems {
-                let routed = system.insert_record(domain, record.clone());
-                prop_assert_eq!(routed, Ok(id), "global id assignment diverged: {}", label);
+                let inserted = system.insert_record(domain, record.clone());
+                prop_assert_eq!(inserted, Ok(id), "id assignment diverged: {}", label);
             }
         }
         round(&reference, &systems, "after inserts")?;
 
-        // Mid-stream model mutation: there is one model per domain at every
-        // part count, so one ingest moves its generation once.
+        // Mid-stream model mutation: one ingest moves the generation once.
         let delta = QueryLogDelta::from_sessions(
             generate_log(
                 &affinity_model(&bp),

@@ -287,8 +287,8 @@ fn concurrent_readers_never_observe_stale_answers_across_inserts() {
 /// A reader minted **before** a long run of single inserts — every one of which
 /// publishes a snapshot that shares all but the written chunks of the table with the
 /// previous one — ends up answering exactly as a system built in one go from the same
-/// records: across two chunk boundaries of the per-record columns (one per part at two
-/// shards), through splits of the sorted price/year/mileage leaves, uncached.
+/// records: across two chunk boundaries of the per-record columns, through splits of the
+/// sorted price/year/mileage leaves, uncached.
 #[test]
 fn a_reader_minted_before_many_single_inserts_answers_like_a_rebuilt_system() {
     const MODELS: [(&str, &str); 6] = [
@@ -331,54 +331,44 @@ fn a_reader_minted_before_many_single_inserts_answers_like_a_rebuilt_system() {
     ];
 
     let spec = toy_car_domain();
-    for shards in [1, 2] {
-        let config = || CqadsConfig {
-            shards: Some(shards),
-            ..CqadsConfig::default()
-        };
-        let mut writer = CqadsWriter::with_config(config());
-        writer.add_domain(
-            spec.clone(),
-            Table::new(spec.schema.clone()),
-            Default::default(),
-        );
-        let reader = writer.reader();
-        for record in &records {
-            writer.insert_record("cars", record.clone()).unwrap();
-        }
-        assert_eq!(
-            reader.table_generation("cars"),
-            Some(records.len() as u64),
-            "{shards} shard(s)"
-        );
-
-        let table = Table::from_records(spec.schema.clone(), records.iter().cloned(), 0).unwrap();
-        let mut rebuilt = CqadsWriter::with_config(config());
-        rebuilt.add_domain(spec.clone(), table, Default::default());
-
-        let (mut exact, mut partial) = (0, 0);
-        for question in questions {
-            let context = format!("{question:?} at {shards} shard(s)");
-            let got = reader.ask(question).domain("cars").uncached().get();
-            let want = rebuilt.ask(question).domain("cars").uncached().get();
-            let (got, want) = (got.expect(&context), want.expect(&context));
-            assert_eq!(got.sql, want.sql, "{context}");
-            assert_eq!(got.exact_count, want.exact_count, "{context}");
-            assert_eq!(got.answers.len(), want.answers.len(), "{context}");
-            for (x, y) in got.answers.iter().zip(&want.answers) {
-                assert_eq!(
-                    (x.id, x.kind, x.measure),
-                    (y.id, y.kind, y.measure),
-                    "{context}"
-                );
-                assert_eq!(x.rank_sim.to_bits(), y.rank_sim.to_bits(), "{context}");
-                assert_eq!(x.record, y.record, "{context}");
-            }
-            exact += got.exact_count;
-            partial += got.answers.len() - got.exact_count;
-        }
-        assert!(exact > 0 && partial > 0, "{exact} exact, {partial} partial");
+    let mut writer = CqadsWriter::new();
+    writer.add_domain(
+        spec.clone(),
+        Table::new(spec.schema.clone()),
+        Default::default(),
+    );
+    let reader = writer.reader();
+    for record in &records {
+        writer.insert_record("cars", record.clone()).unwrap();
     }
+    assert_eq!(reader.table_generation("cars"), Some(records.len() as u64));
+
+    let table = Table::from_records(spec.schema.clone(), records.iter().cloned(), 0).unwrap();
+    let mut rebuilt = CqadsWriter::new();
+    rebuilt.add_domain(spec.clone(), table, Default::default());
+
+    let (mut exact, mut partial) = (0, 0);
+    for question in questions {
+        let context = format!("{question:?}");
+        let got = reader.ask(question).domain("cars").uncached().get();
+        let want = rebuilt.ask(question).domain("cars").uncached().get();
+        let (got, want) = (got.expect(&context), want.expect(&context));
+        assert_eq!(got.sql, want.sql, "{context}");
+        assert_eq!(got.exact_count, want.exact_count, "{context}");
+        assert_eq!(got.answers.len(), want.answers.len(), "{context}");
+        for (x, y) in got.answers.iter().zip(&want.answers) {
+            assert_eq!(
+                (x.id, x.kind, x.measure),
+                (y.id, y.kind, y.measure),
+                "{context}"
+            );
+            assert_eq!(x.rank_sim.to_bits(), y.rank_sim.to_bits(), "{context}");
+            assert_eq!(x.record, y.record, "{context}");
+        }
+        exact += got.exact_count;
+        partial += got.answers.len() - got.exact_count;
+    }
+    assert!(exact > 0 && partial > 0, "{exact} exact, {partial} partial");
 }
 
 /// A writer with two domains over the toy car schema: `cars` holds blue hondas,
