@@ -17,11 +17,10 @@
 
 use crate::record::Record;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Comparison operator for a single selection condition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Comparison {
     /// Equality on a categorical or numeric value.
     Eq(Value),
@@ -87,7 +86,7 @@ impl fmt::Display for Comparison {
 }
 
 /// One selection condition on a single attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Condition {
     /// Attribute (column) the condition constrains.
     pub attribute: String,
@@ -158,7 +157,7 @@ impl fmt::Display for Condition {
 }
 
 /// Boolean combination of selection conditions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BoolExpr {
     /// A single condition leaf.
     Cond(Condition),
@@ -270,7 +269,7 @@ impl fmt::Display for BoolExpr {
 }
 
 /// Direction of a superlative request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuperlativeKind {
     /// Minimum value wins ("cheapest", "oldest").
     Min,
@@ -279,7 +278,7 @@ pub enum SuperlativeKind {
 }
 
 /// A superlative evaluated after every other condition, as mandated by Section 4.3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Superlative {
     /// Numeric attribute the superlative ranges over ("price", "year").
     pub attribute: String,
@@ -315,7 +314,7 @@ impl fmt::Display for Superlative {
 }
 
 /// A complete query statement against one ads table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Target table (ads domain) name.
     pub table: String,

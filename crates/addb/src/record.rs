@@ -6,13 +6,12 @@
 //! ad's unique identifier) and value types must match the attribute category.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Stable identifier of a record within a table. Assigned by the table on insert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordId(pub u32);
 
 impl fmt::Display for RecordId {
@@ -22,7 +21,7 @@ impl fmt::Display for RecordId {
 }
 
 /// One advertisement: a mapping from attribute names to values.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Record {
     fields: BTreeMap<String, Value>,
 }

@@ -14,11 +14,10 @@
 //!   normalization factor of `Num_Sim` (Equation 4).
 
 use crate::error::{DbError, DbResult};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The three attribute categories defined in Section 4.1.1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttrType {
     /// Required identifier of the advertised product (primary-indexed).
     TypeI,
@@ -41,7 +40,7 @@ impl AttrType {
 }
 
 /// Definition of one attribute (column) in an ads domain schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributeDef {
     /// Column name, lowercase.
     pub name: String,
@@ -72,7 +71,7 @@ impl AttributeDef {
 }
 
 /// Relational schema for a single ads domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     /// Domain / table name (e.g. "cars").
     pub name: String,

@@ -420,9 +420,10 @@ impl Table {
         &self.substring
     }
 
-    /// Validate a record against the schema and insert it, updating every index.
-    pub fn insert(&mut self, record: Record) -> DbResult<RecordId> {
-        // Validation pass: unknown attributes, type mismatches, missing Type I values.
+    /// Check a record against the schema without inserting it: every attribute
+    /// is known and of its declared type, and every Type I value is present.
+    /// [`Table::insert`] fails exactly when this does.
+    pub fn validate(&self, record: &Record) -> DbResult<()> {
         for (name, value) in record.fields() {
             let attr = self.schema.require(name)?;
             let ok = match attr.attr_type {
@@ -447,6 +448,13 @@ impl Table {
                 });
             }
         }
+        Ok(())
+    }
+
+    /// Validate a record against the schema ([`Table::validate`]) and insert it,
+    /// updating every index.
+    pub fn insert(&mut self, record: Record) -> DbResult<RecordId> {
+        self.validate(&record)?;
 
         // One slot per record in every column, so columns stay aligned with record
         // ids. Values were normalized (lowercased) by `Value::text`, so the interned

@@ -6,12 +6,11 @@
 //! that keyword matching in the CQAds pipeline is case-insensitive, mirroring the way
 //! the paper treats user questions ("BMW" and "bmw" identify the same make).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A single attribute value inside an advertisement record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Categorical value (Type I / Type II attributes): stored lowercase.
     Text(String),

@@ -30,10 +30,14 @@
 //!   every sealed chunk and every other leaf stays shared between the
 //!   master and all published snapshots, so the snapshots the swap ring
 //!   still holds pin no copies of them.
-//!   After every mutation the writer republishes `master.clone()` — but only
-//!   when a reader handle actually exists ([`Arc::strong_count`] on the
-//!   shared block), so a single-handle deployment pays nothing for the
-//!   machinery.
+//!   Every mutation runs in one order: validate, append its frames to the
+//!   write-ahead log (durable systems), apply to the master, publish. So a
+//!   published state is a logged state, and a mutation that fails changes
+//!   nothing anyone can see.
+//!   After every successful mutation the writer republishes
+//!   `master.clone()` — but only when a reader handle actually exists
+//!   ([`Arc::strong_count`] on the shared block), so a single-handle
+//!   deployment pays nothing for the machinery.
 //! * [`CqadsReader`] is a cheap `Clone + Send + Sync` handle that loads the
 //!   published snapshot once per call and answers against it. A reader never
 //!   observes a torn snapshot and the generations it reads never regress
@@ -769,8 +773,8 @@ fn audit_record(
     })
 }
 
-/// The write half of the handle split: owns the master `Snapshot`, applies
-/// every mutation to it copy-on-write, appends to durable storage, and
+/// The write half of the handle split: owns the master `Snapshot`, logs every
+/// mutation to durable storage, applies it to the master copy-on-write, and
 /// republishes after each mutation so detached [`CqadsReader`]s observe it.
 ///
 /// The writer also *reads*: [`CqadsWriter::ask`], [`CqadsWriter::answer_batch`]
@@ -782,21 +786,12 @@ fn audit_record(
 ///
 /// # Error model
 ///
-/// Primary mutation entry points ([`CqadsWriter::try_add_domain`],
-/// [`CqadsWriter::try_set_word_sim`], [`CqadsWriter::insert_record`],
-/// [`CqadsWriter::ingest_query_log`], ...) are **fallible** and surface
-/// storage errors immediately. The infallible convenience forms
-/// ([`CqadsWriter::add_domain`], [`CqadsWriter::set_word_sim`]) are
-/// **best-effort**: the in-memory mutation always happens, and a storage
-/// failure is parked for the next fallible call (or
-/// [`CqadsWriter::take_deferred_error`]).
+/// A mutation that returns `Err` changed nothing: not the master, not the
+/// published snapshot, not the write-ahead log.
 #[derive(Debug)]
 pub struct CqadsWriter {
     pub(crate) shared: Arc<Shared>,
     pub(crate) master: Snapshot,
-    /// The failure of a best-effort entry point, parked for the next fallible
-    /// call.
-    deferred: Option<CqadsError>,
 }
 
 impl CqadsWriter {
@@ -857,8 +852,9 @@ impl CqadsWriter {
         Self::open_internal(config, true)
     }
 
-    /// Identity, kept so code written against the former `CqadsSystem` facade
-    /// (`CqadsSystem::open_with(..)?.into_writer()`) keeps compiling.
+    /// Identity, kept on purpose because `crates/benchmark/src/sut.rs` still
+    /// calls it (`CqadsSystem::open_with(..)?.into_writer()`), from when
+    /// `CqadsSystem` was a facade over the writer.
     pub fn into_writer(self) -> Self {
         self
     }
@@ -880,11 +876,7 @@ impl CqadsWriter {
             resilience,
             clock,
         });
-        CqadsWriter {
-            shared,
-            master,
-            deferred: None,
-        }
+        CqadsWriter { shared, master }
     }
 
     fn open_internal(mut config: CqadsConfig, prefer_snapshot_config: bool) -> CqadsResult<Self> {
@@ -1037,9 +1029,9 @@ impl CqadsWriter {
 
     /// Publish the master state: detached readers observe every mutation up
     /// to this point on their next load. Called automatically after every
-    /// mutation method; the one reason to call it explicitly is after
-    /// mutating through [`CqadsWriter::database_mut`], which hands out a raw
-    /// `&mut` the writer cannot observe.
+    /// mutation method that succeeds; the one reason to call it explicitly is
+    /// after mutating through [`CqadsWriter::database_mut`], which hands out a
+    /// raw `&mut` the writer cannot observe.
     pub fn publish(&self) {
         self.shared.snapshot.store(Arc::new(self.master.clone()));
     }
@@ -1187,58 +1179,56 @@ impl CqadsWriter {
     }
 
     /// Install the shared WS word-correlation matrix used by `Feat_Sim`.
-    /// Best-effort on a durable system: a storage failure is *deferred* (see
-    /// the [type docs](CqadsWriter) on the error model);
-    /// [`CqadsWriter::try_set_word_sim`] observes it immediately.
+    ///
+    /// # Panics
+    ///
+    /// When the durable store cannot log the swap; use
+    /// [`CqadsWriter::try_set_word_sim`] to handle that error. A memory-only
+    /// system never panics here.
     pub fn set_word_sim(&mut self, matrix: WordSimMatrix) {
-        self.mutate_best_effort(|writer| writer.set_word_sim_inner(matrix));
+        if let Err(e) = self.try_set_word_sim(matrix) {
+            // lint: allow(no-panic) — the documented panicking convenience; try_set_word_sim is the fallible API
+            panic!("failed to log the WS-matrix swap (use try_set_word_sim to handle this): {e}");
+        }
     }
 
-    /// Fallible form of [`CqadsWriter::set_word_sim`]: surfaces any deferred
-    /// storage error first, then reports an append failure immediately (the
-    /// in-memory swap has happened either way — the matrix is installed but
-    /// not persisted).
+    /// Fallible form of [`CqadsWriter::set_word_sim`]: every domain's model
+    /// generation advances by one.
     pub fn try_set_word_sim(&mut self, matrix: WordSimMatrix) -> CqadsResult<()> {
-        self.mutate(|writer| writer.set_word_sim_inner(matrix))
-    }
-
-    fn set_word_sim_inner(&mut self, matrix: WordSimMatrix) -> CqadsResult<()> {
-        let ws_state = self.shared.storage.as_ref().map(|_| matrix.export_state());
-        self.master.rebuild_models_with_word_sim(matrix, true);
-        if let Some(ws) = ws_state {
-            let model_gens: Vec<(String, u64)> = self
+        self.append_mutations(|| {
+            let model_gens = self
                 .master
                 .domains
                 .iter()
-                .map(|(name, runtime)| (name.clone(), runtime.similarity.generation()))
+                .map(|(name, runtime)| (name.clone(), runtime.similarity.generation() + 1))
                 .collect();
-            self.append_mutations(vec![WalRecord::SetWordSim { ws, model_gens }])?;
-        }
+            vec![WalRecord::SetWordSim {
+                ws: matrix.export_state(),
+                model_gens,
+            }]
+        })?;
+        self.master.rebuild_models_with_word_sim(matrix, true);
+        self.publish_if_observed();
         Ok(())
     }
 
-    /// Register an ads domain; `table` is moved in as it is. Best-effort (see
-    /// the [type docs](CqadsWriter) on the error model);
-    /// [`CqadsWriter::try_add_domain`] observes failures immediately.
+    /// Register an ads domain; `table` is moved in as it is.
+    ///
+    /// # Panics
+    ///
+    /// When [`CqadsWriter::try_add_domain`] fails; use it to handle that
+    /// error. A memory-only system never panics here.
     pub fn add_domain(&mut self, spec: DomainSpec, table: Table, ti_matrix: TIMatrix) {
-        self.mutate_best_effort(|writer| writer.add_domain_inner(spec, table, ti_matrix));
+        if let Err(e) = self.try_add_domain(spec, table, ti_matrix) {
+            // lint: allow(no-panic) — the documented panicking convenience; try_add_domain is the fallible API
+            panic!("failed to register the domain (use try_add_domain to handle this): {e}");
+        }
     }
 
-    /// Fallible form of [`CqadsWriter::add_domain`]: surfaces any deferred
-    /// error first, then reports a failure immediately — on a durable system,
-    /// a table whose schema is not its spec's ([`CqadsError::Database`];
-    /// nothing was registered), or an append failure (the domain is
-    /// registered in memory, but not persisted).
+    /// Fallible form of [`CqadsWriter::add_domain`]. On a durable system it
+    /// fails for a table whose schema is not its spec's
+    /// ([`CqadsError::Database`]), or when the registration cannot be logged.
     pub fn try_add_domain(
-        &mut self,
-        spec: DomainSpec,
-        table: Table,
-        ti_matrix: TIMatrix,
-    ) -> CqadsResult<()> {
-        self.mutate(|writer| writer.add_domain_inner(spec, table, ti_matrix))
-    }
-
-    fn add_domain_inner(
         &mut self,
         spec: DomainSpec,
         table: Table,
@@ -1255,72 +1245,58 @@ impl CqadsWriter {
         }
         // Capture the persisted mirror before the moves below consume the
         // args.
-        let persisted = self.shared.storage.as_ref().map(|_| {
+        let frame = self.shared.storage.as_ref().map(|_| {
             (
                 spec_to_data(&spec),
                 table.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>(),
                 ti_matrix.export_state(),
             )
         });
-        self.master.database.add_table(table);
+        // Stage the registration on a copy of the master (refcount bumps):
+        // `add_table` and `register` decide the generations the frame carries.
+        let mut next = self.master.clone();
         let name = spec.name().to_string();
+        next.database.add_table(table);
         let spec = Arc::new(spec);
         let tagger = Tagger::from_arc(Arc::clone(&spec));
         // Re-registration moves the model generation past the replaced one.
-        let floor = self.master.model_generation(&name).map_or(0, |g| g + 1);
-        let model_gen = self
-            .master
-            .register(spec, tagger, Arc::new(ti_matrix), floor);
-        if let Some((spec, records, ti)) = persisted {
-            let table_gen = self.master.table_generation(&name).unwrap_or(0);
-            self.append_mutations(vec![WalRecord::RegisterDomain {
+        let floor = next.model_generation(&name).map_or(0, |g| g + 1);
+        let model_gen = next.register(spec, tagger, Arc::new(ti_matrix), floor);
+        let table_gen = next.table_generation(&name).unwrap_or(0);
+        self.append_mutations(|| {
+            let frame = frame.map(|(spec, records, ti)| WalRecord::RegisterDomain {
                 spec: Box::new(spec),
                 records,
                 ti,
                 table_gen,
                 model_gen,
-            }])?;
-        }
+            });
+            frame.into_iter().collect()
+        })?;
+        self.master = next;
+        self.publish_if_observed();
         Ok(())
     }
 
-    /// A fallible mutation entry point: surface (and clear) an error deferred
-    /// by a best-effort one first — so a deferred failure cannot go unnoticed
-    /// for longer than one mutation — then mutate and republish.
-    fn mutate<T>(&mut self, mutation: impl FnOnce(&mut Self) -> CqadsResult<T>) -> CqadsResult<T> {
-        let result = match self.deferred.take() {
-            Some(e) => Err(e),
-            None => mutation(self),
-        };
-        self.publish_if_observed();
-        result
-    }
-
-    /// A best-effort mutation entry point: mutate and republish; a failure is
-    /// parked for the next fallible call (the first one wins until taken).
-    fn mutate_best_effort(&mut self, mutation: impl FnOnce(&mut Self) -> CqadsResult<()>) {
-        if let Err(e) = mutation(self) {
-            self.deferred.get_or_insert(e);
-        }
-        self.publish_if_observed();
-    }
-
-    /// Persist mutation frames in one WAL append (one fsync), then run the
-    /// auto-snapshot check. No-op on a memory-only system.
-    fn append_mutations(&mut self, records: Vec<WalRecord>) -> CqadsResult<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
+    /// Log a mutation before it is applied: build its frames (only on a
+    /// durable system), rotate to a fresh snapshot first when the current
+    /// epoch is due — the snapshot holds the state before these frames — and
+    /// persist the frames in one WAL append (one fsync). An error leaves the
+    /// master, the published snapshot and the WAL as they were.
+    fn append_mutations(&self, frames: impl FnOnce() -> Vec<WalRecord>) -> CqadsResult<()> {
         let Some(storage) = &self.shared.storage else {
             return Ok(());
         };
-        storage.append_mutations(&records)?;
+        let frames = frames();
+        if frames.is_empty() {
+            return Ok(());
+        }
         let due = storage.opts.snapshot_every > 0
             && storage.with_engine(|e| Ok(e.mutation_frames()))? >= storage.opts.snapshot_every;
         if due {
             self.write_snapshot()?;
         }
-        Ok(())
+        storage.append_mutations(&frames)
     }
 
     /// Write a point-in-time durable snapshot and rotate to a fresh WAL
@@ -1381,17 +1357,17 @@ impl CqadsWriter {
         self.publish_if_observed();
     }
 
-    /// Insert a record into a registered domain's table. Fallible primary
-    /// form — storage errors surface immediately.
+    /// Insert a record into a registered domain's table.
     pub fn insert_record(&mut self, domain: &str, record: Record) -> CqadsResult<RecordId> {
         let mut ids = self.insert_record_batch(domain, vec![record])?;
         // lint: allow(no-panic) — a successful batch of one yields exactly one id
         Ok(ids.pop().expect("a successful batch of one yields one id"))
     }
 
-    /// Insert a batch of records, returning their ids in order. One WAL
-    /// append (one fsync) for the whole successful prefix, and — with
-    /// readers attached — one snapshot publication for the whole batch.
+    /// Insert a batch of records, returning their ids in order. All or
+    /// nothing: one record the schema rejects inserts none of them. One WAL
+    /// append (one fsync) for the whole batch, and — with readers attached —
+    /// one snapshot publication for the whole batch.
     /// A publication no longer costs a copy of the table (a single insert
     /// copies the tail chunks, one sorted-index leaf per numeric attribute
     /// and the posting lists), but bulk loads should still prefer this over
@@ -1402,50 +1378,28 @@ impl CqadsWriter {
         domain: &str,
         records: Vec<Record>,
     ) -> CqadsResult<Vec<RecordId>> {
-        self.mutate(|writer| writer.insert_record_batch_inner(domain, records))
-    }
-
-    fn insert_record_batch_inner(
-        &mut self,
-        domain: &str,
-        records: Vec<Record>,
-    ) -> CqadsResult<Vec<RecordId>> {
-        if !self.master.domains.contains_key(domain) {
-            return Err(CqadsError::UnknownDomain(domain.to_string()));
+        let (_, table) = self.master.domain_table(domain)?;
+        for record in &records {
+            table.validate(record)?;
         }
-        let durable = self.shared.storage.is_some();
+        // One frame per record, each with the generation its insert reaches:
+        // a single frame never advances the table generation by more than
+        // one, which the torn-tail safety margin of recovery relies on.
+        let first_gen = table.generation() + 1;
+        self.append_mutations(|| {
+            let frame = |(record, table_gen): (&Record, u64)| WalRecord::Insert {
+                domain: domain.to_string(),
+                record: record.clone(),
+                table_gen,
+            };
+            records.iter().zip(first_gen..).map(frame).collect()
+        })?;
+        // Cannot fail: the table exists and every record was validated above.
         let table = self.master.table_mut(domain)?;
-        let mut ids = Vec::with_capacity(records.len());
-        let mut frames = Vec::new();
-        let mut failure: Option<CqadsError> = None;
-        for record in records {
-            let persisted = if durable { Some(record.clone()) } else { None };
-            // A successful insert advances the table generation by exactly one.
-            match table.insert(record) {
-                Ok(id) => {
-                    ids.push(id);
-                    if let Some(record) = persisted {
-                        // One frame per record: a single frame never advances
-                        // the table generation by more than one, which the
-                        // torn-tail safety margin of recovery relies on.
-                        frames.push(WalRecord::Insert {
-                            domain: domain.to_string(),
-                            record,
-                            table_gen: table.generation(),
-                        });
-                    }
-                }
-                Err(e) => {
-                    failure = Some(e.into());
-                    break;
-                }
-            }
-        }
-        self.append_mutations(frames)?;
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(ids),
-        }
+        let ids = records.into_iter().map(|record| table.insert(record));
+        let ids = ids.collect::<addb::DbResult<Vec<_>>>()?;
+        self.publish_if_observed();
+        Ok(ids)
     }
 
     /// Mutable access to the underlying database. Inserts through this
@@ -1491,45 +1445,32 @@ impl CqadsWriter {
         domain: &str,
         deltas: &[QueryLogDelta],
     ) -> CqadsResult<IngestReport> {
-        self.mutate(|writer| writer.ingest_query_log_batch_inner(domain, deltas))
-    }
-
-    fn ingest_query_log_batch_inner(
-        &mut self,
-        domain: &str,
-        deltas: &[QueryLogDelta],
-    ) -> CqadsResult<IngestReport> {
-        let durable = self.shared.storage.is_some();
-        let runtime = self
-            .master
-            .domains
-            .get_mut(domain)
-            .map(Arc::make_mut)
-            .ok_or_else(|| CqadsError::UnknownDomain(domain.to_string()))?;
-        let sessions = deltas.iter().map(QueryLogDelta::len).sum();
-        let queries = deltas.iter().map(QueryLogDelta::query_count).sum();
+        let generation = self.master.model_generation(domain);
+        let generation = generation.ok_or_else(|| CqadsError::UnknownDomain(domain.to_string()))?;
+        // Each frame carries the post-batch generation: the whole batch
+        // performs ONE bump, and recovery re-applies buffered deltas as one
+        // batch per domain, so the stamps line up exactly.
+        let model_gen = generation + 1;
+        self.append_mutations(|| {
+            let frames = deltas.iter().map(|delta| WalRecord::LogDelta {
+                domain: domain.to_string(),
+                delta: delta.clone(),
+                model_gen,
+            });
+            frames.collect()
+        })?;
+        // Cannot fail: the domain was looked up above.
+        let runtime = self.master.domains.get_mut(domain).map(Arc::make_mut);
+        let runtime = runtime.ok_or_else(|| CqadsError::UnknownDomain(domain.to_string()))?;
         let model_generation = runtime.similarity.apply_log_deltas(deltas);
-        let ti_pairs = runtime.similarity.ti_matrix().len();
-        if durable {
-            // Each frame carries the post-batch generation: the whole batch
-            // performed ONE bump, and recovery re-applies buffered deltas as
-            // one batch per domain, so the stamps line up exactly.
-            let frames: Vec<WalRecord> = deltas
-                .iter()
-                .map(|delta| WalRecord::LogDelta {
-                    domain: domain.to_string(),
-                    delta: delta.clone(),
-                    model_gen: model_generation,
-                })
-                .collect();
-            self.append_mutations(frames)?;
-        }
-        Ok(IngestReport {
-            sessions,
-            queries,
+        let report = IngestReport {
+            sessions: deltas.iter().map(QueryLogDelta::len).sum(),
+            queries: deltas.iter().map(QueryLogDelta::query_count).sum(),
             model_generation,
-            ti_pairs,
-        })
+            ti_pairs: runtime.similarity.ti_matrix().len(),
+        };
+        self.publish_if_observed();
+        Ok(report)
     }
 
     /// Whether this system persists to durable storage.
@@ -1553,12 +1494,6 @@ impl CqadsWriter {
             .storage
             .as_ref()
             .and_then(|s| s.last_audit_error())
-    }
-
-    /// Take (and clear) the error deferred by a best-effort mutation entry
-    /// point.
-    pub fn take_deferred_error(&mut self) -> Option<CqadsError> {
-        self.deferred.take()
     }
 }
 

@@ -8,10 +8,9 @@
 //! are added by [`DomainSpec::build_trie`](crate::domain::DomainSpec::build_trie)).
 
 use addb::SuperlativeKind;
-use serde::{Deserialize, Serialize};
 
 /// Comparison role of a boundary keyword.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundaryOp {
     /// `<` — "below", "under", "less than", "cheaper than", "fewer", "smaller".
     Lt,
@@ -43,7 +42,7 @@ impl BoundaryOp {
 }
 
 /// Identifier assigned to a recognized keyword — the trie payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Tag {
     /// A Type I attribute value; the payload names the attribute ("make", "model").
     Type1Value {

@@ -356,8 +356,8 @@ impl BudgetProbe<'_> {
 }
 
 /// Ignored by [`PartialMatcher`], which runs every question on the calling thread.
-/// Kept only because `crates/benchmark` still builds it; the `[benchmark]` change of
-/// ROADMAP item 2 deletes it along with the benchmark's mirror.
+/// Kept only because `crates/benchmark` still builds it; a `[benchmark]` change
+/// deletes it along with the benchmark's mirror.
 ///
 /// ```
 /// use cqads::domain::toy_car_domain;

@@ -122,8 +122,8 @@ pub struct CqadsConfig {
     /// The paper tops up to the full answer limit, so the default equals `answer_limit`.
     pub partial_threshold: usize,
     /// Ignored: the partial phase runs every question on the calling thread.
-    /// Kept only because `crates/benchmark` still sets it; the `[benchmark]`
-    /// change of ROADMAP item 2 deletes it along with the benchmark's mirror.
+    /// Kept only because `crates/benchmark` still sets it; a `[benchmark]`
+    /// change deletes it along with the benchmark's mirror.
     pub partial_workers: usize,
     /// Total answer sets held by the serving cache ([`AnswerCache`](crate::AnswerCache)); `0` disables
     /// caching entirely (every [`CqadsWriter::answer_batch`] question recomputes).
@@ -359,7 +359,8 @@ pub struct IngestReport {
 /// The CQAds question-answering system — the historical name of
 /// [`CqadsWriter`], which owns the ads database, one tagger/TI-matrix/similarity
 /// model per registered domain, the shared WS-matrix, the domain classifier and
-/// the serving cache, and serves reads from its own master state.
+/// the serving cache, and serves reads from its own master state. The alias is
+/// kept on purpose: `crates/benchmark/src/sut.rs` names it.
 ///
 /// ```
 /// use addb::{Record, Table};
@@ -1023,7 +1024,7 @@ mod tests {
 
     // ---------------------------------------------------------------- durability
 
-    use cqads_storage::{FaultFs, FaultPlan, MemFs};
+    use cqads_storage::MemFs;
 
     fn durable_config(fs: &Arc<MemFs>) -> CqadsConfig {
         CqadsConfig {
@@ -1220,46 +1221,6 @@ mod tests {
     }
 
     #[test]
-    fn deferred_storage_errors_surface_on_the_next_fallible_mutation() {
-        let fs = Arc::new(MemFs::default());
-        let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default())));
-        // Build durable system over the fault layer.
-        let inner: Arc<FaultFs> = Arc::clone(&fault);
-        let config = CqadsConfig {
-            storage: Some(StorageOptions::with_vfs("db", inner as _)),
-            ..CqadsConfig::default()
-        };
-        let mut sys = CqadsSystem::try_with_config(config).unwrap();
-        drop(fs);
-        // Every append from now on fails.
-        fault.set_plan(FaultPlan {
-            append_budget: Some(0),
-            ..FaultPlan::default()
-        });
-        let spec = toy_car_domain();
-        let table = Table::new(spec.schema.clone());
-        // Infallible entry point: error is deferred, domain still registered.
-        sys.add_domain(spec, table, TIMatrix::default());
-        assert_eq!(sys.domain_names(), vec!["cars"]);
-        // The next fallible mutation surfaces it.
-        fault.set_plan(FaultPlan::default());
-        let err = sys
-            .insert_record(
-                "cars",
-                car("honda", "accord", "blue", "automatic", 1.0, 2004.0),
-            )
-            .unwrap_err();
-        assert!(matches!(err, CqadsError::Storage(_)), "{err:?}");
-        // Cleared after surfacing: the retry succeeds.
-        sys.insert_record(
-            "cars",
-            car("honda", "accord", "blue", "automatic", 1.0, 2004.0),
-        )
-        .unwrap();
-        assert!(sys.take_deferred_error().is_none());
-    }
-
-    #[test]
     fn audit_trail_is_written_and_replays_as_sessions() {
         let fs = Arc::new(MemFs::default());
         let mut sys = CqadsSystem::try_with_config(durable_config(&fs)).unwrap();
@@ -1299,12 +1260,11 @@ mod tests {
 
     #[test]
     fn memory_only_system_reports_no_storage() {
-        let mut sys = system();
+        let sys = system();
         assert!(!sys.is_durable());
         assert!(sys.storage_report().is_none());
         assert_eq!(sys.audit_failures(), 0);
         assert!(sys.last_audit_error().is_none());
-        assert!(sys.take_deferred_error().is_none());
         assert_eq!(sys.write_snapshot().unwrap(), None);
         assert_eq!(sys.audit_sessions("cars").unwrap(), Vec::<Session>::new());
     }

@@ -192,12 +192,17 @@ impl DurableStorage {
     }
 
     /// Append mutation frames, surfacing failures as typed errors. Callers
-    /// invoke this *after* updating in-memory state; on error the in-memory
-    /// mutation has happened but was not persisted (documented on each entry
-    /// point).
+    /// append *before* they apply, so on error nothing was applied; and the
+    /// WAL is rewound to its last acknowledged frame, so a crash cannot
+    /// replay a frame the caller was told failed. Should that rewind fail
+    /// too, the engine repeats it before its next append.
     pub(crate) fn append_mutations(&self, records: &[WalRecord]) -> CqadsResult<()> {
-        self.append_resilient(&mut relock(&self.engine), records)
-            .map_err(CqadsError::Storage)
+        let mut engine = relock(&self.engine);
+        let appended = self.append_resilient(&mut engine, records);
+        if appended.is_err() {
+            engine.rewind_wal().ok();
+        }
+        appended.map_err(CqadsError::Storage)
     }
 
     /// Best-effort audit append from the `&self` serving paths: failures are

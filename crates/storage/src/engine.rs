@@ -92,6 +92,10 @@ pub struct StorageEngine {
     /// frame whose fsync failed); [`StorageEngine::rewind_wal`] rolls the file
     /// back here so the caller can retry the same records exactly once.
     wal_len: u64,
+    /// Set while an append is in flight, and left set by one that fails until
+    /// a rewind succeeds: the next append rewinds first, so an acknowledged
+    /// frame never follows bytes that recovery stops at.
+    dangling: bool,
 }
 
 fn wal_name(seq: u64) -> String {
@@ -252,6 +256,7 @@ impl StorageEngine {
             seq: current_seq,
             mutation_frames: current_mutations,
             wal_len: current_len,
+            dangling: false,
         };
         Ok((
             engine,
@@ -305,7 +310,11 @@ impl StorageEngine {
                 mutations += 1;
             }
         }
+        if self.dangling {
+            self.rewind_wal()?;
+        }
         let path = self.wal_path();
+        self.dangling = true;
         self.vfs
             .append(&path, &buf)
             .map_err(|e| StorageError::io(&path, "append", &e))?;
@@ -314,6 +323,7 @@ impl StorageEngine {
                 .sync(&path)
                 .map_err(|e| StorageError::io(&path, "fsync", &e))?;
         }
+        self.dangling = false;
         self.mutation_frames += mutations;
         self.wal_len += buf.len() as u64;
         Ok(())
@@ -329,28 +339,26 @@ impl StorageEngine {
     /// or whole frames whose fsync failed). After a successful rewind the same
     /// records can be re-appended without any risk of frame duplication —
     /// which is exactly what the retry layer does between attempts. A no-op
-    /// when nothing dangles.
+    /// when nothing dangles. [`StorageEngine::append_batch`] runs it first
+    /// after an append that failed and was not rewound.
     pub fn rewind_wal(&mut self) -> StorageResult<()> {
         let path = self.wal_path();
         let on_disk = self
             .vfs
             .file_len(&path)
             .map_err(|e| StorageError::io(&path, "stat", &e))?;
-        let Some(on_disk) = on_disk else {
-            // The file does not exist: nothing was ever appended this epoch.
-            return Ok(());
-        };
-        if on_disk <= self.wal_len {
-            return Ok(());
+        // A missing file: nothing was ever appended this epoch.
+        if on_disk.is_some_and(|len| len > self.wal_len) {
+            let bytes = self
+                .vfs
+                .read(&path)
+                .map_err(|e| StorageError::io(&path, "read", &e))?;
+            let keep = (self.wal_len as usize).min(bytes.len());
+            self.vfs
+                .write_atomic(&path, &bytes[..keep])
+                .map_err(|e| StorageError::io(&path, "truncate", &e))?;
         }
-        let bytes = self
-            .vfs
-            .read(&path)
-            .map_err(|e| StorageError::io(&path, "read", &e))?;
-        let keep = (self.wal_len as usize).min(bytes.len());
-        self.vfs
-            .write_atomic(&path, &bytes[..keep])
-            .map_err(|e| StorageError::io(&path, "truncate", &e))?;
+        self.dangling = false;
         Ok(())
     }
 

@@ -9,15 +9,17 @@
 //! plans. Run single-threaded (`RUST_TEST_THREADS=1`) in CI's chaos job so
 //! fault schedules never interleave across tests.
 
-use cqads_suite::addb::{Record, Table};
+use cqads_suite::addb::{Record, RecordId, Table};
 use cqads_suite::cqads::domain::toy_car_domain;
 use cqads_suite::cqads::{
-    AnswerQuality, CqadsConfig, CqadsError, CqadsSystem, ResilienceOptions, StorageOptions,
+    AnswerQuality, CqadsConfig, CqadsError, CqadsReader, CqadsSystem, ResilienceOptions,
+    StorageOptions,
 };
-use cqads_suite::querylog::TIMatrix;
+use cqads_suite::querylog::{QueryLogDelta, Session, SubmittedQuery, TIMatrix};
 use cqads_suite::storage::{
     FaultFs, FaultPlan, ManualClock, MemFs, RetryClock, RetryOptions, RetryPolicy, Vfs,
 };
+use cqads_suite::wordsim::WordSimMatrix;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -526,6 +528,399 @@ proptest! {
                 prop_assert_eq!(x.rank_sim.to_bits(), y.rank_sim.to_bits());
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A failed mutation changes nothing anyone can see
+// ---------------------------------------------------------------------------
+
+/// A question whose exact answers are the inserted civics (the base table has
+/// none).
+const CIVIC: &str = "blue honda civic";
+
+/// What a handle shows of the domain: table and model generations, the
+/// registered names, and the ids and rank bits of an uncached answer to
+/// [`CIVIC`].
+type View = (Option<u64>, Option<u64>, Vec<String>, Vec<(u32, u64)>);
+
+fn answer_bits(set: &cqads_suite::cqads::AnswerSet) -> Vec<(u32, u64)> {
+    set.answers
+        .iter()
+        .map(|a| (a.id.0, a.rank_sim.to_bits()))
+        .collect()
+}
+
+fn writer_view(writer: &CqadsSystem) -> View {
+    let names = writer
+        .domain_names()
+        .into_iter()
+        .map(String::from)
+        .collect();
+    let answer = writer.ask(CIVIC).domain(DOMAIN).uncached().get().unwrap();
+    (
+        writer.database().generation(DOMAIN),
+        writer.model_generation(DOMAIN),
+        names,
+        answer_bits(&answer),
+    )
+}
+
+fn reader_view(reader: &CqadsReader) -> View {
+    let answer = reader.ask(CIVIC).domain(DOMAIN).uncached().get().unwrap();
+    (
+        reader.table_generation(DOMAIN),
+        reader.model_generation(DOMAIN),
+        reader.domain_names(),
+        answer_bits(&answer),
+    )
+}
+
+fn rows(writer: &CqadsSystem) -> Vec<(u32, Record)> {
+    let table = writer.database().table(DOMAIN).unwrap();
+    table.iter().map(|(id, r)| (id.0, r.clone())).collect()
+}
+
+/// One query-log session: a reformulation from `from` to `to`.
+fn reformulation(from: &str, to: &str) -> QueryLogDelta {
+    let query = |value: &str, at_seconds| SubmittedQuery {
+        value: value.into(),
+        at_seconds,
+        clicks: vec![],
+        shown: vec![],
+    };
+    QueryLogDelta::from_sessions(vec![Session {
+        user_id: 1,
+        queries: vec![query(from, 0.0), query(to, 3.0)],
+    }])
+}
+
+fn word_sim() -> WordSimMatrix {
+    let mut ws = WordSimMatrix::default();
+    ws.insert("blue", "gold", 0.5);
+    ws
+}
+
+/// An insert whose append fails (no retry layer) is not applied, published or
+/// served; after the fault heals, the next insert's acknowledged id names the
+/// same record in a reopened store.
+#[test]
+fn a_failed_insert_changes_nothing_and_acknowledged_ids_survive_a_reopen() {
+    let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
+    let mut writer = system_with(durable_config(&fault, None));
+    let reader = writer.reader();
+    let (rows_before, writer_before, reader_before) =
+        (rows(&writer), writer_view(&writer), reader_view(&reader));
+    assert!(writer_before.3.iter().all(|&(id, _)| id < 5));
+
+    let civic = car("honda", "civic", "blue", 7_000.0);
+    fault.set_plan(FaultPlan {
+        fail_appends: 1,
+        ..FaultPlan::default()
+    });
+    let err = writer.insert_record(DOMAIN, civic.clone()).unwrap_err();
+    assert!(matches!(err, CqadsError::Storage(_)), "{err:?}");
+    assert_eq!(rows(&writer), rows_before);
+    assert_eq!(writer_view(&writer), writer_before);
+    assert_eq!(reader_view(&reader), reader_before);
+
+    fault.set_plan(FaultPlan::default());
+    let id = writer.insert_record(DOMAIN, civic.clone()).unwrap();
+    assert_eq!(id, RecordId(5));
+    let exact = reader.ask(CIVIC).domain(DOMAIN).uncached().get().unwrap();
+    assert_eq!((exact.exact_count, exact.answers[0].id), (1, id));
+
+    drop((writer, reader));
+    let reopened = system_with_existing(durable_config(&fault, None));
+    let table = reopened.database().table(DOMAIN).unwrap();
+    assert_eq!(table.len(), 6);
+    assert_eq!(table.get(id), Some(&civic));
+}
+
+/// A failed query-log ingest, WS-matrix swap or domain registration leaves
+/// both handles' model generations and domain names as they were, and a
+/// reopen agrees with the writer.
+#[test]
+fn failed_ingest_word_sim_swap_and_registration_change_nothing() {
+    let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
+    let mut writer = system_with(durable_config(&fault, None));
+    let reader = writer.reader();
+    let (writer_before, reader_before) = (writer_view(&writer), reader_view(&reader));
+    let fail_next_append = || {
+        fault.set_plan(FaultPlan {
+            fail_appends: 1,
+            ..FaultPlan::default()
+        })
+    };
+
+    fail_next_append();
+    let err = writer
+        .ingest_query_log(DOMAIN, &reformulation("accord", "civic"))
+        .unwrap_err();
+    assert!(matches!(err, CqadsError::Storage(_)), "{err:?}");
+    assert_eq!(writer_view(&writer), writer_before);
+    assert_eq!(reader_view(&reader), reader_before);
+
+    fail_next_append();
+    let err = writer.try_set_word_sim(word_sim()).unwrap_err();
+    assert!(matches!(err, CqadsError::Storage(_)), "{err:?}");
+    assert_eq!(writer_view(&writer), writer_before);
+    assert_eq!(reader_view(&reader), reader_before);
+
+    let mut trucks = toy_car_domain();
+    trucks.schema.name = "trucks".into();
+    let table = Table::new(trucks.schema.clone());
+    fail_next_append();
+    let err = writer
+        .try_add_domain(trucks, table, TIMatrix::default())
+        .unwrap_err();
+    assert!(matches!(err, CqadsError::Storage(_)), "{err:?}");
+    assert!(writer.database().table("trucks").is_none());
+    assert_eq!(writer_view(&writer), writer_before);
+    assert_eq!(reader_view(&reader), reader_before);
+
+    fault.set_plan(FaultPlan::default());
+    drop(reader);
+    let reopened = system_with_existing(durable_config(&fault, None));
+    assert_eq!(writer_view(&reopened), writer_before);
+    assert_eq!(rows(&reopened), rows(&writer));
+}
+
+/// The auto-snapshot check runs before the append: a rotation that fails
+/// fails a mutation that has not changed anything yet.
+#[test]
+fn a_failed_rotation_fails_the_mutation_before_it_changes_anything() {
+    let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
+    let config = || {
+        let mut config = durable_config(&fault, None);
+        config.storage.as_mut().unwrap().snapshot_every = 1;
+        config
+    };
+    // The registration is the epoch's one mutation frame: the next mutation
+    // rotates first.
+    let mut writer = system_with(config());
+    let reader = writer.reader();
+    let (rows_before, writer_before, reader_before) =
+        (rows(&writer), writer_view(&writer), reader_view(&reader));
+
+    let civic = car("honda", "civic", "blue", 7_000.0);
+    fault.set_plan(FaultPlan {
+        fail_write_atomic: true,
+        ..FaultPlan::default()
+    });
+    let err = writer.insert_record(DOMAIN, civic.clone()).unwrap_err();
+    assert!(matches!(err, CqadsError::Storage(_)), "{err:?}");
+    assert_eq!(rows(&writer), rows_before);
+    assert_eq!(writer_view(&writer), writer_before);
+    assert_eq!(reader_view(&reader), reader_before);
+
+    fault.set_plan(FaultPlan::default());
+    let id = writer.insert_record(DOMAIN, civic.clone()).unwrap();
+    assert_eq!(id, RecordId(5));
+    drop((writer, reader));
+    let reopened = system_with_existing(config());
+    assert_eq!(
+        reopened.database().table(DOMAIN).unwrap().get(id),
+        Some(&civic)
+    );
+}
+
+/// An append whose bytes land but whose fsync fails is rewound: a reopen
+/// right after the failed insert does not replay the frame.
+#[test]
+fn a_failed_sync_leaves_no_frame_for_a_reopen_to_replay() {
+    let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
+    let mut writer = system_with(durable_config(&fault, None));
+    let rows_before = rows(&writer);
+    fault.set_plan(FaultPlan {
+        fail_sync: true,
+        ..FaultPlan::default()
+    });
+    let err = writer
+        .insert_record(DOMAIN, car("honda", "civic", "blue", 7_000.0))
+        .unwrap_err();
+    assert!(matches!(err, CqadsError::Storage(_)), "{err:?}");
+    assert_eq!(rows(&writer), rows_before);
+
+    fault.set_plan(FaultPlan::default());
+    drop(writer);
+    let reopened = system_with_existing(durable_config(&fault, None));
+    assert!(reopened.storage_report().unwrap().is_clean());
+    assert_eq!(rows(&reopened), rows_before);
+}
+
+/// A torn append whose rewind fails too leaves bytes behind; the next append
+/// drops them before it writes, so the record it acknowledges is not lost
+/// behind a torn frame on reopen.
+#[test]
+fn an_append_after_an_unrewound_tear_is_not_lost() {
+    let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
+    let mut writer = system_with(durable_config(&fault, None));
+    fault.set_plan(FaultPlan {
+        append_budget: Some(5),
+        fail_write_atomic: true,
+        ..FaultPlan::default()
+    });
+    let civic = car("honda", "civic", "blue", 7_000.0);
+    writer.insert_record(DOMAIN, civic.clone()).unwrap_err();
+
+    fault.set_plan(FaultPlan::default());
+    let id = writer.insert_record(DOMAIN, civic.clone()).unwrap();
+    drop(writer);
+    let reopened = system_with_existing(durable_config(&fault, None));
+    assert!(reopened.storage_report().unwrap().is_clean());
+    assert_eq!(
+        reopened.database().table(DOMAIN).unwrap().get(id),
+        Some(&civic)
+    );
+}
+
+/// A registration whose append fails registers nothing; once the fault heals
+/// the same registration goes through and survives a reopen.
+#[test]
+fn a_failed_registration_registers_nothing() {
+    let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
+    let mut writer = CqadsSystem::try_with_config(durable_config(&fault, None)).unwrap();
+    fault.set_plan(FaultPlan {
+        append_budget: Some(0),
+        ..FaultPlan::default()
+    });
+    let err = writer
+        .try_add_domain(toy_car_domain(), base_table(), TIMatrix::default())
+        .unwrap_err();
+    assert!(matches!(err, CqadsError::Storage(_)), "{err:?}");
+    assert!(writer.domain_names().is_empty());
+    assert!(writer.database().table(DOMAIN).is_none());
+    let err = writer
+        .insert_record(DOMAIN, car("honda", "civic", "blue", 7_000.0))
+        .unwrap_err();
+    assert!(matches!(err, CqadsError::UnknownDomain(_)), "{err:?}");
+
+    fault.set_plan(FaultPlan::default());
+    writer
+        .try_add_domain(toy_car_domain(), base_table(), TIMatrix::default())
+        .unwrap();
+    drop(writer);
+    let reopened = system_with_existing(durable_config(&fault, None));
+    assert_eq!(reopened.domain_names(), vec![DOMAIN]);
+    assert_eq!(reopened.database().table(DOMAIN).unwrap().len(), 5);
+}
+
+/// One step of a schedule the retry layer need not absorb: a mutation, and
+/// how many clean append failures to arm before it (0..=4; the retry layer
+/// makes 3 attempts, so 3 or more fail the step).
+#[derive(Debug, Clone)]
+enum Step {
+    Insert {
+        fails: u32,
+        price: f64,
+    },
+    /// A batch of a valid record and one the schema rejects.
+    Invalid {
+        fails: u32,
+    },
+    Log {
+        fails: u32,
+        to: usize,
+    },
+    WordSim {
+        fails: u32,
+    },
+}
+
+#[derive(Debug, Clone)]
+struct StepStrategy;
+
+impl Strategy for StepStrategy {
+    type Value = Step;
+    fn sample(&self, rng: &mut proptest::TestRng) -> Step {
+        let fails = rng.below(5) as u32;
+        match rng.below(4) {
+            0 => Step::Insert {
+                fails,
+                price: 5_000.0 + rng.below(1_000) as f64,
+            },
+            1 => Step::Invalid { fails },
+            2 => Step::Log {
+                fails,
+                to: rng.below(2) as usize,
+            },
+            _ => Step::WordSim { fails },
+        }
+    }
+}
+
+impl Step {
+    fn fails(&self) -> u32 {
+        match *self {
+            Step::Insert { fails, .. }
+            | Step::Invalid { fails }
+            | Step::Log { fails, .. }
+            | Step::WordSim { fails } => fails,
+        }
+    }
+
+    /// Apply the step; `Ok` when it committed.
+    fn apply(&self, system: &mut CqadsSystem) -> Result<(), CqadsError> {
+        match *self {
+            Step::Insert { price, .. } => {
+                let record = car("honda", "civic", "blue", price);
+                system.insert_record(DOMAIN, record).map(drop)
+            }
+            Step::Invalid { .. } => {
+                let mut invalid = car("honda", "civic", "red", 9_000.0);
+                invalid.set("sunroof", "yes");
+                let batch = vec![car("honda", "civic", "gold", 8_000.0), invalid];
+                system.insert_record_batch(DOMAIN, batch).map(drop)
+            }
+            Step::Log { to, .. } => {
+                let delta = reformulation("civic", ["accord", "camry"][to]);
+                system.ingest_query_log(DOMAIN, &delta).map(drop)
+            }
+            Step::WordSim { .. } => system.try_set_word_sim(word_sim()),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Under any schedule of append faults and schema-invalid batches, the
+    /// writer, an attached reader and a fault-free in-memory reference that
+    /// applies only the steps that returned `Ok` agree after every step —
+    /// rows by id, table generation, model generation and answers — and a
+    /// reopen holds the reference's rows.
+    #[test]
+    fn any_fault_schedule_leaves_writer_reader_and_store_in_agreement(
+        schedule in prop::collection::vec(StepStrategy, 1..10),
+    ) {
+        let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
+        let clock = Arc::new(ManualClock::new());
+        // The breaker stays closed, so every step reaches the filesystem.
+        let retry = RetryOptions { breaker_threshold: 0, ..test_retry(&clock) };
+        let mut durable = system_with(durable_config(&fault, Some(retry.clone())));
+        let reader = durable.reader();
+        let mut reference = system_with(CqadsConfig::default());
+
+        for step in &schedule {
+            fault.set_plan(FaultPlan { fail_appends: step.fails(), ..FaultPlan::default() });
+            let committed = step.apply(&mut durable).is_ok();
+            let invalid = matches!(step, Step::Invalid { .. });
+            prop_assert_eq!(committed, !invalid && step.fails() < 3, "{:?}", step);
+            if committed {
+                step.apply(&mut reference).unwrap();
+            }
+            prop_assert_eq!(rows(&durable), rows(&reference));
+            let want = writer_view(&reference);
+            prop_assert_eq!(writer_view(&durable), want.clone());
+            prop_assert_eq!(reader_view(&reader), want);
+        }
+
+        fault.set_plan(FaultPlan::default());
+        drop((durable, reader));
+        let reopened = system_with_existing(durable_config(&fault, Some(retry)));
+        prop_assert_eq!(rows(&reopened), rows(&reference));
+        prop_assert_eq!(writer_view(&reopened), writer_view(&reference));
     }
 }
 
