@@ -78,12 +78,16 @@
 //!   and keep mutating through the writer — no outer lock required.
 //!
 //! Either way there is one way to ask a single question: [`AnswerRequest`]
-//! (`.ask(q)[.domain(d)][.uncached()].get()`) — and one function that answers:
-//! `shard::answer_in_table`, called by `ask` (one question over this
-//! snapshot's table of the domain) and by `answer_batch` (a domain's cache
-//! misses over the same table). This module keeps only what wraps it: routing
-//! (classification and the route memo), the cache, admission, stale fallback
-//! and the audit trail.
+//! (`.ask(q)[.domain(d)][.uncached()].get()`) — and one engine that serves it:
+//! a single ask is `answer_batch`'s one-question case. Both entry points run
+//! the same steps of `ReadContext`: admit (the in-flight permit and the
+//! deadline budget), look up (the stamp, the stale capture and the hit's audit
+//! frame), compute (one domain's misses, the stale fallback, the cache fill
+//! and the misses' audit frames) and finish (one audit append and the pressure
+//! controller). The one function that answers, `shard::answer_in_table`, has
+//! one caller, `ReadContext::compute`. This module keeps only what wraps it:
+//! routing (classification and the route memo), the cache, admission, stale
+//! fallback and the audit trail.
 
 use crate::cache::{AnswerCache, CacheKey, CacheStats, GenerationCache, GenerationStamp};
 use crate::domain::DomainSpec;
@@ -91,7 +95,9 @@ use crate::error::{CqadsError, CqadsResult};
 use crate::partial::take_single;
 use crate::pipeline::{AnswerSet, ClassifyOutcome, CqadsConfig, IngestReport};
 use crate::ranking::SimilarityModel;
-use crate::resilience::{AnswerQuality, QueryBudget, ResilienceRuntime, ServingStats};
+use crate::resilience::{
+    AdmissionPermit, AnswerQuality, QueryBudget, ResilienceRuntime, ServingStats,
+};
 use crate::shard::answer_in_table;
 use crate::storage::{config_to_snap, data_to_spec, spec_to_data, DurableStorage, StorageOptions};
 use crate::tagging::{TaggedQuestion, TaggedToken, Tagger};
@@ -306,6 +312,44 @@ pub(crate) struct ReadContext<'a> {
     pub(crate) snap: &'a Snapshot,
 }
 
+/// One admitted read call — a single ask or a burst — from
+/// [`ReadContext::admit`] to [`ReadContext::finish`]. The steps a cache hit
+/// runs are `#[inline]`: called out of line they added about 0.1 µs to a
+/// 0.5 µs hit.
+struct Call<'a> {
+    /// The in-flight slot, held until the call finishes.
+    _permit: Option<AdmissionPermit<'a>>,
+    /// The call's one cooperative deadline, after pressure step-down.
+    budget: Option<QueryBudget>,
+    /// Whether a deadline-cut answer falls back on a stale cache entry.
+    stale_ok: bool,
+    /// Whether served questions leave audit frames.
+    audit: bool,
+    /// Whether a deadline cut any question of the call.
+    degraded: bool,
+}
+
+/// What the answer cache holds for one key ([`ReadContext::look_up`]).
+enum Lookup {
+    /// A fresh entry, with its audit frame.
+    Hit(Arc<AnswerSet>, Option<WalRecord>),
+    /// No fresh entry; carries the stale one a deadline cut may fall back on.
+    Miss(Option<Arc<AnswerSet>>),
+}
+
+/// A question the cache did not answer, on its way into
+/// [`ReadContext::compute`].
+struct Miss<'q> {
+    question: &'q str,
+    /// The key a complete answer fills; `None` when the ask is uncached.
+    key: Option<&'q CacheKey>,
+    /// The entry served, flagged `Stale`, if the deadline cuts the question.
+    stale: Option<Arc<AnswerSet>>,
+}
+
+/// A served answer with the audit frame it leaves.
+type Served = CqadsResult<(Arc<AnswerSet>, Option<WalRecord>)>;
+
 impl<'a> ReadContext<'a> {
     /// Classify a question into a registered domain (Equation 2).
     pub(crate) fn classify(self, question: &str) -> CqadsResult<String> {
@@ -358,84 +402,62 @@ impl<'a> ReadContext<'a> {
         Ok(route)
     }
 
-    /// Answer one question — the single function behind [`AnswerRequest::get`].
-    /// `domain: None` classifies first (through the route memo when cached);
-    /// `cached: false` computes from scratch and neither fills the cache nor
-    /// audits.
+    /// Answer one question — the single function behind [`AnswerRequest::get`]
+    /// and the one-question case of [`ReadContext::answer_batch`]: the same
+    /// admission, lookup, computation and finish. `domain: None` classifies
+    /// first (through the route memo when cached); `cached: false` builds no
+    /// key, reads and fills no cache and audits nothing.
     pub(crate) fn answer_one(
         self,
         question: &str,
         domain: Option<&str>,
         cached: bool,
     ) -> CqadsResult<Arc<AnswerSet>> {
-        if cached && self.shared.cache.is_enabled() {
-            let key = match domain {
-                Some(domain) => Arc::new(CacheKey::new(domain, question)),
-                None => self.route(question)?,
-            };
-            return self.answer_cached(question, &key);
-        }
+        let mut call = self.admit(cached && self.audit_enabled())?;
+        let cached = cached && self.shared.cache.is_enabled();
+        let served = self.serve_one(&mut call, question, domain, cached);
+        let frame = served.as_ref().ok().and_then(|(_, frame)| frame.as_ref());
+        self.finish(call, frame.map_or(&[], std::slice::from_ref));
+        served.map(|(answer, _)| answer)
+    }
+
+    /// [`ReadContext::answer_one`] between admission and finish: resolve the
+    /// key, look it up, and on a miss compute the one question.
+    #[inline]
+    fn serve_one(
+        self,
+        call: &mut Call<'_>,
+        question: &str,
+        domain: Option<&str>,
+        cached: bool,
+    ) -> Served {
+        let key = match (cached, domain) {
+            (false, _) => None,
+            (true, Some(domain)) => Some(Arc::new(CacheKey::new(domain, question))),
+            (true, None) => Some(self.route(question)?),
+        };
+        let stale = match &key {
+            Some(key) => match self.look_up(call, key, question) {
+                Lookup::Hit(hit, frame) => return Ok((hit, frame)),
+                Lookup::Miss(stale) => stale,
+            },
+            None => None,
+        };
         let classified;
-        let domain = match domain {
-            Some(domain) => domain,
-            None => {
+        let domain = match (&key, domain) {
+            (Some(key), _) => key.domain(),
+            (None, Some(domain)) => domain,
+            (None, None) => {
                 classified = self.classify(question)?;
-                classified.as_str()
+                &classified
             }
         };
-        if !cached {
-            return self.compute_one(question, domain);
-        }
-        let start = self.audit_start();
-        let answer = self.compute_one(question, domain)?;
-        self.audit(question, domain, false, start);
-        Ok(answer)
-    }
-
-    /// [`ReadContext::answer_one`] through the answer cache, under `key`.
-    fn answer_cached(self, question: &str, key: &CacheKey) -> CqadsResult<Arc<AnswerSet>> {
-        let domain = key.domain();
-        let start = self.audit_start();
-        // The stamp is read from this call's snapshot *before* computing, so
-        // the stamp and the data it covers come from the same snapshot; a
-        // concurrently published mutation leaves the filled entry
-        // conservatively stale (see the cache module docs).
-        let stamp = self.current_stamp(domain);
-        if let Some(stamp) = stamp {
-            if let Some(hit) = self.shared.cache.lookup(key, stamp) {
-                self.audit(question, domain, true, start);
-                return Ok(hit);
-            }
-        }
-        let answer = self.compute_one(question, domain)?;
-        if let Some(stamp) = stamp {
-            self.shared
-                .cache
-                .fill(key.clone(), stamp, Arc::clone(&answer));
-        }
-        self.audit(question, domain, false, start);
-        Ok(answer)
-    }
-
-    /// Compute one question's answer in `domain`, from scratch.
-    fn compute_one(self, question: &str, domain: &str) -> CqadsResult<Arc<AnswerSet>> {
-        let (runtime, table) = self.snap.domain_table(domain)?;
-        take_single(answer_in_table(
-            &self.shared.config,
-            self.shared.clock.as_ref(),
-            runtime,
-            &[question],
-            table,
-            None,
-        )?)?
-        .map(Arc::new)
-    }
-
-    /// The audit trail's start time for a single-question cached ask. Timing
-    /// exists only for the audit trail; a memory-only (or audit-off) system
-    /// must not pay a clock read per hit.
-    fn audit_start(self) -> Option<u64> {
-        self.audit_enabled().then(|| self.shared.clock.now_micros())
+        let miss = Miss {
+            question,
+            key: key.as_deref(),
+            stale,
+        };
+        take_single(self.compute(call, domain, vec![miss]))?
     }
 
     /// Whether served questions are appended to the audit trail.
@@ -446,260 +468,216 @@ impl<'a> ReadContext<'a> {
             .is_some_and(|s| s.opts.audit_queries)
     }
 
-    /// Best-effort audit append for the single-question cached path, timed
-    /// from `start` ([`ReadContext::audit_start`]): never fails the serving
-    /// path (failures count in audit_failures), no-op unless the system is
-    /// durable and auditing is on.
-    fn audit(self, question: &str, domain: &str, hit: bool, start: Option<u64>) {
-        let Some(storage) = &self.shared.storage else {
-            return;
-        };
-        if !storage.opts.audit_queries {
-            return;
-        }
-        let elapsed = start
-            .map(|s| Duration::from_micros(self.shared.clock.now_micros().saturating_sub(s)))
-            .unwrap_or_default();
-        let stamp = self
-            .current_stamp(domain)
-            .unwrap_or(GenerationStamp::new(0, 0));
-        storage.append_audit(audit_record(question, domain, hit, stamp, elapsed));
-    }
-
     /// The domain's current [`GenerationStamp`] **as of this context's
     /// snapshot**: its table generation paired with its
     /// similarity-model generation. `None` when the domain is unregistered or
-    /// its table is missing (the uncached path then reports the precise error).
+    /// its table is missing (the computation then reports the precise error).
     fn current_stamp(self, domain: &str) -> Option<GenerationStamp> {
         let table = self.snap.table_generation(domain)?;
         let model = self.snap.domains.get(domain)?.similarity.generation();
         Some(GenerationStamp::new(table, model))
     }
 
+    /// Admit one read call, single ask or burst: shed it with
+    /// [`CqadsError::Overloaded`] before any work when the in-flight bound is
+    /// saturated, and arm its one cooperative budget after pressure
+    /// step-down. `audit` says whether the call's questions leave audit
+    /// frames.
+    #[inline]
+    fn admit(self, audit: bool) -> CqadsResult<Call<'a>> {
+        let runtime = self.shared.resilience.as_ref();
+        let admit =
+            |runtime: &'a ResilienceRuntime| runtime.try_admit().ok_or(CqadsError::Overloaded);
+        let _permit = runtime.map(admit).transpose()?;
+        let budget = runtime.and_then(|runtime| {
+            let clock = &runtime.opts.clock;
+            let micros = runtime.effective_deadline_micros()?;
+            Some(QueryBudget::new(Arc::clone(clock), micros))
+        });
+        let stale_ok = budget.is_some() && runtime.is_some_and(|r| r.opts.serve_stale_on_timeout);
+        Ok(Call {
+            _permit,
+            budget,
+            stale_ok,
+            audit,
+            degraded: false,
+        })
+    }
+
+    /// Look a key up in the answer cache at its domain's current stamp. A
+    /// hit comes with its audit frame; a miss with the entry a deadline cut
+    /// may fall back on when stale serving is armed.
+    #[inline]
+    fn look_up(self, call: &Call<'_>, key: &CacheKey, question: &str) -> Lookup {
+        let cache = &self.shared.cache;
+        // Clock reads exist only for the audit trail; the hot hit path must
+        // not pay one when auditing is off.
+        let start = call.audit.then(|| self.shared.clock.now_micros());
+        let domain = key.domain();
+        let stamp = self.current_stamp(domain);
+        // The stale entry is captured *before* the lookup: a
+        // generation-stale entry is evicted by the lookup itself, and it is
+        // exactly the answer the degradation path wants to fall back on.
+        let stale = call.stale_ok.then(|| cache.peek_stale(key)).flatten();
+        if let (true, Some(stamp)) = (cache.is_enabled(), stamp) {
+            if let Some(hit) = cache.lookup(key, stamp) {
+                let frame = start.map(|start| {
+                    let micros = self.shared.clock.now_micros().saturating_sub(start);
+                    audit_record(question, domain, true, stamp, Duration::from_micros(micros))
+                });
+                return Lookup::Hit(hit, frame);
+            }
+        }
+        Lookup::Miss(stale)
+    }
+
+    /// Answer one domain's misses over its table with one
+    /// [`answer_in_table`] call under the call's budget, then settle each: a
+    /// cut answer is counted and falls back on its stale entry, flagged
+    /// [`AnswerQuality::Stale`]; only a complete answer fills the cache (a
+    /// degraded or stale one must never be served later as if fresh); and
+    /// each answer gets its audit frame. Results are positional.
+    fn compute(self, call: &mut Call<'_>, domain: &str, misses: Vec<Miss<'_>>) -> Vec<Served> {
+        let questions: Vec<&str> = misses.iter().map(|miss| miss.question).collect();
+        let computed = self.snap.domain_table(domain).and_then(|(runtime, table)| {
+            // Stamp read from this snapshot before any computation: a
+            // concurrently published mutation can only make the filled
+            // entries look *older* than the post-mutation stamp.
+            let stamp = GenerationStamp::new(table.generation(), runtime.similarity.generation());
+            let config = &self.shared.config;
+            let clock = self.shared.clock.as_ref();
+            let budget = call.budget.as_ref();
+            let answers = answer_in_table(config, clock, runtime, &questions, table, budget)?;
+            Ok((stamp, answers))
+        });
+        let (stamp, answers) = match computed {
+            Ok(pair) => pair,
+            Err(e) => return misses.iter().map(|_| Err(e.clone())).collect(),
+        };
+        let settle = |(miss, answer): (Miss<'_>, CqadsResult<AnswerSet>)| {
+            let mut set = answer?;
+            if !set.quality.is_complete() {
+                call.degraded = true;
+                if let Some(runtime) = &self.shared.resilience {
+                    runtime.note_degraded(1);
+                    // A cached answer — even a generation-stale one — is
+                    // complete as of an older generation, which can beat a
+                    // cut fresh answer.
+                    if let Some(stale) = miss.stale {
+                        set = (*stale).clone();
+                        set.quality = AnswerQuality::Stale;
+                        runtime.note_stale(1);
+                    }
+                }
+            }
+            let answer = Arc::new(set);
+            if let (Some(key), true) = (miss.key, answer.quality.is_complete()) {
+                self.shared
+                    .cache
+                    .fill(key.clone(), stamp, Arc::clone(&answer));
+            }
+            let frame = call
+                .audit
+                .then(|| audit_record(miss.question, domain, false, stamp, answer.elapsed));
+            Ok((answer, frame))
+        };
+        misses.into_iter().zip(answers).map(settle).collect()
+    }
+
+    /// Finish an admitted call: one best-effort write and sync for all its
+    /// audit frames, then feed the pressure step-down controller (only calls
+    /// that ran under a deadline count toward its streaks). Dropping the call
+    /// frees its in-flight slot.
+    #[inline]
+    fn finish(self, call: Call<'_>, frames: &[WalRecord]) {
+        if let Some(storage) = &self.shared.storage {
+            storage.append_audit_batch(frames);
+        }
+        if let (Some(runtime), Some(_)) = (&self.shared.resilience, &call.budget) {
+            runtime.note_batch(call.degraded);
+        }
+    }
+
     /// Serve a burst of questions against this context's snapshot — the
     /// engine behind [`CqadsWriter::answer_batch`] (which documents the full
-    /// contract) and [`CqadsReader::answer_batch`].
+    /// contract) and [`CqadsReader::answer_batch`]: admit the burst once,
+    /// route and dedup it, look every distinct key up, compute the misses one
+    /// domain at a time and finish.
     pub(crate) fn answer_batch<S: AsRef<str>>(
         self,
         questions: &[S],
     ) -> Vec<CqadsResult<Arc<AnswerSet>>> {
-        // Admission control: shed the whole burst before doing any work when
-        // the in-flight bound is saturated. The permit's slot releases on drop.
-        let _permit = match &self.shared.resilience {
-            Some(runtime) => match runtime.try_admit() {
-                Some(permit) => Some(permit),
-                None => {
-                    return questions
-                        .iter()
-                        .map(|_| Err(CqadsError::Overloaded))
-                        .collect()
-                }
-            },
-            None => None,
+        let mut call = match self.admit(self.audit_enabled()) {
+            Ok(call) => call,
+            Err(e) => return questions.iter().map(|_| Err(e.clone())).collect(),
         };
-        // One cooperative budget for the whole batch's partial-match work,
-        // after pressure step-down.
-        let budget: Option<QueryBudget> = self.shared.resilience.as_ref().and_then(|runtime| {
-            runtime
-                .effective_deadline_micros()
-                .map(|micros| QueryBudget::new(Arc::clone(&runtime.opts.clock), micros))
-        });
-        let mut any_degraded = false;
-
-        let mut results: Vec<Option<CqadsResult<Arc<AnswerSet>>>> = vec![None; questions.len()];
-        let cache_on = self.shared.cache.is_enabled();
 
         // Route + dedup: one slot per distinct (domain, normalized question)
-        // key; repeats within the burst attach to the same slot.
-        struct Slot<'q> {
-            key: Arc<CacheKey>,
-            question: &'q str,
-            indices: Vec<usize>,
-        }
+        // key; each question points at its slot, or at its routing error.
         // Byte-identical repeats are collapsed *before* routing so a burst
         // pays the route memo (or, on its miss, the classifier + tokenizer)
         // once per distinct string, not once per element; the key then also
         // merges case/punctuation variants.
-        let mut raw: Vec<(&str, Vec<usize>)> = Vec::new();
-        let mut by_raw: HashMap<&str, usize> = HashMap::new();
-        for (i, question) in questions.iter().enumerate() {
-            let question = question.as_ref();
-            match by_raw.get(question) {
-                Some(&r) => raw[r].1.push(i),
-                None => {
-                    by_raw.insert(question, raw.len());
-                    raw.push((question, vec![i]));
-                }
-            }
-        }
-        let mut slots: Vec<Slot<'_>> = Vec::new();
+        let mut slots: Vec<(Arc<CacheKey>, &str)> = Vec::new();
         let mut by_key: HashMap<Arc<CacheKey>, usize> = HashMap::new();
-        for (question, indices) in raw {
-            match self.route(question) {
-                Err(e) => {
-                    for &i in &indices {
-                        results[i] = Some(Err(e.clone()));
-                    }
+        let mut by_text: HashMap<&str, CqadsResult<usize>> = HashMap::new();
+        let slot_of = questions.iter().map(|question| {
+            let question = question.as_ref();
+            let slot = by_text.entry(question).or_insert_with(|| {
+                let key = self.route(question)?;
+                let next = slots.len();
+                let slot = *by_key.entry(Arc::clone(&key)).or_insert(next);
+                if slot == next {
+                    slots.push((key, question));
                 }
-                Ok(key) => match by_key.get(&key) {
-                    Some(&slot) => slots[slot].indices.extend(indices),
-                    None => {
-                        by_key.insert(Arc::clone(&key), slots.len());
-                        slots.push(Slot {
-                            key,
-                            question,
-                            indices,
-                        });
-                    }
-                },
-            }
-        }
+                Ok(slot)
+            });
+            slot.clone()
+        });
+        let slot_of: Vec<CqadsResult<usize>> = slot_of.collect();
 
         // Serve hits; group the residual misses by domain.
-        let audit_on = self.audit_enabled();
-        let mut audits: Vec<WalRecord> = Vec::new();
-        let mut misses_by_domain: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        let mut outcomes: Vec<Option<CqadsResult<Arc<AnswerSet>>>> = Vec::new();
-        // When stale-serving is armed, capture each slot's cached entry
-        // *before* the lookup below — a generation-stale entry is evicted by
-        // the lookup itself, and it is exactly the answer the degradation
-        // path wants to fall back on.
-        let stale_ok = budget.is_some()
-            && self
-                .shared
-                .resilience
-                .as_ref()
-                .is_some_and(|r| r.opts.serve_stale_on_timeout);
-        let mut stale_fallback: Vec<Option<Arc<AnswerSet>>> = vec![None; slots.len()];
-        for (slot_idx, slot) in slots.iter().enumerate() {
-            outcomes.push(None);
-            // Clock reads exist only for the audit trail; the hot hit path
-            // must not pay one when auditing is off.
-            let lookup_start = audit_on.then(|| self.shared.clock.now_micros());
-            let (key, domain) = (slot.key.as_ref(), slot.key.domain());
-            let stamp = self.current_stamp(domain);
-            if cache_on && stale_ok {
-                stale_fallback[slot_idx] = self.shared.cache.peek_stale(key);
-            }
-            if let (true, Some(stamp)) = (cache_on, stamp) {
-                if let Some(hit) = self.shared.cache.lookup(key, stamp) {
-                    if let Some(lookup_start) = lookup_start {
-                        audits.push(audit_record(
-                            slot.question,
-                            domain,
-                            true,
-                            stamp,
-                            Duration::from_micros(
-                                self.shared.clock.now_micros().saturating_sub(lookup_start),
-                            ),
-                        ));
-                    }
-                    outcomes[slot_idx] = Some(Ok(hit));
-                    continue;
+        let mut frames: Vec<WalRecord> = Vec::new();
+        let mut outcomes: Vec<Option<CqadsResult<Arc<AnswerSet>>>> = vec![None; slots.len()];
+        let mut misses_by_domain: BTreeMap<&str, Vec<(usize, Miss<'_>)>> = BTreeMap::new();
+        for (slot, (key, question)) in slots.iter().enumerate() {
+            match self.look_up(&call, key, question) {
+                Lookup::Hit(hit, frame) => {
+                    frames.extend(frame);
+                    outcomes[slot] = Some(Ok(hit));
+                }
+                Lookup::Miss(stale) => {
+                    let miss = Miss {
+                        question,
+                        key: Some(key),
+                        stale,
+                    };
+                    misses_by_domain
+                        .entry(key.domain())
+                        .or_default()
+                        .push((slot, miss));
                 }
             }
-            misses_by_domain.entry(domain).or_default().push(slot_idx);
         }
+        for (domain, misses) in misses_by_domain {
+            let (missed, misses): (Vec<usize>, Vec<Miss<'_>>) = misses.into_iter().unzip();
+            let served = self.compute(&mut call, domain, misses);
+            for (slot, served) in missed.into_iter().zip(served) {
+                let answer = served.map(|(answer, frame)| {
+                    frames.extend(frame);
+                    answer
+                });
+                outcomes[slot] = Some(answer);
+            }
+        }
+        self.finish(call, &frames);
 
-        // Per domain: the answering core over every miss (one batched
-        // partial-match fan-out per domain), then degrade + back-fill.
-        for (domain, slot_indices) in misses_by_domain {
-            let missed: Vec<&str> = slot_indices.iter().map(|&s| slots[s].question).collect();
-            let computed = self.snap.domain_table(domain).and_then(|(runtime, table)| {
-                // Stamp read from this snapshot before any computation: a
-                // concurrently published mutation can only make the filled
-                // entries look *older* than the post-mutation stamp.
-                let stamp =
-                    GenerationStamp::new(table.generation(), runtime.similarity.generation());
-                let config = &self.shared.config;
-                let clock = self.shared.clock.as_ref();
-                let budget = budget.as_ref();
-                Ok((
-                    stamp,
-                    answer_in_table(config, clock, runtime, &missed, table, budget)?,
-                ))
-            });
-            let (stamp, computed) = match computed {
-                Ok(pair) => pair,
-                Err(e) => {
-                    for &slot_idx in &slot_indices {
-                        outcomes[slot_idx] = Some(Err(e.clone()));
-                    }
-                    continue;
-                }
-            };
-            for (slot_idx, result) in slot_indices.into_iter().zip(computed) {
-                let mut set = match result {
-                    Ok(set) => set,
-                    Err(e) => {
-                        outcomes[slot_idx] = Some(Err(e));
-                        continue;
-                    }
-                };
-                if !set.quality.is_complete() {
-                    any_degraded = true;
-                    if let Some(runtime) = &self.shared.resilience {
-                        runtime.note_degraded(1);
-                        // Graceful degradation: a cached answer — even a
-                        // generation-stale one — is complete as of an older
-                        // generation, which can beat a cut fresh answer.
-                        // Serve it explicitly flagged `Stale`.
-                        if let Some(stale) = stale_fallback[slot_idx].take() {
-                            set = (*stale).clone();
-                            set.quality = AnswerQuality::Stale;
-                            runtime.note_stale(1);
-                        }
-                    }
-                }
-                let answer = Arc::new(set);
-                // Only complete answers enter the cache: a degraded or stale
-                // set must never be served later as if fresh.
-                if cache_on && answer.quality.is_complete() {
-                    let key = CacheKey::clone(&slots[slot_idx].key);
-                    self.shared.cache.fill(key, stamp, Arc::clone(&answer));
-                }
-                if audit_on {
-                    audits.push(audit_record(
-                        slots[slot_idx].question,
-                        domain,
-                        false,
-                        stamp,
-                        answer.elapsed,
-                    ));
-                }
-                outcomes[slot_idx] = Some(Ok(answer));
-            }
-        }
-
-        // One best-effort write + sync for the whole burst's audit frames.
-        if !audits.is_empty() {
-            if let Some(storage) = &self.shared.storage {
-                storage.append_audit_batch(&audits);
-            }
-        }
-
-        // Feed the pressure step-down controller: only batches that actually
-        // ran under a deadline count toward the streaks.
-        if budget.is_some() {
-            if let Some(runtime) = &self.shared.resilience {
-                runtime.note_batch(any_degraded);
-            }
-        }
-
-        // Scatter slot outcomes to every question index that mapped onto the
-        // slot.
-        for (slot, outcome) in slots.iter().zip(outcomes) {
-            // lint: allow(no-panic) — the dispatch loop above fills every slot exactly once
-            let outcome = outcome.expect("every slot resolved");
-            for &i in &slot.indices {
-                results[i] = Some(outcome.clone());
-            }
-        }
-        results
-            .into_iter()
-            // lint: allow(no-panic) — every question index maps onto exactly one slot
-            .map(|r| r.expect("every question resolved"))
-            .collect()
+        // Scatter: each question gets its slot's outcome.
+        let scatter = |slot: CqadsResult<usize>| {
+            // lint: allow(no-panic) — the loops above resolve every slot exactly once
+            slot.and_then(|slot| outcomes[slot].clone().expect("every slot resolved"))
+        };
+        slot_of.into_iter().map(scatter).collect()
     }
 
     /// Produce only the interpretation of a question in a given domain.
@@ -1075,15 +1053,18 @@ impl CqadsWriter {
     /// Serve a burst of questions: classify + normalize + dedup, serve repeats from
     /// the cache, and run the residual misses' partial-match phases as one
     /// [`PartialMatcher::partial_answers_batch_budgeted`](crate::PartialMatcher::partial_answers_batch_budgeted)
-    /// call per domain, back-filling the cache for the next burst.
+    /// call per domain, back-filling the cache for the next burst. A single
+    /// [`ask`](CqadsWriter::ask) is this engine's one-question case:
+    /// `ask(q).get()` answers, counts and audits exactly as
+    /// `answer_batch(&[q])[0]` does.
     ///
-    /// Results are positional (`results[i]` answers `questions[i]`) and element-wise
-    /// identical to `ask(q).domain(classified).uncached().get()` per question —
+    /// Results are positional (`results[i]` answers `questions[i]`); a complete
+    /// result is identical to `ask(q).domain(classified).uncached().get()` —
     /// duplicate questions within the burst share one computation and one `Arc`.
     /// Per-question failures (empty question, contradictory ranges, ...) are
     /// reported in place and never cached.
-    /// With [`CqadsConfig::resilience`] configured the batch additionally runs
-    /// behind the resilience layer: it may be shed whole with
+    /// With [`CqadsConfig::resilience`] configured the batch runs behind the
+    /// resilience layer, as every ask does: it may be shed whole with
     /// [`CqadsError::Overloaded`] when the in-flight bound is saturated, and a
     /// configured deadline cuts the partial-match phase cooperatively — a cut
     /// question's answer is the certified prefix of the complete one, flagged
@@ -1439,38 +1420,41 @@ impl CqadsWriter {
 
     /// Batch form of [`CqadsWriter::ingest_query_log`]: apply several deltas
     /// with a **single** renormalization, a **single** model-generation bump
-    /// and a single snapshot publication.
+    /// and a single snapshot publication. An empty batch changes nothing: it
+    /// reports the current generation and zero sessions and queries.
     pub fn ingest_query_log_batch(
         &mut self,
         domain: &str,
         deltas: &[QueryLogDelta],
     ) -> CqadsResult<IngestReport> {
-        let generation = self.master.model_generation(domain);
-        let generation = generation.ok_or_else(|| CqadsError::UnknownDomain(domain.to_string()))?;
         // Each frame carries the post-batch generation: the whole batch
         // performs ONE bump, and recovery re-applies buffered deltas as one
         // batch per domain, so the stamps line up exactly.
-        let model_gen = generation + 1;
-        self.append_mutations(|| {
-            let frames = deltas.iter().map(|delta| WalRecord::LogDelta {
-                domain: domain.to_string(),
-                delta: delta.clone(),
-                model_gen,
-            });
-            frames.collect()
-        })?;
-        // Cannot fail: the domain was looked up above.
-        let runtime = self.master.domains.get_mut(domain).map(Arc::make_mut);
-        let runtime = runtime.ok_or_else(|| CqadsError::UnknownDomain(domain.to_string()))?;
-        let model_generation = runtime.similarity.apply_log_deltas(deltas);
-        let report = IngestReport {
+        let model_gen = self.master.runtime(domain)?.similarity.generation() + 1;
+        // An empty batch changes nothing, so it bumps, logs and publishes
+        // nothing: a generation no frame records is one a reopen would not
+        // restore.
+        if !deltas.is_empty() {
+            self.append_mutations(|| {
+                let frames = deltas.iter().map(|delta| WalRecord::LogDelta {
+                    domain: domain.to_string(),
+                    delta: delta.clone(),
+                    model_gen,
+                });
+                frames.collect()
+            })?;
+            if let Some(runtime) = self.master.domains.get_mut(domain) {
+                Arc::make_mut(runtime).similarity.apply_log_deltas(deltas);
+            }
+            self.publish_if_observed();
+        }
+        let similarity = &self.master.runtime(domain)?.similarity;
+        Ok(IngestReport {
             sessions: deltas.iter().map(QueryLogDelta::len).sum(),
             queries: deltas.iter().map(QueryLogDelta::query_count).sum(),
-            model_generation,
-            ti_pairs: runtime.similarity.ti_matrix().len(),
-        };
-        self.publish_if_observed();
-        Ok(report)
+            model_generation: similarity.generation(),
+            ti_pairs: similarity.ti_matrix().len(),
+        })
     }
 
     /// Whether this system persists to durable storage.
@@ -1650,6 +1634,12 @@ enum RequestTarget<'a> {
 /// is routed through the snapshot's route memo (module docs, "The route
 /// memo"), so a repeat of the exact text skips the classifier. An uncached
 /// ask never reads or fills the memo.
+///
+/// A request is a batch of one ([`CqadsWriter::answer_batch`]): with
+/// [`CqadsConfig::resilience`] set, every ask, cached or not, takes an
+/// in-flight permit (or fails with [`CqadsError::Overloaded`]) and runs
+/// under the deadline, and a cut answer comes back flagged
+/// [`AnswerQuality::Degraded`] or [`AnswerQuality::Stale`].
 #[must_use = "an AnswerRequest does nothing until .get() is called"]
 pub struct AnswerRequest<'a> {
     target: RequestTarget<'a>,

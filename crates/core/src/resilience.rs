@@ -8,17 +8,17 @@
 //! [`CqadsConfig::resilience`](crate::CqadsConfig) (left at `None`, every
 //! existing code path is byte-identical):
 //!
-//! * **Admission control** — a bounded in-flight counter in front of
-//!   [`CqadsWriter::answer_batch`](crate::CqadsWriter::answer_batch). A burst
-//!   that arrives while the bound is saturated is *shed* with a typed
-//!   [`CqadsError::Overloaded`](crate::CqadsError) instead of queueing without
-//!   bound; under sustained deadline pressure the controller also steps the
-//!   effective deadline down (and back up once batches run clean again).
+//! * **Admission control** — a bounded in-flight counter in front of every
+//!   request, [`ask`](crate::CqadsWriter::ask) and `answer_batch` alike. A
+//!   request that arrives while the bound is saturated is *shed* whole with a
+//!   typed [`CqadsError::Overloaded`](crate::CqadsError) instead of queueing
+//!   without bound; under sustained deadline pressure the controller also steps
+//!   the effective deadline down (and back up once requests run clean again).
 //! * **Cooperative cancellation** — a [`QueryBudget`] token threaded into the
 //!   partial-match engine's loops, which poll it at posting-block granularity
 //!   (every [`BUDGET_CHECK_EVERY`](crate::partial) candidates); once the
 //!   deadline passes, the engine stops at its next checkpoint, and so does
-//!   every later question and part of the batch.
+//!   every later question of the request.
 //! * **Explicit degradation** — a deadline-cut question returns the *provably
 //!   correct prefix* of its best-so-far top-k (see
 //!   [`partial`](crate::partial#deadlines-and-degradation)) and is flagged
@@ -33,8 +33,9 @@
 //! [`ManualClock`](cqads_storage::ManualClock) so every deadline cut is
 //! reproducible.
 
+use crate::sync::atomic as modeled;
 use cqads_storage::RetryClock;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 pub use crate::cache::CacheStats;
@@ -83,20 +84,20 @@ impl AnswerQuality {
 /// process* and are never persisted in snapshots.
 #[derive(Debug, Clone)]
 pub struct ResilienceOptions {
-    /// Deadline for one `answer_batch` call's partial-match work, in
-    /// microseconds. `None` = no deadline (admission control still applies).
+    /// Deadline for one request's partial-match work, in microseconds. `None`
+    /// = no deadline (admission control still applies).
     pub deadline_micros: Option<u64>,
-    /// Maximum concurrently admitted `answer_batch` calls; further calls are
-    /// shed with [`CqadsError::Overloaded`](crate::CqadsError). `0` =
-    /// unbounded.
+    /// Maximum concurrently admitted requests (asks and `answer_batch` calls);
+    /// further requests are shed with
+    /// [`CqadsError::Overloaded`](crate::CqadsError). `0` = unbounded.
     pub max_in_flight: usize,
     /// When a question is deadline-cut and a cached answer for it exists —
     /// even a generation-stale one — serve that instead, flagged
     /// [`AnswerQuality::Stale`].
     pub serve_stale_on_timeout: bool,
-    /// After this many *consecutive* degraded batches, halve the effective
+    /// After this many *consecutive* degraded requests, halve the effective
     /// deadline (pressure step-down); after the same number of consecutive
-    /// clean batches, step back up. `0` disables stepping.
+    /// clean requests, step back up. `0` disables stepping.
     pub step_down_after: u32,
     /// Maximum number of halvings the step-down may apply.
     pub max_step_down: u32,
@@ -121,7 +122,7 @@ impl Default for ResilienceOptions {
     }
 }
 
-/// Cooperative cancellation token for one `answer_batch` call.
+/// Cooperative cancellation token for one request (ask or `answer_batch` call).
 ///
 /// Created by the pipeline when a deadline is configured and threaded down
 /// into the partial-match engine, which calls [`QueryBudget::expired`] at
@@ -212,7 +213,7 @@ pub struct ServingStats {
     pub routes: CacheStats,
     /// Best-effort audit frames that failed to persist (after retries).
     pub audit_failures: u64,
-    /// Batches rejected by admission control with `Overloaded`.
+    /// Requests (asks and `answer_batch` calls) shed with `Overloaded`.
     pub shed: u64,
     /// Questions whose answers were flagged `Degraded` by a deadline cut.
     pub degraded: u64,
@@ -235,8 +236,9 @@ pub struct ServingStats {
 #[derive(Debug)]
 pub(crate) struct ResilienceRuntime {
     pub(crate) opts: ResilienceOptions,
-    in_flight: AtomicUsize,
-    shed: AtomicU64,
+    /// On the [`crate::sync`] facade: `tests/interleavings.rs` checks admission.
+    in_flight: modeled::AtomicUsize,
+    shed: modeled::AtomicU64,
     degraded: AtomicU64,
     stale_served: AtomicU64,
     pressure: AtomicU32,
@@ -248,8 +250,8 @@ impl ResilienceRuntime {
     pub(crate) fn new(opts: ResilienceOptions) -> Self {
         ResilienceRuntime {
             opts,
-            in_flight: AtomicUsize::new(0),
-            shed: AtomicU64::new(0),
+            in_flight: modeled::AtomicUsize::new(0),
+            shed: modeled::AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             stale_served: AtomicU64::new(0),
             pressure: AtomicU32::new(0),
@@ -258,8 +260,8 @@ impl ResilienceRuntime {
         }
     }
 
-    /// Try to admit one batch. `None` means the in-flight bound is saturated
-    /// and the batch was shed (counted). The permit releases its slot on drop.
+    /// Try to admit one request. `None` means the in-flight bound is saturated
+    /// and the request was shed (counted); the permit frees its slot on drop.
     pub(crate) fn try_admit(&self) -> Option<AdmissionPermit<'_>> {
         // ordering: the in-flight bound needs only the *atomicity* of the
         // RMWs (add-then-check-then-undo keeps the count exact); the permit
@@ -285,7 +287,7 @@ impl ResilienceRuntime {
         Some((deadline >> level).max(floor))
     }
 
-    /// Feed the step-down controller one batch outcome. Streak bookkeeping is
+    /// Feed the step-down controller one request's outcome. Streak bookkeeping is
     /// best-effort under concurrency (Relaxed read-modify-write per field);
     /// the level always stays within `[0, max_step_down]`.
     pub(crate) fn note_batch(&self, any_degraded: bool) {

@@ -1,8 +1,9 @@
 //! The one answering core, `answer_in_table`: the whole answering procedure (§4.3)
 //! for `k` questions of one domain over its one table — compile, execute the exact
 //! answers, top them up with the N−1 relaxations ranked by `Rank_Sim` in one
-//! batched [`PartialMatcher`] call, truncate, time. `ask` and `answer_batch`
-//! ([`crate::handle`]) both call it. [`ShardedCqads`] and [`CqadsConfig::shards`]
+//! batched [`PartialMatcher`] call, truncate, time. It has one caller, the
+//! read path's compute step in [`crate::handle`], which serves `ask` and
+//! `answer_batch` alike. [`ShardedCqads`] and [`CqadsConfig::shards`]
 //! survive only because the benchmark crate still names them; the part count is
 //! ignored.
 

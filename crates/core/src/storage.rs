@@ -205,15 +205,10 @@ impl DurableStorage {
         appended.map_err(CqadsError::Storage)
     }
 
-    /// Best-effort audit append from the `&self` serving paths: failures are
-    /// counted and remembered, never returned — audit I/O must not take the
-    /// serving path down.
-    pub(crate) fn append_audit(&self, record: WalRecord) {
-        self.append_audit_batch(std::slice::from_ref(&record));
-    }
-
-    /// Batch form of [`DurableStorage::append_audit`]: one write and one sync
-    /// for a whole burst's audit frames, same best-effort contract.
+    /// Best-effort audit append from the `&self` serving paths: one write and
+    /// one sync for a whole call's audit frames. Failures are counted and
+    /// remembered, never returned — audit I/O must not take the serving path
+    /// down.
     pub(crate) fn append_audit_batch(&self, records: &[WalRecord]) {
         if records.is_empty() {
             return;

@@ -17,7 +17,8 @@ use cqads_suite::cqads::{
 };
 use cqads_suite::querylog::{QueryLogDelta, Session, SubmittedQuery, TIMatrix};
 use cqads_suite::storage::{
-    FaultFs, FaultPlan, ManualClock, MemFs, RetryClock, RetryOptions, RetryPolicy, Vfs,
+    scan_frames, FaultFs, FaultPlan, ManualClock, MemFs, RetryClock, RetryOptions, RetryPolicy,
+    Vfs, WalRecord,
 };
 use cqads_suite::wordsim::WordSimMatrix;
 use proptest::prelude::*;
@@ -150,45 +151,47 @@ fn expiring_deadline_flags_every_short_answer_as_degraded() {
     });
     let plain = system_with(CqadsConfig::default());
     let full = plain.answer_batch(&QUESTIONS);
-    let cut = resilient.answer_batch(&QUESTIONS);
+    // The same questions as one burst, then one ask at a time.
+    let burst = resilient.answer_batch(&QUESTIONS);
+    let asked: Vec<_> = QUESTIONS.iter().map(|q| resilient.ask(q).get()).collect();
 
-    let mut saw_degraded = false;
-    for (got, complete) in cut.iter().zip(&full) {
-        let got = got.as_ref().unwrap();
-        let complete = complete.as_ref().unwrap();
-        // Degradation is always explicit: an answer list shorter than the
-        // complete one must carry the Degraded flag...
-        if got.answers.len() < complete.answers.len() {
-            assert!(
-                matches!(
-                    got.quality,
-                    AnswerQuality::Degraded {
-                        budget_exhausted: true,
-                        ..
-                    }
-                ),
-                "silently short answer: {:?}",
-                got.quality
-            );
-            saw_degraded = true;
+    for cut in [burst, asked] {
+        let mut saw_degraded = false;
+        for (got, complete) in cut.iter().zip(&full) {
+            let got = got.as_ref().unwrap();
+            let complete = complete.as_ref().unwrap();
+            // Degradation is always explicit: an answer list shorter than the
+            // complete one must carry the Degraded flag...
+            if got.answers.len() < complete.answers.len() {
+                assert!(
+                    matches!(
+                        got.quality,
+                        AnswerQuality::Degraded {
+                            budget_exhausted: true,
+                            ..
+                        }
+                    ),
+                    "silently short answer: {:?}",
+                    got.quality
+                );
+                saw_degraded = true;
+            }
+            // ...and whatever is served is the certified prefix of the
+            // complete answer, bit for bit.
+            for (x, y) in got.answers.iter().zip(&complete.answers) {
+                assert_eq!(x.id, y.id);
+                assert_eq!(x.rank_sim.to_bits(), y.rank_sim.to_bits());
+            }
         }
-        // ...and whatever is served is the certified prefix of the complete
-        // answer, bit for bit.
-        for (x, y) in got.answers.iter().zip(&complete.answers) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.rank_sim.to_bits(), y.rank_sim.to_bits());
-        }
+        assert!(saw_degraded, "a 5-microsecond deadline must cut something");
     }
-    assert!(saw_degraded, "a 5-microsecond deadline must cut something");
-    let stats = resilient.serving_stats();
-    assert!(stats.degraded > 0);
-    assert_eq!(stats.degraded, resilient.serving_stats().degraded);
+    assert!(resilient.serving_stats().degraded > 0);
 }
 
 #[test]
 fn stale_cached_answer_is_served_flagged_when_deadline_cuts() {
     let clock = Arc::new(StepClock::default());
-    let resilient = system_with(CqadsConfig {
+    let mut resilient = system_with(CqadsConfig {
         resilience: Some(ResilienceOptions {
             deadline_micros: Some(1_000),
             serve_stale_on_timeout: true,
@@ -197,46 +200,55 @@ fn stale_cached_answer_is_served_flagged_when_deadline_cuts() {
         }),
         ..CqadsConfig::default()
     });
-    let question = ["Find Honda Accord blue less than 15,000 dollars"];
+    let question = "Find Honda Accord blue less than 15,000 dollars";
+    // Once through a burst of one, once through a single ask.
+    for single in [false, true] {
+        let serve = |system: &CqadsSystem| {
+            if single {
+                system.ask(question).get().unwrap()
+            } else {
+                system.answer_batch(&[question]).pop().unwrap().unwrap()
+            }
+        };
 
-    // Frozen clock: the deadline never expires, the answer completes and
-    // fills the cache.
-    let fresh = resilient.answer_batch(&question);
-    let fresh = fresh[0].as_ref().unwrap();
-    assert!(fresh.quality.is_complete());
+        // Frozen clock: the deadline never expires, the answer completes and
+        // fills the cache.
+        clock.set_step(0);
+        let fresh = serve(&resilient);
+        assert!(fresh.quality.is_complete());
 
-    // A new record bumps the generation: the cached entry is now stale.
-    let mut resilient = resilient;
-    resilient
-        .insert_record(DOMAIN, car("honda", "accord", "red", 9_000.0))
-        .unwrap();
+        // A new record bumps the generation: the cached entry is now stale.
+        resilient
+            .insert_record(DOMAIN, car("honda", "accord", "red", 9_000.0))
+            .unwrap();
 
-    // Expire the deadline at the first checkpoint: the fresh path is cut, and
-    // the generation-stale cached answer is served — explicitly flagged.
-    clock.set_step(1_000_000);
-    let stale = resilient.answer_batch(&question);
-    let stale = stale[0].as_ref().unwrap();
-    assert_eq!(stale.quality, AnswerQuality::Stale);
-    // The stale answer is the cached one, verbatim.
-    assert_eq!(stale.answers.len(), fresh.answers.len());
-    for (x, y) in stale.answers.iter().zip(&fresh.answers) {
-        assert_eq!(x.id, y.id);
-        assert_eq!(x.rank_sim.to_bits(), y.rank_sim.to_bits());
+        // Expire the deadline at the first checkpoint: the fresh path is cut,
+        // and the generation-stale cached answer is served — explicitly
+        // flagged.
+        clock.set_step(1_000_000);
+        let stale = serve(&resilient);
+        assert_eq!(stale.quality, AnswerQuality::Stale, "single ask: {single}");
+        // The stale answer is the cached one, verbatim.
+        assert_eq!(stale.answers.len(), fresh.answers.len());
+        for (x, y) in stale.answers.iter().zip(&fresh.answers) {
+            assert_eq!(x.id, y.id);
+            assert_eq!(x.rank_sim.to_bits(), y.rank_sim.to_bits());
+        }
+
+        // The stale answer must not have been re-cached as fresh: answering
+        // with a frozen clock recomputes a complete answer that sees the new
+        // record.
+        clock.set_step(0);
+        let recomputed = serve(&resilient);
+        assert!(recomputed.quality.is_complete());
+        assert!(
+            recomputed.answers.len() >= fresh.answers.len(),
+            "the complete answer sees the inserted record"
+        );
     }
     let stats = resilient.serving_stats();
-    assert!(stats.stale_served >= 1);
-    assert!(stats.degraded >= 1, "stale serving still counts the cut");
-
-    // The stale answer must not have been re-cached as fresh: answering with
-    // a frozen clock recomputes a complete answer that sees the new record.
-    clock.set_step(0);
-    let recomputed = resilient.answer_batch(&question);
-    let recomputed = recomputed[0].as_ref().unwrap();
-    assert!(recomputed.quality.is_complete());
-    assert!(
-        recomputed.answers.len() >= fresh.answers.len(),
-        "the complete answer sees the inserted record"
-    );
+    assert_eq!(stats.stale_served, 2);
+    assert!(stats.degraded >= 2, "stale serving still counts the cut");
 }
 
 #[test]
@@ -280,34 +292,195 @@ fn concurrent_admission_sheds_whole_batches_and_recovers() {
         ..CqadsConfig::default()
     });
     let barrier = std::sync::Barrier::new(4);
+    // Two threads send bursts and two send single asks: each call is one
+    // request to admission control, whichever kind it is.
     let outcomes: Vec<Vec<Result<_, _>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
-            .map(|_| {
-                scope.spawn(|| {
+            .map(|thread| {
+                let (resilient, barrier) = (&resilient, &barrier);
+                scope.spawn(move || {
                     barrier.wait();
-                    resilient.answer_batch(&QUESTIONS)
+                    if thread % 2 == 0 {
+                        resilient.answer_batch(&QUESTIONS)
+                    } else {
+                        vec![resilient.ask(QUESTIONS[thread]).get()]
+                    }
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let mut shed_batches = 0u64;
-    for batch in &outcomes {
-        let sheds = batch
+    let mut shed_requests = 0u64;
+    for request in &outcomes {
+        let sheds = request
             .iter()
             .filter(|r| matches!(r, Err(CqadsError::Overloaded)))
             .count();
-        // Shedding is all-or-nothing per batch: either every question was
+        // Shedding is all-or-nothing per request: either every question was
         // rejected before any work, or none was.
-        assert!(sheds == 0 || sheds == batch.len());
+        assert!(sheds == 0 || sheds == request.len());
         if sheds > 0 {
-            shed_batches += 1;
+            shed_requests += 1;
         }
     }
-    assert_eq!(resilient.serving_stats().shed, shed_batches);
-    // The permit released: a later batch is admitted and completes.
+    assert_eq!(resilient.serving_stats().shed, shed_requests);
+    // The permit released: a later burst and a later ask are admitted and
+    // complete.
     let after = resilient.answer_batch(&QUESTIONS);
     assert!(after.iter().all(|r| r.is_ok()));
+    assert!(resilient.ask(QUESTIONS[0]).get().is_ok());
+}
+
+// ---------------------------------------------------------------------------
+// A single ask is a batch of one
+// ---------------------------------------------------------------------------
+
+/// The resilience setups a single ask and a batch of one must agree under.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Setup {
+    /// No resilience layer.
+    Plain,
+    /// A deadline on a frozen clock: never reached.
+    FarDeadline,
+    /// A deadline the clock passes at the first checkpoint, no stale serving.
+    Expiring,
+    /// Stale serving armed: the cache is warm, an insert made every entry
+    /// stale, and the deadline expires at the first checkpoint.
+    Stale,
+}
+
+/// A fresh system under `setup`, durable over `fs` (with auditing) when
+/// given. Two calls with the same arguments build identical systems.
+fn setup_system(setup: Setup, fs: Option<&Arc<MemFs>>) -> CqadsSystem {
+    let clock = Arc::new(StepClock::default());
+    let resilience = |deadline_micros, serve_stale_on_timeout| ResilienceOptions {
+        deadline_micros: Some(deadline_micros),
+        serve_stale_on_timeout,
+        step_down_after: 2,
+        clock: Arc::clone(&clock) as Arc<dyn RetryClock>,
+        ..ResilienceOptions::default()
+    };
+    let resilience = match setup {
+        Setup::Plain => None,
+        Setup::FarDeadline => Some(resilience(1_000, true)),
+        Setup::Expiring => Some(resilience(5, false)),
+        Setup::Stale => Some(resilience(1_000, true)),
+    };
+    let storage = fs.map(|fs| {
+        let mut opts = StorageOptions::with_vfs("db", Arc::clone(fs) as Arc<dyn Vfs>);
+        opts.snapshot_every = 0;
+        opts.audit_queries = true;
+        opts
+    });
+    let mut system = system_with(CqadsConfig {
+        resilience,
+        storage,
+        ..CqadsConfig::default()
+    });
+    match setup {
+        Setup::Plain | Setup::FarDeadline => {}
+        Setup::Expiring => clock.set_step(1_000),
+        Setup::Stale => {
+            for result in system.answer_batch(&QUESTIONS) {
+                assert!(result.unwrap().quality.is_complete());
+            }
+            system
+                .insert_record(DOMAIN, car("honda", "accord", "red", 9_000.0))
+                .unwrap();
+            clock.set_step(1_000_000);
+        }
+    }
+    system
+}
+
+/// What a caller sees of one answer: the sql, each answer's id, kind and
+/// rank bits, and the quality flag (with `Degraded`'s visit count).
+fn seen(result: &Result<Arc<cqads_suite::cqads::AnswerSet>, CqadsError>) -> String {
+    fingerprint(std::slice::from_ref(result)).remove(0)
+}
+
+/// The serving counters a request can move: shed, degraded, stale-served and
+/// the pressure level, then hits, misses, stale evictions and entries of the
+/// answer cache and of the route memo.
+fn serving_counters(system: &CqadsSystem) -> [u64; 12] {
+    let stats = system.serving_stats();
+    let (cache, routes) = (&stats.cache, &stats.routes);
+    [
+        stats.shed,
+        stats.degraded,
+        stats.stale_served,
+        u64::from(stats.pressure_level),
+        cache.hits,
+        cache.misses,
+        cache.stale_evictions,
+        cache.entries as u64,
+        routes.hits,
+        routes.misses,
+        routes.stale_evictions,
+        routes.entries as u64,
+    ]
+}
+
+/// Every audit frame in a store's first WAL, all fields but its timing.
+fn audit_frames(fs: &MemFs) -> Vec<(String, String, bool, u64, u64)> {
+    let bytes = fs.file_bytes(std::path::Path::new("db/wal-000000.log"));
+    let payloads = scan_frames(&bytes.unwrap()).payloads;
+    let frames = payloads.iter().map(|p| WalRecord::decode(p).unwrap());
+    let audits = frames.filter_map(|frame| match frame {
+        WalRecord::Audit(a) => Some((a.question, a.domain, a.hit, a.table_gen, a.model_gen)),
+        _ => None,
+    });
+    audits.collect()
+}
+
+/// `ask(q).get()` is `answer_batch(&[q])[0]`: on two fresh, identical
+/// systems, one asking and one sending bursts of one, every question twice
+/// (a miss, then a hit or another miss), under every resilience setup,
+/// memory-only and durable. The two agree on the answer down to its rank
+/// bits and quality flag, on every serving counter after every question,
+/// and on the audit trail but for its timings.
+#[test]
+fn a_single_ask_is_a_batch_of_one() {
+    let setups = [
+        Setup::Plain,
+        Setup::FarDeadline,
+        Setup::Expiring,
+        Setup::Stale,
+    ];
+    for setup in setups {
+        for durable in [false, true] {
+            let stores = [Arc::new(MemFs::default()), Arc::new(MemFs::default())];
+            let store = |i: usize| durable.then_some(&stores[i]);
+            let asker = setup_system(setup, store(0));
+            let batcher = setup_system(setup, store(1));
+            let mut qualities = Vec::new();
+            for question in QUESTIONS.iter().chain(&QUESTIONS) {
+                let single = asker.ask(question).get();
+                let batch = batcher.answer_batch(&[question]).pop().unwrap();
+                let context = format!("{setup:?}, durable: {durable}, {question:?}");
+                assert_eq!(seen(&single), seen(&batch), "{context}");
+                assert_eq!(
+                    serving_counters(&asker),
+                    serving_counters(&batcher),
+                    "{context}"
+                );
+                qualities.push(single.unwrap().quality);
+            }
+            if durable {
+                assert_eq!(audit_frames(&stores[0]), audit_frames(&stores[1]));
+                assert!(!audit_frames(&stores[0]).is_empty());
+            }
+            // Each setup shows what it sets up.
+            let degraded = |q: &AnswerQuality| matches!(q, AnswerQuality::Degraded { .. });
+            match setup {
+                Setup::Plain | Setup::FarDeadline => {
+                    assert!(qualities.iter().all(AnswerQuality::is_complete))
+                }
+                Setup::Expiring => assert!(qualities.iter().any(degraded)),
+                Setup::Stale => assert!(qualities.contains(&AnswerQuality::Stale)),
+            }
+        }
+    }
 }
 
 fn durable_config(fault: &Arc<FaultFs>, retry: Option<RetryOptions>) -> CqadsConfig {

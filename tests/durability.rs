@@ -9,7 +9,7 @@ use cqads_suite::addb::{DbError, Record, Schema, Table};
 use cqads_suite::cqads::domain::toy_car_domain;
 use cqads_suite::cqads::{CqadsConfig, CqadsError, CqadsSystem, StorageOptions};
 use cqads_suite::querylog::{QueryLogDelta, Session, SubmittedQuery, TIMatrix};
-use cqads_suite::storage::{scan_frames, MemFs};
+use cqads_suite::storage::{scan_frames, MemFs, Vfs};
 use cqads_suite::wordsim::WordSimMatrix;
 use proptest::prelude::*;
 use std::path::Path;
@@ -273,6 +273,156 @@ fn a_durable_system_rejects_a_table_whose_schema_is_not_its_specs() {
     let reopened = CqadsSystem::try_with_config(durable_config(&fs)).unwrap();
     assert!(reopened.storage_report().unwrap().is_clean());
     assert_eq!(reopened.database().table(DOMAIN).unwrap().len(), 3);
+}
+
+/// An empty query-log batch changes nothing, so it hands out no generation:
+/// the writer reports the generation it had, a reopen reads the same one, and
+/// a real ingest afterwards comes back from a reopen at its own generation.
+#[test]
+fn an_empty_query_log_batch_hands_out_no_generation() {
+    let fs = Arc::new(MemFs::default());
+    let mut durable = CqadsSystem::try_with_config(durable_config(&fs)).unwrap();
+    durable
+        .try_add_domain(toy_car_domain(), base_table(3), TIMatrix::default())
+        .unwrap();
+    let before = durable.model_generation(DOMAIN).unwrap();
+    let report = durable.ingest_query_log_batch(DOMAIN, &[]).unwrap();
+    assert_eq!(
+        (report.sessions, report.queries, report.model_generation),
+        (0, 0, before)
+    );
+    assert_eq!(durable.model_generation(DOMAIN), Some(before));
+    assert!(matches!(
+        durable.ingest_query_log_batch("boats", &[]),
+        Err(CqadsError::UnknownDomain(_))
+    ));
+    drop(durable);
+
+    let mut reopened = CqadsSystem::try_with_config(durable_config(&fs)).unwrap();
+    assert_eq!(reopened.model_generation(DOMAIN), Some(before));
+    apply(&mut reopened, &Mutation::Ingest { from: 0, to: 1 });
+    let ingested = reopened.model_generation(DOMAIN).unwrap();
+    assert!(ingested > before);
+    drop(reopened);
+
+    let again = CqadsSystem::try_with_config(durable_config(&fs)).unwrap();
+    assert_eq!(again.model_generation(DOMAIN), Some(ingested));
+}
+
+/// One whole-file edit: a run of random bytes written over the file, a range
+/// deleted, random bytes inserted, or a range written twice. `at` places the
+/// edit in the file as a fraction of the room it has.
+#[derive(Debug, Clone)]
+enum FileEdit {
+    Overwrite { at: f64, bytes: Vec<u8> },
+    Delete { at: f64, len: usize },
+    Insert { at: f64, bytes: Vec<u8> },
+    Duplicate { at: f64, len: usize },
+}
+
+impl FileEdit {
+    fn apply(&self, file: &[u8]) -> Vec<u8> {
+        // The start of a `len`-byte range that fits in the file.
+        let start = |at: f64, len: usize| (file.len().saturating_sub(len) as f64 * at) as usize;
+        let mut out = file.to_vec();
+        match self {
+            FileEdit::Overwrite { at, bytes } => {
+                let len = bytes.len().min(file.len());
+                let from = start(*at, len);
+                out[from..from + len].copy_from_slice(&bytes[..len]);
+            }
+            FileEdit::Delete { at, len } => {
+                let len = (*len).min(file.len());
+                let from = start(*at, len);
+                out.drain(from..from + len);
+            }
+            FileEdit::Insert { at, bytes } => {
+                let from = start(*at, 0);
+                out.splice(from..from, bytes.iter().copied());
+            }
+            FileEdit::Duplicate { at, len } => {
+                let len = (*len).min(file.len());
+                let from = start(*at, len);
+                let range = file[from..from + len].to_vec();
+                out.splice(from + len..from + len, range);
+            }
+        }
+        out
+    }
+}
+
+/// Samples [`FileEdit`]s of 1 to 64 bytes, the four kinds equally often.
+#[derive(Debug, Clone)]
+struct FileEditStrategy;
+
+impl Strategy for FileEditStrategy {
+    type Value = FileEdit;
+    fn sample(&self, rng: &mut proptest::TestRng) -> FileEdit {
+        let at = rng.unit_f64();
+        let len = 1 + rng.below(64) as usize;
+        let bytes = (0..len).map(|_| rng.below(256) as u8).collect();
+        match rng.below(4) {
+            0 => FileEdit::Overwrite { at, bytes },
+            1 => FileEdit::Delete { at, len },
+            2 => FileEdit::Insert { at, bytes },
+            _ => FileEdit::Duplicate { at, len },
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Editing the newest WAL, or the newest snapshot, with one
+    /// [`FileEdit`] never panics the reopen: it recovers the state of a
+    /// prefix of the acknowledged mutations, or fails with a typed
+    /// [`CqadsError::Storage`].
+    #[test]
+    fn any_whole_file_edit_recovers_a_prefix_or_fails_typed(
+        before in prop::collection::vec(MutationStrategy, 0..5),
+        after in prop::collection::vec(MutationStrategy, 1..5),
+        edit in FileEditStrategy,
+        edit_snapshot in 0u8..2,
+    ) {
+        // Epoch 0 holds the registration and `before`, snapshot 1 their
+        // state, and epoch 1's WAL holds `after`.
+        let fs = Arc::new(MemFs::default());
+        let mut durable = CqadsSystem::try_with_config(durable_config(&fs)).unwrap();
+        durable
+            .try_add_domain(toy_car_domain(), base_table(3), TIMatrix::default())
+            .unwrap();
+        for mutation in &before {
+            apply(&mut durable, mutation);
+        }
+        prop_assert_eq!(durable.write_snapshot().unwrap(), Some(1));
+        for mutation in &after {
+            apply(&mut durable, mutation);
+        }
+        drop(durable);
+
+        let file = if edit_snapshot == 1 { "db/snapshot-000001.bin" } else { "db/wal-000001.log" };
+        let file = Path::new(file);
+        let bytes = fs.file_bytes(file).unwrap();
+        fs.write_atomic(file, &edit.apply(&bytes)).unwrap();
+
+        // Every state a recovery may land on: nothing, the registration,
+        // then the registration and each prefix of the mutations.
+        let mut reference = CqadsSystem::new();
+        reference.try_add_domain(toy_car_domain(), base_table(3), TIMatrix::default()).unwrap();
+        let mut prefixes = vec![None, Some(observable(&reference))];
+        for mutation in before.iter().chain(&after) {
+            apply(&mut reference, mutation);
+            prefixes.push(Some(observable(&reference)));
+        }
+
+        match CqadsSystem::try_with_config(durable_config(&fs)) {
+            Err(e) => prop_assert!(matches!(e, CqadsError::Storage(_)), "{:?}", e),
+            Ok(reopened) => {
+                let got = (!reopened.domain_names().is_empty()).then(|| observable(&reopened));
+                prop_assert!(prefixes.contains(&got), "not a prefix after {:?}", edit);
+            }
+        }
+    }
 }
 
 proptest! {

@@ -12,7 +12,7 @@
 //! per-site ordering-strength arguments live in the `// ordering:` comments
 //! that `cargo xtask lint` enforces).
 //!
-//! Three protocols are checked, matching ARCHITECTURE.md invariants #7–#8:
+//! Four protocols are checked, matching ARCHITECTURE.md invariants #6–#8:
 //!
 //! 1. [`CircuitBreaker`] — trip exactly-once under concurrent threshold
 //!    crossing, and the half-open probe race leaves only expected states.
@@ -23,10 +23,14 @@
 //!    reader/writer handle split: loads never observe a torn or regressing
 //!    snapshot, and racing writers serialize without losing a displaced
 //!    snapshot.
+//! 4. Admission control — the in-flight permit in front of every request,
+//!    single ask or burst: concurrent requests beyond the bound are shed,
+//!    every shed is counted, and a finished request frees its slot.
 
 use arcswap::ArcSwap;
 use cqads::cache::{AnswerCache, CacheKey, GenerationStamp};
 use cqads::pipeline::AnswerSet;
+use cqads::{CqadsConfig, CqadsError, CqadsWriter, ResilienceOptions};
 use cqads_storage::retry::CircuitBreaker;
 use std::sync::{Arc, Mutex};
 
@@ -339,4 +343,72 @@ fn arcswap_racing_writers_serialize_and_account_for_every_snapshot() {
     );
     assert!(report.schedules >= MIN_SCHEDULES_2T, "explored {report}");
     println!("arcswap writer race: {report}");
+}
+
+// ---------------------------------------------------------------------------
+// Admission control — the in-flight permit (crates/core/src/resilience.rs)
+// ---------------------------------------------------------------------------
+
+/// Three requests race one in-flight slot (`max_in_flight: 1`): two single
+/// asks and a burst of one, on a writer with no domain, so an admitted
+/// request fails with `NoDomain` right after admission and a shed one with
+/// `Overloaded`. The cache is off, so the permit's counters are the only
+/// shared state the requests touch. In every schedule:
+///
+/// * every result is `Overloaded` or `NoDomain`, and at least one request is
+///   admitted (the first to take the slot);
+/// * `serving_stats().shed` counts exactly the `Overloaded` requests;
+/// * once all three are done, the slot is free: a new request is admitted.
+///
+/// Both a schedule that sheds and one that admits all three (each request
+/// finishing before the next arrives) must be reachable.
+#[test]
+fn admission_sheds_exactly_the_requests_it_counts_and_frees_the_slot() {
+    let sheds = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
+    let sink = Arc::clone(&sheds);
+    let report = miniloom::model(move || {
+        let config = CqadsConfig {
+            cache_capacity: 0,
+            resilience: Some(ResilienceOptions {
+                max_in_flight: 1,
+                ..ResilienceOptions::default()
+            }),
+            ..CqadsConfig::default()
+        };
+        let writer = Arc::new(CqadsWriter::try_with_config(config).unwrap());
+        let requests: Vec<_> = (0..3)
+            .map(|i| {
+                let writer = Arc::clone(&writer);
+                miniloom::thread::spawn(move || {
+                    if i == 0 {
+                        writer.answer_batch(&["x"]).pop().unwrap()
+                    } else {
+                        writer.ask("x").get()
+                    }
+                })
+            })
+            .collect();
+        let mut shed = 0;
+        for request in requests {
+            match request.join().unwrap() {
+                Err(CqadsError::Overloaded) => shed += 1,
+                Err(CqadsError::NoDomain) => {}
+                other => panic!("neither shed nor admitted: {other:?}"),
+            }
+        }
+        assert!(shed < 3, "no request was admitted");
+        assert_eq!(writer.serving_stats().shed, shed, "a shed went uncounted");
+        assert!(
+            matches!(writer.ask("x").get(), Err(CqadsError::NoDomain)),
+            "a finished request kept its slot"
+        );
+        sink.lock().unwrap().insert(shed);
+    });
+    let sheds = sheds.lock().unwrap();
+    assert!(
+        sheds.contains(&0) && sheds.iter().any(|&n| n > 0),
+        "both shedding and admitting every request must be reachable, saw {sheds:?}"
+    );
+    assert!(report.schedules >= MIN_SCHEDULES_3T, "explored {report}");
+    println!("admission permit race: {report}");
 }
