@@ -81,15 +81,22 @@
 //! (`.ask(q)[.domain(d)][.uncached()].get()`) — and one engine that serves it:
 //! a single ask is `answer_batch`'s one-question case. Both entry points run
 //! the same steps of `ReadContext`: admit (the in-flight permit and the
-//! deadline budget), look up (the stamp, the stale capture and the hit's audit
-//! frame), compute (one domain's misses, the stale fallback, the cache fill
-//! and the misses' audit frames) and finish (one audit append and the pressure
-//! controller). The one function that answers, `shard::answer_in_table`, has
-//! one caller, `ReadContext::compute`. This module keeps only what wraps it:
-//! routing (classification and the route memo), the cache, admission, stale
-//! fallback and the audit trail.
+//! deadline budget), look up (the stamp, the stale capture and the hit),
+//! compute (one domain's misses, the stale fallback and the cache fill) and
+//! finish (the pressure controller). The one function that answers,
+//! `shard::answer_in_table`, has one caller, `ReadContext::compute`. This
+//! module keeps only what wraps it: routing (classification and the route
+//! memo), the cache, admission and stale fallback.
+//!
+//! # Storage belongs to the writer
+//!
+//! A durable system's storage engine lives in the [`CqadsWriter`], not in the
+//! state it shares with its readers: `ReadContext`, [`CqadsReader`] and the
+//! shared block hold no storage handle, so no read can wait on the writer's
+//! appends, fsyncs or snapshot rotation.
 
 use crate::cache::{AnswerCache, CacheKey, CacheStats, GenerationCache, GenerationStamp};
+use crate::clock::{Clock, RealClock};
 use crate::domain::DomainSpec;
 use crate::error::{CqadsError, CqadsResult};
 use crate::partial::take_single;
@@ -100,20 +107,18 @@ use crate::resilience::{
 };
 use crate::shard::answer_in_table;
 use crate::storage::{config_to_snap, data_to_spec, spec_to_data, DurableStorage, StorageOptions};
-use crate::tagging::{TaggedQuestion, TaggedToken, Tagger};
+use crate::tagging::{TaggedQuestion, Tagger};
 use crate::translate::{interpret, Interpretation};
 use addb::{Database, Record, RecordId, Table};
 use arcswap::ArcSwap;
 use cqads_classifier::{BetaBinomialNb, Classifier, LabelledDoc};
-use cqads_querylog::{QueryLogDelta, Session, SubmittedQuery, TIMatrix};
+use cqads_querylog::{QueryLogDelta, TIMatrix};
 use cqads_storage::{
-    AuditRecord, DomainSnap, RealClock, Recovered, RecoveryReport, RetryClock, SnapshotData,
-    StorageEngine, StorageError, WalRecord,
+    DomainSnap, Recovered, RecoveryReport, SnapshotData, StorageEngine, WalRecord,
 };
 use cqads_wordsim::WordSimMatrix;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Everything the system holds for one registered domain.
 #[derive(Debug, Clone)]
@@ -259,42 +264,33 @@ impl Snapshot {
 }
 
 /// State shared by value between every handle: the published snapshot slot
-/// plus the interior-mutable serving infrastructure (cache, resilience,
-/// storage) that is already safe under concurrent `&self` access.
+/// plus the interior-mutable serving infrastructure (cache, resilience) that
+/// is already safe under concurrent `&self` access. It holds no storage
+/// handle: the storage engine is the writer's alone.
 #[derive(Debug)]
 pub(crate) struct Shared {
     /// The published snapshot. Readers load it; the writer swaps it.
     pub(crate) snapshot: ArcSwap<Snapshot>,
     pub(crate) config: CqadsConfig,
     pub(crate) cache: AnswerCache,
-    pub(crate) storage: Option<DurableStorage>,
     pub(crate) resilience: Option<ResilienceRuntime>,
-    /// Time source for answer timing and audit frames. Shared with the
-    /// resilience layer's clock when one is configured, so an injected
-    /// [`ManualClock`](cqads_storage::ManualClock) governs *all* observable
-    /// time in the system; wall clock otherwise.
-    pub(crate) clock: Arc<dyn RetryClock>,
+    /// Time source for answer timing. Shared with the resilience layer's
+    /// clock when one is configured, so an injected
+    /// [`ManualClock`](crate::ManualClock) governs *all* observable time in
+    /// the system; wall clock otherwise.
+    pub(crate) clock: Arc<dyn Clock>,
 }
 
 impl Shared {
-    /// Audit frames that failed to persist since open.
-    pub(crate) fn audit_failures(&self) -> u64 {
-        self.storage.as_ref().map_or(0, |s| s.audit_failures())
-    }
-
     /// One operator-facing snapshot of the serving path's health, with the
     /// route memo of `snap`, the snapshot being served.
     pub(crate) fn serving_stats(&self, snap: &Snapshot) -> ServingStats {
         ServingStats {
             cache: self.cache.stats(),
             routes: snap.routes.stats(),
-            audit_failures: self.audit_failures(),
             shed: self.resilience.as_ref().map_or(0, |r| r.shed()),
             degraded: self.resilience.as_ref().map_or(0, |r| r.degraded()),
             stale_served: self.resilience.as_ref().map_or(0, |r| r.stale_served()),
-            wal_retries: self.storage.as_ref().map_or(0, |s| s.wal_retries()),
-            breaker_opens: self.storage.as_ref().map_or(0, |s| s.breaker_opens()),
-            breaker_rejections: self.storage.as_ref().map_or(0, |s| s.breaker_rejections()),
             pressure_level: self.resilience.as_ref().map_or(0, |r| r.pressure_level()),
         }
     }
@@ -323,16 +319,14 @@ struct Call<'a> {
     budget: Option<QueryBudget>,
     /// Whether a deadline-cut answer falls back on a stale cache entry.
     stale_ok: bool,
-    /// Whether served questions leave audit frames.
-    audit: bool,
     /// Whether a deadline cut any question of the call.
     degraded: bool,
 }
 
 /// What the answer cache holds for one key ([`ReadContext::look_up`]).
 enum Lookup {
-    /// A fresh entry, with its audit frame.
-    Hit(Arc<AnswerSet>, Option<WalRecord>),
+    /// A fresh entry.
+    Hit(Arc<AnswerSet>),
     /// No fresh entry; carries the stale one a deadline cut may fall back on.
     Miss(Option<Arc<AnswerSet>>),
 }
@@ -346,9 +340,6 @@ struct Miss<'q> {
     /// The entry served, flagged `Stale`, if the deadline cuts the question.
     stale: Option<Arc<AnswerSet>>,
 }
-
-/// A served answer with the audit frame it leaves.
-type Served = CqadsResult<(Arc<AnswerSet>, Option<WalRecord>)>;
 
 impl<'a> ReadContext<'a> {
     /// Classify a question into a registered domain (Equation 2).
@@ -406,19 +397,18 @@ impl<'a> ReadContext<'a> {
     /// and the one-question case of [`ReadContext::answer_batch`]: the same
     /// admission, lookup, computation and finish. `domain: None` classifies
     /// first (through the route memo when cached); `cached: false` builds no
-    /// key, reads and fills no cache and audits nothing.
+    /// key and reads and fills no cache.
     pub(crate) fn answer_one(
         self,
         question: &str,
         domain: Option<&str>,
         cached: bool,
     ) -> CqadsResult<Arc<AnswerSet>> {
-        let mut call = self.admit(cached && self.audit_enabled())?;
+        let mut call = self.admit()?;
         let cached = cached && self.shared.cache.is_enabled();
         let served = self.serve_one(&mut call, question, domain, cached);
-        let frame = served.as_ref().ok().and_then(|(_, frame)| frame.as_ref());
-        self.finish(call, frame.map_or(&[], std::slice::from_ref));
-        served.map(|(answer, _)| answer)
+        self.finish(call);
+        served
     }
 
     /// [`ReadContext::answer_one`] between admission and finish: resolve the
@@ -430,15 +420,15 @@ impl<'a> ReadContext<'a> {
         question: &str,
         domain: Option<&str>,
         cached: bool,
-    ) -> Served {
+    ) -> CqadsResult<Arc<AnswerSet>> {
         let key = match (cached, domain) {
             (false, _) => None,
             (true, Some(domain)) => Some(Arc::new(CacheKey::new(domain, question))),
             (true, None) => Some(self.route(question)?),
         };
         let stale = match &key {
-            Some(key) => match self.look_up(call, key, question) {
-                Lookup::Hit(hit, frame) => return Ok((hit, frame)),
+            Some(key) => match self.look_up(call, key) {
+                Lookup::Hit(hit) => return Ok(hit),
                 Lookup::Miss(stale) => stale,
             },
             None => None,
@@ -460,14 +450,6 @@ impl<'a> ReadContext<'a> {
         take_single(self.compute(call, domain, vec![miss]))?
     }
 
-    /// Whether served questions are appended to the audit trail.
-    fn audit_enabled(self) -> bool {
-        self.shared
-            .storage
-            .as_ref()
-            .is_some_and(|s| s.opts.audit_queries)
-    }
-
     /// The domain's current [`GenerationStamp`] **as of this context's
     /// snapshot**: its table generation paired with its
     /// similarity-model generation. `None` when the domain is unregistered or
@@ -481,10 +463,9 @@ impl<'a> ReadContext<'a> {
     /// Admit one read call, single ask or burst: shed it with
     /// [`CqadsError::Overloaded`] before any work when the in-flight bound is
     /// saturated, and arm its one cooperative budget after pressure
-    /// step-down. `audit` says whether the call's questions leave audit
-    /// frames.
+    /// step-down.
     #[inline]
-    fn admit(self, audit: bool) -> CqadsResult<Call<'a>> {
+    fn admit(self) -> CqadsResult<Call<'a>> {
         let runtime = self.shared.resilience.as_ref();
         let admit =
             |runtime: &'a ResilienceRuntime| runtime.try_admit().ok_or(CqadsError::Overloaded);
@@ -499,33 +480,24 @@ impl<'a> ReadContext<'a> {
             _permit,
             budget,
             stale_ok,
-            audit,
             degraded: false,
         })
     }
 
     /// Look a key up in the answer cache at its domain's current stamp. A
-    /// hit comes with its audit frame; a miss with the entry a deadline cut
-    /// may fall back on when stale serving is armed.
+    /// miss comes with the entry a deadline cut may fall back on when stale
+    /// serving is armed.
     #[inline]
-    fn look_up(self, call: &Call<'_>, key: &CacheKey, question: &str) -> Lookup {
+    fn look_up(self, call: &Call<'_>, key: &CacheKey) -> Lookup {
         let cache = &self.shared.cache;
-        // Clock reads exist only for the audit trail; the hot hit path must
-        // not pay one when auditing is off.
-        let start = call.audit.then(|| self.shared.clock.now_micros());
-        let domain = key.domain();
-        let stamp = self.current_stamp(domain);
+        let stamp = self.current_stamp(key.domain());
         // The stale entry is captured *before* the lookup: a
         // generation-stale entry is evicted by the lookup itself, and it is
         // exactly the answer the degradation path wants to fall back on.
         let stale = call.stale_ok.then(|| cache.peek_stale(key)).flatten();
         if let (true, Some(stamp)) = (cache.is_enabled(), stamp) {
             if let Some(hit) = cache.lookup(key, stamp) {
-                let frame = start.map(|start| {
-                    let micros = self.shared.clock.now_micros().saturating_sub(start);
-                    audit_record(question, domain, true, stamp, Duration::from_micros(micros))
-                });
-                return Lookup::Hit(hit, frame);
+                return Lookup::Hit(hit);
             }
         }
         Lookup::Miss(stale)
@@ -534,10 +506,15 @@ impl<'a> ReadContext<'a> {
     /// Answer one domain's misses over its table with one
     /// [`answer_in_table`] call under the call's budget, then settle each: a
     /// cut answer is counted and falls back on its stale entry, flagged
-    /// [`AnswerQuality::Stale`]; only a complete answer fills the cache (a
-    /// degraded or stale one must never be served later as if fresh); and
-    /// each answer gets its audit frame. Results are positional.
-    fn compute(self, call: &mut Call<'_>, domain: &str, misses: Vec<Miss<'_>>) -> Vec<Served> {
+    /// [`AnswerQuality::Stale`]; and only a complete answer fills the cache
+    /// (a degraded or stale one must never be served later as if fresh).
+    /// Results are positional.
+    fn compute(
+        self,
+        call: &mut Call<'_>,
+        domain: &str,
+        misses: Vec<Miss<'_>>,
+    ) -> Vec<CqadsResult<Arc<AnswerSet>>> {
         let questions: Vec<&str> = misses.iter().map(|miss| miss.question).collect();
         let computed = self.snap.domain_table(domain).and_then(|(runtime, table)| {
             // Stamp read from this snapshot before any computation: a
@@ -576,23 +553,16 @@ impl<'a> ReadContext<'a> {
                     .cache
                     .fill(key.clone(), stamp, Arc::clone(&answer));
             }
-            let frame = call
-                .audit
-                .then(|| audit_record(miss.question, domain, false, stamp, answer.elapsed));
-            Ok((answer, frame))
+            Ok(answer)
         };
         misses.into_iter().zip(answers).map(settle).collect()
     }
 
-    /// Finish an admitted call: one best-effort write and sync for all its
-    /// audit frames, then feed the pressure step-down controller (only calls
-    /// that ran under a deadline count toward its streaks). Dropping the call
-    /// frees its in-flight slot.
+    /// Finish an admitted call: feed the pressure step-down controller (only
+    /// calls that ran under a deadline count toward its streaks). Dropping
+    /// the call frees its in-flight slot.
     #[inline]
-    fn finish(self, call: Call<'_>, frames: &[WalRecord]) {
-        if let Some(storage) = &self.shared.storage {
-            storage.append_audit_batch(frames);
-        }
+    fn finish(self, call: Call<'_>) {
         if let (Some(runtime), Some(_)) = (&self.shared.resilience, &call.budget) {
             runtime.note_batch(call.degraded);
         }
@@ -607,7 +577,7 @@ impl<'a> ReadContext<'a> {
         self,
         questions: &[S],
     ) -> Vec<CqadsResult<Arc<AnswerSet>>> {
-        let mut call = match self.admit(self.audit_enabled()) {
+        let mut call = match self.admit() {
             Ok(call) => call,
             Err(e) => return questions.iter().map(|_| Err(e.clone())).collect(),
         };
@@ -637,15 +607,11 @@ impl<'a> ReadContext<'a> {
         let slot_of: Vec<CqadsResult<usize>> = slot_of.collect();
 
         // Serve hits; group the residual misses by domain.
-        let mut frames: Vec<WalRecord> = Vec::new();
         let mut outcomes: Vec<Option<CqadsResult<Arc<AnswerSet>>>> = vec![None; slots.len()];
         let mut misses_by_domain: BTreeMap<&str, Vec<(usize, Miss<'_>)>> = BTreeMap::new();
         for (slot, (key, question)) in slots.iter().enumerate() {
-            match self.look_up(&call, key, question) {
-                Lookup::Hit(hit, frame) => {
-                    frames.extend(frame);
-                    outcomes[slot] = Some(Ok(hit));
-                }
+            match self.look_up(&call, key) {
+                Lookup::Hit(hit) => outcomes[slot] = Some(Ok(hit)),
                 Lookup::Miss(stale) => {
                     let miss = Miss {
                         question,
@@ -663,14 +629,10 @@ impl<'a> ReadContext<'a> {
             let (missed, misses): (Vec<usize>, Vec<Miss<'_>>) = misses.into_iter().unzip();
             let served = self.compute(&mut call, domain, misses);
             for (slot, served) in missed.into_iter().zip(served) {
-                let answer = served.map(|(answer, frame)| {
-                    frames.extend(frame);
-                    answer
-                });
-                outcomes[slot] = Some(answer);
+                outcomes[slot] = Some(served);
             }
         }
-        self.finish(call, &frames);
+        self.finish(call);
 
         // Scatter: each question gets its slot's outcome.
         let scatter = |slot: CqadsResult<usize>| {
@@ -692,63 +654,6 @@ impl<'a> ReadContext<'a> {
         let sql = interpretation.to_sql(&runtime.spec)?;
         Ok((tagged, interpretation, sql))
     }
-
-    /// Replay the persisted audit trail of one domain as query-log
-    /// [`Session`]s.
-    pub(crate) fn audit_sessions(self, domain: &str) -> CqadsResult<Vec<Session>> {
-        let Some(storage) = &self.shared.storage else {
-            return Ok(Vec::new());
-        };
-        let runtime = self.snap.runtime(domain)?;
-        let audits = storage.with_engine(|engine| engine.scan_audits())?;
-        let mut queries = Vec::new();
-        let mut clock = 0.0_f64;
-        for audit in audits.iter().filter(|a| a.domain == domain) {
-            clock += audit.micros as f64 / 1_000_000.0;
-            let tagged = runtime.tagger.tag(&audit.question);
-            let value = tagged.tokens.iter().find_map(|t| match t {
-                TaggedToken::Value {
-                    value,
-                    is_type1: true,
-                    ..
-                } => Some(value.clone()),
-                _ => None,
-            });
-            if let Some(value) = value {
-                queries.push(SubmittedQuery {
-                    value,
-                    at_seconds: clock,
-                    clicks: Vec::new(),
-                    shown: Vec::new(),
-                });
-            }
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(vec![Session {
-            user_id: 0,
-            queries,
-        }])
-    }
-}
-
-/// Build one WAL audit frame for a served question.
-fn audit_record(
-    question: &str,
-    domain: &str,
-    hit: bool,
-    stamp: GenerationStamp,
-    elapsed: Duration,
-) -> WalRecord {
-    WalRecord::Audit(AuditRecord {
-        question: question.to_string(),
-        domain: domain.to_string(),
-        hit,
-        table_gen: stamp.table,
-        model_gen: stamp.model,
-        micros: elapsed.as_micros() as u64,
-    })
 }
 
 /// The write half of the handle split: owns the master `Snapshot`, logs every
@@ -770,6 +675,9 @@ fn audit_record(
 pub struct CqadsWriter {
     pub(crate) shared: Arc<Shared>,
     pub(crate) master: Snapshot,
+    /// The storage engine of a durable system. The writer's alone: the state
+    /// it shares with its readers holds no storage handle.
+    storage: Option<DurableStorage>,
 }
 
 impl CqadsWriter {
@@ -840,7 +748,7 @@ impl CqadsWriter {
     fn assemble(master: Snapshot, config: CqadsConfig, storage: Option<DurableStorage>) -> Self {
         let cache = AnswerCache::new(config.cache_capacity, config.cache_shards);
         let resilience = config.resilience.clone().map(ResilienceRuntime::new);
-        let clock: Arc<dyn RetryClock> = match &config.resilience {
+        let clock: Arc<dyn Clock> = match &config.resilience {
             Some(opts) => Arc::clone(&opts.clock),
             None => Arc::new(RealClock::new()),
         };
@@ -850,11 +758,14 @@ impl CqadsWriter {
             snapshot: ArcSwap::new(Arc::new(master.clone())),
             config,
             cache,
-            storage,
             resilience,
             clock,
         });
-        CqadsWriter { shared, master }
+        CqadsWriter {
+            shared,
+            master,
+            storage,
+        }
     }
 
     fn open_internal(mut config: CqadsConfig, prefer_snapshot_config: bool) -> CqadsResult<Self> {
@@ -951,7 +862,6 @@ impl CqadsWriter {
                     }
                     pending_ws = Some(ws);
                 }
-                WalRecord::Audit(_) => {}
                 WalRecord::Floors { floors } => {
                     for (name, table, model) in &floors {
                         observe(&mut targets, name, *table, *model);
@@ -1055,7 +965,7 @@ impl CqadsWriter {
     /// [`PartialMatcher::partial_answers_batch_budgeted`](crate::PartialMatcher::partial_answers_batch_budgeted)
     /// call per domain, back-filling the cache for the next burst. A single
     /// [`ask`](CqadsWriter::ask) is this engine's one-question case:
-    /// `ask(q).get()` answers, counts and audits exactly as
+    /// `ask(q).get()` answers and counts exactly as
     /// `answer_batch(&[q])[0]` does.
     ///
     /// Results are positional (`results[i]` answers `questions[i]`); a complete
@@ -1099,18 +1009,6 @@ impl CqadsWriter {
         self.ctx().interpret_in_domain(question, domain)
     }
 
-    /// Replay the persisted audit trail of one domain as query-log
-    /// [`Session`]s — the WAL doubling as a
-    /// [`QueryLogStream`](cqads_querylog::QueryLogStream) source. Each
-    /// audited question is re-tagged with the domain's tagger; its first
-    /// Type I value (the paper's query-log shape) becomes one
-    /// [`SubmittedQuery`], timed by the cumulative audited serving time, and
-    /// the whole trail forms one session. Questions without a Type I value
-    /// are skipped; a memory-only system yields no sessions.
-    pub fn audit_sessions(&self, domain: &str) -> CqadsResult<Vec<Session>> {
-        self.ctx().audit_sessions(domain)
-    }
-
     /// The pipeline configuration this system was built with (after
     /// [`CqadsWriter::open`] restored persisted knobs, if it did).
     pub fn config(&self) -> &CqadsConfig {
@@ -1152,9 +1050,9 @@ impl CqadsWriter {
 
     /// One operator-facing snapshot of the serving path's health: cache
     /// counters plus every degradation signal — shed batches, deadline-cut
-    /// questions, stale answers served, WAL retries and circuit-breaker
-    /// activity, and the current pressure step-down level. All zeros on a
-    /// system with neither resilience nor durable storage configured.
+    /// questions, stale answers served and the current pressure step-down
+    /// level. The degradation signals stay at zero on a system without
+    /// resilience configured.
     pub fn serving_stats(&self) -> ServingStats {
         self.shared.serving_stats(&self.master)
     }
@@ -1218,7 +1116,7 @@ impl CqadsWriter {
         // A store persists `spec.schema` only and recovery rebuilds the table
         // under it: a table with any other schema would be acknowledged here
         // and then fail every reopen.
-        if self.shared.storage.is_some() && table.schema() != &spec.schema {
+        if self.storage.is_some() && table.schema() != &spec.schema {
             return Err(CqadsError::Database(addb::DbError::InvalidSchema(format!(
                 "table `{}` differs from its spec's schema, the one a durable store persists",
                 table.name()
@@ -1226,7 +1124,7 @@ impl CqadsWriter {
         }
         // Capture the persisted mirror before the moves below consume the
         // args.
-        let frame = self.shared.storage.as_ref().map(|_| {
+        let frame = self.storage.as_ref().map(|_| {
             (
                 spec_to_data(&spec),
                 table.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>(),
@@ -1265,7 +1163,7 @@ impl CqadsWriter {
     /// persist the frames in one WAL append (one fsync). An error leaves the
     /// master, the published snapshot and the WAL as they were.
     fn append_mutations(&self, frames: impl FnOnce() -> Vec<WalRecord>) -> CqadsResult<()> {
-        let Some(storage) = &self.shared.storage else {
+        let Some(storage) = &self.storage else {
             return Ok(());
         };
         let frames = frames();
@@ -1284,7 +1182,7 @@ impl CqadsWriter {
     /// epoch. Returns the new epoch number, or `None` on a memory-only
     /// system.
     pub fn write_snapshot(&self) -> CqadsResult<Option<u64>> {
-        let Some(storage) = &self.shared.storage else {
+        let Some(storage) = &self.storage else {
             return Ok(None);
         };
         let data = self.snapshot_data();
@@ -1459,25 +1357,12 @@ impl CqadsWriter {
 
     /// Whether this system persists to durable storage.
     pub fn is_durable(&self) -> bool {
-        self.shared.storage.is_some()
+        self.storage.is_some()
     }
 
     /// What recovery found when this durable system was opened.
     pub fn storage_report(&self) -> Option<&RecoveryReport> {
-        self.shared.storage.as_ref().map(|s| &s.report)
-    }
-
-    /// Audit frames that failed to persist since open.
-    pub fn audit_failures(&self) -> u64 {
-        self.shared.audit_failures()
-    }
-
-    /// The most recent audit-append failure, if any.
-    pub fn last_audit_error(&self) -> Option<StorageError> {
-        self.shared
-            .storage
-            .as_ref()
-            .and_then(|s| s.last_audit_error())
+        self.storage.as_ref().map(|s| &s.report)
     }
 }
 

@@ -58,6 +58,7 @@
 
 pub mod boolean;
 pub mod cache;
+pub mod clock;
 pub mod domain;
 pub mod error;
 pub mod handle;
@@ -76,6 +77,7 @@ pub mod translate;
 
 pub use boolean::combine_conditions;
 pub use cache::{AnswerCache, CacheKey, CacheStats, GenerationStamp};
+pub use clock::{Clock, ManualClock, RealClock};
 pub use domain::DomainSpec;
 pub use error::{CqadsError, CqadsResult};
 pub use handle::{AnswerRequest, CqadsReader, CqadsWriter};

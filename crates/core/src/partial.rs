@@ -1888,7 +1888,7 @@ mod tests {
 
     #[test]
     fn generous_budget_never_degrades_and_stays_byte_identical() {
-        use cqads_storage::{ManualClock, RetryClock};
+        use crate::clock::{Clock, ManualClock};
         let (spec, table, sim) = setup();
         let interps = batch_interps(&spec);
         let exclude = HashSet::new();
@@ -1903,7 +1903,7 @@ mod tests {
         let matcher = PartialMatcher::new(&spec, &sim);
         let plain = per_request(&matcher, &requests, &table);
         let clock = Arc::new(ManualClock::new());
-        let budget = QueryBudget::new(clock as Arc<dyn RetryClock>, u64::MAX);
+        let budget = QueryBudget::new(clock as Arc<dyn Clock>, u64::MAX);
         let budgeted = matcher
             .partial_answers_batch_budgeted(&requests, &table, Some(&budget))
             .unwrap();
@@ -1922,20 +1922,16 @@ mod tests {
         step: u64,
     }
 
-    impl cqads_storage::RetryClock for SteppingClock {
+    impl crate::clock::Clock for SteppingClock {
         fn now_micros(&self) -> u64 {
             self.now
                 .fetch_add(self.step, std::sync::atomic::Ordering::Relaxed)
-        }
-        fn sleep_micros(&self, micros: u64) {
-            self.now
-                .fetch_add(micros, std::sync::atomic::Ordering::Relaxed);
         }
     }
 
     #[test]
     fn deadline_cut_answers_are_flagged_certified_prefixes() {
-        use cqads_storage::RetryClock;
+        use crate::clock::Clock;
         let (spec, table, sim) = setup();
         let interps = batch_interps(&spec);
         let exclude = HashSet::new();
@@ -1956,7 +1952,7 @@ mod tests {
                 now: std::sync::atomic::AtomicU64::new(0),
                 step: 1,
             });
-            let budget = QueryBudget::new(clock as Arc<dyn RetryClock>, deadline);
+            let budget = QueryBudget::new(clock as Arc<dyn Clock>, deadline);
             let outcomes = matcher
                 .partial_answers_batch_budgeted(&requests, &table, Some(&budget))
                 .unwrap();
@@ -2028,7 +2024,7 @@ mod tests {
                 now: std::sync::atomic::AtomicU64::new(0),
                 step: 1,
             });
-            let budget = QueryBudget::new(clock as Arc<dyn RetryClock>, deadline);
+            let budget = QueryBudget::new(clock as Arc<dyn Clock>, deadline);
             let outcome = take_single(
                 matcher
                     .partial_answers_batch_budgeted(&[request], &table, Some(&budget))
@@ -2158,7 +2154,7 @@ mod tests {
 
     #[test]
     fn zero_deadline_cuts_every_question_immediately() {
-        use cqads_storage::{ManualClock, RetryClock};
+        use crate::clock::{Clock, ManualClock};
         let (spec, table, sim) = setup();
         let interps = batch_interps(&spec);
         let exclude = HashSet::new();
@@ -2173,7 +2169,7 @@ mod tests {
         let matcher = PartialMatcher::new(&spec, &sim);
         let clock = Arc::new(ManualClock::new());
         clock.advance(10);
-        let budget = QueryBudget::new(Arc::clone(&clock) as Arc<dyn RetryClock>, 0);
+        let budget = QueryBudget::new(Arc::clone(&clock) as Arc<dyn Clock>, 0);
         assert!(budget.expired());
         let outcomes = matcher
             .partial_answers_batch_budgeted(&requests, &table, Some(&budget))
@@ -2229,8 +2225,8 @@ mod tests {
         table: &Table,
         budget: usize,
     ) -> PartialOutcome {
-        use cqads_storage::{ManualClock, RetryClock};
-        let clock = Arc::new(ManualClock::new()) as Arc<dyn RetryClock>;
+        use crate::clock::{Clock, ManualClock};
+        let clock = Arc::new(ManualClock::new()) as Arc<dyn Clock>;
         let exclude = HashSet::new();
         let request = PartialBatchRequest {
             interpretation: interp,
@@ -2387,7 +2383,7 @@ mod tests {
 
     #[test]
     fn deadline_cut_inside_the_index_layer_keeps_the_certified_prefix() {
-        use cqads_storage::{ManualClock, RetryClock};
+        use crate::clock::{Clock, ManualClock};
         // 1 200 near matches and a budget of 1 000: the heap fills only in the last
         // value run, so the index layer visits ≈ 1 800 records (runs and residuals)
         // and polls the deadline several times before it ends above the scan's
@@ -2425,7 +2421,7 @@ mod tests {
                 now: std::sync::atomic::AtomicU64::new(0),
                 step: 1,
             });
-            let cut = QueryBudget::new(clock as Arc<dyn RetryClock>, deadline);
+            let cut = QueryBudget::new(clock as Arc<dyn Clock>, deadline);
             let outcome = take_single(
                 matcher
                     .partial_answers_batch_budgeted(&[request], &table, Some(&cut))

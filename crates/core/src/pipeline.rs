@@ -140,9 +140,9 @@ pub struct CqadsConfig {
     /// memory — bit-identical to the behaviour before persistence existed.
     /// `Some` write-ahead-logs every mutation (domain registration, record
     /// insert, query-log ingest, WS-matrix swap) with a CRC-checksummed,
-    /// generation-stamped frame under [`StorageOptions::dir`], rotates
-    /// periodic snapshots, and optionally records an audit frame per served
-    /// question; [`CqadsWriter::open`] recovers the state after a crash.
+    /// generation-stamped frame under [`StorageOptions::dir`] and rotates
+    /// periodic snapshots; [`CqadsWriter::open`] recovers the state after a
+    /// crash. Reads never touch storage.
     pub storage: Option<StorageOptions>,
     /// Serving resilience: admission control, deadline-cut partial matching
     /// with explicit degradation, stale-on-timeout fallback and pressure
@@ -1221,51 +1221,10 @@ mod tests {
     }
 
     #[test]
-    fn audit_trail_is_written_and_replays_as_sessions() {
-        let fs = Arc::new(MemFs::default());
-        let mut sys = CqadsSystem::try_with_config(durable_config(&fs)).unwrap();
-        let spec = toy_car_domain();
-        let mut table = Table::new(spec.schema.clone());
-        table
-            .insert(car("honda", "accord", "blue", "automatic", 6600.0, 2004.0))
-            .unwrap();
-        sys.try_add_domain(spec, table, TIMatrix::default())
-            .unwrap();
-        // Miss, then hit, plus a batch (one miss + one repeat).
-        sys.ask("blue accord").domain("cars").get().unwrap();
-        sys.ask("blue accord").domain("cars").get().unwrap();
-        let results = sys.answer_batch(&["civic please", "civic please"]);
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert_eq!(sys.audit_failures(), 0);
-
-        let sessions = sys.audit_sessions("cars").unwrap();
-        assert_eq!(sessions.len(), 1);
-        let values: Vec<&str> = sessions[0]
-            .queries
-            .iter()
-            .map(|q| q.value.as_str())
-            .collect();
-        // Both cached calls audited (miss + hit) and the batch audited its
-        // one distinct question; "civic please" tags the Type I value civic.
-        assert_eq!(values, vec!["accord", "accord", "civic"]);
-        // Timing clock is cumulative and non-decreasing.
-        let times: Vec<f64> = sessions[0].queries.iter().map(|q| q.at_seconds).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-
-        // The audit trail survives a reopen and is ignored by state recovery.
-        let reopened = CqadsSystem::try_with_config(durable_config(&fs)).unwrap();
-        let sessions2 = reopened.audit_sessions("cars").unwrap();
-        assert_eq!(sessions2[0].queries.len(), 3);
-    }
-
-    #[test]
     fn memory_only_system_reports_no_storage() {
         let sys = system();
         assert!(!sys.is_durable());
         assert!(sys.storage_report().is_none());
-        assert_eq!(sys.audit_failures(), 0);
-        assert!(sys.last_audit_error().is_none());
         assert_eq!(sys.write_snapshot().unwrap(), None);
-        assert_eq!(sys.audit_sessions("cars").unwrap(), Vec::<Session>::new());
     }
 }

@@ -27,14 +27,12 @@
 //!   or silently stale answer ever leaves the system** (invariant #6 in
 //!   ARCHITECTURE.md).
 //!
-//! Time comes from an injected clock (re-exported from the storage crate's
-//! retry layer, which shares it): production uses
-//! [`RealClock`](cqads_storage::RealClock), tests use
-//! [`ManualClock`](cqads_storage::ManualClock) so every deadline cut is
+//! Time comes from an injected [`Clock`]: production uses [`RealClock`],
+//! tests use [`ManualClock`](crate::ManualClock) so every deadline cut is
 //! reproducible.
 
+use crate::clock::{Clock, RealClock};
 use crate::sync::atomic as modeled;
-use cqads_storage::RetryClock;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -104,8 +102,8 @@ pub struct ResilienceOptions {
     /// The effective deadline never steps below this floor (microseconds).
     pub min_deadline_micros: u64,
     /// Time source for deadlines. Tests inject
-    /// [`ManualClock`](cqads_storage::ManualClock).
-    pub clock: Arc<dyn RetryClock>,
+    /// [`ManualClock`](crate::ManualClock).
+    pub clock: Arc<dyn Clock>,
 }
 
 impl Default for ResilienceOptions {
@@ -117,7 +115,7 @@ impl Default for ResilienceOptions {
             step_down_after: 0,
             max_step_down: 3,
             min_deadline_micros: 1_000,
-            clock: Arc::new(cqads_storage::RealClock::new()),
+            clock: Arc::new(RealClock::new()),
         }
     }
 }
@@ -131,7 +129,7 @@ impl Default for ResilienceOptions {
 /// without ever looking at the clock again.
 #[derive(Debug)]
 pub struct QueryBudget {
-    clock: Arc<dyn RetryClock>,
+    clock: Arc<dyn Clock>,
     /// Absolute clock time (micros) after which the budget is exhausted.
     deadline_micros: u64,
     cancelled: AtomicBool,
@@ -140,7 +138,7 @@ pub struct QueryBudget {
 
 impl QueryBudget {
     /// A budget of `budget_micros` starting now on `clock`.
-    pub fn new(clock: Arc<dyn RetryClock>, budget_micros: u64) -> Self {
+    pub fn new(clock: Arc<dyn Clock>, budget_micros: u64) -> Self {
         let deadline_micros = clock.now_micros().saturating_add(budget_micros);
         QueryBudget {
             clock,
@@ -192,7 +190,7 @@ impl QueryBudget {
 }
 
 /// Operator-facing snapshot of the serving path's health: the cache counters
-/// plus every degradation signal the resilience and storage layers maintain.
+/// plus every degradation signal the resilience layer maintains.
 ///
 /// Returned by [`CqadsWriter::serving_stats`](crate::CqadsWriter::serving_stats).
 /// All counters start at zero at construction/open and only ever grow (except
@@ -211,8 +209,6 @@ pub struct ServingStats {
     /// when [`CqadsConfig::cache_capacity`](crate::CqadsConfig::cache_capacity)
     /// is `0`.
     pub routes: CacheStats,
-    /// Best-effort audit frames that failed to persist (after retries).
-    pub audit_failures: u64,
     /// Requests (asks and `answer_batch` calls) shed with `Overloaded`.
     pub shed: u64,
     /// Questions whose answers were flagged `Degraded` by a deadline cut.
@@ -220,12 +216,6 @@ pub struct ServingStats {
     /// Degraded questions answered from a generation-stale cache entry
     /// (flagged `Stale`).
     pub stale_served: u64,
-    /// WAL append attempts that were retried after a transient failure.
-    pub wal_retries: u64,
-    /// Times the storage circuit breaker opened.
-    pub breaker_opens: u64,
-    /// Appends rejected outright because the breaker was open.
-    pub breaker_rejections: u64,
     /// Current deadline step-down level (0 = full deadline; each level halves
     /// it, down to the configured floor).
     pub pressure_level: u32,
@@ -375,11 +365,11 @@ impl Drop for AdmissionPermit<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqads_storage::ManualClock;
+    use crate::clock::ManualClock;
 
     fn opts(clock: &Arc<ManualClock>) -> ResilienceOptions {
         ResilienceOptions {
-            clock: Arc::clone(clock) as Arc<dyn RetryClock>,
+            clock: Arc::clone(clock) as Arc<dyn Clock>,
             ..ResilienceOptions::default()
         }
     }
@@ -387,7 +377,7 @@ mod tests {
     #[test]
     fn budget_expires_by_clock_and_latches() {
         let clock = Arc::new(ManualClock::new());
-        let budget = QueryBudget::new(Arc::clone(&clock) as Arc<dyn RetryClock>, 100);
+        let budget = QueryBudget::new(Arc::clone(&clock) as Arc<dyn Clock>, 100);
         assert!(!budget.expired());
         clock.advance(99);
         assert!(!budget.expired());
@@ -402,7 +392,7 @@ mod tests {
     #[test]
     fn explicit_cancel_propagates() {
         let clock = Arc::new(ManualClock::new());
-        let budget = QueryBudget::new(Arc::clone(&clock) as Arc<dyn RetryClock>, u64::MAX);
+        let budget = QueryBudget::new(Arc::clone(&clock) as Arc<dyn Clock>, u64::MAX);
         assert!(!budget.expired());
         budget.cancel();
         assert!(budget.expired());

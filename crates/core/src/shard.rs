@@ -7,6 +7,7 @@
 //! survive only because the benchmark crate still names them; the part count is
 //! ignored.
 
+use crate::clock::Clock;
 use crate::error::CqadsResult;
 use crate::handle::{CqadsWriter, DomainRuntime};
 use crate::partial::{PartialBatchRequest, PartialMatcher, PartialOutcome};
@@ -15,7 +16,6 @@ use crate::ranking::SimilarityMeasure;
 use crate::resilience::{AnswerQuality, QueryBudget};
 use crate::translate::interpret;
 use addb::{Executor, RecordId, Table};
-use cqads_storage::RetryClock;
 use std::collections::HashSet;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -84,7 +84,7 @@ struct InFlight {
 /// partial-engine failure, which fails the call.
 pub(crate) fn answer_in_table(
     config: &CqadsConfig,
-    clock: &dyn RetryClock,
+    clock: &dyn Clock,
     runtime: &DomainRuntime,
     questions: &[&str],
     table: &Table,

@@ -3,7 +3,10 @@
 //! This module is the glue between the pipeline and the `cqads-storage`
 //! engine: it converts live state ([`DomainSpec`], tables, TI/WS matrices,
 //! config) to and from the engine's serializable mirror types, and holds the
-//! engine behind a lock so the `&self` serving paths can append audit frames.
+//! engine the writer appends through. Only [`CqadsWriter`](crate::CqadsWriter)
+//! holds it: no read handle can reach a file. The lock serves
+//! [`CqadsWriter::write_snapshot`](crate::CqadsWriter::write_snapshot), which
+//! rotates through `&self`.
 //!
 //! Durability is **opt-in**: with [`CqadsConfig::storage`](crate::CqadsConfig)
 //! left at `None`, nothing here runs and the system behaves bit-identically to
@@ -12,11 +15,9 @@
 use crate::domain::DomainSpec;
 use crate::error::{CqadsError, CqadsResult};
 use cqads_storage::{
-    CircuitBreaker, ConfigSnap, RecoveryReport, RetryOptions, SpecData, StorageEngine,
-    StorageError, StorageResult, Vfs, WalRecord,
+    ConfigSnap, RecoveryReport, SpecData, StorageEngine, StorageResult, Vfs, WalRecord,
 };
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Where and how a [`CqadsWriter`](crate::CqadsWriter) persists itself.
@@ -36,36 +37,24 @@ pub struct StorageOptions {
     /// the last few frames on power loss for append throughput (the frame
     /// format still guarantees a consistent prefix).
     pub fsync: bool,
-    /// Rotate to a fresh snapshot + WAL epoch after this many *mutation*
-    /// frames (audit frames do not count). `0` disables automatic rotation;
-    /// call [`CqadsWriter::write_snapshot`](crate::CqadsWriter::write_snapshot) manually.
+    /// Rotate to a fresh snapshot + WAL epoch after this many mutation
+    /// frames. `0` disables automatic rotation; call
+    /// [`CqadsWriter::write_snapshot`](crate::CqadsWriter::write_snapshot) manually.
     pub snapshot_every: u64,
-    /// Append an audit frame for every served question (cached paths only),
-    /// making the WAL a replayable audit trail. Audit appends are best-effort:
-    /// an I/O failure increments a counter instead of failing the answer.
-    pub audit_queries: bool,
     /// Filesystem implementation. Defaults to the real one; tests inject
     /// [`MemFs`](cqads_storage::MemFs) or [`FaultFs`](cqads_storage::FaultFs).
     pub vfs: Arc<dyn Vfs>,
-    /// Retry-with-backoff + circuit breaking around WAL appends (mutations
-    /// *and* audit frames). `None` (the default) keeps the pre-existing
-    /// behavior: one attempt, first error surfaces. Between attempts the
-    /// engine rewinds the WAL to its last acknowledged length, so a retried
-    /// append lands **exactly once** — never as a duplicated frame.
-    pub retry: Option<RetryOptions>,
 }
 
 impl StorageOptions {
-    /// Durable storage in a directory on the real filesystem, with fsync on,
-    /// a snapshot every 1024 mutations and the audit trail enabled.
+    /// Durable storage in a directory on the real filesystem, with fsync on
+    /// and a snapshot every 1024 mutations.
     pub fn at(dir: impl Into<PathBuf>) -> Self {
         StorageOptions {
             dir: dir.into(),
             fsync: true,
             snapshot_every: 1024,
-            audit_queries: true,
             vfs: Arc::new(cqads_storage::RealFs),
-            retry: None,
         }
     }
 
@@ -79,25 +68,12 @@ impl StorageOptions {
     }
 }
 
-/// The storage side-car a durable [`CqadsWriter`](crate::CqadsWriter) carries.
+/// The storage side-car a durable [`CqadsWriter`](crate::CqadsWriter) owns.
 #[derive(Debug)]
 pub(crate) struct DurableStorage {
     engine: Mutex<StorageEngine>,
     pub(crate) opts: StorageOptions,
     pub(crate) report: RecoveryReport,
-    audit_failures: AtomicU64,
-    last_audit_error: Mutex<Option<StorageError>>,
-    retry: Option<RetryState>,
-}
-
-/// Live retry machinery built from [`StorageOptions::retry`]: the breaker and
-/// the operator-facing counters ([`ServingStats`](crate::ServingStats)).
-#[derive(Debug)]
-struct RetryState {
-    opts: RetryOptions,
-    breaker: CircuitBreaker,
-    retries: AtomicU64,
-    rejections: AtomicU64,
 }
 
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -111,19 +87,10 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 impl DurableStorage {
     pub(crate) fn new(engine: StorageEngine, opts: StorageOptions, report: RecoveryReport) -> Self {
-        let retry = opts.retry.clone().map(|r| RetryState {
-            breaker: CircuitBreaker::new(r.breaker_threshold, r.breaker_cooldown_micros),
-            retries: AtomicU64::new(0),
-            rejections: AtomicU64::new(0),
-            opts: r,
-        });
         DurableStorage {
             engine: Mutex::new(engine),
             opts,
             report,
-            audit_failures: AtomicU64::new(0),
-            last_audit_error: Mutex::new(None),
-            retry,
         }
     }
 
@@ -135,123 +102,18 @@ impl DurableStorage {
         f(&mut relock(&self.engine)).map_err(CqadsError::Storage)
     }
 
-    /// Append a batch through the retry layer (when configured): rejected fast
-    /// while the circuit breaker is open, otherwise attempted up to
-    /// `policy.attempts` times with exponential backoff, rewinding the WAL to
-    /// its last acknowledged length between attempts so the retried records
-    /// land exactly once. Without [`StorageOptions::retry`] this is a plain
-    /// single-attempt append — byte-identical to the pre-retry behavior.
-    fn append_resilient(
-        &self,
-        engine: &mut StorageEngine,
-        records: &[WalRecord],
-    ) -> StorageResult<()> {
-        let Some(state) = &self.retry else {
-            return engine.append_batch(records);
-        };
-        if !state.breaker.allows(state.opts.clock.now_micros()) {
-            // ordering: monotone stats counter; nothing synchronizes through it.
-            state.rejections.fetch_add(1, Ordering::Relaxed);
-            return Err(StorageError::Unavailable {
-                detail: format!(
-                    "{} consecutive append failures; cooling down",
-                    state.opts.breaker_threshold
-                ),
-            });
-        }
-        let mut attempt = 1u32;
-        loop {
-            match engine.append_batch(records) {
-                Ok(()) => {
-                    state.breaker.record_success();
-                    return Ok(());
-                }
-                Err(e) => {
-                    if attempt >= state.opts.policy.attempts.max(1) {
-                        state.breaker.record_failure(state.opts.clock.now_micros());
-                        return Err(e);
-                    }
-                    // Drop whatever the failed attempt left past the
-                    // acknowledged length; if even the rewind fails the
-                    // backend is not transiently sick and retrying would risk
-                    // duplicated frames — surface the original error.
-                    if engine.rewind_wal().is_err() {
-                        state.breaker.record_failure(state.opts.clock.now_micros());
-                        return Err(e);
-                    }
-                    // ordering: monotone stats counter; Relaxed.
-                    state.retries.fetch_add(1, Ordering::Relaxed);
-                    state
-                        .opts
-                        .clock
-                        .sleep_micros(state.opts.policy.backoff_micros(attempt));
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    /// Append mutation frames, surfacing failures as typed errors. Callers
-    /// append *before* they apply, so on error nothing was applied; and the
-    /// WAL is rewound to its last acknowledged frame, so a crash cannot
-    /// replay a frame the caller was told failed. Should that rewind fail
-    /// too, the engine repeats it before its next append.
+    /// Append mutation frames in one write, surfacing failures as typed
+    /// errors. Callers append *before* they apply, so on error nothing was
+    /// applied; and the WAL is rewound to its last acknowledged frame, so a
+    /// crash cannot replay a frame the caller was told failed. Should that
+    /// rewind fail too, the engine repeats it before its next append.
     pub(crate) fn append_mutations(&self, records: &[WalRecord]) -> CqadsResult<()> {
         let mut engine = relock(&self.engine);
-        let appended = self.append_resilient(&mut engine, records);
+        let appended = engine.append_batch(records);
         if appended.is_err() {
             engine.rewind_wal().ok();
         }
         appended.map_err(CqadsError::Storage)
-    }
-
-    /// Best-effort audit append from the `&self` serving paths: one write and
-    /// one sync for a whole call's audit frames. Failures are counted and
-    /// remembered, never returned — audit I/O must not take the serving path
-    /// down.
-    pub(crate) fn append_audit_batch(&self, records: &[WalRecord]) {
-        if records.is_empty() {
-            return;
-        }
-        if let Err(e) = self.append_resilient(&mut relock(&self.engine), records) {
-            // ordering: monotone stats counter; the error itself travels
-            // under the last_audit_error lock, not through this atomic.
-            self.audit_failures
-                .fetch_add(records.len() as u64, Ordering::Relaxed);
-            *relock(&self.last_audit_error) = Some(e);
-        }
-    }
-
-    /// Audit frames that failed to persist since open.
-    pub(crate) fn audit_failures(&self) -> u64 {
-        // ordering: advisory stats read; Relaxed.
-        self.audit_failures.load(Ordering::Relaxed)
-    }
-
-    /// WAL append attempts retried after a transient failure.
-    pub(crate) fn wal_retries(&self) -> u64 {
-        self.retry
-            .as_ref()
-            // ordering: advisory stats read; Relaxed.
-            .map_or(0, |s| s.retries.load(Ordering::Relaxed))
-    }
-
-    /// Times the append circuit breaker has opened.
-    pub(crate) fn breaker_opens(&self) -> u64 {
-        self.retry.as_ref().map_or(0, |s| s.breaker.times_opened())
-    }
-
-    /// Appends rejected outright because the breaker was open.
-    pub(crate) fn breaker_rejections(&self) -> u64 {
-        self.retry
-            .as_ref()
-            // ordering: advisory stats read; Relaxed.
-            .map_or(0, |s| s.rejections.load(Ordering::Relaxed))
-    }
-
-    /// The most recent audit-append failure, if any.
-    pub(crate) fn last_audit_error(&self) -> Option<StorageError> {
-        relock(&self.last_audit_error).clone()
     }
 }
 

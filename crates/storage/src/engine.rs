@@ -30,7 +30,7 @@
 //! [`MIN_FRAME_BYTES`] bytes.
 
 use crate::error::{StorageError, StorageResult};
-use crate::records::{AuditRecord, WalRecord};
+use crate::records::WalRecord;
 use crate::snapshot::SnapshotData;
 use crate::vfs::Vfs;
 use crate::wal::{encode_frame, scan_frames, MIN_FRAME_BYTES};
@@ -53,7 +53,8 @@ pub struct Recovered {
 pub struct RecoveryReport {
     /// Epoch of the snapshot recovery started from (`None` = empty state).
     pub snapshot_seq: Option<u64>,
-    /// Valid WAL frames replayed on top of the snapshot.
+    /// Valid WAL frames replayed on top of the snapshot (retired audit
+    /// frames are skipped, not replayed).
     pub frames_replayed: usize,
     /// Bytes discarded: torn tails plus WAL files past the first defect.
     pub dropped_bytes: u64,
@@ -197,6 +198,9 @@ impl StorageEngine {
                 .defect
                 .map(|d| format!("{}: {d} at offset {valid_len}", path.display()));
             for (payload, offset) in scan.payloads.iter().zip(&scan.offsets) {
+                if WalRecord::is_retired(payload) {
+                    continue;
+                }
                 match WalRecord::decode(payload) {
                     Ok(rec) => {
                         if rec.is_mutation() {
@@ -337,10 +341,9 @@ impl StorageEngine {
     /// Roll the current WAL file back to the end of the last acknowledged
     /// append, discarding whatever a failed append left behind (a torn frame,
     /// or whole frames whose fsync failed). After a successful rewind the same
-    /// records can be re-appended without any risk of frame duplication —
-    /// which is exactly what the retry layer does between attempts. A no-op
-    /// when nothing dangles. [`StorageEngine::append_batch`] runs it first
-    /// after an append that failed and was not rewound.
+    /// records can be re-appended without any risk of frame duplication. A
+    /// no-op when nothing dangles. [`StorageEngine::append_batch`] runs it
+    /// first after an append that failed and was not rewound.
     pub fn rewind_wal(&mut self) -> StorageResult<()> {
         let path = self.wal_path();
         let on_disk = self
@@ -398,37 +401,6 @@ impl StorageEngine {
         }
         Ok(())
     }
-
-    /// Every audit record still present in the retained WAL files, oldest
-    /// first. Defective tails end the scan of their file (consistent with
-    /// recovery) but do not fail the call — the audit trail is best-effort by
-    /// construction.
-    pub fn scan_audits(&self) -> StorageResult<Vec<AuditRecord>> {
-        let names = self
-            .vfs
-            .list(&self.root)
-            .map_err(|e| StorageError::io(&self.root, "list", &e))?;
-        let mut wal_seqs: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_seq(n, "wal-", ".log"))
-            .collect();
-        wal_seqs.sort_unstable();
-
-        let mut audits = Vec::new();
-        for seq in wal_seqs {
-            let path = self.root.join(wal_name(seq));
-            let bytes = self
-                .vfs
-                .read(&path)
-                .map_err(|e| StorageError::io(&path, "read", &e))?;
-            for payload in scan_frames(&bytes).payloads {
-                if let Ok(WalRecord::Audit(a)) = WalRecord::decode(&payload) {
-                    audits.push(a);
-                }
-            }
-        }
-        Ok(audits)
-    }
 }
 
 #[cfg(test)]
@@ -440,15 +412,10 @@ mod tests {
     use crate::wal::FRAME_HEADER;
     use cqads_wordsim::WsMatrixState;
 
-    fn audit(tag: u64) -> WalRecord {
-        WalRecord::Audit(AuditRecord {
-            question: format!("q{tag}"),
-            domain: "cars".into(),
-            hit: false,
-            table_gen: tag,
-            model_gen: tag,
-            micros: tag,
-        })
+    fn floors(tag: u64) -> WalRecord {
+        WalRecord::Floors {
+            floors: vec![("cars".into(), tag, tag)],
+        }
     }
 
     fn insert(tag: u64) -> WalRecord {
@@ -496,13 +463,31 @@ mod tests {
         let fs = Arc::new(MemFs::new());
         let (mut engine, _) = open_mem(&fs);
         engine.append(&insert(1)).unwrap();
-        engine.append_batch(&[insert(2), audit(3)]).unwrap();
+        engine.append_batch(&[insert(2), floors(3)]).unwrap();
         assert_eq!(engine.mutation_frames(), 2);
 
         let (engine, rec) = open_mem(&fs);
-        assert_eq!(rec.records, vec![insert(1), insert(2), audit(3)]);
+        assert_eq!(rec.records, vec![insert(1), insert(2), floors(3)]);
         assert!(rec.report.is_clean());
         assert_eq!(rec.report.frames_replayed, 3);
+        assert_eq!(engine.mutation_frames(), 2);
+    }
+
+    #[test]
+    fn retired_audit_frames_are_skipped_and_not_counted() {
+        let fs = Arc::new(MemFs::new());
+        let (mut engine, _) = open_mem(&fs);
+        engine.append(&insert(1)).unwrap();
+        // Tag 5 held an audit record; its payload is never decoded.
+        let wal = Path::new("/db/wal-000000.log");
+        fs.append(wal, &encode_frame(&[5, 0xff])).unwrap();
+        let (mut engine, _) = open_mem(&fs);
+        engine.append(&insert(2)).unwrap();
+
+        let (engine, rec) = open_mem(&fs);
+        assert_eq!(rec.records, vec![insert(1), insert(2)]);
+        assert_eq!(rec.report.frames_replayed, 2);
+        assert!(rec.report.is_clean());
         assert_eq!(engine.mutation_frames(), 2);
     }
 
@@ -789,28 +774,6 @@ mod tests {
             ..FaultPlan::default()
         });
         assert!(StorageEngine::open(Arc::clone(&fault) as Arc<dyn Vfs>, "/db", true).is_err());
-    }
-
-    #[test]
-    fn audit_trail_survives_rotation_and_tears() {
-        let fs = Arc::new(MemFs::new());
-        let (mut engine, _) = open_mem(&fs);
-        engine.append(&audit(1)).unwrap();
-        assert_eq!(engine.mutation_frames(), 0); // audits do not trigger snapshots
-        engine.install_snapshot(empty_snapshot()).unwrap();
-        engine.append_batch(&[insert(2), audit(3)]).unwrap();
-
-        let audits = engine.scan_audits().unwrap();
-        let questions: Vec<&str> = audits.iter().map(|a| a.question.as_str()).collect();
-        assert_eq!(questions, vec!["q1", "q3"]);
-
-        // A torn tail silently ends that file's audit scan.
-        let wal1 = Path::new("/db/wal-000001.log");
-        let len = fs.file_bytes(wal1).unwrap().len() as u64;
-        fs.truncate_file(wal1, len - 2).unwrap();
-        let audits = engine.scan_audits().unwrap();
-        let questions: Vec<&str> = audits.iter().map(|a| a.question.as_str()).collect();
-        assert_eq!(questions, vec!["q1"]);
     }
 
     #[test]

@@ -50,13 +50,6 @@ pub enum StorageError {
         /// What the decoder choked on.
         detail: String,
     },
-    /// The retry layer's circuit breaker is open: persistent append failures
-    /// tripped it and the cooldown has not yet elapsed, so the call was
-    /// rejected without touching the filesystem.
-    Unavailable {
-        /// Why the breaker is open / when it may close.
-        detail: String,
-    },
 }
 
 impl StorageError {
@@ -98,9 +91,6 @@ impl fmt::Display for StorageError {
                 f,
                 "undecodable record in `{path}` at byte {offset}: {detail}"
             ),
-            StorageError::Unavailable { detail } => {
-                write!(f, "storage unavailable (circuit breaker open): {detail}")
-            }
         }
     }
 }

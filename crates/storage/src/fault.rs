@@ -21,8 +21,8 @@ pub struct FaultPlan {
     pub append_budget: Option<u64>,
     /// Fail the next this-many `append` calls *cleanly* — no bytes reach the
     /// inner filesystem, the caller sees `Other` — then let appends through
-    /// again. This is the transient-blip shape the retry layer absorbs
-    /// (`1` = fail-once; pair with a large value for fail-always sweeps).
+    /// again (`1` = fail-once; pair with a large value for fail-always
+    /// sweeps).
     pub fail_appends: u32,
     /// Fail every `sync` call with `Other`.
     pub fail_sync: bool,

@@ -7,8 +7,8 @@
 //! * **Write-ahead log** ([`wal`], [`records`]) — every mutation (domain
 //!   registration, record insert, query-log delta, WS-matrix swap) is one
 //!   CRC-32-checksummed, length-prefixed frame, stamped with the table/model
-//!   generation it produced. Served queries ride along as audit frames, making
-//!   the log a replayable audit trail too.
+//!   generation it produced. The log holds mutations only; a read never
+//!   writes to it.
 //! * **Snapshots** ([`snapshot`]) — periodic point-in-time captures of every
 //!   domain's table, TI-matrix raw accumulators, the WS-matrix and the config
 //!   scalars, written atomically with their own checksum.
@@ -19,12 +19,9 @@
 //! * **Fault injection** ([`fault`], [`vfs`]) — the engine only talks to disk
 //!   through the [`Vfs`] trait, so tests crash it at arbitrary byte offsets
 //!   ([`MemFs`] tamper helpers) or through an injected torn append
-//!   ([`FaultFs`]) and verify recovery byte for byte.
-//! * **Retry & circuit breaking** ([`retry`]) — a deterministic
-//!   retry-with-backoff policy plus a consecutive-failure circuit breaker for
-//!   transient append faults; the engine's
-//!   [`rewind_wal`](StorageEngine::rewind_wal) rolls a failed append's bytes
-//!   back so a retry can never duplicate a frame.
+//!   ([`FaultFs`]) and verify recovery byte for byte. A failed append is
+//!   rolled back ([`rewind_wal`](StorageEngine::rewind_wal)), so a caller's
+//!   retry of the same records can never duplicate a frame.
 //!
 //! The crate is self-contained below the core pipeline: it depends on the data
 //! crates (`addb`, `cqads-querylog`, `cqads-wordsim`) for the state it
@@ -39,17 +36,14 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod records;
-pub mod retry;
 pub mod snapshot;
-pub mod sync;
 pub mod vfs;
 pub mod wal;
 
 pub use engine::{Recovered, RecoveryReport, StorageEngine};
 pub use error::{StorageError, StorageResult};
 pub use fault::{FaultFs, FaultPlan};
-pub use records::{AuditRecord, SpecData, WalRecord};
-pub use retry::{CircuitBreaker, ManualClock, RealClock, RetryClock, RetryOptions, RetryPolicy};
+pub use records::{SpecData, WalRecord};
 pub use snapshot::{ConfigSnap, DomainSnap, SnapshotData, SNAPSHOT_MAGIC};
 pub use vfs::{MemFs, RealFs, Vfs};
 pub use wal::{

@@ -3,9 +3,9 @@
 //! Every mutation of a `CqadsWriter` (crate `cqads`) — domain registration,
 //! record insert, query-log delta, WS-matrix swap — is one [`WalRecord`],
 //! encoded to a frame payload ([`WalRecord::encode`]) and replayed on recovery
-//! ([`WalRecord::decode`]). Audit entries ride in the same log but are not
-//! mutations ([`WalRecord::is_mutation`] is false for them): they record served
-//! queries so the log doubles as a replayable audit trail.
+//! ([`WalRecord::decode`]). Stores written before the audit trail was removed
+//! may still hold audit frames (a record tag now retired): recovery skips them
+//! without decoding their payload.
 //!
 //! Generation stamps are stored **with** the mutation that produced them, and
 //! every frame advances any single generation counter by at most one (a batch
@@ -38,23 +38,6 @@ pub struct SpecData {
     pub price_attribute: Option<String>,
     /// Attribute targeted by "newest"/"oldest" superlatives.
     pub year_attribute: Option<String>,
-}
-
-/// One served query, appended to the WAL as an audit entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AuditRecord {
-    /// The natural-language question as submitted.
-    pub question: String,
-    /// Domain the question was answered in.
-    pub domain: String,
-    /// Whether the answer came from the answer cache.
-    pub hit: bool,
-    /// Table generation at answer time.
-    pub table_gen: u64,
-    /// Model generation at answer time.
-    pub model_gen: u64,
-    /// Wall-clock time spent answering, in microseconds.
-    pub micros: u64,
 }
 
 /// One entry in the write-ahead log.
@@ -98,8 +81,6 @@ pub enum WalRecord {
         /// Model generation of each registered domain after the swap.
         model_gens: Vec<(String, u64)>,
     },
-    /// A served query (not a mutation; kept for the audit trail).
-    Audit(AuditRecord),
     /// Generation floors persisted after a lossy recovery, so a second
     /// recovery of the same log reproduces the same (bumped) generations.
     Floors {
@@ -109,10 +90,17 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// True if replaying this record changes system state (audit entries and
-    /// generation floors do not mutate data, though floors do raise counters).
+    /// True if replaying this record changes system state (generation floors
+    /// do not mutate data, though they do raise counters).
     pub fn is_mutation(&self) -> bool {
-        !matches!(self, WalRecord::Audit(_) | WalRecord::Floors { .. })
+        !matches!(self, WalRecord::Floors { .. })
+    }
+
+    /// True for a frame payload under a retired record tag: an audit frame of
+    /// a store written while served questions were still logged. Recovery
+    /// skips such a frame; it never was a mutation.
+    pub(crate) fn is_retired(payload: &[u8]) -> bool {
+        payload.first() == Some(&TAG_RETIRED_AUDIT)
     }
 
     /// Encode to a frame payload.
@@ -167,15 +155,6 @@ impl WalRecord {
                     e.put_str(domain);
                     e.put_u64(*gen);
                 }
-            }
-            WalRecord::Audit(a) => {
-                e.put_u8(TAG_AUDIT);
-                e.put_str(&a.question);
-                e.put_str(&a.domain);
-                e.put_bool(a.hit);
-                e.put_u64(a.table_gen);
-                e.put_u64(a.model_gen);
-                e.put_u64(a.micros);
             }
             WalRecord::Floors { floors } => {
                 e.put_u8(TAG_FLOORS);
@@ -239,14 +218,6 @@ impl WalRecord {
                 }
                 WalRecord::SetWordSim { ws, model_gens }
             }
-            TAG_AUDIT => WalRecord::Audit(AuditRecord {
-                question: d.get_str("question")?,
-                domain: d.get_str("domain")?,
-                hit: d.get_bool("cache hit")?,
-                table_gen: d.get_u64("table generation")?,
-                model_gen: d.get_u64("model generation")?,
-                micros: d.get_u64("answer micros")?,
-            }),
             TAG_FLOORS => {
                 let n = d.get_count("floor count")?;
                 let mut floors = Vec::with_capacity(n);
@@ -272,7 +243,9 @@ const TAG_REGISTER: u8 = 1;
 const TAG_INSERT: u8 = 2;
 const TAG_LOG_DELTA: u8 = 3;
 const TAG_SET_WORD_SIM: u8 = 4;
-const TAG_AUDIT: u8 = 5;
+/// Reserved: the audit frames older stores hold. Never written, and never
+/// reused for another record until the WAL format changes.
+const TAG_RETIRED_AUDIT: u8 = 5;
 const TAG_FLOORS: u8 = 6;
 
 const VALUE_TEXT: u8 = 0;
@@ -617,14 +590,6 @@ mod tests {
                 },
                 model_gens: vec![("cars".into(), 3)],
             },
-            WalRecord::Audit(AuditRecord {
-                question: "2004 honda accord".into(),
-                domain: "cars".into(),
-                hit: false,
-                table_gen: 2,
-                model_gen: 3,
-                micros: 1234,
-            }),
             WalRecord::Floors {
                 floors: vec![("cars".into(), 5, 7)],
             },
@@ -641,9 +606,18 @@ mod tests {
     }
 
     #[test]
+    fn only_the_retired_tag_is_retired() {
+        assert!(WalRecord::is_retired(&[TAG_RETIRED_AUDIT, 0, 0]));
+        assert!(!WalRecord::is_retired(&[]));
+        for rec in all_variants() {
+            assert!(!WalRecord::is_retired(&rec.encode()), "{rec:?}");
+        }
+    }
+
+    #[test]
     fn mutation_classification_is_correct() {
         let flags: Vec<bool> = all_variants().iter().map(WalRecord::is_mutation).collect();
-        assert_eq!(flags, vec![true, true, true, true, false, false]);
+        assert_eq!(flags, vec![true, true, true, true, false]);
     }
 
     #[test]
@@ -659,6 +633,8 @@ mod tests {
             }
         }
         assert!(WalRecord::decode(&[99]).unwrap_err().contains("unknown"));
+        // The retired tag is skipped by recovery, never decoded.
+        assert!(WalRecord::decode(&[TAG_RETIRED_AUDIT]).is_err());
         // Trailing garbage after a complete record is rejected.
         let mut payload = all_variants()[4].encode();
         payload.push(0);

@@ -12,14 +12,11 @@
 use cqads_suite::addb::{Record, RecordId, Table};
 use cqads_suite::cqads::domain::toy_car_domain;
 use cqads_suite::cqads::{
-    AnswerQuality, CqadsConfig, CqadsError, CqadsReader, CqadsSystem, ResilienceOptions,
-    StorageOptions,
+    AnswerQuality, Clock, CqadsConfig, CqadsError, CqadsReader, CqadsSystem, ManualClock,
+    ResilienceOptions, StorageOptions,
 };
 use cqads_suite::querylog::{QueryLogDelta, Session, SubmittedQuery, TIMatrix};
-use cqads_suite::storage::{
-    scan_frames, FaultFs, FaultPlan, ManualClock, MemFs, RetryClock, RetryOptions, RetryPolicy,
-    Vfs, WalRecord,
-};
+use cqads_suite::storage::{FaultFs, FaultPlan, MemFs, Vfs};
 use cqads_suite::wordsim::WordSimMatrix;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,13 +103,10 @@ impl StepClock {
     }
 }
 
-impl RetryClock for StepClock {
+impl Clock for StepClock {
     fn now_micros(&self) -> u64 {
         self.now
             .fetch_add(self.step.load(Ordering::Relaxed), Ordering::Relaxed)
-    }
-    fn sleep_micros(&self, micros: u64) {
-        self.now.fetch_add(micros, Ordering::Relaxed);
     }
 }
 
@@ -144,7 +138,7 @@ fn expiring_deadline_flags_every_short_answer_as_degraded() {
         resilience: Some(ResilienceOptions {
             deadline_micros: Some(5),
             serve_stale_on_timeout: false,
-            clock: Arc::clone(&clock) as Arc<dyn RetryClock>,
+            clock: Arc::clone(&clock) as Arc<dyn Clock>,
             ..ResilienceOptions::default()
         }),
         ..CqadsConfig::default()
@@ -195,7 +189,7 @@ fn stale_cached_answer_is_served_flagged_when_deadline_cuts() {
         resilience: Some(ResilienceOptions {
             deadline_micros: Some(1_000),
             serve_stale_on_timeout: true,
-            clock: Arc::clone(&clock) as Arc<dyn RetryClock>,
+            clock: Arc::clone(&clock) as Arc<dyn Clock>,
             ..ResilienceOptions::default()
         }),
         ..CqadsConfig::default()
@@ -262,7 +256,7 @@ fn sustained_pressure_steps_the_deadline_down_and_recovery_steps_back_up() {
             step_down_after: 2,
             max_step_down: 2,
             min_deadline_micros: 1,
-            clock: Arc::clone(&clock) as Arc<dyn RetryClock>,
+            clock: Arc::clone(&clock) as Arc<dyn Clock>,
             ..ResilienceOptions::default()
         }),
         ..CqadsConfig::default()
@@ -349,15 +343,15 @@ enum Setup {
     Stale,
 }
 
-/// A fresh system under `setup`, durable over `fs` (with auditing) when
-/// given. Two calls with the same arguments build identical systems.
+/// A fresh system under `setup`, durable over `fs` when given. Two calls
+/// with the same arguments build identical systems.
 fn setup_system(setup: Setup, fs: Option<&Arc<MemFs>>) -> CqadsSystem {
     let clock = Arc::new(StepClock::default());
     let resilience = |deadline_micros, serve_stale_on_timeout| ResilienceOptions {
         deadline_micros: Some(deadline_micros),
         serve_stale_on_timeout,
         step_down_after: 2,
-        clock: Arc::clone(&clock) as Arc<dyn RetryClock>,
+        clock: Arc::clone(&clock) as Arc<dyn Clock>,
         ..ResilienceOptions::default()
     };
     let resilience = match setup {
@@ -369,7 +363,6 @@ fn setup_system(setup: Setup, fs: Option<&Arc<MemFs>>) -> CqadsSystem {
     let storage = fs.map(|fs| {
         let mut opts = StorageOptions::with_vfs("db", Arc::clone(fs) as Arc<dyn Vfs>);
         opts.snapshot_every = 0;
-        opts.audit_queries = true;
         opts
     });
     let mut system = system_with(CqadsConfig {
@@ -421,24 +414,11 @@ fn serving_counters(system: &CqadsSystem) -> [u64; 12] {
     ]
 }
 
-/// Every audit frame in a store's first WAL, all fields but its timing.
-fn audit_frames(fs: &MemFs) -> Vec<(String, String, bool, u64, u64)> {
-    let bytes = fs.file_bytes(std::path::Path::new("db/wal-000000.log"));
-    let payloads = scan_frames(&bytes.unwrap()).payloads;
-    let frames = payloads.iter().map(|p| WalRecord::decode(p).unwrap());
-    let audits = frames.filter_map(|frame| match frame {
-        WalRecord::Audit(a) => Some((a.question, a.domain, a.hit, a.table_gen, a.model_gen)),
-        _ => None,
-    });
-    audits.collect()
-}
-
 /// `ask(q).get()` is `answer_batch(&[q])[0]`: on two fresh, identical
 /// systems, one asking and one sending bursts of one, every question twice
 /// (a miss, then a hit or another miss), under every resilience setup,
 /// memory-only and durable. The two agree on the answer down to its rank
-/// bits and quality flag, on every serving counter after every question,
-/// and on the audit trail but for its timings.
+/// bits and quality flag, and on every serving counter after every question.
 #[test]
 fn a_single_ask_is_a_batch_of_one() {
     let setups = [
@@ -466,10 +446,6 @@ fn a_single_ask_is_a_batch_of_one() {
                 );
                 qualities.push(single.unwrap().quality);
             }
-            if durable {
-                assert_eq!(audit_frames(&stores[0]), audit_frames(&stores[1]));
-                assert!(!audit_frames(&stores[0]).is_empty());
-            }
             // Each setup shows what it sets up.
             let degraded = |q: &AnswerQuality| matches!(q, AnswerQuality::Degraded { .. });
             match setup {
@@ -483,63 +459,13 @@ fn a_single_ask_is_a_batch_of_one() {
     }
 }
 
-fn durable_config(fault: &Arc<FaultFs>, retry: Option<RetryOptions>) -> CqadsConfig {
+fn durable_config(fault: &Arc<FaultFs>) -> CqadsConfig {
     let mut opts = StorageOptions::with_vfs("db", Arc::clone(fault) as Arc<dyn Vfs>);
     opts.snapshot_every = 0;
-    opts.audit_queries = true;
-    opts.retry = retry;
     CqadsConfig {
         storage: Some(opts),
         ..CqadsConfig::default()
     }
-}
-
-fn test_retry(clock: &Arc<ManualClock>) -> RetryOptions {
-    RetryOptions {
-        policy: RetryPolicy {
-            attempts: 3,
-            base_delay_micros: 10,
-            max_delay_micros: 1_000,
-            jitter_seed: 7,
-        },
-        breaker_threshold: 2,
-        breaker_cooldown_micros: 1_000,
-        clock: Arc::clone(clock) as Arc<dyn RetryClock>,
-    }
-}
-
-#[test]
-fn transient_wal_fault_is_retried_and_lands_exactly_once() {
-    let mem = Arc::new(MemFs::default());
-    let fault = Arc::new(FaultFs::new(Arc::clone(&mem) as Arc<dyn Vfs>));
-    let clock = Arc::new(ManualClock::new());
-    let mut system = system_with(durable_config(&fault, Some(test_retry(&clock))));
-    let rows_before = system.database().table(DOMAIN).unwrap().len();
-
-    // One clean transient failure: the retry layer absorbs it.
-    fault.set_plan(FaultPlan {
-        fail_appends: 1,
-        ..FaultPlan::default()
-    });
-    system
-        .insert_record(DOMAIN, car("honda", "civic", "red", 7_500.0))
-        .unwrap();
-    let stats = system.serving_stats();
-    assert_eq!(stats.wal_retries, 1);
-    assert_eq!(stats.breaker_opens, 0);
-
-    // Exactly once: recovery replays the WAL and sees the row a single time.
-    drop(system);
-    let reopened = system_with_existing(durable_config(&fault, Some(test_retry(&clock))));
-    let table = reopened.database().table(DOMAIN).unwrap();
-    assert_eq!(table.len(), rows_before + 1);
-    assert_eq!(
-        table
-            .iter()
-            .filter(|(_, r)| r.get_text("model") == Some("civic"))
-            .count(),
-        1
-    );
 }
 
 /// Reopen against an existing store (no re-registration).
@@ -547,123 +473,8 @@ fn system_with_existing(config: CqadsConfig) -> CqadsSystem {
     CqadsSystem::try_with_config(config).unwrap()
 }
 
-#[test]
-fn persistent_wal_faults_trip_the_breaker_which_cools_down_and_closes() {
-    let mem = Arc::new(MemFs::default());
-    let fault = Arc::new(FaultFs::new(Arc::clone(&mem) as Arc<dyn Vfs>));
-    let clock = Arc::new(ManualClock::new());
-    let mut system = system_with(durable_config(&fault, Some(test_retry(&clock))));
-
-    // Fail always: every insert exhausts its 3 attempts; after 2 exhausted
-    // calls the breaker opens.
-    fault.set_plan(FaultPlan {
-        fail_appends: u32::MAX,
-        ..FaultPlan::default()
-    });
-    for _ in 0..2 {
-        let err = system
-            .insert_record(DOMAIN, car("ford", "focus", "blue", 4_200.0))
-            .unwrap_err();
-        assert!(matches!(err, CqadsError::Storage(_)));
-    }
-    let stats = system.serving_stats();
-    assert_eq!(stats.breaker_opens, 1);
-    assert_eq!(stats.wal_retries, 4, "two calls x two retries each");
-
-    // Open breaker: the next call is rejected fast, without touching the
-    // (still faulty) filesystem.
-    let err = system
-        .insert_record(DOMAIN, car("ford", "focus", "blue", 4_300.0))
-        .unwrap_err();
-    assert!(
-        err.to_string().contains("circuit breaker open"),
-        "fast rejection is typed: {err}"
-    );
-    assert!(system.serving_stats().breaker_rejections >= 1);
-
-    // Cooldown passes, the backend heals: the half-open probe succeeds and
-    // the breaker closes fully.
-    clock.advance(1_000);
-    fault.set_plan(FaultPlan::default());
-    system
-        .insert_record(DOMAIN, car("ford", "focus", "gold", 4_400.0))
-        .unwrap();
-    assert_eq!(system.serving_stats().breaker_opens, 1, "no re-open");
-}
-
-#[test]
-fn audit_appends_ride_the_same_retry_layer() {
-    let mem = Arc::new(MemFs::default());
-    let fault = Arc::new(FaultFs::new(Arc::clone(&mem) as Arc<dyn Vfs>));
-    let clock = Arc::new(ManualClock::new());
-    let system = system_with(durable_config(&fault, Some(test_retry(&clock))));
-
-    // A transient blip during the burst's audit append: retried, not counted
-    // as a failure.
-    fault.set_plan(FaultPlan {
-        fail_appends: 1,
-        ..FaultPlan::default()
-    });
-    let results = system.answer_batch(&QUESTIONS);
-    assert!(results.iter().all(|r| r.is_ok()));
-    assert_eq!(system.audit_failures(), 0, "the retry absorbed the blip");
-    assert!(system.serving_stats().wal_retries >= 1);
-}
-
-/// One insert step of the proptest schedule: how many clean transient append
-/// failures to arm immediately before it.
-#[derive(Debug, Clone)]
-struct FaultSchedule;
-
-impl Strategy for FaultSchedule {
-    type Value = u32;
-    fn sample(&self, rng: &mut proptest::TestRng) -> u32 {
-        // 0..=2 transient failures; retry attempts = 3, so every schedule is
-        // absorbable.
-        rng.below(3) as u32
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Under any absorbable schedule of transient WAL faults, every insert
-    /// succeeds, lands exactly once, and the recovered state equals a
-    /// fault-free in-memory reference.
-    #[test]
-    fn any_absorbable_fault_schedule_preserves_exactly_once(
-        schedule in prop::collection::vec(FaultSchedule, 1..8),
-    ) {
-        let mem = Arc::new(MemFs::default());
-        let fault = Arc::new(FaultFs::new(Arc::clone(&mem) as Arc<dyn Vfs>));
-        let clock = Arc::new(ManualClock::new());
-        let mut durable = system_with(durable_config(&fault, Some(test_retry(&clock))));
-        let mut reference = system_with(CqadsConfig::default());
-
-        let mut expected_retries = 0u64;
-        for (i, &blips) in schedule.iter().enumerate() {
-            fault.set_plan(FaultPlan { fail_appends: blips, ..FaultPlan::default() });
-            let record = car("honda", "civic", "blue", 5_000.0 + i as f64);
-            durable.insert_record(DOMAIN, record.clone()).unwrap();
-            reference.insert_record(DOMAIN, record).unwrap();
-            expected_retries += u64::from(blips);
-        }
-        prop_assert_eq!(durable.serving_stats().wal_retries, expected_retries);
-        prop_assert_eq!(durable.serving_stats().breaker_opens, 0);
-
-        // Reopen: the recovered table equals the fault-free reference, row
-        // for row — no lost and no duplicated frames.
-        fault.set_plan(FaultPlan::default());
-        drop(durable);
-        let reopened = system_with_existing(durable_config(&fault, Some(test_retry(&clock))));
-        let got: Vec<(u32, Record)> = reopened
-            .database().table(DOMAIN).unwrap()
-            .iter().map(|(id, r)| (id.0, r.clone())).collect();
-        let want: Vec<(u32, Record)> = reference
-            .database().table(DOMAIN).unwrap()
-            .iter().map(|(id, r)| (id.0, r.clone())).collect();
-        prop_assert_eq!(got, want);
-    }
 
     /// A deadline cut at an arbitrary point never produces a silently short
     /// answer: each result is either complete and byte-identical to the
@@ -678,7 +489,7 @@ proptest! {
             resilience: Some(ResilienceOptions {
                 deadline_micros: Some(survive_reads),
                 serve_stale_on_timeout: false,
-                clock: Arc::clone(&clock) as Arc<dyn RetryClock>,
+                clock: Arc::clone(&clock) as Arc<dyn Clock>,
                 ..ResilienceOptions::default()
             }),
             ..CqadsConfig::default()
@@ -774,13 +585,13 @@ fn word_sim() -> WordSimMatrix {
     ws
 }
 
-/// An insert whose append fails (no retry layer) is not applied, published or
+/// An insert whose append fails is not applied, published or
 /// served; after the fault heals, the next insert's acknowledged id names the
 /// same record in a reopened store.
 #[test]
 fn a_failed_insert_changes_nothing_and_acknowledged_ids_survive_a_reopen() {
     let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
-    let mut writer = system_with(durable_config(&fault, None));
+    let mut writer = system_with(durable_config(&fault));
     let reader = writer.reader();
     let (rows_before, writer_before, reader_before) =
         (rows(&writer), writer_view(&writer), reader_view(&reader));
@@ -804,7 +615,7 @@ fn a_failed_insert_changes_nothing_and_acknowledged_ids_survive_a_reopen() {
     assert_eq!((exact.exact_count, exact.answers[0].id), (1, id));
 
     drop((writer, reader));
-    let reopened = system_with_existing(durable_config(&fault, None));
+    let reopened = system_with_existing(durable_config(&fault));
     let table = reopened.database().table(DOMAIN).unwrap();
     assert_eq!(table.len(), 6);
     assert_eq!(table.get(id), Some(&civic));
@@ -816,7 +627,7 @@ fn a_failed_insert_changes_nothing_and_acknowledged_ids_survive_a_reopen() {
 #[test]
 fn failed_ingest_word_sim_swap_and_registration_change_nothing() {
     let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
-    let mut writer = system_with(durable_config(&fault, None));
+    let mut writer = system_with(durable_config(&fault));
     let reader = writer.reader();
     let (writer_before, reader_before) = (writer_view(&writer), reader_view(&reader));
     let fail_next_append = || {
@@ -854,7 +665,7 @@ fn failed_ingest_word_sim_swap_and_registration_change_nothing() {
 
     fault.set_plan(FaultPlan::default());
     drop(reader);
-    let reopened = system_with_existing(durable_config(&fault, None));
+    let reopened = system_with_existing(durable_config(&fault));
     assert_eq!(writer_view(&reopened), writer_before);
     assert_eq!(rows(&reopened), rows(&writer));
 }
@@ -865,7 +676,7 @@ fn failed_ingest_word_sim_swap_and_registration_change_nothing() {
 fn a_failed_rotation_fails_the_mutation_before_it_changes_anything() {
     let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
     let config = || {
-        let mut config = durable_config(&fault, None);
+        let mut config = durable_config(&fault);
         config.storage.as_mut().unwrap().snapshot_every = 1;
         config
     };
@@ -903,7 +714,7 @@ fn a_failed_rotation_fails_the_mutation_before_it_changes_anything() {
 #[test]
 fn a_failed_sync_leaves_no_frame_for_a_reopen_to_replay() {
     let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
-    let mut writer = system_with(durable_config(&fault, None));
+    let mut writer = system_with(durable_config(&fault));
     let rows_before = rows(&writer);
     fault.set_plan(FaultPlan {
         fail_sync: true,
@@ -917,7 +728,7 @@ fn a_failed_sync_leaves_no_frame_for_a_reopen_to_replay() {
 
     fault.set_plan(FaultPlan::default());
     drop(writer);
-    let reopened = system_with_existing(durable_config(&fault, None));
+    let reopened = system_with_existing(durable_config(&fault));
     assert!(reopened.storage_report().unwrap().is_clean());
     assert_eq!(rows(&reopened), rows_before);
 }
@@ -928,7 +739,7 @@ fn a_failed_sync_leaves_no_frame_for_a_reopen_to_replay() {
 #[test]
 fn an_append_after_an_unrewound_tear_is_not_lost() {
     let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
-    let mut writer = system_with(durable_config(&fault, None));
+    let mut writer = system_with(durable_config(&fault));
     fault.set_plan(FaultPlan {
         append_budget: Some(5),
         fail_write_atomic: true,
@@ -940,7 +751,7 @@ fn an_append_after_an_unrewound_tear_is_not_lost() {
     fault.set_plan(FaultPlan::default());
     let id = writer.insert_record(DOMAIN, civic.clone()).unwrap();
     drop(writer);
-    let reopened = system_with_existing(durable_config(&fault, None));
+    let reopened = system_with_existing(durable_config(&fault));
     assert!(reopened.storage_report().unwrap().is_clean());
     assert_eq!(
         reopened.database().table(DOMAIN).unwrap().get(id),
@@ -953,7 +764,7 @@ fn an_append_after_an_unrewound_tear_is_not_lost() {
 #[test]
 fn a_failed_registration_registers_nothing() {
     let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
-    let mut writer = CqadsSystem::try_with_config(durable_config(&fault, None)).unwrap();
+    let mut writer = CqadsSystem::try_with_config(durable_config(&fault)).unwrap();
     fault.set_plan(FaultPlan {
         append_budget: Some(0),
         ..FaultPlan::default()
@@ -974,14 +785,14 @@ fn a_failed_registration_registers_nothing() {
         .try_add_domain(toy_car_domain(), base_table(), TIMatrix::default())
         .unwrap();
     drop(writer);
-    let reopened = system_with_existing(durable_config(&fault, None));
+    let reopened = system_with_existing(durable_config(&fault));
     assert_eq!(reopened.domain_names(), vec![DOMAIN]);
     assert_eq!(reopened.database().table(DOMAIN).unwrap().len(), 5);
 }
 
-/// One step of a schedule the retry layer need not absorb: a mutation, and
-/// how many clean append failures to arm before it (0..=4; the retry layer
-/// makes 3 attempts, so 3 or more fail the step).
+/// One step of a fault schedule: a mutation, and how many clean append
+/// failures to arm before it (0..=4). Each mutation makes one append, so any
+/// armed failure fails the step.
 #[derive(Debug, Clone)]
 enum Step {
     Insert {
@@ -1068,10 +879,7 @@ proptest! {
         schedule in prop::collection::vec(StepStrategy, 1..10),
     ) {
         let fault = Arc::new(FaultFs::new(Arc::new(MemFs::default()) as Arc<dyn Vfs>));
-        let clock = Arc::new(ManualClock::new());
-        // The breaker stays closed, so every step reaches the filesystem.
-        let retry = RetryOptions { breaker_threshold: 0, ..test_retry(&clock) };
-        let mut durable = system_with(durable_config(&fault, Some(retry.clone())));
+        let mut durable = system_with(durable_config(&fault));
         let reader = durable.reader();
         let mut reference = system_with(CqadsConfig::default());
 
@@ -1079,7 +887,7 @@ proptest! {
             fault.set_plan(FaultPlan { fail_appends: step.fails(), ..FaultPlan::default() });
             let committed = step.apply(&mut durable).is_ok();
             let invalid = matches!(step, Step::Invalid { .. });
-            prop_assert_eq!(committed, !invalid && step.fails() < 3, "{:?}", step);
+            prop_assert_eq!(committed, !invalid && step.fails() == 0, "{:?}", step);
             if committed {
                 step.apply(&mut reference).unwrap();
             }
@@ -1091,7 +899,7 @@ proptest! {
 
         fault.set_plan(FaultPlan::default());
         drop((durable, reader));
-        let reopened = system_with_existing(durable_config(&fault, Some(retry)));
+        let reopened = system_with_existing(durable_config(&fault));
         prop_assert_eq!(rows(&reopened), rows(&reference));
         prop_assert_eq!(writer_view(&reopened), writer_view(&reference));
     }
@@ -1115,7 +923,7 @@ fn one_shard_under_an_expired_budget_is_the_unsharded_expired_batch() {
         resilience: Some(ResilienceOptions {
             deadline_micros: Some(1),
             serve_stale_on_timeout: false,
-            clock: Arc::clone(&clock) as Arc<dyn RetryClock>,
+            clock: Arc::clone(&clock) as Arc<dyn Clock>,
             ..ResilienceOptions::default()
         }),
         ..CqadsConfig::default()

@@ -9,11 +9,14 @@ use cqads_suite::addb::{DbError, Record, Schema, Table};
 use cqads_suite::cqads::domain::toy_car_domain;
 use cqads_suite::cqads::{CqadsConfig, CqadsError, CqadsSystem, StorageOptions};
 use cqads_suite::querylog::{QueryLogDelta, Session, SubmittedQuery, TIMatrix};
-use cqads_suite::storage::{scan_frames, MemFs, Vfs};
+use cqads_suite::storage::{scan_frames, MemFs, StorageEngine, Vfs};
 use cqads_suite::wordsim::WordSimMatrix;
 use proptest::prelude::*;
+use std::io;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const DOMAIN: &str = "cars";
 const MAKES: [&str; 4] = ["honda", "toyota", "ford", "chevy"];
@@ -155,9 +158,8 @@ impl Strategy for MutationStrategy {
 fn durable_config(fs: &Arc<MemFs>) -> CqadsConfig {
     let mut opts = StorageOptions::with_vfs("db", Arc::clone(fs) as _);
     // No rotation: the whole history stays in wal-000000.log so a byte cut
-    // maps directly onto a frame-prefix cut. No audits: only mutations write.
+    // maps directly onto a frame-prefix cut.
     opts.snapshot_every = 0;
-    opts.audit_queries = false;
     CqadsConfig {
         storage: Some(opts),
         ..CqadsConfig::default()
@@ -307,6 +309,187 @@ fn an_empty_query_log_batch_hands_out_no_generation() {
 
     let again = CqadsSystem::try_with_config(durable_config(&fs)).unwrap();
     assert_eq!(again.model_generation(DOMAIN), Some(ingested));
+}
+
+/// A [`MemFs`] whose first snapshot write parks until the test releases it,
+/// and says so on a channel when it parks.
+#[derive(Debug)]
+struct GatedFs {
+    inner: MemFs,
+    /// Taken by the first snapshot write: where to say it parked, and where
+    /// to wait for the release.
+    gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+}
+
+impl Vfs for GatedFs {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.inner.read(path)
+    }
+    fn write_atomic(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        let snapshot = path.to_string_lossy().contains("snapshot-");
+        let gate = if snapshot {
+            self.gate.lock().unwrap().take()
+        } else {
+            None
+        };
+        if let Some((parked, release)) = gate {
+            parked.send(()).unwrap();
+            release.recv().unwrap();
+        }
+        self.inner.write_atomic(path, data)
+    }
+    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        self.inner.append(path, data)
+    }
+    fn sync(&self, path: &Path) -> io::Result<()> {
+        self.inner.sync(path)
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.inner.list(dir)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.inner.remove_file(path)
+    }
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.inner.create_dir_all(dir)
+    }
+    fn file_len(&self, path: &Path) -> io::Result<Option<u64>> {
+        self.inner.file_len(path)
+    }
+}
+
+/// A reader never waits on the writer's storage: while the writer is parked
+/// inside a snapshot write, holding its storage engine, a detached reader's
+/// cached ask is answered. A reader that reached storage would wait for the
+/// release instead, and the ask would time out.
+#[test]
+fn a_reader_never_waits_on_the_writers_storage() {
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let fs = Arc::new(GatedFs {
+        inner: MemFs::default(),
+        gate: Mutex::new(Some((parked_tx, release_rx))),
+    });
+    let mut opts = StorageOptions::with_vfs("db", Arc::clone(&fs) as Arc<dyn Vfs>);
+    opts.snapshot_every = 0;
+    let config = CqadsConfig {
+        storage: Some(opts),
+        ..CqadsConfig::default()
+    };
+    let mut writer = CqadsSystem::try_with_config(config).unwrap();
+    writer
+        .try_add_domain(toy_car_domain(), base_table(3), TIMatrix::default())
+        .unwrap();
+    let reader = writer.reader();
+    let question = "blue automatic cars";
+    let warm = reader.ask(question).domain(DOMAIN).get().unwrap();
+
+    std::thread::scope(|scope| {
+        let snapshot = scope.spawn(|| writer.write_snapshot());
+        parked_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the snapshot write parks");
+        let (answered_tx, answered_rx) = mpsc::channel();
+        let asker = scope.spawn(move || {
+            let answer = reader.ask(question).domain(DOMAIN).get();
+            answered_tx.send(answer).unwrap();
+        });
+        let answered = answered_rx.recv_timeout(Duration::from_secs(5));
+        release_tx.send(()).unwrap();
+        asker.join().unwrap();
+        assert_eq!(snapshot.join().unwrap().unwrap(), Some(1));
+        let answer = answered.expect("a cached ask waited on the writer's snapshot");
+        assert!(
+            Arc::ptr_eq(&answer.unwrap(), &warm),
+            "served from the cache"
+        );
+    });
+}
+
+/// The tail of a WAL written while every served question left an audit
+/// frame (record tag 5), as that encoder wrote it: after the registration of
+/// `toy_car_domain` over `base_table(2)`, the inserts of [`audited_inserts`]
+/// (table generations 3, 4 and 5), with two audit frames after each of the
+/// first two.
+const AUDITED_TAIL: &str =
+    "a1000000517c217b0204000000636172730700000005000000636f6c6f720004000000626c7565040000006d\
+    616b650005000000686f6e6461070000006d696c656167650100000000006ae840050000006d6f64656c0005\
+    000000636976696305000000707269636501000000000058bb400c0000007472616e736d697373696f6e0009\
+    0000006175746f6d617469630400000079656172010000000000509f400300000000000000360000007a2b6c\
+    360510000000626c756520686f6e646120636976696304000000636172730003000000000000000000000000\
+    0000005c0000000000000036000000635dc45d0510000000626c756520686f6e646120636976696304000000\
+    6361727301030000000000000000000000000000000100000000000000a10000003901f17802040000006361\
+    72730700000005000000636f6c6f720003000000726564040000006d616b650006000000746f796f74610700\
+    00006d696c656167650100000000006ae840050000006d6f64656c000500000063616d727905000000707269\
+    636501000000000040bf400c0000007472616e736d697373696f6e00090000006175746f6d61746963040000\
+    0079656172010000000000509f400400000000000000360000008ab29973051000000072656420746f796f74\
+    612063616d727904000000636172730004000000000000000000000000000000510000000000000039000000\
+    ff1b69a60513000000626c7565206175746f6d61746963206361727304000000636172730004000000000000\
+    0000000000000000003a00000000000000a0000000c0de46000204000000636172730700000005000000636f\
+    6c6f720004000000676f6c64040000006d616b650004000000666f7264070000006d696c6561676501000000\
+    00006ae840050000006d6f64656c0005000000666f63757305000000707269636501000000000094c1400c00\
+    00007472616e736d697373696f6e00090000006175746f6d617469630400000079656172010000000000509f\
+    400500000000000000";
+
+/// The records [`AUDITED_TAIL`] inserts, in order.
+fn audited_inserts() -> [Record; 3] {
+    [
+        car(0, 3, 0, 7_000),
+        car(1, 1, 1, 8_000),
+        car(2, 2, 2, 9_000),
+    ]
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    let digit = |i: usize| u8::from_str_radix(&hex[i..i + 2], 16).unwrap();
+    (0..hex.len()).step_by(2).map(digit).collect()
+}
+
+/// A store that still holds audit frames reopens exactly as one that never
+/// had them: same rows, answers and generations, the same mutation frames
+/// counted toward the next rotation, and a clean recovery report.
+#[test]
+fn a_store_with_audit_frames_reopens_as_one_without_them() {
+    let wal = Path::new("db/wal-000000.log");
+    let registered = |fs: &Arc<MemFs>| {
+        let mut writer = CqadsSystem::try_with_config(durable_config(fs)).unwrap();
+        writer
+            .try_add_domain(toy_car_domain(), base_table(2), TIMatrix::default())
+            .unwrap();
+        writer
+    };
+    let audited = Arc::new(MemFs::default());
+    drop(registered(&audited));
+    audited.append(wal, &unhex(AUDITED_TAIL)).unwrap();
+    let frames = scan_frames(&audited.file_bytes(wal).unwrap());
+    assert_eq!((frames.payloads.len(), frames.defect), (8, None));
+
+    let plain = Arc::new(MemFs::default());
+    let mut writer = registered(&plain);
+    for record in audited_inserts() {
+        writer.insert_record(DOMAIN, record).unwrap();
+    }
+    drop(writer);
+
+    let reopen = |fs: &Arc<MemFs>| CqadsSystem::try_with_config(durable_config(fs)).unwrap();
+    let (from_audited, from_plain) = (reopen(&audited), reopen(&plain));
+    let report = from_audited.storage_report().unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(Some(report), from_plain.storage_report());
+    assert_eq!(observable(&from_audited), observable(&from_plain));
+    assert_eq!(generations(&from_audited), generations(&from_plain));
+    assert_eq!(generations(&from_audited).0, 5);
+    drop((from_audited, from_plain));
+
+    let mutation_frames = |fs: &Arc<MemFs>| {
+        let vfs = Arc::clone(fs) as Arc<dyn Vfs>;
+        StorageEngine::open(vfs, "db", false)
+            .unwrap()
+            .0
+            .mutation_frames()
+    };
+    assert_eq!(mutation_frames(&audited), 4);
+    assert_eq!(mutation_frames(&plain), 4);
 }
 
 /// One whole-file edit: a run of random bytes written over the file, a range

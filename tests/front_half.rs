@@ -13,10 +13,11 @@
 use cqads_suite::classifier::LabelledDoc;
 use cqads_suite::cqads::domain::toy_car_domain;
 use cqads_suite::cqads::spell::{correct_word, split_keywords, Correction};
-use cqads_suite::cqads::{CqadsError, CqadsSystem, DomainSpec, TaggedToken, Tagger};
+use cqads_suite::cqads::{
+    Clock, CqadsError, CqadsSystem, DomainSpec, RealClock, TaggedToken, Tagger,
+};
 use cqads_suite::datagen::{all_blueprints, generate_questions, generate_table, QuestionMix};
 use cqads_suite::querylog::TIMatrix;
-use cqads_suite::storage::{RealClock, RetryClock};
 use cqads_suite::text::{shorthand_related, tokenize};
 use proptest::prelude::*;
 use proptest::TestCaseError;

@@ -2,28 +2,25 @@
 //! concurrency protocols, run with the vendored `miniloom` checker.
 //!
 //! These tests exercise the **production types** — not re-implementations:
-//! `cqads`/`cqads-storage` are built here with their `miniloom` cargo
-//! feature, which swaps their `sync` facade modules to miniloom's
-//! model-aware shims (plain `std` passthrough outside a model). Inside
-//! [`miniloom::model`] every atomic/mutex operation becomes a scheduler
-//! yield point and the checker runs the closure once per distinct thread
-//! schedule, so an assertion here holds for **every** interleaving of the
-//! protocol's shimmed operations (under sequential consistency — the
-//! per-site ordering-strength arguments live in the `// ordering:` comments
-//! that `cargo xtask lint` enforces).
+//! `cqads` is built here with its `miniloom` cargo feature, which swaps its
+//! `sync` facade module to miniloom's model-aware shims (plain `std`
+//! passthrough outside a model). Inside [`miniloom::model`] every
+//! atomic/mutex operation becomes a scheduler yield point and the checker
+//! runs the closure once per distinct thread schedule, so an assertion here
+//! holds for **every** interleaving of the protocol's shimmed operations
+//! (under sequential consistency — the per-site ordering-strength arguments
+//! live in the `// ordering:` comments that `cargo xtask lint` enforces).
 //!
-//! Four protocols are checked, matching ARCHITECTURE.md invariants #6–#8:
+//! Three protocols are checked, matching ARCHITECTURE.md invariants #6–#8:
 //!
-//! 1. [`CircuitBreaker`] — trip exactly-once under concurrent threshold
-//!    crossing, and the half-open probe race leaves only expected states.
-//! 2. [`AnswerCache`] — the generation-stamp fill/lookup protocol: a racing
+//! 1. [`AnswerCache`] — the generation-stamp fill/lookup protocol: a racing
 //!    stale filler can never mask a fresher entry, and a lookup at the
 //!    current stamp never returns a provably-stale answer.
-//! 3. [`ArcSwap`] — the snapshot-publication slot ring behind the
+//! 2. [`ArcSwap`] — the snapshot-publication slot ring behind the
 //!    reader/writer handle split: loads never observe a torn or regressing
 //!    snapshot, and racing writers serialize without losing a displaced
 //!    snapshot.
-//! 4. Admission control — the in-flight permit in front of every request,
+//! 3. Admission control — the in-flight permit in front of every request,
 //!    single ask or burst: concurrent requests beyond the bound are shed,
 //!    every shed is counted, and a finished request frees its slot.
 
@@ -31,7 +28,6 @@ use arcswap::ArcSwap;
 use cqads::cache::{AnswerCache, CacheKey, GenerationStamp};
 use cqads::pipeline::AnswerSet;
 use cqads::{CqadsConfig, CqadsError, CqadsWriter, ResilienceOptions};
-use cqads_storage::retry::CircuitBreaker;
 use std::sync::{Arc, Mutex};
 
 /// Floor asserted on every three-thread model: all `3! = 6` serial orders
@@ -42,86 +38,6 @@ const MIN_SCHEDULES_3T: u64 = 6;
 /// Floor for the two-thread models: strictly more than the two serial
 /// orders, i.e. at least one genuinely interleaved schedule was explored.
 const MIN_SCHEDULES_2T: u64 = 3;
-
-// ---------------------------------------------------------------------------
-// CircuitBreaker — trip / half-open / close races (crates/storage/src/retry.rs)
-// ---------------------------------------------------------------------------
-
-/// Two workers exhaust their retries concurrently with `threshold = 2`:
-/// the `fetch_add` RMW guarantees the streak reaches 2 in every schedule, so
-/// the breaker must end **open** — and exactly one worker observes the
-/// crossing (`times_opened == 1`), so trip side effects never double-fire.
-#[test]
-fn circuit_breaker_concurrent_failures_trip_exactly_once() {
-    let report = miniloom::model(|| {
-        let breaker = Arc::new(CircuitBreaker::new(2, 1_000));
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let breaker = Arc::clone(&breaker);
-                miniloom::thread::spawn(move || breaker.record_failure(0))
-            })
-            .collect();
-        for worker in workers {
-            worker.join().unwrap();
-        }
-        assert!(
-            !breaker.allows(999),
-            "two concurrent failures at threshold 2 must leave the breaker open"
-        );
-        assert!(breaker.allows(1_000), "cooldown expiry half-opens");
-        assert_eq!(
-            breaker.times_opened(),
-            1,
-            "the threshold crossing must be observed by exactly one failure"
-        );
-    });
-    assert!(report.schedules >= MIN_SCHEDULES_2T, "explored {report}");
-    println!("circuit_breaker trip: {report}");
-}
-
-/// The half-open probe race: after a cooldown, a succeeding probe races a
-/// failing one (`threshold = 1`). Both final states are legitimate — which
-/// ever bookkeeping lands last wins — but every schedule must end in exactly
-/// one of the two *coherent* states: fully closed (streak reset) or re-opened
-/// for a full cooldown; and both outcomes must actually be reachable.
-#[test]
-fn circuit_breaker_half_open_probe_race_reaches_only_coherent_states() {
-    let outcomes = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
-    let sink = Arc::clone(&outcomes);
-    let report = miniloom::model(move || {
-        let breaker = Arc::new(CircuitBreaker::new(1, 1_000));
-        // Trip once; the probe race happens after the cooldown at t=1000.
-        breaker.record_failure(0);
-        assert!(!breaker.allows(999));
-        assert!(breaker.allows(1_000), "half-open");
-
-        let success = {
-            let breaker = Arc::clone(&breaker);
-            miniloom::thread::spawn(move || breaker.record_success())
-        };
-        let failure = {
-            let breaker = Arc::clone(&breaker);
-            miniloom::thread::spawn(move || breaker.record_failure(1_000))
-        };
-        success.join().unwrap();
-        failure.join().unwrap();
-
-        let open_now = !breaker.allows(1_000);
-        let open_after_cooldown = !breaker.allows(2_000);
-        assert!(
-            !open_after_cooldown,
-            "no schedule may leave the breaker open past a full cooldown"
-        );
-        sink.lock().unwrap().insert(open_now);
-    });
-    let outcomes = outcomes.lock().unwrap();
-    assert!(
-        outcomes.contains(&true) && outcomes.contains(&false),
-        "both race winners must be reachable, saw {outcomes:?}"
-    );
-    assert!(report.schedules >= MIN_SCHEDULES_2T, "explored {report}");
-    println!("circuit_breaker half-open race: {report}");
-}
 
 // ---------------------------------------------------------------------------
 // AnswerCache — generation-stamp fill/lookup races (crates/core/src/cache.rs)
