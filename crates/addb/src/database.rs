@@ -72,13 +72,6 @@ impl Database {
         self.tables.get(name).map(Arc::as_ref)
     }
 
-    /// Get a table's shared handle by domain name. Cloning the returned
-    /// `Arc` pins the table's current contents without copying them — this
-    /// is how snapshot publication shares tables with detached readers.
-    pub fn table_shared(&self, name: &str) -> Option<&Arc<Table>> {
-        self.tables.get(name)
-    }
-
     /// Get a mutable table by domain name. If the table is shared with a
     /// published snapshot this first write works on a clone of it
     /// ([`Arc::make_mut`]; the clone shares every chunk the write does not

@@ -22,8 +22,7 @@
 //! intersection, disjunctions a k-way merge, `NOT` and negated conditions a
 //! complement cursor. What still materializes one sorted vector when it is built:
 //! **narrow numeric ranges** (value order re-sorted into id order; wide ranges are a
-//! lazy per-record filter), **`Contains`** (the verified values' posting lists,
-//! concatenated and sorted) and **superlatives** (the tie window of the extreme, found
+//! lazy per-record filter) and **superlatives** (the tie window of the extreme, found
 //! by a walk of the sorted index, below).
 //!
 //! ## Galloping advance and block-max skipping
@@ -90,9 +89,8 @@
 
 use crate::error::{DbError, DbResult};
 use crate::query::{BoolExpr, Comparison, Condition, Query, Superlative, SuperlativeKind};
-use crate::record::{Record, RecordId};
+use crate::record::RecordId;
 use crate::schema::AttrType;
-use crate::substring::SUBSTRING_KEY_LEN;
 use crate::table::{retain_extreme, tied, PostingList, Table, TextColumn, POSTING_BLOCK};
 use crate::value::{normalize_text, Value};
 use cqads_text::intern::{self, Sym};
@@ -168,8 +166,7 @@ impl<'a> PostingsCursor<'a> {
     }
 }
 
-/// Cursor over materialized sorted ids (narrow ranges, substring matches,
-/// superlative survivors).
+/// Cursor over materialized sorted ids (narrow ranges, superlative survivors).
 #[derive(Debug)]
 pub struct OwnedCursor {
     ids: Vec<RecordId>,
@@ -250,8 +247,7 @@ pub enum IdStream<'a> {
     All(std::ops::Range<u32>),
     /// Borrowed posting list with block-max skip metadata.
     Postings(PostingsCursor<'a>),
-    /// Materialized sorted ids (narrow ranges, substring matches, superlative
-    /// survivors).
+    /// Materialized sorted ids (narrow ranges, superlative survivors).
     Owned(OwnedCursor),
     /// Lazy intersection of two streams, advanced by leapfrogging
     /// [`IdStream::seek_ge`] (galloping + block-max skipping).
@@ -782,15 +778,6 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Convenience: execute and materialize the matching records.
-    pub fn execute_records(&self, query: &Query) -> DbResult<Vec<(RecordId, &'a Record)>> {
-        Ok(self
-            .execute(query)?
-            .into_iter()
-            .filter_map(|a| self.table.get(a.id).map(|r| (a.id, r)))
-            .collect())
-    }
-
     /// Check `query` against the table without executing it: the table name, every
     /// attribute, empty `BETWEEN` ranges, numeric comparisons and superlatives on
     /// numeric attributes only. Every `execute*` entry point runs it first.
@@ -910,7 +897,7 @@ impl<'a> Executor<'a> {
     }
 
     /// The per-candidate form of a positive numeric condition, `None` for anything
-    /// else (negated, text equality, substring).
+    /// else (negated, text equality).
     fn range_predicate(&self, cond: &Condition) -> Option<RangePredicate<'a>> {
         if cond.negated {
             return None;
@@ -949,7 +936,7 @@ impl<'a> Executor<'a> {
     /// The records whose `cond.attribute` satisfies `cond.comparison` (the negation
     /// flag is [`Executor::stream_condition`]'s business), off the indexes. Text
     /// equality borrows its posting list, a wide numeric range filters the id space
-    /// lazily; narrow ranges and substring matches materialize one sorted vector.
+    /// lazily; a narrow range materializes one sorted vector.
     fn stream_comparison(&self, cond: &Condition) -> IdStream<'a> {
         match &cond.comparison {
             Comparison::Eq(Value::Text(v)) => self
@@ -957,16 +944,6 @@ impl<'a> Executor<'a> {
                 .posting_list(&cond.attribute, v)
                 .map(IdStream::postings)
                 .unwrap_or(IdStream::Empty),
-            Comparison::Contains(_) => {
-                // Every verified value contributes its whole posting list.
-                let mut ids: Vec<RecordId> = Vec::new();
-                for (_, postings) in self.text_values(cond) {
-                    ids.extend_from_slice(postings.ids());
-                }
-                // Distinct values hold disjoint records: sorting is all it takes.
-                ids.sort_unstable();
-                IdStream::from_sorted_ids(ids)
-            }
             numeric => {
                 let Some((low, high)) = numeric_bounds(numeric) else {
                     return IdStream::Empty;
@@ -1082,11 +1059,7 @@ impl<'a> Executor<'a> {
                     }),
                     None => ColumnCheck::Text {
                         column: self.table.text_column(&cond.attribute),
-                        syms: self
-                            .text_values(cond)
-                            .into_iter()
-                            .map(|(sym, _)| sym)
-                            .collect(),
+                        sym: self.text_value(cond),
                     },
                 };
                 if cond.negated {
@@ -1105,39 +1078,12 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// The values of a text equality or `Contains` condition's attribute that
-    /// satisfy it, with their posting lists — what its index stream is made of.
-    /// Equality names at most one value. For `Contains` the substring index names
-    /// candidate values (slots of the attribute's directory) and each is verified
-    /// once; a needle shorter than the index key cannot be pre-filtered, so every
-    /// value is a candidate.
-    fn text_values(&self, cond: &Condition) -> Vec<(Sym, &'a PostingList)> {
-        let Some(values) = self.table.value_index(&cond.attribute) else {
-            return Vec::new();
-        };
+    /// The interned value a text equality condition asks for, `None` for any other
+    /// comparison or a value never interned (which no record holds).
+    fn text_value(&self, cond: &Condition) -> Option<Sym> {
         match &cond.comparison {
-            Comparison::Eq(Value::Text(v)) => intern::lookup(&normalize_text(v))
-                .and_then(|sym| Some((sym, values.get(sym)?)))
-                .into_iter()
-                .collect(),
-            Comparison::Contains(needle) => {
-                let slots = if needle.chars().count() < SUBSTRING_KEY_LEN {
-                    (0..values.len() as u32).collect()
-                } else {
-                    self.table
-                        .substring_index()
-                        .substring_candidates(&cond.attribute, needle)
-                };
-                let verified = |(sym, _): &(Sym, &PostingList)| {
-                    cond.comparison.matches(&Value::Text(intern::resolve(*sym)))
-                };
-                slots
-                    .into_iter()
-                    .filter_map(|slot| values.entry(slot))
-                    .filter(verified)
-                    .collect()
-            }
-            _ => Vec::new(),
+            Comparison::Eq(Value::Text(v)) => intern::lookup(&normalize_text(v)),
+            _ => None,
         }
     }
 }
@@ -1182,10 +1128,10 @@ fn walk_window(
 /// over the record is the definition both are tested against.
 #[derive(Debug)]
 enum ColumnCheck<'a> {
-    /// The record's symbol is one of `syms` (no symbol, no match).
+    /// The record's symbol is `sym` (no symbol, no match).
     Text {
         column: Option<&'a TextColumn>,
-        syms: Vec<Sym>,
+        sym: Option<Sym>,
     },
     /// The record's value lies in the range (no value, no match).
     Range(RangePredicate<'a>),
@@ -1200,9 +1146,9 @@ enum ColumnCheck<'a> {
 impl ColumnCheck<'_> {
     fn matches(&self, id: RecordId) -> bool {
         match self {
-            ColumnCheck::Text { column, syms } => column
-                .and_then(|c| c.sym(id))
-                .is_some_and(|sym| syms.contains(&sym)),
+            ColumnCheck::Text { column, sym } => {
+                sym.is_some_and(|sym| column.and_then(|c| c.sym(id)) == Some(sym))
+            }
             ColumnCheck::Range(range) => range.matches(id),
             ColumnCheck::All(parts) => parts.iter().all(|p| p.matches(id)),
             ColumnCheck::Any(parts) => parts.iter().any(|p| p.matches(id)),
@@ -1212,10 +1158,9 @@ impl ColumnCheck<'_> {
 }
 
 /// Inclusive `[low, high]` bounds of a numeric comparison, `None` for text equality
-/// and substring — the one place a numeric condition is turned into a range, shared
-/// by the index arm and the per-candidate filter, and exactly
-/// [`Comparison::matches`]: equality is exact, and a strict bound ends at the
-/// neighbouring float.
+/// — the one place a numeric condition is turned into a range, shared by the index
+/// arm and the per-candidate filter, and exactly [`Comparison::matches`]: equality
+/// is exact, and a strict bound ends at the neighbouring float.
 fn numeric_bounds(comparison: &Comparison) -> Option<(f64, f64)> {
     Some(match comparison {
         Comparison::Eq(Value::Number(n)) => (*n, *n),
@@ -1224,7 +1169,7 @@ fn numeric_bounds(comparison: &Comparison) -> Option<(f64, f64)> {
         Comparison::Gt(b) => (b.next_up(), f64::INFINITY),
         Comparison::Ge(b) => (*b, f64::INFINITY),
         Comparison::Between(lo, hi) => (*lo, *hi),
-        Comparison::Eq(Value::Text(_)) | Comparison::Contains(_) => return None,
+        Comparison::Eq(Value::Text(_)) => return None,
     })
 }
 
@@ -1326,14 +1271,11 @@ mod tests {
     }
 
     #[test]
-    fn between_and_contains_conditions() {
+    fn between_conditions() {
         let t = sample_table();
         let q = Query::new("cars")
             .with_condition(Condition::new("price", Comparison::Between(4000.0, 7000.0)));
         assert_eq!(Executor::new(&t).execute(&q).unwrap().len(), 3);
-        let q = Query::new("cars")
-            .with_condition(Condition::new("model", Comparison::Contains("cord".into())));
-        assert_eq!(Executor::new(&t).execute(&q).unwrap().len(), 2);
     }
 
     #[test]
@@ -1397,15 +1339,6 @@ mod tests {
             .collect();
         assert_eq!(executed, scan(&t, &q.expr));
         assert_eq!(executed, rec(&[0]));
-    }
-
-    #[test]
-    fn execute_records_materializes_rows() {
-        let t = sample_table();
-        let q = Query::new("cars").with_condition(Condition::eq("make", "ford"));
-        let recs = Executor::new(&t).execute_records(&q).unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].1.get_text("model"), Some("focus"));
     }
 
     // -----------------------------------------------------------------------
@@ -1968,45 +1901,6 @@ mod tests {
             let page = executor.execute(&query.with_limit(usize::MAX)).unwrap();
             let page: Vec<RecordId> = page.iter().map(|a| a.id).collect();
             assert_eq!(page, want, "{context}");
-        }
-    }
-
-    proptest::proptest! {
-        /// `Contains` through the substring index (candidate values, verified once
-        /// each) ≡ the brute-force scan: needles below the key length, at and above
-        /// it, in mixed case and absent, over values that share trigrams.
-        #[test]
-        fn contains_agrees_with_the_full_scan(
-            values in proptest::collection::vec("[abc]{1,6}( [abc]{1,3})?", 1..24),
-            needles in proptest::collection::vec("[abcB ]{0,5}", 1..12),
-        ) {
-            let schema = Schema::builder("things").type1("name").type2("tag").build().unwrap();
-            let mut t = Table::new(schema);
-            for (i, value) in values.iter().enumerate() {
-                let mut record = Record::builder().text("name", value);
-                if i % 3 != 0 {
-                    record = record.text("tag", &values[i / 2]);
-                }
-                t.insert(record.build()).unwrap();
-            }
-            let needles = needles.iter().map(String::as_str).chain(["", "zzz", &values[0]]);
-            for needle in needles {
-                for attribute in ["name", "tag"] {
-                    let cond = Condition::new(attribute, Comparison::Contains(needle.into()));
-                    let scanned: Vec<RecordId> = t
-                        .iter()
-                        .filter(|(_, r)| cond.matches_value(r.get(attribute)))
-                        .map(|(id, _)| id)
-                        .collect();
-                    let executed: Vec<RecordId> = Executor::new(&t)
-                        .execute(&Query::new("things").with_condition(cond))
-                        .unwrap()
-                        .iter()
-                        .map(|a| a.id)
-                        .collect();
-                    proptest::prop_assert_eq!(executed, scanned, "{} LIKE %{}%", attribute, needle);
-                }
-            }
         }
     }
 }

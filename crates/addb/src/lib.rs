@@ -10,8 +10,8 @@
 //!   Type II attributes are descriptive, secondary-indexed properties (Color,
 //!   Transmission), and Type III attributes are numeric quantities (Price, Year,
 //!   Mileage) with a known valid range.
-//! * **Tables with hash primary/secondary indexes** plus the paper's *length-3
-//!   substring index* used to speed up partial string matching (Section 4.5).
+//! * **Tables with hash primary/secondary indexes** keyed by interned value symbols,
+//!   plus a sorted range index per numeric attribute.
 //! * **A SQL-style query AST** ([`query::Query`]) with equality, range, negation,
 //!   BETWEEN and superlative (`group by`/extreme value) constructs, and boolean
 //!   combinations of sub-queries.
@@ -73,7 +73,6 @@ pub mod query;
 pub mod record;
 pub mod schema;
 pub mod sql;
-pub mod substring;
 pub mod table;
 pub mod value;
 
@@ -83,7 +82,6 @@ pub use exec::{Executor, IdStream, QueryAnswer, ScoredUnion};
 pub use query::{BoolExpr, Comparison, Condition, Query, Superlative, SuperlativeKind};
 pub use record::{Record, RecordBuilder, RecordId};
 pub use schema::{AttrType, AttributeDef, Schema, SchemaBuilder};
-pub use substring::SubstringIndex;
 pub use table::{
     retain_extreme, NumericColumn, PostingList, Table, TextColumn, ValueIndex, POSTING_BLOCK,
     RECORD_CHUNK, SUPERLATIVE_TIE_WINDOW,

@@ -34,21 +34,12 @@ pub enum Comparison {
     Ge(f64),
     /// Between two numeric bounds (inclusive), produced by Rule 1c of the Boolean model.
     Between(f64, f64),
-    /// Substring containment on a categorical value (shorthand-notation matching).
-    Contains(String),
 }
 
 impl Comparison {
     /// True if this comparison constrains a numeric (Type III) value.
     pub fn is_numeric(&self) -> bool {
-        matches!(
-            self,
-            Comparison::Lt(_)
-                | Comparison::Le(_)
-                | Comparison::Gt(_)
-                | Comparison::Ge(_)
-                | Comparison::Between(_, _)
-        ) || matches!(self, Comparison::Eq(Value::Number(_)))
+        !matches!(self, Comparison::Eq(Value::Text(_)))
     }
 
     /// Evaluate the comparison against a stored value. Numeric equality is **exact**
@@ -65,7 +56,6 @@ impl Comparison {
             (Comparison::Gt(b), Value::Number(v)) => v > b,
             (Comparison::Ge(b), Value::Number(v)) => v >= b,
             (Comparison::Between(lo, hi), Value::Number(v)) => v >= lo && v <= hi,
-            (Comparison::Contains(needle), Value::Text(have)) => have.contains(needle.as_str()),
             _ => false,
         }
     }
@@ -74,13 +64,13 @@ impl Comparison {
 impl fmt::Display for Comparison {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Comparison::Eq(v) => write!(f, "= '{v}'"),
+            Comparison::Eq(Value::Text(s)) => write!(f, "= '{s}'"),
+            Comparison::Eq(number) => write!(f, "= {number}"),
             Comparison::Lt(b) => write!(f, "< {b}"),
             Comparison::Le(b) => write!(f, "<= {b}"),
             Comparison::Gt(b) => write!(f, "> {b}"),
             Comparison::Ge(b) => write!(f, ">= {b}"),
             Comparison::Between(lo, hi) => write!(f, "BETWEEN {lo} AND {hi}"),
-            Comparison::Contains(s) => write!(f, "LIKE '%{s}%'"),
         }
     }
 }
@@ -382,7 +372,6 @@ mod tests {
         assert!(Comparison::Ge(2000.0).matches(&Value::number(2000.0)));
         assert!(Comparison::Between(2000.0, 7000.0).matches(&Value::number(7000.0)));
         assert!(!Comparison::Between(2000.0, 7000.0).matches(&Value::number(7001.0)));
-        assert!(Comparison::Contains("dr".into()).matches(&Value::text("2dr")));
         // type mismatches never match
         assert!(!Comparison::Lt(5.0).matches(&Value::text("five")));
         assert!(!Comparison::Eq(Value::text("blue")).matches(&Value::number(1.0)));

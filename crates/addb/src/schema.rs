@@ -114,11 +114,6 @@ impl Schema {
         self.of_type(AttrType::TypeI)
     }
 
-    /// Names of all Type II attributes.
-    pub fn type2_names(&self) -> Vec<&str> {
-        self.of_type(AttrType::TypeII)
-    }
-
     /// Names of all Type III attributes.
     pub fn type3_names(&self) -> Vec<&str> {
         self.of_type(AttrType::TypeIII)
@@ -266,7 +261,6 @@ mod tests {
     fn builder_produces_expected_attribute_groups() {
         let s = car_schema();
         assert_eq!(s.type1_names(), vec!["make", "model"]);
-        assert_eq!(s.type2_names(), vec!["color", "transmission"]);
         assert_eq!(s.type3_names(), vec!["price", "year", "mileage"]);
         assert_eq!(s.len(), 7);
         assert!(!s.is_empty());

@@ -2,7 +2,7 @@
 //! relational backend (the paper uses MySQL; Example 7 shows the nested
 //! `SELECT ... WHERE Car_ID IN (...)` shape that this module reproduces).
 
-use crate::query::{BoolExpr, Comparison, Condition, Query, SuperlativeKind};
+use crate::query::{BoolExpr, Condition, Query, SuperlativeKind};
 
 /// Render a full SQL statement in the nested-subquery style of the paper's Example 7.
 ///
@@ -28,13 +28,6 @@ pub fn render(query: &Query) -> String {
     sql
 }
 
-/// Render only the WHERE clause (used in tests and in the Boolean-interpretation survey
-/// display, Figure 3 of the paper).
-pub fn render_where(query: &Query) -> String {
-    let id_col = format!("{}_id", singular(&query.table));
-    render_expr(&query.expr, &query.table, &id_col)
-}
-
 fn render_expr(expr: &BoolExpr, table: &str, id_col: &str) -> String {
     match expr {
         BoolExpr::True => "1 = 1".to_string(),
@@ -54,11 +47,10 @@ fn render_expr(expr: &BoolExpr, table: &str, id_col: &str) -> String {
 }
 
 fn render_condition(cond: &Condition, table: &str, id_col: &str) -> String {
-    let inner = match &cond.comparison {
-        Comparison::Eq(v) => format!("C.{} = '{}'", cond.attribute, v),
-        other => format!("C.{} {}", cond.attribute, other),
-    };
-    let sub = format!("{id_col} IN (SELECT {id_col} FROM {table} C WHERE {inner})");
+    let sub = format!(
+        "{id_col} IN (SELECT {id_col} FROM {table} C WHERE C.{} {})",
+        cond.attribute, cond.comparison
+    );
     if cond.negated {
         format!("NOT ({sub})")
     } else {
@@ -73,7 +65,7 @@ fn singular(table: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{Condition, Query, Superlative};
+    use crate::query::{Comparison, Condition, Query, Superlative};
 
     #[test]
     fn renders_example_7_shape() {
@@ -109,8 +101,17 @@ mod tests {
             BoolExpr::Cond(Condition::eq("model", "corolla")),
         ]);
         let q = Query::new("cars").with_expr(expr);
-        let w = render_where(&q);
-        assert!(w.contains(") OR ("));
+        assert!(render(&q).contains(") OR ("));
+    }
+
+    #[test]
+    fn quotes_text_and_prints_numbers_bare() {
+        let q = Query::new("cars")
+            .with_condition(Condition::eq_number("price", 501.0))
+            .with_condition(Condition::eq("make", "honda"));
+        let sql = render(&q);
+        assert!(sql.contains("C.price = 501)"), "{sql}");
+        assert!(sql.contains("C.make = 'honda')"), "{sql}");
     }
 
     #[test]

@@ -1,10 +1,20 @@
-//! Ads tables: record storage plus the paper's three index structures.
+//! Ads tables: record storage plus the paper's index structures.
 //!
 //! * Type I attribute values are kept in a **primary index** (value → record ids).
 //! * Type II attribute values are kept in a **secondary index**.
-//! * All categorical values also feed the length-3 **substring index** of Section 4.5.
 //! * Type III attribute values are stored in a per-column sorted index so that range
 //!   evaluation does not need to touch unrelated records.
+//!
+//! Section 4.5 of the paper argues for short index keys: *"We have implemented a
+//! primary MySQL substring index of length 3 on all the attributes of different ads
+//! domains ... Substring indexes are shorter than their corresponding entire column
+//! values, require less disk storage, and hold more keys in the cache memory for
+//! searching."* Here the primary and secondary indexes deliver that by interning: a
+//! posting list is keyed by the value's [`Sym`], a 4-byte integer however long the
+//! value, so a lookup is one integer hash probe and the keys of every column stay in
+//! cache. No question CQAds asks needs a substring condition (shorthand notations are
+//! matched by the tagger, against the domain's values), so there is no substring
+//! index to keep beside them.
 //!
 //! In addition to the indexes, every categorical value is **interned at insert time**:
 //! the normalized value becomes an integer symbol in its [`TextColumn`], and the
@@ -27,8 +37,8 @@
 //! behind `Arc`s: a clone bumps one refcount per chunk, an insert copies the tail
 //! chunk only, a full chunk is shared by every snapshot from then on. The sorted range
 //! index is a run of `Arc`-shared leaves of which an insert rewrites one. What is
-//! stored **per distinct value** — stems, the substring index — is shared outright and
-//! written only when a value is seen for the first time. The posting lists and value
+//! stored **per distinct value** — its stems — is shared outright and written only
+//! when a value is seen for the first time. The posting lists and value
 //! directories are contiguous (the executor's cursors gallop over plain slices) and
 //! are copied whole: 4 bytes per record and text attribute.
 
@@ -36,7 +46,6 @@ use crate::chunked::{ChunkedVec, SortedIndex};
 use crate::error::{DbError, DbResult};
 use crate::record::{Record, RecordId};
 use crate::schema::{AttrType, Schema};
-use crate::substring::SubstringIndex;
 use cqads_text::intern::{self, Sym};
 use cqads_text::porter_stem;
 use std::collections::HashMap;
@@ -185,12 +194,11 @@ struct ValueEntry {
 impl ValueIndex {
     /// Append `id` to the posting list of the value `text`, interned as `sym` (ids
     /// arrive monotonically increasing, so lists stay sorted and their block maxima
-    /// current — see [`PostingList`]). Returns the value's slot when this is its
-    /// first occurrence in the column.
-    fn push(&mut self, sym: Sym, text: &str, id: RecordId) -> Option<u32> {
+    /// current — see [`PostingList`]).
+    fn push(&mut self, sym: Sym, text: &str, id: RecordId) {
         if let Some(&slot) = self.by_sym.get(&sym) {
             self.entries[slot as usize].postings.push(id);
-            return None;
+            return;
         }
         let slot = self.entries.len() as u32;
         self.by_sym.insert(sym, slot);
@@ -204,7 +212,6 @@ impl ValueIndex {
                 .collect(),
             postings,
         });
-        Some(slot)
     }
 
     fn find(&self, sym: Sym) -> Option<&ValueEntry> {
@@ -228,14 +235,6 @@ impl ValueIndex {
     /// order. Document frequency of a value is `postings.len()`.
     pub fn entries(&self) -> impl Iterator<Item = (Sym, &PostingList)> {
         self.entries.iter().map(|e| (e.sym, &e.postings))
-    }
-
-    /// The directory entry at `slot` (its position in [`ValueIndex::entries`]) — how
-    /// the [`SubstringIndex`] names a value.
-    pub fn entry(&self, slot: u32) -> Option<(Sym, &PostingList)> {
-        self.entries
-            .get(slot as usize)
-            .map(|e| (e.sym, &e.postings))
     }
 
     /// How many records carry `sym` in this column (0 when the value never occurs).
@@ -310,8 +309,6 @@ pub struct Table {
     text_cols: HashMap<String, TextColumn>,
     /// attribute -> numeric value by record id (Type III).
     num_cols: HashMap<String, NumericColumn>,
-    /// Trigrams of the distinct values; written only when a value is first seen.
-    substring: Arc<SubstringIndex>,
 }
 
 impl Table {
@@ -347,7 +344,6 @@ impl Table {
             numeric,
             text_cols,
             num_cols,
-            substring: Arc::default(),
         }
     }
 
@@ -393,7 +389,7 @@ impl Table {
     /// Rebuild a table from records in storage order, restoring a persisted
     /// mutation generation.
     ///
-    /// Every index structure (posting lists, block maxima, substring index,
+    /// Every index structure (posting lists, block maxima, sorted range indexes,
     /// interned columns) is rebuilt by the ordinary [`Table::insert`] path, so
     /// a recovered table is structurally identical to one that received the
     /// same inserts live — record ids are assigned in iteration order exactly
@@ -412,12 +408,6 @@ impl Table {
         }
         table.raise_generation(generation);
         Ok(table)
-    }
-
-    /// The substring index over the distinct values of every categorical attribute;
-    /// its candidates are slots of the attribute's [`Table::value_index`].
-    pub fn substring_index(&self) -> &SubstringIndex {
-        &self.substring
     }
 
     /// Check a record against the schema without inserting it: every attribute
@@ -466,9 +456,8 @@ impl Table {
             let sym = record.get_text(name).map(|text| {
                 let sym = intern::intern(text);
                 let index = self.primary.get_mut(name);
-                let index = index.or_else(|| self.secondary.get_mut(name));
-                if let Some(slot) = index.and_then(|index| index.push(sym, text, id)) {
-                    Arc::make_mut(&mut self.substring).insert(name, text, slot);
+                if let Some(index) = index.or_else(|| self.secondary.get_mut(name)) {
+                    index.push(sym, text, id);
                 }
                 sym
             });
@@ -619,16 +608,6 @@ mod tests {
 
     fn sorted_ids(t: &Table) -> Vec<RecordId> {
         t.iter().map(|(id, _)| id).collect()
-    }
-
-    /// How many records stand behind the substring index's candidate values.
-    fn substring_records(t: &Table, attribute: &str, probe: &str) -> usize {
-        let values = t.value_index(attribute).unwrap();
-        t.substring_index()
-            .substring_candidates(attribute, probe)
-            .into_iter()
-            .map(|slot| values.entry(slot).unwrap().1.len())
-            .sum()
     }
 
     /// How many chunks (or leaves) of `after` are not the very allocation `before` holds.
@@ -864,15 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn substring_index_is_populated_on_insert() {
-        let t = sample_table();
-        // One candidate value (the index is over distinct values) standing for both accords.
-        let cands = t.substring_index().substring_candidates("model", "cord");
-        assert_eq!(cands, vec![0]);
-        assert_eq!(substring_records(&t, "model", "cord"), 2);
-    }
-
-    #[test]
     fn len_iter_and_get_are_consistent() {
         let t = sample_table();
         assert_eq!(t.len(), 4);
@@ -896,7 +866,9 @@ mod tests {
             assert_eq!(rebuilt.get(id), Some(record));
         }
         // Indexes were rebuilt through the normal insert path.
-        assert_eq!(substring_records(&rebuilt, "model", "cord"), 2);
+        assert_eq!(rebuilt.posting_list("model", "accord").unwrap().len(), 2);
+        let models = |t: &Table| t.value_index("model").unwrap().len();
+        assert_eq!(models(&rebuilt), models(&original));
 
         // A persisted generation above the insert count wins; one below it
         // (impossible in practice) is corrected up to the count.
@@ -947,6 +919,7 @@ mod tests {
                 2000.0,
             )
         };
+        let models = |t: &Table| t.value_index("model").unwrap().len();
         let mut table = Table::new(car_schema());
         // Two sealed chunks and a tail; every sorted index has split once.
         for i in 0..2 * RECORD_CHUNK + 5 {
@@ -983,8 +956,8 @@ mod tests {
                 assert_eq!(unshared(old, new), leaves_written, "{name}");
                 assert_eq!(unshared(new, old), 1, "{name}");
             }
-            // No value was seen for the first time: per-value state is shared outright.
-            assert!(Arc::ptr_eq(&before.substring, &table.substring));
+            // No value was seen for the first time: the value directory did not grow.
+            assert_eq!(models(&before), models(&table));
 
             // The clone is the table as it was.
             assert_eq!((before.len(), table.len()), (n, n + 1));
@@ -1007,9 +980,8 @@ mod tests {
         table
             .insert(car("honda", "pilot", "blue", "manual", 1.0, 2000.0))
             .unwrap();
-        assert!(!Arc::ptr_eq(&before.substring, &table.substring));
+        assert_eq!(models(&before) + 1, models(&table));
         assert!(before.posting_list("model", "pilot").is_none());
-        assert_eq!(substring_records(&before, "model", "pil"), 0);
-        assert_eq!(substring_records(&table, "model", "pil"), 1);
+        assert_eq!(table.posting_list("model", "pilot").unwrap().len(), 1);
     }
 }

@@ -20,17 +20,17 @@
 //! A word's log-likelihood in a question is
 //! `ln C(n, k) + ln B(k + α_w, n − k + β_w) − ln B(α_w, β_w)`. Of its parts, `α_w`,
 //! `β_w` and `ln B(α_w, β_w)` depend only on the (class, word) pair, so the end of every
-//! [`Classifier::train`] call stores them for each class and vocabulary id (24 bytes
+//! [`BetaBinomialNb::train`] call stores them for each class and vocabulary id (24 bytes
 //! per pair). `p_w(c)` depends on the vocabulary size, so a second `train` rebuilds
 //! the whole table. `ln C(n, k)` depends only on the question, so
-//! [`Classifier::scores`] evaluates it once per word rather than once per (class, word).
+//! [`BetaBinomialNb::scores`] evaluates it once per word rather than once per (class, word).
 //! Per (class, word) that leaves `ln B(k + α_w, n − k + β_w)`: three `ln_gamma`s
 //! instead of nine. Every operand is the same `f64` and the expression is summed in
 //! the same order as when all of it was evaluated per question, so **the scores are
 //! bit-identical** to that evaluation (a test compares them with `f64::to_bits`).
 
 use crate::vocab::Vocabulary;
-use crate::{Classifier, LabelledDoc};
+use crate::LabelledDoc;
 
 /// Default burstiness (concentration) parameter. Chosen so that repeated keywords are
 /// markedly cheaper than under the multinomial model, matching Allison's observation
@@ -126,10 +126,9 @@ impl BetaBinomialNb {
         let n = f64::from(n);
         ln_choose(n, k) + ln_beta(k + a, n - k + b) - ln_beta(a, b)
     }
-}
 
-impl Classifier for BetaBinomialNb {
-    fn train(&mut self, docs: &[LabelledDoc]) {
+    /// Fit the classifier on labelled documents.
+    pub fn train(&mut self, docs: &[LabelledDoc]) {
         let mut doc_counts: Vec<u64> = vec![0; self.classes.len()];
         for doc in docs {
             let ci = self.class_index(&doc.label);
@@ -155,7 +154,9 @@ impl Classifier for BetaBinomialNb {
         self.terms = self.build_terms();
     }
 
-    fn scores(&self, tokens: &[String]) -> Vec<f64> {
+    /// Log-probability score of each class for the given token bag, ordered as
+    /// [`BetaBinomialNb::classes`]. Higher is better.
+    pub fn scores(&self, tokens: &[String]) -> Vec<f64> {
         let vector = self.vocab.count_vector_frozen(tokens);
         let n: u32 = vector.iter().map(|&(_, c)| c).sum();
         // The question's part of each word's term: (id, ln C(n, k), k, n − k).
@@ -181,8 +182,34 @@ impl Classifier for BetaBinomialNb {
             .collect()
     }
 
-    fn classes(&self) -> &[String] {
+    /// Class labels known to the classifier, in score order.
+    pub fn classes(&self) -> &[String] {
         &self.classes
+    }
+
+    /// Predict the most likely class for the token bag (Equation 2 of the paper).
+    // `#[inline]` on this and `classify_text`: the router calls them from another
+    // crate once per routed ask, and without it they could not be inlined there.
+    #[inline]
+    pub fn classify(&self, tokens: &[String]) -> Option<String> {
+        let scores = self.scores(tokens);
+        let classes = self.classes();
+        scores
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(i, _)| classes[i].clone())
+    }
+
+    /// Convenience: classify a raw question string.
+    #[inline]
+    pub fn classify_text(&self, text: &str) -> Option<String> {
+        let tokens: Vec<String> = text
+            .split_whitespace()
+            .map(cqads_text::normalize_token)
+            .filter(|t| !t.is_empty())
+            .collect();
+        self.classify(&tokens)
     }
 }
 

@@ -9,23 +9,19 @@
 //!
 //! The crate provides:
 //!
-//! * [`Vocabulary`] — token ↔ id mapping shared by both models,
-//! * [`MultinomialNb`] — the textbook multinomial Naive Bayes with Laplace smoothing,
-//!   kept as the ablation baseline,
+//! * [`Vocabulary`] — the classifier's token ↔ id mapping,
 //! * [`BetaBinomialNb`] — the JBBSM classifier: per-class, per-word beta-binomial
 //!   likelihoods fitted by the method of moments,
-//! * [`Classifier`] — the common training/prediction interface used by the pipeline.
+//! * [`LabelledDoc`] — a training question with its domain label.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
 pub mod jbbsm;
-pub mod multinomial;
 pub mod vocab;
 
 pub use jbbsm::BetaBinomialNb;
-pub use multinomial::MultinomialNb;
 pub use vocab::Vocabulary;
 
 /// A labelled training document: a bag of tokens plus the name of its class (domain).
@@ -51,40 +47,6 @@ impl LabelledDoc {
     }
 }
 
-/// Common interface implemented by both classifiers.
-pub trait Classifier {
-    /// Fit the classifier on labelled documents.
-    fn train(&mut self, docs: &[LabelledDoc]);
-
-    /// Log-probability score of each class for the given token bag, ordered as
-    /// [`Classifier::classes`]. Higher is better.
-    fn scores(&self, tokens: &[String]) -> Vec<f64>;
-
-    /// Class labels known to the classifier, in score order.
-    fn classes(&self) -> &[String];
-
-    /// Predict the most likely class for the token bag (Equation 2 of the paper).
-    fn classify(&self, tokens: &[String]) -> Option<String> {
-        let scores = self.scores(tokens);
-        let classes = self.classes();
-        scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| classes[i].clone())
-    }
-
-    /// Convenience: classify a raw question string.
-    fn classify_text(&self, text: &str) -> Option<String> {
-        let tokens: Vec<String> = text
-            .split_whitespace()
-            .map(cqads_text::normalize_token)
-            .filter(|t| !t.is_empty())
-            .collect();
-        self.classify(&tokens)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,22 +63,17 @@ mod tests {
     }
 
     #[test]
-    fn both_classifiers_learn_the_toy_split() {
-        let docs = training_set();
-        let mut nb = MultinomialNb::new();
-        nb.train(&docs);
+    fn jbbsm_learns_the_toy_split() {
         let mut bb = BetaBinomialNb::new();
-        bb.train(&docs);
-        for c in [&nb as &dyn Classifier, &bb as &dyn Classifier] {
-            assert_eq!(
-                c.classify_text("blue honda automatic").as_deref(),
-                Some("cars")
-            );
-            assert_eq!(
-                c.classify_text("software engineer salary").as_deref(),
-                Some("jobs")
-            );
-        }
+        bb.train(&training_set());
+        assert_eq!(
+            bb.classify_text("blue honda automatic").as_deref(),
+            Some("cars")
+        );
+        assert_eq!(
+            bb.classify_text("software engineer salary").as_deref(),
+            Some("jobs")
+        );
     }
 
     #[test]
@@ -128,8 +85,6 @@ mod tests {
 
     #[test]
     fn untrained_classifier_returns_none() {
-        let nb = MultinomialNb::new();
-        assert!(nb.classify_text("anything").is_none());
         let bb = BetaBinomialNb::new();
         assert!(bb.classify_text("anything").is_none());
     }

@@ -339,9 +339,9 @@ mod tests {
         // "Honda accord 2000" — year, price or mileage.
         let expr = expr_for("Honda accord 2000").unwrap();
         let rendered = expr.to_string();
-        assert!(rendered.contains("year = '2000'"));
-        assert!(rendered.contains("price = '2000'"));
-        assert!(rendered.contains("mileage = '2000'"));
+        assert!(rendered.contains("year = 2000"));
+        assert!(rendered.contains("price = 2000"));
+        assert!(rendered.contains("mileage = 2000"));
     }
 
     #[test]

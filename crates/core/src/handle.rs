@@ -111,7 +111,7 @@ use crate::tagging::{TaggedQuestion, Tagger};
 use crate::translate::{interpret, Interpretation};
 use addb::{Database, Record, RecordId, Table};
 use arcswap::ArcSwap;
-use cqads_classifier::{BetaBinomialNb, Classifier, LabelledDoc};
+use cqads_classifier::{BetaBinomialNb, LabelledDoc};
 use cqads_querylog::{QueryLogDelta, TIMatrix};
 use cqads_storage::{
     DomainSnap, Recovered, RecoveryReport, SnapshotData, StorageEngine, WalRecord,

@@ -170,12 +170,6 @@ impl QueryBudget {
         false
     }
 
-    /// Cheap check of the cancel flag alone (no clock read).
-    pub fn is_cancelled(&self) -> bool {
-        // ordering: see cancel() — the latch is self-contained, Relaxed.
-        self.cancelled.load(Ordering::Relaxed)
-    }
-
     /// Add `n` visited candidates to the batch-wide tally.
     pub fn add_visited(&self, n: u64) {
         // ordering: monotone stats tally read for reporting only; Relaxed.
@@ -383,7 +377,10 @@ mod tests {
         assert!(!budget.expired());
         clock.advance(1);
         assert!(budget.expired());
-        assert!(budget.is_cancelled(), "deadline latches the cancel flag");
+        assert!(
+            budget.cancelled.load(Ordering::Relaxed),
+            "deadline latches the cancel flag"
+        );
         budget.add_visited(3);
         budget.add_visited(4);
         assert_eq!(budget.visited(), 7);

@@ -1,8 +1,9 @@
 //! Levenshtein edit distance.
 //!
-//! Used by the CQAds spelling corrector as a tie-breaker between alternative keywords
-//! that receive the same `similar_text` percentage, and by tests as an independent
-//! check that corrections are close to the user's input.
+//! The CQAds spelling corrector does not use it: it ranks alternative keywords by
+//! `similar_text` percentage alone, and the first in trie order wins a tie. It is kept
+//! as an independent check for tests, e.g. that a generated misspelling stays within
+//! two edits of the word it came from.
 
 /// Classic dynamic-programming Levenshtein distance (insertions, deletions,
 /// substitutions all cost 1). Runs in `O(|a| * |b|)` time and `O(min(|a|, |b|))` space.

@@ -14,7 +14,8 @@
 //!   corrector (Section 4.2.1).
 //! * [`shorthand`] — the ordered-subsequence rule that detects shorthand notations such
 //!   as "4dr" for "4 door" (Section 4.2.3).
-//! * [`edit`] — Levenshtein distance, used as a tie-breaker by the spelling corrector.
+//! * [`edit`] — Levenshtein distance, an independent check for tests (the spelling
+//!   corrector ranks by `similar_text` alone).
 //! * [`trie`] — the keyword trie with per-node labels and identifiers that drives
 //!   keyword tagging, missing-space repair and spelling correction (Sections 4.1.3,
 //!   4.1.4, 4.2.1).
